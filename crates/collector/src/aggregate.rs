@@ -63,8 +63,10 @@ impl TemplateSeries {
 pub struct TemplateData {
     pub id: SqlId,
     pub series: TemplateSeries,
-    /// Indices into [`CaseData::records`] of this template's queries,
-    /// ascending by arrival.
+    /// Indices into [`CaseData::records`] of this template's queries.
+    /// Strictly ascending, and no record is listed by two templates:
+    /// [`CaseData::record_templates`] and the record-order sums built on it
+    /// (session estimation, HSQL labels) depend on both and panic otherwise.
     pub record_idx: Vec<u32>,
 }
 
@@ -139,6 +141,41 @@ impl CaseData {
     /// The instance active-session series for the window.
     pub fn instance_session(&self) -> &[f64] {
         &self.metrics.active_session
+    }
+
+    /// [`CaseData::record_templates`]' marker for an unreferenced record.
+    pub const NO_TEMPLATE: u32 = u32::MAX;
+
+    /// For each record, the position in [`CaseData::templates`] of the
+    /// template whose `record_idx` lists it; [`CaseData::NO_TEMPLATE`] for
+    /// a record no template references.
+    ///
+    /// This is what lets per-template sums be taken in one front-to-back
+    /// pass over `records` instead of one strided gather per template.
+    /// Because every `record_idx` is ascending and a record belongs to at
+    /// most one template (both hold by construction in `aggregate_case`
+    /// and `IncrementalAggregator::snapshot`), such a pass adds each
+    /// template's records in the same order the gather would — so f64 sums
+    /// come out bit-identical.
+    ///
+    /// # Panics
+    /// If a `record_idx` is not strictly ascending or lists a record another
+    /// template already owns: either would change the sums silently.
+    pub fn record_templates(&self) -> Vec<u32> {
+        let mut owner = vec![Self::NO_TEMPLATE; self.records.len()];
+        for (pos, tpl) in self.templates.iter().enumerate() {
+            let mut floor = 0;
+            for &ri in &tpl.record_idx {
+                let slot = &mut owner[ri as usize];
+                assert!(
+                    ri >= floor && *slot == Self::NO_TEMPLATE,
+                    "template {pos}: record_idx must ascend and own record {ri} alone"
+                );
+                *slot = pos as u32;
+                floor = ri + 1;
+            }
+        }
+        owner
     }
 }
 
@@ -283,6 +320,39 @@ mod tests {
         assert_eq!(a.series.examined_rows, vec![12.0, 2.0, 0.0, 0.0]);
         assert_eq!(a.series.total_executions(), 3.0);
         assert_eq!(a.record_idx.len(), 3);
+    }
+
+    #[test]
+    fn record_templates_inverts_record_idx() {
+        let specs = vec![spec("SELECT * FROM a WHERE x = 1"), spec("SELECT * FROM b WHERE x = 1")];
+        let log = vec![
+            rec(1, 100.0, 1.0, 0),
+            rec(0, 200.0, 1.0, 0),
+            rec(1, 300.0, 1.0, 0),
+            rec(0, 1400.0, 1.0, 0),
+        ];
+        let mut case = aggregate_case(&log, &specs, &empty_metrics(0, 2), 0, 2);
+        // A record appended behind the aggregator's back belongs to nobody.
+        case.records.push(rec(0, 1500.0, 1.0, 0));
+        let owner = case.record_templates();
+        assert_eq!(owner.len(), 5);
+        assert_eq!(owner[4], CaseData::NO_TEMPLATE);
+        for (pos, tpl) in case.templates.iter().enumerate() {
+            let swept: Vec<u32> =
+                (0..owner.len() as u32).filter(|&i| owner[i as usize] == pos as u32).collect();
+            assert_eq!(swept, tpl.record_idx, "record order within template {pos}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "record_idx must ascend")]
+    fn record_templates_rejects_a_shared_record() {
+        let specs = vec![spec("SELECT * FROM a WHERE x = 1"), spec("SELECT * FROM b WHERE x = 1")];
+        let log = vec![rec(0, 100.0, 1.0, 0), rec(1, 200.0, 1.0, 0)];
+        let mut case = aggregate_case(&log, &specs, &empty_metrics(0, 2), 0, 2);
+        let shared = case.templates[0].record_idx[0];
+        case.templates[1].record_idx.insert(0, shared);
+        case.record_templates();
     }
 
     #[test]

@@ -49,7 +49,8 @@ pub(crate) fn anomaly_bounds(case: &CaseData, window: &AnomalyWindow) -> (usize,
 pub struct HsqlRanking {
     /// `(template index, impact)`, impact descending.
     pub ranked: Vec<(usize, f64)>,
-    /// Per-template level scores (aligned with `case.templates`).
+    /// Per-template impact and level scores (aligned with `case.templates`).
+    pub impact: Vec<f64>,
     pub trend: Vec<f64>,
     pub scale: Vec<f64>,
     pub scale_trend: Vec<f64>,
@@ -61,7 +62,7 @@ pub struct HsqlRanking {
 impl HsqlRanking {
     /// Impact of template `i` (0.0 when out of range).
     pub fn impact_of(&self, i: usize) -> f64 {
-        self.ranked.iter().find(|(idx, _)| *idx == i).map_or(0.0, |(_, s)| *s)
+        self.impact.get(i).copied().unwrap_or(0.0)
     }
 }
 
@@ -141,12 +142,12 @@ pub fn rank_hsqls(
         (alpha, -alpha)
     };
 
-    let mut ranked: Vec<(usize, f64)> = (0..n)
-        .map(|i| (i, beta * trend[i] + scale_trend[i] + alpha * scale[i]))
-        .collect();
+    let impact: Vec<f64> =
+        (0..n).map(|i| beta * trend[i] + scale_trend[i] + alpha * scale[i]).collect();
+    let mut ranked: Vec<(usize, f64)> = impact.iter().copied().enumerate().collect();
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
 
-    HsqlRanking { ranked, trend, scale, scale_trend, alpha, beta }
+    HsqlRanking { ranked, impact, trend, scale, scale_trend, alpha, beta }
 }
 
 #[cfg(test)]
@@ -234,6 +235,19 @@ mod tests {
         assert_eq!(ranking.ranked[0].0, victim, "victim must rank first: {ranking:?}");
         assert!(ranking.impact_of(victim) > ranking.impact_of(idx_of(&case, 1)));
         assert!(ranking.impact_of(victim) > ranking.impact_of(idx_of(&case, 2)));
+    }
+
+    #[test]
+    fn impact_lookup_agrees_with_ranking() {
+        let (case, window) = synthetic_case();
+        let cfg = PinSqlConfig::default().with_estimator(EstimatorKind::NoBuckets);
+        let est = estimate_sessions(&case, &cfg);
+        let r = rank_hsqls(&case, &est, &window, &cfg);
+        assert_eq!(r.impact.len(), case.templates.len());
+        for &(i, score) in &r.ranked {
+            assert_eq!(r.impact_of(i).to_bits(), score.to_bits(), "template {i}");
+        }
+        assert_eq!(r.impact_of(case.templates.len()), 0.0, "out of range");
     }
 
     #[test]

@@ -102,11 +102,10 @@ pub fn identify_rsqls(
     let matrix = NormalizedMatrix::from_series(&series_refs);
     let raw_components =
         CorrelationGraph::from_matrix(&matrix, cfg.tau, parallelism).components();
-    let mut clusters: Vec<Vec<usize>> = raw_components
+    let components = raw_components
         .into_iter()
         .map(|c| c.into_iter().filter(|&i| i < n).collect::<Vec<_>>())
-        .filter(|c: &Vec<usize>| !c.is_empty())
-        .collect();
+        .filter(|c: &Vec<usize>| !c.is_empty());
 
     // --- 2. Rank clusters. ---
     let cluster_score = |c: &[usize]| -> f64 {
@@ -125,7 +124,11 @@ pub fn identify_rsqls(
             c.iter().map(|&i| hsql.impact_of(i)).fold(f64::NEG_INFINITY, f64::max)
         }
     };
-    clusters.sort_by(|a, b| cluster_score(b).total_cmp(&cluster_score(a)));
+    // Scored once each; the sort is stable, so equal scores keep the
+    // components' canonical (smallest-member) order.
+    let mut scored: Vec<(f64, Vec<usize>)> = components.map(|c| (cluster_score(&c), c)).collect();
+    scored.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let clusters: Vec<Vec<usize>> = scored.into_iter().map(|(_, c)| c).collect();
 
     // --- 3. Cumulative threshold. ---
     let n_secs = case.n_seconds();

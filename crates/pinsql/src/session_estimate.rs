@@ -12,14 +12,54 @@
 //! reported value. Each template's individual session for that second is
 //! then its expected activity *within the selected bucket*.
 //!
-//! Complexity: `O(records · K)` for the sub-second edges plus `O(1)` per
-//! fully covered second (difference arrays), so minutes-long blocked
-//! queries cost nothing per covered second.
+//! # Sweep order
+//!
+//! Both passes walk `case.records` once, front to back. A query covers its
+//! interior seconds entirely (one `+1/−1` pair in a difference array, so a
+//! minutes-long blocked query costs nothing per covered second) and at
+//! most two *edge* seconds partially.
+//!
+//! * Pass 1 sums the instance expectation: one difference array plus an
+//!   edge table laid out `[second][bucket]`, so a query's `K` edge cells
+//!   are contiguous. Only the buckets the query can reach are visited (the
+//!   range is widened by one bucket on each side against rounding); for
+//!   every bucket outside it the overlap clamps to exactly `+0.0`.
+//! * Bucket selection per second, as above.
+//! * Pass 2 attributes each record to its template through
+//!   [`CaseData::record_templates`] and adds it to that template's
+//!   difference row and to its output row at the one bucket selected for
+//!   the edge second — the other `K − 1` buckets are never needed again.
+//!   Scratch is `O(templates · n)`, not `O(templates · K · n)`, and a
+//!   case's records (tens of MB) are streamed rather than gathered
+//!   template by template through `record_idx`.
+//!
+//! # Why the result does not depend on the sweep
+//!
+//! Every output cell is an f64 sum, so it is fixed by *which* terms are
+//! added *in which order*. A template's cells receive its own records'
+//! terms only, and `record_idx` is ascending, so record order restricted
+//! to one template is the order a per-template gather visits. A skipped
+//! bucket's term is `+0.0`, and no cell is ever `-0.0` (cells start at
+//! `+0.0` and `x + y = -0.0` needs both operands `-0.0`), so leaving it
+//! out changes nothing. The previous per-template formulation is kept under
+//! `#[cfg(test)]` as the oracle the sweep is compared with bit for bit.
+//!
+//! Both passes are serial; `parallelism` does not reach this module.
+//! Splitting pass 2 by template range makes every worker scan all records,
+//! and at two workers that measured no better than this sweep (DESIGN.md,
+//! "Report path").
+//!
+//! Complexity: `O(records)` clips plus `O(edge buckets reached)` in pass 1
+//! and `O(1)` per record in pass 2.
 
 use crate::config::{EstimatorKind, PinSqlConfig};
 use pinsql_collector::CaseData;
 use pinsql_dbsim::QueryRecord;
-use pinsql_timeseries::par_map;
+
+#[cfg(test)]
+mod oracle;
+#[cfg(test)]
+mod sweep_tests;
 
 /// The estimator's output, aligned with `case.templates`.
 #[derive(Debug, Clone)]
@@ -47,13 +87,10 @@ impl SessionEstimates {
 pub fn estimate_sessions(case: &CaseData, cfg: &PinSqlConfig) -> SessionEstimates {
     let kind =
         if cfg.ablation.no_estimate_session { EstimatorKind::ByRt } else { cfg.estimator };
-    let parallelism = cfg.effective_parallelism();
     match kind {
         EstimatorKind::ByRt => estimate_by_rt(case),
-        EstimatorKind::NoBuckets => estimate_with_buckets(case, 1, parallelism),
-        EstimatorKind::Buckets => {
-            estimate_with_buckets(case, cfg.buckets_k.max(1), parallelism)
-        }
+        EstimatorKind::NoBuckets => estimate_with_buckets(case, 1),
+        EstimatorKind::Buckets => estimate_with_buckets(case, cfg.buckets_k.max(1)),
     }
 }
 
@@ -77,24 +114,21 @@ fn estimate_by_rt(case: &CaseData) -> SessionEstimates {
 
 /// Bucketed estimation (`K = 1` reproduces the w/o-buckets variant: the
 /// whole second is one bucket, so `P` is the query's expected activity over
-/// the full second).
-///
-/// Pass 2 (per-template accumulation) fans out over templates with up to
-/// `parallelism` workers; each template's series depends only on its own
-/// records and the shared selected-bucket vector, so the output is
-/// bit-identical for every parallelism level.
-fn estimate_with_buckets(case: &CaseData, k: usize, parallelism: usize) -> SessionEstimates {
+/// the full second). See the module docs for the sweep and for why the
+/// output is bit-identical to the per-template formulation.
+fn estimate_with_buckets(case: &CaseData, k: usize) -> SessionEstimates {
     let n = case.n_seconds();
-    let ts_ms = case.ts as f64 * 1000.0;
-    let bucket_ms = 1000.0 / k as f64;
+    let grid = Grid { ts_ms: case.ts as f64 * 1000.0, n, k, bucket_ms: 1000.0 / k as f64 };
 
-    // Pass 1: expected instance session per (bucket, second).
-    // `full[t]` counts queries covering second t entirely (same for every
-    // bucket); `edges[k][t]` accumulates partial-coverage probabilities.
+    // Pass 1: expected instance session per (second, bucket). `full[t]`
+    // counts queries covering second t entirely (same for every bucket);
+    // `edges[t * k + b]` accumulates partial-coverage probabilities.
     let mut full_diff = vec![0.0f64; n + 1];
-    let mut edges = vec![vec![0.0f64; n]; k];
+    let mut edges = vec![0.0f64; n * k];
     for rec in &case.records {
-        accumulate_query(rec, ts_ms, n, bucket_ms, &mut full_diff, &mut edges, None);
+        let Some(q) = grid.clip(rec) else { continue };
+        q.add_full(&mut full_diff);
+        q.for_each_edge_second(n, |t| grid.add_reachable_buckets(&q, t, &mut edges[t * k..][..k]));
     }
     let full = prefix_sum(&full_diff, n);
 
@@ -111,9 +145,8 @@ fn estimate_with_buckets(case: &CaseData, k: usize, parallelism: usize) -> Sessi
             }
             let mut best = 0usize;
             let mut best_err = f64::INFINITY;
-            for (b, edge) in edges.iter().enumerate() {
-                let est = full[t] + edge[t];
-                let err = (target - est).abs();
+            for (b, edge) in edges[t * k..][..k].iter().enumerate() {
+                let err = (target - (full[t] + edge)).abs();
                 if err < best_err {
                     best_err = err;
                     best = b;
@@ -124,107 +157,159 @@ fn estimate_with_buckets(case: &CaseData, k: usize, parallelism: usize) -> Sessi
     }
 
     // Pass 2: per-template sessions evaluated at the selected buckets.
-    let per_template: Vec<Vec<f64>> =
-        par_map(case.templates.len(), parallelism, |tpl_idx| {
-            let tpl = &case.templates[tpl_idx];
-            let mut tpl_full_diff = vec![0.0f64; n + 1];
-            let mut tpl_edges = vec![vec![0.0f64; n]; k];
-            for &ri in &tpl.record_idx {
-                accumulate_query(
-                    &case.records[ri as usize],
-                    ts_ms,
-                    n,
-                    bucket_ms,
-                    &mut tpl_full_diff,
-                    &mut tpl_edges,
-                    Some(&selected_bucket),
-                );
-            }
-            let tpl_full = prefix_sum(&tpl_full_diff, n);
-            (0..n).map(|t| tpl_full[t] + tpl_edges[selected_bucket[t]][t]).collect()
-        });
+    let per_template = sweep_templates(case, &grid, &selected_bucket);
 
-    let instance_estimate = if k > 1 {
-        // Evaluate the instance expectation at the selected buckets.
-        (0..n).map(|t| full[t] + edges[selected_bucket[t]][t]).collect()
-    } else {
-        (0..n).map(|t| full[t] + edges[0][t]).collect()
-    };
+    // The instance expectation at the selected buckets (bucket 0 for K = 1).
+    let instance_estimate = (0..n).map(|t| full[t] + edges[t * k + selected_bucket[t]]).collect();
 
     SessionEstimates { start: case.ts, per_template, selected_bucket, instance_estimate }
 }
 
-/// Adds one query's activity to the difference array (fully covered
-/// seconds) and the edge buckets (partially covered seconds).
-///
-/// When `only_buckets` is provided, edge contributions are computed only
-/// for the per-second selected bucket (pass 2); otherwise for all buckets
-/// (pass 1).
-#[allow(clippy::too_many_arguments)]
-fn accumulate_query(
-    rec: &QueryRecord,
+/// Pass 2: one sweep over all records, each added to the rows of the
+/// template [`CaseData::record_templates`] attributes it to. Returns
+/// `per_template`.
+fn sweep_templates(case: &CaseData, grid: &Grid, selected_bucket: &[usize]) -> Vec<Vec<f64>> {
+    let n = grid.n;
+    let mut full_diff = vec![0.0f64; case.templates.len() * (n + 1)];
+    // Edge sums accumulate straight into the output rows.
+    let mut rows = vec![vec![0.0f64; n]; case.templates.len()];
+    for (rec, &pos) in case.records.iter().zip(&case.record_templates()) {
+        // `NO_TEMPLATE` lies beyond every row.
+        let Some(row) = rows.get_mut(pos as usize) else { continue };
+        let Some(q) = grid.clip(rec) else { continue };
+        q.add_full(&mut full_diff[pos as usize * (n + 1)..][..n + 1]);
+        q.for_each_edge_second(n, |t| row[t] += grid.bucket_share(&q, t, selected_bucket[t]));
+    }
+    for (row, diff) in rows.iter_mut().zip(full_diff.chunks_exact(n + 1)) {
+        let mut full = 0.0;
+        for (v, &d) in row.iter_mut().zip(diff) {
+            full += d;
+            *v += full;
+        }
+    }
+    rows
+}
+
+/// The window's second × bucket grid.
+struct Grid {
     ts_ms: f64,
     n: usize,
+    k: usize,
     bucket_ms: f64,
-    full_diff: &mut [f64],
-    edges: &mut [Vec<f64>],
-    only_buckets: Option<&[usize]>,
-) {
-    let s = rec.start_ms;
-    let e = rec.end_ms();
-    // `!(e > s)` also rejects NaN endpoints from corrupted records, which
-    // would otherwise poison the difference arrays via `floor() as usize`.
-    if !(e > s) || !s.is_finite() || !e.is_finite() {
-        return;
-    }
-    let end_ms = ts_ms + n as f64 * 1000.0;
-    let s = s.max(ts_ms);
-    let e = e.min(end_ms);
-    if e <= s {
-        return;
-    }
-    let sec_first = ((s - ts_ms) / 1000.0).floor() as usize;
-    // Last second touched (inclusive); e is exclusive so back off an ulp.
-    let sec_last = (((e - ts_ms) / 1000.0).ceil() as usize).saturating_sub(1).min(n - 1);
+}
 
-    // Fully covered seconds: [full_lo, full_hi).
-    let full_lo = ((s - ts_ms) / 1000.0).ceil() as usize;
-    let full_hi = ((e - ts_ms) / 1000.0).floor() as usize;
-    if full_lo < full_hi {
-        full_diff[full_lo] += 1.0;
-        full_diff[full_hi] -= 1.0;
+/// One query's active interval `[s, e)` clipped to the window, with the
+/// seconds it touches.
+struct Clipped {
+    s: f64,
+    e: f64,
+    /// First and last second touched (inclusive).
+    sec_first: usize,
+    sec_last: usize,
+    /// Fully covered seconds: `[full_lo, full_hi)`.
+    full_lo: usize,
+    full_hi: usize,
+}
+
+impl Grid {
+    /// Clips a record to the window; `None` when it contributes nothing.
+    #[inline]
+    fn clip(&self, rec: &QueryRecord) -> Option<Clipped> {
+        let (ts_ms, n) = (self.ts_ms, self.n);
+        let s = rec.start_ms;
+        let e = rec.end_ms();
+        // `!(e > s)` also rejects NaN endpoints from corrupted records, which
+        // would otherwise poison the difference arrays via `floor() as usize`.
+        if !(e > s) || !s.is_finite() || !e.is_finite() {
+            return None;
+        }
+        let end_ms = ts_ms + n as f64 * 1000.0;
+        let s = s.max(ts_ms);
+        let e = e.min(end_ms);
+        if e <= s {
+            return None;
+        }
+        let (s_sec, e_sec) = ((s - ts_ms) / 1000.0, (e - ts_ms) / 1000.0);
+        Some(Clipped {
+            s,
+            e,
+            sec_first: floor_index(s_sec),
+            // e is exclusive, so back off one second from its ceiling.
+            sec_last: ceil_index(e_sec).saturating_sub(1).min(n - 1),
+            full_lo: ceil_index(s_sec),
+            full_hi: floor_index(e_sec),
+        })
     }
 
-    // Partially covered edge seconds: at most sec_first and sec_last.
-    let mut handle_edge = |t: usize| {
-        if t >= n {
-            return;
-        }
-        // Skip if this second is fully covered (handled by the diff array).
-        if t >= full_lo && t < full_hi {
-            return;
-        }
-        let base = ts_ms + t as f64 * 1000.0;
-        match only_buckets {
-            Some(sel) => {
-                let b = sel[t];
-                let lo = base + b as f64 * bucket_ms;
-                let hi = lo + bucket_ms;
-                edges[b][t] += overlap(s, e, lo, hi) / bucket_ms;
-            }
-            None => {
-                for (b, edge) in edges.iter_mut().enumerate() {
-                    let lo = base + b as f64 * bucket_ms;
-                    let hi = lo + bucket_ms;
-                    edge[t] += overlap(s, e, lo, hi) / bucket_ms;
-                }
-            }
-        }
-    };
-    handle_edge(sec_first);
-    if sec_last != sec_first {
-        handle_edge(sec_last);
+    /// `P(observed)` of `q` within bucket `b` of second `t`.
+    #[inline]
+    fn bucket_share(&self, q: &Clipped, t: usize, b: usize) -> f64 {
+        let lo = self.ts_ms + t as f64 * 1000.0 + b as f64 * self.bucket_ms;
+        let hi = lo + self.bucket_ms;
+        overlap(q.s, q.e, lo, hi) / self.bucket_ms
     }
+
+    /// Adds `q`'s share to every bucket of edge second `t` it can overlap
+    /// (`row` is the second's `K` cells).
+    ///
+    /// The range is the buckets holding `q`'s endpoints within the second,
+    /// widened by one each side: a bucket's computed bounds are off its
+    /// exact ones by a few ulps of a millisecond timestamp, orders of
+    /// magnitude below one bucket width, so a bucket outside the widened
+    /// range ends before `q.s` or starts after `q.e` and its share clamps
+    /// to `+0.0`.
+    #[inline]
+    fn add_reachable_buckets(&self, q: &Clipped, t: usize, row: &mut [f64]) {
+        let base = self.ts_ms + t as f64 * 1000.0;
+        // A negative offset (query began in an earlier second) casts to 0.
+        let first = floor_index((q.s - base) / self.bucket_ms).saturating_sub(1);
+        let last = ceil_index((q.e - base) / self.bucket_ms).saturating_add(1).min(self.k);
+        for (b, cell) in row.iter_mut().enumerate().take(last).skip(first) {
+            *cell += self.bucket_share(q, t, b);
+        }
+    }
+}
+
+impl Clipped {
+    /// Counts the fully covered seconds in a difference array.
+    #[inline]
+    fn add_full(&self, full_diff: &mut [f64]) {
+        if self.full_lo < self.full_hi {
+            full_diff[self.full_lo] += 1.0;
+            full_diff[self.full_hi] -= 1.0;
+        }
+    }
+
+    /// Calls `f` for each partially covered second: at most the first and
+    /// the last second touched, minus those the difference array covers.
+    #[inline]
+    fn for_each_edge_second(&self, n: usize, mut f: impl FnMut(usize)) {
+        let mut edge = |t: usize| {
+            if t < n && !(self.full_lo..self.full_hi).contains(&t) {
+                f(t);
+            }
+        };
+        edge(self.sec_first);
+        if self.sec_last != self.sec_first {
+            edge(self.sec_last);
+        }
+    }
+}
+
+/// `x.floor() as usize`: the cast truncates toward zero and saturates, so
+/// it agrees with the floor wherever that is representable — without the
+/// function call `floor` compiles to on a baseline x86-64 build (no
+/// `roundsd` before SSE4.1), several per record.
+#[inline]
+fn floor_index(x: f64) -> usize {
+    x as usize
+}
+
+/// `x.ceil() as usize`, likewise.
+#[inline]
+fn ceil_index(x: f64) -> usize {
+    let floor = x as usize;
+    floor.saturating_add(usize::from((floor as f64) < x))
 }
 
 #[inline]
@@ -266,6 +351,14 @@ mod tests {
             TemplateSpec::new("SELECT * FROM a WHERE x = 1", c.clone(), "a"),
             TemplateSpec::new("SELECT * FROM b WHERE x = 1", c, "b"),
         ]
+    }
+
+    /// `n` structurally distinct templates.
+    pub(super) fn specs_n(n: usize) -> Vec<TemplateSpec> {
+        let c = CostProfile::point_read(TableId(0));
+        (0..n)
+            .map(|i| TemplateSpec::new(&format!("SELECT * FROM t{i} WHERE x = 1"), c.clone(), "t"))
+            .collect()
     }
 
     fn metrics_with_probes(n: usize, probes: Vec<(i64, u32, f64)>) -> InstanceMetrics {
@@ -441,6 +534,17 @@ mod tests {
     }
 
     #[test]
+    fn index_casts_agree_with_floor_and_ceil() {
+        let mut xs = vec![0.0, -0.0, 0.5, 1.0, 1.0 - f64::EPSILON, 1.0 + f64::EPSILON, 299.999];
+        xs.extend([-0.5, -1.0, -7.25, 1e15, 4.5e15, 1e19, 1e300, -1e300, f64::MIN_POSITIVE]);
+        xs.extend((0..2000).map(|i| i as f64 * 0.37 - 20.0));
+        for x in xs {
+            assert_eq!(floor_index(x), x.floor() as usize, "floor {x}");
+            assert_eq!(ceil_index(x), x.ceil() as usize, "ceil {x}");
+        }
+    }
+
+    #[test]
     fn empty_case_is_fine() {
         let case = aggregate_case(&[], &specs2(), &metrics_with_probes(3, vec![]), 0, 3);
         let est = estimate_sessions(&case, &cfg(EstimatorKind::Buckets, 10));
@@ -474,7 +578,10 @@ mod tests {
         // into `floor() as usize` index arithmetic. It must simply be
         // ignored by the accumulator.
         let log = vec![rec(0, 500.0, 1000.0)];
-        let case = aggregate_case(&log, &specs2(), &metrics_with_probes(3, vec![]), 0, 3);
+        // The probe saw the query, so a bucket it covers ([500, 1000) of
+        // second 0) is selected and the template's estimate there is 1.
+        let probes = vec![(0, 1, 700.0)];
+        let case = aggregate_case(&log, &specs2(), &metrics_with_probes(3, probes), 0, 3);
         // Inject corrupt records under the aggregated case's nose.
         let mut case = case;
         case.records.push(rec(0, f64::NAN, 100.0));
@@ -483,7 +590,7 @@ mod tests {
         case.templates[0].record_idx.push(2);
         let est = estimate_sessions(&case, &cfg(EstimatorKind::Buckets, 10));
         let a_idx = case.template_index(case.catalog.id_of_spec(SpecId(0))).unwrap();
-        assert!((est.per_template[a_idx][0] - 0.5).abs() < 1e-9);
+        assert!((est.per_template[a_idx][0] - 1.0).abs() < 1e-9);
         assert!(est.per_template[a_idx].iter().all(|v| v.is_finite()));
     }
 

@@ -1,0 +1,190 @@
+//! Seeded sweep comparing the record-order estimator with the oracle bit
+//! for bit. No property-testing dependency: every case is a pure function
+//! of its seed, and a failure names the seed and `K`.
+
+use super::tests::specs_n;
+use super::{estimate_with_buckets, oracle, SessionEstimates};
+use pinsql_collector::{aggregate_case, CaseData};
+use pinsql_dbsim::probe::ProbeLog;
+use pinsql_dbsim::{InstanceMetrics, QueryRecord};
+use pinsql_workload::SpecId;
+
+const KS: [usize; 5] = [1, 3, 7, 10, 16];
+
+/// splitmix64.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+        items[self.below(items.len() as u64) as usize]
+    }
+}
+
+/// An instant on the bucket grid of some `K` in [`KS`] (whole seconds
+/// included), as an offset from the window start: such endpoints sit
+/// exactly on the bounds the estimator computes for that `K`.
+fn grid_ms(rng: &mut Rng, n: usize) -> f64 {
+    let k = rng.pick(&KS);
+    let second = rng.below(n as u64 + 1) as f64;
+    second * 1000.0 + rng.below(k as u64) as f64 * (1000.0 / k as f64)
+}
+
+/// A case of `n` seconds starting at `ts` whose records stress every guard
+/// of the estimator. Built by aggregating a clean in-window log (so
+/// `record_idx` is what production builds) and then corrupting records in
+/// place, which leaves the record → template attribution intact.
+fn adversarial_case(seed: u64) -> CaseData {
+    let mut rng = Rng(seed);
+    let n = 1 + rng.below(40) as usize;
+    let ts = rng.pick(&[0i64, 17, 3_600, 86_399]);
+    let ts_ms = ts as f64 * 1000.0;
+    let n_ms = n as f64 * 1000.0;
+    let specs = specs_n(1 + rng.below(48) as usize);
+
+    let log: Vec<QueryRecord> = (0..rng.below(1500))
+        .map(|_| {
+            let start = match rng.below(4) {
+                0 => grid_ms(&mut rng, n).min(n_ms - 1.0),
+                _ => rng.unit() * n_ms * 0.999,
+            };
+            let response = match rng.below(8) {
+                // Blocked: spans many seconds, often past the window end.
+                0 => rng.unit() * n_ms * 1.5,
+                // Ends on a bucket bound (or is empty when that lies behind).
+                1 | 2 => grid_ms(&mut rng, n) - start,
+                _ => rng.unit() * rng.unit() * 2500.0,
+            };
+            QueryRecord {
+                spec: SpecId(rng.below(specs.len() as u64) as usize),
+                start_ms: ts_ms + start,
+                response_ms: response.max(0.001),
+                examined_rows: 1,
+            }
+        })
+        .collect();
+
+    let metrics = InstanceMetrics {
+        start_second: ts,
+        active_session: (0..n).map(|_| (rng.unit() * 12.0).floor()).collect(),
+        cpu_usage: vec![0.0; n],
+        iops_usage: vec![0.0; n],
+        row_lock_waits: vec![0.0; n],
+        mdl_waits: vec![0.0; n],
+        qps: vec![0.0; n],
+        probes: ProbeLog::default(),
+    };
+    let mut case = aggregate_case(&log, &specs, &metrics, ts, ts + n as i64);
+    assert_eq!(case.records.len(), log.len(), "seed {seed}: clean log is all in-window");
+
+    // Everything `aggregate_case` would have filtered or sanitized.
+    for rec in &mut case.records {
+        match rng.below(12) {
+            // Straddles the lower window edge, sometimes both.
+            0 => {
+                rec.start_ms = ts_ms - rng.unit() * 5000.0;
+                rec.response_ms = rng.unit() * (n_ms + 10_000.0);
+            }
+            1 => {
+                rec.response_ms =
+                    rng.pick(&[0.0, -0.0, -250.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY])
+            }
+            2 => rec.start_ms = rng.pick(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]),
+            // Wholly before / after the window.
+            3 => rec.start_ms = ts_ms - 10_000.0 - rng.unit() * 1000.0,
+            4 => rec.start_ms = ts_ms + n_ms + rng.unit() * 1000.0,
+            _ => {}
+        }
+    }
+    // Records no template references.
+    for _ in 0..rng.below(20) {
+        case.records.push(QueryRecord {
+            spec: SpecId(0),
+            start_ms: ts_ms + rng.unit() * n_ms,
+            response_ms: rng.unit() * 3000.0,
+            examined_rows: 1,
+        });
+    }
+    // A probe second the bucket selection cannot use.
+    let nan_at = rng.below(n as u64) as usize;
+    case.metrics.active_session[nan_at] = f64::NAN;
+    case
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn assert_bit_identical(new: &SessionEstimates, old: &SessionEstimates, what: &str) {
+    assert_eq!(new.start, old.start, "{what}: start");
+    assert_eq!(new.selected_bucket, old.selected_bucket, "{what}: selected_bucket");
+    assert_eq!(
+        bits(&new.instance_estimate),
+        bits(&old.instance_estimate),
+        "{what}: instance_estimate"
+    );
+    assert_eq!(new.per_template.len(), old.per_template.len(), "{what}: template count");
+    for (i, (a, b)) in new.per_template.iter().zip(&old.per_template).enumerate() {
+        assert_eq!(bits(a), bits(b), "{what}: per_template[{i}]");
+    }
+}
+
+#[test]
+fn sweep_matches_oracle_bit_for_bit() {
+    for seed in 0..80u64 {
+        let case = adversarial_case(seed);
+        for k in KS {
+            let old = oracle::estimate_with_buckets(&case, k);
+            let new = estimate_with_buckets(&case, k);
+            assert_bit_identical(&new, &old, &format!("seed {seed} K={k}"));
+        }
+    }
+}
+
+#[test]
+fn adversarial_cases_hold_what_they_claim() {
+    // The generator must actually produce the shapes the sweep is for;
+    // otherwise a change to it could hollow the suite out silently.
+    let (mut non_finite, mut before, mut blocked, mut unowned, mut aligned) = (0, 0, 0, 0, 0);
+    for seed in 0..80u64 {
+        let case = adversarial_case(seed);
+        let ts_ms = case.ts as f64 * 1000.0;
+        let owner = case.record_templates();
+        unowned += owner.iter().filter(|&&o| o == CaseData::NO_TEMPLATE).count();
+        for r in &case.records {
+            let e = r.end_ms();
+            non_finite += usize::from(!r.start_ms.is_finite() || !e.is_finite());
+            before += usize::from(r.start_ms < ts_ms && e > ts_ms);
+            blocked += usize::from(e.is_finite() && r.response_ms > 5000.0);
+            aligned += usize::from(
+                e.is_finite()
+                    && KS.iter().any(|&k| ((e - ts_ms) * k as f64 / 1000.0).fract() == 0.0),
+            );
+        }
+        assert!(case.instance_session().iter().any(|v| v.is_nan()), "seed {seed}: NaN probe");
+    }
+    for (what, count) in [
+        ("non-finite records", non_finite),
+        ("records straddling the window start", before),
+        ("blocked queries", blocked),
+        ("unreferenced records", unowned),
+        ("bucket-aligned ends", aligned),
+    ] {
+        assert!(count >= 100, "only {count} {what} over 80 seeds");
+    }
+}

@@ -249,17 +249,19 @@ fn label_hsqls(case: &CaseData, window: &AnomalyWindow) -> Vec<SqlId> {
         return Vec::new();
     }
     let ts_ms = window.ts() as f64 * 1000.0;
+    // True session mass from the full log (expected activity), per template
+    // as `(anomaly, baseline)`: one pass in record order, which within a
+    // template is the order its `record_idx` lists (see `record_templates`;
+    // its `NO_TEMPLATE` marker indexes past `mass`).
+    let mut mass = vec![(0.0f64, 0.0f64); case.templates.len()];
+    for (r, &pos) in case.records.iter().zip(&case.record_templates()) {
+        let Some((anom, base)) = mass.get_mut(pos as usize) else { continue };
+        *anom += r.overlap_ms(ts_ms + a_lo as f64 * 1000.0, ts_ms + a_hi as f64 * 1000.0);
+        *base += r.overlap_ms(ts_ms, ts_ms + a_lo as f64 * 1000.0);
+    }
     let mut out = Vec::new();
     let mut best: Option<(SqlId, f64)> = None;
-    for tpl in &case.templates {
-        // True per-second session from the full log (expected activity).
-        let mut anom = 0.0;
-        let mut base = 0.0;
-        for &ri in &tpl.record_idx {
-            let r = &case.records[ri as usize];
-            anom += r.overlap_ms(ts_ms + a_lo as f64 * 1000.0, ts_ms + a_hi as f64 * 1000.0);
-            base += r.overlap_ms(ts_ms, ts_ms + a_lo as f64 * 1000.0);
-        }
+    for (tpl, &(anom, base)) in case.templates.iter().zip(&mass) {
         let anom_mean = anom / 1000.0 / (a_hi - a_lo) as f64;
         let base_mean = if a_lo > 0 { base / 1000.0 / a_lo as f64 } else { 0.0 };
         if anom_mean > 1.0 && anom_mean > 3.0 * base_mean + 0.5 {

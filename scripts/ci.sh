@@ -21,11 +21,15 @@
 #   transport_smoke   cross-process ingest: PEVT wire hardening,
 #                     loopback transport equivalence + backpressure
 #                     faults, throughput/latency sanity gate
+#   offline_smoke     the suites that need no registry, by real
+#                     `cargo test --offline` from tests/offline (its own
+#                     workspace over the stand-ins in benchmark/shims);
+#                     skips the root build and is not part of `all`
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//' >&2
 }
 
 # End-to-end chaos: a tiny run that exercises perturbation + diagnosis
@@ -113,12 +117,38 @@ transport_smoke() {
   cargo run --release -q -p pinsql-bench --bin transport -- --gate
 }
 
+# What builds and runs with an empty cargo registry (ROADMAP item 0):
+# tests/offline is a workspace of its own whose [patch.crates-io] points
+# at the stand-in crates under benchmark/shims, so this is real `cargo
+# test`. It covers the integration suites that need neither proptest nor
+# a working serde_json, plus the unit tests of crates/pinsql (the
+# estimator's bit-identity oracle lives there) and crates/collector.
+offline_smoke() {
+  local skip=(
+    # The stand-in PRNG draws a different stream than crates.io `StdRng`
+    # for these two tests' fixed seeds, and their thresholds do not hold
+    # on it (rank 8, wants <= 5; pressure 4.6 -> 2.3, wants < 0.5x). They
+    # fail alike with and without any change to the code under test.
+    --skip row_lock_pipeline
+    --skip autoscale_relieves_cpu_pressure
+    # Round-trip through serde_json, whose stand-in fails every call.
+    --skip config::tests::delta_applies_only_present_fields
+    --skip config::tests::epochs_are_ordered_and_display
+    --skip config::tests::transport_policy_defaults_and_validation
+  )
+  cargo test -q --offline --manifest-path tests/offline/Cargo.toml -- "${skip[@]}"
+}
+
 target="${1:-all}"
 
 case "$target" in
   robustness_smoke|fleet_smoke|scaling_smoke|obs_smoke|kernel_smoke|snapshot_smoke|daemon_smoke|case_cut_smoke|transport_smoke)
     cargo build --release
     "$target"
+    exit 0
+    ;;
+  offline_smoke)
+    offline_smoke
     exit 0
     ;;
   all) ;;
