@@ -15,7 +15,7 @@
 //! * stop, and cross-check the outcomes against an uninterrupted
 //!   `FleetEngine::run_full` under the final config (the cheap in-bench
 //!   guard; the real byte-level matrix lives in
-//!   `tests/daemon_equivalence.rs`).
+//!   `tests/equivalence.rs`).
 //!
 //! Usage: `cargo run -p pinsql-bench --release --bin daemon [-- INSTANCES_CSV [BUSINESSES [SEED]]]`
 //! Defaults: instances `2,4,8`, businesses 6, seed 11000. Writes

@@ -19,7 +19,7 @@
 //!   value) → `results/fleet_scaling.json`, reporting each cell's ingest
 //!   throughput and its speedup over the 1-shard run of the same fleet.
 //!   Outcomes are bit-identical across shard counts (pinned by the
-//!   `shard_equivalence` suite), so the sweep reports timing only.
+//!   `equivalence` matrix), so the sweep reports timing only.
 //!
 //! A final **traced run** repeats the largest fleet under a
 //! `RecordingObserver` and exports the per-stage timeline as
@@ -239,8 +239,8 @@ fn main() {
     write_json("results/fleet_scaling.json", &scaling);
 
     // Traced run: the largest fleet once more, recording. The diagnosis
-    // outputs are identical to the untraced runs (obs_equivalence pins
-    // this); what this adds is the cross-thread stage timeline.
+    // outputs are identical to the untraced runs (the equivalence matrix
+    // pins this); what this adds is the cross-thread stage timeline.
     let n = *instance_counts.last().unwrap_or(&2);
     let shards = *shard_counts.last().unwrap_or(&1);
     let scen = scenarios(n, businesses, seed);

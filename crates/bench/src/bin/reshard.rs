@@ -12,7 +12,7 @@
 //!   span and snapshot counters;
 //! * cross-checks that the resharded outcomes match the uninterrupted
 //!   run (the cheap in-bench guard; the real matrix lives in
-//!   `tests/reshard_equivalence.rs`).
+//!   `tests/equivalence.rs`).
 //!
 //! Usage: `cargo run -p pinsql-bench --release --bin reshard [-- INSTANCES_CSV [BUSINESSES [SEED]]]`
 //! Defaults: instances `2,4,8`, businesses 6, seed 9000. Writes

@@ -15,7 +15,7 @@
 //!
 //! Every wired run is cross-checked against an uninterrupted
 //! `FleetEngine::run_full` of the same fleet (the cheap in-bench guard;
-//! the byte-level matrix lives in `tests/transport_equivalence.rs`).
+//! the byte-level matrix lives in `tests/equivalence.rs`).
 //!
 //! Usage: `cargo run -p pinsql-bench --release --bin transport [-- BATCH_CSV [BUSINESSES [SEED [REPS]]]]`
 //! Defaults: batches `16,64,256,1024`, businesses 6, seed 12000,

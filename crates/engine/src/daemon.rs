@@ -1,55 +1,75 @@
-//! The resident fleet daemon: an agent that *stays up* between batches.
+//! The fleet daemon: the one shard executor, resident between batches.
 //!
-//! [`FleetEngine`] runs a fleet to completion in one call. A production
-//! deployment instead keeps the pipelines resident: telemetry arrives
-//! forever, operators retune thresholds, swap kernels, and bounce agents
-//! without losing a second of online state. [`FleetDaemon`] is that
-//! shape over the same machinery:
+//! Production PinSQL (§VII) runs one online pipeline per instance:
+//! collectors stream, a streaming layer folds, diagnosis fires when a
+//! case closes — and operators retune thresholds, swap kernels, move
+//! instances between shards and bounce agents without losing a second of
+//! online state. [`FleetDaemon`] is that shape, and it is the **only**
+//! thing in this crate that spawns shard workers; every run shape of
+//! [`FleetEngine`](crate::FleetEngine) is a short driver over it.
 //!
-//! - **Agent** ([`FleetDaemon`]) — owns the live [`OnlineInstance`]s and
-//!   the sharded ingestion workers. [`advance_to`](FleetDaemon::advance_to)
-//!   folds each stream's prefix strictly before an event-time watermark
-//!   (the same exact quiesce [`crate::ReshardStep`] boundaries use), so
-//!   every pause point is deterministic whatever the shard layout.
+//! - **Agent** ([`FleetDaemon`]) — owns the live [`OnlineInstance`]s, the
+//!   unconsumed stream tails and the instance → shard map.
+//!   [`advance_to`](FleetDaemon::advance_to) folds each stream's prefix
+//!   strictly before an event-time watermark — one scoped worker per
+//!   shard, each a private time-ordered k-way merge over its instances —
+//!   so every pause point is exact whatever the shard layout.
+//!   [`finish`](FleetDaemon::finish) drains the tails, closes every case
+//!   in its shard, reassembles by instance id and fans
+//!   `PinSql::diagnose` out across the closed cases.
 //! - **Server** ([`FleetServer`]) — the control plane. Every operation
 //!   crosses the typed `PCTL` wire ([`crate::control`]) as encoded
 //!   frames: versioned config pushes, drains, restarts, health queries.
-//!   There is no side channel; the daemon suites exercise the bytes a
-//!   remote deployment would.
+//!   There is no side channel; the suites exercise the bytes a remote
+//!   deployment would.
 //!
-//! ## Why a live reconfigure is byte-identical to a cold start
+//! ## One primitive: quiesce → snapshot → reseat
 //!
-//! A [`ControlMsg::ConfigPush`] lands at the current watermark, where the
-//! fleet is quiesced. The push re-seats every instance through the full
-//! untrusted snapshot path (serialize → [`InstanceSnapshot::from_bytes`]
-//! → restore — exactly the reshard handoff), then applies the delta:
+//! At a watermark the fleet is quiesced. From there a **checkpoint**
+//! ([`checkpoint`](FleetDaemon::checkpoint)) hands the per-instance
+//! snapshots out; a **reshard** ([`reshard`](FleetDaemon::reshard)), a
+//! **config push** and a **graceful restart** each re-seat every instance
+//! through the full untrusted snapshot path (serialize →
+//! [`InstanceSnapshot::from_bytes`] → restore) and then change,
+//! respectively, the shard map, the configuration, or nothing at all; a
+//! **resume** ([`resume`](FleetDaemon::resume)) boots an agent from the
+//! snapshots a checkpoint handed out. A snapshot/restore boundary is
+//! behaviorally invisible and instances are independent — no event of
+//! one can affect another's pipeline, and every shard layout preserves
+//! each instance's own event order — so cases and diagnoses are
+//! bit-identical for **any** `shards` / `fanout`, any reshard plan, any
+//! checkpoint boundary and any restart schedule.
 //!
-//! - the **kernel** hot-swap is safe because detector baselines hold raw
-//!   samples (median/MAD recompute on demand) and both kernel kinds are
+//! A config push is byte-identical to a cold start because
+//!
+//! - the **kernel** hot-swap is safe: detector baselines hold raw samples
+//!   (median/MAD recompute on demand) and both kernel kinds are
 //!   bit-identical;
 //! - **`δ_s`** and every [`pinsql::PinSqlDelta`] knob are only read when
 //!   a case closes / diagnoses, after the final config is in place;
 //! - **shards / fanout / regions** never touch per-instance state.
 //!
-//! So a daemon that ends at config `F` — however many pushes and
-//! restarts it took — produces the same bytes as
-//! [`FleetEngine::run_full`] under `F`. The `daemon_equivalence` matrix
-//! pins this against the golden corpus, including a mid-stream push and
-//! a graceful restart inside an open anomaly.
+//! So a daemon that ends at config `F` — however many pushes, reshards
+//! and restarts it took — produces the same bytes as the batch pipeline
+//! under `F`. The `equivalence` matrix at the workspace root pins every
+//! path against the golden corpus.
 
 use crate::control::{ControlMsg, ControlResp, DaemonState, FleetDelta};
 use crate::fleet::{
-    contiguous_assignment, finalize_instance, merge_streams, split_prefix, FleetConfig,
-    FleetEngine, FleetRun, InstanceArtifacts,
+    contiguous_assignment, FleetCheckpoint, FleetConfig, FleetReport, FleetRun, InstanceOutcome,
 };
 use crate::instance::OnlineInstance;
 use crate::snapshot::InstanceSnapshot;
-use pinsql::ConfigEpoch;
+use pinsql::{ConfigEpoch, PinSql};
+use pinsql_dbsim::telemetry::query_run;
 use pinsql_dbsim::TelemetryEvent;
-use pinsql_obs::{Counter, FleetRollup, HealthSnapshot, NoopObserver, Observer, Stage};
-use pinsql_scenario::{materialize_events, Scenario};
+use pinsql_obs::{
+    Counter, FleetHealth, FleetRollup, HealthSnapshot, NoopObserver, Observer, Stage,
+};
+use pinsql_scenario::{materialize_events, LabeledCase, Scenario};
 use pinsql_timeseries::par::par_map;
 use pinsql_timeseries::WireError;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// The resident agent: live pipelines plus the control-plane handler.
@@ -64,6 +84,10 @@ pub struct FleetDaemon<'a, O: Observer = NoopObserver> {
     instances: Vec<OnlineInstance<'a, O>>,
     /// Unconsumed stream tails, aligned with `instances`.
     streams: Vec<Vec<TelemetryEvent>>,
+    /// `assignment[i]` = shard that folds instance `i`: the contiguous
+    /// layout under `cfg.shards` until a [`reshard`](Self::reshard) says
+    /// otherwise.
+    assignment: Vec<usize>,
     /// Highest quiesce boundary folded so far (`i64::MIN` before any).
     watermark: i64,
     ingest_wall_s: f64,
@@ -79,7 +103,7 @@ impl<'a> FleetDaemon<'a> {
     ///
     /// # Panics
     /// Panics on an empty fleet or `cfg.shards == 0` / `cfg.regions == 0`
-    /// (programmer errors, like [`FleetEngine::new`]).
+    /// (programmer errors, like [`crate::FleetEngine::new`]).
     pub fn spawn(cfg: FleetConfig, scenarios: &'a [Scenario]) -> Self {
         Self::spawn_observed(cfg, scenarios, NoopObserver)
     }
@@ -96,39 +120,84 @@ impl<'a> FleetDaemon<'a> {
 
 impl<'a, O: Observer> FleetDaemon<'a, O> {
     /// [`spawn`](FleetDaemon::spawn) under an explicit observer; each
-    /// instance records on its own `inst{i}` lane.
+    /// instance records on its own `inst{i}` lane, each ingest round on
+    /// one `r{round}shard{s}` lane per shard, each diagnosis on `diag{i}`.
     pub fn spawn_observed(cfg: FleetConfig, scenarios: &'a [Scenario], obs: O) -> Self {
-        Self::spawn_inner(cfg, scenarios, obs, true)
+        let streams = materialize(&cfg, scenarios);
+        let instances = fresh_instances(&cfg, scenarios, &obs);
+        Self::boot(cfg, scenarios, obs, streams, instances)
     }
 
-    fn spawn_inner(cfg: FleetConfig, scenarios: &'a [Scenario], obs: O, materialize: bool) -> Self {
+    /// [`spawn_hollow`](FleetDaemon::spawn_hollow) under an explicit
+    /// observer.
+    pub fn spawn_hollow_observed(cfg: FleetConfig, scenarios: &'a [Scenario], obs: O) -> Self {
+        let streams = scenarios.iter().map(|_| Vec::new()).collect();
+        let instances = fresh_instances(&cfg, scenarios, &obs);
+        Self::boot(cfg, scenarios, obs, streams, instances)
+    }
+
+    /// Boots an agent from a [`FleetCheckpoint`] — crash recovery: every
+    /// instance is restored from its snapshot and re-tuned to `cfg`, the
+    /// materialized streams drop the prefix the checkpoint already
+    /// covers, and the watermark starts at the checkpoint boundary, so
+    /// [`finish`](Self::finish) replays only the tail. `cfg`'s layout
+    /// need not match the one that cut the checkpoint.
+    ///
+    /// Errors if a snapshot fails to decode or belongs to another
+    /// scenario; panics like [`spawn`](FleetDaemon::spawn), or when the
+    /// checkpoint's fleet size differs.
+    pub fn resume(
+        cfg: FleetConfig,
+        scenarios: &'a [Scenario],
+        checkpoint: &FleetCheckpoint,
+        obs: O,
+    ) -> Result<Self, WireError> {
+        assert_eq!(
+            checkpoint.snapshots.len(),
+            scenarios.len(),
+            "checkpoint holds {} instances, fleet has {}",
+            checkpoint.snapshots.len(),
+            scenarios.len()
+        );
+        let mut streams = materialize(&cfg, scenarios);
+        for stream in &mut streams {
+            let _covered = split_prefix(stream, Some(checkpoint.at_second));
+        }
+        let instances = scenarios
+            .iter()
+            .zip(&checkpoint.snapshots)
+            .enumerate()
+            .map(|(i, (sc, snap))| {
+                OnlineInstance::restore_with_observer(sc, snap, obs.fork(&format!("inst{i}")))
+            })
+            .collect::<Result<_, _>>()?;
+        let mut daemon = Self::boot(cfg, scenarios, obs, streams, instances);
+        daemon.tune_instances();
+        daemon.watermark = checkpoint.at_second;
+        Ok(daemon)
+    }
+
+    /// `Starting` covers the constructors; by here the streams (empty for
+    /// a hollow agent fed over the wire) and one live pipeline per
+    /// instance are in hand, to be seated on the contiguous layout.
+    fn boot(
+        cfg: FleetConfig,
+        scenarios: &'a [Scenario],
+        obs: O,
+        streams: Vec<Vec<TelemetryEvent>>,
+        instances: Vec<OnlineInstance<'a, O>>,
+    ) -> Self {
         assert!(!scenarios.is_empty(), "fleet daemon needs at least one scenario");
         assert!(cfg.shards >= 1, "FleetConfig.shards must be >= 1");
         assert!(cfg.regions >= 1, "FleetConfig.regions must be >= 1");
         let n = scenarios.len();
-        // `Starting` covers this whole constructor: materialize the
-        // streams (unless the agent is hollow and fed over the wire),
-        // then build one live pipeline per instance.
-        let streams = if materialize {
-            par_map(n, cfg.fanout, |i| materialize_events(&scenarios[i], None))
-        } else {
-            (0..n).map(|_| Vec::new()).collect()
-        };
-        let instances = scenarios
-            .iter()
-            .enumerate()
-            .map(|(i, sc)| {
-                OnlineInstance::with_observer(sc, cfg.delta_s, obs.fork(&format!("inst{i}")))
-                    .with_kernel(cfg.kernel)
-                    .with_cut(cfg.pinsql.cut)
-            })
-            .collect();
         Self {
             epoch: ConfigEpoch::INITIAL,
             state: DaemonState::Running,
             scenarios,
             instances,
             streams,
+            assignment: contiguous_assignment(n, cfg.shards.clamp(1, n)),
             watermark: i64::MIN,
             ingest_wall_s: 0.0,
             rounds: 0,
@@ -136,12 +205,6 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
             obs,
             cfg,
         }
-    }
-
-    /// [`spawn_hollow`](FleetDaemon::spawn_hollow) under an explicit
-    /// observer.
-    pub fn spawn_hollow_observed(cfg: FleetConfig, scenarios: &'a [Scenario], obs: O) -> Self {
-        Self::spawn_inner(cfg, scenarios, obs, false)
     }
 
     /// Appends wire-delivered telemetry to one instance's pending stream.
@@ -288,60 +351,71 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
     pub fn rollup(&self) -> FleetRollup {
         let snaps: Vec<HealthSnapshot> =
             self.instances.iter().map(OnlineInstance::health_snapshot).collect();
-        let regions = self.cfg.regions.clamp(1, snaps.len().max(1));
-        let region_of = contiguous_assignment(snaps.len(), regions);
-        FleetRollup::from_assigned(&snaps, |i| region_of[i] as u32)
+        region_rollup(&snaps, self.cfg.regions)
+    }
+
+    /// Quiesce → snapshot: freezes the whole fleet at the current
+    /// watermark as a [`FleetCheckpoint`]. Persist the blobs, and after a
+    /// crash [`resume`](Self::resume) replays only the tail. The agent
+    /// itself is untouched.
+    pub fn checkpoint(&self) -> FleetCheckpoint {
+        FleetCheckpoint {
+            at_second: self.watermark,
+            snapshots: self.instances.iter().map(OnlineInstance::snapshot).collect(),
+        }
+    }
+
+    /// Live reshard at the current watermark: re-seats every instance
+    /// through the snapshot path, then `assignment[i]` becomes the shard
+    /// that folds instance `i`. Shard ids may form any layout — more
+    /// shards, fewer, permutations; empty shards spawn no worker. The
+    /// handoff is behaviorally invisible. Records a [`Stage::Reshard`]
+    /// span and counts [`Counter::InstancesResharded`] for instances
+    /// whose shard actually changed.
+    ///
+    /// Errors only if a snapshot fails to revalidate (in-memory
+    /// corruption; the live pipelines and the map are left untouched).
+    ///
+    /// # Panics
+    /// Panics when `assignment` does not cover the fleet.
+    pub fn reshard(&mut self, assignment: &[usize]) -> Result<(), WireError> {
+        assert_eq!(
+            assignment.len(),
+            self.instances.len(),
+            "reshard assignment covers {} instances, fleet has {}",
+            assignment.len(),
+            self.instances.len()
+        );
+        let n0 = if O::ENABLED { self.obs.now_ns() } else { 0 };
+        self.reseat()?;
+        if O::ENABLED {
+            let moved = assignment.iter().zip(&self.assignment).filter(|(a, b)| a != b).count();
+            self.obs.add(Counter::InstancesResharded, moved as u64);
+        }
+        self.assignment.copy_from_slice(assignment);
+        if O::ENABLED {
+            self.obs.span(Stage::Reshard, n0, self.obs.now_ns());
+        }
+        Ok(())
     }
 
     /// Tears the agent down into a full [`FleetRun`]: drains any
-    /// remaining stream tails, closes every case, diagnoses, and rolls
-    /// the report up under the **final** config and epoch. The result is
-    /// byte-identical to [`FleetEngine::run_full`] under that config.
+    /// remaining stream tails, closes every case in its shard, diagnoses,
+    /// and rolls the report up under the **final** config and epoch. The
+    /// result is byte-identical to the batch pipeline under that config.
     pub fn finish(mut self) -> FleetRun {
         if self.state != DaemonState::Stopped {
             self.ingest_prefix(None);
             self.state = DaemonState::Stopped;
         }
-        let n = self.instances.len();
-        let shards = self.cfg.shards.clamp(1, n);
-        let assignment = contiguous_assignment(n, shards);
-        let mut groups: Vec<Vec<(usize, OnlineInstance<'a, O>)>> =
-            (0..shards).map(|_| Vec::new()).collect();
-        for (i, inst) in self.instances.drain(..).enumerate() {
-            groups[assignment[i]].push((i, inst));
-        }
-        let mut artifacts: Vec<Option<InstanceArtifacts>> = (0..n).map(|_| None).collect();
-        let finals: Vec<Vec<(usize, InstanceArtifacts)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .filter(|g| !g.is_empty())
-                .map(|group| {
-                    scope.spawn(move || {
-                        group
-                            .into_iter()
-                            .map(|(i, inst)| (i, finalize_instance(inst)))
-                            .collect()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("finalize shard panicked")).collect()
-        });
-        for outs in finals {
-            for (i, a) in outs {
-                artifacts[i] = Some(a);
-            }
-        }
-        let artifacts: Vec<InstanceArtifacts> =
-            artifacts.into_iter().map(|a| a.expect("every instance finalizes once")).collect();
-        let engine = FleetEngine { cfg: self.cfg.clone() };
-        engine.assemble(
-            self.scenarios,
-            artifacts,
-            shards,
-            self.ingest_wall_s,
-            self.epoch,
-            &self.obs,
-        )
+        let instances = std::mem::take(&mut self.instances);
+        let artifacts = on_shards(
+            &self.assignment,
+            instances,
+            |_| (),
+            |(), group| group.into_iter().map(finalize_instance).collect(),
+        );
+        self.report(artifacts)
     }
 
     fn reject(&self, reason: String) -> ControlResp {
@@ -377,15 +451,11 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
         }
         delta.apply(&mut self.cfg);
         self.epoch = epoch;
-        // Kernel, δ_s, and the cut path live inside each pipeline;
-        // hot-swap them at the quiesce point (bit-identical — see the
-        // module docs; a cut flip rebuilds the running moments from the
-        // resident rings).
-        for inst in &mut self.instances {
-            inst.set_kernel(self.cfg.kernel);
-            inst.set_delta_s(self.cfg.delta_s);
-            inst.set_cut(self.cfg.pinsql.cut);
+        if delta.shards.is_some() {
+            let n = self.instances.len();
+            self.assignment = contiguous_assignment(n, self.cfg.shards.clamp(1, n));
         }
+        self.tune_instances();
         if O::ENABLED {
             self.obs.add(Counter::ConfigPushes, 1);
             self.obs.span(Stage::ConfigApply, n0, self.obs.now_ns());
@@ -440,6 +510,17 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
         self.ack()
     }
 
+    /// Kernel, δ_s, and the cut path live inside each pipeline; hot-swap
+    /// them to the config in force (bit-identical — see the module docs;
+    /// a cut flip rebuilds the running moments from the resident rings).
+    fn tune_instances(&mut self) {
+        for inst in &mut self.instances {
+            inst.set_kernel(self.cfg.kernel);
+            inst.set_delta_s(self.cfg.delta_s);
+            inst.set_cut(self.cfg.pinsql.cut);
+        }
+    }
+
     /// Serialize → revalidate ([`InstanceSnapshot::from_bytes`], the
     /// untrusted path) → restore, for every instance. All-or-nothing: on
     /// any error the live pipelines are left untouched.
@@ -459,68 +540,283 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
     }
 
     /// Folds each stream's prefix strictly before `boundary_s` (`None`
-    /// drains everything) across `shards` scoped workers, exactly like
-    /// one [`FleetEngine`] phase but over the *live* pipelines.
+    /// drains everything) into the live pipelines, one k-way merge per
+    /// shard. The round's wall clock is the *slowest shard's* merge.
     fn ingest_prefix(&mut self, boundary_s: Option<i64>) {
-        let n = self.instances.len();
-        let shards = self.cfg.shards.clamp(1, n);
-        let assignment = contiguous_assignment(n, shards);
         let round = self.rounds;
-        let mut prefixes: Vec<Vec<TelemetryEvent>> = Vec::with_capacity(n);
-        for stream in &mut self.streams {
-            prefixes.push(split_prefix(stream, boundary_s));
-        }
-        let mut groups: Vec<Vec<(usize, OnlineInstance<'a, O>, Vec<TelemetryEvent>)>> =
-            (0..shards).map(|_| Vec::new()).collect();
-        for ((i, inst), events) in self.instances.drain(..).enumerate().zip(prefixes) {
-            groups[assignment[i]].push((i, inst, events));
-        }
-
+        let work: Vec<_> = self
+            .instances
+            .drain(..)
+            .zip(&mut self.streams)
+            .map(|(inst, stream)| (inst, split_prefix(stream, boundary_s)))
+            .collect();
         let obs = &self.obs;
-        type ShardOut<'a, O> = (f64, Vec<(usize, OnlineInstance<'a, O>)>);
-        let results: Vec<ShardOut<'a, O>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .enumerate()
-                .filter(|(_, g)| !g.is_empty())
-                .map(|(s, group)| {
-                    let lane = obs.fork(&format!("r{round}shard{s}"));
-                    scope.spawn(move || {
-                        let mut ids = Vec::with_capacity(group.len());
-                        let mut insts = Vec::with_capacity(group.len());
-                        let mut streams = Vec::with_capacity(group.len());
-                        for (i, inst, events) in group {
-                            ids.push(i);
-                            insts.push(inst);
-                            streams.push(events);
-                        }
-                        let merge_n0 = if O::ENABLED { lane.now_ns() } else { 0 };
-                        let t0 = Instant::now();
-                        merge_streams(&mut insts, streams);
-                        let merge_s = t0.elapsed().as_secs_f64();
-                        if O::ENABLED {
-                            lane.span(Stage::IngestMerge, merge_n0, lane.now_ns());
-                        }
-                        (merge_s, ids.into_iter().zip(insts).collect())
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("daemon shard panicked")).collect()
-        });
-
-        let mut slots: Vec<Option<OnlineInstance<'a, O>>> = (0..n).map(|_| None).collect();
-        let mut wall = 0.0f64;
-        for (merge_s, outs) in results {
-            wall = wall.max(merge_s);
-            for (i, inst) in outs {
-                slots[i] = Some(inst);
-            }
-        }
-        self.instances =
-            slots.into_iter().map(|s| s.expect("every instance returns from its shard")).collect();
-        self.ingest_wall_s += wall;
+        let slowest_ns = AtomicU64::new(0);
+        self.instances = on_shards(
+            &self.assignment,
+            work,
+            |s| obs.fork(&format!("r{round}shard{s}")),
+            |lane, group| {
+                let (mut insts, streams): (Vec<_>, Vec<_>) = group.into_iter().unzip();
+                let merge_n0 = if O::ENABLED { lane.now_ns() } else { 0 };
+                let t0 = Instant::now();
+                merge_streams(&mut insts, streams);
+                // A statistic, read after the scope has joined.
+                slowest_ns.fetch_max(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                if O::ENABLED {
+                    lane.span(Stage::IngestMerge, merge_n0, lane.now_ns());
+                }
+                insts
+            },
+        );
+        self.ingest_wall_s += slowest_ns.into_inner() as f64 * 1e-9;
         self.rounds += 1;
         self.watermark = boundary_s.unwrap_or(i64::MAX).max(self.watermark);
+    }
+
+    /// The back half of [`finish`](Self::finish): fan diagnosis out across
+    /// the closed cases (one `diag{i}` lane each) and fold everything into
+    /// the report. `artifacts` is in instance-id order.
+    fn report(&self, artifacts: Vec<InstanceArtifacts>) -> FleetRun {
+        let scenarios = self.scenarios;
+        let events_total: u64 = artifacts.iter().map(|a| a.events).sum();
+        let mut per_instance: Vec<(u64, u64)> = Vec::with_capacity(artifacts.len());
+        let mut cases: Vec<LabeledCase> = Vec::with_capacity(artifacts.len());
+        let mut health: Vec<HealthSnapshot> = Vec::with_capacity(artifacts.len());
+        for a in artifacts {
+            per_instance.push((a.events, a.queries));
+            cases.push(a.case);
+            health.push(a.health);
+        }
+
+        let t1 = Instant::now();
+        let diagnoser = PinSql::new(self.cfg.pinsql.clone());
+        let diagnosed = par_map(cases.len(), self.cfg.fanout, |i| {
+            let lc = &cases[i];
+            let t = Instant::now();
+            let d = if O::ENABLED {
+                let lane = self.obs.fork(&format!("diag{i}"));
+                diagnoser.diagnose_observed(
+                    &lc.case,
+                    &lc.window,
+                    &lc.history,
+                    lc.minutes_origin,
+                    &lane,
+                )
+            } else {
+                diagnoser.diagnose(&lc.case, &lc.window, &lc.history, lc.minutes_origin)
+            };
+            (d, t.elapsed().as_secs_f64())
+        });
+        let diagnose_wall_s = t1.elapsed().as_secs_f64();
+
+        let mut diagnoses = Vec::with_capacity(diagnosed.len());
+        let mut diag_lat = Vec::with_capacity(diagnosed.len());
+        for (d, lat) in diagnosed {
+            diagnoses.push(d);
+            diag_lat.push(lat);
+        }
+
+        let outcomes: Vec<InstanceOutcome> = diagnoses
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let lc = &cases[i];
+                let top = d.rsqls.first();
+                InstanceOutcome {
+                    instance: i,
+                    kind: scenarios[i].kind.map(|k| k.label()).unwrap_or("none").to_string(),
+                    seed: scenarios[i].cfg.seed,
+                    detected: lc.detected,
+                    anomaly_type: lc.anomaly_type.clone(),
+                    n_events: per_instance[i].0,
+                    n_queries: per_instance[i].1,
+                    case_seconds: lc.case.n_seconds(),
+                    n_templates: lc.case.templates.len(),
+                    n_reported: d.reported_rsqls.len(),
+                    top_rsql: top.map(|r| r.label.clone()),
+                    truth_hit: top.is_some_and(|r| lc.truth.rsqls.contains(&r.id)),
+                    diagnose_s: diag_lat[i],
+                }
+            })
+            .collect();
+
+        let lat_sum: f64 = outcomes.iter().map(|o| o.diagnose_s).sum();
+        let lat_max = outcomes.iter().map(|o| o.diagnose_s).fold(0.0f64, f64::max);
+        let ingest_wall_s = self.ingest_wall_s;
+        let report = FleetReport {
+            n_instances: outcomes.len(),
+            config_epoch: self.epoch.0,
+            shards: self.cfg.shards.clamp(1, outcomes.len()),
+            events_total,
+            ingest_wall_s,
+            events_per_sec: if ingest_wall_s > 0.0 {
+                events_total as f64 / ingest_wall_s
+            } else {
+                0.0
+            },
+            diagnose_wall_s,
+            diagnose_mean_s: lat_sum / outcomes.len() as f64,
+            diagnose_max_s: lat_max,
+            rollup: region_rollup(&health, self.cfg.regions),
+            outcomes,
+        };
+        FleetRun { report, cases, diagnoses, health: FleetHealth::from_instances(health) }
+    }
+}
+
+/// Every scenario's event stream, produced with the `par_map` fan-out
+/// (instances generate telemetry concurrently in the real system).
+fn materialize(cfg: &FleetConfig, scenarios: &[Scenario]) -> Vec<Vec<TelemetryEvent>> {
+    par_map(scenarios.len(), cfg.fanout, |i| materialize_events(&scenarios[i], None))
+}
+
+/// One cold pipeline per instance under `cfg`, each on its `inst{i}` lane.
+fn fresh_instances<'a, O: Observer>(
+    cfg: &FleetConfig,
+    scenarios: &'a [Scenario],
+    obs: &O,
+) -> Vec<OnlineInstance<'a, O>> {
+    scenarios
+        .iter()
+        .enumerate()
+        .map(|(i, sc)| {
+            OnlineInstance::with_observer(sc, cfg.delta_s, obs.fork(&format!("inst{i}")))
+                .with_kernel(cfg.kernel)
+                .with_cut(cfg.pinsql.cut)
+        })
+        .collect()
+}
+
+/// The shard → region → fleet rollup tree: instances map to regions by
+/// the same contiguous layout sharding uses.
+fn region_rollup(health: &[HealthSnapshot], regions: usize) -> FleetRollup {
+    let regions = regions.clamp(1, health.len().max(1));
+    let region_of = contiguous_assignment(health.len(), regions);
+    FleetRollup::from_assigned(health, |i| region_of[i] as u32)
+}
+
+/// The one place shard workers are spawned. Groups `items` (instance-id
+/// order) by `assignment`, runs `work` over each non-empty shard's group
+/// on its own scoped thread, and scatters the results back keyed by
+/// *instance id* — shard sets are arbitrary after a handoff (reversed,
+/// permuted, regrouped), so nothing may rely on contiguity or on the
+/// order shards finish in. `lane(s)` runs on the calling thread, in
+/// shard order, to mint what the worker for shard `s` records on; `work`
+/// returns one result per item, in the order it received them.
+fn on_shards<T: Send, L: Send, R: Send>(
+    assignment: &[usize],
+    items: Vec<T>,
+    mut lane: impl FnMut(usize) -> L,
+    work: impl Fn(L, Vec<T>) -> Vec<R> + Sync,
+) -> Vec<R> {
+    debug_assert_eq!(assignment.len(), items.len());
+    let n = items.len();
+    let n_shards = assignment.iter().copied().max().map_or(0, |s| s + 1);
+    let mut groups: Vec<(Vec<usize>, Vec<T>)> =
+        (0..n_shards).map(|_| (Vec::new(), Vec::new())).collect();
+    for (i, item) in items.into_iter().enumerate() {
+        let (ids, group) = &mut groups[assignment[i]];
+        ids.push(i);
+        group.push(item);
+    }
+
+    let work = &work;
+    let results: Vec<(Vec<usize>, Vec<R>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = groups
+            .into_iter()
+            .enumerate()
+            .filter(|(_, (ids, _))| !ids.is_empty())
+            .map(|(s, (ids, group))| {
+                let lane = lane(s);
+                scope.spawn(move || (ids, work(lane, group)))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("daemon shard panicked")).collect()
+    });
+
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for (ids, outs) in results {
+        debug_assert_eq!(ids.len(), outs.len());
+        for (i, out) in ids.into_iter().zip(outs) {
+            slots[i] = Some(out);
+        }
+    }
+    slots.into_iter().map(|s| s.expect("every instance returns from its shard")).collect()
+}
+
+/// Splits off and returns the stream's prefix strictly before
+/// `boundary_s` (in event time); `None` takes the whole stream. The
+/// remainder stays in `stream`. Streams are time-ordered, so this is a
+/// binary search, and the same boundary yields the same split whatever
+/// the shard layout. The boundary arrives off the wire (`PEVT` Advance,
+/// `PCTL` Drain), so the seconds → milliseconds step is done in `f64`,
+/// where no `i64` can overflow it.
+fn split_prefix(stream: &mut Vec<TelemetryEvent>, boundary_s: Option<i64>) -> Vec<TelemetryEvent> {
+    match boundary_s {
+        None => std::mem::take(stream),
+        Some(b) => {
+            let boundary_ms = b as f64 * 1000.0;
+            let cut = stream.partition_point(|ev| ev.time_ms() < boundary_ms);
+            let rest = stream.split_off(cut);
+            std::mem::replace(stream, rest)
+        }
+    }
+}
+
+/// The k-way merge loop: earliest next event time wins, ties to the
+/// lowest position (instances arrive in increasing global id, so ties
+/// break by id); same-second query runs move as one chunk through the
+/// collector's amortized hot path. Per-instance event order is untouched,
+/// so outcomes match the event-level merge exactly.
+fn merge_streams<O: Observer>(
+    instances: &mut [OnlineInstance<'_, O>],
+    mut streams: Vec<Vec<TelemetryEvent>>,
+) {
+    debug_assert_eq!(instances.len(), streams.len());
+    let mut cursors = vec![0usize; streams.len()];
+    loop {
+        // K is small (a fleet slice), so a linear scan beats a heap's
+        // allocation churn.
+        let mut head: Option<(f64, usize)> = None;
+        for (j, stream) in streams.iter().enumerate() {
+            if let Some(ev) = stream.get(cursors[j]) {
+                let t = ev.time_ms();
+                if head.is_none_or(|(best, _)| t < best) {
+                    head = Some((t, j));
+                }
+            }
+        }
+        let Some((_, j)) = head else { break };
+        let stream = &mut streams[j];
+        let c = cursors[j];
+        if let Some((second, len)) = query_run(stream, c) {
+            instances[j].ingest_queries(second, &stream[c..c + len]);
+            cursors[j] = c + len;
+        } else {
+            let ev = std::mem::replace(&mut stream[c], TelemetryEvent::Tick { second: i64::MIN });
+            instances[j].ingest(ev);
+            cursors[j] = c + 1;
+        }
+    }
+}
+
+/// What one instance contributes to the final report, keyed by id at the
+/// reassembly point.
+struct InstanceArtifacts {
+    events: u64,
+    queries: u64,
+    health: HealthSnapshot,
+    case: LabeledCase,
+}
+
+/// Closes one instance into its report contribution.
+fn finalize_instance<O: Observer>(inst: OnlineInstance<'_, O>) -> InstanceArtifacts {
+    InstanceArtifacts {
+        events: inst.events_ingested(),
+        queries: inst.ingest_stats().queries,
+        health: inst.health_snapshot(),
+        case: inst.close_case(),
     }
 }
 
@@ -658,8 +954,8 @@ impl<'a, O: Observer> FleetServer<'a, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FleetEngine;
     use pinsql::PinSqlConfig;
-    use pinsql_detect::KernelKind;
     use pinsql_scenario::{generate_base, inject, inject_none, AnomalyKind, ScenarioConfig};
 
     fn small_fleet(n: usize) -> Vec<Scenario> {
@@ -713,28 +1009,37 @@ mod tests {
         assert_eq!(run.health, batch.health);
     }
 
+    /// Epoch algebra over real PCTL frames: a push is accepted only under
+    /// a strictly greater epoch; replayed and stale pushes are rejected
+    /// whole, leaving the running config untouched.
     #[test]
     fn stale_and_replayed_epochs_are_rejected_whole() {
         let scenarios = small_fleet(2);
         let mut agent = FleetDaemon::spawn(cfg(1), &scenarios);
         agent.advance_to(60);
-
-        let delta = FleetDelta { delta_s: Some(240), ..FleetDelta::default() };
-        let push = ControlMsg::ConfigPush { epoch: ConfigEpoch(1), delta: delta.clone() };
-        assert!(matches!(agent.handle(push.clone()), ControlResp::Ack { .. }));
-        assert_eq!(agent.epoch(), ConfigEpoch(1));
-        assert_eq!(agent.config().delta_s, 240);
-
-        // Replay of the same epoch, and an older one: both refused, config
-        // untouched.
-        assert!(matches!(agent.handle(push), ControlResp::Reject { .. }));
-        let stale = ControlMsg::ConfigPush {
-            epoch: ConfigEpoch(0),
-            delta: FleetDelta { delta_s: Some(9), ..FleetDelta::default() },
+        let mut push = |epoch: u64, delta_s: i64| {
+            let delta = FleetDelta { delta_s: Some(delta_s), ..FleetDelta::default() };
+            let frame = ControlMsg::ConfigPush { epoch: ConfigEpoch(epoch), delta }.to_bytes();
+            let reply = ControlResp::from_bytes(&agent.handle_frame(&frame)).unwrap();
+            (reply, agent.config().delta_s)
         };
-        assert!(matches!(agent.handle(stale), ControlResp::Reject { .. }));
-        assert_eq!(agent.config().delta_s, 240);
-        assert_eq!(agent.epoch(), ConfigEpoch(1));
+
+        // Epoch 2 from the initial epoch 0: accepted.
+        assert_eq!(
+            push(2, 240),
+            (ControlResp::Ack { epoch: ConfigEpoch(2), state: DaemonState::Running }, 240)
+        );
+        // A replay of epoch 2 and a stale epoch 1: the reject reports the
+        // running epoch and no part of the delta leaks.
+        for stale in [2, 1] {
+            match push(stale, 9) {
+                (ControlResp::Reject { epoch, reason }, 240) => {
+                    assert_eq!(epoch, ConfigEpoch(2));
+                    assert!(reason.contains("stale"), "reason names the failure: {reason}");
+                }
+                other => panic!("epoch {stale} must be rejected whole, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -763,6 +1068,30 @@ mod tests {
 
         let run = server.stop().unwrap();
         assert_eq!(run.report.n_instances, 2);
+    }
+
+    /// The instance → shard map is the daemon's: a reshard sets it, a
+    /// push that names `shards` resets it to the contiguous layout, and
+    /// any other push leaves it alone.
+    #[test]
+    fn shard_map_follows_reshards_and_shard_pushes_only() {
+        let scenarios = small_fleet(3);
+        let mut agent = FleetDaemon::spawn(cfg(2), &scenarios);
+        assert_eq!(agent.assignment, [0, 1, 1]);
+        agent.advance_to(100);
+        agent.reshard(&[2, 0, 2]).unwrap();
+        assert_eq!(agent.assignment, [2, 0, 2]);
+
+        let push = |epoch, delta| ControlMsg::ConfigPush { epoch: ConfigEpoch(epoch), delta };
+        let retune = FleetDelta { delta_s: Some(240), ..FleetDelta::default() };
+        assert!(matches!(agent.handle(push(1, retune)), ControlResp::Ack { .. }));
+        assert_eq!(agent.assignment, [2, 0, 2], "a push that names no shards keeps the map");
+        agent.advance_to(200);
+
+        let relayout = FleetDelta { shards: Some(3), ..FleetDelta::default() };
+        assert!(matches!(agent.handle(push(2, relayout)), ControlResp::Ack { .. }));
+        assert_eq!(agent.assignment, [0, 1, 2]);
+        assert_eq!(agent.finish().report.shards, 3);
     }
 
     #[test]

@@ -1,65 +1,38 @@
-//! Multiplexed event loop over a fleet of simulated instances.
+//! Fleet runs: configuration, plans, reports, and the run-to-completion
+//! drivers.
 //!
-//! A production deployment watches hundreds of instances at once: telemetry
-//! from all of them arrives interleaved on a shared bus, each instance's
-//! events fold into its own online pipeline, and diagnosis fans out across
-//! the cases that close. [`FleetEngine`] reproduces that shape over
-//! simulated scenarios:
+//! A production deployment watches hundreds of instances at once:
+//! telemetry from all of them arrives interleaved on a shared bus, each
+//! instance's events fold into its own online pipeline, and diagnosis
+//! fans out across the cases that close. The executor for that shape is
+//! [`FleetDaemon`] (see [`crate::daemon`]: materialize → sharded k-way
+//! merge → close, reassemble by instance id, diagnose). This module holds
+//! what a *run* is made of — [`FleetConfig`], [`ReshardPlan`],
+//! [`FleetCheckpoint`], [`FleetReport`] / [`FleetRun`] — and
+//! [`FleetEngine`], whose run shapes are each a few calls on a daemon:
 //!
-//! 1. **Materialize** — each scenario's event stream is produced with the
-//!    `par_map` fan-out (instances generate telemetry concurrently in the
-//!    real system).
-//! 2. **Multiplex** — ingestion is split across
-//!    [`FleetConfig::shards`] scoped worker threads, each owning a
-//!    disjoint set of instances and running a private time-ordered k-way
-//!    merge over its instances' streams (same-second query runs move as
-//!    one chunk through the collector's amortized hot path). This is the
-//!    sustained-throughput section the fleet bench measures; its wall
-//!    clock is the *slowest shard's* merge, the quantity that shrinks as
-//!    shards scale across cores.
-//! 3. **Diagnose** — every instance's case closes in its shard, closed
-//!    cases reassemble keyed by instance id, and `PinSql::diagnose` fans
-//!    out across them with `par_map`.
+//! | run shape | daemon calls |
+//! |---|---|
+//! | [`run_full`](FleetEngine::run_full) | `spawn`, `finish` (the empty plan) |
+//! | [`run_resharded`](FleetEngine::run_resharded) | `spawn`; per step `advance_to(at_second)`, `reshard(&assignment)`; `finish` |
+//! | [`checkpoint_at`](FleetEngine::checkpoint_at) | `spawn`, `advance_to(at_second)`, `checkpoint` |
+//! | [`resume_full`](FleetEngine::resume_full) | `resume(&checkpoint)`, `finish` |
 //!
-//! ## Live resharding and crash recovery
-//!
-//! Because every instance's online state is checkpointable
-//! ([`OnlineInstance::snapshot`]), shard ownership is not fixed for the
-//! life of a run. [`run_resharded`](FleetEngine::run_resharded) executes a
-//! [`ReshardPlan`]: at each step's quiesce boundary every instance is
-//! serialized, re-seated on the shard the step assigns it to (possibly a
-//! brand-new shard layout — shard counts can grow, shrink, or permute
-//! arbitrarily), restored, and ingestion resumes with the remaining
-//! events. [`checkpoint_at`](FleetEngine::checkpoint_at) /
-//! [`resume_full`](FleetEngine::resume_full) use the same primitive for
-//! crash recovery: serialize the whole fleet at a boundary, later replay
-//! only the tail.
-//!
-//! **Determinism.** Instances are independent: no event of one instance
-//! can affect another's pipeline, so outcomes depend only on each
-//! instance's *own* event order — which every shard preserves (a merge
-//! only interleaves across streams; each stream is consumed front to
-//! back), and which reshard handoffs preserve too (a snapshot/restore
-//! boundary is behaviorally invisible, and each phase consumes a prefix
-//! of each stream in order). Cases and diagnoses are therefore
-//! bit-identical for **any** `shards` / `fanout` values and **any**
-//! reshard plan; the workspace's `shard_equivalence` and
-//! `reshard_equivalence` suites pin this against the golden corpus.
+//! **Determinism.** Instances are independent, every shard layout
+//! preserves each instance's own event order, and a snapshot/restore
+//! boundary is behaviorally invisible, so cases and diagnoses are
+//! bit-identical for **any** `shards` / `fanout` values, **any** reshard
+//! plan and **any** checkpoint boundary; the workspace's `equivalence`
+//! matrix pins this against the golden corpus.
 
-use crate::instance::OnlineInstance;
+use crate::daemon::FleetDaemon;
 use crate::snapshot::InstanceSnapshot;
-use pinsql::{ConfigEpoch, Diagnosis, PinSql, PinSqlConfig};
-use pinsql_dbsim::telemetry::query_run;
-use pinsql_dbsim::TelemetryEvent;
-use pinsql_detect::{CutKind, KernelKind};
-use pinsql_obs::{
-    Counter, FleetHealth, FleetRollup, HealthSnapshot, NoopObserver, Observer, Stage,
-};
-use pinsql_scenario::{materialize_events, LabeledCase, Scenario};
-use pinsql_timeseries::par::par_map;
+use pinsql::{Diagnosis, PinSqlConfig};
+use pinsql_detect::KernelKind;
+use pinsql_obs::{FleetHealth, FleetRollup, NoopObserver, Observer};
+use pinsql_scenario::{LabeledCase, Scenario};
 use pinsql_timeseries::WireError;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// Knobs for a fleet run.
 #[derive(Debug, Clone)]
@@ -77,8 +50,8 @@ pub struct FleetConfig {
     /// time. Outcomes are identical at every value.
     pub shards: usize,
     /// Detector statistics kernel for every instance's bank. Both kinds
-    /// are bit-identical; the equivalence suites run the full
-    /// kernel × shards × fanout matrix against the golden corpus.
+    /// are bit-identical; the `equivalence` matrix runs kernel × shards ×
+    /// fanout × cut against the golden corpus.
     pub kernel: KernelKind,
     /// Aggregation regions for the health rollup tree: instances map to
     /// regions by the same contiguous layout sharding uses, each region
@@ -205,14 +178,15 @@ pub struct FleetReport {
     /// Configuration epoch the run finished under: [`ConfigEpoch::INITIAL`]
     /// for cold-start runs, the last accepted push for a daemon run.
     pub config_epoch: u64,
-    /// Ingestion shards the run *started* with (after clamping to the
-    /// fleet size); reshard steps may change the layout mid-run.
+    /// Ingestion shards of the config the run finished under (after
+    /// clamping to the fleet size); reshard steps may seat instances on
+    /// any other layout mid-run.
     pub shards: usize,
     /// Events pushed through the multiplexed loop.
     pub events_total: u64,
-    /// Wall-clock seconds of the multiplexed ingest stage: per phase the
+    /// Wall-clock seconds of the multiplexed ingest stage: per round the
     /// slowest shard's merge (shards run concurrently), summed across
-    /// phases.
+    /// rounds.
     pub ingest_wall_s: f64,
     /// Sustained ingest throughput (events / ingest_wall_s).
     pub events_per_sec: f64,
@@ -229,9 +203,8 @@ pub struct FleetReport {
 }
 
 /// A fleet run with its full per-instance artifacts, for consumers that
-/// need more than the flattened report (equivalence suites compare the
-/// labelled cases and diagnoses bit-for-bit across shard counts and
-/// reshard plans).
+/// need more than the flattened report (the equivalence matrix compares
+/// the labelled cases and diagnoses bit-for-bit across execution paths).
 #[derive(Debug, Clone)]
 pub struct FleetRun {
     pub report: FleetReport,
@@ -244,35 +217,8 @@ pub struct FleetRun {
     pub health: FleetHealth,
 }
 
-/// Per-instance work moved into one shard worker for one ingest phase:
-/// the instance's identity, how to (re)build its pipeline, and the slice
-/// of its stream this phase consumes.
-struct Work<'a> {
-    idx: usize,
-    scenario: &'a Scenario,
-    /// `None` → fresh pipeline (first phase); `Some` → restore and resume.
-    snap: Option<InstanceSnapshot>,
-    events: Vec<TelemetryEvent>,
-}
-
-/// What one instance contributes to the final report, keyed by id at the
-/// reassembly point.
-pub(crate) struct InstanceArtifacts {
-    pub(crate) events: u64,
-    pub(crate) queries: u64,
-    pub(crate) health: HealthSnapshot,
-    pub(crate) case: LabeledCase,
-}
-
-/// What a shard worker hands back for one instance at a phase boundary.
-enum PhaseOut {
-    /// Intermediate boundary: the instance travels as its checkpoint.
-    Snap(InstanceSnapshot),
-    /// Final boundary: the instance closed its case.
-    Final(Box<InstanceArtifacts>),
-}
-
-/// The fleet orchestrator. See the module docs for the three stages.
+/// The run-to-completion front end: each method drives a [`FleetDaemon`]
+/// through one run shape (see the module docs for the table).
 #[derive(Debug, Clone, Default)]
 pub struct FleetEngine {
     pub cfg: FleetConfig,
@@ -305,11 +251,10 @@ impl FleetEngine {
         self.run_full_observed(scenarios, &NoopObserver)
     }
 
-    /// [`run_full`](Self::run_full) under an explicit observer: each
-    /// ingest shard records on its own forked lane (`shard{s}`), each
-    /// diagnosis on a `diag{i}` lane, so the exported trace shows the real
-    /// cross-thread timeline. Cases, diagnoses, and health are
-    /// byte-identical whatever `O` is (pinned by `obs_equivalence`).
+    /// [`run_full`](Self::run_full) under an explicit observer; the trace
+    /// carries the daemon's lanes (`inst{i}`, `r{round}shard{s}`,
+    /// `diag{i}`). Cases, diagnoses, and health are byte-identical
+    /// whatever `O` is.
     pub fn run_full_observed<O: Observer>(&self, scenarios: &[Scenario], obs: &O) -> FleetRun {
         self.run_resharded_observed(scenarios, &ReshardPlan::default(), obs)
             .expect("static run crosses no snapshot boundary, so no decode can fail")
@@ -321,8 +266,7 @@ impl FleetEngine {
     /// state, moves to the shard the step assigns, restores, and resumes.
     ///
     /// Outcomes are **bit-identical** to [`run_full`](Self::run_full) on
-    /// the same scenarios — a reshard handoff is behaviorally invisible —
-    /// pinned by the `reshard_equivalence` matrix at the workspace root.
+    /// the same scenarios — a reshard handoff is behaviorally invisible.
     ///
     /// Errors only if a snapshot fails to decode on its new shard, which
     /// would mean in-memory corruption; malformed plans (non-monotonic
@@ -335,119 +279,23 @@ impl FleetEngine {
         self.run_resharded_observed(scenarios, plan, &NoopObserver)
     }
 
-    /// [`run_resharded`](Self::run_resharded) under an explicit observer.
-    /// Phase-0 shard lanes keep the plain `shard{s}` names; later phases
-    /// fork `p{phase}shard{s}` lanes, and every handoff records a
-    /// [`Stage::Reshard`] span plus [`Counter::InstancesResharded`] for
-    /// instances whose shard actually changed.
+    /// [`run_resharded`](Self::run_resharded) under an explicit observer:
+    /// every handoff records a [`pinsql_obs::Stage::Reshard`] span plus
+    /// [`pinsql_obs::Counter::InstancesResharded`] for instances whose
+    /// shard actually changed.
     pub fn run_resharded_observed<O: Observer>(
         &self,
         scenarios: &[Scenario],
         plan: &ReshardPlan,
         obs: &O,
     ) -> Result<FleetRun, WireError> {
-        assert!(!scenarios.is_empty(), "fleet run needs at least one scenario");
-        assert!(self.cfg.shards >= 1, "FleetConfig.shards must be >= 1");
-        let n = scenarios.len();
-        plan.validate(n);
-        let shards0 = self.cfg.shards.min(n);
-
-        let mut streams: Vec<Vec<TelemetryEvent>> =
-            par_map(n, self.cfg.fanout, |i| materialize_events(&scenarios[i], None));
-
-        let mut assignment = contiguous_assignment(n, shards0);
-        let mut snaps: Vec<Option<InstanceSnapshot>> = (0..n).map(|_| None).collect();
-        let mut artifacts: Vec<Option<InstanceArtifacts>> = (0..n).map(|_| None).collect();
-        let mut ingest_wall_s = 0.0f64;
-
-        let n_phases = plan.steps.len() + 1;
-        for phase in 0..n_phases {
-            let reshard_n0 = if O::ENABLED && phase > 0 { obs.now_ns() } else { 0 };
-            if phase > 0 {
-                let step = &plan.steps[phase - 1];
-                if O::ENABLED {
-                    let moved =
-                        step.assignment.iter().zip(&assignment).filter(|(a, b)| a != b).count();
-                    obs.add(Counter::InstancesResharded, moved as u64);
-                }
-                assignment.clone_from(&step.assignment);
-            }
-            // This phase consumes each stream's prefix strictly before the
-            // *next* boundary (the final phase drains everything).
-            let boundary = plan.steps.get(phase).map(|s| s.at_second);
-            let last = boundary.is_none();
-
-            let n_shards = assignment.iter().copied().max().unwrap_or(0) + 1;
-            let mut groups: Vec<Vec<Work<'_>>> = (0..n_shards).map(|_| Vec::new()).collect();
-            for (i, scenario) in scenarios.iter().enumerate() {
-                groups[assignment[i]].push(Work {
-                    idx: i,
-                    scenario,
-                    snap: snaps[i].take(),
-                    events: split_prefix(&mut streams[i], boundary),
-                });
-            }
-            if O::ENABLED && phase > 0 {
-                obs.span(Stage::Reshard, reshard_n0, obs.now_ns());
-            }
-
-            let delta_s = self.cfg.delta_s;
-            let kernel = self.cfg.kernel;
-            let cut = self.cfg.pinsql.cut;
-            type ShardOut = Result<(f64, Vec<(usize, PhaseOut)>), WireError>;
-            let shard_results: Vec<ShardOut> = std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, g)| !g.is_empty())
-                    .map(|(s, group)| {
-                        let lane = if phase == 0 {
-                            obs.fork(&format!("shard{s}"))
-                        } else {
-                            obs.fork(&format!("p{phase}shard{s}"))
-                        };
-                        scope.spawn(move || -> ShardOut {
-                            let (merge_s, done) =
-                                ingest_phase_shard(group, delta_s, kernel, cut, lane)?;
-                            let out = done
-                                .into_iter()
-                                .map(|(idx, inst)| {
-                                    let po = if last {
-                                        PhaseOut::Final(Box::new(finalize_instance(inst)))
-                                    } else {
-                                        PhaseOut::Snap(inst.snapshot())
-                                    };
-                                    (idx, po)
-                                })
-                                .collect();
-                            Ok((merge_s, out))
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("ingest shard panicked")).collect()
-            });
-
-            // Scatter results back keyed by *global instance id* — shard
-            // sets are arbitrary after a handoff (reversed, permuted,
-            // regrouped), so nothing here may rely on contiguity or on
-            // the order shards finished in.
-            let mut phase_wall = 0.0f64;
-            for result in shard_results {
-                let (merge_s, outs) = result?;
-                phase_wall = phase_wall.max(merge_s);
-                for (idx, out) in outs {
-                    match out {
-                        PhaseOut::Snap(s) => snaps[idx] = Some(s),
-                        PhaseOut::Final(a) => artifacts[idx] = Some(*a),
-                    }
-                }
-            }
-            ingest_wall_s += phase_wall;
+        plan.validate(scenarios.len());
+        let mut daemon = FleetDaemon::spawn_observed(self.cfg.clone(), scenarios, obs.clone());
+        for step in &plan.steps {
+            daemon.advance_to(step.at_second);
+            daemon.reshard(&step.assignment)?;
         }
-
-        let artifacts: Vec<InstanceArtifacts> =
-            artifacts.into_iter().map(|a| a.expect("every instance finalizes exactly once")).collect();
-        Ok(self.assemble(scenarios, artifacts, shards0, ingest_wall_s, ConfigEpoch::INITIAL, obs))
+        Ok(daemon.finish())
     }
 
     /// Ingests every stream's prefix strictly before `at_second` and
@@ -455,251 +303,21 @@ impl FleetEngine {
     /// crash-recovery primitive: persist the blobs, and after a crash
     /// [`resume_full`](Self::resume_full) replays only the tail.
     pub fn checkpoint_at(&self, scenarios: &[Scenario], at_second: i64) -> FleetCheckpoint {
-        self.checkpoint_at_observed(scenarios, at_second, &NoopObserver)
-    }
-
-    /// [`checkpoint_at`](Self::checkpoint_at) under an explicit observer.
-    pub fn checkpoint_at_observed<O: Observer>(
-        &self,
-        scenarios: &[Scenario],
-        at_second: i64,
-        obs: &O,
-    ) -> FleetCheckpoint {
-        assert!(!scenarios.is_empty(), "fleet checkpoint needs at least one scenario");
-        let n = scenarios.len();
-        let shards = self.cfg.shards.min(n);
-        let mut streams: Vec<Vec<TelemetryEvent>> =
-            par_map(n, self.cfg.fanout, |i| materialize_events(&scenarios[i], None));
-
-        let assignment = contiguous_assignment(n, shards);
-        let mut groups: Vec<Vec<Work<'_>>> = (0..shards).map(|_| Vec::new()).collect();
-        for (i, scenario) in scenarios.iter().enumerate() {
-            groups[assignment[i]].push(Work {
-                idx: i,
-                scenario,
-                snap: None,
-                events: split_prefix(&mut streams[i], Some(at_second)),
-            });
-        }
-
-        let delta_s = self.cfg.delta_s;
-        let kernel = self.cfg.kernel;
-        let cut = self.cfg.pinsql.cut;
-        let mut snapshots: Vec<Option<InstanceSnapshot>> = (0..n).map(|_| None).collect();
-        let shard_results: Vec<Vec<(usize, InstanceSnapshot)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .enumerate()
-                .filter(|(_, g)| !g.is_empty())
-                .map(|(s, group)| {
-                    let lane = obs.fork(&format!("shard{s}"));
-                    scope.spawn(move || {
-                        let (_, done) = ingest_phase_shard(group, delta_s, kernel, cut, lane)
-                            .expect("fresh instances carry no snapshot to decode");
-                        done.into_iter().map(|(idx, inst)| (idx, inst.snapshot())).collect()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("ingest shard panicked")).collect()
-        });
-        for outs in shard_results {
-            for (idx, snap) in outs {
-                snapshots[idx] = Some(snap);
-            }
-        }
-        FleetCheckpoint {
-            at_second,
-            snapshots: snapshots
-                .into_iter()
-                .map(|s| s.expect("every instance checkpoints exactly once"))
-                .collect(),
-        }
+        let mut daemon = FleetDaemon::spawn(self.cfg.clone(), scenarios);
+        daemon.advance_to(at_second);
+        daemon.checkpoint()
     }
 
     /// Resumes a run from a [`FleetCheckpoint`]: restores every instance,
     /// replays only the events at or after the checkpoint boundary, closes
     /// cases, and diagnoses. The resulting [`FleetRun`] is bit-identical
-    /// to an uninterrupted [`run_full`](Self::run_full) — pinned by the
-    /// `crash_recovery` suite.
+    /// to an uninterrupted [`run_full`](Self::run_full).
     pub fn resume_full(
         &self,
         scenarios: &[Scenario],
         checkpoint: &FleetCheckpoint,
     ) -> Result<FleetRun, WireError> {
-        self.resume_full_observed(scenarios, checkpoint, &NoopObserver)
-    }
-
-    /// [`resume_full`](Self::resume_full) under an explicit observer.
-    pub fn resume_full_observed<O: Observer>(
-        &self,
-        scenarios: &[Scenario],
-        checkpoint: &FleetCheckpoint,
-        obs: &O,
-    ) -> Result<FleetRun, WireError> {
-        assert!(!scenarios.is_empty(), "fleet resume needs at least one scenario");
-        assert_eq!(
-            checkpoint.snapshots.len(),
-            scenarios.len(),
-            "checkpoint holds {} instances, fleet has {}",
-            checkpoint.snapshots.len(),
-            scenarios.len()
-        );
-        let n = scenarios.len();
-        let shards = self.cfg.shards.min(n);
-        let mut streams: Vec<Vec<TelemetryEvent>> =
-            par_map(n, self.cfg.fanout, |i| materialize_events(&scenarios[i], None));
-
-        let assignment = contiguous_assignment(n, shards);
-        let mut groups: Vec<Vec<Work<'_>>> = (0..shards).map(|_| Vec::new()).collect();
-        for (i, scenario) in scenarios.iter().enumerate() {
-            // Drop the prefix the checkpoint already covers; replay the tail.
-            let _covered = split_prefix(&mut streams[i], Some(checkpoint.at_second));
-            groups[assignment[i]].push(Work {
-                idx: i,
-                scenario,
-                snap: Some(checkpoint.snapshots[i].clone()),
-                events: std::mem::take(&mut streams[i]),
-            });
-        }
-
-        let delta_s = self.cfg.delta_s;
-        let kernel = self.cfg.kernel;
-        let cut = self.cfg.pinsql.cut;
-        let mut artifacts: Vec<Option<InstanceArtifacts>> = (0..n).map(|_| None).collect();
-        type ShardOut = Result<(f64, Vec<(usize, InstanceArtifacts)>), WireError>;
-        let shard_results: Vec<ShardOut> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .enumerate()
-                .filter(|(_, g)| !g.is_empty())
-                .map(|(s, group)| {
-                    let lane = obs.fork(&format!("shard{s}"));
-                    scope.spawn(move || -> ShardOut {
-                        let (merge_s, done) =
-                            ingest_phase_shard(group, delta_s, kernel, cut, lane)?;
-                        Ok((
-                            merge_s,
-                            done.into_iter()
-                                .map(|(idx, inst)| (idx, finalize_instance(inst)))
-                                .collect(),
-                        ))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("ingest shard panicked")).collect()
-        });
-        let mut ingest_wall_s = 0.0f64;
-        for result in shard_results {
-            let (merge_s, outs) = result?;
-            ingest_wall_s = ingest_wall_s.max(merge_s);
-            for (idx, a) in outs {
-                artifacts[idx] = Some(a);
-            }
-        }
-        let artifacts: Vec<InstanceArtifacts> =
-            artifacts.into_iter().map(|a| a.expect("every instance finalizes exactly once")).collect();
-        Ok(self.assemble(scenarios, artifacts, shards, ingest_wall_s, ConfigEpoch::INITIAL, obs))
-    }
-
-    /// The shared back half of every run shape: fan diagnosis out across
-    /// the closed cases (one `diag{i}` lane each) and fold everything into
-    /// the report. `artifacts` is in instance-id order; `epoch` is the
-    /// config epoch the run finished under (the daemon threads its last
-    /// accepted push through here).
-    pub(crate) fn assemble<O: Observer>(
-        &self,
-        scenarios: &[Scenario],
-        artifacts: Vec<InstanceArtifacts>,
-        shards: usize,
-        ingest_wall_s: f64,
-        epoch: ConfigEpoch,
-        obs: &O,
-    ) -> FleetRun {
-        let events_total: u64 = artifacts.iter().map(|a| a.events).sum();
-        let mut per_instance: Vec<(u64, u64)> = Vec::with_capacity(artifacts.len());
-        let mut cases: Vec<LabeledCase> = Vec::with_capacity(artifacts.len());
-        let mut health: Vec<HealthSnapshot> = Vec::with_capacity(artifacts.len());
-        for a in artifacts {
-            per_instance.push((a.events, a.queries));
-            cases.push(a.case);
-            health.push(a.health);
-        }
-
-        let t1 = Instant::now();
-        let diagnoser = PinSql::new(self.cfg.pinsql.clone());
-        let diagnosed = par_map(cases.len(), self.cfg.fanout, |i| {
-            let lc = &cases[i];
-            let t = Instant::now();
-            let d = if O::ENABLED {
-                let lane = obs.fork(&format!("diag{i}"));
-                diagnoser.diagnose_observed(
-                    &lc.case,
-                    &lc.window,
-                    &lc.history,
-                    lc.minutes_origin,
-                    &lane,
-                )
-            } else {
-                diagnoser.diagnose(&lc.case, &lc.window, &lc.history, lc.minutes_origin)
-            };
-            (d, t.elapsed().as_secs_f64())
-        });
-        let diagnose_wall_s = t1.elapsed().as_secs_f64();
-
-        let mut diagnoses = Vec::with_capacity(diagnosed.len());
-        let mut diag_lat = Vec::with_capacity(diagnosed.len());
-        for (d, lat) in diagnosed {
-            diagnoses.push(d);
-            diag_lat.push(lat);
-        }
-
-        let outcomes: Vec<InstanceOutcome> = diagnoses
-            .iter()
-            .enumerate()
-            .map(|(i, d)| {
-                let lc = &cases[i];
-                let top = d.rsqls.first();
-                InstanceOutcome {
-                    instance: i,
-                    kind: scenarios[i].kind.map(|k| k.label()).unwrap_or("none").to_string(),
-                    seed: scenarios[i].cfg.seed,
-                    detected: lc.detected,
-                    anomaly_type: lc.anomaly_type.clone(),
-                    n_events: per_instance[i].0,
-                    n_queries: per_instance[i].1,
-                    case_seconds: lc.case.n_seconds(),
-                    n_templates: lc.case.templates.len(),
-                    n_reported: d.reported_rsqls.len(),
-                    top_rsql: top.map(|r| r.label.clone()),
-                    truth_hit: top.is_some_and(|r| lc.truth.rsqls.contains(&r.id)),
-                    diagnose_s: diag_lat[i],
-                }
-            })
-            .collect();
-
-        let lat_sum: f64 = outcomes.iter().map(|o| o.diagnose_s).sum();
-        let lat_max = outcomes.iter().map(|o| o.diagnose_s).fold(0.0f64, f64::max);
-        let regions = self.cfg.regions.clamp(1, health.len().max(1));
-        let region_of = contiguous_assignment(health.len(), regions);
-        let rollup = FleetRollup::from_assigned(&health, |i| region_of[i] as u32);
-        let report = FleetReport {
-            n_instances: outcomes.len(),
-            config_epoch: epoch.0,
-            shards,
-            events_total,
-            ingest_wall_s,
-            events_per_sec: if ingest_wall_s > 0.0 {
-                events_total as f64 / ingest_wall_s
-            } else {
-                0.0
-            },
-            diagnose_wall_s,
-            diagnose_mean_s: lat_sum / outcomes.len() as f64,
-            diagnose_max_s: lat_max,
-            rollup,
-            outcomes,
-        };
-        FleetRun { report, cases, diagnoses, health: FleetHealth::from_instances(health) }
+        Ok(FleetDaemon::resume(self.cfg.clone(), scenarios, checkpoint, NoopObserver)?.finish())
     }
 }
 
@@ -713,110 +331,6 @@ pub(crate) fn contiguous_assignment(n: usize, shards: usize) -> Vec<usize> {
         }
     }
     assignment
-}
-
-/// Splits off and returns the stream's prefix strictly before
-/// `boundary_s` (in event time); `None` takes the whole stream. The
-/// remainder stays in `stream`. Streams are time-ordered, so this is a
-/// binary search, and the same boundary yields the same split whatever
-/// the shard layout.
-pub(crate) fn split_prefix(
-    stream: &mut Vec<TelemetryEvent>,
-    boundary_s: Option<i64>,
-) -> Vec<TelemetryEvent> {
-    match boundary_s {
-        None => std::mem::take(stream),
-        Some(b) => {
-            let boundary_ms = (b * 1000) as f64;
-            let cut = stream.partition_point(|ev| ev.time_ms() < boundary_ms);
-            let rest = stream.split_off(cut);
-            std::mem::replace(stream, rest)
-        }
-    }
-}
-
-/// Builds one shard's instances for one phase — fresh pipelines or
-/// restores from checkpoints — and runs the k-way merge over their
-/// streams. Returns the merge wall clock and the live instances paired
-/// with their global ids.
-fn ingest_phase_shard<'a, O: Observer>(
-    work: Vec<Work<'a>>,
-    delta_s: i64,
-    kernel: KernelKind,
-    cut: CutKind,
-    obs: O,
-) -> Result<(f64, Vec<(usize, OnlineInstance<'a, O>)>), WireError> {
-    let mut indices = Vec::with_capacity(work.len());
-    let mut instances: Vec<OnlineInstance<'a, O>> = Vec::with_capacity(work.len());
-    let mut streams = Vec::with_capacity(work.len());
-    for w in work {
-        indices.push(w.idx);
-        instances.push(match &w.snap {
-            // A restore resumes under the cut the checkpoint carries (the
-            // daemon's config-push path re-applies its own delta after).
-            Some(snap) => OnlineInstance::restore_with_observer(w.scenario, snap, obs.clone())?,
-            None => OnlineInstance::with_observer(w.scenario, delta_s, obs.clone())
-                .with_kernel(kernel)
-                .with_cut(cut),
-        });
-        streams.push(w.events);
-    }
-
-    let merge_n0 = if O::ENABLED { obs.now_ns() } else { 0 };
-    let t0 = Instant::now();
-    merge_streams(&mut instances, streams);
-    let merge_s = t0.elapsed().as_secs_f64();
-    if O::ENABLED {
-        obs.span(Stage::IngestMerge, merge_n0, obs.now_ns());
-    }
-    Ok((merge_s, indices.into_iter().zip(instances).collect()))
-}
-
-/// The k-way merge loop: earliest next event time wins, ties to the
-/// lowest position (instances arrive in increasing global id, so ties
-/// break by id); same-second query runs move as one chunk through the
-/// collector's amortized hot path. Per-instance event order is untouched,
-/// so outcomes match the event-level merge exactly.
-pub(crate) fn merge_streams<'a, O: Observer>(
-    instances: &mut [OnlineInstance<'a, O>],
-    mut streams: Vec<Vec<TelemetryEvent>>,
-) {
-    debug_assert_eq!(instances.len(), streams.len());
-    let mut cursors = vec![0usize; streams.len()];
-    loop {
-        // K is small (a fleet slice), so a linear scan beats a heap's
-        // allocation churn.
-        let mut head: Option<(f64, usize)> = None;
-        for (j, stream) in streams.iter().enumerate() {
-            if let Some(ev) = stream.get(cursors[j]) {
-                let t = ev.time_ms();
-                if head.is_none_or(|(best, _)| t < best) {
-                    head = Some((t, j));
-                }
-            }
-        }
-        let Some((_, j)) = head else { break };
-        let stream = &mut streams[j];
-        let c = cursors[j];
-        if let Some((second, len)) = query_run(stream, c) {
-            instances[j].ingest_queries(second, &stream[c..c + len]);
-            cursors[j] = c + len;
-        } else {
-            let ev = std::mem::replace(&mut stream[c], TelemetryEvent::Tick { second: i64::MIN });
-            instances[j].ingest(ev);
-            cursors[j] = c + 1;
-        }
-    }
-}
-
-/// Closes one instance into its report contribution.
-pub(crate) fn finalize_instance<O: Observer>(inst: OnlineInstance<'_, O>) -> InstanceArtifacts {
-    InstanceArtifacts {
-        events: inst.events_ingested(),
-        queries: inst.ingest_stats().queries,
-        health: inst.health_snapshot(),
-        case: inst.close_case(),
-    }
 }
 
 #[cfg(test)]
@@ -895,9 +409,6 @@ mod tests {
             assert!(o.case_seconds > 0);
             assert!(o.n_templates > 0);
         }
-        // The report must serialize (the fleet bench writes it to JSON).
-        let json = serde_json::to_string(&report).unwrap();
-        assert!(json.contains("events_per_sec"));
     }
 
     #[test]
@@ -922,8 +433,8 @@ mod tests {
     }
 
     /// The CI smoke for the scaling sweep: sharded runs must reproduce the
-    /// unsharded run's cases and diagnoses exactly, and the report must
-    /// serialize for `results/fleet_scaling.json`.
+    /// unsharded run's cases and diagnoses exactly. (The report's serde
+    /// round trip is pinned by `tests/daemon.rs`.)
     #[test]
     fn scaling_smoke() {
         let scenarios = small_fleet(4);
@@ -933,14 +444,12 @@ mod tests {
             assert_eq!(sharded.report.shards, shards);
             assert_run_eq(&base, &sharded, &format!("shards {shards}"));
         }
-        let json = serde_json::to_string(&base.report).unwrap();
-        assert!(!json.is_empty() && json.contains("\"shards\":1"));
     }
 
     /// A mid-stream reshard — including one that *reverses* the shard
     /// assignment — must be behaviorally invisible. This is the in-crate
-    /// smoke; the full matrix runs against the golden corpus at the
-    /// workspace root.
+    /// smoke; the `equivalence` matrix runs against the golden corpus at
+    /// the workspace root.
     #[test]
     fn reshard_smoke() {
         let scenarios = small_fleet(4);

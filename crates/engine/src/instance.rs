@@ -38,7 +38,7 @@ use pinsql_timeseries::{WireError, WireReader, WireWriter};
 /// The pipeline is generic over an [`Observer`]; the default
 /// [`NoopObserver`] compiles every instrumentation site to nothing, so
 /// existing call sites pay no cost (the `obs_smoke` overhead guard and
-/// `obs_equivalence` byte-identity suite pin this).
+/// the `equivalence` matrix's observer axis pin this).
 #[derive(Debug, Clone)]
 pub struct OnlineInstance<'a, O: Observer = NoopObserver> {
     scenario: &'a Scenario,
@@ -110,7 +110,7 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
     /// baselines store raw samples (median/MAD are recomputed per push)
     /// and the two kernels are bit-identical, so the remainder of the
     /// stream folds exactly as it would under a cold start with `kernel`
-    /// (pinned by the `daemon_equivalence` matrix).
+    /// (pinned by the `equivalence` matrix's daemon path).
     pub fn set_kernel(&mut self, kernel: KernelKind) {
         self.bank.set_kernel(kernel);
     }
@@ -153,7 +153,7 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
     /// config-push path. Switching to [`CutKind::Incremental`] rebuilds
     /// the running moments from the resident rings, so the next case cut
     /// is exactly what a cold start under `cut` would have produced
-    /// (pinned by the `daemon_equivalence` matrix).
+    /// (pinned by the `equivalence` matrix's daemon path).
     pub fn set_cut(&mut self, cut: CutKind) {
         self.aggregator.set_cut(cut);
     }
@@ -470,31 +470,25 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
 /// The returned `(LabeledCase, Diagnosis)` is bit-identical to what the
 /// batch path (`materialize` + `PinSql::diagnose`) produces for the same
 /// scenario and configuration — the engine's replay-equivalence contract,
-/// pinned against the golden corpus in `tests/online_equivalence.rs`.
+/// pinned against the golden corpus by the `equivalence` matrix.
 pub fn replay_diagnose(
     scenario: &Scenario,
     delta_s: i64,
     cfg: &PinSqlConfig,
 ) -> (LabeledCase, Diagnosis) {
-    replay_diagnose_observed(scenario, delta_s, cfg, &NoopObserver)
+    replay(scenario, delta_s, cfg, KernelKind::default(), &NoopObserver)
 }
 
 /// [`replay_diagnose`] with an explicit detector-kernel choice. Both kinds
-/// are bit-identical (the golden equivalence suites run the full matrix);
-/// the parameter exists so those suites — and any deployment wanting the
-/// scalar reference formulation — can pick.
+/// are bit-identical; the parameter exists so the equivalence matrix — and
+/// any deployment wanting the scalar reference formulation — can pick.
 pub fn replay_diagnose_with_kernel(
     scenario: &Scenario,
     delta_s: i64,
     cfg: &PinSqlConfig,
     kernel: KernelKind,
 ) -> (LabeledCase, Diagnosis) {
-    let events = materialize_events(scenario, None);
-    let mut inst = OnlineInstance::new(scenario, delta_s).with_kernel(kernel).with_cut(cfg.cut);
-    inst.ingest_stream(events);
-    let lc = inst.close_case();
-    let d = PinSql::new(cfg.clone()).diagnose(&lc.case, &lc.window, &lc.history, lc.minutes_origin);
-    (lc, d)
+    replay(scenario, delta_s, cfg, kernel, &NoopObserver)
 }
 
 /// [`replay_diagnose`] under an explicit observer: the whole replay —
@@ -507,8 +501,20 @@ pub fn replay_diagnose_observed<O: Observer>(
     cfg: &PinSqlConfig,
     obs: &O,
 ) -> (LabeledCase, Diagnosis) {
+    replay(scenario, delta_s, cfg, KernelKind::default(), obs)
+}
+
+fn replay<O: Observer>(
+    scenario: &Scenario,
+    delta_s: i64,
+    cfg: &PinSqlConfig,
+    kernel: KernelKind,
+    obs: &O,
+) -> (LabeledCase, Diagnosis) {
     let events = materialize_events(scenario, None);
-    let mut inst = OnlineInstance::with_observer(scenario, delta_s, obs.clone()).with_cut(cfg.cut);
+    let mut inst = OnlineInstance::with_observer(scenario, delta_s, obs.clone())
+        .with_kernel(kernel)
+        .with_cut(cfg.cut);
     inst.ingest_stream(events);
     let lc = inst.close_case();
     let d = PinSql::new(cfg.clone()).diagnose_observed(

@@ -12,31 +12,37 @@
 //!   history) and the online detector bank; when the case closes, the
 //!   window is selected, a batch-bit-identical `CaseData` snapshot is cut,
 //!   and the case is labelled.
-//! * [`fleet`] — [`FleetEngine`]: shards N instances' event streams across
-//!   scoped ingestion workers (each a private time-ordered k-way merge over
-//!   a disjoint set of instances) and fans diagnosis out across instances
-//!   with the deterministic `par_map` primitive, reporting sustained
-//!   ingest throughput and per-case diagnosis latency. Outcomes are
-//!   bit-identical at every shard/fan-out count, under any [`ReshardPlan`]
-//!   mid-run, and across a checkpoint/resume cycle.
+//! * [`daemon`] — [`FleetDaemon`] / [`FleetServer`]: the one shard
+//!   executor. The agent shards N instances' event streams across scoped
+//!   ingestion workers (each a private time-ordered k-way merge over a
+//!   disjoint set of instances), keeps the pipelines live between
+//!   event-time watermarks, and on `finish` closes every case and fans
+//!   diagnosis out with the deterministic `par_map` primitive. Checkpoint,
+//!   resume, live reshard, config push and graceful restart are all the
+//!   same quiesce → snapshot → reseat primitive. The server control plane
+//!   steers the agent exclusively through the typed `PCTL` wire
+//!   ([`control`]) — versioned config pushes ([`FleetDelta`] under a
+//!   [`pinsql::ConfigEpoch`]), drains, restarts, and O(regions) health
+//!   rollups. A daemon that finishes at config `F` is byte-identical to
+//!   the batch pipeline under `F`, whatever happened on the way.
+//! * [`fleet`] — the run's vocabulary ([`FleetConfig`], [`ReshardPlan`],
+//!   [`FleetCheckpoint`], [`FleetReport`] / [`FleetRun`]) and
+//!   [`FleetEngine`], whose run shapes (`run_full`, `run_resharded`,
+//!   `checkpoint_at`, `resume_full`) are each a few calls on a daemon.
 //! * [`snapshot`] — [`InstanceSnapshot`]: the versioned binary checkpoint
 //!   of one instance's entire online state (aggregator rings, history,
-//!   detector segments), the primitive behind live resharding and crash
-//!   recovery. Malformed blobs fail with typed errors, never panics.
-//! * [`daemon`] — [`FleetDaemon`] / [`FleetServer`]: the resident form of
-//!   the engine. The agent keeps the pipelines live between event-time
-//!   watermarks; the server control plane steers it exclusively through
-//!   the typed `PCTL` wire ([`control`]) — versioned config pushes
-//!   ([`FleetDelta`] under a [`pinsql::ConfigEpoch`]), drains, graceful
-//!   restarts, and O(regions) health rollups. A daemon that finishes at
-//!   config `F` is byte-identical to [`FleetEngine::run_full`] under `F`.
+//!   detector segments), the blob the reseat primitive moves. Malformed
+//!   blobs fail with typed errors, never panics.
+//! * [`transport`] / [`wire`] — the `PEVT` ingest wire: a source streams
+//!   framed event batches to an [`IngestSink`] hosting a hollow daemon,
+//!   under credit backpressure and exactly-once reconnect resume.
 //!
 //! ## Replay equivalence (the non-negotiable invariant)
 //!
 //! For any scenario, feeding its materialized event stream through the
 //! online path yields a `Diagnosis` **bit-identical** to the batch path —
-//! same golden corpus, any parallelism. See `replay_diagnose` and the
-//! `online_equivalence` suite at the workspace root.
+//! same golden corpus, any parallelism, any execution path. See
+//! `replay_diagnose` and the `equivalence` matrix at the workspace root.
 
 pub mod control;
 pub mod daemon;

@@ -51,7 +51,7 @@
 //! always safe, and any fold schedule yields the same final bytes — only
 //! per-instance event order reaches the pipelines.
 
-use crate::control::CONTROL_MAGIC;
+use crate::control::{DaemonState, CONTROL_MAGIC};
 use crate::daemon::FleetDaemon;
 use crate::fleet::FleetRun;
 use crate::wire::EventFrame;
@@ -518,6 +518,16 @@ impl<'a, O: Observer> IngestSink<'a, O> {
                 Ok(())
             }
             EventFrame::Advance { boundary_s, .. } => {
+                // A drained or stopped agent refuses the data plane with
+                // the same typed error `offer_events` gives — the frame
+                // stays unapplied, so the source may re-send it after a
+                // `Restart`.
+                if self.daemon.state() != DaemonState::Running {
+                    return Err(WireError::Mismatch {
+                        what: "daemon state",
+                        detail: format!("advance received in state {}", self.daemon.state()),
+                    });
+                }
                 self.daemon.advance_to(boundary_s.max(self.daemon.watermark()));
                 Ok(())
             }

@@ -13,8 +13,8 @@
 //!    `obs_smoke` suite guards this.
 //! 2. **Provably inert when on.** Observers only *watch*: they never
 //!    touch pipeline data, so diagnoses are byte-identical with recording
-//!    enabled or disabled, at every shard/fan-out combination
-//!    (`obs_equivalence` pins this against the golden corpus).
+//!    enabled or disabled, on every execution path (the `equivalence`
+//!    matrix's observer axis pins this against the golden corpus).
 //! 3. **Mergeable across threads.** Stage latencies land in log2-bucketed
 //!    [`LatencyHistogram`]s and counters are plain monotone sums, so
 //!    per-shard registries merge associatively and commutatively

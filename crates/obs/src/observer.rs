@@ -16,7 +16,7 @@ use std::time::Instant;
 
 /// A sink for spans, counters, and gauges. Implementations must be pure
 /// observers: nothing they do may influence pipeline outputs (the
-/// `obs_equivalence` suite enforces this for the shipped ones).
+/// `equivalence` matrix's observer axis enforces this for the shipped ones).
 pub trait Observer: Clone + Send + Sync {
     /// Statically known on/off switch; instrumentation sites guard on it.
     const ENABLED: bool;

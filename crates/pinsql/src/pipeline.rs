@@ -115,8 +115,8 @@ impl PinSql {
     /// ([`Stage::SessionEstimate`], [`Stage::Hsql`], [`Stage::Rsql`]).
     ///
     /// The observer only watches: the returned `Diagnosis` is
-    /// byte-identical whatever `O` is (the workspace `obs_equivalence`
-    /// suite pins this), and with the default [`NoopObserver`] the
+    /// byte-identical whatever `O` is (the workspace `equivalence`
+    /// matrix pins this), and with the default [`NoopObserver`] the
     /// instrumentation compiles to nothing.
     pub fn diagnose_observed<O: Observer>(
         &self,

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full local gate: release build, the whole test suite, and clippy with
-# warnings promoted to errors. Run from the repo root.
+# Full local gate: release build, every smoke, the whole test suite, and
+# clippy with warnings promoted to errors. Run from the repo root.
 #
 # Usage: scripts/ci.sh [target]
 #
@@ -8,28 +8,37 @@
 # gate, which includes every smoke below plus `cargo test` and clippy):
 #   robustness_smoke  end-to-end chaos run: perturbation + diagnosis
 #   fleet_smoke       4-instance multiplexed ingest + diagnosis round-trip
-#   scaling_smoke     shards 1/2/4 close bit-identical cases
+#   scaling_smoke     shards 1/2/4 close bit-identical cases + the
+#                     run_full row of the equivalence matrix
 #   obs_smoke         chrome-trace export + zero-cost disabled observer
 #   kernel_smoke      fast kernels vs scalar reference + dense-store
 #                     throughput-ratio regression gate
-#   snapshot_smoke    checkpoint/reshard suites + snapshot-size /
-#                     restore-latency sanity gate
-#   daemon_smoke      resident daemon: control-wire hardening, daemon
-#                     equivalence matrix, push-pause / restart gate
+#   snapshot_smoke    snapshot wire/property suites, checkpoint bytes and
+#                     handoff order, the matrix's reshard and checkpoint
+#                     -> resume rows, snapshot-size / restore-latency gate
+#   daemon_smoke      resident daemon: control-wire hardening, report and
+#                     epoch contracts, the matrix's daemon row,
+#                     push-pause / restart gate
 #   case_cut_smoke    incremental window cut: running-moment property
 #                     suite + cut-assembly speedup regression gate
-#   transport_smoke   cross-process ingest: PEVT wire hardening,
-#                     loopback transport equivalence + backpressure
-#                     faults, throughput/latency sanity gate
+#   transport_smoke   cross-process ingest: PEVT wire hardening, TCP /
+#                     region server / wire extremes, the matrix's two
+#                     loopback rows, backpressure faults,
+#                     throughput/latency sanity gate
+#   equivalence       the whole execution-path x matrix-point table
+#                     against the golden corpus (tests/equivalence.rs,
+#                     one #[test] per path; release, ~7 min on 2 cores)
 #   offline_smoke     the suites that need no registry, by real
 #                     `cargo test --offline` from tests/offline (its own
-#                     workspace over the stand-ins in benchmark/shims);
-#                     skips the root build and is not part of `all`
+#                     workspace over the stand-ins in benchmark/shims),
+#                     the equivalence matrix and the engine unit tests
+#                     included; skips the root build and is not part of
+#                     `all`
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,36p' "$0" | sed 's/^# \{0,1\}//' >&2
 }
 
 # End-to-end chaos: a tiny run that exercises perturbation + diagnosis
@@ -44,10 +53,24 @@ fleet_smoke() {
   cargo test -q -p pinsql-engine fleet_smoke
 }
 
+# One or more rows of the equivalence matrix (tests/equivalence.rs: one
+# #[test] per execution path, each against the batch reference at every
+# value of shards / fanout / kernel / cut / observer). Arguments are test
+# name filters; none runs the whole table. Release: the golden corpus is
+# tens of millions of events. --nocapture prints each path's wall time.
+matrix() {
+  cargo test -q --release --test equivalence -- --nocapture "$@"
+}
+
+equivalence() {
+  matrix
+}
+
 # Sharded ingestion: shards 1/2/4 over the same small fleet must close
-# bit-identical cases and diagnoses.
+# bit-identical cases and diagnoses; then the same on the golden corpus.
 scaling_smoke() {
   cargo test -q -p pinsql-engine scaling_smoke
+  matrix run_full
 }
 
 # Observability: a recorded golden case must export a valid chrome-trace
@@ -68,27 +91,29 @@ kernel_smoke() {
 }
 
 # Checkpoint/restore + live resharding: engine-crate unit tests, the
-# wire-hardening and property suites, the reshard-equivalence matrix and
-# crash recovery, then the bench-bin gate that keeps snapshot
+# wire-hardening and property suites, checkpoint-bytes / shipped-bytes /
+# handoff-order checks, then the bench-bin gate that keeps snapshot
 # bytes/instance and restore latency inside sane bounds.
 snapshot_smoke() {
   cargo test -q -p pinsql-engine snapshot
   cargo test -q --test snapshot_wire
   cargo test -q --test snapshot_props
-  cargo test -q --test reshard_equivalence
-  cargo test -q --test crash_recovery
+  cargo test -q --release --test crash_recovery
+  matrix reshard_ resume_at_
   cargo run --release -q -p pinsql-bench --bin reshard -- --gate
 }
 
 # Resident fleet daemon: control/daemon unit tests, PCTL wire hardening,
-# the daemon-equivalence matrix (mid-stream config push + graceful
-# restart, byte-identical to a cold start), then the bench-bin gate that
-# keeps the config-push pause and restart recovery inside sane bounds.
+# the report and epoch contracts, the matrix's daemon row (mid-stream
+# config push + graceful restart, byte-identical to a cold start), then
+# the bench-bin gate that keeps the config-push pause and restart
+# recovery inside sane bounds.
 daemon_smoke() {
   cargo test -q -p pinsql-engine control
   cargo test -q -p pinsql-engine daemon
   cargo test -q --test control_wire
-  cargo test -q --test daemon_equivalence
+  cargo test -q --release --test daemon
+  matrix daemon_push_restart
   cargo run --release -q -p pinsql-bench --bin daemon -- --gate
 }
 
@@ -103,17 +128,18 @@ case_cut_smoke() {
 }
 
 # Cross-process ingest transport: engine wire/transport unit tests, the
-# PEVT adversarial suite with its committed golden frame, the loopback
-# transport-equivalence matrix (byte-identical to run_full, mid-stream
-# reconnect included), the backpressure/fault-injection soak, then the
-# bench-bin gate that keeps the credit/memory bounds and the p99
-# frame-latency ceiling honest.
+# PEVT adversarial suite with its committed golden frame, the TCP smoke /
+# region server / protocol-violation / wire-extreme suite, the matrix's
+# two loopback rows (mid-stream reconnect included), the
+# backpressure/fault-injection soak, then the bench-bin gate that keeps
+# the credit/memory bounds and the p99 frame-latency ceiling honest.
 transport_smoke() {
   cargo test -q -p pinsql-engine transport
   cargo test -q -p pinsql-engine wire
   cargo test -q --test event_wire
-  cargo test -q --test transport_equivalence
-  cargo test -q --test backpressure
+  cargo test -q --release --test transport
+  matrix loopback
+  cargo test -q --release --test backpressure
   cargo run --release -q -p pinsql-bench --bin transport -- --gate
 }
 
@@ -121,8 +147,13 @@ transport_smoke() {
 # tests/offline is a workspace of its own whose [patch.crates-io] points
 # at the stand-in crates under benchmark/shims, so this is real `cargo
 # test`. It covers the integration suites that need neither proptest nor
-# a working serde_json, plus the unit tests of crates/pinsql (the
-# estimator's bit-identity oracle lives there) and crates/collector.
+# a working serde_json — the equivalence matrix and every other
+# golden-corpus suite among them — plus the unit tests of crates/pinsql
+# (the estimator's bit-identity oracle lives there), crates/collector and
+# crates/engine. Its dev profile is optimized with overflow checks and
+# debug assertions left on (tests/offline/Cargo.toml says why), so one
+# plain `cargo test` runs everything; --nocapture lets the matrix print
+# its per-path wall times. ~11 min on 2 cores, ~8 of them the matrix.
 offline_smoke() {
   local skip=(
     # The stand-in PRNG draws a different stream than crates.io `StdRng`
@@ -135,14 +166,17 @@ offline_smoke() {
     --skip config::tests::delta_applies_only_present_fields
     --skip config::tests::epochs_are_ordered_and_display
     --skip config::tests::transport_policy_defaults_and_validation
+    # Likewise: the FleetReport serde round trip (tests/daemon.rs). Its
+    # sibling fleet_report_rollup_counts runs.
+    --skip fleet_report_serde_round_trip
   )
-  cargo test -q --offline --manifest-path tests/offline/Cargo.toml -- "${skip[@]}"
+  cargo test -q --offline --manifest-path tests/offline/Cargo.toml -- --nocapture "${skip[@]}"
 }
 
 target="${1:-all}"
 
 case "$target" in
-  robustness_smoke|fleet_smoke|scaling_smoke|obs_smoke|kernel_smoke|snapshot_smoke|daemon_smoke|case_cut_smoke|transport_smoke)
+  robustness_smoke|fleet_smoke|scaling_smoke|obs_smoke|kernel_smoke|snapshot_smoke|daemon_smoke|case_cut_smoke|transport_smoke|equivalence)
     cargo build --release
     "$target"
     exit 0
@@ -175,5 +209,7 @@ snapshot_smoke
 daemon_smoke
 case_cut_smoke
 transport_smoke
-cargo test -q
+# The whole suite, matrix included — optimized, like the build above:
+# unoptimized, the golden-corpus suites take the better part of an hour.
+cargo test -q --release
 cargo clippy --workspace -- -D warnings

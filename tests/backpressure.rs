@@ -20,11 +20,10 @@
 mod common;
 
 use common::{
-    batch_reference_jsons, drive_loopback, golden_fleet_config, load_manifest, scenario_for,
-    ManifestEntry, MatrixPoint,
+    assert_run_matches_batch, batch_reference, busiest_second, drive_loopback, golden_fleet_config,
+    load_manifest, scenario_for, ManifestEntry, MatrixPoint,
 };
 use pinsql::TransportPolicy;
-use pinsql_detect::{CutKind, KernelKind};
 use pinsql_engine::{
     pipe_pair, plan_frames, run_source, serve_agent, EventFrame, FleetDaemon, FleetRun,
     IngestSink, SourcePlan,
@@ -36,7 +35,7 @@ const ADVANCE_EVERY_S: i64 = 1;
 const BATCH_EVENTS: usize = 64;
 
 fn point() -> MatrixPoint {
-    MatrixPoint { shards: 2, fanout: 1, kernel: KernelKind::Fast, cut: CutKind::Incremental }
+    MatrixPoint { shards: 2, ..MatrixPoint::BASELINE }
 }
 
 /// The four-scenario soak fixture: entries, scenarios, streams, and a
@@ -48,31 +47,15 @@ fn fixture() -> (Vec<ManifestEntry>, Vec<Scenario>, Vec<Vec<TelemetryEvent>>, Tr
     let scenarios: Vec<_> = entries.iter().map(scenario_for).collect();
     let streams: Vec<_> = scenarios.iter().map(|s| materialize_events(s, None)).collect();
 
-    let mut per_second = std::collections::BTreeMap::<i64, usize>::new();
-    for stream in &streams {
-        for ev in stream {
-            *per_second.entry((ev.time_ms() / 1000.0).floor() as i64).or_default() += 1;
-        }
-    }
-    let busiest = per_second.values().copied().max().expect("streams are non-empty");
     let policy = TransportPolicy::default()
-        .with_queue_capacity(busiest + BATCH_EVENTS)
+        .with_queue_capacity(busiest_second(&streams) + BATCH_EVENTS)
         .with_batch_events(BATCH_EVENTS);
     policy.validate().expect("soak policy is valid");
     (entries, scenarios, streams, policy)
 }
 
 fn assert_matches_batch(entries: &[ManifestEntry], out: &FleetRun, what: &str) {
-    let batch_jsons = batch_reference_jsons(entries);
-    for (i, entry) in entries.iter().enumerate() {
-        common::assert_case_matches_batch(
-            entry,
-            &batch_jsons[i],
-            &out.cases[i],
-            &out.diagnoses[i],
-            what,
-        );
-    }
+    assert_run_matches_batch(entries, &batch_reference(entries), &out.cases, &out.diagnoses, what);
 }
 
 /// The soak: a sink whose pressure folds only fire with the buffer
@@ -254,7 +237,7 @@ fn duplicate_frames_re_ack_without_reapplying() {
         (EventFrame::Ack { seq: a, .. }, EventFrame::Ack { seq: b, watermark, .. }) => {
             assert_eq!(a, 1);
             assert_eq!(b, 1, "the re-ack confirms the same applied position");
-            assert!(watermark >= i64::MIN);
+            assert_eq!(watermark, i64::MIN, "nothing folded, so time has not moved");
         }
         other => panic!("expected two acks, got {other:?}"),
     }

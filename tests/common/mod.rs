@@ -1,34 +1,58 @@
-//! Shared fixtures for the golden-corpus suites: the manifest, the
-//! rank-relevant `Snapshot` view of a diagnosis, the batch pipeline that
-//! produces it, and the parametrized shard × fanout × kernel equivalence
-//! harness. `golden_corpus.rs` pins snapshots to disk; the
-//! `online/shard/reshard/daemon_equivalence` suites replay the same cases
-//! through their respective engines and byte-compare against the batch
-//! snapshots via [`assert_fleet_matches_batch`].
+//! Shared fixtures for the golden-corpus suites, std-only so every suite
+//! that uses them runs under `cargo test --offline`: the manifest (a const
+//! table), the rank-relevant `Snapshot` view of a diagnosis, the batch
+//! pipeline that produces it, and the axes of the equivalence matrix
+//! (`tests/equivalence.rs` holds the execution paths). `golden_corpus.rs`
+//! pins snapshots to disk; everything else compares `Snapshot` structs
+//! against the batch reference via [`assert_run_matches_batch`].
 
 #![allow(dead_code)]
 
 use pinsql::{Diagnosis, PinSql, PinSqlConfig};
 use pinsql_detect::{CutKind, KernelKind};
-use pinsql_engine::{FleetConfig, FleetRun};
+use pinsql_engine::FleetConfig;
 use pinsql_scenario::{
     generate_base, inject, materialize, AnomalyKind, LabeledCase, Scenario, ScenarioConfig,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::path::{Path, PathBuf};
 
 /// Collection look-back used for every golden case.
 pub const GOLDEN_DELTA_S: i64 = 600;
 
-#[derive(Debug, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ManifestEntry {
-    pub name: String,
-    pub kind: String,
+    pub name: &'static str,
+    pub kind: &'static str,
     pub seed: u64,
 }
 
+const fn entry(name: &'static str, kind: &'static str, seed: u64) -> ManifestEntry {
+    ManifestEntry { name, kind, seed }
+}
+
+/// The golden corpus: 16 seeded cases, four per anomaly kind.
+pub const MANIFEST: [ManifestEntry; 16] = [
+    entry("business_spike_7000", "business_spike", 7000),
+    entry("business_spike_7001", "business_spike", 7001),
+    entry("business_spike_7002", "business_spike", 7002),
+    entry("business_spike_7003", "business_spike", 7003),
+    entry("poor_sql_7100", "poor_sql", 7100),
+    entry("poor_sql_7101", "poor_sql", 7101),
+    entry("poor_sql_7102", "poor_sql", 7102),
+    entry("poor_sql_7103", "poor_sql", 7103),
+    entry("mdl_lock_7200", "mdl_lock", 7200),
+    entry("mdl_lock_7201", "mdl_lock", 7201),
+    entry("mdl_lock_7202", "mdl_lock", 7202),
+    entry("mdl_lock_7203", "mdl_lock", 7203),
+    entry("row_lock_7300", "row_lock", 7300),
+    entry("row_lock_7301", "row_lock", 7301),
+    entry("row_lock_7302", "row_lock", 7302),
+    entry("row_lock_7303", "row_lock", 7303),
+];
+
 /// The rank-relevant, timing-free view of one diagnosed case.
-#[derive(Debug, Serialize)]
+#[derive(Debug, PartialEq, Serialize)]
 pub struct Snapshot {
     pub name: String,
     pub kind: String,
@@ -43,8 +67,8 @@ pub struct Snapshot {
     pub n_verified: usize,
     pub n_reported: usize,
     /// Top-ranked templates as `(id, label, score bits as hex)` — bit-exact
-    /// scores keep the comparison byte-stable without decimal formatting
-    /// ambiguity.
+    /// scores keep the comparison exact (and a failure message readable)
+    /// without decimal formatting ambiguity.
     pub top_rsqls: Vec<(u64, String, String)>,
     pub top_hsqls: Vec<(u64, String, String)>,
 }
@@ -63,42 +87,48 @@ pub fn kind_of(s: &str) -> AnomalyKind {
         .unwrap_or_else(|| panic!("unknown kind in manifest: {s}"))
 }
 
+/// `tests/golden`, located from this file's own path so it is the same
+/// directory whichever workspace (root or `tests/offline`) compiled the
+/// suite. Read-only fixtures come in through `include_bytes!`; this is
+/// for the suites that bless files onto disk.
 pub fn golden_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden")
+    let tests = Path::new(file!()).parent().and_then(Path::parent);
+    tests.expect("tests/common/mod.rs has a grandparent").join("golden")
 }
 
-/// Loads and sanity-checks the 16-case manifest.
+/// The 16-case manifest, sanity-checked.
 pub fn load_manifest() -> Vec<ManifestEntry> {
-    let manifest: Vec<ManifestEntry> = serde_json::from_str(
-        &std::fs::read_to_string(golden_dir().join("manifest.json")).expect("read manifest"),
-    )
-    .expect("parse manifest");
-    assert_eq!(manifest.len(), 16, "four cases per anomaly kind");
     for kind in AnomalyKind::ALL {
         assert_eq!(
-            manifest.iter().filter(|e| e.kind == kind.label()).count(),
+            MANIFEST.iter().filter(|e| e.kind == kind.label()).count(),
             4,
             "manifest must hold four {} cases",
             kind.label()
         );
     }
-    manifest
+    MANIFEST.to_vec()
+}
+
+/// One case of each anomaly kind — the short corpus the matrix runs at
+/// its off-baseline points.
+pub fn one_per_kind() -> Vec<ManifestEntry> {
+    MANIFEST.iter().step_by(4).copied().collect()
 }
 
 /// Rebuilds a manifest entry's scenario (pure function of the entry).
 pub fn scenario_for(entry: &ManifestEntry) -> Scenario {
     let cfg = ScenarioConfig::default().with_seed(entry.seed);
     let base = generate_base(&cfg);
-    inject(&base, &cfg, kind_of(&entry.kind))
+    inject(&base, &cfg, kind_of(entry.kind))
 }
 
 /// Builds the snapshot view from an already-labelled, already-diagnosed
-/// case — shared by the batch and online paths so both serialize through
-/// the exact same struct (field order included).
+/// case — shared by the batch and online paths so both compare through
+/// the exact same struct.
 pub fn snapshot_of(entry: &ManifestEntry, lc: &LabeledCase, d: &Diagnosis) -> Snapshot {
     Snapshot {
-        name: entry.name.clone(),
-        kind: entry.kind.clone(),
+        name: entry.name.to_string(),
+        kind: entry.kind.to_string(),
         seed: entry.seed,
         detected: lc.detected,
         anomaly_type: lc.anomaly_type.clone(),
@@ -128,51 +158,91 @@ pub fn batch_snapshot(entry: &ManifestEntry, parallelism: usize) -> (Snapshot, D
     (snap, d)
 }
 
-/// The batch reference, serialized once per manifest entry — what every
-/// fleet-shaped suite byte-compares against. (The batch path's own
-/// parallelism invariance is pinned separately by `golden_corpus.rs`.)
-pub fn batch_reference_jsons(manifest: &[ManifestEntry]) -> Vec<String> {
-    manifest
-        .iter()
-        .map(|entry| {
-            let (snap, _) = batch_snapshot(entry, 1);
-            serde_json::to_string_pretty(&snap).expect("serialize snapshot")
-        })
-        .collect()
+/// The batch reference, one snapshot per manifest entry — what every
+/// online path compares against. (The batch path's own parallelism
+/// invariance is pinned separately by `golden_corpus.rs`.)
+pub fn batch_reference(manifest: &[ManifestEntry]) -> Vec<Snapshot> {
+    manifest.iter().map(|entry| batch_snapshot(entry, 1).0).collect()
 }
 
-/// One cell of the fleet equivalence matrix.
+/// The observer axis of the matrix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ObserverKind {
+    Noop,
+    Recording,
+}
+
+/// One cell of the equivalence matrix.
 #[derive(Debug, Clone, Copy)]
 pub struct MatrixPoint {
     pub shards: usize,
     pub fanout: usize,
     pub kernel: KernelKind,
     pub cut: CutKind,
+    pub observer: ObserverKind,
 }
 
 impl MatrixPoint {
-    /// Failure-message label: `shards 2, fanout 4, kernel fast, cut incremental`.
+    /// The production defaults, unsharded and unobserved.
+    pub const BASELINE: MatrixPoint = MatrixPoint {
+        shards: 1,
+        fanout: 1,
+        kernel: KernelKind::Fast,
+        cut: CutKind::Incremental,
+        observer: ObserverKind::Noop,
+    };
+
+    /// Failure-message label:
+    /// `shards 2, fanout 4, kernel fast, cut incremental, observer noop`.
     pub fn label(&self) -> String {
         format!(
-            "shards {}, fanout {}, kernel {}, cut {}",
+            "shards {}, fanout {}, kernel {}, cut {}, observer {}",
             self.shards,
             self.fanout,
             self.kernel.label(),
-            self.cut.label()
+            self.cut.label(),
+            match self.observer {
+                ObserverKind::Noop => "noop",
+                ObserverKind::Recording => "recording",
+            }
         )
     }
 }
 
-/// The full matrix every fleet-shaped equivalence suite runs:
-/// shards {1, 2, 4} × fanout {1, 4} × both detector kernels × both
-/// window-cut paths.
-pub fn matrix_points() -> Vec<MatrixPoint> {
+/// The default tier's off-baseline points: each axis moved alone to each
+/// of its other values, plus the corner where every axis has moved.
+/// Instances are independent and no axis reads another's state, so with
+/// [`MatrixPoint::BASELINE`] this meets every path with every value.
+pub fn axis_points() -> Vec<MatrixPoint> {
+    let b = MatrixPoint::BASELINE;
+    vec![
+        MatrixPoint { shards: 2, ..b },
+        MatrixPoint { shards: 4, ..b },
+        MatrixPoint { fanout: 4, ..b },
+        MatrixPoint { kernel: KernelKind::Reference, ..b },
+        MatrixPoint { cut: CutKind::Reference, ..b },
+        MatrixPoint { observer: ObserverKind::Recording, ..b },
+        MatrixPoint {
+            shards: 4,
+            fanout: 4,
+            kernel: KernelKind::Reference,
+            cut: CutKind::Reference,
+            observer: ObserverKind::Recording,
+        },
+    ]
+}
+
+/// The full cross-product: shards {1, 2, 4} × fanout {1, 4} × both
+/// detector kernels × both window-cut paths × both observers.
+pub fn all_points() -> Vec<MatrixPoint> {
     let mut points = Vec::new();
     for shards in [1usize, 2, 4] {
         for fanout in [1usize, 4] {
             for kernel in [KernelKind::Fast, KernelKind::Reference] {
                 for cut in [CutKind::Incremental, CutKind::Reference] {
-                    points.push(MatrixPoint { shards, fanout, kernel, cut });
+                    for observer in [ObserverKind::Noop, ObserverKind::Recording] {
+                        points.push(MatrixPoint { shards, fanout, kernel, cut, observer });
+                    }
                 }
             }
         }
@@ -192,56 +262,68 @@ pub fn golden_fleet_config(p: MatrixPoint) -> FleetConfig {
     }
 }
 
-/// Byte-compares one golden case against its batch reference.
+/// Compares one golden case against its batch reference, scores as bit
+/// patterns. `what` names the execution path and matrix point.
 pub fn assert_case_matches_batch(
     entry: &ManifestEntry,
-    batch_json: &str,
+    batch: &Snapshot,
     lc: &LabeledCase,
     d: &Diagnosis,
     what: &str,
 ) {
-    let json = serde_json::to_string_pretty(&snapshot_of(entry, lc, d)).expect("serialize");
-    assert_eq!(json, batch_json, "{}: {what} diverged from batch", entry.name);
+    assert_eq!(&snapshot_of(entry, lc, d), batch, "{}: {what} diverged from batch", entry.name);
 }
 
-/// The shared equivalence matrix: calls `run` at every [`MatrixPoint`]
-/// and byte-compares every golden case of the resulting [`FleetRun`]
-/// against the batch reference. `what` names the run shape in failures
-/// (e.g. "fleet run", "resharded run", "daemon run").
-pub fn assert_fleet_matches_batch(
+/// [`assert_case_matches_batch`] over a whole run's cases and diagnoses
+/// (instance-id order, aligned with `manifest`).
+pub fn assert_run_matches_batch(
     manifest: &[ManifestEntry],
-    scenarios: &[Scenario],
-    batch_jsons: &[String],
+    batch: &[Snapshot],
+    cases: &[LabeledCase],
+    diagnoses: &[Diagnosis],
     what: &str,
-    run: impl FnMut(MatrixPoint, &[Scenario]) -> FleetRun,
 ) {
-    assert_fleet_matches_batch_at(&matrix_points(), manifest, scenarios, batch_jsons, what, run);
-}
-
-/// [`assert_fleet_matches_batch`] over an explicit set of matrix points —
-/// for suites whose axis is orthogonal to fanout (the transport suite
-/// runs shards × kernels and lets the default matrix pin fanout).
-pub fn assert_fleet_matches_batch_at(
-    points: &[MatrixPoint],
-    manifest: &[ManifestEntry],
-    scenarios: &[Scenario],
-    batch_jsons: &[String],
-    what: &str,
-    mut run: impl FnMut(MatrixPoint, &[Scenario]) -> FleetRun,
-) {
-    for &p in points {
-        let out = run(p, scenarios);
-        assert_eq!(out.cases.len(), manifest.len(), "{what} ({}): case count", p.label());
-        for (i, entry) in manifest.iter().enumerate() {
-            assert_case_matches_batch(
-                entry,
-                &batch_jsons[i],
-                &out.cases[i],
-                &out.diagnoses[i],
-                &format!("{what} ({})", p.label()),
-            );
-        }
+    assert_eq!(cases.len(), manifest.len(), "{what}: case count");
+    assert_eq!(diagnoses.len(), manifest.len(), "{what}: diagnosis count");
+    for (i, entry) in manifest.iter().enumerate() {
+        assert_case_matches_batch(entry, &batch[i], &cases[i], &diagnoses[i], what);
     }
+}
+
+/// Events per event-time second, summed across `streams`.
+fn events_per_second(streams: &[Vec<pinsql_dbsim::TelemetryEvent>]) -> Vec<usize> {
+    let mut per_second = std::collections::BTreeMap::<i64, usize>::new();
+    for ev in streams.iter().flatten() {
+        *per_second.entry((ev.time_ms() / 1000.0).floor() as i64).or_default() += 1;
+    }
+    let (Some((&first, _)), Some((&last, _))) =
+        (per_second.first_key_value(), per_second.last_key_value())
+    else {
+        panic!("streams are empty");
+    };
+    (first..=last).map(|s| per_second.get(&s).copied().unwrap_or(0)).collect()
+}
+
+/// Events in the busiest event-time second across all `streams` — with
+/// one batch on top, the tightest queue that stays live when the source
+/// marks an `Advance` every second (the backpressure suite runs there).
+pub fn busiest_second(streams: &[Vec<pinsql_dbsim::TelemetryEvent>]) -> usize {
+    events_per_second(streams).into_iter().max().expect("at least one second")
+}
+
+/// The default [`TransportPolicy`](pinsql::TransportPolicy), its queue
+/// grown (never shrunk) to stay live over `streams` under a sparse
+/// `Advance` cadence. Between Advances the sink folds only up to the
+/// second every instance's ticks prove complete, and a quiet instance's
+/// `Tick{s}` rides in its open batch until the plan crosses into `s + 1`
+/// — so the queue must hold two consecutive seconds of fleet traffic plus
+/// a batch, or a compliant source waits forever for credits. (Eight
+/// golden instances already outrun the default 8192.)
+pub fn live_policy(streams: &[Vec<pinsql_dbsim::TelemetryEvent>]) -> pinsql::TransportPolicy {
+    let policy = pinsql::TransportPolicy::default();
+    let per_second = events_per_second(streams);
+    let two_seconds = per_second.windows(2).map(|w| w[0] + w[1]).max().unwrap_or(per_second[0]);
+    policy.with_queue_capacity(policy.queue_capacity.max(two_seconds + policy.batch_events))
 }
 
 /// Drives one connection of the socketed ingest path over the in-memory
@@ -272,14 +354,10 @@ pub fn drive_loopback<O: pinsql_obs::Observer>(
     })
 }
 
-/// `assignment[i]` under the engine's static contiguous layout.
-pub fn contiguous(n: usize, shards: usize) -> Vec<usize> {
-    (0..n).map(|i| i * shards / n.max(1)).map(|s| s.min(shards - 1)).collect()
-}
-
-/// The adversarial handoff: every instance moves to the mirror shard, so
-/// shard-local orderings all change and any reassembly that leans on
-/// within-shard contiguity or finish order breaks loudly.
+/// The adversarial handoff: every instance moves from its shard under
+/// the engine's contiguous layout to the mirror shard, so shard-local
+/// orderings all change and any reassembly that leans on within-shard
+/// contiguity or finish order breaks loudly.
 pub fn reversed(n: usize, shards: usize) -> Vec<usize> {
-    contiguous(n, shards).into_iter().map(|s| shards - 1 - s).collect()
+    (0..n).map(|i| shards - 1 - (i * shards / n).min(shards - 1)).collect()
 }

@@ -1,19 +1,18 @@
-//! Crash recovery: kill ingestion at an arbitrary point, restore every
-//! instance from the last fleet checkpoint, replay only the tail — the
-//! final cases and diagnoses are byte-identical to a run that never
-//! crashed.
+//! Checkpoints and handoffs beyond the equivalence matrix.
 //!
-//! The checkpoint and the resume deliberately run under *different*
-//! shard/fanout layouts (a recovered fleet rarely comes back on the same
-//! machine shape), so this also pins that checkpoints are portable
-//! across layouts.
+//! `tests/equivalence.rs` pins checkpoint → resume (before, inside and
+//! after the anomaly, across layouts) and the reshard plans against the
+//! batch reference. This suite keeps the properties that are not a
+//! matrix cell: checkpoint bytes do not depend on the layout that cut
+//! them, a checkpoint shipped as raw bytes resumes exactly, and a
+//! reversing handoff hands every outcome back under its own instance id.
 
 mod common;
 
-use common::{batch_snapshot, load_manifest, scenario_for, snapshot_of, GOLDEN_DELTA_S};
+use common::{load_manifest, reversed, scenario_for, snapshot_of, GOLDEN_DELTA_S};
 use pinsql::PinSqlConfig;
 use pinsql_detect::KernelKind;
-use pinsql_engine::{FleetConfig, FleetEngine};
+use pinsql_engine::{FleetConfig, FleetEngine, ReshardPlan};
 
 fn engine(shards: usize, fanout: usize) -> FleetEngine {
     FleetEngine::new(FleetConfig {
@@ -24,41 +23,6 @@ fn engine(shards: usize, fanout: usize) -> FleetEngine {
         kernel: KernelKind::Fast,
         ..FleetConfig::default()
     })
-}
-
-#[test]
-fn resume_from_checkpoint_matches_uninterrupted_run() {
-    let manifest = load_manifest();
-    let scenarios: Vec<_> = manifest.iter().map(scenario_for).collect();
-
-    let batch_jsons: Vec<String> = manifest
-        .iter()
-        .map(|entry| {
-            let (snap, _) = batch_snapshot(entry, 1);
-            serde_json::to_string_pretty(&snap).expect("serialize snapshot")
-        })
-        .collect();
-
-    // Before the anomaly, mid-anomaly (open segments, half-folded
-    // minutes), and after it — the three qualitatively different crash
-    // moments.
-    for at_second in [300i64, 800, 1100] {
-        let ckpt = engine(2, 4).checkpoint_at(&scenarios, at_second);
-        assert_eq!(ckpt.at_second, at_second);
-        assert_eq!(ckpt.snapshots.len(), scenarios.len());
-        assert!(ckpt.total_bytes() > 0);
-
-        let resumed = engine(3, 1).resume_full(&scenarios, &ckpt).expect("checkpoint decodes");
-        for (i, entry) in manifest.iter().enumerate() {
-            let snap = snapshot_of(entry, &resumed.cases[i], &resumed.diagnoses[i]);
-            let json = serde_json::to_string_pretty(&snap).expect("serialize snapshot");
-            assert_eq!(
-                json, batch_jsons[i],
-                "{}: resume from checkpoint at t={at_second}s diverged from batch",
-                entry.name
-            );
-        }
-    }
 }
 
 /// Checkpointing is deterministic: two checkpoints of the same fleet at
@@ -101,11 +65,29 @@ fn shipped_checkpoint_bytes_resume_exactly() {
     for (i, entry) in manifest.iter().take(4).enumerate() {
         let a = snapshot_of(entry, &baseline.cases[i], &baseline.diagnoses[i]);
         let b = snapshot_of(entry, &resumed.cases[i], &resumed.diagnoses[i]);
+        assert_eq!(a, b, "{}: shipped checkpoint diverged", entry.name);
+    }
+}
+
+/// Regression for the mid-stream ordering assumption: after an
+/// assignment-reversing handoff, cases must still come back in global
+/// instance-id order — outcome `i` belongs to scenario `i`, not to
+/// whatever shard finished first.
+#[test]
+fn reversing_handoff_preserves_instance_id_order() {
+    let manifest = load_manifest();
+    let scenarios: Vec<_> = manifest.iter().map(scenario_for).collect();
+    let n = scenarios.len();
+
+    let plan = ReshardPlan::single(800, reversed(n, 4));
+    let run = engine(4, 2).run_resharded(&scenarios, &plan).expect("handoff decodes");
+    for (i, entry) in manifest.iter().enumerate() {
+        assert_eq!(run.report.outcomes[i].instance, i);
         assert_eq!(
-            serde_json::to_string_pretty(&a).unwrap(),
-            serde_json::to_string_pretty(&b).unwrap(),
-            "{}: shipped checkpoint diverged",
+            run.report.outcomes[i].seed, entry.seed,
+            "{}: outcome {i} carries the wrong scenario's seed after the reversing handoff",
             entry.name
         );
+        assert_eq!(run.report.outcomes[i].kind, entry.kind);
     }
 }

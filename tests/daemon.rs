@@ -1,0 +1,57 @@
+//! The resident daemon beyond the equivalence matrix.
+//!
+//! `tests/equivalence.rs` pins the reconfigured, restarted daemon against
+//! the batch reference at every matrix point. This suite keeps the
+//! [`FleetReport`] contract on golden scenarios: config epoch, per-region
+//! rollup counts, serde round-trip. (The epoch algebra over real PCTL
+//! frames is an engine unit test,
+//! `daemon::tests::stale_and_replayed_epochs_are_rejected_whole`.)
+
+mod common;
+
+use common::{load_manifest, scenario_for, GOLDEN_DELTA_S};
+use pinsql_engine::{FleetConfig, FleetReport, FleetRun, FleetServer};
+
+/// Five golden scenarios under two shards and three regions, run to the
+/// end with no pushes.
+fn five_instance_run() -> FleetRun {
+    let manifest = load_manifest();
+    let scenarios: Vec<_> = manifest.iter().take(5).map(scenario_for).collect();
+    let cfg = FleetConfig {
+        delta_s: GOLDEN_DELTA_S,
+        shards: 2,
+        fanout: 1,
+        regions: 3,
+        ..FleetConfig::default()
+    };
+    FleetServer::start(cfg, &scenarios).stop().expect("drains and stops")
+}
+
+/// The report's rollup tree is exact: region counts partition the fleet
+/// and re-aggregate to the fleet totals.
+#[test]
+fn fleet_report_rollup_counts() {
+    let run = five_instance_run();
+    let report = &run.report;
+
+    assert_eq!(report.config_epoch, 0, "no pushes: still the initial epoch");
+    assert_eq!(report.rollup.regions.len(), 3, "one rollup per region");
+    assert_eq!(report.rollup.instances(), 5, "rollup covers the whole fleet");
+    assert!(report.rollup.is_consistent(), "region rollups re-aggregate to the fleet total");
+    let per_region: u64 = report.rollup.regions.iter().map(|r| r.rollup.instances).sum();
+    assert_eq!(per_region, report.rollup.total.instances, "regions partition the fleet");
+    assert_eq!(report.rollup.total.events_total, report.events_total);
+}
+
+/// The whole report survives a serde round-trip byte-for-byte (the fleet
+/// bench writes it to `results/fleet.json`). Needs the real `serde_json`:
+/// `offline_smoke` skips it by name.
+#[test]
+fn fleet_report_serde_round_trip() {
+    let run = five_instance_run();
+    let json = serde_json::to_string_pretty(&run.report).expect("serialize report");
+    assert!(json.contains("events_per_sec"));
+    let back: FleetReport = serde_json::from_str(&json).expect("deserialize report");
+    let json2 = serde_json::to_string_pretty(&back).expect("re-serialize report");
+    assert_eq!(json, json2, "FleetReport serde round-trip is byte-stable");
+}

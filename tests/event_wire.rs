@@ -1,7 +1,7 @@
 //! Wire-format hardening for the `PEVT` ingest frames.
 //!
-//! A golden frame blob lives at `tests/golden/event_frame.bin`
-//! (self-blessing on first run; `PINSQL_BLESS=1` regenerates after an
+//! A golden frame blob lives at `tests/golden/event_frame.bin` (compiled
+//! in with `include_bytes!`; `PINSQL_BLESS=1` rewrites it after an
 //! intentional format change). The frame is built from hardcoded
 //! events — no scenario, no RNG — so the bytes are a pure function of
 //! the codec. Against it this suite pins:
@@ -59,19 +59,20 @@ fn golden_frame_is_byte_stable_and_round_trips() {
     assert_eq!(&bytes[..4], &EVENT_MAGIC);
     assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), EVENT_VERSION);
 
-    let path = common::golden_dir().join("event_frame.bin");
-    let bless = std::env::var_os("PINSQL_BLESS").is_some();
-    if bless || !path.exists() {
+    if std::env::var_os("PINSQL_BLESS").is_some() {
+        let path = common::golden_dir().join("event_frame.bin");
         std::fs::write(&path, &bytes).expect("write golden event frame");
+        return; // the committed blob is compiled in; rebuild to compare
     }
-    let committed = std::fs::read(&path).expect("read golden event frame");
+    let committed = include_bytes!("golden/event_frame.bin");
     assert_eq!(
-        committed, bytes,
+        committed[..],
+        bytes[..],
         "PEVT wire bytes changed; if intentional, bump EVENT_VERSION and \
          regenerate with PINSQL_BLESS=1"
     );
 
-    let back = EventFrame::from_bytes(&committed).expect("golden frame decodes");
+    let back = EventFrame::from_bytes(committed).expect("golden frame decodes");
     assert_eq!(back, frame, "golden frame round-trips exactly");
 }
 

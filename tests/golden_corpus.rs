@@ -1,7 +1,7 @@
 //! Golden-diagnosis regression corpus.
 //!
 //! Sixteen seeded cases (four per anomaly kind, listed in
-//! `tests/golden/manifest.json`) are materialized and diagnosed; the
+//! `common::MANIFEST`) are materialized and diagnosed; the
 //! rank-relevant output is snapshotted as JSON and compared byte-for-byte
 //! against `tests/golden/<name>.json`. Each case is additionally diagnosed
 //! at parallelism 1 and 4 and the two snapshots must be identical — the
@@ -11,9 +11,9 @@
 //! `PINSQL_BLESS=1` to regenerate all of them after an intentional
 //! behaviour change. See `tests/golden/README.md`.
 //!
-//! The same corpus also pins the online engine: `online_equivalence.rs`
-//! replays every entry through the event-driven path and byte-compares
-//! against these snapshots.
+//! The same corpus also pins the online engine: `equivalence.rs` runs
+//! every entry through every execution path and compares against the
+//! same batch snapshots.
 
 mod common;
 
@@ -50,7 +50,7 @@ fn golden_corpus_matches_and_is_parallelism_stable() {
         }
         let stored = std::fs::read_to_string(&path).expect("read golden snapshot");
         if stored != serial_json {
-            mismatches.push(entry.name.clone());
+            mismatches.push(entry.name);
         }
     }
     assert!(

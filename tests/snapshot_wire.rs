@@ -1,8 +1,11 @@
 //! Wire-format hardening for instance snapshots.
 //!
 //! A golden snapshot blob lives at `tests/golden/instance_snapshot.bin`
-//! (self-blessing on first run; `PINSQL_BLESS=1` regenerates after an
-//! intentional format change). Against it this suite pins:
+//! once blessed (`PINSQL_BLESS=1` writes it, and again after an
+//! intentional format change). The blob holds a seeded scenario's state,
+//! so it is a function of the PRNG stream: bless it under the build whose
+//! stream is meant to be pinned, never as a side effect of a test run.
+//! Against it this suite pins:
 //!
 //! * byte-stability — today's engine reproduces the committed blob
 //!   exactly, so any accidental wire-format change fails loudly;
@@ -57,11 +60,11 @@ fn golden_blob_is_byte_stable_and_restores() {
     assert_eq!(snap.len(), snap.as_bytes().len());
 
     let path = common::golden_dir().join("instance_snapshot.bin");
-    let bless = std::env::var_os("PINSQL_BLESS").is_some();
-    if bless || !path.exists() {
+    if std::env::var_os("PINSQL_BLESS").is_some() {
         std::fs::write(&path, snap.as_bytes()).expect("write golden snapshot blob");
     }
-    let committed = std::fs::read(&path).expect("read golden snapshot blob");
+    // Not blessed yet: only the round trip below is pinned.
+    let committed = std::fs::read(&path).unwrap_or_else(|_| snap.as_bytes().to_vec());
     assert_eq!(
         committed,
         snap.as_bytes(),
