@@ -77,15 +77,56 @@ use crate::catalog::TemplateCatalog;
 use crate::cellstore::{Cell, CellStore, CellStoreKind, RowMut};
 use crate::history::HistoryStore;
 use pinsql_dbsim::probe::ProbeLog;
-use pinsql_dbsim::telemetry::query_run;
+use pinsql_dbsim::telemetry::{query_run, second_of};
+use pinsql_dbsim::wire::{query_record_bytes, query_record_from_bytes, QUERY_RECORD_BYTES};
 use pinsql_dbsim::{InstanceMetrics, MetricsSample, QueryRecord, TelemetryEvent};
 use pinsql_sqlkit::SqlId;
+use pinsql_timeseries::wire::{f64_at, set_f64, set_u32, set_u64, u32_at, u64_at};
 use pinsql_timeseries::{
     CoMomentAccumulator, CutKind, MomentAccumulator, WireError, WireReader, WireWriter,
 };
 use pinsql_workload::TemplateSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+
+/// Serialized size of one resident cell: slot + count + Σrt + Σrows.
+const CELL_ROW_BYTES: usize = 4 + 3 * 8;
+
+/// Serialized size of one running moment: count + Σx + Σx².
+const MOMENT_ROW_BYTES: usize = 3 * 8;
+
+/// One cell of the `PSNP` cell ring as its fixed-width row.
+#[inline]
+fn cell_row(slot: u32, cell: Cell) -> [u8; CELL_ROW_BYTES] {
+    let mut row = [0u8; CELL_ROW_BYTES];
+    set_u32(&mut row, 0, slot);
+    set_f64(&mut row, 4, cell.0);
+    set_f64(&mut row, 12, cell.1);
+    set_f64(&mut row, 20, cell.2);
+    row
+}
+
+/// The `(slot, cell)` a [`cell_row`] holds; the slot is unchecked.
+#[inline]
+fn cell_from_row(row: &[u8; CELL_ROW_BYTES]) -> (u32, Cell) {
+    (u32_at(row, 0), (f64_at(row, 4), f64_at(row, 12), f64_at(row, 20)))
+}
+
+/// One running moment of the `PSNP` cut-state section as its row.
+#[inline]
+fn moment_row(m: &MomentAccumulator) -> [u8; MOMENT_ROW_BYTES] {
+    let mut row = [0u8; MOMENT_ROW_BYTES];
+    set_u64(&mut row, 0, m.count());
+    set_f64(&mut row, 8, m.sum());
+    set_f64(&mut row, 16, m.sum_sq());
+    row
+}
+
+/// The moment a [`moment_row`] holds.
+#[inline]
+fn moment_from_row(row: &[u8; MOMENT_ROW_BYTES]) -> MomentAccumulator {
+    MomentAccumulator::from_sums(u64_at(row, 0), f64_at(row, 8), f64_at(row, 16))
+}
 
 /// Non-finite telemetry reads as 0 everywhere the cut moments touch it —
 /// the same rule [`window_metrics`](IncrementalAggregator::snapshot) and
@@ -463,7 +504,7 @@ impl IncrementalAggregator {
             self.stats.malformed += 1;
             return;
         }
-        let second = (rec.start_ms / 1000.0).floor() as i64;
+        let second = second_of(rec.start_ms);
         if self.watermark != i64::MIN && second < self.watermark - self.cfg.retention_s {
             self.stats.late += 1;
             return;
@@ -591,7 +632,7 @@ impl IncrementalAggregator {
                 continue;
             };
             debug_assert_eq!(
-                (rec.start_ms / 1000.0).floor() as i64,
+                second_of(rec.start_ms),
                 second,
                 "query run crosses a second boundary"
             );
@@ -1198,16 +1239,12 @@ impl IncrementalAggregator {
         let t = &self.cut_state;
         w.put_len(t.counts.len());
         for m in &t.counts {
-            w.put_u64(m.count());
-            w.put_f64(m.sum());
-            w.put_f64(m.sum_sq());
+            w.put_array(moment_row(m));
         }
         for &v in &t.sxy {
             w.put_f64(v);
         }
-        w.put_u64(t.sessions.count());
-        w.put_f64(t.sessions.sum());
-        w.put_f64(t.sessions.sum_sq());
+        w.put_array(moment_row(&t.sessions));
         w.put_u64(t.pushed);
         w.put_u64(t.evicted);
     }
@@ -1223,7 +1260,7 @@ impl IncrementalAggregator {
             1 => CutKind::Incremental,
             v => return Err(WireError::BadTag { what: "cut kind", value: v as u64 }),
         };
-        let n = r.get_len(24)?;
+        let n = r.get_len(MOMENT_ROW_BYTES)?;
         let expect = if kind == CutKind::Incremental { self.catalog.n_slots() } else { 0 };
         if n != expect {
             return Err(WireError::Mismatch {
@@ -1233,13 +1270,13 @@ impl IncrementalAggregator {
         }
         let mut counts = Vec::with_capacity(n);
         for _ in 0..n {
-            counts.push(MomentAccumulator::from_sums(r.get_u64()?, r.get_f64()?, r.get_f64()?));
+            counts.push(moment_from_row(r.get_array()?));
         }
         let mut sxy = Vec::with_capacity(n);
         for _ in 0..n {
             sxy.push(r.get_f64()?);
         }
-        let sessions = MomentAccumulator::from_sums(r.get_u64()?, r.get_f64()?, r.get_f64()?);
+        let sessions = moment_from_row(r.get_array()?);
         let pushed = r.get_u64()?;
         let evicted = r.get_u64()?;
         self.cfg.cut = kind;
@@ -1292,22 +1329,17 @@ impl IncrementalAggregator {
         w.put_bool(self.records_sorted);
         w.put_len(self.records.len());
         for rec in &self.records {
-            w.put_u64(rec.spec.0 as u64);
-            w.put_f64(rec.start_ms);
-            w.put_f64(rec.response_ms);
-            w.put_u64(rec.examined_rows);
+            w.put_array(query_record_bytes(rec));
         }
         w.put_i64(self.cells_start);
         w.put_len(self.cells.len());
+        let mut row: Vec<(u32, Cell)> = Vec::new();
         for idx in 0..self.cells.len() {
-            let mut row: Vec<(u32, Cell)> = Vec::new();
+            row.clear();
             self.cells.for_each(idx, |slot, cell| row.push((slot, cell)));
             w.put_len(row.len());
-            for (slot, cell) in row {
-                w.put_u32(slot);
-                w.put_f64(cell.0);
-                w.put_f64(cell.1);
-                w.put_f64(cell.2);
+            for &(slot, cell) in &row {
+                w.put_array(cell_row(slot, cell));
             }
         }
         w.put_i64(self.metrics_start);
@@ -1400,39 +1432,34 @@ impl IncrementalAggregator {
         };
         let watermark = r.get_i64()?;
         let records_sorted = r.get_bool()?;
-        let n_records = r.get_len(32)?;
+        let n_records = r.get_len(QUERY_RECORD_BYTES)?;
         let mut records = VecDeque::with_capacity(n_records);
         for _ in 0..n_records {
-            let spec = r.get_u64()? as usize;
-            if spec >= specs.len() {
+            let rec = query_record_from_bytes(r.get_array()?);
+            if rec.spec.0 >= specs.len() {
                 return Err(WireError::Mismatch {
                     what: "record spec",
-                    detail: format!("spec index {spec} out of range ({})", specs.len()),
+                    detail: format!("spec index {} out of range ({})", rec.spec.0, specs.len()),
                 });
             }
-            records.push_back(QueryRecord {
-                spec: pinsql_workload::SpecId(spec),
-                start_ms: r.get_f64()?,
-                response_ms: r.get_f64()?,
-                examined_rows: r.get_u64()?,
-            });
+            records.push_back(rec);
         }
         let cells_start = r.get_i64()?;
         let n_rows = r.get_len(8)?;
         let mut cells = CellStore::new(cell_store, catalog.n_slots());
         let mut row: Vec<(u32, Cell)> = Vec::new();
         for _ in 0..n_rows {
-            let n_cells = r.get_len(28)?;
+            let n_cells = r.get_len(CELL_ROW_BYTES)?;
             row.clear();
             for _ in 0..n_cells {
-                let slot = r.get_u32()?;
+                let (slot, cell) = cell_from_row(r.get_array()?);
                 if slot as usize >= n_slots {
                     return Err(WireError::Mismatch {
                         what: "cell slot",
                         detail: format!("slot {slot} out of range ({n_slots})"),
                     });
                 }
-                row.push((slot, (r.get_f64()?, r.get_f64()?, r.get_f64()?)));
+                row.push((slot, cell));
             }
             cells.push_back_row(row.iter().copied());
         }
@@ -2022,6 +2049,130 @@ mod tests {
             let res =
                 IncrementalAggregator::read_snapshot(&specs, &mut WireReader::new(&bytes[..cut]));
             assert!(res.is_err(), "cut at {cut} decoded");
+        }
+    }
+
+    /// The three fixed-width `PSNP` rows (record, cell, moment) against the
+    /// field-by-field calls they replaced: the same bytes out, and from
+    /// every prefix of those bytes and every single-byte mutation the same
+    /// value bit for bit or the same `WireError` variant (`need` / `have`
+    /// inside `Truncated` are not compared: the row read names the whole
+    /// row's size, the field reads the first field that did not fit).
+    #[test]
+    fn fixed_width_snapshot_rows_match_the_field_calls() {
+        use pinsql_timeseries::{WireError, WireReader, WireWriter};
+
+        // The oracle: each row as the per-field calls wrote and read it.
+        fn put_fields(
+            w: &mut WireWriter,
+            rec: &QueryRecord,
+            slot: u32,
+            cell: Cell,
+            m: &MomentAccumulator,
+        ) {
+            w.put_u64(rec.spec.0 as u64);
+            w.put_f64(rec.start_ms);
+            w.put_f64(rec.response_ms);
+            w.put_u64(rec.examined_rows);
+            w.put_u32(slot);
+            w.put_f64(cell.0);
+            w.put_f64(cell.1);
+            w.put_f64(cell.2);
+            w.put_u64(m.count());
+            w.put_f64(m.sum());
+            w.put_f64(m.sum_sq());
+        }
+        type Rows = (QueryRecord, (u32, Cell), MomentAccumulator);
+        fn get_fields(r: &mut WireReader) -> Result<Rows, WireError> {
+            let rec = QueryRecord {
+                spec: SpecId(r.get_u64()? as usize),
+                start_ms: r.get_f64()?,
+                response_ms: r.get_f64()?,
+                examined_rows: r.get_u64()?,
+            };
+            let cell = (r.get_u32()?, (r.get_f64()?, r.get_f64()?, r.get_f64()?));
+            let m = MomentAccumulator::from_sums(r.get_u64()?, r.get_f64()?, r.get_f64()?);
+            Ok((rec, cell, m))
+        }
+        fn get_rows(r: &mut WireReader) -> Result<Rows, WireError> {
+            let rec = query_record_from_bytes(r.get_array()?);
+            let cell = cell_from_row(r.get_array()?);
+            let m = moment_from_row(r.get_array()?);
+            Ok((rec, cell, m))
+        }
+        let refield = |(rec, (slot, cell), m): &Rows| {
+            let mut w = WireWriter::new();
+            put_fields(&mut w, rec, *slot, *cell, m);
+            w.into_bytes()
+        };
+        let agree = |bytes: &[u8], what: &dyn Fn() -> String| {
+            let new = get_rows(&mut WireReader::new(bytes));
+            let old = get_fields(&mut WireReader::new(bytes));
+            match (&new, &old) {
+                (Ok(a), Ok(b)) => assert_eq!(refield(a), refield(b), "{}", what()),
+                (Err(WireError::Truncated { .. }), Err(WireError::Truncated { .. })) => {}
+                _ => panic!("{}: new {new:?}, oracle {old:?}", what()),
+            }
+        };
+
+        /// splitmix64; half the `f64`s are the patterns a codec is
+        /// tempted to normalize.
+        struct Rng(u64);
+        impl Rng {
+            fn next(&mut self) -> u64 {
+                self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            }
+            fn float(&mut self) -> f64 {
+                const SPECIAL: [u64; 6] = [
+                    0,
+                    0x8000_0000_0000_0000,
+                    0x7FF0_0000_0000_0000,
+                    0xFFFF_FFFF_FFFF_FFFF,
+                    0x7FF0_0000_0000_0001,
+                    0x0000_0000_0000_0001,
+                ];
+                let bits = self.next();
+                f64::from_bits(match bits & 1 {
+                    0 => SPECIAL[(bits >> 1) as usize % SPECIAL.len()],
+                    _ => self.next(),
+                })
+            }
+        }
+
+        for seed in 0..200u64 {
+            let mut rng = Rng(seed);
+            let rec = QueryRecord {
+                spec: SpecId([0, usize::MAX, rng.next() as usize][(rng.next() % 3) as usize]),
+                start_ms: rng.float(),
+                response_ms: rng.float(),
+                examined_rows: rng.next(),
+            };
+            let (slot, cell) = (rng.next() as u32, (rng.float(), rng.float(), rng.float()));
+            let m = MomentAccumulator::from_sums(rng.next(), rng.float(), rng.float());
+
+            let mut w = WireWriter::new();
+            w.put_array(query_record_bytes(&rec));
+            w.put_array(cell_row(slot, cell));
+            w.put_array(moment_row(&m));
+            let bytes = w.into_bytes();
+            assert_eq!(bytes, refield(&(rec, (slot, cell), m)), "seed {seed}: bytes differ");
+            assert_eq!(bytes.len(), QUERY_RECORD_BYTES + CELL_ROW_BYTES + MOMENT_ROW_BYTES);
+
+            for cut in 0..=bytes.len() {
+                agree(&bytes[..cut], &|| format!("seed {seed}, cut at {cut}"));
+            }
+            let mut mutated = bytes.clone();
+            for at in 0..bytes.len() {
+                for value in [0x00, 0x01, 0x7F, 0x80, 0xFF, bytes[at] ^ 0x10] {
+                    mutated[at] = value;
+                    agree(&mutated, &|| format!("seed {seed}, byte {at} = {value:#04x}"));
+                }
+                mutated[at] = bytes[at];
+            }
         }
     }
 }

@@ -46,6 +46,6 @@ pub use config::{PfsConfig, SimConfig};
 pub use engine::{run_open_loop, SimOutput};
 pub use metrics::InstanceMetrics;
 pub use record::QueryRecord;
-pub use telemetry::{interleave, query_run, MetricsSample, TelemetryEvent};
+pub use telemetry::{interleave, query_run, second_of, MetricsSample, TelemetryEvent};
 pub use trace::Trace;
 pub use wire::{decode_event, encode_event};

@@ -161,11 +161,26 @@ pub fn interleave(log: &[QueryRecord], metrics: &InstanceMetrics) -> Vec<Telemet
     // Records past the metric horizon, then a final watermark covering them.
     if rec_cursor < sorted.len() {
         let last = sorted.last().expect("non-empty tail");
-        let end_second = (last.start_ms / 1000.0).floor() as i64 + 1;
+        let end_second = second_of(last.start_ms) + 1;
         events.extend(sorted[rec_cursor..].iter().map(|r| TelemetryEvent::Query(*r)));
         events.push(TelemetryEvent::Tick { second: end_second.max(start + n as i64) });
     }
     events
+}
+
+/// The attribution second of a millisecond timestamp: equal to
+/// `(ms / 1000.0).floor() as i64` for every `f64` — NaN reads as 0 and
+/// both ends saturate — without the call through the GOT that `floor`
+/// compiles to on a baseline x86-64 build (no `roundsd` before SSE4.1),
+/// which the ingest path would otherwise pay per event. The cast
+/// truncates toward zero, so only a negative quotient with a fractional
+/// part needs the step down, and a quotient that saturated at `i64::MIN`
+/// has none to take.
+#[inline]
+pub fn second_of(ms: f64) -> i64 {
+    let q = ms / 1000.0;
+    let t = q as i64;
+    t.saturating_sub(i64::from((t as f64) > q))
 }
 
 /// The maximal run of consecutive [`TelemetryEvent::Query`] events starting
@@ -183,10 +198,10 @@ pub fn query_run(events: &[TelemetryEvent], from: usize) -> Option<(i64, usize)>
     if !first.start_ms.is_finite() {
         return None;
     }
-    let second = (first.start_ms / 1000.0).floor() as i64;
+    let second = second_of(first.start_ms);
     let mut len = 1;
     while let Some(TelemetryEvent::Query(r)) = events.get(from + len) {
-        if !r.start_ms.is_finite() || (r.start_ms / 1000.0).floor() as i64 != second {
+        if !r.start_ms.is_finite() || second_of(r.start_ms) != second {
             break;
         }
         len += 1;
@@ -330,6 +345,70 @@ mod tests {
         assert_eq!(query_run(&events, 1), None, "non-finite start is not a run head");
         assert_eq!(query_run(&events, 2), Some((1, 1)));
         assert_eq!(query_run(&events, 3), None, "past the end");
+    }
+
+    /// `second_of` is `(ms / 1000.0).floor() as i64` for every `f64`: on
+    /// the edges where the cast and the floor part ways (negative
+    /// fractions, both saturating ends — where a plain `- 1` would be a
+    /// debug-build overflow trap — NaN, signed zeros, subnormals) and on
+    /// a million seeded bit patterns.
+    #[test]
+    fn second_of_is_the_floor_it_replaced() {
+        let floor = |ms: f64| (ms / 1000.0).floor() as i64;
+        let two53_k = 9_007_199_254_740_992_000.0; // 2^53 * 1000
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            999.999_999_999_999_9,
+            -999.999_999_999_999_9,
+            1000.0,
+            -1000.0,
+            86_399_000.0,
+            -86_400_000.0,
+            two53_k,
+            -two53_k,
+            9.3e21, // quotient just past i64::MAX
+            -9.3e21,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1), // smallest subnormal
+            -f64::from_bits(1),
+        ];
+        for ms in edges.clone() {
+            edges.push(f64::from_bits(ms.to_bits().wrapping_add(1)));
+            edges.push(f64::from_bits(ms.to_bits().wrapping_sub(1)));
+        }
+        for ms in edges {
+            assert_eq!(second_of(ms), floor(ms), "second_of({ms:e}), bits {:#018x}", ms.to_bits());
+        }
+        assert_eq!(second_of(f64::MIN), i64::MIN, "the negative end saturates");
+        assert_eq!(second_of(f64::MAX), i64::MAX, "the positive end saturates");
+        assert_eq!(second_of(-0.5), -1);
+
+        // splitmix64 over raw bit patterns: NaN payloads, subnormals,
+        // every exponent.
+        let seed = 0x5EC0_17D0_F1A7u64;
+        let mut state = seed;
+        for i in 0..1_000_000u32 {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            let ms = f64::from_bits(z ^ (z >> 31));
+            assert_eq!(
+                second_of(ms),
+                floor(ms),
+                "seed {seed:#x}, draw {i}: second_of({ms:e}), bits {:#018x}",
+                ms.to_bits()
+            );
+        }
     }
 
     #[test]

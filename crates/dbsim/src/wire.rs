@@ -19,21 +19,64 @@
 use crate::probe::ProbeSample;
 use crate::record::QueryRecord;
 use crate::telemetry::{MetricsSample, TelemetryEvent};
+use pinsql_timeseries::wire::{f64_at, set_f64, set_u64, u64_at};
 use pinsql_timeseries::{WireError, WireReader, WireWriter};
 use pinsql_workload::SpecId;
 
 /// Serialized size of one [`ProbeSample`]: second + sessions + instant.
 const PROBE_BYTES: usize = 8 + 4 + 8;
 
+/// Serialized size of one [`QueryRecord`]: spec + start + response + rows.
+pub const QUERY_RECORD_BYTES: usize = 32;
+
+/// Serialized size of a metrics event up to and including its probe count.
+const METRICS_HEAD_BYTES: usize = 1 + 8 + 6 * 8 + 8;
+
+/// One query record as the fixed-width row every wire carries it in (the
+/// body of a `PEVT` query event, a row of the `PSNP` record ring): `spec`
+/// as `u64`, the two timestamps as raw bits, `examined_rows`.
+#[inline]
+pub fn query_record_bytes(q: &QueryRecord) -> [u8; QUERY_RECORD_BYTES] {
+    let mut row = [0u8; QUERY_RECORD_BYTES];
+    set_u64(&mut row, 0, q.spec.0 as u64);
+    set_f64(&mut row, 8, q.start_ms);
+    set_f64(&mut row, 16, q.response_ms);
+    set_u64(&mut row, 24, q.examined_rows);
+    row
+}
+
+/// The record a [`query_record_bytes`] row holds. `spec` is whatever the
+/// bytes say: whoever indexes a catalog with it range-checks it first.
+#[inline]
+pub fn query_record_from_bytes(row: &[u8; QUERY_RECORD_BYTES]) -> QueryRecord {
+    QueryRecord {
+        spec: SpecId(u64_at(row, 0) as usize),
+        start_ms: f64_at(row, 8),
+        response_ms: f64_at(row, 16),
+        examined_rows: u64_at(row, 24),
+    }
+}
+
+/// Exactly the bytes [`encode_event`] appends for `ev`, so a frame
+/// encoder can size its buffer once.
+#[inline]
+pub fn encoded_len(ev: &TelemetryEvent) -> usize {
+    match ev {
+        TelemetryEvent::Query(_) => 1 + QUERY_RECORD_BYTES,
+        TelemetryEvent::Metrics(m) => METRICS_HEAD_BYTES + m.probes.len() * PROBE_BYTES,
+        TelemetryEvent::Tick { .. } => 1 + 8,
+    }
+}
+
 /// Appends one event as a tagged record (no framing).
+#[inline]
 pub fn encode_event(w: &mut WireWriter, ev: &TelemetryEvent) {
     match ev {
         TelemetryEvent::Query(q) => {
-            w.put_u8(1);
-            w.put_u64(q.spec.0 as u64);
-            w.put_f64(q.start_ms);
-            w.put_f64(q.response_ms);
-            w.put_u64(q.examined_rows);
+            let mut tagged = [0u8; 1 + QUERY_RECORD_BYTES];
+            tagged[0] = 1;
+            tagged[1..].copy_from_slice(&query_record_bytes(q));
+            w.put_array(tagged);
         }
         TelemetryEvent::Metrics(m) => {
             w.put_u8(2);
@@ -59,14 +102,10 @@ pub fn encode_event(w: &mut WireWriter, ev: &TelemetryEvent) {
 }
 
 /// Decodes one tagged event record from untrusted bytes; never panics.
+#[inline]
 pub fn decode_event(r: &mut WireReader<'_>) -> Result<TelemetryEvent, WireError> {
     Ok(match r.get_u8()? {
-        1 => TelemetryEvent::Query(QueryRecord {
-            spec: SpecId(r.get_u64()? as usize),
-            start_ms: r.get_f64()?,
-            response_ms: r.get_f64()?,
-            examined_rows: r.get_u64()?,
-        }),
+        1 => TelemetryEvent::Query(query_record_from_bytes(r.get_array()?)),
         2 => {
             let second = r.get_i64()?;
             let active_session = r.get_f64()?;
@@ -99,6 +138,11 @@ pub fn decode_event(r: &mut WireReader<'_>) -> Result<TelemetryEvent, WireError>
         t => return Err(WireError::BadTag { what: "telemetry event tag", value: t as u64 }),
     })
 }
+
+#[cfg(test)]
+mod oracle;
+#[cfg(test)]
+mod sweep_tests;
 
 #[cfg(test)]
 mod tests {

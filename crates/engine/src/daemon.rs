@@ -11,9 +11,10 @@
 //! - **Agent** ([`FleetDaemon`]) — owns the live [`OnlineInstance`]s, the
 //!   unconsumed stream tails and the instance → shard map.
 //!   [`advance_to`](FleetDaemon::advance_to) folds each stream's prefix
-//!   strictly before an event-time watermark — one scoped worker per
-//!   shard, each a private time-ordered k-way merge over its instances —
-//!   so every pause point is exact whatever the shard layout.
+//!   strictly before an event-time watermark — per shard a private
+//!   time-ordered k-way merge over its instances, one shard's on the
+//!   calling thread and each other's on a scoped worker — so every pause
+//!   point is exact whatever the shard layout.
 //!   [`finish`](FleetDaemon::finish) drains the tails, closes every case
 //!   in its shard, reassembles by instance id and fans
 //!   `PinSql::diagnose` out across the closed cases.
@@ -161,7 +162,7 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
         );
         let mut streams = materialize(&cfg, scenarios);
         for stream in &mut streams {
-            let _covered = split_prefix(stream, Some(checkpoint.at_second));
+            stream.drain(..prefix_len(stream, Some(checkpoint.at_second)));
         }
         let instances = scenarios
             .iter()
@@ -211,15 +212,28 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
     /// The events fold at the next [`advance_to`](FleetDaemon::advance_to)
     /// boundary, exactly like a materialized stream's prefix.
     ///
-    /// The inputs are untrusted (they crossed a process boundary):
-    /// an unknown instance id or a batch that would break the stream's
-    /// event-time order — the invariant the boundary split relies on —
-    /// comes back as a typed error and leaves the agent untouched.
+    /// The inputs are untrusted (they crossed a process boundary): an
+    /// unknown instance id, a batch that would break the stream's
+    /// event-time order — the invariant the boundary split relies on — or
+    /// a query naming a `spec` the instance's catalog does not hold comes
+    /// back as a typed error and leaves the agent untouched.
     pub fn offer_events(
         &mut self,
         instance: usize,
         events: Vec<TelemetryEvent>,
     ) -> Result<(), WireError> {
+        self.admit(instance, events).map(drop)
+    }
+
+    /// [`offer_events`](Self::offer_events), also returning the batch's
+    /// latest tick second (`i64::MIN` without one) — everything the
+    /// ingest sink needs to know about a batch, from the one pass over it
+    /// that validates it.
+    pub(crate) fn admit(
+        &mut self,
+        instance: usize,
+        events: Vec<TelemetryEvent>,
+    ) -> Result<i64, WireError> {
         if self.state != DaemonState::Running {
             return Err(WireError::Mismatch {
                 what: "daemon state",
@@ -232,22 +246,39 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
                 detail: format!("instance {instance} outside fleet of {}", self.streams.len()),
             });
         };
-        let mut last = stream.last().map(TelemetryEvent::time_ms);
+        let n_specs = self.scenarios[instance].workload.specs.len();
+        // Nothing is behind negative infinity, so an empty stream admits
+        // any first event; a NaN timestamp compares false both ways and
+        // passes, as it always has (the fold counts it as malformed).
+        let mut last = stream.last().map_or(f64::NEG_INFINITY, TelemetryEvent::time_ms);
+        let mut latest_tick = i64::MIN;
         for ev in &events {
+            match ev {
+                TelemetryEvent::Query(q) if q.spec.0 >= n_specs => {
+                    return Err(WireError::Mismatch {
+                        what: "event spec",
+                        detail: format!(
+                            "instance {instance} spec index {} out of range ({n_specs})",
+                            q.spec.0
+                        ),
+                    });
+                }
+                TelemetryEvent::Tick { second } => latest_tick = latest_tick.max(*second),
+                TelemetryEvent::Query(_) | TelemetryEvent::Metrics(_) => {}
+            }
             let t = ev.time_ms();
-            if last.is_some_and(|l| t < l) {
+            if t < last {
                 return Err(WireError::Mismatch {
                     what: "event stream order",
                     detail: format!(
-                        "instance {instance} event at {t}ms behind buffered tail {}ms",
-                        last.unwrap_or_default()
+                        "instance {instance} event at {t}ms behind buffered tail {last}ms"
                     ),
                 });
             }
-            last = Some(t);
+            last = t;
         }
         stream.extend(events);
-        Ok(())
+        Ok(latest_tick)
     }
 
     /// Events offered (or left from materialized streams) but not yet
@@ -541,15 +572,12 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
 
     /// Folds each stream's prefix strictly before `boundary_s` (`None`
     /// drains everything) into the live pipelines, one k-way merge per
-    /// shard. The round's wall clock is the *slowest shard's* merge.
+    /// shard. Each prefix is folded where it lies and drained afterwards,
+    /// so a stream keeps its buffer from fold to fold. The round's wall
+    /// clock is the *slowest shard's* merge.
     fn ingest_prefix(&mut self, boundary_s: Option<i64>) {
         let round = self.rounds;
-        let work: Vec<_> = self
-            .instances
-            .drain(..)
-            .zip(&mut self.streams)
-            .map(|(inst, stream)| (inst, split_prefix(stream, boundary_s)))
-            .collect();
+        let work: Vec<_> = self.instances.drain(..).zip(&mut self.streams).collect();
         let obs = &self.obs;
         let slowest_ns = AtomicU64::new(0);
         self.instances = on_shards(
@@ -557,11 +585,18 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
             work,
             |s| obs.fork(&format!("r{round}shard{s}")),
             |lane, group| {
-                let (mut insts, streams): (Vec<_>, Vec<_>) = group.into_iter().unzip();
+                let (mut insts, mut streams): (Vec<_>, Vec<_>) = group.into_iter().unzip();
                 let merge_n0 = if O::ENABLED { lane.now_ns() } else { 0 };
                 let t0 = Instant::now();
-                merge_streams(&mut insts, streams);
-                // A statistic, read after the scope has joined.
+                let cuts: Vec<usize> =
+                    streams.iter().map(|stream| prefix_len(stream, boundary_s)).collect();
+                let prefixes =
+                    streams.iter_mut().zip(&cuts).map(|(stream, &cut)| &mut stream[..cut]);
+                merge_streams(&mut insts, prefixes.collect());
+                for (stream, cut) in streams.into_iter().zip(cuts) {
+                    stream.drain(..cut);
+                }
+                // A statistic, read after every group has returned.
                 slowest_ns.fetch_max(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 if O::ENABLED {
                     lane.span(Stage::IngestMerge, merge_n0, lane.now_ns());
@@ -698,12 +733,15 @@ fn region_rollup(health: &[HealthSnapshot], regions: usize) -> FleetRollup {
 
 /// The one place shard workers are spawned. Groups `items` (instance-id
 /// order) by `assignment`, runs `work` over each non-empty shard's group
-/// on its own scoped thread, and scatters the results back keyed by
-/// *instance id* — shard sets are arbitrary after a handoff (reversed,
-/// permuted, regrouped), so nothing may rely on contiguity or on the
-/// order shards finish in. `lane(s)` runs on the calling thread, in
-/// shard order, to mint what the worker for shard `s` records on; `work`
-/// returns one result per item, in the order it received them.
+/// — the last such group on the calling thread, every other on a scoped
+/// thread of its own, so a fleet folded by one shard spawns nothing — and
+/// scatters the results back keyed by *instance id*: shard sets are
+/// arbitrary after a handoff (reversed, permuted, regrouped), so nothing
+/// may rely on contiguity, on the order shards finish in, or on which
+/// group the caller ran. `lane(s)` runs on the calling thread, in shard
+/// order, before any work starts, to mint what the worker for shard `s`
+/// records on; `work` returns one result per item, in the order it
+/// received them.
 fn on_shards<T: Send, L: Send, R: Send>(
     assignment: &[usize],
     items: Vec<T>,
@@ -720,19 +758,21 @@ fn on_shards<T: Send, L: Send, R: Send>(
         ids.push(i);
         group.push(item);
     }
+    let mut jobs: Vec<(L, Vec<usize>, Vec<T>)> = groups
+        .into_iter()
+        .enumerate()
+        .filter(|(_, (ids, _))| !ids.is_empty())
+        .map(|(s, (ids, group))| (lane(s), ids, group))
+        .collect();
 
     let work = &work;
+    let run = move |(lane, ids, group): (L, Vec<usize>, Vec<T>)| (ids, work(lane, group));
     let results: Vec<(Vec<usize>, Vec<R>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, (ids, _))| !ids.is_empty())
-            .map(|(s, (ids, group))| {
-                let lane = lane(s);
-                scope.spawn(move || (ids, work(lane, group)))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("daemon shard panicked")).collect()
+        let own = jobs.pop();
+        let handles: Vec<_> = jobs.into_iter().map(|job| scope.spawn(move || run(job))).collect();
+        let own = own.map(run);
+        let spawned = handles.into_iter().map(|h| h.join().expect("daemon shard panicked"));
+        spawned.chain(own).collect()
     });
 
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
@@ -745,21 +785,18 @@ fn on_shards<T: Send, L: Send, R: Send>(
     slots.into_iter().map(|s| s.expect("every instance returns from its shard")).collect()
 }
 
-/// Splits off and returns the stream's prefix strictly before
-/// `boundary_s` (in event time); `None` takes the whole stream. The
-/// remainder stays in `stream`. Streams are time-ordered, so this is a
-/// binary search, and the same boundary yields the same split whatever
-/// the shard layout. The boundary arrives off the wire (`PEVT` Advance,
-/// `PCTL` Drain), so the seconds → milliseconds step is done in `f64`,
-/// where no `i64` can overflow it.
-fn split_prefix(stream: &mut Vec<TelemetryEvent>, boundary_s: Option<i64>) -> Vec<TelemetryEvent> {
+/// Length of the stream's prefix strictly before `boundary_s` (in event
+/// time); `None` takes the whole stream. Streams are time-ordered, so
+/// this is a binary search, and the same boundary yields the same split
+/// whatever the shard layout. The boundary arrives off the wire (`PEVT`
+/// Advance, `PCTL` Drain), so the seconds → milliseconds step is done in
+/// `f64`, where no `i64` can overflow it.
+fn prefix_len(stream: &[TelemetryEvent], boundary_s: Option<i64>) -> usize {
     match boundary_s {
-        None => std::mem::take(stream),
+        None => stream.len(),
         Some(b) => {
             let boundary_ms = b as f64 * 1000.0;
-            let cut = stream.partition_point(|ev| ev.time_ms() < boundary_ms);
-            let rest = stream.split_off(cut);
-            std::mem::replace(stream, rest)
+            stream.partition_point(|ev| ev.time_ms() < boundary_ms)
         }
     }
 }
@@ -771,7 +808,7 @@ fn split_prefix(stream: &mut Vec<TelemetryEvent>, boundary_s: Option<i64>) -> Ve
 /// so outcomes match the event-level merge exactly.
 fn merge_streams<O: Observer>(
     instances: &mut [OnlineInstance<'_, O>],
-    mut streams: Vec<Vec<TelemetryEvent>>,
+    mut streams: Vec<&mut [TelemetryEvent]>,
 ) {
     debug_assert_eq!(instances.len(), streams.len());
     let mut cursors = vec![0usize; streams.len()];
@@ -1092,6 +1129,61 @@ mod tests {
         assert!(matches!(agent.handle(push(2, relayout)), ControlResp::Ack { .. }));
         assert_eq!(agent.assignment, [0, 1, 2]);
         assert_eq!(agent.finish().report.shards, 3);
+    }
+
+    /// The executor's contract, whichever group the caller runs: results
+    /// come back in instance-id order, lanes are minted on the calling
+    /// thread in shard order before any work starts, every non-empty
+    /// shard's group is worked whole under its own lane — and exactly one
+    /// group runs on the caller, so one shard spawns nothing.
+    #[test]
+    fn on_shards_runs_one_group_on_the_caller_and_keeps_id_order() {
+        use std::sync::atomic::AtomicBool;
+        let caller = std::thread::current().id();
+        // One group; two; three non-contiguous shard ids in a permuted
+        // layout with empty shards (1 and 3) between them.
+        for assignment in [vec![0, 0, 0, 0], vec![1, 0, 1, 0, 0], vec![4, 0, 2, 4, 0, 2, 2]] {
+            let items: Vec<usize> = (0..assignment.len()).map(|i| 100 + i).collect();
+            let mut minted = Vec::new();
+            let working = AtomicBool::new(false);
+            let out = on_shards(
+                &assignment,
+                items,
+                |s| {
+                    assert_eq!(std::thread::current().id(), caller, "lanes mint on the caller");
+                    assert!(!working.load(Ordering::SeqCst), "lanes mint before work starts");
+                    minted.push(s);
+                    s
+                },
+                |lane, group| {
+                    working.store(true, Ordering::SeqCst);
+                    let on = std::thread::current().id();
+                    group.into_iter().map(|item| (item, lane, on)).collect()
+                },
+            );
+
+            let mut shards = assignment.clone();
+            shards.sort_unstable();
+            shards.dedup();
+            assert_eq!(minted, shards, "{assignment:?}: one lane per non-empty shard, in order");
+            for (i, (item, lane, on)) in out.iter().enumerate() {
+                assert_eq!(*item, 100 + i, "{assignment:?}: results in instance-id order");
+                assert_eq!(*lane, assignment[i], "{assignment:?}: worked under its shard's lane");
+                let first = assignment.iter().position(|a| *a == assignment[i]).unwrap();
+                assert_eq!(*on, out[first].2, "{assignment:?}: a group is worked whole");
+            }
+            let threads: Vec<_> = shards
+                .iter()
+                .map(|s| out[assignment.iter().position(|a| a == s).unwrap()].2)
+                .collect();
+            assert_eq!(
+                threads.iter().filter(|t| **t == caller).count(),
+                1,
+                "{assignment:?}: exactly one group runs on the calling thread"
+            );
+            let distinct: std::collections::HashSet<_> = threads.iter().collect();
+            assert_eq!(distinct.len(), shards.len(), "{assignment:?}: a thread per other group");
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ use crate::daemon::FleetDaemon;
 use crate::fleet::FleetRun;
 use crate::wire::EventFrame;
 use pinsql::TransportPolicy;
-use pinsql_dbsim::TelemetryEvent;
+use pinsql_dbsim::{second_of, TelemetryEvent};
 use pinsql_obs::{Counter, FleetRollup, NoopObserver, Observer, Stage};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -497,14 +497,10 @@ impl<'a, O: Observer> IngestSink<'a, O> {
                         ),
                     });
                 }
-                let mut latest = i64::MIN;
                 let count = events.len() as u64;
-                for ev in &events {
-                    if let TelemetryEvent::Tick { second } = ev {
-                        latest = latest.max(*second);
-                    }
-                }
-                self.daemon.offer_events(instance as usize, events)?;
+                // The daemon's admission pass validates the batch and
+                // finds its latest tick in one walk over the events.
+                let latest = self.daemon.admit(instance as usize, events)?;
                 if latest > i64::MIN {
                     if let Some(t) = self.latest_tick.get_mut(instance as usize) {
                         *t = (*t).max(latest);
@@ -605,7 +601,7 @@ pub fn plan_frames(
             }
         }
         let Some((t, i)) = best else { break };
-        let s = (t / 1000.0).floor() as i64;
+        let s = second_of(t);
         if s > current_s {
             for j in 0..n {
                 flush!(j);

@@ -38,7 +38,7 @@
 //! Batch bodies serialize events with the [`pinsql_dbsim::wire`] codec,
 //! so the event encoding is owned by the crate that owns the type.
 
-use pinsql_dbsim::wire::{decode_event, encode_event};
+use pinsql_dbsim::wire::{decode_event, encode_event, encoded_len};
 use pinsql_dbsim::TelemetryEvent;
 use pinsql_timeseries::{WireError, WireReader, WireWriter};
 
@@ -189,9 +189,23 @@ impl EventFrame {
         }
     }
 
-    /// Encodes one framed message.
+    /// Exactly the bytes [`to_bytes`](Self::to_bytes) writes inside the
+    /// body section.
+    fn body_len(&self) -> usize {
+        match self {
+            EventFrame::Hello { .. } | EventFrame::Ack { .. } => 3 * 8,
+            EventFrame::Batch { events, .. } => {
+                8 + 4 + 8 + events.iter().map(encoded_len).sum::<usize>()
+            }
+            EventFrame::Advance { .. } => 2 * 8,
+            EventFrame::Fin { .. } => 8,
+        }
+    }
+
+    /// Encodes one framed message into a buffer sized once, up front: a
+    /// frame is one allocation whatever it carries.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(64);
+        let mut w = WireWriter::with_capacity(EVENT_HEADER_LEN + 8 + self.body_len());
         EVENT_FORMAT.write_frame_header(&mut w, self.tag());
         w.put_section(|w| match self {
             EventFrame::Hello { next_seq, credits, watermark } => {
@@ -268,6 +282,11 @@ impl EventFrame {
         }
     }
 }
+
+#[cfg(test)]
+mod oracle;
+#[cfg(test)]
+mod sweep_tests;
 
 #[cfg(test)]
 mod tests {

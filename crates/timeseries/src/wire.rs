@@ -141,6 +141,15 @@ impl WireWriter {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Appends one fixed-width record whole — one capacity check for all
+    /// `N` bytes where the per-field `put_*` calls pay one each. Records
+    /// are assembled with [`set_u64`] and friends; the bytes on the wire
+    /// are the ones the field-by-field calls would have written.
+    #[inline]
+    pub fn put_array<const N: usize>(&mut self, record: [u8; N]) {
+        self.buf.extend_from_slice(&record);
+    }
+
     /// Length-prefixed byte string.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_len(bytes.len());
@@ -168,56 +177,77 @@ impl WireWriter {
 /// Little-endian cursor-based decoder over a borrowed byte slice.
 #[derive(Debug, Clone)]
 pub struct WireReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not yet consumed: the cursor *is* the slice, so a read
+    /// is one length comparison and a split.
+    rest: &'a [u8],
 }
 
 impl<'a> WireReader<'a> {
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self { rest: buf }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
+        self.rest.is_empty()
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated { need: n, have: self.remaining() });
+        match self.rest.split_at_checked(n) {
+            Some((head, rest)) => {
+                self.rest = rest;
+                Ok(head)
+            }
+            None => Err(WireError::Truncated { need: n, have: self.rest.len() }),
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    }
+
+    /// Reads one fixed-width record whole: one bounds check for all `N`
+    /// bytes, after which [`u64_at`] and friends pick the fields out of
+    /// the array at constant offsets with nothing left to check. A record
+    /// the buffer cannot hold is `Truncated { need: N, .. }` — the same
+    /// variant the field-by-field reads give, with the record's size
+    /// where they would name the first field that did not fit.
+    #[inline]
+    pub fn get_array<const N: usize>(&mut self) -> Result<&'a [u8; N], WireError> {
+        match self.rest.split_first_chunk::<N>() {
+            Some((record, rest)) => {
+                self.rest = rest;
+                Ok(record)
+            }
+            None => Err(WireError::Truncated { need: N, have: self.rest.len() }),
+        }
     }
 
     #[inline]
     pub fn get_u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        Ok(self.get_array::<1>()?[0])
     }
 
     #[inline]
     pub fn get_u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len checked")))
+        Ok(u16::from_le_bytes(*self.get_array()?))
     }
 
     #[inline]
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len checked")))
+        Ok(u32::from_le_bytes(*self.get_array()?))
     }
 
     #[inline]
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len checked")))
+        Ok(u64::from_le_bytes(*self.get_array()?))
     }
 
     #[inline]
     pub fn get_i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("len checked")))
+        Ok(i64::from_le_bytes(*self.get_array()?))
     }
 
     #[inline]
@@ -261,7 +291,7 @@ impl<'a> WireReader<'a> {
 
     /// Fixed-width magic marker.
     pub fn expect_magic(&mut self, expected: [u8; 4]) -> Result<(), WireError> {
-        let found: [u8; 4] = self.take(4)?.try_into().expect("len checked");
+        let found: [u8; 4] = *self.get_array()?;
         if found != expected {
             return Err(WireError::BadMagic { expected, found });
         }
@@ -277,12 +307,56 @@ impl<'a> WireReader<'a> {
 
     /// Asserts the reader consumed everything (call at end of a section or
     /// buffer to catch over-long input).
+    #[inline]
     pub fn finish(&self, what: &'static str) -> Result<(), WireError> {
         if self.remaining() != 0 {
             return Err(WireError::TrailingBytes { what, extra: self.remaining() });
         }
         Ok(())
     }
+}
+
+/// The little-endian `u64` at byte `at` of a fixed-width record read by
+/// [`WireReader::get_array`]. With a constant `at` into a `[u8; N]` the
+/// range check folds away at compile time.
+///
+/// # Panics
+/// Panics if `record` is shorter than `at + 8` — a wrong constant in the
+/// caller, not a property of the input.
+#[inline]
+pub fn u64_at(record: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(*record[at..].first_chunk().expect("field inside the record"))
+}
+
+/// [`u64_at`] for a `u32` field.
+#[inline]
+pub fn u32_at(record: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(*record[at..].first_chunk().expect("field inside the record"))
+}
+
+/// [`u64_at`] for an `f64` field (raw IEEE-754 bits).
+#[inline]
+pub fn f64_at(record: &[u8], at: usize) -> f64 {
+    f64::from_bits(u64_at(record, at))
+}
+
+/// Stores `v` little-endian at byte `at` of a fixed-width record bound
+/// for [`WireWriter::put_array`]; panics like [`u64_at`].
+#[inline]
+pub fn set_u64(record: &mut [u8], at: usize, v: u64) {
+    *record[at..].first_chunk_mut().expect("field inside the record") = v.to_le_bytes();
+}
+
+/// [`set_u64`] for a `u32` field.
+#[inline]
+pub fn set_u32(record: &mut [u8], at: usize, v: u32) {
+    *record[at..].first_chunk_mut().expect("field inside the record") = v.to_le_bytes();
+}
+
+/// [`set_u64`] for an `f64` field (raw IEEE-754 bits).
+#[inline]
+pub fn set_f64(record: &mut [u8], at: usize, v: f64) {
+    set_u64(record, at, v.to_bits());
 }
 
 #[cfg(test)]
@@ -316,6 +390,50 @@ mod tests {
         assert!(r.get_bool().unwrap());
         assert_eq!(r.get_str().unwrap(), "snapshot");
         r.finish("test buffer").unwrap();
+    }
+
+    /// A fixed-width record is the bytes the per-field calls write, reads
+    /// back through the `*_at` accessors, and a buffer too short for it
+    /// is one typed `Truncated` naming the whole record — with the
+    /// cursor left where it was.
+    #[test]
+    fn fixed_width_records_match_the_field_calls() {
+        let mut row = [0u8; 28];
+        set_u32(&mut row, 0, 0xDEAD_BEEF);
+        set_u64(&mut row, 4, u64::MAX - 1);
+        set_f64(&mut row, 12, -0.0);
+        set_f64(&mut row, 20, f64::from_bits(0x7ff8_dead_beef_0001));
+        let mut w = WireWriter::new();
+        w.put_u8(9);
+        w.put_array(row);
+        let bytes = w.into_bytes();
+
+        let mut fields = WireWriter::new();
+        fields.put_u8(9);
+        fields.put_u32(0xDEAD_BEEF);
+        fields.put_u64(u64::MAX - 1);
+        fields.put_f64(-0.0);
+        fields.put_f64(f64::from_bits(0x7ff8_dead_beef_0001));
+        assert_eq!(bytes, fields.into_bytes());
+
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(r.get_u8().unwrap(), 9);
+        let back: &[u8; 28] = r.get_array().unwrap();
+        assert_eq!(u32_at(back, 0), 0xDEAD_BEEF);
+        assert_eq!(u64_at(back, 4), u64::MAX - 1);
+        assert_eq!(f64_at(back, 12).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(f64_at(back, 20).to_bits(), 0x7ff8_dead_beef_0001);
+        r.finish("record").unwrap();
+
+        for cut in 1..bytes.len() {
+            let mut r = WireReader::new(&bytes[..cut]);
+            r.get_u8().unwrap();
+            assert_eq!(
+                r.get_array::<28>().map(|_| ()),
+                Err(WireError::Truncated { need: 28, have: cut - 1 })
+            );
+            assert_eq!(r.remaining(), cut - 1, "a failed read consumes nothing");
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! over many agents' `PCTL` health queries, protocol-role and sequence
 //! discipline over raw frames, and the wire-reachable integer and
 //! lifecycle extremes — an `Advance` / `Drain` boundary at the ends of
-//! `i64`, and an `Advance` arriving at a drained agent.
+//! `i64`, a query naming a `spec` outside the instance's catalog, and an
+//! `Advance` arriving at a drained agent.
 
 mod common;
 
@@ -16,13 +17,14 @@ use common::{
     load_manifest, scenario_for, MatrixPoint,
 };
 use pinsql::TransportPolicy;
-use pinsql_dbsim::TelemetryEvent;
+use pinsql_dbsim::{QueryRecord, TelemetryEvent};
 use pinsql_engine::{
     pipe_pair, plan_frames, recv_hello, serve_agent, ControlMsg, ControlResp, DaemonState,
     EventFrame, FleetDaemon, IngestSink, RegionServer, SourcePlan, TcpConn,
 };
 use pinsql_scenario::{materialize_events, Scenario};
 use pinsql_timeseries::WireError;
+use pinsql_workload::SpecId;
 
 /// Advance cadence (event-time seconds) the suites stream under.
 const ADVANCE_EVERY_S: i64 = 60;
@@ -247,6 +249,66 @@ fn extreme_drain_boundaries_never_panic_the_agent() {
             Ok(ControlResp::Ack { state: DaemonState::Running, .. })
         ));
         assert_eq!(agent.state(), DaemonState::Running);
+    }
+}
+
+/// A query's `spec` arrives off the wire as a raw `u64` and indexes the
+/// instance's template catalog at the next fold. Out of range, it used to
+/// decode, pass admission (which checked only instance id and time
+/// order), be *acked* — and kill the agent at the next fold ("index out
+/// of bounds" in the catalog, inside the shard worker). Now the batch is
+/// refused at admission with the typed error `PSNP` restore already gives
+/// the same value: nothing applied, nothing acked, agent untouched, and
+/// the corrected frame lands under the same `seq`.
+#[test]
+fn out_of_range_spec_is_refused_at_admission_not_fatal_at_the_fold() {
+    let query = |spec| {
+        TelemetryEvent::Query(QueryRecord {
+            spec: SpecId(spec),
+            start_ms: 500.0,
+            response_ms: 2.0,
+            examined_rows: 1,
+        })
+    };
+    let good = batch(1, vec![query(0)]);
+    // header 7 + section length 8 + seq 8 + instance 4 + count 8 + tag 1
+    // = byte 36, where the one event's `spec` starts.
+    const SPEC_AT: usize = 36;
+    assert_eq!(good[SPEC_AT..SPEC_AT + 8], 0u64.to_le_bytes(), "layout drifted");
+
+    for bad_spec in [1_000_000u64, u64::MAX] {
+        let scenarios = one_scenario();
+        let n_specs = scenarios[0].workload.specs.len() as u64;
+        assert!(bad_spec >= n_specs);
+        let mut sink = small_sink(&scenarios);
+
+        let mut bad = good.clone();
+        bad[SPEC_AT..SPEC_AT + 8].copy_from_slice(&bad_spec.to_le_bytes());
+        let answer = sink.handle_event_frame(&bad);
+        // The fold that used to die on the admitted record: nothing to
+        // trip over now.
+        sink.daemon_mut().advance_to(10);
+        match answer {
+            Err(WireError::Mismatch { what: "event spec", detail }) => {
+                assert!(
+                    detail.contains(&format!("({n_specs})")),
+                    "detail names the range: {detail}"
+                )
+            }
+            other => panic!("spec {bad_spec} must be a typed refusal, got {other:?}"),
+        }
+        assert_eq!(sink.buffered(), 0, "spec {bad_spec}: the refused batch buffered nothing");
+        assert!(matches!(control(&mut sink, ControlMsg::HealthQuery), ControlResp::Rollup { .. }));
+
+        // Never applied, so the corrected frame lands under the same seq.
+        assert_eq!(acked_seq(&sink.handle_event_frame(&good).expect("corrected frame lands")), 1);
+        assert_eq!(sink.buffered(), 1);
+        // The largest spec the catalog does hold is admitted and folds.
+        let last = batch(2, vec![query(n_specs as usize - 1)]);
+        assert_eq!(acked_seq(&sink.handle_event_frame(&last).expect("in-range spec lands")), 2);
+        sink.daemon_mut().advance_to(20);
+        assert_eq!(sink.buffered(), 0);
+        assert_eq!(sink.daemon().rollup().total.events_total, 2, "spec {bad_spec}: both folded");
     }
 }
 
