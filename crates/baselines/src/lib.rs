@@ -16,10 +16,9 @@
 
 use pinsql_collector::CaseData;
 use pinsql_detect::AnomalyWindow;
-use serde::{Deserialize, Serialize};
 
 /// The metric a Top-SQL baseline sorts by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopMetric {
     /// Top-EN.
     ExecutionCount,

@@ -18,8 +18,7 @@
 //!   `tests/equivalence.rs`).
 //!
 //! Usage: `cargo run -p pinsql-bench --release --bin daemon [-- INSTANCES_CSV [BUSINESSES [SEED]]]`
-//! Defaults: instances `2,4,8`, businesses 6, seed 11000. Writes
-//! `results/daemon.json`.
+//! Defaults: instances `2,4,8`, businesses 6, seed 11000.
 //!
 //! `--gate` runs the smallest cell only and exits non-zero if the
 //! equivalence cross-check fails, the control counters disagree with the
@@ -29,9 +28,8 @@
 use pinsql::PinSqlConfig;
 use pinsql_detect::KernelKind;
 use pinsql_engine::{FleetConfig, FleetDaemon, FleetDelta, FleetEngine, FleetServer};
-use pinsql_obs::{Counter, RecordingObserver, Stage};
+use pinsql_obs::{Counter, RecordingObserver};
 use pinsql_scenario::{generate_base, inject, inject_none, AnomalyKind, Scenario, ScenarioConfig};
-use serde::Serialize;
 use std::time::Instant;
 
 const WINDOW_S: i64 = 600;
@@ -49,22 +47,15 @@ const RESTART_AT: i64 = 480;
 const GATE_MAX_PUSH_PAUSE_MS: f64 = 5_000.0;
 const GATE_MAX_RESTART_MS: f64 = 5_000.0;
 
-#[derive(Serialize)]
 struct DaemonCell {
     instances: usize,
-    businesses: usize,
     events_total: u64,
-    /// Wall time spent inside `advance_to` calls (steady-state ingest).
-    ingest_wall_s: f64,
     events_per_sec: f64,
     /// Wall-clock pause of the mid-anomaly config push (quiesce +
     /// snapshot handoff + apply, measured at the server).
     push_pause_ms: f64,
     /// Wall-clock recovery time of the graceful restart.
     restart_ms: f64,
-    /// Agent-side span totals for the same two operations.
-    config_apply_span_ms: f64,
-    restart_span_ms: f64,
     config_pushes: u64,
     daemon_restarts: u64,
     control_frames: u64,
@@ -72,16 +63,6 @@ struct DaemonCell {
     /// Daemon outcomes identical to an uninterrupted run under the final
     /// config.
     equivalent: bool,
-}
-
-#[derive(Serialize)]
-struct DaemonSweep {
-    seed: u64,
-    window_s: i64,
-    delta_s: i64,
-    push_at: i64,
-    restart_at: i64,
-    cells: Vec<DaemonCell>,
 }
 
 fn scenarios(n: usize, businesses: usize, seed: u64) -> Vec<Scenario> {
@@ -198,14 +179,10 @@ fn run_cell(n: usize, businesses: usize, seed: u64) -> DaemonCell {
     let reg = rec.registry();
     DaemonCell {
         instances: n,
-        businesses,
         events_total: run.report.events_total,
-        ingest_wall_s,
         events_per_sec: run.report.events_total as f64 / ingest_wall_s.max(1e-9),
         push_pause_ms,
         restart_ms,
-        config_apply_span_ms: reg.span_hist(Stage::ConfigApply).total_ns() as f64 / 1e6,
-        restart_span_ms: reg.span_hist(Stage::DaemonRestart).total_ns() as f64 / 1e6,
         config_pushes: reg.counter(Counter::ConfigPushes),
         daemon_restarts: reg.counter(Counter::DaemonRestarts),
         control_frames: reg.counter(Counter::ControlFrames),
@@ -265,18 +242,6 @@ fn gate_mode() -> ! {
     std::process::exit(1);
 }
 
-fn write_json<T: Serialize>(path: &str, value: &T) {
-    if let Err(e) = std::fs::create_dir_all("results")
-        .map_err(|e| e.to_string())
-        .and_then(|_| serde_json::to_string_pretty(value).map_err(|e| e.to_string()))
-        .and_then(|json| std::fs::write(path, json).map_err(|e| e.to_string()))
-    {
-        eprintln!("failed to write {path}: {e}");
-    } else {
-        eprintln!("wrote {path}");
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--gate") {
@@ -290,7 +255,6 @@ fn main() {
         "{:>9} {:>12} {:>12} {:>12} {:>12} {:>10} {:>6}",
         "instances", "events", "events/s", "push ms", "restart ms", "frames", "equal"
     );
-    let mut cells = Vec::new();
     for &n in &instance_counts {
         let cell = run_cell(n, businesses, seed);
         println!(
@@ -304,15 +268,5 @@ fn main() {
             cell.equivalent,
         );
         assert!(cell.equivalent, "daemon outcomes diverged at {n} instances");
-        cells.push(cell);
     }
-    let sweep = DaemonSweep {
-        seed,
-        window_s: WINDOW_S,
-        delta_s: DELTA_S,
-        push_at: PUSH_AT,
-        restart_at: RESTART_AT,
-        cells,
-    };
-    write_json("results/daemon.json", &sweep);
 }

@@ -5,9 +5,6 @@
 //! PARALLELISM sets the *measured* diagnoser's worker count (`1` default
 //! serial; `0` = all cores) — the sweep loop itself always runs serially
 //! so each point is timed on an otherwise idle machine.
-//!
-//! Besides the printed sweeps, writes the full structure to
-//! `results/bench_fig7.json`.
 
 use pinsql_eval::experiments::fig7;
 
@@ -18,15 +15,4 @@ fn main() {
     eprintln!("running scalability sweeps at scale {scale} (parallelism {parallelism})...");
     let f = fig7::run_par(scale, parallelism);
     println!("{f}");
-
-    let out = "results/bench_fig7.json";
-    if let Err(e) = std::fs::create_dir_all("results")
-        .map_err(|e| e.to_string())
-        .and_then(|_| serde_json::to_string_pretty(&f).map_err(|e| e.to_string()))
-        .and_then(|json| std::fs::write(out, json).map_err(|e| e.to_string()))
-    {
-        eprintln!("failed to write {out}: {e}");
-    } else {
-        eprintln!("wrote {out}");
-    }
 }

@@ -11,87 +11,31 @@
 //! knob — more businesses means more templates and a proportionally
 //! denser query stream per instance.
 //!
-//! Two sweeps run back to back:
+//! Two sweeps run back to back, each printed as a table:
 //!
-//! * the throughput sweep (instances × businesses at 1 shard) →
-//!   `results/fleet.json`, unchanged shape from earlier revisions;
+//! * the throughput sweep (instances × businesses at 1 shard);
 //! * the **scaling sweep** (shards × instances at the first businesses
-//!   value) → `results/fleet_scaling.json`, reporting each cell's ingest
-//!   throughput and its speedup over the 1-shard run of the same fleet.
-//!   Outcomes are bit-identical across shard counts (pinned by the
-//!   `equivalence` matrix), so the sweep reports timing only.
+//!   value), reporting each cell's ingest throughput and its speedup over
+//!   the 1-shard run of the same fleet. Outcomes are bit-identical across
+//!   shard counts (pinned by the `equivalence` matrix), so the sweep
+//!   reports timing only.
 //!
 //! A final **traced run** repeats the largest fleet under a
-//! `RecordingObserver` and exports the per-stage timeline as
+//! `RecordingObserver`, prints the stage table and the fleet health
+//! totals, and exports the per-stage timeline as
 //! `results/trace_fleet.json` (chrome://tracing / Perfetto format) plus
-//! flat per-stage histograms, counters, and the fleet health roll-up as
+//! the flat per-stage histograms, counters and gauges as
 //! `results/fleet_metrics.json`.
 
 use pinsql::PinSqlConfig;
-use pinsql_engine::{FleetConfig, FleetEngine, FleetReport};
-use pinsql_obs::export::{chrome_trace, metrics_export, MetricsExport};
-use pinsql_obs::{FleetHealth, RecordingObserver, Stage};
+use pinsql_engine::{FleetConfig, FleetEngine};
+use pinsql_obs::export::{chrome_trace, metrics_export};
+use pinsql_obs::{RecordingObserver, Stage};
 use pinsql_scenario::{generate_base, inject, inject_none, AnomalyKind, Scenario, ScenarioConfig};
-use serde::Serialize;
 
 const WINDOW_S: i64 = 600;
 const ANOMALY: (i64, i64) = (360, 480);
 const DELTA_S: i64 = 240;
-
-#[derive(Serialize)]
-struct SweepCell {
-    instances: usize,
-    businesses: usize,
-    report: FleetReport,
-}
-
-#[derive(Serialize)]
-struct FleetSweep {
-    seed: u64,
-    fanout: usize,
-    window_s: i64,
-    delta_s: i64,
-    cells: Vec<SweepCell>,
-}
-
-#[derive(Serialize)]
-struct ScalingCell {
-    instances: usize,
-    shards: usize,
-    events_total: u64,
-    ingest_wall_s: f64,
-    events_per_sec: f64,
-    /// This cell's ingest throughput over the 1-shard cell of the same
-    /// fleet (1.0 when this *is* the 1-shard cell).
-    speedup_vs_1shard: f64,
-    diagnose_mean_s: f64,
-    diagnose_max_s: f64,
-}
-
-/// `results/fleet_metrics.json`: the traced run's flat metrics view.
-#[derive(Serialize)]
-struct FleetMetrics {
-    instances: usize,
-    businesses: usize,
-    shards: usize,
-    fanout: usize,
-    /// Per-stage latency histograms, counters, and gauges.
-    metrics: MetricsExport,
-    /// Per-instance health snapshots plus fleet totals.
-    health: FleetHealth,
-}
-
-#[derive(Serialize)]
-struct ScalingSweep {
-    seed: u64,
-    fanout: usize,
-    businesses: usize,
-    window_s: i64,
-    delta_s: i64,
-    /// Cores visible to the process — shard speedups cannot exceed this.
-    available_cores: usize,
-    cells: Vec<ScalingCell>,
-}
 
 fn scenarios(n: usize, businesses: usize, seed: u64) -> Vec<Scenario> {
     let kinds = [
@@ -122,15 +66,11 @@ fn parse_csv(arg: Option<String>, default: &[usize]) -> Vec<usize> {
         .unwrap_or_else(|| default.to_vec())
 }
 
-fn write_json<T: Serialize>(path: &str, value: &T) {
-    if let Err(e) = std::fs::create_dir_all("results")
-        .map_err(|e| e.to_string())
-        .and_then(|_| serde_json::to_string_pretty(value).map_err(|e| e.to_string()))
-        .and_then(|json| std::fs::write(path, json).map_err(|e| e.to_string()))
-    {
-        eprintln!("failed to write {path}: {e}");
-    } else {
-        eprintln!("wrote {path}");
+fn write_results(file: &str, text: String) {
+    let path = format!("results/{file}");
+    match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, text)) {
+        Ok(()) => eprintln!("wrote {path}"),
+        Err(e) => eprintln!("failed to write {path}: {e}"),
     }
 }
 
@@ -153,7 +93,6 @@ fn main() {
         "{:>9} {:>10} {:>10} {:>12} {:>11} {:>11} {:>9}",
         "instances", "businesses", "events", "events/sec", "diag mean s", "diag max s", "hits"
     );
-    let mut cells = Vec::new();
     for &bz in &business_counts {
         for &n in &instance_counts {
             let scen = scenarios(n, bz, seed);
@@ -172,22 +111,16 @@ fn main() {
                 hits,
                 with_truth,
             );
-            cells.push(SweepCell { instances: n, businesses: bz, report });
         }
     }
 
-    let sweep = FleetSweep { seed, fanout, window_s: WINDOW_S, delta_s: DELTA_S, cells };
-    write_json("results/fleet.json", &sweep);
-
     // Scaling sweep: shards × instances at the first businesses value.
     let businesses = business_counts[0];
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     println!();
     println!(
         "{:>9} {:>7} {:>10} {:>12} {:>9} {:>11} {:>11}",
         "instances", "shards", "events", "events/sec", "speedup", "diag mean s", "diag max s"
     );
-    let mut scaling_cells = Vec::new();
     for &n in &instance_counts {
         let scen = scenarios(n, businesses, seed);
         let mut baseline_eps = 0.0f64;
@@ -215,28 +148,8 @@ fn main() {
                 report.diagnose_mean_s,
                 report.diagnose_max_s,
             );
-            scaling_cells.push(ScalingCell {
-                instances: n,
-                shards: report.shards,
-                events_total: report.events_total,
-                ingest_wall_s: report.ingest_wall_s,
-                events_per_sec: report.events_per_sec,
-                speedup_vs_1shard: speedup,
-                diagnose_mean_s: report.diagnose_mean_s,
-                diagnose_max_s: report.diagnose_max_s,
-            });
         }
     }
-    let scaling = ScalingSweep {
-        seed,
-        fanout,
-        businesses,
-        window_s: WINDOW_S,
-        delta_s: DELTA_S,
-        available_cores: cores,
-        cells: scaling_cells,
-    };
-    write_json("results/fleet_scaling.json", &scaling);
 
     // Traced run: the largest fleet once more, recording. The diagnosis
     // outputs are identical to the untraced runs (the equivalence matrix
@@ -273,24 +186,16 @@ fn main() {
         );
     }
 
-    if let Err(e) = std::fs::create_dir_all("results")
-        .map_err(|e| e.to_string())
-        .and_then(|_| {
-            std::fs::write("results/trace_fleet.json", chrome_trace(&registry, &obs.lanes()))
-                .map_err(|e| e.to_string())
-        })
-    {
-        eprintln!("failed to write results/trace_fleet.json: {e}");
-    } else {
-        eprintln!("wrote results/trace_fleet.json (open in chrome://tracing or ui.perfetto.dev)");
-    }
-    let metrics = FleetMetrics {
-        instances: n,
-        businesses,
-        shards,
-        fanout,
-        metrics: metrics_export(&registry),
-        health: run.health,
-    };
-    write_json("results/fleet_metrics.json", &metrics);
+    let h = &run.health;
+    println!(
+        "health: {} instances, {} events, {} queries, max {} records resident",
+        h.instances.len(),
+        h.events_total,
+        h.queries_total,
+        h.max_records_resident
+    );
+
+    // Open in chrome://tracing or ui.perfetto.dev.
+    write_results("trace_fleet.json", chrome_trace(&registry, &obs.lanes()));
+    write_results("fleet_metrics.json", metrics_export(&registry).to_json().render_pretty());
 }

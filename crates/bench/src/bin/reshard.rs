@@ -15,8 +15,7 @@
 //!   `tests/equivalence.rs`).
 //!
 //! Usage: `cargo run -p pinsql-bench --release --bin reshard [-- INSTANCES_CSV [BUSINESSES [SEED]]]`
-//! Defaults: instances `2,4,8`, businesses 6, seed 9000. Writes
-//! `results/reshard.json`.
+//! Defaults: instances `2,4,8`, businesses 6, seed 9000.
 //!
 //! `--gate` runs the smallest cell only and exits non-zero if the
 //! equivalence cross-check fails or the snapshot-size / restore-latency
@@ -26,7 +25,6 @@ use pinsql::PinSqlConfig;
 use pinsql_engine::{FleetConfig, FleetEngine, OnlineInstance, ReshardPlan};
 use pinsql_obs::{Counter, RecordingObserver, Stage};
 use pinsql_scenario::{generate_base, inject, inject_none, AnomalyKind, Scenario, ScenarioConfig};
-use serde::Serialize;
 use std::time::Instant;
 
 const WINDOW_S: i64 = 600;
@@ -40,33 +38,18 @@ const GATE_MIN_BYTES_PER_INSTANCE: usize = 1 << 10; // 1 KiB
 const GATE_MAX_BYTES_PER_INSTANCE: usize = 64 << 20; // 64 MiB
 const GATE_MAX_RESTORE_MS_PER_INSTANCE: f64 = 2_000.0;
 
-#[derive(Serialize)]
 struct ReshardCell {
     instances: usize,
-    businesses: usize,
     events_total: u64,
-    snapshot_bytes_total: usize,
     snapshot_bytes_per_instance: usize,
     checkpoint_wall_s: f64,
-    restore_wall_s: f64,
     restore_ms_per_instance: f64,
     /// Wall time of the recorded `Stage::Reshard` handoff span (quiesce +
     /// regroup on the coordinating thread).
     handoff_span_ms: f64,
-    snapshots_written: u64,
     snapshots_restored: u64,
-    instances_resharded: u64,
     /// Resharded outcomes byte-identical to the uninterrupted run.
     equivalent: bool,
-}
-
-#[derive(Serialize)]
-struct ReshardSweep {
-    seed: u64,
-    window_s: i64,
-    delta_s: i64,
-    reshard_at: i64,
-    cells: Vec<ReshardCell>,
 }
 
 fn scenarios(n: usize, businesses: usize, seed: u64) -> Vec<Scenario> {
@@ -155,17 +138,12 @@ fn run_cell(n: usize, businesses: usize, seed: u64) -> ReshardCell {
 
     ReshardCell {
         instances: n,
-        businesses,
         events_total: baseline.report.events_total,
-        snapshot_bytes_total,
         snapshot_bytes_per_instance: snapshot_bytes_total / n.max(1),
         checkpoint_wall_s,
-        restore_wall_s,
         restore_ms_per_instance: restore_wall_s * 1000.0 / n.max(1) as f64,
         handoff_span_ms: reg.span_hist(Stage::Reshard).total_ns() as f64 / 1e6,
-        snapshots_written: reg.counter(Counter::SnapshotsWritten),
         snapshots_restored: reg.counter(Counter::SnapshotsRestored),
-        instances_resharded: reg.counter(Counter::InstancesResharded),
         equivalent,
     }
 }
@@ -225,18 +203,6 @@ fn gate_mode() -> ! {
     std::process::exit(1);
 }
 
-fn write_json<T: Serialize>(path: &str, value: &T) {
-    if let Err(e) = std::fs::create_dir_all("results")
-        .map_err(|e| e.to_string())
-        .and_then(|_| serde_json::to_string_pretty(value).map_err(|e| e.to_string()))
-        .and_then(|json| std::fs::write(path, json).map_err(|e| e.to_string()))
-    {
-        eprintln!("failed to write {path}: {e}");
-    } else {
-        eprintln!("wrote {path}");
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--gate") {
@@ -250,7 +216,6 @@ fn main() {
         "{:>9} {:>12} {:>14} {:>12} {:>14} {:>12} {:>6}",
         "instances", "events", "KiB/instance", "ckpt ms", "restore ms/i", "handoff ms", "equal"
     );
-    let mut cells = Vec::new();
     for &n in &instance_counts {
         let cell = run_cell(n, businesses, seed);
         println!(
@@ -264,9 +229,5 @@ fn main() {
             cell.equivalent,
         );
         assert!(cell.equivalent, "resharded outcomes diverged at {n} instances");
-        cells.push(cell);
     }
-    let sweep =
-        ReshardSweep { seed, window_s: WINDOW_S, delta_s: DELTA_S, reshard_at: RESHARD_AT, cells };
-    write_json("results/reshard.json", &sweep);
 }

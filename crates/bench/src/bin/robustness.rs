@@ -8,9 +8,6 @@
 //! 8 × (5 × 5 + 5) = 240 diagnoses (several minutes; pass a smaller count
 //! for a quick look). PARALLELISM `0` (default) uses all cores; the curves
 //! are identical for every value.
-//!
-//! Besides the printed curves, writes the full structure to
-//! `results/robustness.json`.
 
 use pinsql_eval::caseset::CaseSetConfig;
 use pinsql_eval::experiments::robustness::{self, RobustnessConfig};
@@ -33,15 +30,4 @@ fn main() {
     );
     let r = robustness::run_par(&cfg, parallelism);
     println!("{r}");
-
-    let out = "results/robustness.json";
-    if let Err(e) = std::fs::create_dir_all("results")
-        .map_err(|e| e.to_string())
-        .and_then(|_| serde_json::to_string_pretty(&r).map_err(|e| e.to_string()))
-        .and_then(|json| std::fs::write(out, json).map_err(|e| e.to_string()))
-    {
-        eprintln!("failed to write {out}: {e}");
-    } else {
-        eprintln!("wrote {out}");
-    }
 }

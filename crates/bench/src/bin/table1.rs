@@ -6,9 +6,8 @@
 //! the per-case fan-out, `1` forces the pre-parallelism serial path; the
 //! quality rows are identical either way.
 //!
-//! Besides the printed table, writes the full structure (including the
-//! per-stage timing decomposition of the PinSQL row) to
-//! `results/bench_table1.json`.
+//! The table goes to stdout; the per-stage timing decomposition of the
+//! PinSQL row goes to stderr, next to the progress line.
 
 use pinsql_eval::caseset::CaseSetConfig;
 use pinsql_eval::experiments::table1;
@@ -23,14 +22,11 @@ fn main() {
     let t = table1::run_par(&cfg, parallelism);
     println!("{t}");
 
-    let out = "results/bench_table1.json";
-    if let Err(e) = std::fs::create_dir_all("results")
-        .map_err(|e| e.to_string())
-        .and_then(|_| serde_json::to_string_pretty(&t).map_err(|e| e.to_string()))
-        .and_then(|json| std::fs::write(out, json).map_err(|e| e.to_string()))
-    {
-        eprintln!("failed to write {out}: {e}");
-    } else {
-        eprintln!("wrote {out}");
+    if let Some(s) = t.rows.iter().find_map(|r| r.stage) {
+        eprintln!(
+            "PinSQL mean per case: estimate {:.3}s, hsql {:.3}s, cluster {:.3}s, total {:.3}s \
+             (parallelism {})",
+            s.estimate_s, s.hsql_s, s.cluster_s, s.total_s, s.parallelism
+        );
     }
 }

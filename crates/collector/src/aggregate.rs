@@ -12,10 +12,9 @@ use pinsql_sqlkit::SqlId;
 use pinsql_timeseries::resample::{downsample, Downsample};
 use pinsql_timeseries::TimeSeries;
 use pinsql_workload::TemplateSpec;
-use serde::{Deserialize, Serialize};
 
 /// Per-template metric series over a collection window.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TemplateSeries {
     /// Window start (seconds).
     pub start: i64,

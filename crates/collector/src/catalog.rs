@@ -16,10 +16,9 @@
 use pinsql_sqlkit::{SqlId, StatementKind};
 use pinsql_timeseries::FxHashMap;
 use pinsql_workload::{SpecId, TemplateSpec};
-use serde::{Deserialize, Serialize};
 
 /// Everything known about one SQL template.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TemplateInfo {
     pub id: SqlId,
     /// Canonical normalized statement text.
@@ -33,7 +32,7 @@ pub struct TemplateInfo {
 }
 
 /// Catalog of templates keyed by [`SqlId`], with a dense slot index.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TemplateCatalog {
     map: FxHashMap<SqlId, TemplateInfo>,
     /// Per-spec template id, aligned with the workload's spec vector.

@@ -33,7 +33,6 @@
 //! over either representation.
 
 use pinsql_timeseries::FxHashMap;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One second's per-template aggregates:
@@ -55,7 +54,7 @@ const EPOCH_LIMIT: u32 = 1 << (32 - IDX_BITS);
 const NO_OWNER: usize = usize::MAX;
 
 /// Which row representation an aggregator uses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CellStoreKind {
     /// Packed rows + one shared write index (hot-path default).
     #[default]
@@ -108,7 +107,7 @@ impl PosTable {
     #[inline]
     fn lookup(&self, slot: u32) -> Option<usize> {
         let p = self.pos[slot as usize];
-        (p >> IDX_BITS == self.epoch).then(|| (p & IDX_MASK) as usize)
+        (p >> IDX_BITS == self.epoch).then_some((p & IDX_MASK) as usize)
     }
 }
 

@@ -8,10 +8,9 @@
 
 use pinsql_sqlkit::SqlId;
 use pinsql_timeseries::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// One template's minute-granularity execution history.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HistorySeries {
     pub id: SqlId,
     /// Absolute minute index of the first sample.
@@ -42,7 +41,7 @@ impl HistorySeries {
 /// fold) resolve each template once via [`entry_index`](Self::entry_index)
 /// and then append through [`record_at`](Self::record_at) — a direct
 /// vector index instead of a hash probe per (template, minute).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct HistoryStore {
     series: Vec<HistorySeries>,
     index: FxHashMap<SqlId, u32>,

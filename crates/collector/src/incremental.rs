@@ -86,7 +86,6 @@ use pinsql_timeseries::{
     CoMomentAccumulator, CutKind, MomentAccumulator, WireError, WireReader, WireWriter,
 };
 use pinsql_workload::TemplateSpec;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Serialized size of one resident cell: slot + count + Σrt + Σrows.
@@ -142,7 +141,7 @@ fn finite(x: f64) -> f64 {
 }
 
 /// Tuning for the incremental aggregator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IncrementalConfig {
     /// Seconds of cells / records / metric samples to retain behind the
     /// watermark. Must cover the largest collection window a diagnosis
@@ -157,12 +156,10 @@ pub struct IncrementalConfig {
     /// Row representation for the per-second cell ring (dense slab by
     /// default; the hashed reference kind is for equivalence tests and
     /// enormous sparse catalogs).
-    #[serde(default)]
     pub cell_store: CellStoreKind,
     /// Whether window cuts carry running-moment state assembled at ingest
     /// (`Incremental`, the default) or leave every cut to re-derive its
     /// rows from the raw series (`Reference`).
-    #[serde(default)]
     pub cut: CutKind,
 }
 
@@ -205,7 +202,7 @@ impl IncrementalConfig {
 }
 
 /// Ingestion counters (observability for the fleet engine).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Total events ingested (all variants).
     pub events: u64,
@@ -217,13 +214,10 @@ pub struct IngestStats {
     pub late: u64,
     /// Per-second cell rows materialized in the ring since birth (a
     /// monotone fold counter; resident rows are `cell_seconds`).
-    #[serde(default)]
     pub cells: u64,
     /// Cells, records, and metric samples evicted by retention.
-    #[serde(default)]
     pub evictions: u64,
     /// Complete minutes folded into the in-line history feed.
-    #[serde(default)]
     pub history_minutes: u64,
 }
 
@@ -518,7 +512,7 @@ impl IncrementalAggregator {
             self.cut_state.on_record(slot, prev, session);
         }
         let minute = second.div_euclid(60);
-        if self.history_next_min.map_or(true, |next| minute >= next) {
+        if self.history_next_min.is_none_or(|next| minute >= next) {
             self.minute_acc.row_mut(minute, self.catalog.n_slots())[slot as usize] += 1.0;
         }
         if self.records.back().is_some_and(|b| rec.start_ms < b.start_ms) {
@@ -570,7 +564,7 @@ impl IncrementalAggregator {
         // row once (None when the minute already folded — a late run the
         // history feed must not double-count).
         let mut hist: Option<&mut [f64]> = history_next_min
-            .map_or(true, |next| minute >= next)
+            .is_none_or(|next| minute >= next)
             .then(|| minute_acc.row_mut(minute, catalog.n_slots()));
         // Dispatch the row representation once per run, not once per
         // record: each arm hands `fold_run` a monomorphic cell fold.

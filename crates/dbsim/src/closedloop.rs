@@ -11,10 +11,8 @@ use crate::config::SimConfig;
 use crate::locks::{LockKind, LockManager, QueryId};
 use crate::ordf64::OrdF64;
 use crate::ps::PsResource;
-use pinsql_workload::rng::Zipf;
+use pinsql_workload::rng::{RngExt, SeedableRng, StdRng, Zipf};
 use pinsql_workload::{LockMode, TemplateSpec, Workload};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 

@@ -1,7 +1,5 @@
 //! Instance sizing and the Performance-Schema overhead model.
 
-use serde::{Deserialize, Serialize};
-
 /// The Performance-Schema configuration knobs of the Table IV study.
 ///
 /// Overheads are modelled as a multiplicative CPU surcharge per query.
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// shape of Table IV: `pfs` alone costs ~8–13 %, adding all instruments or
 /// all consumers costs a few points more, and both together interact
 /// super-additively to ~26–30 %.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PfsConfig {
     /// `performance_schema = ON`.
     pub enabled: bool,
@@ -68,7 +66,7 @@ impl PfsConfig {
 }
 
 /// Database-instance sizing and simulator options.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// CPU cores (processor-sharing capacity of the CPU resource).
     pub cores: f64,

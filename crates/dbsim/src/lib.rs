@@ -38,7 +38,6 @@ pub mod probe;
 pub mod ps;
 pub mod record;
 pub mod telemetry;
-pub mod trace;
 pub mod wire;
 
 pub use closedloop::{run_closed_loop, ClosedLoopConfig, ClosedLoopResult};
@@ -47,5 +46,4 @@ pub use engine::{run_open_loop, SimOutput};
 pub use metrics::InstanceMetrics;
 pub use record::QueryRecord;
 pub use telemetry::{interleave, query_run, second_of, MetricsSample, TelemetryEvent};
-pub use trace::Trace;
 pub use wire::{decode_event, encode_event};

@@ -5,7 +5,6 @@
 //! metadata-lock wait gauges used by phenomenon classification.
 
 use crate::probe::ProbeLog;
-use serde::{Deserialize, Serialize};
 
 /// Canonical metric names, used as map keys by the detection layer.
 pub mod names {
@@ -20,7 +19,7 @@ pub mod names {
 
 /// Per-second instance metrics over a simulation window starting at
 /// `start_second`. All series have equal length.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct InstanceMetrics {
     pub start_second: i64,
     /// Active session via the randomly-timed probe (what production

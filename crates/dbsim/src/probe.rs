@@ -8,10 +8,8 @@
 //! per-second value. The true offset is retained *separately* for test
 //! validation; PinSQL's estimator never reads it.
 
-use serde::{Deserialize, Serialize};
-
 /// One per-second probe sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeSample {
     /// The second this sample is reported for.
     pub second: i64,
@@ -23,7 +21,7 @@ pub struct ProbeSample {
 }
 
 /// The sequence of probe samples over a simulation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ProbeLog {
     pub samples: Vec<ProbeSample>,
 }

@@ -6,10 +6,9 @@
 //! *active* during `[t(q), t(q) + t_res(q))` (§IV-C).
 
 use pinsql_workload::SpecId;
-use serde::{Deserialize, Serialize};
 
 /// One executed query, as the log collector sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryRecord {
     /// The template spec that produced this query.
     pub spec: SpecId,

@@ -27,11 +27,10 @@
 use crate::metrics::InstanceMetrics;
 use crate::probe::ProbeSample;
 use crate::record::QueryRecord;
-use serde::{Deserialize, Serialize};
 
 /// One second's worth of instance metrics, as the monitoring agent
 /// publishes them (Definition II.4, one row at a time).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSample {
     /// The second this sample covers, `[second, second + 1)`.
     pub second: i64,
@@ -85,9 +84,8 @@ impl MetricsSample {
 /// and an inline [`MetricsSample`] (with its probe `Vec`) would widen
 /// *every* event to its size. Boxing the ~1/second cold variant keeps the
 /// enum at `Query`'s footprint, so a million-event stream moves less than
-/// half the memory through the ingest loop. `serde` treats `Box<T>`
-/// transparently, so wire formats are unchanged.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// half the memory through the ingest loop.
+#[derive(Debug, Clone, PartialEq)]
 pub enum TelemetryEvent {
     /// A query-log record, delivered at its arrival timestamp.
     Query(QueryRecord),
@@ -467,14 +465,5 @@ mod tests {
             "TelemetryEvent grew: {} bytes",
             std::mem::size_of::<TelemetryEvent>()
         );
-    }
-
-    #[test]
-    fn boxed_metrics_serialize_transparently() {
-        let events = interleave(&[rec(100.0)], &metrics(0, 1));
-        let json = serde_json::to_string(&events).unwrap();
-        assert!(json.contains("\"Metrics\":{\"second\":0"), "{json}");
-        let back: Vec<TelemetryEvent> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, events);
     }
 }

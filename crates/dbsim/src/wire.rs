@@ -177,7 +177,7 @@ mod tests {
                     ProbeSample { second: -5, active_sessions: 3, true_instant_ms: -4_200.0 },
                 ],
             })),
-            TelemetryEvent::Metrics(Box::new(MetricsSample::default())),
+            TelemetryEvent::Metrics(Box::default()),
             TelemetryEvent::Tick { second: i64::MIN },
         ]
     }
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn absurd_probe_length_fails_fast() {
         let mut w = WireWriter::new();
-        encode_event(&mut w, &TelemetryEvent::Metrics(Box::new(MetricsSample::default())));
+        encode_event(&mut w, &TelemetryEvent::Metrics(Box::default()));
         let mut bytes = w.into_bytes();
         // The probe length prefix sits after tag + second + six metrics.
         let at = 1 + 8 + 6 * 8;

@@ -1,21 +1,29 @@
-//! Property-based tests for the simulator substrates: processor-sharing
-//! invariants, lock-manager safety, and integrator conservation.
+//! Property sweeps for the simulator substrates — processor-sharing
+//! invariants, lock-manager safety, integrator conservation — on `CASES`
+//! seeded random inputs; a failure names the seed.
 
 use pinsql_dbsim::integrator::SecondIntegrator;
 use pinsql_dbsim::locks::{LockKind, LockManager, QueryId};
 use pinsql_dbsim::ps::PsResource;
-use proptest::prelude::*;
+use pinsql_workload::rng::{rng_from_seed, RngExt, StdRng};
 use std::collections::HashSet;
 
-proptest! {
-    /// Jobs depart in order of remaining work; everyone eventually departs;
-    /// the busy integral never exceeds elapsed time.
-    #[test]
-    fn ps_everyone_departs_and_busy_bounded(
-        capacity in 1.0f64..16.0,
-        demands in prop::collection::vec(0.1f64..500.0, 1..40),
-        gaps in prop::collection::vec(0.0f64..100.0, 1..40),
-    ) {
+const CASES: u64 = 256;
+
+/// `lo..hi` values, each in `range`.
+fn vec_in(rng: &mut StdRng, lo: usize, hi: usize, range: std::ops::Range<f64>) -> Vec<f64> {
+    (0..rng.random_range(lo..hi)).map(|_| rng.random_range(range.clone())).collect()
+}
+
+/// Jobs depart in order of remaining work; everyone eventually departs;
+/// the busy integral never exceeds elapsed time.
+#[test]
+fn ps_everyone_departs_and_busy_bounded() {
+    for seed in 0..CASES {
+        let mut rng = rng_from_seed(seed);
+        let capacity = rng.random_range(1.0..16.0);
+        let demands = vec_in(&mut rng, 1, 40, 0.1..500.0);
+        let gaps = vec_in(&mut rng, 1, 40, 0.0..100.0);
         let mut r = PsResource::new(capacity);
         let mut t = 0.0;
         let mut expected: HashSet<u64> = HashSet::new();
@@ -32,55 +40,76 @@ proptest! {
             r.pop_finished(at, 1e-6, &mut done);
             t = at + 1e-3;
             guard += 1;
-            prop_assert!(guard < 10_000, "departure loop diverged");
+            assert!(guard < 10_000, "seed {seed}: departure loop diverged");
         }
         let done_set: HashSet<u64> = done.iter().copied().collect();
-        prop_assert_eq!(done_set, expected);
-        prop_assert!(r.busy_ms() <= t + 1e-6);
+        assert_eq!(done_set, expected, "seed {seed}");
+        assert!(r.busy_ms() <= t + 1e-6, "seed {seed}");
         // Work conservation: total service delivered equals total demand,
         // and busy time is at least total demand / capacity.
         let total: f64 = demands.iter().sum();
-        prop_assert!(r.busy_ms() * capacity >= total - 1e-3,
-            "busy {} * cap {} < demand {}", r.busy_ms(), capacity, total);
+        assert!(
+            r.busy_ms() * capacity >= total - 1e-3,
+            "seed {seed}: busy {} * cap {} < demand {}",
+            r.busy_ms(),
+            capacity,
+            total
+        );
+    }
+}
+
+/// The lock manager never grants conflicting holders and always grants
+/// every queued request exactly once after enough releases.
+#[test]
+fn lock_manager_safety_and_liveness() {
+    // Holders + queue mirror, per table.
+    #[derive(Default, Clone)]
+    struct Mirror {
+        shared: Vec<QueryId>,
+        excl: Option<QueryId>,
+        queued: Vec<(QueryId, LockKind)>,
+    }
+    impl Mirror {
+        fn grant(&mut self, q: QueryId, kind: LockKind, seed: u64) {
+            match kind {
+                LockKind::Shared => {
+                    assert!(self.excl.is_none(), "seed {seed}: shared granted under exclusive");
+                    self.shared.push(q);
+                }
+                LockKind::Exclusive => {
+                    assert!(
+                        self.excl.is_none() && self.shared.is_empty(),
+                        "seed {seed}: exclusive granted next to a holder"
+                    );
+                    self.excl = Some(q);
+                }
+            }
+        }
     }
 
-    /// The lock manager never grants conflicting holders and always grants
-    /// every queued request exactly once after enough releases.
-    #[test]
-    fn lock_manager_safety_and_liveness(
-        ops in prop::collection::vec((0u32..4, any::<bool>()), 1..200),
-    ) {
+    for seed in 0..CASES {
+        let mut rng = rng_from_seed(seed);
+        let n_ops = rng.random_range(1..200u64);
         let mut m = LockManager::new(4);
-        // Track state per (table): holders + queue mirror.
-        #[derive(Default, Clone)]
-        struct Mirror { shared: Vec<QueryId>, excl: Option<QueryId>, queued: Vec<(QueryId, LockKind)> }
         let mut mirror: Vec<Mirror> = vec![Mirror::default(); 4];
         let mut granted_buf = Vec::new();
 
-        for (q, (table, exclusive)) in (0u64..).zip(ops.into_iter()) {
+        for q in 0..n_ops {
+            let table = rng.random_range(0..4u32);
             let t = table as usize;
-            let kind = if exclusive { LockKind::Exclusive } else { LockKind::Shared };
+            let kind =
+                if rng.random_range(0..2u32) == 1 { LockKind::Exclusive } else { LockKind::Shared };
             if m.request_mdl(q, table, kind) {
                 // Immediate grant: must be compatible with mirror state.
-                prop_assert!(mirror[t].queued.is_empty(), "grant jumped the queue");
-                match kind {
-                    LockKind::Shared => {
-                        prop_assert!(mirror[t].excl.is_none());
-                        mirror[t].shared.push(q);
-                    }
-                    LockKind::Exclusive => {
-                        prop_assert!(mirror[t].excl.is_none() && mirror[t].shared.is_empty());
-                        mirror[t].excl = Some(q);
-                    }
-                }
+                assert!(mirror[t].queued.is_empty(), "seed {seed}: grant jumped the queue");
+                mirror[t].grant(q, kind, seed);
             } else {
                 mirror[t].queued.push((q, kind));
             }
-            // Randomly release one holder (the first shared or the excl).
+            // Every other op, release one holder (the excl or the first shared).
             if q.is_multiple_of(2) {
                 granted_buf.clear();
-                if let Some(h) = mirror[t].excl.take() {
-                    let _ = h;
+                if mirror[t].excl.take().is_some() {
                     m.release_mdl(table, LockKind::Exclusive, &mut granted_buf);
                 } else if !mirror[t].shared.is_empty() {
                     mirror[t].shared.remove(0);
@@ -88,38 +117,27 @@ proptest! {
                 }
                 // Apply grants to the mirror in FIFO order.
                 for &g in &granted_buf {
-                    let pos = mirror[t]
-                        .queued
-                        .iter()
-                        .position(|&(qq, _)| qq == g)
-                        .expect("granted query was queued");
-                    prop_assert_eq!(pos, 0, "grants must be FIFO");
+                    let pos = mirror[t].queued.iter().position(|&(qq, _)| qq == g);
+                    assert_eq!(pos, Some(0), "seed {seed}: grants must be FIFO and queued");
                     let (qq, k) = mirror[t].queued.remove(0);
-                    match k {
-                        LockKind::Shared => {
-                            prop_assert!(mirror[t].excl.is_none());
-                            mirror[t].shared.push(qq);
-                        }
-                        LockKind::Exclusive => {
-                            prop_assert!(
-                                mirror[t].excl.is_none() && mirror[t].shared.is_empty()
-                            );
-                            mirror[t].excl = Some(qq);
-                        }
-                    }
+                    mirror[t].grant(qq, k, seed);
                 }
             }
         }
         // Waiter accounting agrees with the mirror.
         let queued_total: usize = mirror.iter().map(|m| m.queued.len()).sum();
-        prop_assert_eq!(m.mdl_waiters(), queued_total);
+        assert_eq!(m.mdl_waiters(), queued_total, "seed {seed}");
     }
+}
 
-    /// Per-second means stay within the range of the observed values.
-    #[test]
-    fn integrator_means_bounded_by_values(
-        steps in prop::collection::vec((1.0f64..3000.0, 0.0f64..50.0), 1..40),
-    ) {
+/// Per-second means stay within the range of the observed values.
+#[test]
+fn integrator_means_bounded_by_values() {
+    for seed in 0..CASES {
+        let mut rng = rng_from_seed(seed);
+        let steps: Vec<(f64, f64)> = (0..rng.random_range(1..40usize))
+            .map(|_| (rng.random_range(1.0..3000.0), rng.random_range(0.0..50.0)))
+            .collect();
         let first = steps[0].1;
         let mut integ = SecondIntegrator::new(0.0, first);
         let mut t = 0.0;
@@ -134,11 +152,11 @@ proptest! {
         let end = t + 500.0;
         let out = integ.finish(end);
         for (i, &mean) in out.iter().enumerate() {
-            prop_assert!(
+            assert!(
                 mean >= lo - 1e-9 && mean <= hi + 1e-9,
-                "second {i}: mean {mean} outside [{lo}, {hi}]"
+                "seed {seed}: second {i}: mean {mean} outside [{lo}, {hi}]"
             );
         }
-        prop_assert_eq!(out.len(), (end / 1000.0).ceil() as usize);
+        assert_eq!(out.len(), (end / 1000.0).ceil() as usize, "seed {seed}");
     }
 }

@@ -7,10 +7,9 @@
 //! [a_s − δ_s, a_e)`.
 
 use crate::phenomenon::Phenomenon;
-use serde::{Deserialize, Serialize};
 
 /// The time geometry of one anomaly case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnomalyWindow {
     /// Anomaly start `a_s` (s).
     pub anomaly_start: i64,

@@ -11,10 +11,9 @@
 
 use crate::features::{Feature, FeatureKind};
 use pinsql_timeseries::changepoint::pettitt;
-use serde::{Deserialize, Serialize};
 
 /// Confirmation tuning.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConfirmConfig {
     /// Context seconds taken before the feature start (clamped to data).
     pub context_before_s: i64,

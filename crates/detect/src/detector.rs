@@ -11,10 +11,9 @@
 use crate::features::{Feature, FeatureKind};
 use pinsql_timeseries::rolling::{robust_z, RollingWindow};
 use pinsql_timeseries::KernelKind;
-use serde::{Deserialize, Serialize};
 
 /// Detector tuning.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DetectorConfig {
     /// Baseline window length in samples.
     pub baseline_len: usize,
@@ -34,7 +33,6 @@ pub struct DetectorConfig {
     /// Which median/MAD implementation the baseline uses. Both kinds are
     /// bit-identical (see `pinsql_timeseries::kernels`); the knob exists
     /// for the equivalence suites and as an escape hatch.
-    #[serde(default)]
     pub kernel: KernelKind,
 }
 

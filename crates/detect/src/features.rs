@@ -1,11 +1,10 @@
 //! Anomalous-feature types produced by the Basic Perception Layer.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The anomalous feature kinds of §II: spike = sudden change that recovers;
 /// level shift = sudden change that persists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeatureKind {
     SpikeUp,
     SpikeDown,
@@ -43,7 +42,7 @@ impl fmt::Display for FeatureKind {
 }
 
 /// One detected anomalous feature on a metric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Feature {
     /// Canonical metric name (see `pinsql_dbsim::metrics::names`).
     pub metric: String,

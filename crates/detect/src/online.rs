@@ -650,8 +650,8 @@ mod tests {
                 // A stream that triggers immediately after the minimal
                 // warm-up still closes cleanly.
                 let mut s = vec![1.0, 1.0, 1.0];
-                s.extend(std::iter::repeat(500.0).take(10));
-                s.extend(std::iter::repeat(1.0).take(20));
+                s.extend(std::iter::repeat_n(500.0, 10));
+                s.extend(std::iter::repeat_n(1.0, 20));
                 assert_matches_batch(&s, 0, &cfg);
             }
         }

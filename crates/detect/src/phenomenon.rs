@@ -8,10 +8,9 @@
 //! dropped.
 
 use crate::features::{Feature, FeatureKind};
-use serde::{Deserialize, Serialize};
 
 /// A required feature: metric plus an acceptable set of kinds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MetricFeature {
     pub metric: String,
     /// Any of these kinds satisfies the requirement.
@@ -39,7 +38,7 @@ impl MetricFeature {
 }
 
 /// One rule: all listed features must co-occur (within the merge gap).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PhenomenonRule {
     /// Anomaly type this rule produces, e.g. `"active_session_anomaly"`.
     pub anomaly_type: String,
@@ -47,7 +46,7 @@ pub struct PhenomenonRule {
 }
 
 /// Configuration of the phenomenon layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PhenomenonConfig {
     pub rules: Vec<PhenomenonRule>,
     /// Phenomena of the same type closer than this merge into one (s).
@@ -83,7 +82,7 @@ impl Default for PhenomenonConfig {
 }
 
 /// A typed anomalous phenomenon over `[start, end)` seconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Phenomenon {
     pub anomaly_type: String,
     pub start: i64,

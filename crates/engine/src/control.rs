@@ -49,7 +49,7 @@ const CONTROL_FORMAT: WireFormat = WireFormat {
 /// `Starting → Running ⇄ Draining`, `Running/Draining → Restarting →
 /// Running`, `Draining → Stopped`. Every [`ControlResp::Ack`] reports the
 /// state the handled message left the agent in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DaemonState {
     /// Pipelines are being built; no events folded yet.
     Starting,
@@ -105,7 +105,7 @@ impl std::fmt::Display for DaemonState {
 /// knobs that are safe to retune live (shard/fanout layout, statistics
 /// kernel, collection look-back, region map) ride alongside the
 /// diagnoser's own [`PinSqlDelta`].
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetDelta {
     /// Ingestion shard count (must be ≥ 1 when present).
     pub shards: Option<usize>,

@@ -32,7 +32,6 @@ use pinsql_detect::KernelKind;
 use pinsql_obs::{FleetHealth, FleetRollup, NoopObserver, Observer};
 use pinsql_scenario::{LabeledCase, Scenario};
 use pinsql_timeseries::WireError;
-use serde::{Deserialize, Serialize};
 
 /// Knobs for a fleet run.
 #[derive(Debug, Clone)]
@@ -148,7 +147,7 @@ impl FleetCheckpoint {
 }
 
 /// What happened on one instance, flattened for `results/fleet.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InstanceOutcome {
     pub instance: usize,
     /// Injected anomaly kind label ("none" for negative scenarios).
@@ -172,7 +171,7 @@ pub struct InstanceOutcome {
 }
 
 /// Aggregate report of one fleet run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FleetReport {
     pub n_instances: usize,
     /// Configuration epoch the run finished under: [`ConfigEpoch::INITIAL`]
@@ -433,8 +432,7 @@ mod tests {
     }
 
     /// The CI smoke for the scaling sweep: sharded runs must reproduce the
-    /// unsharded run's cases and diagnoses exactly. (The report's serde
-    /// round trip is pinned by `tests/daemon.rs`.)
+    /// unsharded run's cases and diagnoses exactly.
     #[test]
     fn scaling_smoke() {
         let scenarios = small_fleet(4);

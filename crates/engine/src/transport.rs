@@ -562,6 +562,10 @@ impl<'a, O: Observer> IngestSink<'a, O> {
 /// [`EventFrame::Fin`]. Sequence numbers are assigned in emission order
 /// starting at 1. The plan is a pure function of its inputs — two sources
 /// over the same streams emit identical frames.
+#[allow(
+    clippy::needless_range_loop,
+    reason = "`flush!(j)` needs the index itself: it is the instance id on the frame"
+)]
 pub fn plan_frames(
     streams: &[Vec<TelemetryEvent>],
     policy: &TransportPolicy,
@@ -931,7 +935,7 @@ mod tests {
 
     #[test]
     fn oversized_frames_are_refused_both_ways() {
-        let (mut a, mut b) = pipe_pair(8);
+        let (mut a, _b) = pipe_pair(8);
         assert!(matches!(
             a.send_frame(&[0u8; 9]),
             Err(TransportError::FrameTooLarge { len: 9, max: 8 })

@@ -4,10 +4,9 @@ use pinsql_scenario::{
     generate_base, inject, inject_many, inject_none, materialize, materialize_with,
     AnomalyKind, LabeledCase, PerturbConfig, ScenarioConfig,
 };
-use serde::{Deserialize, Serialize};
 
 /// Case-set sizing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CaseSetConfig {
     /// Number of cases (paper: 168). Kinds rotate round-robin.
     pub n_cases: usize,

@@ -14,10 +14,9 @@ use pinsql::PinSqlConfig;
 use pinsql_baselines::TopMetric;
 use pinsql_scenario::{AnomalyKind, LabeledCase};
 use pinsql_timeseries::par_map;
-use serde::{Deserialize, Serialize};
 
 /// One (method, category) cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cell {
     pub method: String,
     pub kind: String,
@@ -26,7 +25,7 @@ pub struct Cell {
 }
 
 /// The full breakdown.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Breakdown {
     pub cells: Vec<Cell>,
     pub n_cases: usize,

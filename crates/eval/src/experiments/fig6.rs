@@ -9,10 +9,9 @@ use crate::metrics::{first_hit_rank, RankSummary};
 use pinsql::{Ablation, PinSqlConfig};
 use pinsql_scenario::LabeledCase;
 use pinsql_timeseries::par_map;
-use serde::{Deserialize, Serialize};
 
 /// One ablation variant's scores.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Variant {
     pub name: String,
     pub rsql: RankSummary,
@@ -20,7 +19,7 @@ pub struct Variant {
 }
 
 /// The full ablation figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6 {
     pub variants: Vec<Variant>,
     pub n_cases: usize,

@@ -16,13 +16,11 @@ use pinsql_collector::{aggregate_case, HistoryStore};
 use pinsql_detect::AnomalyWindow;
 use pinsql_dbsim::probe::{ProbeLog, ProbeSample};
 use pinsql_dbsim::{InstanceMetrics, QueryRecord};
-use pinsql_workload::rng::{poisson, rng_from_seed};
+use pinsql_workload::rng::{poisson, rng_from_seed, RngExt};
 use pinsql_workload::{CostProfile, SpecId, TableId, TemplateSpec};
-use rand::RngExt;
-use serde::{Deserialize, Serialize};
 
 /// One sweep point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Point {
     pub n_templates: usize,
     pub anomaly_len_s: i64,
@@ -32,12 +30,11 @@ pub struct Point {
 }
 
 /// Both sweeps.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7 {
     pub by_templates: Vec<Point>,
     pub by_anomaly_len: Vec<Point>,
     /// Resolved worker-thread count the measured diagnoser ran with.
-    #[serde(default)]
     pub parallelism: usize,
 }
 

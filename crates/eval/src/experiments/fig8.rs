@@ -21,10 +21,9 @@ use pinsql::{PinSql, PinSqlConfig};
 use pinsql_baselines::{rank_top, TopMetric};
 use pinsql_scenario::{generate_base, inject, materialize, AnomalyKind};
 use pinsql_workload::{SpecId, Workload};
-use serde::{Deserialize, Serialize};
 
 /// One phase of the storyline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Phase {
     pub name: String,
     pub mean_active_session: f64,
@@ -36,7 +35,7 @@ pub struct Phase {
 }
 
 /// The replayed case study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8 {
     pub phases: Vec<Phase>,
     /// Label of the template the user throttled (Top-RT).
@@ -46,6 +45,34 @@ pub struct Fig8 {
     /// Whether the Top-RT template differed from the R-SQL (the crux of
     /// the story).
     pub top_rt_is_not_rsql: bool,
+    /// Whether the pinpointed template is the injected statement.
+    pub rsql_is_injected: bool,
+}
+
+impl Fig8 {
+    /// What keeps this replay from telling the §VIII-E story, phase by
+    /// phase; empty when it tells all of it. This is the whole showcase
+    /// criterion: `fig8 --pick` prints the first seed from 100 up that
+    /// passes, and the unit test holds [`fig8_showcase_seed`] to it.
+    pub fn storyline_gaps(&self) -> Vec<&'static str> {
+        let s = |i: usize| self.phases[i].mean_active_session;
+        let (baseline, anomaly, throttled, reappears, fixed) = (s(0), s(1), s(2), s(3), s(4));
+        let checks = [
+            (self.rsql_is_injected, "PinSQL must pinpoint the injected statement"),
+            (self.top_rt_is_not_rsql, "the user's Top-RT pick must be a victim, not the R-SQL"),
+            (anomaly > baseline * 3.0 + 5.0, "anomaly must inflate sessions"),
+            (throttled < anomaly, "throttling Top-1 helps partially"),
+            (reappears > throttled, "switching the throttle off brings the anomaly back"),
+            (fixed < anomaly * 0.5, "optimizing the R-SQL must fundamentally resolve it"),
+            (fixed < throttled, "fixing the root cause beats throttling a victim"),
+            // The throttling side effect: the victim's business lost traffic.
+            (
+                self.phases[2].victim_qps < self.phases[1].victim_qps * 0.5,
+                "throttling must cost the victim's business its traffic",
+            ),
+        ];
+        checks.into_iter().filter(|(holds, _)| !holds).map(|(_, gap)| gap).collect()
+    }
 }
 
 /// Simulates one phase and summarizes its metrics.
@@ -79,11 +106,13 @@ fn run_phase(
     }
 }
 
-/// A seed whose row-lock case PinSQL diagnoses correctly — the case study
-/// showcases the repair path, so it replays one of the (majority of)
-/// successfully diagnosed cases.
+/// The first seed from 100 up whose row-lock case has no
+/// [`storyline_gaps`](Fig8::storyline_gaps) — the case study showcases
+/// the repair path, so it replays one of the (majority of) successfully
+/// diagnosed cases. Re-pick with `fig8 --pick` if the stream or the
+/// generator ever moves.
 pub fn fig8_showcase_seed() -> u64 {
-    104
+    100
 }
 
 /// Replays the storyline on a row-lock scenario.
@@ -125,6 +154,7 @@ pub fn run(cfg: &CaseSetConfig) -> Fig8 {
         throttled: top_rt_info.label.clone(),
         optimized: rsql_info.label.clone(),
         top_rt_is_not_rsql: top_rt_id != rsql.id,
+        rsql_is_injected: case.truth.rsqls.contains(&rsql.id),
     }
 }
 
@@ -157,29 +187,7 @@ mod tests {
 
     #[test]
     fn storyline_shape_holds() {
-        let cfg = CaseSetConfig::default().with_seed(fig8_showcase_seed());
-        let fig = run(&cfg);
-        let s = |i: usize| fig.phases[i].mean_active_session;
-        let baseline = s(0);
-        let anomaly = s(1);
-        let throttled = s(2);
-        let reappears = s(3);
-        let fixed = s(4);
-        assert!(anomaly > baseline * 3.0 + 5.0, "anomaly must inflate sessions: {fig}");
-        assert!(throttled < anomaly, "throttling Top-1 helps partially: {fig}");
-        assert!(
-            reappears > throttled,
-            "switching the throttle off brings the anomaly back: {fig}"
-        );
-        assert!(
-            fixed < anomaly * 0.5,
-            "optimizing the R-SQL must fundamentally resolve it: {fig}"
-        );
-        assert!(
-            fixed < throttled,
-            "fixing the root cause beats throttling a victim: {fig}"
-        );
-        // The throttling side effect: the victim's business lost traffic.
-        assert!(fig.phases[2].victim_qps < fig.phases[1].victim_qps * 0.5, "{fig}");
+        let fig = run(&CaseSetConfig::default().with_seed(fig8_showcase_seed()));
+        assert_eq!(fig.storyline_gaps(), Vec::<&str>::new(), "{fig}");
     }
 }

@@ -24,10 +24,9 @@ use pinsql_scenario::{
 use pinsql_sqlkit::SqlId;
 use pinsql_workload::dag::{Api, Call};
 use pinsql_workload::{CostProfile, EventShape, RateEvent, SpecId, TemplateSpec, TrafficPattern};
-use serde::{Deserialize, Serialize};
 
 /// Scores for one configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Arm {
     pub name: String,
     pub rsql: RankSummary,
@@ -36,7 +35,7 @@ pub struct Arm {
 }
 
 /// The experiment's output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Recurring {
     pub with_history: Arm,
     pub without_history: Arm,
@@ -208,21 +207,29 @@ impl std::fmt::Display for Recurring {
 mod tests {
     use super::*;
 
+    /// Ten 8-case sets, asserted on the sweep (EXPERIMENTS.md,
+    /// "Seed-lucky tests"): the decoy tops the ablated arm in about one
+    /// case in five, so a single 8-case set sees none 15 % of the time.
     #[test]
     fn history_verification_rejects_recurring_decoys() {
-        let cfg = CaseSetConfig::default().with_seed(2600);
-        let r = run(&cfg, 8);
-        // The decoy must actually be a threat: without history
-        // verification it tops at least one case.
+        let sets: Vec<Recurring> =
+            (0..10).map(|k| run(&CaseSetConfig::default().with_seed(2600 + 8 * k), 8)).collect();
+        let shown = sets.iter().map(|r| r.to_string()).collect::<String>();
+        // The decoy must actually be a threat: over the sweep it tops the
+        // ablated system more often than the full one.
+        let fooled = |arm: &Arm| arm.decoy_top1_rate * 8.0;
+        let full: f64 = sets.iter().map(|r| fooled(&r.with_history)).sum();
+        let ablated: f64 = sets.iter().map(|r| fooled(&r.without_history)).sum();
         assert!(
-            r.without_history.decoy_top1_rate > r.with_history.decoy_top1_rate,
-            "decoy must fool the ablated system more often: {r}"
+            ablated > full,
+            "decoy topped {ablated} ablated vs {full} full cases of 80:\n{shown}"
         );
-        // And the full system must do better overall.
-        assert!(
-            r.with_history.rsql.hits_at_1 >= r.without_history.rsql.hits_at_1,
-            "{r}"
-        );
-        assert!(r.with_history.decoy_top1_rate <= 0.25, "{r}");
+        // And the full system must do better overall, and reject the decoy.
+        let better = sets
+            .iter()
+            .filter(|r| r.with_history.rsql.hits_at_1 >= r.without_history.rsql.hits_at_1)
+            .count();
+        assert!(better >= 8, "full system at least as good on {better} of 10 sets:\n{shown}");
+        assert!(sets.iter().all(|r| r.with_history.decoy_top1_rate <= 0.25), "{shown}");
     }
 }

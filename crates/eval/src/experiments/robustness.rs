@@ -21,11 +21,10 @@ use pinsql::{PinSql, PinSqlConfig};
 use pinsql_scenario::{AnomalyKind, PerturbConfig};
 use pinsql_sqlkit::SqlId;
 use pinsql_timeseries::par_map;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Sizing and sweep shape.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RobustnessConfig {
     /// Scenario template, base seed, and δ_s (the `n_cases` field is
     /// ignored; sizing comes from `cases_per_cell`).
@@ -53,7 +52,7 @@ impl Default for RobustnessConfig {
 }
 
 /// One point of an accuracy-vs-intensity curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CurvePoint {
     pub intensity: f64,
     pub n_cases: usize,
@@ -68,7 +67,7 @@ pub struct CurvePoint {
 }
 
 /// One anomaly group's curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Curve {
     /// `AnomalyKind::label()` for single kinds, `"overlap"` for the
     /// two-anomaly group.
@@ -77,7 +76,7 @@ pub struct Curve {
 }
 
 /// False-positive behaviour on pure-noise cases at one intensity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NegativePoint {
     pub intensity: f64,
     pub n_cases: usize,
@@ -89,13 +88,12 @@ pub struct NegativePoint {
 }
 
 /// The full experiment output (`results/robustness.json`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Robustness {
     pub curves: Vec<Curve>,
     pub negatives: Vec<NegativePoint>,
     pub cases_per_cell: usize,
     /// Resolved per-case fan-out the sweep was produced with.
-    #[serde(default)]
     pub parallelism: usize,
 }
 
@@ -176,16 +174,14 @@ pub fn run_par(cfg: &RobustnessConfig, parallelism: usize) -> Robustness {
             let r_ranks: Vec<_> = cell.iter().map(|c| c.0).collect();
             let h_ranks: Vec<_> = cell.iter().map(|c| c.1).collect();
             let times: Vec<_> = cell.iter().map(|c| c.2).collect();
-            let frac = |pred: &dyn Fn(&(Option<usize>, Option<usize>, f64, bool, bool)) -> bool| {
-                cell.iter().filter(|c| pred(c)).count() as f64 / cases.max(1) as f64
-            };
+            let rate = |hits: usize| hits as f64 / cases.max(1) as f64;
             points.push(CurvePoint {
                 intensity,
                 n_cases: cases,
                 rsql: RankSummary::from_ranks(&r_ranks, &times),
                 hsql: RankSummary::from_ranks(&h_ranks, &times),
-                detected_rate: frac(&|c| c.3),
-                reported_rate: frac(&|c| c.4),
+                detected_rate: rate(cell.iter().filter(|c| c.3).count()),
+                reported_rate: rate(cell.iter().filter(|c| c.4).count()),
             });
         }
         curves.push(Curve { kind: name.clone(), points });
@@ -314,10 +310,6 @@ mod tests {
             assert!((0.0..=1.0).contains(&n.detect_fp_rate));
             assert!((0.0..=1.0).contains(&n.report_fp_rate));
         }
-        // Round-trips through serde (the bench binary writes JSON).
-        let json = serde_json::to_string(&r).unwrap();
-        let back: Robustness = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.curves.len(), r.curves.len());
         let shown = r.to_string();
         assert!(shown.contains("business_spike"));
         assert!(shown.contains("negative"));
@@ -349,7 +341,7 @@ mod tests {
                     p.hsql.mean_time_s = 0.0;
                 }
             }
-            serde_json::to_string(&r).unwrap()
+            format!("{r:?}")
         };
         assert_eq!(strip(serial), strip(parallel));
     }

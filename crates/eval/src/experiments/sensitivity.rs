@@ -12,10 +12,9 @@ use crate::metrics::{first_hit_rank, mean_reciprocal_rank};
 use pinsql::PinSqlConfig;
 use pinsql_scenario::LabeledCase;
 use pinsql_timeseries::par_map;
-use serde::{Deserialize, Serialize};
 
 /// One sweep over one knob.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sweep {
     pub knob: String,
     /// `(knob value, R-SQL MRR)` pairs.
@@ -25,7 +24,7 @@ pub struct Sweep {
 }
 
 /// All sweeps.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sensitivity {
     pub sweeps: Vec<Sweep>,
     pub n_cases: usize,

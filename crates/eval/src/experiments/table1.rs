@@ -12,26 +12,23 @@ use pinsql::{PinSqlConfig, StageTimings};
 use pinsql_baselines::TopMetric;
 use pinsql_scenario::LabeledCase;
 use pinsql_timeseries::par_map;
-use serde::{Deserialize, Serialize};
 
 /// One method's row (R-SQL and H-SQL summaries).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     pub method: String,
     pub rsql: RankSummary,
     pub hsql: RankSummary,
     /// Mean per-stage timing decomposition (PinSQL rows only).
-    #[serde(default)]
     pub stage: Option<StageTimings>,
 }
 
 /// The full table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1 {
     pub rows: Vec<Row>,
     pub n_cases: usize,
     /// Resolved per-case fan-out the table was produced with.
-    #[serde(default)]
     pub parallelism: usize,
 }
 

@@ -23,10 +23,9 @@ use pinsql_dbsim::run_open_loop;
 use pinsql_scenario::{generate_base, inject, materialize, AnomalyKind, LabeledCase, Scenario};
 use pinsql_sqlkit::SqlId;
 use pinsql_workload::SpecId;
-use serde::{Deserialize, Serialize};
 
 /// Per-group aggregate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GroupGains {
     pub group: String,
     pub n_optimized: usize,
@@ -37,7 +36,7 @@ pub struct GroupGains {
 }
 
 /// The optimization-gain study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2 {
     pub rsql: GroupGains,
     pub slow: GroupGains,

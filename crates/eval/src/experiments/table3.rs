@@ -9,10 +9,9 @@
 use crate::caseset::{build_case, CaseSetConfig};
 use pinsql::{estimate_sessions, EstimatorKind, PinSqlConfig};
 use pinsql_timeseries::{mean_squared_error, pearson};
-use serde::{Deserialize, Serialize};
 
 /// One estimator's row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     pub method: String,
     pub pearson: f64,
@@ -20,7 +19,7 @@ pub struct Row {
 }
 
 /// The estimation case study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table3 {
     pub rows: Vec<Row>,
     pub n_cases: usize,

@@ -9,10 +9,9 @@
 use pinsql_dbsim::{run_closed_loop, ClosedLoopConfig, PfsConfig, SimConfig};
 use pinsql_workload::dag::ApiDag;
 use pinsql_workload::{CostProfile, TableDef, TableId, TemplateSpec, Workload};
-use serde::{Deserialize, Serialize};
 
 /// The three sysbench-style mixes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mix {
     ReadOnly,
     ReadWrite,
@@ -32,7 +31,7 @@ impl Mix {
 }
 
 /// One configuration row: QPS and decline per mix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     pub config: String,
     /// `(qps, decline_percent)` for each of the three mixes.
@@ -40,7 +39,7 @@ pub struct Row {
 }
 
 /// The overhead study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table4 {
     pub rows: Vec<Row>,
 }

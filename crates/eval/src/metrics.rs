@@ -1,7 +1,6 @@
 //! Ranking metrics: Hits@k and MRR (§VIII-A).
 
 use pinsql_sqlkit::SqlId;
-use serde::{Deserialize, Serialize};
 
 /// 1-based rank of the first ranked template that appears in the annotated
 /// set; `None` when no ranked template is annotated.
@@ -27,7 +26,7 @@ pub fn mean_reciprocal_rank(ranks: &[Option<usize>]) -> f64 {
 }
 
 /// Aggregated ranking quality over a case set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RankSummary {
     pub hits_at_1: f64,
     pub hits_at_5: f64,

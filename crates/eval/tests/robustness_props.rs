@@ -1,11 +1,11 @@
-//! Property tests for the chaos layer end to end: whatever the
+//! Property sweeps for the chaos layer end to end: whatever the
 //! perturbation does to the telemetry, `diagnose` must neither panic nor
 //! emit non-finite scores.
 //!
 //! Simulation is by far the expensive step, so each anomaly kind (plus a
-//! negative scenario) is simulated exactly once and cached; every proptest
+//! negative scenario) is simulated exactly once and cached; every seeded
 //! case then degrades a clone of the cached telemetry its own way and runs
-//! the full pipeline on it.
+//! the full pipeline on it. A failure names the seed.
 
 use pinsql::{PinSql, PinSqlConfig};
 use pinsql_dbsim::{run_open_loop, SimOutput};
@@ -15,18 +15,18 @@ use pinsql_scenario::{
     Scenario, ScenarioConfig,
 };
 use pinsql_sqlkit::SqlId;
-use proptest::prelude::*;
+use pinsql_workload::rng::{rng_from_seed, RngExt, StdRng};
 use std::sync::OnceLock;
+
+const CASES: u64 = 256;
 
 static SIMS: OnceLock<Vec<(Scenario, SimOutput)>> = OnceLock::new();
 
 /// One cached simulation per anomaly kind, plus one negative (index 4).
 fn sims() -> &'static [(Scenario, SimOutput)] {
     SIMS.get_or_init(|| {
-        let cfg = ScenarioConfig::default()
-            .with_seed(9900)
-            .with_businesses(6)
-            .with_window(600, 360, 480);
+        let cfg =
+            ScenarioConfig::default().with_seed(9900).with_businesses(6).with_window(600, 360, 480);
         let base = generate_base(&cfg);
         let mut out = Vec::new();
         for kind in AnomalyKind::ALL {
@@ -43,58 +43,66 @@ fn sims() -> &'static [(Scenario, SimOutput)] {
 
 /// Degrades cached telemetry and runs the full pipeline, asserting the
 /// structural invariants that must hold no matter what the chaos did.
-fn check_diagnosis(which: usize, p: &PerturbConfig) -> Result<(), TestCaseError> {
+fn check_diagnosis(seed: u64, which: usize, p: &PerturbConfig) {
     let (scenario, sim) = &sims()[which];
-    let lc = materialize_telemetry(scenario, sim.log.clone(), sim.metrics.clone(), 240, Some(p));
-    prop_assert!(lc.window.window_len() > 0, "window collapsed: {:?}", lc.window);
-    prop_assert!(lc.window.anomaly_len() > 0);
-    let d = PinSql::new(PinSqlConfig::default())
-        .diagnose(&lc.case, &lc.window, &lc.history, lc.minutes_origin);
-    for r in d.rsqls.iter().chain(d.hsqls.iter()).chain(d.reported_rsqls.iter()) {
-        prop_assert!(r.score.is_finite(), "non-finite score: {r:?}");
-    }
-    prop_assert!(d.reported_rsqls.len() <= d.rsqls.len());
-    // The evaluation path must also stay total on degraded output.
-    let rids: Vec<SqlId> = d.rsqls.iter().map(|r| r.id).collect();
-    let _ = first_hit_rank(&rids, &lc.truth.rsqls);
-    Ok(())
+    let outcome = std::panic::catch_unwind(|| {
+        let lc =
+            materialize_telemetry(scenario, sim.log.clone(), sim.metrics.clone(), 240, Some(p));
+        assert!(lc.window.window_len() > 0, "window collapsed: {:?}", lc.window);
+        assert!(lc.window.anomaly_len() > 0);
+        let d = PinSql::new(PinSqlConfig::default()).diagnose(
+            &lc.case,
+            &lc.window,
+            &lc.history,
+            lc.minutes_origin,
+        );
+        for r in d.rsqls.iter().chain(d.hsqls.iter()).chain(d.reported_rsqls.iter()) {
+            assert!(r.score.is_finite(), "non-finite score: {r:?}");
+        }
+        assert!(d.reported_rsqls.len() <= d.rsqls.len());
+        // The evaluation path must also stay total on degraded output.
+        let rids: Vec<SqlId> = d.rsqls.iter().map(|r| r.id).collect();
+        let _ = first_hit_rank(&rids, &lc.truth.rsqls);
+    });
+    assert!(outcome.is_ok(), "seed {seed}: scenario {which} under {p:?} (panic above)");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The single-knob sweep the robustness experiment uses.
-    #[test]
-    fn diagnose_never_panics_at_any_intensity(
-        which in 0usize..5,
-        intensity in 0.0f64..=1.0,
-        seed in proptest::num::u64::ANY,
-    ) {
-        check_diagnosis(which, &PerturbConfig::at_intensity(seed, intensity))?;
+/// A value in `lo..=hi`; both ends turn up on purpose.
+fn closed(rng: &mut StdRng, lo: f64, hi: f64) -> f64 {
+    match rng.random_range(0..8u32) {
+        0 => lo,
+        1 => hi,
+        _ => rng.random_range(lo..hi),
     }
+}
 
-    /// Arbitrary hand-built configs, beyond what `at_intensity` reaches
-    /// (heavier loss, bigger skews in both directions, independent knobs).
-    #[test]
-    fn diagnose_never_panics_on_arbitrary_perturbations(
-        which in 0usize..5,
-        drop_prob in 0.0f64..=1.0,
-        duplicate_prob in 0.0f64..=0.5,
-        jitter_ms in 0.0f64..=60_000.0,
-        clock_skew_ms in -30_000.0f64..=30_000.0,
-        reorder in proptest::bool::ANY,
-        metric_blank_prob in 0.0f64..=1.0,
-        seed in proptest::num::u64::ANY,
-    ) {
+/// The single-knob sweep the robustness experiment uses.
+#[test]
+fn diagnose_never_panics_at_any_intensity() {
+    for seed in 0..CASES {
+        let mut rng = rng_from_seed(seed);
+        let which = rng.random_range(0..5usize);
+        let intensity = closed(&mut rng, 0.0, 1.0);
+        check_diagnosis(seed, which, &PerturbConfig::at_intensity(rng.random(), intensity));
+    }
+}
+
+/// Arbitrary hand-built configs, beyond what `at_intensity` reaches
+/// (heavier loss, bigger skews in both directions, independent knobs).
+#[test]
+fn diagnose_never_panics_on_arbitrary_perturbations() {
+    for seed in 0..CASES {
+        let mut rng = rng_from_seed(seed);
+        let which = rng.random_range(0..5usize);
         let p = PerturbConfig {
-            seed,
-            drop_prob,
-            duplicate_prob,
-            jitter_ms,
-            clock_skew_ms,
-            reorder,
-            metric_blank_prob,
+            seed: rng.random(),
+            drop_prob: closed(&mut rng, 0.0, 1.0),
+            duplicate_prob: closed(&mut rng, 0.0, 0.5),
+            jitter_ms: closed(&mut rng, 0.0, 60_000.0),
+            clock_skew_ms: closed(&mut rng, -30_000.0, 30_000.0),
+            reorder: rng.random_range(0..2u32) == 1,
+            metric_blank_prob: closed(&mut rng, 0.0, 1.0),
         };
-        check_diagnosis(which, &p)?;
+        check_diagnosis(seed, which, &p);
     }
 }

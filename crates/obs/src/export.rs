@@ -12,76 +12,52 @@
 use crate::hist::LatencyHistogram;
 use crate::registry::Registry;
 use crate::{Counter, Gauge, Stage};
-use serde::Serialize;
+use pinsql_json::Json;
 use std::collections::BTreeMap;
-
-/// One Chrome Trace Event. Only the fields the viewers require.
-#[derive(Debug, Serialize)]
-struct ChromeEvent {
-    name: String,
-    cat: &'static str,
-    ph: &'static str,
-    /// Microseconds since the observer's origin.
-    ts: f64,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    dur: Option<f64>,
-    pid: u64,
-    tid: u64,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    args: Option<BTreeMap<&'static str, String>>,
-}
-
-#[derive(Debug, Serialize)]
-struct ChromeTrace {
-    #[serde(rename = "traceEvents")]
-    trace_events: Vec<ChromeEvent>,
-    #[serde(rename = "displayTimeUnit")]
-    display_time_unit: &'static str,
-    /// Spans dropped by the trace cap (0 = the trace is complete).
-    trace_dropped: u64,
-}
 
 /// Renders the registry's trace buffer as chrome-trace JSON. `lanes` is
 /// the observer's lane table (see
 /// [`RecordingObserver::lanes`](crate::RecordingObserver::lanes)); each
-/// lane becomes one named thread row.
+/// lane becomes one named thread row. Only the fields the viewers
+/// require are written; timestamps are microseconds since the observer's
+/// origin.
 pub fn chrome_trace(registry: &Registry, lanes: &[String]) -> String {
-    let mut events: Vec<ChromeEvent> = lanes
+    let event = |name: &str, cat: &str, ph: &str, ts: f64, tid: usize| {
+        vec![
+            ("name", Json::str(name)),
+            ("cat", Json::str(cat)),
+            ("ph", Json::str(ph)),
+            ("ts", Json::Num(ts)),
+            ("pid", Json::Num(1.0)),
+            ("tid", Json::Num(tid as f64)),
+        ]
+    };
+    let mut events: Vec<Json> = lanes
         .iter()
         .enumerate()
-        .map(|(tid, label)| ChromeEvent {
-            name: "thread_name".to_string(),
-            cat: "__metadata",
-            ph: "M",
-            ts: 0.0,
-            dur: None,
-            pid: 1,
-            tid: tid as u64,
-            args: Some(BTreeMap::from([("name", label.clone())])),
+        .map(|(tid, label)| {
+            let mut ev = event("thread_name", "__metadata", "M", 0.0, tid);
+            ev.push(("args", Json::obj([("name", Json::str(label.as_str()))])));
+            Json::obj(ev)
         })
         .collect();
-    for ev in registry.trace() {
-        events.push(ChromeEvent {
-            name: ev.stage.name().to_string(),
-            cat: "pinsql",
-            ph: "X",
-            ts: ev.start_ns as f64 / 1000.0,
-            dur: Some((ev.end_ns.saturating_sub(ev.start_ns)) as f64 / 1000.0),
-            pid: 1,
-            tid: ev.lane as u64,
-            args: None,
-        });
+    for span in registry.trace() {
+        let ts = span.start_ns as f64 / 1000.0;
+        let mut ev = event(span.stage.name(), "pinsql", "X", ts, span.lane as usize);
+        ev.push(("dur", Json::Num(span.end_ns.saturating_sub(span.start_ns) as f64 / 1000.0)));
+        events.push(Json::obj(ev));
     }
-    let doc = ChromeTrace {
-        trace_events: events,
-        display_time_unit: "ms",
-        trace_dropped: registry.trace_dropped(),
-    };
-    serde_json::to_string(&doc).expect("chrome trace serializes")
+    Json::obj([
+        ("traceEvents", Json::Arr(events)),
+        ("displayTimeUnit", Json::str("ms")),
+        // Spans dropped by the trace cap (0 = the trace is complete).
+        ("trace_dropped", Json::Num(registry.trace_dropped() as f64)),
+    ])
+    .render()
 }
 
 /// Per-stage histogram summary in the flat metrics document.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StageSummary {
     pub count: u64,
     pub total_ns: u64,
@@ -108,7 +84,7 @@ impl StageSummary {
 }
 
 /// The flat metrics document (`results/fleet_metrics.json`).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MetricsExport {
     pub counters: BTreeMap<&'static str, u64>,
     pub gauges: BTreeMap<&'static str, u64>,
@@ -116,6 +92,33 @@ pub struct MetricsExport {
     pub stages: BTreeMap<&'static str, StageSummary>,
     pub trace_events: usize,
     pub trace_dropped: u64,
+}
+
+impl MetricsExport {
+    /// The document as the `fleet` bench writes it.
+    pub fn to_json(&self) -> Json {
+        let counts = |m: &BTreeMap<&'static str, u64>| {
+            Json::obj(m.iter().map(|(&name, &v)| (name, Json::Num(v as f64))))
+        };
+        let stage = |s: &StageSummary| {
+            Json::obj([
+                ("count", Json::Num(s.count as f64)),
+                ("total_ns", Json::Num(s.total_ns as f64)),
+                ("mean_ns", Json::Num(s.mean_ns)),
+                ("max_ns", Json::Num(s.max_ns as f64)),
+                ("p50_ns", Json::Num(s.p50_ns as f64)),
+                ("p99_ns", Json::Num(s.p99_ns as f64)),
+                ("buckets", Json::Arr(s.buckets.iter().map(|&b| Json::Num(b as f64)).collect())),
+            ])
+        };
+        Json::obj([
+            ("counters", counts(&self.counters)),
+            ("gauges", counts(&self.gauges)),
+            ("stages", Json::obj(self.stages.iter().map(|(&name, s)| (name, stage(s))))),
+            ("trace_events", Json::Num(self.trace_events as f64)),
+            ("trace_dropped", Json::Num(self.trace_dropped as f64)),
+        ])
+    }
 }
 
 /// Flattens a registry into the metrics document.
@@ -138,14 +141,13 @@ pub fn metrics_export(registry: &Registry) -> MetricsExport {
 /// `name`, a known `ph`, numeric `pid`/`tid`/`ts`, and `dur` on complete
 /// events. Returns the number of complete (`"X"`) events.
 pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
-    let doc: serde_json::Value =
-        serde_json::from_str(json).map_err(|e| format!("not JSON: {e}"))?;
-    if !doc.is_object() {
+    let doc = pinsql_json::parse(json).map_err(|e| format!("not JSON: {e}"))?;
+    if !matches!(doc, Json::Obj(_)) {
         return Err("root must be an object".to_string());
     }
     let events = doc
         .get("traceEvents")
-        .and_then(|v| v.as_array())
+        .and_then(|v| v.as_arr())
         .ok_or_else(|| "missing traceEvents array".to_string())?;
     let known_stages: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
     let mut complete = 0usize;
@@ -159,7 +161,8 @@ pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
             .and_then(|v| v.as_str())
             .ok_or_else(|| format!("event {i}: missing ph"))?;
         for field in ["pid", "tid"] {
-            if ev.get(field).and_then(|v| v.as_u64()).is_none() {
+            let id = ev.get(field).and_then(|v| v.as_f64());
+            if !id.is_some_and(|n| n >= 0.0 && n.fract() == 0.0) {
                 return Err(format!("event {i}: missing numeric {field}"));
             }
         }
@@ -207,10 +210,10 @@ mod tests {
         let json = chrome_trace(&reg, &lanes);
         assert_eq!(validate_chrome_trace(&json), Ok(3));
         // Sanity on the raw shape: named rows plus complete events.
-        let doc: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+        let doc = pinsql_json::parse(&json).unwrap();
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         assert_eq!(events.len(), 3 + 3, "three metadata rows, three spans");
-        assert_eq!(doc.get("trace_dropped").unwrap().as_u64(), Some(0));
+        assert_eq!(doc.get("trace_dropped").unwrap().as_f64(), Some(0.0));
     }
 
     #[test]
@@ -237,7 +240,10 @@ mod tests {
         assert!(m.stages.contains_key("hsql_rank"));
         assert!(!m.stages.contains_key("repair_suggest"));
         assert_eq!(m.trace_events, 3);
-        let json = serde_json::to_string_pretty(&m).unwrap();
-        assert!(json.contains("\"p99_ns\""));
+        let doc = pinsql_json::parse(&m.to_json().render_pretty()).unwrap();
+        let hsql = doc.get("stages").and_then(|s| s.get("hsql_rank")).expect("recorded stage");
+        assert_eq!(hsql.get("count").and_then(Json::as_f64), Some(1.0));
+        let p99 = m.stages["hsql_rank"].p99_ns as f64;
+        assert_eq!(hsql.get("p99_ns").and_then(Json::as_f64), Some(p99));
     }
 }

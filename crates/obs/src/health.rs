@@ -19,13 +19,11 @@
 //! averaging), associative, and commutative, so any merge order and any
 //! grouping give the identical summary (`merge_props` pins this).
 
-use serde::{Deserialize, Serialize};
-
 /// One instance's pipeline health. Counter fields are monotone over the
 /// instance's lifetime; `*_resident` / `*_seconds` fields are current
 /// queue depths bounded by the retention configuration (the `obs_health`
 /// suite pins both invariants under chaos-perturbed telemetry).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HealthSnapshot {
     /// Events ingested (all variants).
     pub events_ingested: u64,
@@ -65,7 +63,7 @@ pub struct HealthSnapshot {
 
 /// Fleet-level health: per-instance snapshots (instance-id order) plus
 /// exact totals.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetHealth {
     pub instances: Vec<HealthSnapshot>,
     pub events_total: u64,
@@ -106,7 +104,7 @@ impl FleetHealth {
 /// as folding every snapshot directly. `watermark_min` tracks the
 /// *laggiest* member (the fleet's effective progress); `max_*` fields are
 /// high-water queue depths.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthRollup {
     /// Snapshots folded in.
     pub instances: u64,
@@ -192,7 +190,7 @@ impl HealthRollup {
 }
 
 /// One region's merged roll-up inside a [`FleetRollup`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionRollup {
     /// Region id (stable, dense, assigned by the fleet's region map).
     pub region: u32,
@@ -203,7 +201,7 @@ pub struct RegionRollup {
 /// aggregate levels: one [`HealthRollup`] per region (sorted by region
 /// id) plus the fleet total. Server-side state is O(regions) no matter
 /// how many instances the agents watch.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetRollup {
     /// Per-region roll-ups, ascending region id, empty regions omitted.
     pub regions: Vec<RegionRollup>,
@@ -355,15 +353,11 @@ mod tests {
         let mut merged = FleetRollup::default();
         for chunk in [(0usize, 5usize), (5, 7), (7, 12)] {
             let mut shard = FleetRollup::default();
-            for i in chunk.0..chunk.1 {
-                shard.observe(region_of(i), &snaps[i]);
+            for (i, snap) in snaps.iter().enumerate().take(chunk.1).skip(chunk.0) {
+                shard.observe(region_of(i), snap);
             }
             merged.merge(&shard);
         }
         assert_eq!(merged, whole, "shard-grouped merge equals direct build");
-
-        // Serde round-trip (the control wire and FleetReport carry these).
-        let json = serde_json::to_string(&whole).unwrap();
-        assert_eq!(serde_json::from_str::<FleetRollup>(&json).unwrap(), whole);
     }
 }

@@ -6,13 +6,11 @@
 //! is an elementwise sum — associative and commutative — so per-shard and
 //! per-thread histograms roll up into fleet totals exactly, in any order.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of buckets: 0, then one per power of two up to `2^62`+.
 pub const N_BUCKETS: usize = 64;
 
 /// A mergeable latency histogram with exact count / sum / max side-stats.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     /// Occupancy per log2 bucket (see module docs for the edges).
     buckets: Vec<u64>,

@@ -4,7 +4,6 @@
 //! [`PinSqlDelta`]).
 
 use pinsql_timeseries::CutKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Monotone version of a pushed configuration.
@@ -14,9 +13,7 @@ use std::fmt;
 /// they are running, so a delayed or replayed frame can never roll a
 /// fleet back to stale settings. Epoch 0 is the cold-start configuration
 /// (nothing has been pushed yet).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ConfigEpoch(pub u64);
 
 impl ConfigEpoch {
@@ -42,7 +39,7 @@ impl fmt::Display for ConfigEpoch {
 /// reporting thresholds, cluster budgets, diagnosis parallelism); the
 /// structural switches (estimator variant, ablations) stay cold-start
 /// settings.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PinSqlDelta {
     /// Clustering correlation threshold `τ`.
     pub tau: Option<f64>,
@@ -95,7 +92,7 @@ impl PinSqlDelta {
 
 /// Which individual-active-session estimator to use (the Table III
 /// variants).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EstimatorKind {
     /// `Estimate by RT`: per-second total response time, in seconds, as a
     /// session proxy.
@@ -108,7 +105,7 @@ pub enum EstimatorKind {
 
 /// Component toggles for the Fig. 6 ablation study. All `false` = full
 /// PinSQL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Ablation {
     /// Replace the estimated individual active session with the aggregated
     /// response-time metric (PinSQL w/o Estimate Session).
@@ -134,7 +131,7 @@ pub struct Ablation {
 }
 
 /// All tunables, with the defaults of §VIII-A.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PinSqlConfig {
     /// Look-back before the anomaly, seconds (paper: 30 min).
     pub delta_s: i64,
@@ -159,7 +156,6 @@ pub struct PinSqlConfig {
     /// serial. Results are identical for every value — parallelism only
     /// fans out independent (i, j)/template units with a deterministic
     /// merge order.
-    #[serde(default)]
     pub parallelism: usize,
     /// Minimum final R-SQL score for a template to be *reported* as a root
     /// cause (the false-positive guard). The full ranking is always kept
@@ -167,7 +163,6 @@ pub struct PinSqlConfig {
     /// `Diagnosis::reported_rsqls`, so a negative case — where nothing
     /// survives history verification or every candidate correlates weakly —
     /// reports an empty set instead of its least-bad candidate.
-    #[serde(default = "default_rsql_score_min")]
     pub rsql_score_min: f64,
     /// How a window cut assembles the per-template minute trends the
     /// clustering consumes: [`CutKind::Incremental`] (the default) reuses
@@ -175,7 +170,6 @@ pub struct PinSqlConfig {
     /// carries them; [`CutKind::Reference`] always re-derives them from the
     /// raw series. Both produce bit-identical diagnoses — the knob trades
     /// per-cut recompute cost only.
-    #[serde(default)]
     pub cut: CutKind,
     /// Ablation switches (all off for full PinSQL).
     pub ablation: Ablation,
@@ -256,7 +250,7 @@ impl PinSqlConfig {
 /// These are deployment knobs, not diagnosis knobs: any policy yields the
 /// same diagnoses (the equivalence suite pins that); the policy only
 /// trades memory bound against batching efficiency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportPolicy {
     /// Events the sink will buffer per connection before withholding
     /// credits — the hard per-connection memory bound and the total credit
@@ -350,8 +344,6 @@ mod tests {
         assert_eq!(e1, ConfigEpoch(1));
         assert_eq!(e1.to_string(), "epoch 1");
         assert_eq!(ConfigEpoch::default(), e0);
-        let json = serde_json::to_string(&e1).unwrap();
-        assert_eq!(serde_json::from_str::<ConfigEpoch>(&json).unwrap(), e1);
     }
 
     #[test]
@@ -383,9 +375,6 @@ mod tests {
         assert_eq!(cfg.tau_c, base.tau_c);
         assert_eq!(cfg.tukey_k, base.tukey_k);
         assert_eq!(cfg.estimator, base.estimator);
-
-        let json = serde_json::to_string(&delta).unwrap();
-        assert_eq!(serde_json::from_str::<PinSqlDelta>(&json).unwrap(), delta);
     }
 
     #[test]
@@ -399,8 +388,6 @@ mod tests {
             .with_batch_events(2)
             .validate()
             .is_err());
-        let json = serde_json::to_string(&p).unwrap();
-        assert_eq!(serde_json::from_str::<TransportPolicy>(&json).unwrap(), p);
     }
 
     #[test]

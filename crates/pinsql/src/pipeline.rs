@@ -8,11 +8,10 @@ use pinsql_collector::{CaseData, HistoryStore};
 use pinsql_detect::AnomalyWindow;
 use pinsql_obs::{NoopObserver, Observer, Stage};
 use pinsql_sqlkit::SqlId;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// One entry of a ranked template list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankedTemplate {
     /// Index into `case.templates`.
     pub index: usize,
@@ -25,7 +24,7 @@ pub struct RankedTemplate {
 }
 
 /// Wall-clock seconds spent per stage (the Table I `Time` decomposition).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
     pub estimate_s: f64,
     pub hsql_s: f64,
@@ -33,7 +32,6 @@ pub struct StageTimings {
     pub total_s: f64,
     /// Resolved worker-thread count the diagnosis ran with (1 = serial),
     /// so timing rows are attributable to a parallelism level.
-    #[serde(default)]
     pub parallelism: usize,
 }
 

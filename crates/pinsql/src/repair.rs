@@ -20,10 +20,9 @@ use pinsql_obs::{Observer, Stage};
 use pinsql_sqlkit::SqlId;
 use pinsql_timeseries::tukey_fences;
 use pinsql_workload::{CostProfile, SpecId, Workload};
-use serde::{Deserialize, Serialize};
 
 /// An executable repair action.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RepairAction {
     /// Rate-limit the template to `rate_fraction` of its traffic for
     /// `duration_s`; `kill` also terminates running statements.
@@ -35,7 +34,7 @@ pub enum RepairAction {
 }
 
 /// Template-level condition gating a rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TemplateCondition {
     /// Always applies.
     Any,
@@ -49,7 +48,7 @@ pub enum TemplateCondition {
 }
 
 /// One configuration rule.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RepairRule {
     /// Anomaly type this rule reacts to (`"*"` matches all).
     pub anomaly_type: String,
@@ -60,7 +59,7 @@ pub struct RepairRule {
 }
 
 /// The rule table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RepairConfig {
     pub rules: Vec<RepairRule>,
     /// How many top R-SQLs each rule considers.
@@ -112,7 +111,7 @@ impl Default for RepairConfig {
 }
 
 /// A suggested (possibly auto-executed) action on a template.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuggestedAction {
     pub template: SqlId,
     pub label: String,

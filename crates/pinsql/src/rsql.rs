@@ -84,7 +84,7 @@ pub fn identify_rsqls(
     // into ONE `NormalizedMatrix` handed to the graph build, instead of
     // re-collecting slice refs inside every clustering call.
     let cut = (cfg.cut == CutKind::Incremental)
-        .then(|| case.cut.as_deref())
+        .then_some(case.cut.as_deref())
         .flatten()
         .filter(|c| c.minute_rows.len() == n);
     let tpl_minutes: Vec<Vec<f64>> = match cut {
@@ -224,7 +224,7 @@ fn verify_history(
     let total_min = per_min.len() as i64;
     let am_lo = ((window.anomaly_start - window.ts()) / 60).clamp(0, total_min);
     let am_hi = ((window.anomaly_end - window.ts() + 59) / 60).clamp(am_lo, total_min);
-    let (baseline, anomaly) = split_window(&per_min, am_lo as usize, am_hi as usize);
+    let (baseline, anomaly) = split_window(per_min, am_lo as usize, am_hi as usize);
     if !upper_outlier(&baseline, &anomaly, cfg.tukey_k) {
         return false; // rule (i) failed: no abrupt rise now
     }

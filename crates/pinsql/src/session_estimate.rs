@@ -213,6 +213,10 @@ struct Clipped {
 
 impl Grid {
     /// Clips a record to the window; `None` when it contributes nothing.
+    #[allow(
+        clippy::neg_cmp_op_on_partial_ord,
+        reason = "`!(x > y)` is deliberate: it is also true when either side is NaN"
+    )]
     #[inline]
     fn clip(&self, rec: &QueryRecord) -> Option<Clipped> {
         let (ts_ms, n) = (self.ts_ms, self.n);

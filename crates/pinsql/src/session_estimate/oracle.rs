@@ -90,6 +90,10 @@ pub(super) fn estimate_with_buckets(case: &CaseData, k: usize) -> SessionEstimat
 /// for the per-second selected bucket (pass 2); otherwise for all buckets
 /// (pass 1).
 #[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "`!(x > y)` is deliberate: it is also true when either side is NaN"
+)]
 fn accumulate_query(
     rec: &QueryRecord,
     ts_ms: f64,

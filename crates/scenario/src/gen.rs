@@ -10,12 +10,10 @@ use pinsql_workload::dag::{Api, Call};
 use pinsql_workload::{
     ApiDag, ApiId, CostProfile, SpecId, TableDef, TableId, TemplateSpec, TrafficPattern, Workload,
 };
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
+use pinsql_workload::rng::{RngExt, SeedableRng, StdRng};
 
 /// Scenario sizing and timing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     pub seed: u64,
     /// Number of independent businesses.

@@ -9,10 +9,8 @@
 //! (they are new), which is precisely what rule (ii) checks.
 
 use pinsql_collector::{HistoryStore, TemplateCatalog};
-use pinsql_workload::rng::poisson;
+use pinsql_workload::rng::{poisson, SeedableRng, StdRng};
 use pinsql_workload::Workload;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Synthesizes history for the case window.
 ///

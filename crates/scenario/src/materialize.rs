@@ -19,14 +19,13 @@ use pinsql_detect::{
 };
 use pinsql_dbsim::{interleave, run_open_loop, InstanceMetrics, QueryRecord, TelemetryEvent};
 use pinsql_sqlkit::SqlId;
-use serde::{Deserialize, Serialize};
 
 /// Absolute minute index assigned to every case's window start (arbitrary
 /// but fixed; history addresses are relative to it).
 pub const MINUTES_ORIGIN: i64 = 1_000_000;
 
 /// DBA-style labels for one case.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GroundTruth {
     pub rsqls: Vec<SqlId>,
     pub hsqls: Vec<SqlId>,

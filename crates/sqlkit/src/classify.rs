@@ -6,11 +6,10 @@
 //! control (`ROLLBACK` in Fig. 1) is tracked but never a lock holder.
 
 use crate::lexer::{Token, TokenKind};
-use serde::{Deserialize, Serialize};
 
 /// Sub-kinds of DDL. All of them take an exclusive metadata lock in the
 /// simulator; the repairing module reports them distinctly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DdlKind {
     Create,
     Alter,
@@ -20,7 +19,7 @@ pub enum DdlKind {
 }
 
 /// Coarse statement classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StatementKind {
     Select,
     /// `SELECT … FOR UPDATE` / `LOCK IN SHARE MODE`: a locking read.

@@ -11,10 +11,8 @@
 //! * integer, decimal, and exponent numeric literals, plus `0x…` hex;
 //! * multi-character operators (`<=`, `>=`, `<>`, `!=`, `||`, `:=`).
 
-use serde::{Deserialize, Serialize};
-
 /// The lexical class of a token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TokenKind {
     /// Bare word: keyword, function, or identifier. Case is preserved in the
     /// token text; comparison helpers are case-insensitive.
@@ -34,7 +32,7 @@ pub enum TokenKind {
 }
 
 /// A lexed token: kind plus its (possibly unescaped) text.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Token {
     pub kind: TokenKind,
     pub text: String,

@@ -10,10 +10,9 @@
 //! *full* value list to the single surviving placeholder.
 
 use crate::lexer::{tokenize, Token, TokenKind};
-use serde::{Deserialize, Serialize};
 
 /// One extracted literal value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Literal {
     /// A numeric literal, kept as its source text (no precision loss).
     Number(String),
@@ -36,7 +35,7 @@ impl Literal {
 /// A parameter slot: the literals that one template placeholder stands
 /// for. Scalar positions hold exactly one literal; collapsed lists hold
 /// all of their members.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamSlot {
     pub values: Vec<Literal>,
 }

@@ -9,14 +9,13 @@
 use crate::classify::{classify, StatementKind};
 use crate::lexer::{tokenize, Token, TokenKind};
 use crate::tables::extract_tables;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Unique identifier of a SQL template (the "SQL ID" of Fig. 1).
 ///
 /// Displays as upper-case hex; [`SqlId::short`] yields the 4-hex-digit
 /// abbreviation the paper uses in figures (`E6DC`, `2304`, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SqlId(pub u64);
 
 impl SqlId {
@@ -221,7 +220,7 @@ pub fn fingerprint(sql: &str) -> SqlId {
 
 /// A SQL template: canonical text, fingerprint, statement kind, and the
 /// tables the statement references.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SqlTemplate {
     pub id: SqlId,
     pub text: String,

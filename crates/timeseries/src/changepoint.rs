@@ -15,10 +15,8 @@
 //! streaming detector: a confirmed shift has a significant Pettitt point
 //! inside the candidate segment.
 
-use serde::{Deserialize, Serialize};
-
 /// Result of the Pettitt test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pettitt {
     /// Index of the most likely change point: the last index of the first
     /// segment (`0 ≤ index < N−1`).

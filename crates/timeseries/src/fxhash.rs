@@ -96,8 +96,7 @@ impl Hasher for FxHasher {
     }
 }
 
-/// `BuildHasher` for [`FxHasher`]; `Default` + zero-sized, so it also
-/// satisfies serde's `Deserialize` bound for map types.
+/// `BuildHasher` for [`FxHasher`]; `Default` + zero-sized.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with the deterministic [`FxHasher`].

@@ -29,16 +29,13 @@
 //! two are pinned bit-identical by unit tests below, `kernel_props` at the
 //! workspace root, and the golden-corpus equivalence suites.
 
-use serde::{Deserialize, Serialize};
-
 /// Which statistics implementation the detector layers use.
 ///
 /// Both kinds produce bit-identical output (pinned by the golden corpus
 /// across shards × fanout × kernel); `Reference` exists so the equivalence
 /// suites always have a straight-line scalar formulation to diff against,
 /// and as the escape hatch if a future platform's rounding ever disagrees.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// Allocate-and-sort scalar statistics (the original formulation).
     Reference,
@@ -67,8 +64,7 @@ impl KernelKind {
 /// shared [`crate::NormalizedMatrix::from_series`] normalization.
 /// `Reference` exists as the re-scan formulation the equivalence suites
 /// diff against.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum CutKind {
     /// Rebuild minute trends by re-scanning the window at every cut.
     Reference,
@@ -735,10 +731,6 @@ mod tests {
         assert_eq!(CutKind::default(), CutKind::Incremental);
         assert_eq!(CutKind::Incremental.label(), "incremental");
         assert_eq!(CutKind::Reference.label(), "reference");
-        let json = serde_json::to_string(&CutKind::Incremental).unwrap();
-        assert_eq!(json, "\"incremental\"");
-        let back: CutKind = serde_json::from_str("\"reference\"").unwrap();
-        assert_eq!(back, CutKind::Reference);
     }
 
     #[test]
@@ -746,9 +738,5 @@ mod tests {
         assert_eq!(KernelKind::default(), KernelKind::Fast);
         assert_eq!(KernelKind::Fast.label(), "fast");
         assert_eq!(KernelKind::Reference.label(), "reference");
-        let json = serde_json::to_string(&KernelKind::Reference).unwrap();
-        assert_eq!(json, "\"reference\"");
-        let back: KernelKind = serde_json::from_str("\"fast\"").unwrap();
-        assert_eq!(back, KernelKind::Fast);
     }
 }

@@ -54,8 +54,12 @@ impl NormalizedMatrix {
                 }
                 let norm = norm_sq.sqrt();
                 // A non-finite norm means the source row held NaN/Inf —
-                // degenerate, exactly like zero variance.
-                if norm.is_finite() && norm > f64::EPSILON {
+                // degenerate, exactly like zero variance. So is a constant
+                // row whatever its magnitude: at 1e35 the rounded mean
+                // misses the value by an ulp, and the "deviations" that
+                // leaves dwarf any absolute epsilon.
+                let constant = || s[..row_len].iter().all(|&v| v == s[0]);
+                if norm.is_finite() && norm > f64::EPSILON && !constant() {
                     row.iter_mut().for_each(|v| *v /= norm);
                     valid[i] = true;
                 }

@@ -7,10 +7,8 @@
 //! `[Q1 − k·IQR, Q3 + k·IQR]` are labelled outliers (`k = 1.5` by default,
 //! `k = 3` for "far out" values).
 
-use serde::{Deserialize, Serialize};
-
 /// First, second (median) and third quartiles of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantiles {
     pub q1: f64,
     pub median: f64,
@@ -55,7 +53,7 @@ fn interpolate(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// The Tukey fences for a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TukeyFences {
     pub lower: f64,
     pub upper: f64,

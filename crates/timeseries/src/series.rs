@@ -5,8 +5,6 @@
 //! be addressed either by *index* or by *timestamp*; the conversion is
 //! `(timestamp − start) / interval`.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-interval sequence of `f64` observations.
 ///
 /// Timestamps are expressed in seconds (Unix-epoch style, but any consistent
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(ts.values()[1], 2.0);       // by index
 /// assert_eq!(ts.end(), 103);             // exclusive end timestamp
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     start: i64,
     interval: u32,

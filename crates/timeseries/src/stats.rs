@@ -69,6 +69,10 @@ pub fn covariance(xs: &[f64], ys: &[f64]) -> f64 {
 /// let z = [8.0, 6.0, 4.0, 2.0];
 /// assert!((pearson(&x, &z) + 1.0).abs() < 1e-12);
 /// ```
+#[allow(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "`!(x > y)` is deliberate: it is also true when either side is NaN"
+)]
 pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     let n = xs.len().min(ys.len());
     if n < 2 {
@@ -101,6 +105,10 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 
 /// Weighted mean `m(X; W) = Σ w_i x_i / Σ w_i`; `0.0` when the total weight
 /// is (numerically) zero.
+#[allow(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "`!(x > y)` is deliberate: it is also true when either side is NaN"
+)]
 pub fn weighted_mean(xs: &[f64], ws: &[f64]) -> f64 {
     let n = xs.len().min(ws.len());
     let wsum: f64 = ws[..n].iter().sum();
@@ -112,6 +120,10 @@ pub fn weighted_mean(xs: &[f64], ws: &[f64]) -> f64 {
 
 /// Weighted covariance
 /// `cov(X, Y; W) = Σ w_i (x_i − m(X;W)) (y_i − m(Y;W)) / Σ w_i` (§V).
+#[allow(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "`!(x > y)` is deliberate: it is also true when either side is NaN"
+)]
 pub fn weighted_covariance(xs: &[f64], ys: &[f64], ws: &[f64]) -> f64 {
     let n = xs.len().min(ys.len()).min(ws.len());
     if n < 2 {
@@ -136,6 +148,10 @@ pub fn weighted_covariance(xs: &[f64], ys: &[f64], ws: &[f64]) -> f64 {
 /// This is the trend-level score of §V: with sigmoid window weights the
 /// correlation is dominated by the anomaly period while still drawing some
 /// information from its surroundings. Returns `0.0` for degenerate inputs.
+#[allow(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "`!(x > y)` is deliberate: it is also true when either side is NaN"
+)]
 pub fn weighted_pearson(xs: &[f64], ys: &[f64], ws: &[f64]) -> f64 {
     let cxy = weighted_covariance(xs, ys, ws);
     let cxx = weighted_covariance(xs, xs, ws);
@@ -156,6 +172,10 @@ pub fn weighted_pearson(xs: &[f64], ys: &[f64], ws: &[f64]) -> f64 {
 /// all zeros (there is no scale information to preserve). The range is taken
 /// over finite samples only, and any non-finite sample is mapped to `0.0`, so
 /// a single corrupted value cannot wipe out the scale of the rest.
+#[allow(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "`!(x > y)` is deliberate: it is also true when either side is NaN"
+)]
 pub fn min_max_normalize(xs: &mut [f64]) {
     if xs.is_empty() {
         return;

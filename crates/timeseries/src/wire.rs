@@ -2,7 +2,7 @@
 //!
 //! The fleet engine snapshots live per-instance state (aggregator rings,
 //! detector segments) so instances can be handed between shards or revived
-//! after a crash with *bit-identical* behavior. `serde_json` cannot carry
+//! after a crash with *bit-identical* behavior. JSON cannot carry
 //! that contract — resident state legitimately holds non-finite `f64`s and
 //! JSON round-trips floats through decimal — so snapshots use this
 //! hand-rolled little-endian format instead: every `f64` travels as its raw

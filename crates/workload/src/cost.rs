@@ -7,13 +7,11 @@
 //! is a property of the *statement shape* (an `UPDATE … WHERE pk = ?` locks
 //! one hot slot; an `ALTER TABLE` takes the metadata lock).
 
-use crate::rng::lognormal_with_mean;
+use crate::rng::{lognormal_with_mean, Rng};
 use crate::tables::TableId;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How a statement locks the table it touches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockMode {
     /// No locks beyond a shared metadata lock (plain MVCC reads).
     None,
@@ -46,7 +44,7 @@ impl LockMode {
 }
 
 /// The lock footprint of one statement execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LockFootprint {
     pub table: TableId,
     pub mode: LockMode,
@@ -55,7 +53,7 @@ pub struct LockFootprint {
 }
 
 /// Resource demands of one template execution (averages; samples vary).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostProfile {
     /// Mean CPU service demand per execution, in milliseconds.
     pub cpu_ms: f64,
@@ -175,7 +173,7 @@ impl CostProfile {
 }
 
 /// Concrete resource cost of one execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryCost {
     pub cpu_ms: f64,
     pub io_ms: f64,

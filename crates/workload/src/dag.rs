@@ -7,19 +7,18 @@
 //! PinSQL's clustering step exploits.
 
 use crate::dag::expansion::Expansion;
-use rand::{Rng, RngExt};
-use serde::{Deserialize, Serialize};
+use crate::rng::{Rng, RngExt};
 
 /// Index of an API within [`ApiDag::apis`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ApiId(pub usize);
 
 /// Index of a template spec within [`crate::Workload::specs`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SpecId(pub usize);
 
 /// An edge: call the target `count` times, each with probability `prob`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Call<T> {
     pub target: T,
     /// Loop multiplicity (`FOR` in the paper's Fig. 4 code blocks).
@@ -51,7 +50,7 @@ impl<T> Call<T> {
 }
 
 /// One microservice API: the templates it issues and the APIs it calls.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Api {
     pub name: String,
     pub queries: Vec<Call<SpecId>>,
@@ -78,7 +77,7 @@ impl Api {
 }
 
 /// The call graph. Must be acyclic; [`ApiDag::validate`] checks.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ApiDag {
     pub apis: Vec<Api>,
 }

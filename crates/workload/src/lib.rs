@@ -36,10 +36,8 @@ pub use summary::{TemplateDemand, WorkloadSummary};
 pub use tables::{TableDef, TableId};
 pub use traffic::{EventShape, RateEvent, TrafficPattern};
 
-use serde::{Deserialize, Serialize};
-
 /// A complete workload: the inputs the database simulator needs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Workload {
     /// Logical tables; [`TableId`] indexes into this.
     pub tables: Vec<TableDef>,

@@ -2,12 +2,11 @@
 
 use crate::cost::CostProfile;
 use pinsql_sqlkit::SqlTemplate;
-use serde::{Deserialize, Serialize};
 
 /// A SQL template as the workload generator knows it: the (already
 /// normalized) statement, its cost profile, and a label naming the business
 /// intent (used in reports and ground-truth bookkeeping).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TemplateSpec {
     /// The parsed template (id, canonical text, kind, tables).
     pub template: SqlTemplate,

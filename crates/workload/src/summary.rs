@@ -10,10 +10,9 @@
 use crate::dag::SpecId;
 use crate::tables::TableId;
 use crate::Workload;
-use serde::{Deserialize, Serialize};
 
 /// Per-template expected demand at a point in time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TemplateDemand {
     pub spec: SpecId,
     pub label: String,
@@ -28,7 +27,7 @@ pub struct TemplateDemand {
 }
 
 /// A whole-workload snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSummary {
     /// Evaluation instant (seconds).
     pub at: i64,

@@ -4,14 +4,12 @@
 //! geometry*: how many rows exist, how many of them are "hot" (fought over
 //! by concurrent writers), and a human-readable name for generated SQL.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a table within [`crate::Workload::tables`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableId(pub usize);
 
 /// A logical table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableDef {
     pub name: String,
     /// Total row count (drives full-scan examined-rows costs).

@@ -5,11 +5,10 @@
 //! by [`RateEvent`]s — the instrument used to inject the paper's
 //! category-1 anomalies (business scenario change / QPS sudden increase).
 
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+use crate::rng::Rng;
 
 /// The time shape of a rate event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventShape {
     /// Full multiplier over the whole window (a level shift while active).
     Step,
@@ -20,7 +19,7 @@ pub enum EventShape {
 }
 
 /// A multiplicative rate modifier over `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateEvent {
     pub start: i64,
     pub end: i64,
@@ -49,7 +48,7 @@ impl RateEvent {
 }
 
 /// A root API's arrival-rate pattern (invocations per second).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficPattern {
     /// Base invocations per second.
     pub base_rate: f64,

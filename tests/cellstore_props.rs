@@ -13,7 +13,7 @@ use pinsql_scenario::{
     generate_base, inject, simulate_telemetry, AnomalyKind, PerturbConfig, ScenarioConfig,
 };
 use pinsql_workload::{CostProfile, SpecId, TableId, TemplateSpec};
-use proptest::prelude::*;
+use pinsql_workload::rng::{rng_from_seed, RngExt};
 
 fn specs(n: usize) -> Vec<TemplateSpec> {
     (0..n)
@@ -27,18 +27,19 @@ fn specs(n: usize) -> Vec<TemplateSpec> {
         .collect()
 }
 
-fn assert_case_eq(a: &CaseData, b: &CaseData) {
-    assert_eq!(a.ts, b.ts);
-    assert_eq!(a.te, b.te);
-    assert_eq!(a.records, b.records);
-    assert_eq!(a.templates.len(), b.templates.len());
+/// `ctx` names the seed of the failing case.
+fn assert_case_eq(a: &CaseData, b: &CaseData, ctx: &str) {
+    assert_eq!(a.ts, b.ts, "{ctx}");
+    assert_eq!(a.te, b.te, "{ctx}");
+    assert_eq!(a.records, b.records, "{ctx}");
+    assert_eq!(a.templates.len(), b.templates.len(), "{ctx}");
     for (x, y) in a.templates.iter().zip(&b.templates) {
-        assert_eq!(x.id, y.id);
-        assert_eq!(x.record_idx, y.record_idx);
-        assert_eq!(x.series.start, y.series.start);
-        assert_eq!(x.series.execution_count, y.series.execution_count);
-        assert_eq!(x.series.total_rt_ms, y.series.total_rt_ms);
-        assert_eq!(x.series.examined_rows, y.series.examined_rows);
+        assert_eq!(x.id, y.id, "{ctx}");
+        assert_eq!(x.record_idx, y.record_idx, "{ctx}: {:?}", x.id);
+        assert_eq!(x.series.start, y.series.start, "{ctx}: {:?}", x.id);
+        assert_eq!(x.series.execution_count, y.series.execution_count, "{ctx}: {:?}", x.id);
+        assert_eq!(x.series.total_rt_ms, y.series.total_rt_ms, "{ctx}: {:?}", x.id);
+        assert_eq!(x.series.examined_rows, y.series.examined_rows, "{ctx}: {:?}", x.id);
     }
 }
 
@@ -47,61 +48,62 @@ fn assert_aggs_agree(
     hashed: &mut IncrementalAggregator,
     ts: i64,
     te: i64,
+    ctx: &str,
 ) {
     let sd = dense.stats();
     let sh = hashed.stats();
-    assert_eq!(sd.events, sh.events);
-    assert_eq!(sd.queries, sh.queries);
-    assert_eq!(sd.malformed, sh.malformed);
-    assert_eq!(sd.late, sh.late);
-    assert_eq!(dense.watermark(), hashed.watermark());
-    assert_case_eq(&dense.snapshot(ts, te), &hashed.snapshot(ts, te));
+    assert_eq!(
+        (sd.events, sd.queries, sd.malformed, sd.late),
+        (sh.events, sh.queries, sh.malformed, sh.late),
+        "{ctx}: ingest counters"
+    );
+    assert_eq!(dense.watermark(), hashed.watermark(), "{ctx}");
+    assert_case_eq(&dense.snapshot(ts, te), &hashed.snapshot(ts, te), ctx);
     for s in ts..te {
         for spec_idx in 0..dense.catalog().n_slots() {
             let id = dense.catalog().id_of_slot(spec_idx as u32);
-            assert_eq!(dense.executions(id, s), hashed.executions(id, s), "id {id:?} s={s}");
+            assert_eq!(dense.executions(id, s), hashed.executions(id, s), "{ctx}: id {id:?} s={s}");
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Random event streams — arrivals in any order (including seconds
-    /// before the ring start), corrupted records, interleaved ticks and
-    /// metric samples — fold identically through both stores, via both the
-    /// scalar and the chunked entry points.
-    #[test]
-    fn stores_agree_on_random_streams(
-        raw in prop::collection::vec(
-            // (spec, arrival second, sub-second ms, response, rows, corrupt)
-            (0usize..6, -3i64..90, 0.0f64..1000.0, 0.1f64..500.0, 0u64..100, 0u8..20),
-            1..250,
-        ),
-        tick_every in 1usize..40,
-    ) {
+/// Random event streams — arrivals in any order (including seconds
+/// before the ring start), corrupted records, interleaved ticks and
+/// metric samples — fold identically through both stores, via both the
+/// scalar and the chunked entry points. 256 seeded streams.
+#[test]
+fn stores_agree_on_random_streams() {
+    for seed in 0..256u64 {
+        let ctx = format!("seed {seed}");
+        let mut rng = rng_from_seed(seed);
+        let n = rng.random_range(1..250usize);
+        let tick_every = rng.random_range(1..40usize);
         let specs = specs(6);
         let mut events: Vec<TelemetryEvent> = Vec::new();
-        for (i, &(spec, sec, sub_ms, rt, rows, corrupt)) in raw.iter().enumerate() {
+        let mut max_sec = i64::MIN;
+        for i in 0..n {
+            let sec = rng.random_range(0..93u64) as i64 - 3;
+            let start_ms = sec as f64 * 1000.0 + rng.random_range(0.0..1000.0);
+            let rt = rng.random_range(0.1..500.0);
             // A small fraction of records carry non-finite fields and must
             // be dropped identically by every path.
-            let (start_ms, response_ms) = match corrupt {
+            let (start_ms, response_ms) = match rng.random_range(0..20u32) {
                 0 => (f64::NAN, rt),
-                1 => (sec as f64 * 1000.0 + sub_ms, f64::INFINITY),
-                _ => (sec as f64 * 1000.0 + sub_ms, rt),
+                1 => (start_ms, f64::INFINITY),
+                _ => (start_ms, rt),
             };
             events.push(TelemetryEvent::Query(QueryRecord {
-                spec: SpecId(spec),
+                spec: SpecId(rng.random_range(0..6usize)),
                 start_ms,
                 response_ms,
-                examined_rows: rows,
+                examined_rows: rng.random_range(0..100u64),
             }));
+            max_sec = max_sec.max(sec);
             if i % tick_every == tick_every - 1 {
                 // Ticks from the maximum arrival so far keep the watermark
                 // monotone while arrivals stay out of order.
-                let hi = raw[..=i].iter().map(|r| r.1).max().unwrap_or(0);
                 events.push(TelemetryEvent::Metrics(Box::new(MetricsSample {
-                    second: hi.max(0),
+                    second: max_sec.max(0),
                     active_session: 1.0,
                     ..Default::default()
                 })));
@@ -117,18 +119,18 @@ proptest! {
             dense.ingest(ev.clone());
             hashed.ingest(ev);
         }
-        assert_aggs_agree(&mut dense, &mut hashed, -3, 91);
+        assert_aggs_agree(&mut dense, &mut hashed, -3, 91, &ctx);
 
         // The chunked drain path over the same stream, both stores.
         let mut dense_chunked = mk(CellStoreKind::Dense);
         let mut hashed_chunked = mk(CellStoreKind::Hashed);
         let mut buf = events.clone();
         dense_chunked.ingest_drain(&mut buf);
-        prop_assert!(buf.is_empty());
+        assert!(buf.is_empty(), "{ctx}");
         buf = events;
         hashed_chunked.ingest_drain(&mut buf);
-        assert_aggs_agree(&mut dense_chunked, &mut hashed_chunked, -3, 91);
-        assert_case_eq(&dense.snapshot(-3, 91), &dense_chunked.snapshot(-3, 91));
+        assert_aggs_agree(&mut dense_chunked, &mut hashed_chunked, -3, 91, &ctx);
+        assert_case_eq(&dense.snapshot(-3, 91), &dense_chunked.snapshot(-3, 91), &ctx);
     }
 }
 
@@ -173,6 +175,7 @@ fn stores_agree_on_perturbed_telemetry() {
             dense.ingest(TelemetryEvent::Metrics(Box::new(sample.clone())));
             hashed.ingest(TelemetryEvent::Metrics(Box::new(sample)));
         }
-        assert_aggs_agree(&mut dense, &mut hashed, 0, scenario.cfg.window_s);
+        let ctx = format!("seed {seed}");
+        assert_aggs_agree(&mut dense, &mut hashed, 0, scenario.cfg.window_s, &ctx);
     }
 }

@@ -1,5 +1,4 @@
-//! Shared fixtures for the golden-corpus suites, std-only so every suite
-//! that uses them runs under `cargo test --offline`: the manifest (a const
+//! Shared fixtures for the golden-corpus suites: the manifest (a const
 //! table), the rank-relevant `Snapshot` view of a diagnosis, the batch
 //! pipeline that produces it, and the axes of the equivalence matrix
 //! (`tests/equivalence.rs` holds the execution paths). `golden_corpus.rs`
@@ -11,10 +10,13 @@
 use pinsql::{Diagnosis, PinSql, PinSqlConfig};
 use pinsql_detect::{CutKind, KernelKind};
 use pinsql_engine::FleetConfig;
+use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
+use pinsql_json::Json;
 use pinsql_scenario::{
     generate_base, inject, materialize, AnomalyKind, LabeledCase, Scenario, ScenarioConfig,
 };
-use serde::Serialize;
+use pinsql_workload::rng::{RngExt, StdRng};
+use pinsql_workload::SpecId;
 use std::path::{Path, PathBuf};
 
 /// Collection look-back used for every golden case.
@@ -52,7 +54,7 @@ pub const MANIFEST: [ManifestEntry; 16] = [
 ];
 
 /// The rank-relevant, timing-free view of one diagnosed case.
-#[derive(Debug, PartialEq, Serialize)]
+#[derive(Debug, PartialEq)]
 pub struct Snapshot {
     pub name: String,
     pub kind: String,
@@ -73,6 +75,46 @@ pub struct Snapshot {
     pub top_hsqls: Vec<(u64, String, String)>,
 }
 
+impl Snapshot {
+    /// The document `golden_corpus.rs` pins to disk. Template ids are
+    /// 64-bit fingerprints, more than a JSON number carries exactly, so
+    /// they are written like the scores: as 16 hex digits.
+    pub fn to_json(&self) -> Json {
+        let num = |n: i64| Json::Num(n as f64);
+        let hex = |id: &u64| Json::str(format!("{id:016x}"));
+        let ids = |ids: &[u64]| Json::Arr(ids.iter().map(hex).collect());
+        let ranked = |list: &[(u64, String, String)]| {
+            Json::Arr(
+                list.iter()
+                    .map(|(id, label, score_bits)| {
+                        Json::obj([
+                            ("id", hex(id)),
+                            ("label", Json::str(label.as_str())),
+                            ("score_bits", Json::str(score_bits.as_str())),
+                        ])
+                    })
+                    .collect(),
+            )
+        };
+        Json::obj([
+            ("name", Json::str(self.name.as_str())),
+            ("kind", Json::str(self.kind.as_str())),
+            ("seed", num(self.seed as i64)),
+            ("detected", Json::Bool(self.detected)),
+            ("anomaly_type", Json::str(self.anomaly_type.as_str())),
+            ("window", Json::Arr(vec![num(self.window.0), num(self.window.1), num(self.window.2)])),
+            ("truth_rsqls", ids(&self.truth_rsqls)),
+            ("truth_hsqls", ids(&self.truth_hsqls)),
+            ("n_clusters", num(self.n_clusters as i64)),
+            ("selected_clusters", num(self.selected_clusters as i64)),
+            ("n_verified", num(self.n_verified as i64)),
+            ("n_reported", num(self.n_reported as i64)),
+            ("top_rsqls", ranked(&self.top_rsqls)),
+            ("top_hsqls", ranked(&self.top_hsqls)),
+        ])
+    }
+}
+
 pub fn top5(list: &[pinsql::RankedTemplate]) -> Vec<(u64, String, String)> {
     list.iter()
         .take(5)
@@ -87,10 +129,9 @@ pub fn kind_of(s: &str) -> AnomalyKind {
         .unwrap_or_else(|| panic!("unknown kind in manifest: {s}"))
 }
 
-/// `tests/golden`, located from this file's own path so it is the same
-/// directory whichever workspace (root or `tests/offline`) compiled the
-/// suite. Read-only fixtures come in through `include_bytes!`; this is
-/// for the suites that bless files onto disk.
+/// `tests/golden`, located from this file's own path. Read-only fixtures
+/// come in through `include_bytes!`; this is for the suite that blesses
+/// files onto disk.
 pub fn golden_dir() -> PathBuf {
     let tests = Path::new(file!()).parent().and_then(Path::parent);
     tests.expect("tests/common/mod.rs has a grandparent").join("golden")
@@ -163,6 +204,63 @@ pub fn batch_snapshot(entry: &ManifestEntry, parallelism: usize) -> (Snapshot, D
 /// invariance is pinned separately by `golden_corpus.rs`.)
 pub fn batch_reference(manifest: &[ManifestEntry]) -> Vec<Snapshot> {
     manifest.iter().map(|entry| batch_snapshot(entry, 1).0).collect()
+}
+
+/// A small positive scenario for the snapshot and cut sweeps: big enough
+/// for real detector activity, small enough for hundreds of round-trips.
+pub fn small_scenario(seed: u64) -> Scenario {
+    let cfg = ScenarioConfig {
+        seed,
+        n_business: 4,
+        n_giants: 1,
+        root_rate: (1.0, 3.0),
+        giant_rate: (6.0, 10.0),
+        window_s: 240,
+        anomaly_start: 120,
+        anomaly_end: 180,
+        cores: 2.0,
+        io_channels: 4.0,
+    };
+    let base = generate_base(&cfg);
+    inject(&base, &cfg, AnomalyKind::BusinessSpike)
+}
+
+/// A random event stream for the same sweeps: up to 200 arrivals in any
+/// order (including seconds before the ring start), three in twenty with
+/// a NaN or infinite field, and every 1–29 records a metrics sample and
+/// a tick at the latest second seen.
+pub fn random_event_stream(rng: &mut StdRng, n_specs: usize) -> Vec<TelemetryEvent> {
+    let n = rng.random_range(1..200usize);
+    let tick_every = rng.random_range(1..30usize);
+    let mut events = Vec::new();
+    let mut max_sec = 0i64;
+    for i in 0..n {
+        let sec = rng.random_range(0..93u64) as i64 - 3;
+        let start_ms = sec as f64 * 1000.0 + rng.random_range(0.0..1000.0);
+        let rt = rng.random_range(0.1..500.0);
+        let (start_ms, response_ms) = match rng.random_range(0..20u32) {
+            0 => (f64::NAN, rt),
+            1 => (start_ms, f64::INFINITY),
+            2 => (f64::NEG_INFINITY, rt),
+            _ => (start_ms, rt),
+        };
+        events.push(TelemetryEvent::Query(QueryRecord {
+            spec: SpecId(rng.random_range(0..6usize) % n_specs),
+            start_ms,
+            response_ms,
+            examined_rows: rng.random_range(0..100u64),
+        }));
+        max_sec = max_sec.max(sec);
+        if i % tick_every == tick_every - 1 {
+            events.push(TelemetryEvent::Metrics(Box::new(MetricsSample {
+                second: max_sec,
+                active_session: 2.0 + (i % 7) as f64,
+                ..Default::default()
+            })));
+            events.push(TelemetryEvent::Tick { second: max_sec + 1 });
+        }
+    }
+    events
 }
 
 /// The observer axis of the matrix.

@@ -1,4 +1,4 @@
-//! Property tests for the incremental window cut.
+//! Property sweeps for the incremental window cut.
 //!
 //! The contract under test: for any ingest stream, an instance running
 //! with [`CutKind::Incremental`] closes its case carrying a
@@ -11,40 +11,23 @@
 //! Streams come from seeded random generators (out-of-order arrivals,
 //! ±inf/NaN records), chaos-perturbed scenario telemetry, constant
 //! workloads, retention-evicting long windows, and mid-window
-//! snapshot/restore splits.
+//! snapshot/restore splits. A failing sweep names its seed.
 
-use pinsql_collector::{CaseData, CellStoreKind, WindowCut};
+use pinsql_collector::{
+    CaseData, CellStoreKind, IncrementalAggregator, IncrementalConfig, WindowCut,
+};
 use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
 use pinsql_detect::CutKind;
 use pinsql_engine::{InstanceSnapshot, OnlineInstance};
-use pinsql_scenario::{
-    generate_base, inject, materialize_events, AnomalyKind, PerturbConfig, Scenario,
-    ScenarioConfig,
-};
+use pinsql_scenario::{materialize_events, PerturbConfig, Scenario};
 use pinsql_timeseries::NormalizedMatrix;
+use pinsql_workload::rng::{rng_from_seed, RngExt};
 use pinsql_workload::SpecId;
-use proptest::prelude::*;
+
+mod common;
+use common::{random_event_stream, small_scenario};
 
 const DELTA_S: i64 = 60;
-
-/// A small positive scenario: big enough for real detector activity,
-/// small enough for hundreds of proptest round-trips.
-fn small_scenario(seed: u64) -> Scenario {
-    let cfg = ScenarioConfig {
-        seed,
-        n_business: 4,
-        n_giants: 1,
-        root_rate: (1.0, 3.0),
-        giant_rate: (6.0, 10.0),
-        window_s: 240,
-        anomaly_start: 120,
-        anomaly_end: 180,
-        cores: 2.0,
-        io_channels: 4.0,
-    };
-    let base = generate_base(&cfg);
-    inject(&base, &cfg, AnomalyKind::BusinessSpike)
-}
 
 /// The cut's rows equal the per-template reference derivation bit for
 /// bit, and normalizing them reproduces `from_series` exactly.
@@ -129,77 +112,42 @@ fn check_stream(scenario: &Scenario, events: &[TelemetryEvent], dense: bool, wha
     assert_case_eq_modulo_cut(&lc.case, &lc_ref.case, what);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Seeded random streams: arrivals in any order (including before the
-    /// ring start), a sprinkle of NaN/∞ records, interleaved metric
-    /// samples and ticks — the running moments always reproduce the
-    /// reference derivation exactly.
-    #[test]
-    fn random_streams_cut_exactly(
-        raw in prop::collection::vec(
-            // (spec, second, sub-ms, response, rows, corrupt)
-            (0usize..6, -3i64..90, 0.0f64..1000.0, 0.1f64..500.0, 0u64..100, 0u8..20),
-            1..200,
-        ),
-        tick_every in 1usize..30,
-        dense in any::<bool>(),
-    ) {
-        let scenario = small_scenario(7);
-        let mut events: Vec<TelemetryEvent> = Vec::new();
-        for (i, &(spec, sec, sub_ms, rt, rows, corrupt)) in raw.iter().enumerate() {
-            let (start_ms, response_ms) = match corrupt {
-                0 => (f64::NAN, rt),
-                1 => (sec as f64 * 1000.0 + sub_ms, f64::INFINITY),
-                2 => (f64::NEG_INFINITY, rt),
-                _ => (sec as f64 * 1000.0 + sub_ms, rt),
-            };
-            events.push(TelemetryEvent::Query(QueryRecord {
-                spec: SpecId(spec % scenario.workload.specs.len()),
-                start_ms,
-                response_ms,
-                examined_rows: rows,
-            }));
-            if i % tick_every == tick_every - 1 {
-                let hi = raw[..=i].iter().map(|r| r.1).max().unwrap_or(0).max(0);
-                events.push(TelemetryEvent::Metrics(Box::new(MetricsSample {
-                    second: hi,
-                    active_session: 2.0 + (i % 7) as f64,
-                    ..Default::default()
-                })));
-                events.push(TelemetryEvent::Tick { second: hi + 1 });
-            }
-        }
-        check_stream(&scenario, &events, dense, "random stream");
+/// Seeded random streams: arrivals in any order (including before the
+/// ring start), a sprinkle of NaN/∞ records, interleaved metric samples
+/// and ticks — the running moments always reproduce the reference
+/// derivation exactly. 256 streams.
+#[test]
+fn random_streams_cut_exactly() {
+    let scenario = small_scenario(7);
+    for seed in 0..256u64 {
+        let mut rng = rng_from_seed(seed);
+        let events = random_event_stream(&mut rng, scenario.workload.specs.len());
+        let dense = rng.random_range(0..2u32) == 1;
+        check_stream(&scenario, &events, dense, &format!("seed {seed}: random stream"));
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Chaos-perturbed real telemetry: dropped/duplicated/jittered/
-    /// reordered records and blanked metric seconds never desynchronize
-    /// the running moments from the raw series.
-    #[test]
-    fn perturbed_streams_cut_exactly(
-        pseed in 0u64..1_000,
-        skew in -50.0f64..50.0,
-        reorder in any::<bool>(),
-        dense in any::<bool>(),
-    ) {
-        let scenario = small_scenario(11);
+/// Chaos-perturbed real telemetry: dropped/duplicated/jittered/
+/// reordered records and blanked metric seconds never desynchronize the
+/// running moments from the raw series. 256 perturbations of one
+/// scenario.
+#[test]
+fn perturbed_streams_cut_exactly() {
+    let scenario = small_scenario(11);
+    for seed in 0..256u64 {
+        let mut rng = rng_from_seed(seed);
         let perturb = PerturbConfig {
-            seed: pseed,
+            seed: rng.random_range(0..1_000u64),
             drop_prob: 0.05,
             duplicate_prob: 0.05,
             jitter_ms: 30.0,
-            clock_skew_ms: skew,
-            reorder,
+            clock_skew_ms: rng.random_range(-50.0..50.0),
+            reorder: rng.random_range(0..2u32) == 1,
             metric_blank_prob: 0.05,
         };
         let events = materialize_events(&scenario, Some(&perturb));
-        check_stream(&scenario, &events, dense, "perturbed stream");
+        let dense = rng.random_range(0..2u32) == 1;
+        check_stream(&scenario, &events, dense, &format!("seed {seed}: perturbed stream"));
     }
 }
 
@@ -234,19 +182,25 @@ fn constant_stream_cut_is_exact_and_degenerate_gate_is_finite() {
 /// A stream that runs far past the retention horizon: early seconds are
 /// evicted from the rings, the eviction counter advances, and the cut at
 /// close still matches the reference derivation over what remains.
+/// (`OnlineInstance` sizes retention to the whole simulated window, so it
+/// never evicts; the aggregator is driven directly, under the 60 s
+/// look-back.)
 #[test]
 fn eviction_past_the_window_stays_exact() {
     let scenario = small_scenario(5);
-    let events = materialize_events(&scenario, None);
-    // window_s 240 with a 60 s look-back: three quarters of the stream
-    // must age out of the rings before the case closes.
-    let mut inst = OnlineInstance::new(&scenario, DELTA_S).with_cut(CutKind::Incremental);
-    inst.ingest_stream(events.clone());
-    let lc = inst.close_case();
-    let cut = assert_cut_is_reference_exact(&lc.case, "evicting stream");
+    let mut agg = IncrementalAggregator::new(
+        &scenario.workload.specs,
+        IncrementalConfig::default().with_retention(DELTA_S).with_cut(CutKind::Incremental),
+    );
+    // 240 s of telemetry: three quarters of the stream age out of the
+    // rings before the window is cut.
+    for ev in materialize_events(&scenario, None) {
+        agg.ingest(ev);
+    }
+    let te = scenario.cfg.window_s;
+    let cut = assert_cut_is_reference_exact(&agg.snapshot(te - DELTA_S, te), "evicting stream");
     assert!(cut.moments_pushed > 0, "long stream must push moments");
-    assert!(cut.moments_evicted > 0, "a 240 s stream under a 60 s look-back must evict");
-    check_stream(&scenario, &events, true, "evicting stream (vs reference)");
+    assert!(cut.moments_evicted > 0, "a 240 s stream under a 60 s retention must evict");
 }
 
 /// Snapshot mid-window, restore through the untrusted byte path, drain

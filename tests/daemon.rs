@@ -3,14 +3,14 @@
 //! `tests/equivalence.rs` pins the reconfigured, restarted daemon against
 //! the batch reference at every matrix point. This suite keeps the
 //! [`FleetReport`] contract on golden scenarios: config epoch, per-region
-//! rollup counts, serde round-trip. (The epoch algebra over real PCTL
+//! rollup counts. (The epoch algebra over real PCTL
 //! frames is an engine unit test,
 //! `daemon::tests::stale_and_replayed_epochs_are_rejected_whole`.)
 
 mod common;
 
 use common::{load_manifest, scenario_for, GOLDEN_DELTA_S};
-use pinsql_engine::{FleetConfig, FleetReport, FleetRun, FleetServer};
+use pinsql_engine::{FleetConfig, FleetRun, FleetServer};
 
 /// Five golden scenarios under two shards and three regions, run to the
 /// end with no pushes.
@@ -41,17 +41,4 @@ fn fleet_report_rollup_counts() {
     let per_region: u64 = report.rollup.regions.iter().map(|r| r.rollup.instances).sum();
     assert_eq!(per_region, report.rollup.total.instances, "regions partition the fleet");
     assert_eq!(report.rollup.total.events_total, report.events_total);
-}
-
-/// The whole report survives a serde round-trip byte-for-byte (the fleet
-/// bench writes it to `results/fleet.json`). Needs the real `serde_json`:
-/// `offline_smoke` skips it by name.
-#[test]
-fn fleet_report_serde_round_trip() {
-    let run = five_instance_run();
-    let json = serde_json::to_string_pretty(&run.report).expect("serialize report");
-    assert!(json.contains("events_per_sec"));
-    let back: FleetReport = serde_json::from_str(&json).expect("deserialize report");
-    let json2 = serde_json::to_string_pretty(&back).expect("re-serialize report");
-    assert_eq!(json, json2, "FleetReport serde round-trip is byte-stable");
 }

@@ -49,12 +49,18 @@ fn mdl_lock_pipeline() {
     assert_eq!(h, Some(1));
 }
 
+/// Ten seeds, asserted on the sweep: row-lock R-SQLs are the hardest
+/// category (`results/breakdown.txt`: H@5 75 %), so one seed is a coin
+/// with a 3-in-4 bias. EXPERIMENTS.md, "Seed-lucky tests".
 #[test]
 fn row_lock_pipeline() {
-    let (r, h, detected) = diagnose(AnomalyKind::RowLock, 9400);
-    assert!(detected, "the row-lock convoy must be detected");
-    assert!(r.is_some_and(|r| r <= 5), "R-SQL within top-5: {r:?}");
-    assert_eq!(h, Some(1));
+    let sweep: Vec<_> = (9400..9410).map(|seed| diagnose(AnomalyKind::RowLock, seed)).collect();
+    let detected = sweep.iter().filter(|c| c.2).count();
+    let r_top5 = sweep.iter().filter(|c| c.0.is_some_and(|r| r <= 5)).count();
+    let h_top1 = sweep.iter().filter(|c| c.1 == Some(1)).count();
+    assert_eq!(detected, 10, "the row-lock convoy must be detected: {sweep:?}");
+    assert!(r_top5 >= 8, "R-SQL within top-5 on {r_top5} of 10 seeds: {sweep:?}");
+    assert_eq!(h_top1, 10, "H-SQL top-1: {sweep:?}");
 }
 
 #[test]

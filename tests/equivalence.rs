@@ -18,12 +18,12 @@
 //! equivalence reshard` runs just those rows): the baseline point over the
 //! full 16-case corpus, then every off-baseline value of every axis (one
 //! axis at a time, plus the all-moved corner) over one case per anomaly
-//! kind. Build optimized — `--release`, or `tests/offline`'s dev profile;
-//! each test prints its wall time under `--nocapture`. Cells run one at
-//! a time (memory, not cores, is what a full-corpus run is short of):
-//! ~7 min for the tier on 2 cores. The full cross-product over the same row
-//! table is `#[ignore]`d:
-//! `cargo test --release --test equivalence -- --ignored`.
+//! kind. The root manifest's dev profile is optimized, so plain `cargo
+//! test` will do; each test prints its wall time under `--nocapture`.
+//! Cells run one at a time (memory, not cores, is what a full-corpus run
+//! is short of): ~8 min for the tier on 2 cores. The full cross-product
+//! over the same row table is `#[ignore]`d:
+//! `cargo test --test equivalence -- --ignored`.
 
 mod common;
 

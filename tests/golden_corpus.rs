@@ -7,8 +7,8 @@
 //! at parallelism 1 and 4 and the two snapshots must be identical — the
 //! determinism contract that keeps golden files meaningful on any machine.
 //!
-//! Missing snapshots are written on first run (self-blessing); set
-//! `PINSQL_BLESS=1` to regenerate all of them after an intentional
+//! A missing snapshot is a failure, like a differing one; set
+//! `PINSQL_BLESS=1` to (re)write all of them after an intentional
 //! behaviour change. See `tests/golden/README.md`.
 //!
 //! The same corpus also pins the online engine: `equivalence.rs` runs
@@ -29,34 +29,32 @@ fn golden_corpus_matches_and_is_parallelism_stable() {
     for entry in &manifest {
         let (serial, d) = batch_snapshot(entry, 1);
         let (parallel, _) = batch_snapshot(entry, 4);
-        let serial_json =
-            serde_json::to_string_pretty(&serial).expect("serialize snapshot");
-        let parallel_json =
-            serde_json::to_string_pretty(&parallel).expect("serialize snapshot");
         assert_eq!(
-            serial_json, parallel_json,
+            serial, parallel,
             "{}: diagnosis differs between parallelism 1 and 4",
             entry.name
         );
+        let serial_json = serial.to_json().render_pretty() + "\n";
         // Sanity independent of the stored snapshot: an injected anomaly
         // produces a non-empty ranking.
         assert!(!d.rsqls.is_empty(), "{}: empty R-SQL ranking", entry.name);
         assert!(!d.hsqls.is_empty(), "{}: empty H-SQL ranking", entry.name);
 
         let path = dir.join(format!("{}.json", entry.name));
-        if bless || !path.exists() {
+        if bless {
             std::fs::write(&path, &serial_json).expect("write golden snapshot");
             continue;
         }
-        let stored = std::fs::read_to_string(&path).expect("read golden snapshot");
-        if stored != serial_json {
+        // A missing file reads as a mismatch: a fresh checkout must not
+        // bless itself.
+        if std::fs::read_to_string(&path).ok().as_deref() != Some(serial_json.as_str()) {
             mismatches.push(entry.name);
         }
     }
     assert!(
         mismatches.is_empty(),
-        "diagnosis drifted from golden snapshots: {mismatches:?} — if the \
-         change is intentional, regenerate with PINSQL_BLESS=1 and review \
-         the diff"
+        "diagnosis drifted from golden snapshots (or the file is missing): \
+         {mismatches:?} — if the change is intentional, regenerate with \
+         PINSQL_BLESS=1 and review the diff"
     );
 }

@@ -193,7 +193,4 @@ fn fleet_health_rollup_matches_instance_truth() {
         // the simulated window.
         assert!(inst.watermark >= scenarios[i].cfg.window_s, "instance {i}");
     }
-    // Roll-up must serialize for the fleet bench artifact.
-    let json = serde_json::to_string(h).unwrap();
-    assert!(json.contains("events_total"));
 }

@@ -64,9 +64,13 @@ fn recorded_golden_case_exports_valid_trace_and_metrics() {
     assert!(opened >= 1, "a golden anomaly case must open");
     assert!(opened - closed <= 1, "opens {opened} vs closes {closed}");
 
-    // The export itself must serialize (the fleet bench writes it).
-    let json = serde_json::to_string(&metrics).expect("metrics serialize");
-    assert!(json.contains("cell_fold"));
+    // The document the fleet bench writes carries the same numbers.
+    let doc = pinsql_json::parse(&metrics.to_json().render()).expect("metrics document parses");
+    let fold = doc.get("stages").and_then(|s| s.get(Stage::CellFold.name())).expect("cell_fold");
+    assert_eq!(
+        fold.get("count").and_then(|c| c.as_f64()),
+        Some(metrics.stages[Stage::CellFold.name()].count as f64)
+    );
 }
 
 #[test]

@@ -129,24 +129,47 @@ fn online_replay_drives_the_same_repair_as_batch() {
     );
 }
 
+/// Ten seeds, asserted on the sweep (EXPERIMENTS.md, "Seed-lucky tests").
+///
+/// The bar used to be `after < 0.5 × before` at seed 75. On this stream
+/// it holds on 2 of 10 seeds, and not because scaling stopped working:
+/// the spike's own traffic keeps ≈ 2.1 sessions in flight at *any* core
+/// count (arrival rate × service time), and the 2-core instance queues
+/// only 1–3 sessions on top of that. So the same factor is asserted on
+/// what cores can remove — the sessions above that floor, measured by a
+/// third run with 64× the cores.
 #[test]
 fn autoscale_relieves_cpu_pressure() {
-    let cfg = ScenarioConfig::default().with_seed(75);
-    let base = generate_base(&cfg);
-    let scenario = inject(&base, &cfg, AnomalyKind::BusinessSpike);
-    let original = run_open_loop(&scenario.workload, &scenario.sim, 0, cfg.window_s);
-    // AutoScale: quadruple the cores (the business wants the traffic).
-    let mut scaled_sim = scenario.sim.clone();
-    scaled_sim.cores *= 4.0;
-    let scaled = run_open_loop(&scenario.workload, &scaled_sim, 0, cfg.window_s);
-    let before = anomaly_mean(&original.metrics.active_session, &cfg);
-    let after = anomaly_mean(&scaled.metrics.active_session, &cfg);
+    let mut sweep = Vec::new();
+    for seed in 75..85 {
+        let cfg = ScenarioConfig::default().with_seed(seed);
+        let base = generate_base(&cfg);
+        let scenario = inject(&base, &cfg, AnomalyKind::BusinessSpike);
+        let run_with_cores = |factor: f64| {
+            let mut sim = scenario.sim.clone();
+            sim.cores *= factor;
+            run_open_loop(&scenario.workload, &sim, 0, cfg.window_s)
+        };
+        let original = run_with_cores(1.0);
+        // AutoScale: quadruple the cores (the business wants the traffic).
+        let scaled = run_with_cores(4.0);
+        let unqueued = run_with_cores(64.0);
+        let before = anomaly_mean(&original.metrics.active_session, &cfg);
+        let after = anomaly_mean(&scaled.metrics.active_session, &cfg);
+        let floor = anomaly_mean(&unqueued.metrics.active_session, &cfg);
+        // And throughput goes up, not down.
+        let qps_before: f64 = original.metrics.qps.iter().sum();
+        let qps_after: f64 = scaled.metrics.qps.iter().sum();
+        assert!(qps_after >= qps_before * 0.95, "seed {seed}: {qps_before} -> {qps_after}");
+        sweep.push((seed, before, after, floor));
+    }
+    let absorbed = sweep
+        .iter()
+        .filter(|(_, before, after, floor)| after - floor < (before - floor) * 0.5)
+        .count();
     assert!(
-        after < before * 0.5,
-        "scaling out must absorb the legitimate spike: {before:.1} -> {after:.1}"
+        absorbed >= 8,
+        "scaling out must absorb the queueing of the legitimate spike, did on {absorbed} of 10 \
+         seeds: (seed, before, after, floor) {sweep:.2?}"
     );
-    // And throughput goes up, not down.
-    let qps_before: f64 = original.metrics.qps.iter().sum();
-    let qps_after: f64 = scaled.metrics.qps.iter().sum();
-    assert!(qps_after >= qps_before * 0.95);
 }

@@ -1,4 +1,4 @@
-//! Property tests for instance snapshot/restore.
+//! Property sweeps for instance snapshot/restore.
 //!
 //! The contract under test: for any stream prefix `s`,
 //! `restore(snapshot(s))` then draining the tail is indistinguishable —
@@ -7,39 +7,21 @@
 //! generators: seeded random events (out-of-order arrivals, corrupt
 //! records, interleaved metrics), chaos-perturbed real scenario
 //! telemetry, and a deterministic short stream snapshotted at **every**
-//! position.
+//! position. The random generators are seeded sweeps; a failure names
+//! the seed.
 
 use pinsql_collector::{CaseData, CellStoreKind};
 use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
 use pinsql_detect::KernelKind;
 use pinsql_engine::{InstanceSnapshot, OnlineInstance};
-use pinsql_scenario::{
-    generate_base, inject, materialize_events, AnomalyKind, LabeledCase, PerturbConfig, Scenario,
-    ScenarioConfig,
-};
+use pinsql_scenario::{materialize_events, LabeledCase, PerturbConfig, Scenario};
+use pinsql_workload::rng::{rng_from_seed, RngExt};
 use pinsql_workload::SpecId;
-use proptest::prelude::*;
+
+mod common;
+use common::{random_event_stream, small_scenario};
 
 const DELTA_S: i64 = 60;
-
-/// A small positive scenario: big enough for real detector activity,
-/// small enough for hundreds of proptest round-trips.
-fn small_scenario(seed: u64) -> Scenario {
-    let cfg = ScenarioConfig {
-        seed,
-        n_business: 4,
-        n_giants: 1,
-        root_rate: (1.0, 3.0),
-        giant_rate: (6.0, 10.0),
-        window_s: 240,
-        anomaly_start: 120,
-        anomaly_end: 180,
-        cores: 2.0,
-        io_channels: 4.0,
-    };
-    let base = generate_base(&cfg);
-    inject(&base, &cfg, AnomalyKind::BusinessSpike)
-}
 
 fn assert_case_eq(a: &CaseData, b: &CaseData, what: &str) {
     assert_eq!(a.ts, b.ts, "{what}: ts");
@@ -78,6 +60,7 @@ fn round_trip_at(
     split: usize,
     kernel: KernelKind,
     cells: CellStoreKind,
+    ctx: &str,
 ) {
     let mk = || OnlineInstance::new(scenario, DELTA_S).with_kernel(kernel).with_cell_store(cells);
 
@@ -87,110 +70,81 @@ fn round_trip_at(
     let mut live = mk();
     live.ingest_stream(events[..split].to_vec());
     let snap = live.snapshot();
-    assert_eq!(snap.kernel(), kernel);
-    assert_eq!(snap.cellstore_kind(), cells);
-    let wrapped = InstanceSnapshot::from_bytes(snap.into_bytes()).expect("own bytes revalidate");
-    let mut restored = OnlineInstance::restore(scenario, &wrapped).expect("own snapshot restores");
+    assert_eq!((snap.kernel(), snap.cellstore_kind()), (kernel, cells), "{ctx}: header tags");
+    let wrapped = InstanceSnapshot::from_bytes(snap.into_bytes())
+        .unwrap_or_else(|e| panic!("{ctx}: own bytes must revalidate: {e:?}"));
+    let mut restored = OnlineInstance::restore(scenario, &wrapped)
+        .unwrap_or_else(|e| panic!("{ctx}: own snapshot must restore: {e:?}"));
 
-    assert_eq!(restored.events_ingested(), live.events_ingested());
-    assert_eq!(restored.health_snapshot(), live.health_snapshot(), "health after restore");
+    assert_eq!(restored.events_ingested(), live.events_ingested(), "{ctx}");
+    assert_eq!(restored.health_snapshot(), live.health_snapshot(), "{ctx}: health after restore");
     if cells == CellStoreKind::Dense {
         // The dense store serializes in slot order, so re-serializing the
         // restored state is byte-idempotent. (The hashed store is
         // behaviorally exact but not byte-stable across map iteration.)
-        assert_eq!(restored.snapshot().as_bytes(), wrapped.as_bytes(), "byte idempotence");
+        assert_eq!(restored.snapshot().as_bytes(), wrapped.as_bytes(), "{ctx}: byte idempotence");
     }
 
     live.ingest_stream(events[split..].to_vec());
     restored.ingest_stream(events[split..].to_vec());
-    assert_eq!(restored.health_snapshot(), live.health_snapshot(), "health after drain");
-    assert_eq!(baseline.health_snapshot(), live.health_snapshot(), "health vs baseline");
+    assert_eq!(restored.health_snapshot(), live.health_snapshot(), "{ctx}: health after drain");
+    assert_eq!(baseline.health_snapshot(), live.health_snapshot(), "{ctx}: health vs baseline");
 
     let lc_base = baseline.close_case();
     let lc_live = live.close_case();
     let lc_restored = restored.close_case();
-    assert_lc_eq(&lc_live, &lc_base, "snapshotted-and-continued vs never-snapshotted");
-    assert_lc_eq(&lc_restored, &lc_base, "restored vs never-snapshotted");
+    assert_lc_eq(&lc_live, &lc_base, &format!("{ctx}: continued vs never-snapshotted"));
+    assert_lc_eq(&lc_restored, &lc_base, &format!("{ctx}: restored vs never-snapshotted"));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Seeded random streams: arrivals in any order (including before the
-    /// ring start), a sprinkle of non-finite records, interleaved metric
-    /// samples and ticks — snapshot at a random position always
-    /// round-trips exactly.
-    #[test]
-    fn random_streams_round_trip(
-        raw in prop::collection::vec(
-            // (spec, second, sub-ms, response, rows, corrupt)
-            (0usize..6, -3i64..90, 0.0f64..1000.0, 0.1f64..500.0, 0u64..100, 0u8..20),
-            1..200,
-        ),
-        tick_every in 1usize..30,
-        split_bias in 0.0f64..1.0,
-        fast_kernel in any::<bool>(),
-        dense in any::<bool>(),
-    ) {
-        let scenario = small_scenario(7);
-        let mut events: Vec<TelemetryEvent> = Vec::new();
-        for (i, &(spec, sec, sub_ms, rt, rows, corrupt)) in raw.iter().enumerate() {
-            let (start_ms, response_ms) = match corrupt {
-                0 => (f64::NAN, rt),
-                1 => (sec as f64 * 1000.0 + sub_ms, f64::INFINITY),
-                _ => (sec as f64 * 1000.0 + sub_ms, rt),
-            };
-            events.push(TelemetryEvent::Query(QueryRecord {
-                spec: SpecId(spec % scenario.workload.specs.len()),
-                start_ms,
-                response_ms,
-                examined_rows: rows,
-            }));
-            if i % tick_every == tick_every - 1 {
-                let hi = raw[..=i].iter().map(|r| r.1).max().unwrap_or(0).max(0);
-                events.push(TelemetryEvent::Metrics(Box::new(MetricsSample {
-                    second: hi,
-                    active_session: 2.0 + (i % 7) as f64,
-                    ..Default::default()
-                })));
-                events.push(TelemetryEvent::Tick { second: hi + 1 });
-            }
-        }
-        let split = ((events.len() as f64) * split_bias) as usize;
-        let kernel = if fast_kernel { KernelKind::Fast } else { KernelKind::Reference };
-        let cells = if dense { CellStoreKind::Dense } else { CellStoreKind::Hashed };
-        round_trip_at(&scenario, &events, split.min(events.len()), kernel, cells);
+/// Seeded random streams: arrivals in any order (including before the
+/// ring start), a sprinkle of non-finite records, interleaved metric
+/// samples and ticks — snapshot at a random position always round-trips
+/// exactly. 256 streams.
+#[test]
+fn random_streams_round_trip() {
+    let scenario = small_scenario(7);
+    for seed in 0..256u64 {
+        let mut rng = rng_from_seed(seed);
+        let events = random_event_stream(&mut rng, scenario.workload.specs.len());
+        let split = ((events.len() as f64) * rng.random_range(0.0..1.0)) as usize;
+        let kernel =
+            if rng.random_range(0..2u32) == 1 { KernelKind::Fast } else { KernelKind::Reference };
+        let cells = if rng.random_range(0..2u32) == 1 {
+            CellStoreKind::Dense
+        } else {
+            CellStoreKind::Hashed
+        };
+        round_trip_at(&scenario, &events, split, kernel, cells, &format!("seed {seed}"));
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Chaos-perturbed real telemetry: dropped/duplicated/jittered/
-    /// reordered records and blanked metric seconds. Whatever the
-    /// degradation, a mid-stream snapshot round-trips exactly.
-    #[test]
-    fn perturbed_streams_round_trip(
-        pseed in 0u64..1_000,
-        skew in -50.0f64..50.0,
-        reorder in any::<bool>(),
-        split_bias in 0.0f64..1.0,
-        dense in any::<bool>(),
-    ) {
-        let scenario = small_scenario(11);
+/// Chaos-perturbed real telemetry: dropped/duplicated/jittered/
+/// reordered records and blanked metric seconds. Whatever the
+/// degradation, a mid-stream snapshot round-trips exactly. 256
+/// perturbations of one scenario.
+#[test]
+fn perturbed_streams_round_trip() {
+    let scenario = small_scenario(11);
+    for seed in 0..256u64 {
+        let mut rng = rng_from_seed(seed);
         let perturb = PerturbConfig {
-            seed: pseed,
+            seed: rng.random_range(0..1_000u64),
             drop_prob: 0.05,
             duplicate_prob: 0.05,
             jitter_ms: 30.0,
-            clock_skew_ms: skew,
-            reorder,
+            clock_skew_ms: rng.random_range(-50.0..50.0),
+            reorder: rng.random_range(0..2u32) == 1,
             metric_blank_prob: 0.05,
         };
         let events = materialize_events(&scenario, Some(&perturb));
-        let split = ((events.len() as f64) * split_bias) as usize;
-        let cells = if dense { CellStoreKind::Dense } else { CellStoreKind::Hashed };
-        round_trip_at(&scenario, &events, split.min(events.len()), KernelKind::Fast, cells);
+        let split = ((events.len() as f64) * rng.random_range(0.0..1.0)) as usize;
+        let cells = if rng.random_range(0..2u32) == 1 {
+            CellStoreKind::Dense
+        } else {
+            CellStoreKind::Hashed
+        };
+        round_trip_at(&scenario, &events, split, KernelKind::Fast, cells, &format!("seed {seed}"));
     }
 }
 
