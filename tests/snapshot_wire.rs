@@ -1,8 +1,9 @@
 //! Wire-format hardening for instance snapshots.
 //!
-//! A golden snapshot blob lives at `tests/golden/instance_snapshot.bin`
-//! once blessed (`PINSQL_BLESS=1` writes it, and again after an
-//! intentional format change). The blob holds a seeded scenario's state,
+//! A golden snapshot blob is committed at
+//! `tests/golden/instance_snapshot.bin` (`PINSQL_BLESS=1` rewrites it
+//! after an intentional format change; a missing file fails the suite).
+//! The blob holds a seeded scenario's state,
 //! so it is a function of the PRNG stream: bless it under the build whose
 //! stream is meant to be pinned, never as a side effect of a test run.
 //! Against it this suite pins:
@@ -63,13 +64,19 @@ fn golden_blob_is_byte_stable_and_restores() {
     if std::env::var_os("PINSQL_BLESS").is_some() {
         std::fs::write(&path, snap.as_bytes()).expect("write golden snapshot blob");
     }
-    // Not blessed yet: only the round trip below is pinned.
-    let committed = std::fs::read(&path).unwrap_or_else(|_| snap.as_bytes().to_vec());
-    assert_eq!(
-        committed,
-        snap.as_bytes(),
-        "snapshot wire bytes changed; if intentional, bump SNAPSHOT_VERSION and \
-         regenerate with PINSQL_BLESS=1"
+    // A missing blob fails like a differing one: a fresh checkout must
+    // not compare the encoder with itself.
+    let committed = std::fs::read(&path).unwrap_or_else(|e| {
+        panic!("{}: {e}; bless it with PINSQL_BLESS=1 under the build to pin", path.display())
+    });
+    // Not `assert_eq!`: a failure would print both 800 KB blobs.
+    let diverge = committed.iter().zip(snap.as_bytes()).position(|(a, b)| a != b);
+    assert!(
+        committed == snap.as_bytes(),
+        "snapshot wire bytes changed (committed {} bytes, built {}, first difference at {diverge:?}); \
+         if intentional, bump SNAPSHOT_VERSION and regenerate with PINSQL_BLESS=1",
+        committed.len(),
+        snap.len(),
     );
 
     // The committed bytes round-trip through the untrusted path and keep
