@@ -14,6 +14,8 @@
 //! All of them rank the *same list* for R-SQLs and H-SQLs — which is
 //! exactly why they fail on R-SQLs hiding behind victims.
 
+#![forbid(unsafe_code)]
+
 use pinsql_collector::CaseData;
 use pinsql_detect::AnomalyWindow;
 

@@ -25,6 +25,8 @@
 //! driven lifecycle, or the push-pause / restart-latency sanity bounds
 //! are blown — the `scripts/ci.sh daemon_smoke` hook.
 
+#![forbid(unsafe_code)]
+
 use pinsql::PinSqlConfig;
 use pinsql_detect::KernelKind;
 use pinsql_engine::{FleetConfig, FleetDaemon, FleetDelta, FleetEngine, FleetServer};

@@ -6,6 +6,8 @@
 //! serial; `0` = all cores) — the sweep loop itself always runs serially
 //! so each point is timed on an otherwise idle machine.
 
+#![forbid(unsafe_code)]
+
 use pinsql_eval::experiments::fig7;
 
 fn main() {

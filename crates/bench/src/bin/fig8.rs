@@ -5,6 +5,8 @@
 //! `--pick` scans seeds from 100 up and prints the first whose replay has
 //! no `storyline_gaps` — how `fig8_showcase_seed` is chosen.
 
+#![forbid(unsafe_code)]
+
 use pinsql_eval::caseset::CaseSetConfig;
 use pinsql_eval::experiments::fig8;
 

@@ -27,6 +27,8 @@
 //! the flat per-stage histograms, counters and gauges as
 //! `results/fleet_metrics.json`.
 
+#![forbid(unsafe_code)]
+
 use pinsql::PinSqlConfig;
 use pinsql_engine::{FleetConfig, FleetEngine};
 use pinsql_obs::export::{chrome_trace, metrics_export};

@@ -3,6 +3,8 @@
 //!
 //! Usage: `cargo run -p pinsql-bench --release --bin recurring [-- N_CASES [SEED]]`
 
+#![forbid(unsafe_code)]
+
 use pinsql_eval::caseset::CaseSetConfig;
 use pinsql_eval::experiments::recurring;
 

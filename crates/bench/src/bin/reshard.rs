@@ -21,6 +21,8 @@
 //! equivalence cross-check fails or the snapshot-size / restore-latency
 //! sanity bounds are blown — the `scripts/ci.sh snapshot_smoke` hook.
 
+#![forbid(unsafe_code)]
+
 use pinsql::PinSqlConfig;
 use pinsql_engine::{FleetConfig, FleetEngine, OnlineInstance, ReshardPlan};
 use pinsql_obs::{Counter, RecordingObserver, Stage};

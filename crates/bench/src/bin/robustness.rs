@@ -9,6 +9,8 @@
 //! for a quick look). PARALLELISM `0` (default) uses all cores; the curves
 //! are identical for every value.
 
+#![forbid(unsafe_code)]
+
 use pinsql_eval::caseset::CaseSetConfig;
 use pinsql_eval::experiments::robustness::{self, RobustnessConfig};
 

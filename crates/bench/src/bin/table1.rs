@@ -9,6 +9,8 @@
 //! The table goes to stdout; the per-stage timing decomposition of the
 //! PinSQL row goes to stderr, next to the progress line.
 
+#![forbid(unsafe_code)]
+
 use pinsql_eval::caseset::CaseSetConfig;
 use pinsql_eval::experiments::table1;
 

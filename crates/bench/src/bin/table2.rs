@@ -2,6 +2,8 @@
 //!
 //! Usage: `cargo run -p pinsql-bench --release --bin table2 [-- N_CASES [SEED]]`
 
+#![forbid(unsafe_code)]
+
 use pinsql_eval::caseset::CaseSetConfig;
 use pinsql_eval::experiments::table2;
 

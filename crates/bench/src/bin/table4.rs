@@ -2,6 +2,8 @@
 //!
 //! Usage: `cargo run -p pinsql-bench --release --bin table4 [-- MEASURE_S [SEED]]`
 
+#![forbid(unsafe_code)]
+
 use pinsql_eval::experiments::table4;
 
 fn main() {

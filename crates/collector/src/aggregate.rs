@@ -7,6 +7,9 @@
 //! rows); 1-minute series are derived by [`TemplateSeries::per_minute`].
 
 use crate::catalog::TemplateCatalog;
+use crate::cells::CellRing;
+use crate::metrics::{finite, MetricRing};
+use crate::records::RecordRing;
 use pinsql_dbsim::{InstanceMetrics, QueryRecord};
 use pinsql_sqlkit::SqlId;
 use pinsql_timeseries::resample::{downsample, Downsample};
@@ -242,6 +245,123 @@ pub fn aggregate_case(
     CaseData { ts, te, catalog, metrics, records, templates, cut: None }
 }
 
+/// The online counterpart of [`aggregate_case`]: the same [`CaseData`] for
+/// `[ts, te)`, assembled from the incremental aggregator's resident rings
+/// instead of a complete trace. `slot_pos` is scratch the caller keeps
+/// across cuts. Panics if `te <= ts`, like the batch path.
+pub(crate) fn cut_window(
+    catalog: &TemplateCatalog,
+    cells: &CellRing,
+    ring: &RecordRing,
+    metrics: &MetricRing,
+    slot_pos: &mut Vec<u32>,
+    ts: i64,
+    te: i64,
+) -> CaseData {
+    assert!(te > ts, "empty collection window");
+    let n = (te - ts) as usize;
+
+    // One sweep over the window's touched cells yields each template's
+    // execution-count moments. Membership and sizing then need no record
+    // re-scan: a template is in the window iff it has a touched cell there
+    // (every retained record has its cell row — one retention horizon), and
+    // its record count is the integer-exact count sum. So `templates` and
+    // `records` are built at final size and the loop below only pushes.
+    let touched = cells.sweep_window(ts, te, slot_pos);
+    let window_records: usize = touched.iter().map(|(_, m)| m.sum() as usize).sum();
+    let mut templates: Vec<TemplateData> = touched
+        .iter()
+        .map(|&(slot, ref m)| TemplateData {
+            id: catalog.id_of_slot(slot),
+            series: TemplateSeries::zeros(ts, n),
+            record_idx: Vec::with_capacity(m.sum() as usize),
+        })
+        .collect();
+
+    // Window records in arrival order. `slot_pos`, filled by the sweep,
+    // maps each slot to its template's position; the create-on-miss arm is
+    // unreachable for consistent state and kept as a graceful fallback.
+    let mut records: Vec<QueryRecord> = Vec::with_capacity(window_records);
+    ring.for_each_in(ts as f64 * 1000.0, te as f64 * 1000.0, |rec| {
+        let slot = catalog.slot_of_spec(rec.spec) as usize;
+        if slot_pos[slot] == u32::MAX {
+            debug_assert!(false, "window record without a window cell");
+            slot_pos[slot] = templates.len() as u32;
+            templates.push(TemplateData {
+                id: catalog.id_of_slot(slot as u32),
+                series: TemplateSeries::zeros(ts, n),
+                record_idx: Vec::new(),
+            });
+        }
+        templates[slot_pos[slot] as usize].record_idx.push(records.len() as u32);
+        records.push(*rec);
+    });
+
+    // Series values come straight from the cells: each `(template, second)`
+    // cell was accumulated record-by-record at ingest, in the order the
+    // batch aggregator sums, so assignment (not re-accumulation) preserves
+    // bit-identity. With the incremental cut on, the same sweep buckets each
+    // template's counts into complete minutes — ascending seconds, zeros
+    // contributing nothing, exactly `TemplateSeries::per_minute`'s partial
+    // sums — so no per-template re-scan ever derives the matrix rows.
+    let want_cut = cells.cut_enabled();
+    let n_minutes = n / 60;
+    let mut minute_rows: Vec<Vec<f64>> = if want_cut {
+        templates.iter().map(|_| vec![0.0; n_minutes]).collect()
+    } else {
+        Vec::new()
+    };
+    cells.for_each_in(ts, te, |s, slot, cell| {
+        let pos = slot_pos[slot as usize];
+        if pos != u32::MAX {
+            let idx = (s - ts) as usize;
+            let series = &mut templates[pos as usize].series;
+            series.execution_count[idx] = cell.0;
+            series.total_rt_ms[idx] = cell.1;
+            series.examined_rows[idx] = cell.2;
+            if want_cut && idx / 60 < n_minutes {
+                minute_rows[pos as usize][idx / 60] += cell.0;
+            }
+        }
+    });
+
+    // The sort below reorders `templates`, so the cut rows pair with
+    // their ids first and sort the same way — they must stay parallel.
+    let cut = (want_cut && minute_rows.len() == templates.len()).then(|| {
+        let gate = cells.window_gate(ts, te, &touched, metrics);
+        let mut entries: Vec<(SqlId, Vec<f64>, f64)> = Vec::with_capacity(templates.len());
+        for ((tpl, row), g) in templates.iter().zip(minute_rows).zip(gate) {
+            entries.push((tpl.id, row, g));
+        }
+        entries.sort_by_key(|(id, _, _)| *id);
+        let (moments_pushed, moments_evicted) = cells.cut_moments();
+        let mut cut = WindowCut {
+            minute_start: ts.div_euclid(60),
+            minute_rows: Vec::with_capacity(entries.len()),
+            gate: Vec::with_capacity(entries.len()),
+            moments_pushed,
+            moments_evicted,
+        };
+        for (_, row, g) in entries {
+            cut.minute_rows.push(row);
+            cut.gate.push(g);
+        }
+        Box::new(cut)
+    });
+
+    templates.sort_by_key(|t| t.id);
+
+    CaseData {
+        ts,
+        te,
+        catalog: catalog.clone(),
+        metrics: metrics.window(ts, te),
+        records,
+        templates,
+        cut,
+    }
+}
+
 /// Restricts instance metrics to `[ts, te)`, zeroing any non-finite sample
 /// on the way (a monitoring gap must read as "no load", not poison every
 /// downstream correlation).
@@ -251,7 +371,7 @@ fn slice_metrics(m: &InstanceMetrics, ts: i64, te: i64) -> InstanceMetrics {
     let slice = |v: &[f64]| {
         v[lo.min(v.len())..hi.max(lo).min(v.len())]
             .iter()
-            .map(|&x| if x.is_finite() { x } else { 0.0 })
+            .map(|&x| finite(x))
             .collect::<Vec<f64>>()
     };
     InstanceMetrics {

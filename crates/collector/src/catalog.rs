@@ -14,7 +14,7 @@
 //! digest-compatible key; slots are a catalog-local compression of it.
 
 use pinsql_sqlkit::{SqlId, StatementKind};
-use pinsql_timeseries::FxHashMap;
+use pinsql_timeseries::{FxHashMap, WireError, WireReader, WireWriter};
 use pinsql_workload::{SpecId, TemplateSpec};
 
 /// Everything known about one SQL template.
@@ -41,7 +41,6 @@ pub struct TemplateCatalog {
     spec_to_slot: Vec<u32>,
     /// Slot → template id, in first-appearance order over the spec vector.
     slot_to_id: Vec<SqlId>,
-    id_to_slot: FxHashMap<SqlId, u32>,
 }
 
 impl TemplateCatalog {
@@ -72,7 +71,7 @@ impl TemplateCatalog {
                     label: spec.label.clone(),
                 });
         }
-        Self { map, spec_to_id, spec_to_slot, slot_to_id, id_to_slot }
+        Self { map, spec_to_id, spec_to_slot, slot_to_id }
     }
 
     /// The template id a spec maps to.
@@ -91,12 +90,6 @@ impl TemplateCatalog {
     #[inline]
     pub fn id_of_slot(&self, slot: u32) -> SqlId {
         self.slot_to_id[slot as usize]
-    }
-
-    /// The slot of a template id, if the id is in the catalog.
-    #[inline]
-    pub fn slot_of_id(&self, id: SqlId) -> Option<u32> {
-        self.id_to_slot.get(&id).copied()
     }
 
     /// Number of dense slots (== number of distinct templates).
@@ -123,6 +116,49 @@ impl TemplateCatalog {
     /// Iterates over all templates (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = &TemplateInfo> {
         self.map.values()
+    }
+
+    /// `PSNP`: the slot → id assignment. A catalog is never restored from
+    /// these bytes — it is rebuilt from the workload specs — they are what
+    /// [`read_checked`](Self::read_checked) holds the rebuilt one against.
+    pub(crate) fn write_slots(&self, w: &mut WireWriter) {
+        w.put_len(self.slot_to_id.len());
+        for id in &self.slot_to_id {
+            w.put_u64(id.0);
+        }
+    }
+
+    /// Builds the catalog from `specs` and checks it against
+    /// [`write_slots`](Self::write_slots)'s stretch, so restoring into the
+    /// wrong scenario is a typed mismatch, never silent misattribution.
+    pub(crate) fn read_checked(
+        specs: &[TemplateSpec],
+        r: &mut WireReader,
+    ) -> Result<Self, WireError> {
+        let catalog = Self::from_specs(specs);
+        let n_slots = r.get_len(8)?;
+        if n_slots != catalog.n_slots() {
+            return Err(WireError::Mismatch {
+                what: "template catalog",
+                detail: format!(
+                    "snapshot has {n_slots} slots, scenario has {}",
+                    catalog.n_slots()
+                ),
+            });
+        }
+        for (slot, expected) in catalog.slot_to_id.iter().enumerate() {
+            let id = r.get_u64()?;
+            if id != expected.0 {
+                return Err(WireError::Mismatch {
+                    what: "template catalog",
+                    detail: format!(
+                        "slot {slot}: snapshot id {id:#x}, scenario id {:#x}",
+                        expected.0
+                    ),
+                });
+            }
+        }
+        Ok(catalog)
     }
 }
 
@@ -163,11 +199,9 @@ mod tests {
         assert_eq!(catalog.slot_of_spec(SpecId(1)), 1);
         assert_eq!(catalog.slot_of_spec(SpecId(2)), 0, "folded spec shares its slot");
         assert_eq!(catalog.slot_of_spec(SpecId(3)), 2);
-        for slot in 0..catalog.n_slots() as u32 {
-            let id = catalog.id_of_slot(slot);
-            assert_eq!(catalog.slot_of_id(id), Some(slot), "slot {slot} round-trips");
+        for (spec, slot) in [(0, 0), (1, 1), (3, 2)] {
+            assert_eq!(catalog.id_of_slot(slot), catalog.id_of_spec(SpecId(spec)), "slot {slot}");
         }
-        assert_eq!(catalog.slot_of_id(SqlId(0xDEAD_BEEF)), None);
     }
 
     #[test]

@@ -34,6 +34,10 @@ impl HistorySeries {
     }
 }
 
+/// The widest gap of untouched minutes a series zero-fills: the ~30 days
+/// of §IV-A, four times the longest (7-day) look-back verification uses.
+const RESTART_GAP_MIN: i64 = 30 * 24 * 60;
+
 /// Store of per-template histories.
 ///
 /// Series live in a dense `Vec`; the id map only resolves `SqlId` to a
@@ -85,8 +89,18 @@ impl HistoryStore {
     }
 
     /// [`record`](Self::record) through a cached [`entry_index`](Self::entry_index).
+    ///
+    /// A minute more than [`RESTART_GAP_MIN`] from everything the series
+    /// holds restarts it there: no look-back reaches across such a gap, and
+    /// zero-filling it would let one clock jump allocate without bound.
     pub fn record_at(&mut self, entry: u32, minute: i64, count: f64) {
         let entry = &mut self.series[entry as usize];
+        let end = entry.start_minute.saturating_add(entry.executions.len() as i64);
+        if minute.saturating_sub(end) > RESTART_GAP_MIN
+            || entry.start_minute.saturating_sub(minute) > RESTART_GAP_MIN
+        {
+            entry.executions.clear();
+        }
         if entry.executions.is_empty() {
             entry.start_minute = minute;
         } else if minute < entry.start_minute {

@@ -1,0 +1,562 @@
+//! Unit tests of the composition: batch equivalence, runs of N against
+//! runs of one, retention, the time-jump rule, and the `PSNP` body.
+
+use super::*;
+use crate::aggregate::aggregate_case;
+use crate::cells::{cell_from_row, cell_row, moment_from_row, moment_row};
+use crate::cells::{CELL_ROW_BYTES, MOMENT_ROW_BYTES};
+use crate::cellstore::Cell;
+use pinsql_dbsim::probe::ProbeLog;
+use pinsql_dbsim::wire::{query_record_bytes, query_record_from_bytes, QUERY_RECORD_BYTES};
+use pinsql_dbsim::{interleave, InstanceMetrics, QueryRecord};
+use pinsql_timeseries::MomentAccumulator;
+use pinsql_workload::{CostProfile, SpecId, TableId};
+
+fn spec(sql: &str) -> TemplateSpec {
+    TemplateSpec::new(sql, CostProfile::point_read(TableId(0)), "t")
+}
+
+fn rec(spec_idx: usize, start_ms: f64, rt: f64, rows: u64) -> QueryRecord {
+    QueryRecord { spec: SpecId(spec_idx), start_ms, response_ms: rt, examined_rows: rows }
+}
+
+fn query(agg: &mut IncrementalAggregator, rec: QueryRecord) {
+    agg.ingest(TelemetryEvent::Query(rec));
+}
+
+fn flat_metrics(start: i64, n: usize) -> InstanceMetrics {
+    InstanceMetrics {
+        start_second: start,
+        active_session: (0..n).map(|i| 1.0 + (i % 3) as f64).collect(),
+        cpu_usage: vec![0.25; n],
+        iops_usage: vec![0.1; n],
+        row_lock_waits: vec![0.0; n],
+        mdl_waits: vec![0.0; n],
+        qps: vec![7.0; n],
+        probes: ProbeLog::default(),
+    }
+}
+
+fn assert_case_eq(a: &CaseData, b: &CaseData) {
+    assert_eq!(a.ts, b.ts);
+    assert_eq!(a.te, b.te);
+    assert_eq!(a.records, b.records);
+    assert_eq!(a.metrics.start_second, b.metrics.start_second);
+    assert_eq!(a.metrics.active_session, b.metrics.active_session);
+    assert_eq!(a.metrics.cpu_usage, b.metrics.cpu_usage);
+    assert_eq!(a.metrics.iops_usage, b.metrics.iops_usage);
+    assert_eq!(a.metrics.row_lock_waits, b.metrics.row_lock_waits);
+    assert_eq!(a.metrics.mdl_waits, b.metrics.mdl_waits);
+    assert_eq!(a.metrics.qps, b.metrics.qps);
+    assert_eq!(a.metrics.probes.samples, b.metrics.probes.samples);
+    assert_eq!(a.templates.len(), b.templates.len());
+    for (x, y) in a.templates.iter().zip(&b.templates) {
+        assert_eq!(x.id, y.id);
+        assert_eq!(x.record_idx, y.record_idx);
+        assert_eq!(x.series.start, y.series.start);
+        assert_eq!(x.series.execution_count, y.series.execution_count);
+        assert_eq!(x.series.total_rt_ms, y.series.total_rt_ms);
+        assert_eq!(x.series.examined_rows, y.series.examined_rows);
+    }
+}
+
+#[test]
+fn snapshot_matches_batch_aggregation() {
+    let specs = vec![
+        spec("SELECT * FROM a WHERE x = 1"),
+        spec("SELECT * FROM b WHERE x = 1"),
+        spec("UPDATE c SET y = 1 WHERE x = 2"),
+    ];
+    // A jittery, unsorted log with out-of-window stragglers.
+    let mut log = Vec::new();
+    for i in 0..400 {
+        let s = (i * 37) % 120;
+        log.push(rec(i % 3, s as f64 * 1000.0 + (i % 7) as f64 * 133.7, 3.0 + i as f64, i as u64 % 5));
+    }
+    log.push(rec(0, -500.0, 1.0, 1));
+    log.push(rec(1, 500_000.0, 1.0, 1));
+    let metrics = flat_metrics(0, 120);
+
+    let batch = aggregate_case(&log, &specs, &metrics, 20, 100);
+
+    let mut agg = IncrementalAggregator::new(&specs, IncrementalConfig::default());
+    for ev in interleave(&log, &metrics) {
+        agg.ingest(ev);
+    }
+    assert_case_eq(&agg.snapshot(20, 100), &batch);
+}
+
+#[test]
+fn chunked_ingest_matches_scalar_ingest() {
+    let specs = vec![
+        spec("SELECT * FROM a WHERE x = 1"),
+        spec("SELECT * FROM b WHERE x = 1"),
+    ];
+    let mut log = Vec::new();
+    for i in 0..300 {
+        let s = (i * 13) % 90;
+        log.push(rec(i % 2, s as f64 * 1000.0 + (i % 11) as f64 * 90.9, 2.0 + i as f64, i as u64 % 3));
+    }
+    // A malformed record mid-stream exercises the run-splitting rules.
+    log.push(rec(0, f64::NAN, 1.0, 0));
+    log.push(rec(1, 10_500.0, f64::INFINITY, 0));
+    let metrics = flat_metrics(0, 90);
+    let events = interleave(&log, &metrics);
+
+    let mut scalar = IncrementalAggregator::new(&specs, IncrementalConfig::default());
+    for ev in events.clone() {
+        scalar.ingest(ev);
+    }
+    let mut chunked = IncrementalAggregator::new(&specs, IncrementalConfig::default());
+    let mut buf = events;
+    chunked.ingest_drain(&mut buf);
+    assert!(buf.is_empty(), "drain clears the reusable buffer");
+
+    let s = scalar.stats();
+    let c = chunked.stats();
+    assert_eq!(s.events, c.events);
+    assert_eq!(s.queries, c.queries);
+    assert_eq!(s.malformed, c.malformed);
+    assert_eq!(s.late, c.late);
+    assert_eq!(scalar.watermark(), chunked.watermark());
+    assert_case_eq(&scalar.snapshot(0, 90), &chunked.snapshot(0, 90));
+}
+
+#[test]
+fn snapshot_windows_are_reusable_and_nested() {
+    let specs = vec![spec("SELECT 1 FROM t WHERE id = 1")];
+    let log: Vec<QueryRecord> =
+        (0..600).map(|i| rec(0, i as f64 * 100.0, 2.0, 1)).collect();
+    let metrics = flat_metrics(0, 60);
+    let mut agg = IncrementalAggregator::new(&specs, IncrementalConfig::default());
+    for ev in interleave(&log, &metrics) {
+        agg.ingest(ev);
+    }
+    for (ts, te) in [(0, 60), (10, 50), (30, 31)] {
+        let batch = aggregate_case(&log, &specs, &metrics, ts, te);
+        assert_case_eq(&agg.snapshot(ts, te), &batch);
+    }
+}
+
+#[test]
+fn malformed_records_are_dropped() {
+    let specs = vec![spec("SELECT 1 FROM t WHERE id = 1")];
+    let mut agg = IncrementalAggregator::new(&specs, IncrementalConfig::default());
+    query(&mut agg, rec(0, f64::NAN, 1.0, 0));
+    query(&mut agg, rec(0, 100.0, f64::INFINITY, 0));
+    query(&mut agg, rec(0, 100.0, 1.0, 0));
+    assert_eq!(agg.stats().malformed, 2);
+    assert_eq!(agg.record_count(), 1);
+}
+
+#[test]
+fn memory_stays_within_retention_horizon() {
+    // The regression this type exists for: the old streaming
+    // aggregator's `(template, second)` map grew without bound.
+    let specs = vec![spec("SELECT 1 FROM t WHERE id = 1"), spec("SELECT 2 FROM u WHERE id = 1")];
+    let retention = 300;
+    let mut agg = IncrementalAggregator::new(
+        &specs,
+        IncrementalConfig::default().with_retention(retention),
+    );
+    let horizon_s = 20_000i64;
+    for s in 0..horizon_s {
+        agg.ingest(TelemetryEvent::Query(rec((s % 2) as usize, s as f64 * 1000.0 + 1.0, 2.0, 1)));
+        agg.ingest(TelemetryEvent::Metrics(Box::new(MetricsSample {
+            second: s,
+            active_session: 1.0,
+            ..Default::default()
+        })));
+        agg.ingest(TelemetryEvent::Tick { second: s + 1 });
+        assert!(agg.cell_seconds() <= retention as usize + 1, "at {s}");
+        assert!(agg.metric_seconds() <= retention as usize + 1, "at {s}");
+        assert!(agg.record_count() <= retention as usize + 1, "at {s}");
+    }
+    // Still serves windows inside the horizon.
+    let case = agg.snapshot(horizon_s - 100, horizon_s);
+    assert_eq!(case.n_seconds(), 100);
+    assert_eq!(case.records.len(), 100);
+}
+
+#[test]
+fn history_feed_folds_complete_minutes() {
+    let specs = vec![spec("SELECT 1 FROM t WHERE id = 1")];
+    let origin = 5000;
+    let mut agg = IncrementalAggregator::new(
+        &specs,
+        IncrementalConfig { history_origin_min: origin, ..Default::default() },
+    );
+    // Two executions per second for 150 s: minutes 0 and 1 complete
+    // (120 each), minute 2 still open.
+    for s in 0..150i64 {
+        query(&mut agg, rec(0, s as f64 * 1000.0, 1.0, 0));
+        query(&mut agg, rec(0, s as f64 * 1000.0 + 500.0, 1.0, 0));
+        agg.advance_watermark(s + 1);
+    }
+    let id = agg.catalog().id_of_spec(SpecId(0));
+    assert_eq!(agg.history().window_filled(id, origin, origin + 2), vec![120.0, 120.0]);
+    assert_eq!(agg.history().window_filled(id, origin + 2, origin + 3), vec![0.0]);
+    // Closing the third minute folds it.
+    agg.advance_watermark(180);
+    assert_eq!(agg.history().window_filled(id, origin + 2, origin + 3), vec![60.0]);
+}
+
+#[test]
+fn fold_and_eviction_counters_track_state() {
+    let specs = vec![spec("SELECT 1 FROM t WHERE id = 1")];
+    let retention = 120;
+    let mut agg = IncrementalAggregator::new(
+        &specs,
+        IncrementalConfig::default().with_retention(retention),
+    );
+    for s in 0..300i64 {
+        query(&mut agg, rec(0, s as f64 * 1000.0, 1.0, 0));
+        agg.advance_watermark(s + 1);
+    }
+    let stats = agg.stats();
+    // One cell row per second, monotone even though only `retention`
+    // rows stay resident.
+    assert_eq!(stats.cells, 300);
+    assert!(agg.cell_seconds() <= retention as usize + 1);
+    // Evictions cover the cells and records pushed past the horizon.
+    assert!(stats.evictions > 0);
+    assert_eq!(
+        stats.evictions,
+        (300 - agg.cell_seconds() as u64) + (300 - agg.record_count() as u64)
+    );
+    // 300 s = 5 minutes; the last one is complete at watermark 300.
+    assert_eq!(stats.history_minutes, 5);
+}
+
+#[test]
+fn chunked_ingest_matches_scalar_fold_counters() {
+    let specs =
+        vec![spec("SELECT * FROM a WHERE x = 1"), spec("SELECT * FROM b WHERE x = 1")];
+    let mut log = Vec::new();
+    for i in 0..200 {
+        let s = (i * 31) % 70;
+        log.push(rec(i % 2, s as f64 * 1000.0 + (i % 13) as f64 * 71.3, 2.0, 1));
+    }
+    let metrics = flat_metrics(0, 70);
+    let events = interleave(&log, &metrics);
+    let mut scalar = IncrementalAggregator::new(&specs, IncrementalConfig::default());
+    for ev in events.clone() {
+        scalar.ingest(ev);
+    }
+    let mut chunked = IncrementalAggregator::new(&specs, IncrementalConfig::default());
+    let mut buf = events;
+    chunked.ingest_drain(&mut buf);
+    let s = scalar.stats();
+    let c = chunked.stats();
+    assert_eq!(s.cells, c.cells, "rows created, not calls, are counted");
+    assert_eq!(s.evictions, c.evictions);
+    assert_eq!(s.history_minutes, c.history_minutes);
+}
+
+#[test]
+fn sorted_and_unsorted_record_paths_agree() {
+    let specs = vec![
+        spec("SELECT * FROM a WHERE x = 1"),
+        spec("SELECT * FROM b WHERE x = 1"),
+    ];
+    // Sorted prefix, then one straggler flips the ring to unsorted.
+    let mut log: Vec<QueryRecord> =
+        (0..200).map(|i| rec(i % 2, i as f64 * 300.0, 2.0, 1)).collect();
+    let mut sorted_agg = IncrementalAggregator::new(&specs, IncrementalConfig::default());
+    for r in &log {
+        query(&mut sorted_agg, *r);
+    }
+    sorted_agg.advance_watermark(60);
+    let fast = sorted_agg.snapshot(5, 55);
+
+    log.push(rec(0, 100.0, 9.0, 1)); // out of order, outside [5, 55)
+    let mut unsorted_agg = IncrementalAggregator::new(&specs, IncrementalConfig::default());
+    for r in &log {
+        query(&mut unsorted_agg, *r);
+    }
+    unsorted_agg.advance_watermark(60);
+    let slow = unsorted_agg.snapshot(5, 55);
+    assert_case_eq(&fast, &slow);
+}
+
+#[test]
+fn metrics_gaps_zero_fill() {
+    let specs = vec![spec("SELECT 1 FROM t WHERE id = 1")];
+    let mut agg = IncrementalAggregator::new(&specs, IncrementalConfig::default());
+    agg.push_metrics(MetricsSample { second: 0, active_session: 4.0, ..Default::default() });
+    agg.push_metrics(MetricsSample { second: 3, active_session: 9.0, ..Default::default() });
+    let case = agg.snapshot(0, 4);
+    assert_eq!(case.metrics.active_session, vec![4.0, 0.0, 0.0, 9.0]);
+}
+
+// The three time-jump cases below each panicked, or cost seconds and
+// gigabytes for one event, before the rings bounded their own gaps.
+
+#[test]
+fn time_jump_first_tick_at_the_bottom_of_the_clock_is_just_a_tick() {
+    let specs = vec![spec("SELECT 1 FROM t WHERE id = 1")];
+    let mut agg = IncrementalAggregator::new(&specs, IncrementalConfig::default());
+    agg.ingest(TelemetryEvent::Tick { second: i64::MIN + 1 });
+    assert_eq!(agg.watermark(), i64::MIN + 1);
+    query(&mut agg, rec(0, 1500.0, 2.0, 1));
+    agg.ingest(TelemetryEvent::Metrics(Box::new(MetricsSample {
+        second: i64::MAX,
+        ..Default::default()
+    })));
+    assert_eq!(agg.watermark(), i64::MAX, "the last second publishes without overflow");
+    assert_eq!((agg.cell_seconds(), agg.record_count(), agg.metric_seconds()), (0, 0, 1));
+}
+
+#[test]
+fn time_jump_record_beyond_the_ring_is_dropped_not_materialised() {
+    let specs = vec![spec("SELECT 1 FROM t WHERE id = 1")];
+    let retention = 300;
+    let cfg = IncrementalConfig::default().with_retention(retention);
+    let mut agg = IncrementalAggregator::new(&specs, cfg);
+    query(&mut agg, rec(0, 1500.0, 2.0, 1));
+    let before = agg.stats();
+    for ahead in [3.0e10, 1.0e15, f64::MAX] {
+        query(&mut agg, rec(0, ahead, 2.0, 1));
+    }
+    for sample_ahead in [30_000_000, i64::MAX / 2, i64::MAX] {
+        agg.push_metrics(MetricsSample { second: 1, ..Default::default() });
+        agg.push_metrics(MetricsSample { second: sample_ahead, ..Default::default() });
+    }
+    let after = agg.stats();
+    assert_eq!(after.malformed - before.malformed, 6, "ahead of the ring counts as malformed");
+    assert_eq!((after.queries, after.cells), (before.queries, before.cells));
+    assert_eq!((agg.cell_seconds(), agg.record_count(), agg.metric_seconds()), (1, 1, 1));
+    assert_eq!(agg.watermark(), 2, "a dropped sample publishes nothing");
+    // The last second the ring can reach is admitted, one past it is not.
+    query(&mut agg, rec(0, (1 + retention) as f64 * 1000.0, 2.0, 1));
+    query(&mut agg, rec(0, (2 + retention) as f64 * 1000.0, 2.0, 1));
+    assert_eq!(agg.cell_seconds(), retention as usize + 1);
+    assert_eq!(agg.stats().malformed - after.malformed, 1);
+    // ... and the same rule reaching back: older than the ring can hold is late.
+    query(&mut agg, rec(0, -1000.0, 2.0, 1));
+    assert_eq!(agg.stats().late - after.late, 1);
+}
+
+#[test]
+fn time_jump_of_the_clock_skips_untouched_minutes_arithmetically() {
+    let specs = vec![spec("SELECT 1 FROM t WHERE id = 1")];
+    let mut agg = IncrementalAggregator::new(&specs, IncrementalConfig::default());
+    let id = agg.catalog().id_of_spec(SpecId(0));
+    query(&mut agg, rec(0, 61_000.0, 2.0, 1));
+    agg.ingest(TelemetryEvent::Tick { second: i64::MAX / 2 });
+    assert_eq!(agg.stats().history_minutes, (i64::MAX / 2 / 60 - 1) as u64);
+    assert_eq!(agg.history().window_filled(id, 0, 3), vec![0.0, 1.0, 0.0]);
+    assert_eq!((agg.cell_seconds(), agg.record_count()), (0, 0));
+    // Traffic resumes at the new time: the history series restarts
+    // there instead of zero-filling the jump.
+    let now_ms = (i64::MAX / 2) as f64 * 1000.0;
+    query(&mut agg, rec(0, now_ms, 2.0, 1));
+    agg.ingest(TelemetryEvent::Tick { second: i64::MAX / 2 + 120 });
+    let series = agg.history().get(id).expect("recorded");
+    assert_eq!((series.start_minute, series.executions.len()), (i64::MAX / 2 / 60, 1));
+}
+
+/// Both checkpoint sections, as the engine's envelope orders them.
+fn checkpoint(agg: &IncrementalAggregator) -> (Vec<u8>, Vec<u8>) {
+    let (mut body, mut cut) = (WireWriter::new(), WireWriter::new());
+    agg.write_snapshot(&mut body);
+    agg.write_cut_state(&mut cut);
+    (body.into_bytes(), cut.into_bytes())
+}
+
+#[test]
+fn checkpoint_round_trip_is_behaviorally_exact() {
+    let specs = vec![
+        spec("SELECT * FROM a WHERE x = 1"),
+        spec("SELECT * FROM b WHERE x = 1"),
+        spec("UPDATE c SET v = v + 1 WHERE id = 1"),
+    ];
+    let cfg = IncrementalConfig::default().with_retention(120);
+    let metrics = flat_metrics(0, 200);
+    let log: Vec<QueryRecord> = (0..600)
+        .map(|i| rec(i % 3, (i as f64 * 311.7) % 200_000.0, 2.0 + (i % 7) as f64, i as u64))
+        .collect();
+    let events = interleave(&log, &metrics);
+    let split = events.len() / 3;
+
+    let mut live = IncrementalAggregator::new(&specs, cfg);
+    for ev in &events[..split] {
+        live.ingest(ev.clone());
+    }
+    let (body, cut) = checkpoint(&live);
+    let mut r = WireReader::new(&body);
+    let mut restored = IncrementalAggregator::read_snapshot(&specs, &mut r).unwrap();
+    r.finish("aggregator snapshot").unwrap();
+    let mut r = WireReader::new(&cut);
+    restored.read_cut_state(&mut r).unwrap();
+    r.finish("cut state").unwrap();
+    assert_eq!(checkpoint(&restored), (body, cut), "re-serialization drifted");
+
+    for ev in &events[split..] {
+        live.ingest(ev.clone());
+        restored.ingest(ev.clone());
+    }
+    assert_eq!(live.stats(), restored.stats());
+    assert_eq!(live.watermark(), restored.watermark());
+    assert_eq!(live.cell_seconds(), restored.cell_seconds());
+    assert_eq!(live.record_count(), restored.record_count());
+    assert_case_eq(&live.snapshot(80, 200), &restored.snapshot(80, 200));
+    assert_eq!(checkpoint(&live), checkpoint(&restored), "post-drain state drifted");
+}
+
+#[test]
+fn checkpoint_rejects_wrong_scenario_and_corrupt_tags() {
+    let specs = vec![spec("SELECT 1 FROM t WHERE id = 1")];
+    let mut agg = IncrementalAggregator::new(&specs, IncrementalConfig::default());
+    query(&mut agg, rec(0, 1000.0, 2.0, 1));
+    agg.advance_watermark(5);
+    let mut w = WireWriter::new();
+    agg.write_snapshot(&mut w);
+    let bytes = w.into_bytes();
+
+    // Restoring into a different workload is a typed mismatch.
+    let other = vec![spec("SELECT 9 FROM u WHERE id = 9"), spec("SELECT 8 FROM v WHERE id = 8")];
+    let err = IncrementalAggregator::read_snapshot(&other, &mut WireReader::new(&bytes))
+        .expect_err("catalog mismatch must fail");
+    assert!(matches!(err, WireError::Mismatch { what: "template catalog", .. }), "{err}");
+
+    // The reserved byte after the two i64 config fields must be 0.
+    assert_eq!(bytes[16], 0);
+    for tag in 1..=u8::MAX {
+        let mut corrupt = bytes.clone();
+        corrupt[16] = tag;
+        let err = IncrementalAggregator::read_snapshot(&specs, &mut WireReader::new(&corrupt))
+            .expect_err("a non-zero reserved byte must fail");
+        assert!(matches!(err, WireError::BadTag { what: "reserved byte", .. }), "{err}");
+    }
+
+    // Every truncation of the snapshot is an error, never a panic.
+    for cut in 0..bytes.len() {
+        let res =
+            IncrementalAggregator::read_snapshot(&specs, &mut WireReader::new(&bytes[..cut]));
+        assert!(res.is_err(), "cut at {cut} decoded");
+    }
+}
+
+/// The three fixed-width `PSNP` rows (record, cell, moment) against the
+/// field-by-field calls they replaced: the same bytes out, and from
+/// every prefix of those bytes and every single-byte mutation the same
+/// value bit for bit or the same `WireError` variant (`need` / `have`
+/// inside `Truncated` are not compared: the row read names the whole
+/// row's size, the field reads the first field that did not fit).
+#[test]
+fn fixed_width_snapshot_rows_match_the_field_calls() {
+
+    // The oracle: each row as the per-field calls wrote and read it.
+    fn put_fields(
+        w: &mut WireWriter,
+        rec: &QueryRecord,
+        slot: u32,
+        cell: Cell,
+        m: &MomentAccumulator,
+    ) {
+        w.put_u64(rec.spec.0 as u64);
+        w.put_f64(rec.start_ms);
+        w.put_f64(rec.response_ms);
+        w.put_u64(rec.examined_rows);
+        w.put_u32(slot);
+        w.put_f64(cell.0);
+        w.put_f64(cell.1);
+        w.put_f64(cell.2);
+        w.put_u64(m.count());
+        w.put_f64(m.sum());
+        w.put_f64(m.sum_sq());
+    }
+    type Rows = (QueryRecord, (u32, Cell), MomentAccumulator);
+    fn get_fields(r: &mut WireReader) -> Result<Rows, WireError> {
+        let rec = QueryRecord {
+            spec: SpecId(r.get_u64()? as usize),
+            start_ms: r.get_f64()?,
+            response_ms: r.get_f64()?,
+            examined_rows: r.get_u64()?,
+        };
+        let cell = (r.get_u32()?, (r.get_f64()?, r.get_f64()?, r.get_f64()?));
+        let m = MomentAccumulator::from_sums(r.get_u64()?, r.get_f64()?, r.get_f64()?);
+        Ok((rec, cell, m))
+    }
+    fn get_rows(r: &mut WireReader) -> Result<Rows, WireError> {
+        let rec = query_record_from_bytes(r.get_array()?);
+        let cell = cell_from_row(r.get_array()?);
+        let m = moment_from_row(r.get_array()?);
+        Ok((rec, cell, m))
+    }
+    let refield = |(rec, (slot, cell), m): &Rows| {
+        let mut w = WireWriter::new();
+        put_fields(&mut w, rec, *slot, *cell, m);
+        w.into_bytes()
+    };
+    let agree = |bytes: &[u8], what: &dyn Fn() -> String| {
+        let new = get_rows(&mut WireReader::new(bytes));
+        let old = get_fields(&mut WireReader::new(bytes));
+        match (&new, &old) {
+            (Ok(a), Ok(b)) => assert_eq!(refield(a), refield(b), "{}", what()),
+            (Err(WireError::Truncated { .. }), Err(WireError::Truncated { .. })) => {}
+            _ => panic!("{}: new {new:?}, oracle {old:?}", what()),
+        }
+    };
+
+    /// splitmix64; half the `f64`s are the patterns a codec is
+    /// tempted to normalize.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        fn float(&mut self) -> f64 {
+            const SPECIAL: [u64; 6] = [
+                0,
+                0x8000_0000_0000_0000,
+                0x7FF0_0000_0000_0000,
+                0xFFFF_FFFF_FFFF_FFFF,
+                0x7FF0_0000_0000_0001,
+                0x0000_0000_0000_0001,
+            ];
+            let bits = self.next();
+            f64::from_bits(match bits & 1 {
+                0 => SPECIAL[(bits >> 1) as usize % SPECIAL.len()],
+                _ => self.next(),
+            })
+        }
+    }
+
+    for seed in 0..200u64 {
+        let mut rng = Rng(seed);
+        let rec = QueryRecord {
+            spec: SpecId([0, usize::MAX, rng.next() as usize][(rng.next() % 3) as usize]),
+            start_ms: rng.float(),
+            response_ms: rng.float(),
+            examined_rows: rng.next(),
+        };
+        let (slot, cell) = (rng.next() as u32, (rng.float(), rng.float(), rng.float()));
+        let m = MomentAccumulator::from_sums(rng.next(), rng.float(), rng.float());
+
+        let mut w = WireWriter::new();
+        w.put_array(query_record_bytes(&rec));
+        w.put_array(cell_row(slot, cell));
+        w.put_array(moment_row(&m));
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, refield(&(rec, (slot, cell), m)), "seed {seed}: bytes differ");
+        assert_eq!(bytes.len(), QUERY_RECORD_BYTES + CELL_ROW_BYTES + MOMENT_ROW_BYTES);
+
+        for cut in 0..=bytes.len() {
+            agree(&bytes[..cut], &|| format!("seed {seed}, cut at {cut}"));
+        }
+        let mut mutated = bytes.clone();
+        for at in 0..bytes.len() {
+            for value in [0x00, 0x01, 0x7F, 0x80, 0xFF, bytes[at] ^ 0x10] {
+                mutated[at] = value;
+                agree(&mutated, &|| format!("seed {seed}, byte {at} = {value:#04x}"));
+            }
+            mutated[at] = bytes[at];
+        }
+    }
+}

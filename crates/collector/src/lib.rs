@@ -15,26 +15,33 @@
 //!   [`CaseData`]: per-template `#execution`, total response time, and
 //!   examined-rows series plus the raw records PinSQL's active-session
 //!   estimator needs;
-//! * [`cellstore`] — the per-second, per-template cell ring behind the
-//!   incremental aggregator, with a direct-indexed dense-slab hot path and
-//!   a hashed reference representation ([`CellStoreKind`]);
+//! * [`cellstore`] — the per-second, per-template cell rows behind the
+//!   incremental aggregator: packed rows and one shared write index;
 //! * [`history`] — the long-horizon per-template 1-minute `#execution`
 //!   store used by history-trend verification (1/3/7 days back);
 //! * [`incremental`] — the online aggregation engine: folds a
-//!   [`TelemetryEvent`](pinsql_dbsim::TelemetryEvent) stream into
-//!   ring-buffered per-second cells with bounded retention, feeds the
-//!   history store in-line, and re-assembles a batch-bit-identical
-//!   [`CaseData`] snapshot for any retained window. Its bounded
-//!   retention is what stands in for the paper's three-day LogStore.
+//!   [`TelemetryEvent`](pinsql_dbsim::TelemetryEvent) stream into four
+//!   bounded state components (`records`, `cells`, `metrics`, `minutes`:
+//!   one private module each, owning its bytes, its eviction and its
+//!   stretch of the `PSNP` body), feeds the history store in-line, and
+//!   re-assembles a batch-bit-identical [`CaseData`] snapshot for any
+//!   retained window. Its bounded retention is what stands in for the
+//!   paper's three-day LogStore.
+
+#![forbid(unsafe_code)]
 
 pub mod aggregate;
 pub mod catalog;
 pub mod cellstore;
+mod cells;
 pub mod history;
 pub mod incremental;
+mod metrics;
+mod minutes;
+mod records;
 
 pub use aggregate::{aggregate_case, CaseData, TemplateData, TemplateSeries, WindowCut};
 pub use catalog::{TemplateCatalog, TemplateInfo};
-pub use cellstore::{CellStore, CellStoreKind};
+pub use cellstore::CellStore;
 pub use history::{HistorySeries, HistoryStore};
 pub use incremental::{IncrementalAggregator, IncrementalConfig, IngestStats};

@@ -1,0 +1,167 @@
+//! The in-flight minute accumulator and the history feed it folds into.
+//!
+//! Records bump their minute's dense slot-count row at ingest time; when a
+//! minute completes, [`MinuteFeed::fold`] detaches its row and emits it to
+//! the [`HistoryStore`] — no re-read of the minute's 60 cell rows, which
+//! are cache-cold by then. This is *exactly* equivalent to re-scanning the
+//! cells because (a) counts are integer-valued sums of `1.0`, so arrival
+//! order cannot change the total, (b) a record is accumulated iff its
+//! minute is at or ahead of the fold frontier, which is also precisely
+//! when a fold-time scan would still see it (minutes behind the frontier
+//! never re-fold), and (c) `retention_s ≥ 60` guarantees a minute folds
+//! before any of its cell rows can be evicted, so a fold-time scan could
+//! never miss an accumulated record either. Rows exist only for minutes
+//! of admitted records, so the ring is as bounded as the cell ring is.
+
+use crate::catalog::TemplateCatalog;
+use crate::history::{HistorySeries, HistoryStore};
+use pinsql_sqlkit::SqlId;
+use pinsql_timeseries::{WireError, WireReader, WireWriter};
+use std::collections::VecDeque;
+
+/// A length-prefixed run of `f64`s.
+fn get_f64s(r: &mut WireReader) -> Result<Vec<f64>, WireError> {
+    let n = r.get_len(8)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(r.get_f64()?);
+    }
+    Ok(out)
+}
+
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MinuteFeed {
+    /// Minute index of `rows.front()` (meaningless while `rows` is empty).
+    start: i64,
+    /// `rows[m - start]` is the dense slot-count row for minute `m`.
+    rows: VecDeque<Vec<f64>>,
+    /// Recycled rows, so steady state allocates nothing per minute.
+    free: Vec<Vec<f64>>,
+    /// Next stream minute (`second / 60`) to fold; `None` until the first
+    /// fold. Minutes behind it never accumulate again.
+    next: Option<i64>,
+    history: HistoryStore,
+    /// Slot → cached [`HistoryStore`] entry index (`u32::MAX` = not yet
+    /// resolved), so the fold hashes each template once ever.
+    slot_hist: Vec<u32>,
+}
+
+impl MinuteFeed {
+    /// The in-line per-template 1-minute execution history.
+    pub fn history(&self) -> &HistoryStore {
+        &self.history
+    }
+
+    /// The slot-count row for `minute`, extending the ring at either end
+    /// to cover it — the one place a gap of minute rows is materialised.
+    /// `None` when the minute already folded (a late record the feed must
+    /// not double-count).
+    pub fn row_mut(&mut self, minute: i64, n_slots: usize) -> Option<&mut [f64]> {
+        if self.next.is_some_and(|next| minute < next) {
+            return None;
+        }
+        if self.rows.is_empty() {
+            self.start = minute;
+        }
+        for _ in minute..self.start {
+            let row = self.zeroed(n_slots);
+            self.rows.push_front(row);
+        }
+        self.start = self.start.min(minute);
+        let idx = (minute - self.start) as usize;
+        while self.rows.len() <= idx {
+            let row = self.zeroed(n_slots);
+            self.rows.push_back(row);
+        }
+        Some(&mut self.rows[idx])
+    }
+
+    fn zeroed(&mut self, n_slots: usize) -> Vec<f64> {
+        let mut row = self.free.pop().unwrap_or_default();
+        row.clear();
+        row.resize(n_slots, 0.0);
+        row
+    }
+
+    /// Folds every minute that has fully elapsed at `watermark` into the
+    /// history store (at `origin_min + minute`) and returns how many
+    /// minutes that was. Only minutes holding a row emit anything, so a
+    /// run of untouched minutes — a clock jump of any size — is skipped
+    /// arithmetically. `first_second` is the oldest resident cell second,
+    /// where the frontier starts.
+    pub fn fold(
+        &mut self,
+        watermark: i64,
+        first_second: i64,
+        catalog: &TemplateCatalog,
+        origin_min: i64,
+    ) -> u64 {
+        let next = self.next.unwrap_or_else(|| first_second.div_euclid(60));
+        let end = watermark.div_euclid(60).max(next);
+        self.next = Some(end);
+        // Slot-order emission is deterministic (the dense counts row
+        // folded away any arrival order); each slot resolves its history
+        // entry index once ever, so steady-state recording is a direct
+        // vector index per (template, minute), no hashing.
+        self.slot_hist.resize(catalog.n_slots(), u32::MAX);
+        while !self.rows.is_empty() && self.start < end {
+            let counts = self.rows.pop_front().expect("checked non-empty");
+            let minute = self.start;
+            self.start += 1;
+            // (A row behind the frontier holds nothing a fold may emit.)
+            let touched = counts.iter().enumerate().filter(|&(_, &c)| c > 0.0 && minute >= next);
+            for (slot, &count) in touched {
+                let entry = &mut self.slot_hist[slot];
+                if *entry == u32::MAX {
+                    *entry = self.history.entry_index(catalog.id_of_slot(slot as u32));
+                }
+                self.history.record_at(*entry, origin_min.saturating_add(minute), count);
+            }
+            self.free.push(counts);
+        }
+        (end - next) as u64
+    }
+
+    /// `PSNP`: the history store, the fold frontier, the in-flight rows.
+    pub fn write(&self, w: &mut WireWriter) {
+        w.put_len(self.history.len());
+        for series in self.history.iter() {
+            w.put_u64(series.id.0);
+            w.put_i64(series.start_minute);
+            w.put_len(series.executions.len());
+            for &v in &series.executions {
+                w.put_f64(v);
+            }
+        }
+        w.put_bool(self.next.is_some());
+        w.put_i64(self.next.unwrap_or(0));
+        w.put_i64(self.start);
+        w.put_len(self.rows.len());
+        for row in &self.rows {
+            w.put_len(row.len());
+            for &v in row {
+                w.put_f64(v);
+            }
+        }
+    }
+
+    /// Reads [`write`](Self::write)'s stretch.
+    pub fn read(r: &mut WireReader) -> Result<Self, WireError> {
+        let n_series = r.get_len(24)?;
+        let mut history = HistoryStore::new();
+        for _ in 0..n_series {
+            let id = SqlId(r.get_u64()?);
+            let start_minute = r.get_i64()?;
+            history.insert(HistorySeries { id, start_minute, executions: get_f64s(r)? });
+        }
+        let has_next = r.get_bool()?;
+        let next = r.get_i64()?;
+        let start = r.get_i64()?;
+        let n_rows = r.get_len(8)?;
+        let mut rows = VecDeque::with_capacity(n_rows);
+        for _ in 0..n_rows {
+            rows.push_back(get_f64s(r)?);
+        }
+        Ok(Self { start, rows, next: has_next.then_some(next), history, ..Self::default() })
+    }
+}

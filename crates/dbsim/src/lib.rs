@@ -27,6 +27,8 @@
 //! * [`config`] — instance sizing and the Performance-Schema overhead
 //!   model.
 
+#![forbid(unsafe_code)]
+
 pub mod closedloop;
 pub mod config;
 pub mod engine;

@@ -103,7 +103,9 @@ impl TelemetryEvent {
     pub fn time_ms(&self) -> f64 {
         match self {
             TelemetryEvent::Query(r) => r.start_ms,
-            TelemetryEvent::Metrics(m) => (m.second + 1) as f64 * 1000.0,
+            // In `f64`: the second is an `i64` off the wire, and `+ 1` at
+            // the top of its range would overflow.
+            TelemetryEvent::Metrics(m) => (m.second as f64 + 1.0) * 1000.0,
             TelemetryEvent::Tick { second } => *second as f64 * 1000.0,
         }
     }

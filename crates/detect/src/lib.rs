@@ -19,6 +19,8 @@
 //! reproduces the part PinSQL depends on — building typed anomaly cases —
 //! without the Bayesian case model.)
 
+#![forbid(unsafe_code)]
+
 pub mod case;
 pub mod confirm;
 pub mod detector;

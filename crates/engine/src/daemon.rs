@@ -62,7 +62,6 @@ use crate::fleet::{
 use crate::instance::OnlineInstance;
 use crate::snapshot::InstanceSnapshot;
 use pinsql::{ConfigEpoch, PinSql};
-use pinsql_dbsim::telemetry::query_run;
 use pinsql_dbsim::TelemetryEvent;
 use pinsql_obs::{
     Counter, FleetHealth, FleetRollup, HealthSnapshot, NoopObserver, Observer, Stage,
@@ -825,16 +824,7 @@ fn merge_streams<O: Observer>(
             }
         }
         let Some((_, j)) = head else { break };
-        let stream = &mut streams[j];
-        let c = cursors[j];
-        if let Some((second, len)) = query_run(stream, c) {
-            instances[j].ingest_queries(second, &stream[c..c + len]);
-            cursors[j] = c + len;
-        } else {
-            let ev = std::mem::replace(&mut stream[c], TelemetryEvent::Tick { second: i64::MIN });
-            instances[j].ingest(ev);
-            cursors[j] = c + 1;
-        }
+        cursors[j] += instances[j].ingest_next(streams[j], cursors[j]);
     }
 }
 

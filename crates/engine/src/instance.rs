@@ -19,9 +19,7 @@
 
 use crate::snapshot::{self, InstanceMeta, InstanceSnapshot};
 use pinsql::{Diagnosis, PinSql, PinSqlConfig};
-use pinsql_collector::{
-    CellStoreKind, HistoryStore, IncrementalAggregator, IncrementalConfig, IngestStats,
-};
+use pinsql_collector::{HistoryStore, IncrementalAggregator, IncrementalConfig, IngestStats};
 use pinsql_dbsim::telemetry::query_run;
 use pinsql_dbsim::TelemetryEvent;
 use pinsql_detect::{classify, CutKind, KernelKind, OnlineDetectorBank, PhenomenonConfig};
@@ -123,24 +121,6 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
         self.delta_s = delta_s;
     }
 
-    /// Replaces the aggregator's cell-store representation (bit-identical
-    /// either way; snapshots record the kind and restore rebuilds it).
-    /// Call before the first event — the aggregator is rebuilt empty
-    /// (preserving the cut-path choice).
-    pub fn with_cell_store(mut self, kind: CellStoreKind) -> Self {
-        debug_assert_eq!(self.events, 0, "cell store must be chosen before ingestion");
-        let retention = self.scenario.cfg.window_s + 120;
-        let cut = self.aggregator.cut();
-        self.aggregator = IncrementalAggregator::new(
-            &self.scenario.workload.specs,
-            IncrementalConfig::default()
-                .with_retention(retention)
-                .with_cell_store(kind)
-                .with_cut(cut),
-        );
-        self
-    }
-
     /// Selects the window-cut path (bit-identical either way; the knob
     /// feeds the equivalence suites). Safe at any point — flipping on a
     /// live pipeline rebuilds the running moments from resident state.
@@ -165,64 +145,52 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
 
     /// Folds one telemetry event into the pipeline: every event reaches
     /// the aggregator; metric samples additionally drive the detectors.
-    ///
-    /// The event is matched exactly once — each variant drops straight
-    /// into the aggregator's per-variant entry point, so the dominant
-    /// query case never touches the cold metrics/tick arms again
-    /// downstream.
     pub fn ingest(&mut self, ev: TelemetryEvent) {
         self.events += 1;
-        match ev {
-            TelemetryEvent::Query(rec) => {
-                let n0 = if O::ENABLED { self.obs.now_ns() } else { 0 };
-                self.aggregator.ingest_query_event(rec);
-                if O::ENABLED {
-                    self.obs.span(Stage::CellFold, n0, self.obs.now_ns());
-                }
+        if let TelemetryEvent::Metrics(sample) = &ev {
+            let n0 = if O::ENABLED { self.obs.now_ns() } else { 0 };
+            self.bank.observe(sample);
+            if O::ENABLED {
+                self.obs.span(Stage::DetectorStep, n0, self.obs.now_ns());
             }
-            TelemetryEvent::Metrics(sample) => {
-                let n0 = if O::ENABLED { self.obs.now_ns() } else { 0 };
-                self.bank.observe(&sample);
-                if O::ENABLED {
-                    self.obs.span(Stage::DetectorStep, n0, self.obs.now_ns());
+            // Segment edges arrive at metric cadence (~1/s), so this
+            // check is off the per-query hot path.
+            let open = self.bank.any_open();
+            if open != self.seg_open {
+                if open {
+                    self.cases_opened += 1;
+                } else {
+                    self.cases_closed += 1;
                 }
-                // Segment edges arrive at metric cadence (~1/s), so this
-                // check is off the per-query hot path.
-                let open = self.bank.any_open();
-                if open != self.seg_open {
-                    if open {
-                        self.cases_opened += 1;
-                    } else {
-                        self.cases_closed += 1;
-                    }
-                    self.seg_open = open;
-                }
-                let n0 = if O::ENABLED { self.obs.now_ns() } else { 0 };
-                self.aggregator.ingest_metrics_event(*sample);
-                if O::ENABLED {
-                    self.obs.span(Stage::CellFold, n0, self.obs.now_ns());
-                }
-            }
-            TelemetryEvent::Tick { second } => {
-                let n0 = if O::ENABLED { self.obs.now_ns() } else { 0 };
-                self.aggregator.ingest_tick(second);
-                if O::ENABLED {
-                    self.obs.span(Stage::CellFold, n0, self.obs.now_ns());
-                }
+                self.seg_open = open;
             }
         }
-    }
-
-    /// Folds a run of query events sharing one attribution second through
-    /// the collector's chunked hot path (see
-    /// [`IncrementalAggregator::ingest_query_run`]).
-    pub fn ingest_queries(&mut self, second: i64, events: &[TelemetryEvent]) {
-        self.events += events.len() as u64;
         let n0 = if O::ENABLED { self.obs.now_ns() } else { 0 };
-        self.aggregator.ingest_query_run(second, events);
+        self.aggregator.ingest(ev);
         if O::ENABLED {
             self.obs.span(Stage::CellFold, n0, self.obs.now_ns());
         }
+    }
+
+    /// Folds whatever starts at `events[from]` — a whole run of query
+    /// events sharing one attribution second through the collector's
+    /// chunked path, or one event of any other kind, moved out of the
+    /// slice — and returns how many events that was. Every driver of a
+    /// time-ordered stream ([`ingest_stream`](Self::ingest_stream), the
+    /// daemon's merge) advances by this one step.
+    pub(crate) fn ingest_next(&mut self, events: &mut [TelemetryEvent], from: usize) -> usize {
+        let Some((second, len)) = query_run(events, from) else {
+            // The placeholder left behind is never read again.
+            self.ingest(std::mem::replace(&mut events[from], TelemetryEvent::Tick { second: 0 }));
+            return 1;
+        };
+        self.events += len as u64;
+        let n0 = if O::ENABLED { self.obs.now_ns() } else { 0 };
+        self.aggregator.ingest_query_run(second, &events[from..from + len]);
+        if O::ENABLED {
+            self.obs.span(Stage::CellFold, n0, self.obs.now_ns());
+        }
+        len
     }
 
     /// Consumes a stretch of a time-ordered stream, chunking same-second
@@ -231,15 +199,7 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
     pub fn ingest_stream(&mut self, mut events: Vec<TelemetryEvent>) {
         let mut i = 0;
         while i < events.len() {
-            if let Some((second, len)) = query_run(&events, i) {
-                self.ingest_queries(second, &events[i..i + len]);
-                i += len;
-            } else {
-                let ev =
-                    std::mem::replace(&mut events[i], TelemetryEvent::Tick { second: i64::MIN });
-                self.ingest(ev);
-                i += 1;
-            }
+            i += self.ingest_next(&mut events, i);
         }
     }
 
@@ -320,7 +280,6 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
         snapshot::write_header(
             &mut w,
             self.bank.kernel(),
-            self.aggregator.config().cell_store,
             InstanceMeta {
                 delta_s: self.delta_s,
                 events: self.events,
@@ -355,7 +314,7 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
     ) -> Result<Self, WireError> {
         let n0 = if O::ENABLED { obs.now_ns() } else { 0 };
         let mut r = WireReader::new(snap.as_bytes());
-        let (version, kernel, cells, meta) = snapshot::read_header(&mut r)?;
+        let (kernel, meta) = snapshot::read_header(&mut r)?;
         let mut agg_r = r.get_section()?;
         let mut aggregator =
             IncrementalAggregator::read_snapshot(&scenario.workload.specs, &mut agg_r)?;
@@ -363,30 +322,16 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
         let mut bank_r = r.get_section()?;
         let bank = OnlineDetectorBank::read_snapshot(&mut bank_r)?;
         bank_r.finish("detector bank section")?;
-        if version >= 2 {
-            // v2+: the running cut moments travel in their own section;
-            // v1 blobs fall back to the rebuild `read_snapshot` already
-            // performed from the resident rings.
-            let mut cut_r = r.get_section()?;
-            aggregator.read_cut_state(&mut cut_r)?;
-            cut_r.finish("cut state section")?;
-        }
+        let mut cut_r = r.get_section()?;
+        aggregator.read_cut_state(&mut cut_r)?;
+        cut_r.finish("cut state section")?;
         r.finish("instance snapshot")?;
-        // Header tags let readers route a blob without a body decode;
-        // cross-checking them here means a spliced blob cannot restore.
+        // The header tag lets readers route a blob without a body decode;
+        // cross-checking it here means a spliced blob cannot restore.
         if bank.kernel() != kernel {
             return Err(WireError::Mismatch {
                 what: "kernel tag",
                 detail: format!("header declares {kernel:?}, bank section holds {:?}", bank.kernel()),
-            });
-        }
-        if aggregator.config().cell_store != cells {
-            return Err(WireError::Mismatch {
-                what: "cellstore tag",
-                detail: format!(
-                    "header declares {cells:?}, aggregator section holds {:?}",
-                    aggregator.config().cell_store
-                ),
             });
         }
         if O::ENABLED {
@@ -665,7 +610,7 @@ mod tests {
                     crate::snapshot::InstanceSnapshot::from_bytes(snap.into_bytes()).unwrap();
                 let mut restored = OnlineInstance::restore(&scenario, &snap).unwrap();
 
-                // Re-serialization is byte-idempotent (default Dense store).
+                // Re-serialization is byte-idempotent.
                 assert_eq!(
                     restored.snapshot().as_bytes(),
                     snap.as_bytes(),

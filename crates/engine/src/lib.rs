@@ -44,6 +44,8 @@
 //! same golden corpus, any parallelism, any execution path. See
 //! `replay_diagnose` and the `equivalence` matrix at the workspace root.
 
+#![forbid(unsafe_code)]
+
 pub mod control;
 pub mod daemon;
 pub mod fleet;
@@ -64,7 +66,7 @@ pub use fleet::{
 pub use instance::{
     replay_diagnose, replay_diagnose_observed, replay_diagnose_with_kernel, OnlineInstance,
 };
-pub use snapshot::{InstanceSnapshot, MIN_SNAPSHOT_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use snapshot::{InstanceSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use transport::{
     pipe_pair, plan_frames, recv_hello, run_source, serve_agent, ByteConn, IngestSink, PipeConn,
     RegionServer, SourcePlan, SourceStats, TcpConn, TransportError,

@@ -15,64 +15,61 @@
 //! A snapshot is a self-describing binary blob:
 //!
 //! ```text
-//! magic   "PSNP"            4 bytes
-//! version u16               currently 2 (future versions are rejected
-//!                           with a typed `FutureVersion`, never a panic)
-//! kernel  u8                detector kernel kind tag
-//! cells   u8                cell-store kind tag
+//! magic    "PSNP"           4 bytes
+//! version  u16              2, the only version read (a newer one is a
+//!                           typed `FutureVersion`, an older one a
+//!                           `BadTag`, never a panic)
+//! kernel   u8               detector kernel kind tag
+//! reserved u8               0 (anything else is a `BadTag`)
 //! section instance meta     length-prefixed: delta_s, events ingested,
 //!                           segment-open flag, case open/close counters
 //! section aggregator        `IncrementalAggregator::write_snapshot` body
 //! section detector bank     `OnlineDetectorBank::write_snapshot` body
-//! section cut state (v2+)   `IncrementalAggregator::write_cut_state`
+//! section cut state         `IncrementalAggregator::write_cut_state`
 //!                           body: cut kind tag + running moments
 //! ```
 //!
-//! Version 1 blobs (no cut-state section) still restore: the running
-//! moments are rebuilt from the aggregator's resident rings under the
-//! default [`CutKind`], so a pre-cut checkpoint resumes on the fast path
-//! with nothing lost.
+//! The reserved byte, and a second one inside the aggregator body, used
+//! to name one of two cell-row representations. One is left; the bytes
+//! stayed, as zeros, so that neither the layout nor `SNAPSHOT_VERSION`
+//! moved.
 //!
-//! The header kind tags duplicate tags inside the sections on purpose:
-//! a reader can route a blob (e.g. group checkpoints by kernel) without
-//! decoding megabytes of body, and restore cross-checks header against
-//! body so a spliced blob fails with a typed [`WireError::Mismatch`].
+//! The header kernel tag duplicates the tag inside the bank section on
+//! purpose: a reader can route a blob (e.g. group checkpoints by kernel)
+//! without decoding megabytes of body, and restore cross-checks header
+//! against body so a spliced blob fails with a typed [`WireError::Mismatch`].
 //!
 //! Malformed input of every shape — truncation at any byte, wrong magic,
-//! future version, bad kind tags, trailing garbage, a blob from a
+//! future or previous version, bad tags, trailing garbage, a blob from a
 //! different scenario — produces a [`WireError`], never a panic and never
 //! a silently wrong instance. The `snapshot_wire` suite walks every
 //! truncation point of a golden blob to pin this.
 
 use crate::wire::WireFormat;
-use pinsql_collector::CellStoreKind;
 use pinsql_detect::{CutKind, KernelKind};
 use pinsql_timeseries::{WireError, WireReader, WireWriter};
 
 /// The four magic bytes opening every instance snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PSNP";
-/// Newest snapshot wire version this build writes and reads.
+/// The snapshot wire version this build writes and reads.
 pub const SNAPSHOT_VERSION: u16 = 2;
-/// Oldest snapshot wire version this build still restores.
-pub const MIN_SNAPSHOT_VERSION: u16 = 1;
 
 /// The `PSNP` envelope identity under the shared [`WireFormat`] dialect.
 const SNAPSHOT_FORMAT: WireFormat = WireFormat {
     magic: SNAPSHOT_MAGIC,
     version: SNAPSHOT_VERSION,
-    min_version: MIN_SNAPSHOT_VERSION,
+    min_version: SNAPSHOT_VERSION,
     version_what: "snapshot version",
 };
 
-/// Header length: magic + version + kernel tag + cell-store tag.
+/// Header length: magic + version + kernel tag + reserved byte.
 const HEADER_LEN: usize = 8;
 
 /// One instance's serialized online state.
 ///
 /// Construction always validates the header ([`from_bytes`]
 /// (Self::from_bytes) for untrusted bytes; `OnlineInstance::snapshot` for
-/// live state), so [`kernel`](Self::kernel) and
-/// [`cellstore_kind`](Self::cellstore_kind) never fail. Body sections are
+/// live state), so [`kernel`](Self::kernel) never fails. Body sections are
 /// validated on restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstanceSnapshot {
@@ -80,7 +77,7 @@ pub struct InstanceSnapshot {
 }
 
 impl InstanceSnapshot {
-    /// Wraps untrusted bytes, validating magic, version, and kind tags.
+    /// Wraps untrusted bytes, validating magic, version, and header tags.
     ///
     /// Body sections are *not* decoded here — a snapshot can be routed
     /// (shipped to its new shard, grouped by kernel) without paying for a
@@ -89,7 +86,7 @@ impl InstanceSnapshot {
         let mut r = WireReader::new(&bytes);
         SNAPSHOT_FORMAT.read_magic_version(&mut r)?;
         decode_kernel(r.get_u8()?)?;
-        decode_cellstore(r.get_u8()?)?;
+        check_reserved(r.get_u8()?)?;
         Ok(Self { bytes })
     }
 
@@ -123,16 +120,6 @@ impl InstanceSnapshot {
     pub fn kernel(&self) -> KernelKind {
         decode_kernel(self.bytes[6]).expect("validated at construction")
     }
-
-    /// The cell-store representation the checkpointed instance ran.
-    pub fn cellstore_kind(&self) -> CellStoreKind {
-        decode_cellstore(self.bytes[7]).expect("validated at construction")
-    }
-
-    /// The wire version the blob was written at.
-    pub fn version(&self) -> u16 {
-        u16::from_le_bytes([self.bytes[4], self.bytes[5]])
-    }
 }
 
 /// The instance-level scalars carried alongside the aggregator and bank.
@@ -160,18 +147,11 @@ pub(crate) fn decode_kernel(tag: u8) -> Result<KernelKind, WireError> {
     }
 }
 
-pub(crate) fn cellstore_tag(kind: CellStoreKind) -> u8 {
-    match kind {
-        CellStoreKind::Dense => 0,
-        CellStoreKind::Hashed => 1,
-    }
-}
-
-fn decode_cellstore(tag: u8) -> Result<CellStoreKind, WireError> {
-    match tag {
-        0 => Ok(CellStoreKind::Dense),
-        1 => Ok(CellStoreKind::Hashed),
-        t => Err(WireError::BadTag { what: "cellstore kind", value: t as u64 }),
+/// Header byte 7 carries nothing and must say so.
+fn check_reserved(byte: u8) -> Result<(), WireError> {
+    match byte {
+        0 => Ok(()),
+        b => Err(WireError::BadTag { what: "reserved byte", value: b as u64 }),
     }
 }
 
@@ -192,15 +172,10 @@ pub(crate) fn decode_cut(tag: u8) -> Result<CutKind, WireError> {
 
 /// Writes the envelope header plus the instance-meta section; the caller
 /// (instance.rs) appends the aggregator and bank sections.
-pub(crate) fn write_header(
-    w: &mut WireWriter,
-    kernel: KernelKind,
-    cells: CellStoreKind,
-    meta: InstanceMeta,
-) {
+pub(crate) fn write_header(w: &mut WireWriter, kernel: KernelKind, meta: InstanceMeta) {
     SNAPSHOT_FORMAT.write_magic_version(w);
     w.put_u8(kernel_tag(kernel));
-    w.put_u8(cellstore_tag(cells));
+    w.put_u8(0);
     w.put_section(|w| {
         w.put_i64(meta.delta_s);
         w.put_u64(meta.events);
@@ -210,16 +185,15 @@ pub(crate) fn write_header(
     });
 }
 
-/// Reads the envelope header plus the instance-meta section, returning the
-/// wire version (so the caller knows which trailing sections to expect)
-/// and the declared kind tags for the caller to cross-check against the
-/// decoded body sections.
+/// Reads the envelope header plus the instance-meta section, returning
+/// the declared kernel tag for the caller to cross-check against the
+/// decoded bank section.
 pub(crate) fn read_header(
     r: &mut WireReader<'_>,
-) -> Result<(u16, KernelKind, CellStoreKind, InstanceMeta), WireError> {
-    let version = SNAPSHOT_FORMAT.read_magic_version(r)?;
+) -> Result<(KernelKind, InstanceMeta), WireError> {
+    SNAPSHOT_FORMAT.read_magic_version(r)?;
     let kernel = decode_kernel(r.get_u8()?)?;
-    let cells = decode_cellstore(r.get_u8()?)?;
+    check_reserved(r.get_u8()?)?;
     let mut meta_r = r.get_section()?;
     let meta = InstanceMeta {
         delta_s: meta_r.get_i64()?,
@@ -229,7 +203,7 @@ pub(crate) fn read_header(
         cases_closed: meta_r.get_u64()?,
     };
     meta_r.finish("instance meta")?;
-    Ok((version, kernel, cells, meta))
+    Ok((kernel, meta))
 }
 
 #[cfg(test)]
@@ -241,7 +215,6 @@ mod tests {
         write_header(
             &mut w,
             KernelKind::Fast,
-            CellStoreKind::Dense,
             InstanceMeta {
                 delta_s: 600,
                 events: 12345,
@@ -257,11 +230,9 @@ mod tests {
     fn header_round_trips() {
         let bytes = golden_header();
         let mut r = WireReader::new(&bytes);
-        let (version, kernel, cells, meta) = read_header(&mut r).unwrap();
+        let (kernel, meta) = read_header(&mut r).unwrap();
         r.finish("header").unwrap();
-        assert_eq!(version, SNAPSHOT_VERSION);
         assert_eq!(kernel, KernelKind::Fast);
-        assert_eq!(cells, CellStoreKind::Dense);
         assert_eq!(
             meta,
             InstanceMeta {
@@ -299,27 +270,26 @@ mod tests {
             Err(WireError::BadTag { what: "kernel kind", value: 7 })
         ));
 
-        let mut bad_cells = bytes;
-        bad_cells[7] = 9;
-        assert!(matches!(
-            read_header(&mut WireReader::new(&bad_cells)),
-            Err(WireError::BadTag { what: "cellstore kind", value: 9 })
-        ));
+        for value in [1u8, 9, 0xFF] {
+            let mut reserved = bytes.clone();
+            reserved[7] = value;
+            assert!(matches!(
+                read_header(&mut WireReader::new(&reserved)),
+                Err(WireError::BadTag { what: "reserved byte", value: v }) if v == value as u64
+            ));
+        }
     }
 
     #[test]
-    fn header_accepts_previous_version_and_rejects_zero() {
-        let mut v1 = golden_header();
-        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let (version, ..) = read_header(&mut WireReader::new(&v1)).unwrap();
-        assert_eq!(version, 1);
-
-        let mut v0 = golden_header();
-        v0[4..6].copy_from_slice(&0u16.to_le_bytes());
-        assert!(matches!(
-            read_header(&mut WireReader::new(&v0)),
-            Err(WireError::BadTag { what: "snapshot version", value: 0 })
-        ));
+    fn header_rejects_previous_versions() {
+        for old in 0..SNAPSHOT_VERSION {
+            let mut bytes = golden_header();
+            bytes[4..6].copy_from_slice(&old.to_le_bytes());
+            assert!(matches!(
+                read_header(&mut WireReader::new(&bytes)),
+                Err(WireError::BadTag { what: "snapshot version", value: v }) if v == old as u64
+            ));
+        }
     }
 
     #[test]
@@ -350,7 +320,6 @@ mod tests {
         assert!(InstanceSnapshot::from_bytes(b"JUNKJUNK".to_vec()).is_err());
         let snap = InstanceSnapshot::from_bytes(golden_header()).unwrap();
         assert_eq!(snap.kernel(), KernelKind::Fast);
-        assert_eq!(snap.cellstore_kind(), CellStoreKind::Dense);
         assert!(!snap.is_empty());
         assert_eq!(snap.len(), snap.as_bytes().len());
     }

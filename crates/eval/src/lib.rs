@@ -15,6 +15,8 @@
 //!   the robustness sweep (accuracy vs. telemetry-degradation intensity,
 //!   with negative-case false-positive curves).
 
+#![forbid(unsafe_code)]
+
 pub mod caseset;
 pub mod experiments;
 pub mod methods;

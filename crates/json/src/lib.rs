@@ -9,6 +9,8 @@
 //! document (DESIGN.md, "JSON and PRNG"). Copied from
 //! `benchmark/src/json.rs`, which is frozen with the benchmark.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 
 #[derive(Debug, Clone, PartialEq)]

@@ -32,6 +32,8 @@
 //! * [`HealthSnapshot`] — a cheap point-in-time health read of one
 //!   instance, aggregated fleet-wide into [`FleetHealth`].
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 mod health;
 mod hist;

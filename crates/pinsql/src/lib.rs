@@ -25,6 +25,8 @@
 //! [`pipeline::PinSql`] ties the stages together and reports per-stage
 //! wall-clock timings (the Table I `Time` column).
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod hsql;
 pub mod pipeline;

@@ -28,6 +28,8 @@
 //!   [`inject_many`]. Degradation changes what the pipeline observes,
 //!   never the ground truth.
 
+#![forbid(unsafe_code)]
+
 pub mod gen;
 pub mod history;
 pub mod inject;

@@ -17,6 +17,8 @@
 //! * [`tables`] — best-effort referenced-table extraction (FROM / JOIN /
 //!   UPDATE / INSERT INTO …), used by the simulator's lock managers.
 
+#![forbid(unsafe_code)]
+
 pub mod classify;
 pub mod lexer;
 pub mod params;

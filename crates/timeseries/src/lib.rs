@@ -40,6 +40,8 @@
 //! (pairwise correlation, weighted covariance) are written against slices so
 //! callers can pre-normalize once and reuse buffers.
 
+#![forbid(unsafe_code)]
+
 pub mod changepoint;
 pub mod fxhash;
 pub mod graph;

@@ -21,6 +21,8 @@
 //! A [`Workload`] bundles specs, tables, the DAG, and root traffic; the
 //! `pinsql-dbsim` crate consumes it to produce query logs and metrics.
 
+#![forbid(unsafe_code)]
+
 pub mod cost;
 pub mod dag;
 pub mod rng;

@@ -15,18 +15,22 @@
 #   scaling_smoke     shards 1/2/4 close bit-identical cases + the
 #                     run_full row of the equivalence matrix
 #   obs_smoke         chrome-trace export + zero-cost disabled observer
-#   kernel_smoke      fast kernels vs scalar reference, bit for bit
-#   snapshot_smoke    snapshot wire/property suites, checkpoint bytes and
-#                     handoff order, the matrix's reshard and checkpoint
-#                     -> resume rows, snapshot-size / restore-latency gate
+#   kernel_smoke      fast kernels vs scalar reference, the cell store vs
+#                     its map-per-second oracle, runs of N vs runs of one:
+#                     bit for bit
+#   snapshot_smoke    snapshot wire/property suites against the committed
+#                     golden blob, checkpoint bytes and handoff order, the
+#                     matrix's reshard and checkpoint -> resume rows,
+#                     snapshot-size / restore-latency gate
 #   daemon_smoke      resident daemon: control-wire hardening, report and
 #                     epoch contracts, the matrix's daemon row,
 #                     push-pause / restart gate
 #   case_cut_smoke    incremental window cut: running-moment rows bit-
 #                     identical to the reference derivation
 #   transport_smoke   cross-process ingest: PEVT wire hardening, TCP /
-#                     region server / wire extremes, the matrix's two
-#                     loopback rows, backpressure faults
+#                     region server / wire extremes and the event-time
+#                     extremes sweep, the matrix's two loopback rows,
+#                     backpressure faults
 #   equivalence       the whole execution-path x matrix-point table
 #                     against the golden corpus (tests/equivalence.rs,
 #                     one #[test] per path; ~8 min on 2 cores)
@@ -38,7 +42,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,36p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,40p' "$0" | sed 's/^# \{0,1\}//' >&2
 }
 
 # End-to-end chaos: a tiny run that exercises perturbation + diagnosis
@@ -81,17 +85,22 @@ obs_smoke() {
 }
 
 # Kernels: the fast kernels must stay bit-identical to the scalar
-# reference, and the dense cell store to the hashed one.
+# reference, the cell store to the map-per-second oracle in its test
+# module (a seeded op-sequence sweep), and the fold entered as runs of N
+# to the fold entered as runs of one.
 kernel_smoke() {
   cargo test -q --test kernel_props
+  cargo test -q -p pinsql-collector cellstore
   cargo test -q --test cellstore_props
 }
 
-# Checkpoint/restore + live resharding: engine-crate unit tests, the
-# wire-hardening and property suites, checkpoint-bytes / shipped-bytes /
-# handoff-order checks, then the bench-bin gate that keeps snapshot
-# bytes/instance and restore latency inside sane bounds.
+# Checkpoint/restore + live resharding: the collector's and the engine's
+# PSNP unit tests, the wire-hardening suite (committed golden blob, v2
+# only, reserved bytes) and the property suite, checkpoint-bytes /
+# shipped-bytes / handoff-order checks, then the bench-bin gate that
+# keeps snapshot bytes/instance and restore latency inside sane bounds.
 snapshot_smoke() {
+  cargo test -q -p pinsql-collector checkpoint
   cargo test -q -p pinsql-engine snapshot
   cargo test -q --test snapshot_wire
   cargo test -q --test snapshot_props
@@ -122,15 +131,17 @@ case_cut_smoke() {
 }
 
 # Cross-process ingest transport: engine wire/transport unit tests, the
-# PEVT adversarial suite with its committed golden frame, the TCP smoke /
-# region server / protocol-violation / wire-extreme suite, the matrix's
-# two loopback rows (mid-stream reconnect included) and the
-# backpressure/fault-injection soak, which holds the credit and memory
-# bounds.
+# PEVT adversarial suite with its committed golden frame, the collector's
+# three time-jump cases, the TCP smoke / region server / protocol-violation
+# / wire-extreme suite with the seeded event-time extremes sweep (direct,
+# chunked and over the wire), the matrix's two loopback rows (mid-stream
+# reconnect included) and the backpressure/fault-injection soak, which
+# holds the credit and memory bounds.
 transport_smoke() {
   cargo test -q -p pinsql-engine transport
   cargo test -q -p pinsql-engine wire
   cargo test -q --test event_wire
+  cargo test -q -p pinsql-collector time_jump
   cargo test -q --test transport
   matrix loopback
   cargo test -q --test backpressure

@@ -1,1 +1,3 @@
 //! Root integration-suite crate (see tests/ and examples/).
+
+#![forbid(unsafe_code)]

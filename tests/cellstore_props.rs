@@ -1,14 +1,16 @@
-//! Property equivalence of the two cell-store representations.
+//! The fold above the cell store, one path under two drives.
 //!
-//! The incremental aggregator's dense-slab store is the hot-path default;
-//! the hashed store is the reference implementation. This suite drives
-//! both with identical event streams — random, out-of-order, and
-//! chaos-perturbed real telemetry — and requires bit-identical `CaseData`
-//! snapshots, `executions` reads, and ingest counters, plus scalar/chunked
-//! agreement on the same streams.
+//! Every record reaches its cell through one fold body, entered as a run
+//! of N same-second records (`ingest_drain`) or as a run of one
+//! (`ingest`). This suite drives both with identical event streams —
+//! random, out-of-order, and chaos-perturbed real telemetry — and
+//! requires identical ingest counters and watermark and bit-identical
+//! `CaseData` snapshots; the time-ordered streams must also equal batch
+//! aggregation. (The cell store itself is held to a map-per-second
+//! oracle by an op-sequence sweep in `crates/collector`.)
 
-use pinsql_collector::{CaseData, CellStoreKind, IncrementalAggregator, IncrementalConfig};
-use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
+use pinsql_collector::{aggregate_case, CaseData, IncrementalAggregator, IncrementalConfig};
+use pinsql_dbsim::{interleave, MetricsSample, QueryRecord, TelemetryEvent};
 use pinsql_scenario::{
     generate_base, inject, simulate_telemetry, AnomalyKind, PerturbConfig, ScenarioConfig,
 };
@@ -43,34 +45,33 @@ fn assert_case_eq(a: &CaseData, b: &CaseData, ctx: &str) {
     }
 }
 
-fn assert_aggs_agree(
-    dense: &mut IncrementalAggregator,
-    hashed: &mut IncrementalAggregator,
-    ts: i64,
-    te: i64,
+/// Folds `events` as runs of one and as runs of N; both must agree on
+/// every counter, the watermark and the window's bits. Returns the case.
+fn fold_both_ways(
+    specs: &[TemplateSpec],
+    events: Vec<TelemetryEvent>,
+    (ts, te): (i64, i64),
     ctx: &str,
-) {
-    let sd = dense.stats();
-    let sh = hashed.stats();
-    assert_eq!(
-        (sd.events, sd.queries, sd.malformed, sd.late),
-        (sh.events, sh.queries, sh.malformed, sh.late),
-        "{ctx}: ingest counters"
-    );
-    assert_eq!(dense.watermark(), hashed.watermark(), "{ctx}");
-    assert_case_eq(&dense.snapshot(ts, te), &hashed.snapshot(ts, te), ctx);
-    for s in ts..te {
-        for spec_idx in 0..dense.catalog().n_slots() {
-            let id = dense.catalog().id_of_slot(spec_idx as u32);
-            assert_eq!(dense.executions(id, s), hashed.executions(id, s), "{ctx}: id {id:?} s={s}");
-        }
+) -> CaseData {
+    let mut one_by_one = IncrementalAggregator::new(specs, IncrementalConfig::default());
+    for ev in events.clone() {
+        one_by_one.ingest(ev);
     }
+    let mut in_runs = IncrementalAggregator::new(specs, IncrementalConfig::default());
+    let mut buf = events;
+    in_runs.ingest_drain(&mut buf);
+    assert!(buf.is_empty(), "{ctx}: drain clears the buffer");
+    assert_eq!(one_by_one.stats(), in_runs.stats(), "{ctx}: ingest counters");
+    assert_eq!(one_by_one.watermark(), in_runs.watermark(), "{ctx}");
+    let case = one_by_one.snapshot(ts, te);
+    assert_case_eq(&case, &in_runs.snapshot(ts, te), ctx);
+    case
 }
 
 /// Random event streams — arrivals in any order (including seconds
-/// before the ring start), corrupted records, interleaved ticks and
-/// metric samples — fold identically through both stores, via both the
-/// scalar and the chunked entry points. 256 seeded streams.
+/// before the ring start), corrupted records, interleaved metric samples
+/// — leave the same cells, records and counters in an aggregator fed runs
+/// of N as in one fed runs of one. 256 seeded streams.
 #[test]
 fn stores_agree_on_random_streams() {
     for seed in 0..256u64 {
@@ -109,35 +110,15 @@ fn stores_agree_on_random_streams() {
                 })));
             }
         }
-
-        let mk = |kind: CellStoreKind| {
-            IncrementalAggregator::new(&specs, IncrementalConfig::default().with_cell_store(kind))
-        };
-        let mut dense = mk(CellStoreKind::Dense);
-        let mut hashed = mk(CellStoreKind::Hashed);
-        for ev in events.clone() {
-            dense.ingest(ev.clone());
-            hashed.ingest(ev);
-        }
-        assert_aggs_agree(&mut dense, &mut hashed, -3, 91, &ctx);
-
-        // The chunked drain path over the same stream, both stores.
-        let mut dense_chunked = mk(CellStoreKind::Dense);
-        let mut hashed_chunked = mk(CellStoreKind::Hashed);
-        let mut buf = events.clone();
-        dense_chunked.ingest_drain(&mut buf);
-        assert!(buf.is_empty(), "{ctx}");
-        buf = events;
-        hashed_chunked.ingest_drain(&mut buf);
-        assert_aggs_agree(&mut dense_chunked, &mut hashed_chunked, -3, 91, &ctx);
-        assert_case_eq(&dense.snapshot(-3, 91), &dense_chunked.snapshot(-3, 91), &ctx);
+        fold_both_ways(&specs, events, (-3, 91), &ctx);
     }
 }
 
 /// Chaos-perturbed real telemetry (drops, duplicates, jitter, clock skew,
-/// shuffled delivery, blanked metric seconds) folds identically through
-/// both stores. Records are fed in raw perturbed order — genuinely
-/// out-of-order, exercising the ring's prepend and gap-fill paths.
+/// shuffled delivery, blanked metric seconds). Fed in raw perturbed order
+/// — genuinely out-of-order, exercising the ring's prepend and gap-fill
+/// paths — it folds identically both ways; interleaved into a
+/// time-ordered stream, both ways also equal batch aggregation.
 #[test]
 fn stores_agree_on_perturbed_telemetry() {
     for (seed, intensity) in [(21u64, 0.4), (22, 0.8)] {
@@ -148,21 +129,12 @@ fn stores_agree_on_perturbed_telemetry() {
         let scenario = inject(&base, &cfg, AnomalyKind::BusinessSpike);
         let p = PerturbConfig::at_intensity(seed ^ 0x5EED, intensity);
         let (log, metrics) = simulate_telemetry(&scenario, Some(&p));
+        let specs = &scenario.workload.specs;
+        let window = (0, scenario.cfg.window_s);
 
-        let mk = |kind: CellStoreKind| {
-            IncrementalAggregator::new(
-                &scenario.workload.specs,
-                IncrementalConfig::default().with_cell_store(kind),
-            )
-        };
-        let mut dense = mk(CellStoreKind::Dense);
-        let mut hashed = mk(CellStoreKind::Hashed);
-        for rec in &log {
-            dense.ingest(TelemetryEvent::Query(*rec));
-            hashed.ingest(TelemetryEvent::Query(*rec));
-        }
+        let mut raw: Vec<TelemetryEvent> = log.iter().map(|r| TelemetryEvent::Query(*r)).collect();
         for s in 0..metrics.active_session.len() {
-            let sample = MetricsSample {
+            raw.push(TelemetryEvent::Metrics(Box::new(MetricsSample {
                 second: metrics.start_second + s as i64,
                 active_session: metrics.active_session[s],
                 cpu_usage: metrics.cpu_usage[s],
@@ -171,11 +143,12 @@ fn stores_agree_on_perturbed_telemetry() {
                 mdl_waits: metrics.mdl_waits[s],
                 qps: metrics.qps[s],
                 probes: Vec::new(),
-            };
-            dense.ingest(TelemetryEvent::Metrics(Box::new(sample.clone())));
-            hashed.ingest(TelemetryEvent::Metrics(Box::new(sample)));
+            })));
         }
-        let ctx = format!("seed {seed}");
-        assert_aggs_agree(&mut dense, &mut hashed, 0, scenario.cfg.window_s, &ctx);
+        fold_both_ways(specs, raw, window, &format!("seed {seed}, raw order"));
+
+        let ctx = format!("seed {seed}, time order");
+        let online = fold_both_ways(specs, interleave(&log, &metrics), window, &ctx);
+        assert_case_eq(&online, &aggregate_case(&log, specs, &metrics, window.0, window.1), &ctx);
     }
 }

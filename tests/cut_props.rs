@@ -13,9 +13,7 @@
 //! workloads, retention-evicting long windows, and mid-window
 //! snapshot/restore splits. A failing sweep names its seed.
 
-use pinsql_collector::{
-    CaseData, CellStoreKind, IncrementalAggregator, IncrementalConfig, WindowCut,
-};
+use pinsql_collector::{CaseData, IncrementalAggregator, IncrementalConfig, WindowCut};
 use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
 use pinsql_detect::CutKind;
 use pinsql_engine::{InstanceSnapshot, OnlineInstance};
@@ -93,11 +91,8 @@ fn assert_case_eq_modulo_cut(a: &CaseData, b: &CaseData, what: &str) {
 }
 
 /// Runs one stream through both cut paths and checks the full contract.
-fn check_stream(scenario: &Scenario, events: &[TelemetryEvent], dense: bool, what: &str) {
-    let cells = if dense { CellStoreKind::Dense } else { CellStoreKind::Hashed };
-    let mk = |cut: CutKind| {
-        OnlineInstance::new(scenario, DELTA_S).with_cell_store(cells).with_cut(cut)
-    };
+fn check_stream(scenario: &Scenario, events: &[TelemetryEvent], what: &str) {
+    let mk = |cut: CutKind| OnlineInstance::new(scenario, DELTA_S).with_cut(cut);
 
     let mut inc = mk(CutKind::Incremental);
     inc.ingest_stream(events.to_vec());
@@ -122,8 +117,7 @@ fn random_streams_cut_exactly() {
     for seed in 0..256u64 {
         let mut rng = rng_from_seed(seed);
         let events = random_event_stream(&mut rng, scenario.workload.specs.len());
-        let dense = rng.random_range(0..2u32) == 1;
-        check_stream(&scenario, &events, dense, &format!("seed {seed}: random stream"));
+        check_stream(&scenario, &events, &format!("seed {seed}: random stream"));
     }
 }
 
@@ -146,8 +140,7 @@ fn perturbed_streams_cut_exactly() {
             metric_blank_prob: 0.05,
         };
         let events = materialize_events(&scenario, Some(&perturb));
-        let dense = rng.random_range(0..2u32) == 1;
-        check_stream(&scenario, &events, dense, &format!("seed {seed}: perturbed stream"));
+        check_stream(&scenario, &events, &format!("seed {seed}: perturbed stream"));
     }
 }
 
@@ -175,8 +168,7 @@ fn constant_stream_cut_is_exact_and_degenerate_gate_is_finite() {
         })));
         events.push(TelemetryEvent::Tick { second: s + 1 });
     }
-    check_stream(&scenario, &events, true, "constant stream");
-    check_stream(&scenario, &events, false, "constant stream (hashed)");
+    check_stream(&scenario, &events, "constant stream");
 }
 
 /// A stream that runs far past the retention horizon: early seconds are
@@ -235,6 +227,35 @@ fn snapshot_restore_mid_window_preserves_the_cut() {
         assert_eq!(cut_restored.minute_rows, cut_base.minute_rows, "{what}: rows");
         for (i, (a, b)) in cut_restored.gate.iter().zip(&cut_base.gate).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "{what}: gate {i}");
+        }
+    }
+}
+
+/// A mid-stream `set_cut(Reference → Incremental)` — the daemon's config
+/// push — rebuilds the running moments from the resident rings. The
+/// rebuilt state then tracks the stream like one that ran from the first
+/// event: carried matrix rows identical, advisory gates equal to within
+/// the rounding of the ring-sweep order (1e-9).
+#[test]
+fn a_mid_stream_flip_to_incremental_rebuilds_the_running_moments() {
+    let scenario = small_scenario(9);
+    let events = materialize_events(&scenario, None);
+    let mut from_birth = OnlineInstance::new(&scenario, DELTA_S).with_cut(CutKind::Incremental);
+    from_birth.ingest_stream(events.clone());
+    let born = assert_cut_is_reference_exact(&from_birth.close_case().case, "incremental from birth");
+
+    for frac in [0.0f64, 0.3, 0.6, 1.0] {
+        let split = ((events.len() as f64) * frac) as usize;
+        let what = format!("flipped at {split}");
+        let mut flipped = OnlineInstance::new(&scenario, DELTA_S).with_cut(CutKind::Reference);
+        flipped.ingest_stream(events[..split].to_vec());
+        flipped.set_cut(CutKind::Incremental);
+        flipped.ingest_stream(events[split..].to_vec());
+        let rebuilt = assert_cut_is_reference_exact(&flipped.close_case().case, &what);
+        assert_eq!(rebuilt.minute_rows, born.minute_rows, "{what}: carried matrix rows");
+        assert_eq!(rebuilt.gate.len(), born.gate.len(), "{what}");
+        for (i, (x, y)) in rebuilt.gate.iter().zip(&born.gate).enumerate() {
+            assert!((x - y).abs() <= 1e-9, "{what}: gate {i}: rebuilt {x} vs running {y}");
         }
     }
 }

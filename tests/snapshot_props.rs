@@ -10,7 +10,7 @@
 //! position. The random generators are seeded sweeps; a failure names
 //! the seed.
 
-use pinsql_collector::{CaseData, CellStoreKind};
+use pinsql_collector::CaseData;
 use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
 use pinsql_detect::KernelKind;
 use pinsql_engine::{InstanceSnapshot, OnlineInstance};
@@ -59,10 +59,9 @@ fn round_trip_at(
     events: &[TelemetryEvent],
     split: usize,
     kernel: KernelKind,
-    cells: CellStoreKind,
     ctx: &str,
 ) {
-    let mk = || OnlineInstance::new(scenario, DELTA_S).with_kernel(kernel).with_cell_store(cells);
+    let mk = || OnlineInstance::new(scenario, DELTA_S).with_kernel(kernel);
 
     let mut baseline = mk();
     baseline.ingest_stream(events.to_vec());
@@ -70,7 +69,7 @@ fn round_trip_at(
     let mut live = mk();
     live.ingest_stream(events[..split].to_vec());
     let snap = live.snapshot();
-    assert_eq!((snap.kernel(), snap.cellstore_kind()), (kernel, cells), "{ctx}: header tags");
+    assert_eq!(snap.kernel(), kernel, "{ctx}: header tag");
     let wrapped = InstanceSnapshot::from_bytes(snap.into_bytes())
         .unwrap_or_else(|e| panic!("{ctx}: own bytes must revalidate: {e:?}"));
     let mut restored = OnlineInstance::restore(scenario, &wrapped)
@@ -78,12 +77,9 @@ fn round_trip_at(
 
     assert_eq!(restored.events_ingested(), live.events_ingested(), "{ctx}");
     assert_eq!(restored.health_snapshot(), live.health_snapshot(), "{ctx}: health after restore");
-    if cells == CellStoreKind::Dense {
-        // The dense store serializes in slot order, so re-serializing the
-        // restored state is byte-idempotent. (The hashed store is
-        // behaviorally exact but not byte-stable across map iteration.)
-        assert_eq!(restored.snapshot().as_bytes(), wrapped.as_bytes(), "{ctx}: byte idempotence");
-    }
+    // Rows serialize in first-touch order and restore verbatim, so
+    // re-serializing the restored state is byte-idempotent.
+    assert!(restored.snapshot() == wrapped, "{ctx}: byte idempotence");
 
     live.ingest_stream(events[split..].to_vec());
     restored.ingest_stream(events[split..].to_vec());
@@ -110,12 +106,7 @@ fn random_streams_round_trip() {
         let split = ((events.len() as f64) * rng.random_range(0.0..1.0)) as usize;
         let kernel =
             if rng.random_range(0..2u32) == 1 { KernelKind::Fast } else { KernelKind::Reference };
-        let cells = if rng.random_range(0..2u32) == 1 {
-            CellStoreKind::Dense
-        } else {
-            CellStoreKind::Hashed
-        };
-        round_trip_at(&scenario, &events, split, kernel, cells, &format!("seed {seed}"));
+        round_trip_at(&scenario, &events, split, kernel, &format!("seed {seed}"));
     }
 }
 
@@ -139,12 +130,7 @@ fn perturbed_streams_round_trip() {
         };
         let events = materialize_events(&scenario, Some(&perturb));
         let split = ((events.len() as f64) * rng.random_range(0.0..1.0)) as usize;
-        let cells = if rng.random_range(0..2u32) == 1 {
-            CellStoreKind::Dense
-        } else {
-            CellStoreKind::Hashed
-        };
-        round_trip_at(&scenario, &events, split, KernelKind::Fast, cells, &format!("seed {seed}"));
+        round_trip_at(&scenario, &events, split, KernelKind::Fast, &format!("seed {seed}"));
     }
 }
 

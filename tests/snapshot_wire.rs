@@ -11,19 +11,23 @@
 //! * byte-stability — today's engine reproduces the committed blob
 //!   exactly, so any accidental wire-format change fails loudly;
 //! * typed failure on *every* malformed shape — truncation at each byte,
-//!   wrong magic, future version, unknown and spliced kind tags, trailing
+//!   wrong magic, future and previous versions, unknown and spliced kind
+//!   tags, a non-zero reserved byte in the header or the body, trailing
 //!   garbage, and restore into the wrong scenario — never a panic, never
 //!   a silently wrong instance.
 
 mod common;
 
-use pinsql_engine::{
-    InstanceSnapshot, OnlineInstance, MIN_SNAPSHOT_VERSION, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
-};
+use pinsql_engine::{InstanceSnapshot, OnlineInstance, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use pinsql_scenario::{generate_base, inject, materialize_events, AnomalyKind, ScenarioConfig};
 use pinsql_timeseries::WireError;
 
 const DELTA_S: i64 = 60;
+
+/// Where the aggregator body's reserved byte sits in a blob: the 8-byte
+/// header, the meta section (8-byte length + 33), the aggregator
+/// section's length, then two `i64` configuration fields.
+const BODY_RESERVED_AT: usize = 8 + (8 + 33) + 8 + 16;
 
 fn golden_scenario() -> pinsql_scenario::Scenario {
     let cfg = ScenarioConfig {
@@ -83,7 +87,6 @@ fn golden_blob_is_byte_stable_and_restores() {
     // ingesting: drain the tail and close the case without error.
     let wrapped = InstanceSnapshot::from_bytes(committed).expect("golden blob validates");
     assert_eq!(wrapped.kernel(), snap.kernel());
-    assert_eq!(wrapped.cellstore_kind(), snap.cellstore_kind());
     let mut restored = OnlineInstance::restore(&scenario, &wrapped).expect("golden blob restores");
     let events = materialize_events(&scenario, None);
     let cut = events.partition_point(|ev| ev.time_ms() < 150.0 * 1000.0);
@@ -138,30 +141,43 @@ fn corrupt_headers_yield_specific_typed_errors() {
         Err(WireError::BadTag { what: "kernel kind", value: 9 })
     ));
 
-    let mut bad_cells = bytes.clone();
-    bad_cells[7] = 9;
+    // The version before this one had no cut-state section; nothing
+    // reads it any more.
+    let mut previous = bytes.clone();
+    previous[4..6].copy_from_slice(&(SNAPSHOT_VERSION - 1).to_le_bytes());
     assert!(matches!(
-        InstanceSnapshot::from_bytes(bad_cells),
-        Err(WireError::BadTag { what: "cellstore kind", value: 9 })
+        InstanceSnapshot::from_bytes(previous),
+        Err(WireError::BadTag { what: "snapshot version", value: 1 })
     ));
 
-    // A *valid-looking* spliced header — kind tags flipped to the other
-    // legal value — passes routing validation but must fail restore's
-    // header-vs-body cross-check.
+    // Header byte 7 and the aggregator body's byte 16 once named a
+    // cell-row representation; they are reserved now, and must be 0.
+    assert_eq!((bytes[7], bytes[BODY_RESERVED_AT]), (0, 0));
+    for value in [1u8, 9, 0xFF] {
+        let mut reserved = bytes.clone();
+        reserved[7] = value;
+        assert!(matches!(
+            InstanceSnapshot::from_bytes(reserved),
+            Err(WireError::BadTag { what: "reserved byte", value: v }) if v == value as u64
+        ));
+        let mut reserved = bytes.clone();
+        reserved[BODY_RESERVED_AT] = value;
+        let snap = InstanceSnapshot::from_bytes(reserved).expect("header is intact");
+        assert!(matches!(
+            OnlineInstance::restore(&scenario, &snap),
+            Err(WireError::BadTag { what: "reserved byte", value: v }) if v == value as u64
+        ));
+    }
+
+    // A *valid-looking* spliced header — the kernel tag flipped to the
+    // other legal value — passes routing validation but must fail
+    // restore's header-vs-body cross-check.
     let mut spliced_kernel = bytes.clone();
     spliced_kernel[6] ^= 1;
     let snap = InstanceSnapshot::from_bytes(spliced_kernel).expect("tag is legal in isolation");
     assert!(matches!(
         OnlineInstance::restore(&scenario, &snap),
         Err(WireError::Mismatch { what: "kernel tag", .. })
-    ));
-
-    let mut spliced_cells = bytes.clone();
-    spliced_cells[7] ^= 1;
-    let snap = InstanceSnapshot::from_bytes(spliced_cells).expect("tag is legal in isolation");
-    assert!(matches!(
-        OnlineInstance::restore(&scenario, &snap),
-        Err(WireError::Mismatch { what: "cellstore tag", .. })
     ));
 
     let mut trailing = bytes.clone();
@@ -171,77 +187,6 @@ fn corrupt_headers_yield_specific_typed_errors() {
         OnlineInstance::restore(&scenario, &snap),
         Err(WireError::TrailingBytes { .. })
     ));
-}
-
-/// Splits a snapshot's bytes into its 8-byte header and length-prefixed
-/// sections (meta, aggregator, bank, and — since v2 — cut state).
-fn sections(bytes: &[u8]) -> (Vec<u8>, Vec<Vec<u8>>) {
-    let mut out = Vec::new();
-    let mut at = 8usize;
-    while at < bytes.len() {
-        let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-        out.push(bytes[at..at + 8 + len].to_vec());
-        at += 8 + len;
-    }
-    (bytes[..8].to_vec(), out)
-}
-
-/// Backward decode: a v1 blob is exactly a v2 blob without the trailing
-/// cut-state section. Derive one from the live encoder (truncate the
-/// fourth section, patch the version field) and pin that it still
-/// restores — with the running-moment state rebuilt from the rings —
-/// and that the v1-restored instance re-serializes as a v2 blob whose
-/// meta/aggregator/bank sections are byte-identical to the original.
-#[test]
-fn previous_version_blob_without_cut_state_still_restores() {
-    let scenario = golden_scenario();
-    let v2 = build_snapshot(&scenario).into_bytes();
-    assert_eq!(u16::from_le_bytes([v2[4], v2[5]]), SNAPSHOT_VERSION);
-    let (header, parts) = sections(&v2);
-    assert_eq!(parts.len(), 4, "a v2 blob carries meta, aggregator, bank, and cut state");
-
-    let mut v1 = header.clone();
-    for s in &parts[..3] {
-        v1.extend_from_slice(s);
-    }
-    v1[4..6].copy_from_slice(&MIN_SNAPSHOT_VERSION.to_le_bytes());
-
-    let wrapped = InstanceSnapshot::from_bytes(v1).expect("derived v1 blob validates");
-    assert_eq!(wrapped.version(), MIN_SNAPSHOT_VERSION);
-    let mut from_v1 =
-        OnlineInstance::restore(&scenario, &wrapped).expect("v1 blob restores without cut state");
-    let v2_wrapped = InstanceSnapshot::from_bytes(v2).expect("v2 blob validates");
-    let mut from_v2 = OnlineInstance::restore(&scenario, &v2_wrapped).expect("v2 blob restores");
-
-    // Re-serializing the v1 restore writes today's version, and every
-    // section below the cut state matches the original bytes exactly.
-    // (The rebuilt cut moments are behaviorally equivalent but re-derived
-    // in ring-sweep order, so that section is not compared bit-wise.)
-    let reser = from_v1.snapshot();
-    let (h2, p2) = sections(reser.as_bytes());
-    assert_eq!(h2, header, "v1 restore re-serializes under the current header");
-    assert_eq!(p2.len(), 4, "re-serialization regains the cut-state section");
-    for (i, (a, b)) in p2[..3].iter().zip(&parts[..3]).enumerate() {
-        assert_eq!(a, b, "section {i} diverged after the v1 round-trip");
-    }
-
-    // Both restores drain the tail to the same closed case: identical
-    // carried matrix rows, and advisory gates equal to within rounding
-    // of the sweep-order rebuild.
-    let events = materialize_events(&scenario, None);
-    let cut_at = events.partition_point(|ev| ev.time_ms() < 150.0 * 1000.0);
-    from_v1.ingest_stream(events[cut_at..].to_vec());
-    from_v2.ingest_stream(events[cut_at..].to_vec());
-    let a = from_v1.close_case();
-    let b = from_v2.close_case();
-    let ca = a.case.cut.as_deref().expect("v1 restore closes with a cut");
-    let cb = b.case.cut.as_deref().expect("v2 restore closes with a cut");
-    assert_eq!(ca.minute_start, cb.minute_start);
-    assert_eq!(ca.minute_rows, cb.minute_rows, "carried matrix rows must be exact");
-    assert_eq!(ca.gate.len(), cb.gate.len());
-    for (i, (x, y)) in ca.gate.iter().zip(&cb.gate).enumerate() {
-        assert!((x - y).abs() <= 1e-9, "gate {i}: v1 rebuild {x} vs v2 state {y}");
-    }
 }
 
 #[test]

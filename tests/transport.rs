@@ -7,24 +7,28 @@
 //! over many agents' `PCTL` health queries, protocol-role and sequence
 //! discipline over raw frames, and the wire-reachable integer and
 //! lifecycle extremes — an `Advance` / `Drain` boundary at the ends of
-//! `i64`, a query naming a `spec` outside the instance's catalog, and an
-//! `Advance` arriving at a drained agent.
+//! `i64`, a query naming a `spec` outside the instance's catalog, an
+//! `Advance` arriving at a drained agent, and a seeded sweep of extreme
+//! event *times* (a tick, a metric second or a query arrival at the ends
+//! of `i64` / `f64`) spliced into an ordinary stream.
 
 mod common;
 
 use common::{
     assert_run_matches_batch, batch_reference, drive_loopback, golden_fleet_config, live_policy,
-    load_manifest, scenario_for, MatrixPoint,
+    load_manifest, scenario_for, small_scenario, MatrixPoint, GOLDEN_DELTA_S,
 };
 use pinsql::TransportPolicy;
-use pinsql_dbsim::{QueryRecord, TelemetryEvent};
+use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
 use pinsql_engine::{
     pipe_pair, plan_frames, recv_hello, serve_agent, ControlMsg, ControlResp, DaemonState,
-    EventFrame, FleetDaemon, IngestSink, RegionServer, SourcePlan, TcpConn,
+    EventFrame, FleetDaemon, IngestSink, OnlineInstance, RegionServer, SourcePlan, TcpConn,
 };
 use pinsql_scenario::{materialize_events, Scenario};
 use pinsql_timeseries::WireError;
+use pinsql_workload::rng::{rng_from_seed, RngExt};
 use pinsql_workload::SpecId;
+use std::time::{Duration, Instant};
 
 /// Advance cadence (event-time seconds) the suites stream under.
 const ADVANCE_EVERY_S: i64 = 60;
@@ -348,4 +352,200 @@ fn advance_at_a_drained_agent_is_refused_not_fatal() {
     assert_eq!(acked_seq(&sink.handle_event_frame(&advance).expect("re-sent advance")), 2);
     assert_eq!(sink.buffered(), 0);
     assert_eq!(sink.daemon().watermark(), 5);
+}
+
+/// The aggregator and cut-state sections of a `PSNP` blob, the
+/// aggregator's seven counters zeroed — the fold's state with the
+/// bookkeeping of how it got there masked out.
+fn fold_state(blob: &[u8]) -> Vec<Vec<u8>> {
+    let mut sections = Vec::new();
+    let mut at = 8;
+    while at < blob.len() {
+        let len = u64::from_le_bytes(blob[at..at + 8].try_into().unwrap()) as usize;
+        sections.push(blob[at + 8..at + 8 + len].to_vec());
+        at += 8 + len;
+    }
+    let [_meta, mut aggregator, _bank, cut] = <[Vec<u8>; 4]>::try_from(sections).unwrap();
+    // retention, history origin, reserved byte, slot count, slot ids.
+    let n_slots = u64::from_le_bytes(aggregator[17..25].try_into().unwrap()) as usize;
+    aggregator[25 + 8 * n_slots..][..7 * 8].fill(0);
+    vec![aggregator, cut]
+}
+
+/// What the fold must make of a spliced event, told from the event and
+/// its position alone.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fate {
+    /// Dropped and counted as malformed; the fold's state is untouched.
+    Malformed,
+    /// Dropped and counted as late; the fold's state is untouched.
+    Late,
+    /// Neither counted nor applied (a tick behind the watermark).
+    Ignored,
+    /// Applied — a clock that legitimately jumped, or the event that
+    /// starts a ring: only the bounds are claimed.
+    Applied,
+}
+
+/// No event time, however extreme, panics the fold, takes unbounded time,
+/// or makes a ring outgrow its retention; a spliced event the fold drops
+/// leaves exactly the state the stream without it leaves; and the wire
+/// path ends on the same bits as the direct one. 320 seeded cases: an
+/// ordinary 20–60 s stream with one integer extreme spliced into a `Tick`
+/// or a `Metrics.second`, or one float extreme into a `QueryRecord.
+/// start_ms`, at a random position — driven through
+/// `OnlineInstance::ingest_stream` (event by event and whole) and through
+/// `IngestSink::handle_event_frame` + `Advance`.
+#[test]
+fn extreme_event_times_are_bounded_and_a_dropped_one_changes_nothing() {
+    const INTS: [i64; 6] =
+        [i64::MIN + 1, i64::MAX, i64::MAX / 2, 1_000_000_000_000, -1_000_000_000_000, 30_000_000];
+    const FLOATS: [f64; 9] =
+        [1e15, -1e15, f64::MAX, -f64::MAX, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 3e10];
+    /// Generous: the slowest event here is microseconds; before the rings
+    /// bounded their gaps one such event took seconds, or never returned.
+    const PER_EVENT: Duration = Duration::from_secs(2);
+
+    let scenarios = vec![small_scenario(7)];
+    let scenario = &scenarios[0];
+    let n_specs = scenario.workload.specs.len();
+    let bound = (scenario.cfg.window_s + 120 + 1) as usize;
+    let new_instance = || OnlineInstance::new(scenario, GOLDEN_DELTA_S);
+
+    for seed in 0..320u64 {
+        let mut rng = rng_from_seed(seed);
+        let mut stream: Vec<TelemetryEvent> = Vec::new();
+        for s in 0..rng.random_range(20..60u64) as i64 {
+            for q in 0..rng.random_range(1..4u32) {
+                stream.push(TelemetryEvent::Query(QueryRecord {
+                    spec: SpecId(rng.random_range(0..n_specs)),
+                    start_ms: s as f64 * 1000.0 + q as f64 * 300.0,
+                    response_ms: rng.random_range(0.5..50.0),
+                    examined_rows: rng.random_range(0..100u64),
+                }));
+            }
+            stream.push(TelemetryEvent::Metrics(Box::new(MetricsSample {
+                second: s,
+                active_session: rng.random_range(1.0..9.0),
+                ..Default::default()
+            })));
+            stream.push(tick(s + 1));
+        }
+        let at = rng.random_range(0..=stream.len());
+        // The first sample both starts the metric ring and sets the
+        // watermark; the first event, a query, starts the cell ring.
+        let first_sample =
+            stream.iter().position(|ev| matches!(ev, TelemetryEvent::Metrics(_))).unwrap();
+        let (spliced, fate) = match seed % 3 {
+            0 => {
+                let second = INTS[rng.random_range(0..INTS.len())];
+                let behind = at > first_sample && second < 0;
+                (tick(second), if behind { Fate::Ignored } else { Fate::Applied })
+            }
+            1 => {
+                let second = INTS[rng.random_range(0..INTS.len())];
+                let sample = MetricsSample { second, active_session: 5.0, ..Default::default() };
+                let fate = match at > first_sample {
+                    false => Fate::Applied,
+                    true if second < 0 => Fate::Late,
+                    true => Fate::Malformed,
+                };
+                (TelemetryEvent::Metrics(Box::new(sample)), fate)
+            }
+            _ => {
+                let start_ms = FLOATS[rng.random_range(0..FLOATS.len())];
+                let fate = match start_ms {
+                    t if !t.is_finite() => Fate::Malformed,
+                    t if t == 0.0 || at == 0 => Fate::Applied,
+                    t if t < 0.0 => Fate::Late,
+                    _ => Fate::Malformed,
+                };
+                let rec = QueryRecord {
+                    spec: SpecId(rng.random_range(0..n_specs)),
+                    start_ms,
+                    response_ms: 3.0,
+                    examined_rows: 1,
+                };
+                (TelemetryEvent::Query(rec), fate)
+            }
+        };
+        let ctx = format!("seed {seed}: {spliced:?} at {at}/{}", stream.len());
+        let mut with = stream.clone();
+        with.insert(at, spliced);
+
+        // Directly, one event at a time: bounded after every one.
+        let mut direct = new_instance();
+        for (i, ev) in with.iter().enumerate() {
+            let t0 = Instant::now();
+            direct.ingest_stream(vec![ev.clone()]);
+            assert!(t0.elapsed() < PER_EVENT, "{ctx}: event {i} took {:?}", t0.elapsed());
+            let h = direct.health_snapshot();
+            assert!(h.cell_seconds <= bound, "{ctx}: {} cell seconds at {i}", h.cell_seconds);
+            assert!(h.metric_seconds <= bound, "{ctx}: {} metric seconds at {i}", h.metric_seconds);
+        }
+        let blob = direct.snapshot();
+
+        // As one stream: runs of N end on the bits runs of one end on.
+        let mut whole = new_instance();
+        whole.ingest_stream(with.clone());
+        assert!(whole.snapshot() == blob, "{ctx}: chunked and per-event ingest diverged");
+
+        // Over the wire: every event its own batch, folded by the widest
+        // Advance there is. An event at the very end of time is behind no
+        // boundary, so it stays buffered and admission refuses (typed)
+        // whatever comes after it; short of that, the wire path ends on
+        // the direct path's bits.
+        let mut sink = small_sink(&scenarios);
+        let mut seq = 0;
+        for (i, ev) in with.iter().enumerate() {
+            let t0 = Instant::now();
+            for is_batch in [true, false] {
+                let frame = match is_batch {
+                    true => batch(seq + 1, vec![ev.clone()]),
+                    false => EventFrame::Advance { seq: seq + 1, boundary_s: i64::MAX }.to_bytes(),
+                };
+                match sink.handle_event_frame(&frame) {
+                    Ok(reply) => {
+                        seq += 1;
+                        assert_eq!(acked_seq(&reply), seq, "{ctx}: event {i}");
+                    }
+                    Err(WireError::Mismatch { what: "event stream order", .. }) => {}
+                    Err(e) => panic!("{ctx}: event {i}: {e}"),
+                }
+            }
+            assert!(t0.elapsed() < PER_EVENT, "{ctx}: frames of {i} took {:?}", t0.elapsed());
+            let total = sink.daemon().rollup().total;
+            assert!(total.max_cell_seconds as usize <= bound, "{ctx}: wire, event {i}");
+        }
+        if sink.daemon().rollup().total.events_total == with.len() as u64 {
+            let wired = sink.daemon().checkpoint().snapshots.remove(0);
+            assert!(wired == blob, "{ctx}: the wire path and the direct path diverged");
+        }
+
+        // Against the stream without the spliced event.
+        let mut plain = new_instance();
+        plain.ingest_stream(stream);
+        let (was, now) = (plain.health_snapshot(), direct.health_snapshot());
+        let dropped = |malformed, late| {
+            assert_eq!(now.events_ingested, was.events_ingested + 1, "{ctx}");
+            assert_eq!(now.malformed_dropped, was.malformed_dropped + malformed, "{ctx}");
+            assert_eq!(now.late_dropped, was.late_dropped + late, "{ctx}");
+            assert_eq!(
+                (now.queries_ingested, now.cells_folded, now.retention_evictions),
+                (was.queries_ingested, was.cells_folded, was.retention_evictions),
+                "{ctx}"
+            );
+            assert_eq!((now.history_minutes, now.watermark), (was.history_minutes, was.watermark));
+            assert!(
+                fold_state(blob.as_bytes()) == fold_state(plain.snapshot().as_bytes()),
+                "{ctx}: a dropped event changed the fold's state"
+            );
+        };
+        match fate {
+            Fate::Malformed => dropped(1, 0),
+            Fate::Late => dropped(0, 1),
+            Fate::Ignored => dropped(0, 0),
+            Fate::Applied => {}
+        }
+    }
 }
