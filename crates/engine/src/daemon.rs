@@ -247,9 +247,16 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
         };
         let n_specs = self.scenarios[instance].workload.specs.len();
         // Nothing is behind negative infinity, so an empty stream admits
-        // any first event; a NaN timestamp compares false both ways and
-        // passes, as it always has (the fold counts it as malformed).
-        let mut last = stream.last().map_or(f64::NEG_INFINITY, TelemetryEvent::time_ms);
+        // any first event. `last` is the latest non-NaN time: a NaN
+        // timestamp compares false both ways and passes, as it always has
+        // (the fold counts it as malformed), but is never the time later
+        // events are held to.
+        let mut last = stream
+            .iter()
+            .rev()
+            .map(TelemetryEvent::time_ms)
+            .find(|t| !t.is_nan())
+            .unwrap_or(f64::NEG_INFINITY);
         let mut latest_tick = i64::MIN;
         for ev in &events {
             match ev {
@@ -266,6 +273,9 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
                 TelemetryEvent::Query(_) | TelemetryEvent::Metrics(_) => {}
             }
             let t = ev.time_ms();
+            if t.is_nan() {
+                continue;
+            }
             if t < last {
                 return Err(WireError::Mismatch {
                     what: "event stream order",

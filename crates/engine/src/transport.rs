@@ -41,7 +41,9 @@
 //! `capacity − buffered` as an absolute credit grant, and the source
 //! never lets its in-flight event count exceed the last grant — when a
 //! batch does not fit it *blocks on acks* ([`SourceStats::credit_stalls`]
-//! counts these), it does not send and hope. Credits regenerate when the
+//! counts these), it does not send and hope; with nothing in flight no ack
+//! can come, and it says so ([`TransportError::CreditDeadlock`]) instead
+//! of waiting. Credits regenerate when the
 //! sink folds buffered prefixes into the pipelines: on every
 //! source `Advance`, and under **pressure** — when the buffer crosses the
 //! fold threshold, the sink folds at the highest boundary its received
@@ -59,7 +61,7 @@ use pinsql::TransportPolicy;
 use pinsql_dbsim::{second_of, TelemetryEvent};
 use pinsql_obs::{Counter, FleetRollup, NoopObserver, Observer, Stage};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
 use pinsql_timeseries::WireError;
@@ -86,6 +88,11 @@ pub enum TransportError {
     Rejected(String),
     /// The peer answered with a frame the protocol cannot accept here.
     Protocol(&'static str),
+    /// The source's next batch exceeds the sink's grant while nothing is
+    /// in flight: no ack can come (the sink folds only when a frame
+    /// arrives), so waiting would hang. The policy's queue is too small
+    /// for the stream's fold horizon.
+    CreditDeadlock { credits: u64, batch_events: u64 },
     /// An OS-level socket failure.
     Io(String),
 }
@@ -103,6 +110,11 @@ impl std::fmt::Display for TransportError {
             TransportError::Wire(e) => write!(f, "event wire: {e}"),
             TransportError::Rejected(reason) => write!(f, "control plane rejected: {reason}"),
             TransportError::Protocol(what) => write!(f, "protocol violation: {what}"),
+            TransportError::CreditDeadlock { credits, batch_events } => write!(
+                f,
+                "credit deadlock: a {batch_events}-event batch exceeds the grant of {credits} \
+                 with nothing in flight"
+            ),
             TransportError::Io(e) => write!(f, "transport io: {e}"),
         }
     }
@@ -153,10 +165,14 @@ fn read_full(r: &mut impl Read, buf: &mut [u8], ctx: usize) -> Result<bool, Tran
     Ok(true)
 }
 
-/// `std::net` TCP transport: one [`ByteConn`] per stream.
+/// `std::net` TCP transport: one [`ByteConn`] per stream. A frame goes out
+/// as one write (one segment under `TCP_NODELAY`) and comes in through a
+/// read buffer (one `read` call per run of small frames, not two a frame).
 #[derive(Debug)]
 pub struct TcpConn {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
+    /// Prefix and body of the frame being sent; reused across sends.
+    out: Vec<u8>,
     max_frame_bytes: usize,
 }
 
@@ -166,7 +182,7 @@ impl TcpConn {
         // Frames are small and latency-coupled (credits ride the acks);
         // Nagle would serialize the credit loop on the RTT timer.
         let _ = stream.set_nodelay(true);
-        Self { stream, max_frame_bytes }
+        Self { stream: BufReader::new(stream), out: Vec::new(), max_frame_bytes }
     }
 
     /// Connects to an agent.
@@ -182,10 +198,10 @@ impl TcpConn {
 impl ByteConn for TcpConn {
     fn send_frame(&mut self, frame: &[u8]) -> Result<(), TransportError> {
         check_len(frame.len(), self.max_frame_bytes)?;
-        let len = (frame.len() as u32).to_le_bytes();
-        self.stream.write_all(&len).map_err(|e| TransportError::Io(e.to_string()))?;
-        self.stream.write_all(frame).map_err(|e| TransportError::Io(e.to_string()))?;
-        self.stream.flush().map_err(|e| TransportError::Io(e.to_string()))
+        self.out.clear();
+        self.out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        self.out.extend_from_slice(frame);
+        self.stream.get_mut().write_all(&self.out).map_err(|e| TransportError::Io(e.to_string()))
     }
 
     fn recv_frame(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
@@ -201,36 +217,39 @@ impl ByteConn for TcpConn {
     }
 }
 
-/// One direction of the in-memory loopback: a byte queue plus the fault
-/// plan ([`cut_after`](PipeConn::cut_outbound_after) tears the stream at
-/// an exact byte offset, the knife the fault-injection suites twist).
+/// One direction of the in-memory loopback: whole frames in send order,
+/// what a cut left of the frame it tore, and the fault plan
+/// ([`cut_after`](PipeConn::cut_outbound_after) tears the stream at an
+/// exact byte offset, the knife the fault-injection suites twist).
 #[derive(Debug, Default)]
 struct PipeDir {
-    buf: VecDeque<u8>,
+    frames: VecDeque<Vec<u8>>,
+    /// The `Torn { got, want }` a byte-stream reader would meet at EOF.
+    torn: Option<(usize, usize)>,
     closed: bool,
     /// Remaining byte budget before this direction tears mid-stream.
     cut_after: Option<usize>,
-}
-
-#[derive(Debug, Default)]
-struct PipeShared {
-    dirs: [PipeDir; 2],
+    /// The reader is blocked here: only then does a send or close wake it.
+    waiting: bool,
 }
 
 /// One end of an in-memory duplex loopback pipe — the test-harness
-/// transport. Byte-faithful to TCP framing (same prefix, same caps) with
-/// deterministic byte-level fault injection.
+/// transport. It moves whole frames, and what a reader sees is what the
+/// same bytes over TCP give: frames whole and in order, the same caps,
+/// and under a byte-level cut the same torn counts or clean close.
 #[derive(Debug)]
 pub struct PipeConn {
-    shared: Arc<(Mutex<PipeShared>, Condvar)>,
+    shared: Arc<(Mutex<[PipeDir; 2]>, Condvar)>,
     /// Index of the direction this end *writes*.
     out: usize,
     max_frame_bytes: usize,
 }
 
+const POISONED: &str = "an end of the loopback panicked holding its lock";
+
 /// A connected loopback pair: frames sent on one end arrive on the other.
 pub fn pipe_pair(max_frame_bytes: usize) -> (PipeConn, PipeConn) {
-    let shared = Arc::new((Mutex::new(PipeShared::default()), Condvar::new()));
+    let shared = Arc::new((Mutex::default(), Condvar::new()));
     (
         PipeConn { shared: Arc::clone(&shared), out: 0, max_frame_bytes },
         PipeConn { shared, out: 1, max_frame_bytes },
@@ -244,9 +263,7 @@ impl PipeConn {
     /// landing inside a frame leaves the peer a torn frame; a cut landing
     /// on a frame boundary looks like a clean close.
     pub fn cut_outbound_after(&self, bytes: usize) {
-        let (lock, cvar) = &*self.shared;
-        lock.lock().unwrap().dirs[self.out].cut_after = Some(bytes);
-        cvar.notify_all();
+        self.shared.0.lock().expect(POISONED)[self.out].cut_after = Some(bytes);
     }
 }
 
@@ -254,27 +271,26 @@ impl ByteConn for PipeConn {
     fn send_frame(&mut self, frame: &[u8]) -> Result<(), TransportError> {
         check_len(frame.len(), self.max_frame_bytes)?;
         let (lock, cvar) = &*self.shared;
-        let mut shared = lock.lock().unwrap();
-        let dir = &mut shared.dirs[self.out];
+        let mut dirs = lock.lock().expect(POISONED);
+        let dir = &mut dirs[self.out];
         if dir.closed {
             return Err(TransportError::Io("loopback stream is cut".into()));
         }
-        let mut bytes = Vec::with_capacity(4 + frame.len());
-        bytes.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(frame);
-        let deliver = match dir.cut_after {
-            Some(budget) => budget.min(bytes.len()),
-            None => bytes.len(),
-        };
-        dir.buf.extend(&bytes[..deliver]);
+        let want = 4 + frame.len();
+        let got = dir.cut_after.map_or(want, |budget| budget.min(want));
         if let Some(budget) = &mut dir.cut_after {
-            *budget -= deliver;
-            if *budget == 0 {
-                dir.closed = true;
-            }
+            *budget -= got;
+            dir.closed = *budget == 0;
         }
-        cvar.notify_all();
-        if deliver < bytes.len() {
+        if got == want {
+            dir.frames.push_back(frame.to_vec());
+        } else if got > 0 {
+            dir.torn = Some((got, if got < 4 { 4 } else { want }));
+        }
+        if dir.waiting {
+            cvar.notify_all();
+        }
+        if got < want {
             return Err(TransportError::Io("loopback stream cut mid-frame".into()));
         }
         Ok(())
@@ -283,42 +299,26 @@ impl ByteConn for PipeConn {
     fn recv_frame(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
         let inbound = 1 - self.out;
         let (lock, cvar) = &*self.shared;
-        let mut shared = lock.lock().unwrap();
+        let mut dirs = lock.lock().expect(POISONED);
         loop {
-            let dir = &mut shared.dirs[inbound];
-            if dir.buf.len() >= 4 {
-                let mut len = [0u8; 4];
-                for (i, b) in dir.buf.iter().take(4).enumerate() {
-                    len[i] = *b;
-                }
-                let len = u32::from_le_bytes(len) as usize;
-                check_len(len, self.max_frame_bytes)?;
-                if dir.buf.len() >= 4 + len {
-                    dir.buf.drain(..4);
-                    let frame: Vec<u8> = dir.buf.drain(..len).collect();
-                    cvar.notify_all();
-                    return Ok(Some(frame));
-                }
+            let dir = &mut dirs[inbound];
+            if let Some(frame) = dir.frames.front() {
+                // An over-cap frame stays queued, as its prefix would
+                // stay unread on a socket.
+                check_len(frame.len(), self.max_frame_bytes)?;
+                return Ok(dir.frames.pop_front());
             }
             if dir.closed {
-                return if dir.buf.is_empty() {
-                    Ok(None)
-                } else {
-                    // Bytes short of a whole frame, then EOF: torn.
-                    let got = dir.buf.len();
-                    let want = if dir.buf.len() >= 4 {
-                        let mut len = [0u8; 4];
-                        for (i, b) in dir.buf.iter().take(4).enumerate() {
-                            len[i] = *b;
-                        }
-                        4 + u32::from_le_bytes(len) as usize
-                    } else {
-                        4
-                    };
-                    Err(TransportError::Torn { got, want })
-                };
+                let Some((got, want)) = dir.torn else { return Ok(None) };
+                // A stream reader checks a whole prefix before the body.
+                if got >= 4 {
+                    check_len(want - 4, self.max_frame_bytes)?;
+                }
+                return Err(TransportError::Torn { got, want });
             }
-            shared = cvar.wait(shared).unwrap();
+            dir.waiting = true;
+            dirs = cvar.wait(dirs).expect(POISONED);
+            dirs[inbound].waiting = false;
         }
     }
 }
@@ -326,9 +326,12 @@ impl ByteConn for PipeConn {
 impl Drop for PipeConn {
     fn drop(&mut self) {
         let (lock, cvar) = &*self.shared;
-        if let Ok(mut shared) = lock.lock() {
-            shared.dirs[self.out].closed = true;
-            cvar.notify_all();
+        if let Ok(mut dirs) = lock.lock() {
+            let dir = &mut dirs[self.out];
+            dir.closed = true;
+            if dir.waiting {
+                cvar.notify_all();
+            }
         }
     }
 }
@@ -759,15 +762,8 @@ impl SourcePlan {
 /// across deliberate mid-frame cuts).
 pub fn run_source(conn: &mut dyn ByteConn, plan: &mut SourcePlan) -> Result<(), TransportError> {
     // The sink speaks first: its Hello carries the resume point.
-    match conn.recv_frame()? {
-        Some(bytes) => match EventFrame::from_bytes(&bytes)? {
-            EventFrame::Hello { next_seq, credits, watermark } => {
-                plan.resume(next_seq, credits, watermark)
-            }
-            _ => return Err(TransportError::Protocol("expected hello on connect")),
-        },
-        None => return Err(TransportError::Disconnected),
-    }
+    let (next_seq, credits, watermark) = recv_hello(conn)?;
+    plan.resume(next_seq, credits, watermark);
     loop {
         while let Some(frame) = plan.pop_sendable() {
             let events = frame_events(&frame);
@@ -787,11 +783,14 @@ pub fn run_source(conn: &mut dyn ByteConn, plan: &mut SourcePlan) -> Result<(), 
         if plan.pending.is_empty() && plan.unacked.is_empty() {
             return Ok(());
         }
-        if !plan.pending.is_empty() {
+        if let Some(head) = plan.pending.front() {
             // The head frame is withheld for credits; only an ack (whose
-            // grant reflects the sink's folds) can unblock it. A valid
-            // policy admits one full batch, so the ack for an in-flight
-            // or re-acked frame always arrives eventually.
+            // grant reflects the sink's folds) can unblock it, and with
+            // nothing in flight none will come.
+            if plan.unacked.is_empty() {
+                let batch_events = frame_events(head);
+                return Err(TransportError::CreditDeadlock { credits: plan.credits, batch_events });
+            }
             plan.stats.credit_stalls += 1;
         }
         match conn.recv_frame()? {
@@ -897,6 +896,11 @@ impl RegionServer {
         &self.merged
     }
 }
+
+#[cfg(test)]
+mod oracle;
+#[cfg(test)]
+mod sweep_tests;
 
 #[cfg(test)]
 mod tests {

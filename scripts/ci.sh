@@ -27,10 +27,11 @@
 #                     push-pause / restart gate
 #   case_cut_smoke    incremental window cut: running-moment rows bit-
 #                     identical to the reference derivation
-#   transport_smoke   cross-process ingest: PEVT wire hardening, TCP /
-#                     region server / wire extremes and the event-time
-#                     extremes sweep, the matrix's two loopback rows,
-#                     backpressure faults
+#   transport_smoke   cross-process ingest: the loopback pipe vs its
+#                     byte-queue oracle, PEVT wire hardening, TCP framing /
+#                     region server / credit deadlock / wire extremes and
+#                     the event-time extremes sweep, the matrix's two
+#                     loopback rows, backpressure faults
 #   equivalence       the whole execution-path x matrix-point table
 #                     against the golden corpus (tests/equivalence.rs,
 #                     one #[test] per path; ~8 min on 2 cores)
@@ -42,7 +43,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,40p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,41p' "$0" | sed 's/^# \{0,1\}//' >&2
 }
 
 # End-to-end chaos: a tiny run that exercises perturbation + diagnosis
@@ -130,13 +131,15 @@ case_cut_smoke() {
   cargo test -q --test cut_props
 }
 
-# Cross-process ingest transport: engine wire/transport unit tests, the
-# PEVT adversarial suite with its committed golden frame, the collector's
-# three time-jump cases, the TCP smoke / region server / protocol-violation
-# / wire-extreme suite with the seeded event-time extremes sweep (direct,
-# chunked and over the wire), the matrix's two loopback rows (mid-stream
-# reconnect included) and the backpressure/fault-injection soak, which
-# holds the credit and memory bounds.
+# Cross-process ingest transport: engine wire/transport unit tests (with
+# the seeded sweep of the frame-queue loopback pipe against the byte-queue
+# oracle it replaced), the PEVT adversarial suite with its committed golden
+# frame, the collector's three time-jump cases, the TCP smoke / TcpConn
+# framing over 127.0.0.1 / region server / credit deadlock /
+# protocol-violation / wire-extreme suite with the seeded event-time
+# extremes sweep (direct, chunked and over the wire), the matrix's two
+# loopback rows (mid-stream reconnect included) and the backpressure/
+# fault-injection soak, which holds the credit and memory bounds.
 transport_smoke() {
   cargo test -q -p pinsql-engine transport
   cargo test -q -p pinsql-engine wire

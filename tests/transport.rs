@@ -3,11 +3,14 @@
 //! `tests/equivalence.rs` pins the loopback transport (clean and with a
 //! mid-frame reconnect) against the batch reference at every matrix
 //! point. This suite keeps what is not a matrix cell: the `std::net` TCP
-//! transport against the same reference, the region server's rollup merge
-//! over many agents' `PCTL` health queries, protocol-role and sequence
-//! discipline over raw frames, and the wire-reachable integer and
-//! lifecycle extremes — an `Advance` / `Drain` boundary at the ends of
-//! `i64`, a query naming a `spec` outside the instance's catalog, an
+//! transport against the same reference, `TcpConn`'s framing over real
+//! 127.0.0.1 sockets (runs of small frames, clean and torn closes, an
+//! over-cap prefix), the region server's rollup merge over many agents'
+//! `PCTL` health queries, a credit deadlock surfacing as a typed error,
+//! protocol-role and sequence discipline over raw frames, and the
+//! wire-reachable integer and lifecycle extremes — an `Advance` / `Drain`
+//! boundary at the ends of `i64`, a query naming a `spec` outside the
+//! instance's catalog, a NaN timestamp ahead of a backwards event, an
 //! `Advance` arriving at a drained agent, and a seeded sweep of extreme
 //! event *times* (a tick, a metric second or a query arrival at the ends
 //! of `i64` / `f64`) spliced into an ordinary stream.
@@ -21,13 +24,17 @@ use common::{
 use pinsql::TransportPolicy;
 use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
 use pinsql_engine::{
-    pipe_pair, plan_frames, recv_hello, serve_agent, ControlMsg, ControlResp, DaemonState,
-    EventFrame, FleetDaemon, IngestSink, OnlineInstance, RegionServer, SourcePlan, TcpConn,
+    pipe_pair, plan_frames, recv_hello, serve_agent, ByteConn, ControlMsg, ControlResp,
+    DaemonState, EventFrame, FleetDaemon, IngestSink, OnlineInstance, RegionServer, SourcePlan,
+    TcpConn, TransportError,
 };
 use pinsql_scenario::{materialize_events, Scenario};
 use pinsql_timeseries::WireError;
 use pinsql_workload::rng::{rng_from_seed, RngExt};
 use pinsql_workload::SpecId;
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Advance cadence (event-time seconds) the suites stream under.
@@ -122,6 +129,178 @@ fn region_server_merges_rollups_from_many_agents() {
     assert_eq!(tree.instances() as usize, scenarios.len(), "merge covers the whole fleet");
     assert!(tree.is_consistent(), "merged regions re-aggregate to the merged total");
     assert_eq!(tree.total.events_total, total_events, "merge is an exact sum");
+}
+
+/// A `TcpConn` under test on the accepting side of a fresh 127.0.0.1
+/// connection, and the raw socket at the other end. Reads time out, so a
+/// receive that waits for bytes nobody sends fails instead of hanging.
+fn tcp_conn_and_raw_peer(max_frame_bytes: usize) -> (TcpConn, TcpStream) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let raw = TcpStream::connect(listener.local_addr().expect("local addr")).expect("connect");
+    let (accepted, _) = listener.accept().expect("accept");
+    accepted.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    (TcpConn::new(accepted, max_frame_bytes), raw)
+}
+
+/// Length prefix and body, as the wire carries a frame.
+fn framed(body: &[u8]) -> Vec<u8> {
+    let mut bytes = (body.len() as u32).to_le_bytes().to_vec();
+    bytes.extend_from_slice(body);
+    bytes
+}
+
+/// Bodies of 0 to 40 bytes, each distinct.
+fn small_frames(n: usize) -> Vec<Vec<u8>> {
+    (0..n).map(|i| (0..i % 41).map(|j| (i * 31 + j) as u8).collect()).collect()
+}
+
+/// Many small frames back to back come out whole and in order through the
+/// read buffer — written as one burst by a raw peer (so one `read` holds
+/// many frames and frames straddle reads), and sent frame by frame by
+/// another `TcpConn`; the peer closing between frames is a clean `None`.
+#[test]
+fn tcp_conn_reads_runs_of_small_frames_and_a_clean_close() {
+    let frames = small_frames(2000);
+
+    let (mut conn, mut raw) = tcp_conn_and_raw_peer(1 << 16);
+    raw.write_all(&frames.iter().flat_map(|f| framed(f)).collect::<Vec<u8>>()).expect("burst");
+    drop(raw);
+    for (i, f) in frames.iter().enumerate() {
+        assert_eq!(conn.recv_frame().expect("frame").as_ref(), Some(f), "raw burst, frame {i}");
+    }
+    assert_eq!(conn.recv_frame().expect("clean close"), None);
+
+    let (mut conn, raw) = tcp_conn_and_raw_peer(1 << 16);
+    let mut sender = TcpConn::new(raw, 1 << 16);
+    std::thread::scope(|s| {
+        let frames = &frames;
+        s.spawn(move || {
+            for f in frames {
+                sender.send_frame(f).expect("send");
+            }
+        });
+        for (i, f) in frames.iter().enumerate() {
+            assert_eq!(conn.recv_frame().expect("frame").as_ref(), Some(f), "TcpConn, frame {i}");
+        }
+        assert_eq!(conn.recv_frame().expect("clean close"), None, "the sender dropped its end");
+    });
+}
+
+/// A peer that closes inside a frame's prefix or body leaves a torn frame,
+/// with the `got` / `want` counts the loopback pipe gives for a cut at the
+/// same byte; a whole frame before it still arrives.
+#[test]
+fn tcp_conn_torn_counts_match_the_pipe() {
+    let body: Vec<u8> = (0..10).collect();
+    let wire = framed(&body);
+    for cut in [1, 2, 3, 4, 5, 9, wire.len() - 1] {
+        let (mut conn, mut raw) = tcp_conn_and_raw_peer(1 << 16);
+        raw.write_all(&wire).expect("whole frame");
+        raw.write_all(&wire[..cut]).expect("torn frame");
+        drop(raw);
+        assert_eq!(conn.recv_frame().expect("whole frame first"), Some(body.clone()));
+        let tcp = conn.recv_frame();
+
+        let (mut source, mut sink) = pipe_pair(1 << 16);
+        source.cut_outbound_after(wire.len() + cut);
+        source.send_frame(&body).expect("whole frame");
+        assert!(source.send_frame(&body).is_err(), "cut at {cut}: the pipe tears");
+        assert_eq!(sink.recv_frame().expect("whole frame first"), Some(body.clone()));
+        let pipe = sink.recv_frame();
+
+        let want = if cut < 4 { 4 } else { wire.len() };
+        assert_eq!(tcp, Err(TransportError::Torn { got: cut, want }), "cut at {cut}");
+        assert_eq!(tcp, pipe, "cut at {cut}: TCP and the pipe disagree");
+    }
+}
+
+/// An over-cap length prefix is refused as soon as it is read: the peer
+/// keeps the connection open and sends no body, so a reader that went on
+/// to allocate and read one would time out instead.
+#[test]
+fn tcp_conn_refuses_an_over_cap_prefix_before_the_body() {
+    for len in [65u32, 1 << 20, u32::MAX] {
+        let (mut conn, mut raw) = tcp_conn_and_raw_peer(64);
+        raw.write_all(&len.to_le_bytes()).expect("prefix");
+        let t0 = Instant::now();
+        assert_eq!(
+            conn.recv_frame(),
+            Err(TransportError::FrameTooLarge { len: len as usize, max: 64 }),
+            "prefix {len}"
+        );
+        assert!(t0.elapsed() < Duration::from_secs(5), "prefix {len}: waited for a body");
+        drop(raw);
+    }
+}
+
+/// A policy whose queue is smaller than the stream's fold horizon used to
+/// wedge the loopback: eight golden instances under the default 8 192-event
+/// queue and a 60 s `Advance` cadence leave the source a batch larger than
+/// the sink's grant with nothing in flight — and it waited for an ack that
+/// no frame would ever cause. The source now names the deadlock: the grant
+/// and the batch. A watchdog bounds the drive, so a hang fails the test
+/// instead of stalling the suite.
+#[test]
+fn a_credit_deadlock_is_a_typed_error_not_a_hang() {
+    let (done, outcome) = mpsc::channel();
+    let drive = std::thread::spawn(move || {
+        let scenarios: Vec<_> = load_manifest().iter().take(8).map(scenario_for).collect();
+        let streams: Vec<_> = scenarios.iter().map(|s| materialize_events(s, None)).collect();
+        let policy = TransportPolicy::default();
+        let mut plan = SourcePlan::new(plan_frames(&streams, &policy, ADVANCE_EVERY_S));
+        let daemon = FleetDaemon::spawn_hollow(golden_fleet_config(two_shards()), &scenarios);
+        let mut sink = IngestSink::new(daemon, policy);
+        let (src, agent) = drive_loopback(&mut sink, &mut plan, policy.max_frame_bytes, None);
+        let _ = done.send((src, agent, sink.credits(), plan.finished()));
+    });
+    let (src, agent, sink_credits, finished) = outcome
+        .recv_timeout(Duration::from_secs(180))
+        .expect("the loopback hung: the source waited for an ack that cannot come");
+    drive.join().expect("the drive sent its outcome and returned");
+    match src {
+        Err(TransportError::CreditDeadlock { credits, batch_events }) => {
+            assert!(batch_events > credits, "{batch_events}-event batch vs grant {credits}");
+            assert_eq!(credits, sink_credits, "the error names the sink's last grant");
+        }
+        other => panic!("expected a credit deadlock, got {other:?}"),
+    }
+    assert_eq!(agent, Ok(()), "the agent sees the source leave cleanly");
+    assert!(!finished);
+}
+
+/// A NaN timestamp passes admission (the fold counts it as malformed), but
+/// it used to become the time later events were held to, and `t < NaN` is
+/// false for every `t`: a backwards event behind a NaN was admitted,
+/// breaking the sorted-stream invariant the boundary split relies on. The
+/// check now holds against the latest real time, inside one batch and
+/// across batches.
+#[test]
+fn a_nan_timestamp_does_not_switch_off_the_order_check() {
+    let query = |start_ms| {
+        TelemetryEvent::Query(QueryRecord {
+            spec: SpecId(0),
+            start_ms,
+            response_ms: 2.0,
+            examined_rows: 1,
+        })
+    };
+    let is_order_error = |r: Result<(), WireError>| {
+        matches!(r, Err(WireError::Mismatch { what: "event stream order", .. }))
+    };
+    let scenarios = one_scenario();
+    let mut agent =
+        FleetDaemon::spawn_hollow(golden_fleet_config(MatrixPoint::BASELINE), &scenarios);
+
+    let backwards = vec![query(10_000.0), query(f64::NAN), tick(5)];
+    assert!(is_order_error(agent.offer_events(0, backwards)), "inside one batch");
+    assert_eq!(agent.buffered_events(), 0, "the refused batch buffered nothing");
+
+    agent.offer_events(0, vec![query(10_000.0), query(f64::NAN)]).expect("a NaN still passes");
+    assert!(is_order_error(agent.offer_events(0, vec![tick(5)])), "across batches");
+    agent.offer_events(0, vec![query(f64::NAN)]).expect("a NaN after a NaN passes");
+    assert!(is_order_error(agent.offer_events(0, vec![query(9_999.0)])), "behind two NaNs");
+    agent.offer_events(0, vec![query(10_000.0), tick(11)]).expect("in order behind the NaNs");
+    assert_eq!(agent.buffered_events(), 5);
 }
 
 fn one_scenario() -> Vec<Scenario> {
