@@ -372,22 +372,29 @@ impl CellRing {
 
     /// Reads [`write`](Self::write)'s stretch with the cut tracker off;
     /// the cut-state section switches it on ([`read_cut`](Self::read_cut)).
+    /// A cell naming a slot outside the catalog, or one its row already
+    /// named, is a typed mismatch: a row holds each touched slot once, and
+    /// the shared write table indexes it by that.
     pub fn read(r: &mut WireReader, n_slots: usize) -> Result<Self, WireError> {
         let start = r.get_i64()?;
         let n_rows = r.get_len(8)?;
         let mut store = CellStore::new(n_slots);
         let mut row: Vec<(u32, Cell)> = Vec::new();
-        for _ in 0..n_rows {
+        // slot → the last row index that named it.
+        let mut seen_in = vec![usize::MAX; n_slots];
+        for i in 0..n_rows {
             let n_cells = r.get_len(CELL_ROW_BYTES)?;
             row.clear();
             for _ in 0..n_cells {
                 let (slot, cell) = cell_from_row(r.get_array()?);
-                if slot as usize >= n_slots {
-                    return Err(WireError::Mismatch {
-                        what: "cell slot",
-                        detail: format!("slot {slot} out of range ({n_slots})"),
-                    });
+                let mismatch = |detail| WireError::Mismatch { what: "cell slot", detail };
+                let Some(seen) = seen_in.get_mut(slot as usize) else {
+                    return Err(mismatch(format!("slot {slot} out of range ({n_slots})")));
+                };
+                if *seen == i {
+                    return Err(mismatch(format!("slot {slot} twice in row {i}")));
                 }
+                *seen = i;
                 row.push((slot, cell));
             }
             store.push_back_row(row.iter().copied());

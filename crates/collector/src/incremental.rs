@@ -193,7 +193,6 @@ impl IncrementalAggregator {
         let Self { cells, catalog, records, stats, feed, .. } = self;
         let mut hist = feed.row_mut(second.div_euclid(60), catalog.n_slots());
         let (mut row, cut) = cells.fold_at(idx);
-        records.reserve(events.len());
         for ev in events {
             let TelemetryEvent::Query(rec) = ev else {
                 debug_assert!(false, "non-query event in a query run");

@@ -438,6 +438,75 @@ fn checkpoint_rejects_wrong_scenario_and_corrupt_tags() {
     }
 }
 
+/// Where `row` first occurs in `blob`.
+fn offset_of(blob: &[u8], row: &[u8]) -> usize {
+    blob.windows(row.len()).position(|w| w == row).expect("the row is in the blob")
+}
+
+fn restore(specs: &[TemplateSpec], blob: &[u8]) -> Result<IncrementalAggregator, WireError> {
+    IncrementalAggregator::read_snapshot(specs, &mut WireReader::new(blob))
+}
+
+#[test]
+fn checkpoint_rejects_a_sorted_flag_over_unsorted_records() {
+    let specs = vec![spec("SELECT 1 FROM t WHERE id = 1")];
+    let mut agg = IncrementalAggregator::new(&specs, IncrementalConfig::default());
+    let log = [1000.0, 3000.0, 2000.0, 4000.0].map(|ms| rec(0, ms, 2.0, 1));
+    for r in log {
+        query(&mut agg, r);
+    }
+    agg.advance_watermark(5);
+    let (blob, _) = checkpoint(&agg);
+    restore(&specs, &blob).expect("the honest blob restores");
+
+    // The record stretch: the sorted flag, the count, then the rows. Taken
+    // at its word, the flag sends window cuts to a binary search over
+    // unsorted records: a cut of [2, 3) then returns the record at 3000 ms
+    // beside the one at 2000 ms, which the window's cells do not count.
+    let first_row = offset_of(&blob, &query_record_bytes(&log[0]));
+    let flag = first_row - 1 - 8;
+    assert_eq!(blob[flag], 0, "the straggler left the ring unsorted");
+    let mut lying = blob.clone();
+    lying[flag] = 1;
+    let err = restore(&specs, &lying).expect_err("a sorted flag over unsorted records");
+    assert!(matches!(err, WireError::Mismatch { what: "record order", .. }), "{err}");
+
+    // Nor does the fold ever keep a non-finite time or a spec outside the
+    // catalog.
+    let second_row = first_row + QUERY_RECORD_BYTES;
+    for (at, bad, what) in [
+        (second_row + 8, f64::NAN.to_bits(), "record time"),
+        (second_row + 16, f64::INFINITY.to_bits(), "record time"),
+        (second_row, u64::MAX, "record spec"),
+    ] {
+        let mut corrupt = blob.clone();
+        corrupt[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+        let err = restore(&specs, &corrupt).expect_err(what);
+        assert!(matches!(err, WireError::Mismatch { what: w, .. } if w == what), "{err}");
+    }
+}
+
+#[test]
+fn checkpoint_rejects_a_cell_row_naming_a_slot_twice() {
+    let specs = vec![spec("SELECT * FROM a WHERE x = 1"), spec("SELECT * FROM b WHERE x = 1")];
+    let mut agg = IncrementalAggregator::new(&specs, IncrementalConfig::default());
+    query(&mut agg, rec(0, 1100.0, 2.0, 7));
+    query(&mut agg, rec(1, 1200.0, 3.0, 9));
+    agg.advance_watermark(5);
+    let (blob, _) = checkpoint(&agg);
+    restore(&specs, &blob).expect("the honest blob restores");
+
+    // Rename the second cell of second 1 to the first one's slot. Taken in,
+    // the row and the shared write table would disagree: a write lands on
+    // the last duplicate while a window sweep counts both.
+    let [a, b] = [0, 1].map(|s| agg.catalog().slot_of_spec(SpecId(s)));
+    let at = offset_of(&blob, &cell_row(b, (1.0, 3.0, 9.0)));
+    let mut twice = blob.clone();
+    twice[at..at + 4].copy_from_slice(&cell_row(a, (0.0, 0.0, 0.0))[..4]);
+    let err = restore(&specs, &twice).expect_err("a row naming one slot twice");
+    assert!(matches!(err, WireError::Mismatch { what: "cell slot", .. }), "{err}");
+}
+
 /// The three fixed-width `PSNP` rows (record, cell, moment) against the
 /// field-by-field calls they replaced: the same bytes out, and from
 /// every prefix of those bytes and every single-byte mutation the same

@@ -16,10 +16,12 @@
 #                     run_full row of the equivalence matrix
 #   obs_smoke         chrome-trace export + zero-cost disabled observer
 #   kernel_smoke      fast kernels vs scalar reference, the cell store vs
-#                     its map-per-second oracle, runs of N vs runs of one:
-#                     bit for bit
+#                     its map-per-second oracle, the chunked record ring vs
+#                     its VecDeque oracle, runs of N vs runs of one: bit
+#                     for bit
 #   snapshot_smoke    snapshot wire/property suites against the committed
-#                     golden blob, checkpoint bytes and handoff order, the
+#                     golden blob, restore refusing what the fold never
+#                     stores, checkpoint bytes and handoff order, the
 #                     matrix's reshard and checkpoint -> resume rows,
 #                     snapshot-size / restore-latency gate
 #   daemon_smoke      resident daemon: control-wire hardening, report and
@@ -43,7 +45,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,41p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,43p' "$0" | sed 's/^# \{0,1\}//' >&2
 }
 
 # End-to-end chaos: a tiny run that exercises perturbation + diagnosis
@@ -87,19 +89,24 @@ obs_smoke() {
 
 # Kernels: the fast kernels must stay bit-identical to the scalar
 # reference, the cell store to the map-per-second oracle in its test
-# module (a seeded op-sequence sweep), and the fold entered as runs of N
-# to the fold entered as runs of one.
+# module and the chunked record ring to the VecDeque ring it replaced
+# (seeded op-sequence sweeps), and the fold entered as runs of N to the
+# fold entered as runs of one.
 kernel_smoke() {
   cargo test -q --test kernel_props
   cargo test -q -p pinsql-collector cellstore
+  cargo test -q -p pinsql-collector records::tests::chunked_ring_matches_the_deque_oracle
   cargo test -q --test cellstore_props
 }
 
 # Checkpoint/restore + live resharding: the collector's and the engine's
-# PSNP unit tests, the wire-hardening suite (committed golden blob, v2
-# only, reserved bytes) and the property suite, checkpoint-bytes /
-# shipped-bytes / handoff-order checks, then the bench-bin gate that
-# keeps snapshot bytes/instance and restore latency inside sane bounds.
+# PSNP unit tests (the collector's `checkpoint` filter includes the two
+# restore refusals, checkpoint_rejects_a_sorted_flag_over_unsorted_records
+# and checkpoint_rejects_a_cell_row_naming_a_slot_twice), the
+# wire-hardening suite (committed golden blob, v2 only, reserved bytes)
+# and the property suite, checkpoint-bytes / shipped-bytes /
+# handoff-order checks, then the bench-bin gate that keeps snapshot
+# bytes/instance and restore latency inside sane bounds.
 snapshot_smoke() {
   cargo test -q -p pinsql-collector checkpoint
   cargo test -q -p pinsql-engine snapshot
