@@ -4,9 +4,12 @@
 //! collectors stream, a streaming layer folds, diagnosis fires when a
 //! case closes — and operators retune thresholds, swap kernels, move
 //! instances between shards and bounce agents without losing a second of
-//! online state. [`FleetDaemon`] is that shape, and it is the **only**
-//! thing in this crate that spawns shard workers; every run shape of
-//! [`FleetEngine`](crate::FleetEngine) is a short driver over it.
+//! online state. [`FleetDaemon`] is that shape, and it is the engine's
+//! **only** front end and the only thing in this crate that spawns shard
+//! workers: a static run is `spawn` + `finish` (all
+//! [`FleetEngine::run_full`](crate::FleetEngine::run_full) does), a
+//! reshard is `advance_to` + `reshard` between them, a crash drill is
+//! `checkpoint` on one agent and `resume` + `finish` on the next.
 //!
 //! - **Agent** ([`FleetDaemon`]) — owns the live [`OnlineInstance`]s, the
 //!   unconsumed stream tails and the instance → shard map.
@@ -38,8 +41,8 @@
 //! behaviorally invisible and instances are independent — no event of
 //! one can affect another's pipeline, and every shard layout preserves
 //! each instance's own event order — so cases and diagnoses are
-//! bit-identical for **any** `shards` / `fanout`, any reshard plan, any
-//! checkpoint boundary and any restart schedule.
+//! bit-identical for **any** `shards` / `fanout`, any sequence of
+//! reshards, any checkpoint boundary and any restart schedule.
 //!
 //! A config push is byte-identical to a cold start because
 //!
@@ -69,8 +72,6 @@ use pinsql_obs::{
 use pinsql_scenario::{materialize_events, LabeledCase, Scenario};
 use pinsql_timeseries::par::par_map;
 use pinsql_timeseries::WireError;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// The resident agent: live pipelines plus the control-plane handler.
 /// See the module docs for the lifecycle and equivalence contract.
@@ -90,7 +91,6 @@ pub struct FleetDaemon<'a, O: Observer = NoopObserver> {
     assignment: Vec<usize>,
     /// Highest quiesce boundary folded so far (`i64::MIN` before any).
     watermark: i64,
-    ingest_wall_s: f64,
     /// Completed ingest rounds, for observer lane naming.
     rounds: usize,
     restarts: u64,
@@ -199,7 +199,6 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
             streams,
             assignment: contiguous_assignment(n, cfg.shards.clamp(1, n)),
             watermark: i64::MIN,
-            ingest_wall_s: 0.0,
             rounds: 0,
             restarts: 0,
             obs,
@@ -417,15 +416,20 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
     /// corruption; the live pipelines and the map are left untouched).
     ///
     /// # Panics
-    /// Panics when `assignment` does not cover the fleet.
+    /// Panics when `assignment` does not cover the fleet, or names a shard
+    /// id at or above the fleet size (a layout never needs more non-empty
+    /// shards than instances) — both before anything is re-seated.
     pub fn reshard(&mut self, assignment: &[usize]) -> Result<(), WireError> {
+        let n = self.instances.len();
         assert_eq!(
             assignment.len(),
-            self.instances.len(),
-            "reshard assignment covers {} instances, fleet has {}",
-            assignment.len(),
-            self.instances.len()
+            n,
+            "reshard assignment covers {} instances, fleet has {n}",
+            assignment.len()
         );
+        if let Some((i, s)) = assignment.iter().enumerate().find(|(_, &s)| s >= n) {
+            panic!("reshard assignment puts instance {i} on shard {s}, outside 0..{n}");
+        }
         let n0 = if O::ENABLED { self.obs.now_ns() } else { 0 };
         self.reseat()?;
         if O::ENABLED {
@@ -582,13 +586,11 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
     /// Folds each stream's prefix strictly before `boundary_s` (`None`
     /// drains everything) into the live pipelines, one k-way merge per
     /// shard. Each prefix is folded where it lies and drained afterwards,
-    /// so a stream keeps its buffer from fold to fold. The round's wall
-    /// clock is the *slowest shard's* merge.
+    /// so a stream keeps its buffer from fold to fold.
     fn ingest_prefix(&mut self, boundary_s: Option<i64>) {
         let round = self.rounds;
         let work: Vec<_> = self.instances.drain(..).zip(&mut self.streams).collect();
         let obs = &self.obs;
-        let slowest_ns = AtomicU64::new(0);
         self.instances = on_shards(
             &self.assignment,
             work,
@@ -596,7 +598,6 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
             |lane, group| {
                 let (mut insts, mut streams): (Vec<_>, Vec<_>) = group.into_iter().unzip();
                 let merge_n0 = if O::ENABLED { lane.now_ns() } else { 0 };
-                let t0 = Instant::now();
                 let cuts: Vec<usize> =
                     streams.iter().map(|stream| prefix_len(stream, boundary_s)).collect();
                 let prefixes =
@@ -605,15 +606,12 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
                 for (stream, cut) in streams.into_iter().zip(cuts) {
                     stream.drain(..cut);
                 }
-                // A statistic, read after every group has returned.
-                slowest_ns.fetch_max(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 if O::ENABLED {
                     lane.span(Stage::IngestMerge, merge_n0, lane.now_ns());
                 }
                 insts
             },
         );
-        self.ingest_wall_s += slowest_ns.into_inner() as f64 * 1e-9;
         self.rounds += 1;
         self.watermark = boundary_s.unwrap_or(i64::MAX).max(self.watermark);
     }
@@ -633,12 +631,10 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
             health.push(a.health);
         }
 
-        let t1 = Instant::now();
         let diagnoser = PinSql::new(self.cfg.pinsql.clone());
-        let diagnosed = par_map(cases.len(), self.cfg.fanout, |i| {
+        let diagnoses = par_map(cases.len(), self.cfg.fanout, |i| {
             let lc = &cases[i];
-            let t = Instant::now();
-            let d = if O::ENABLED {
+            if O::ENABLED {
                 let lane = self.obs.fork(&format!("diag{i}"));
                 diagnoser.diagnose_observed(
                     &lc.case,
@@ -649,17 +645,8 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
                 )
             } else {
                 diagnoser.diagnose(&lc.case, &lc.window, &lc.history, lc.minutes_origin)
-            };
-            (d, t.elapsed().as_secs_f64())
+            }
         });
-        let diagnose_wall_s = t1.elapsed().as_secs_f64();
-
-        let mut diagnoses = Vec::with_capacity(diagnosed.len());
-        let mut diag_lat = Vec::with_capacity(diagnosed.len());
-        for (d, lat) in diagnosed {
-            diagnoses.push(d);
-            diag_lat.push(lat);
-        }
 
         let outcomes: Vec<InstanceOutcome> = diagnoses
             .iter()
@@ -680,28 +667,15 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
                     n_reported: d.reported_rsqls.len(),
                     top_rsql: top.map(|r| r.label.clone()),
                     truth_hit: top.is_some_and(|r| lc.truth.rsqls.contains(&r.id)),
-                    diagnose_s: diag_lat[i],
                 }
             })
             .collect();
 
-        let lat_sum: f64 = outcomes.iter().map(|o| o.diagnose_s).sum();
-        let lat_max = outcomes.iter().map(|o| o.diagnose_s).fold(0.0f64, f64::max);
-        let ingest_wall_s = self.ingest_wall_s;
         let report = FleetReport {
             n_instances: outcomes.len(),
             config_epoch: self.epoch.0,
             shards: self.cfg.shards.clamp(1, outcomes.len()),
             events_total,
-            ingest_wall_s,
-            events_per_sec: if ingest_wall_s > 0.0 {
-                events_total as f64 / ingest_wall_s
-            } else {
-                0.0
-            },
-            diagnose_wall_s,
-            diagnose_mean_s: lat_sum / outcomes.len() as f64,
-            diagnose_max_s: lat_max,
             rollup: region_rollup(&health, self.cfg.regions),
             outcomes,
         };
@@ -1131,6 +1105,40 @@ mod tests {
         assert_eq!(agent.finish().report.shards, 3);
     }
 
+    /// A boundary behind the watermark is refused before anything folds.
+    #[test]
+    #[should_panic(expected = "advance_to boundary 100 behind watermark 200")]
+    fn advance_to_behind_the_watermark_panics() {
+        let scenarios = small_fleet(2);
+        let mut agent = FleetDaemon::spawn(cfg(1), &scenarios);
+        agent.advance_to(200);
+        agent.advance_to(100);
+    }
+
+    /// An assignment that does not cover the fleet is refused before the
+    /// handoff.
+    #[test]
+    #[should_panic(expected = "reshard assignment covers 1 instances, fleet has 2")]
+    fn reshard_of_the_wrong_length_panics() {
+        let scenarios = small_fleet(2);
+        let mut agent = FleetDaemon::spawn(cfg(1), &scenarios);
+        agent.advance_to(100);
+        let _ = agent.reshard(&[0]);
+    }
+
+    /// A shard id at or above the fleet size is refused before the
+    /// handoff, not at the next fold: `usize::MAX` would overflow the
+    /// executor's shard count there, and `1 << 40` would ask it for 2⁴⁰
+    /// shard groups.
+    #[test]
+    #[should_panic(expected = "puts instance 0 on shard 18446744073709551615, outside 0..2")]
+    fn reshard_to_a_shard_beyond_the_fleet_panics_before_reseating() {
+        let scenarios = small_fleet(2);
+        let mut agent = FleetDaemon::spawn(cfg(1), &scenarios);
+        agent.advance_to(100);
+        let _ = agent.reshard(&[usize::MAX, 0]);
+    }
+
     /// The executor's contract, whichever group the caller runs: results
     /// come back in instance-id order, lanes are minted on the calling
     /// thread in shard order before any work starts, every non-empty
@@ -1138,7 +1146,7 @@ mod tests {
     /// group runs on the caller, so one shard spawns nothing.
     #[test]
     fn on_shards_runs_one_group_on_the_caller_and_keeps_id_order() {
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering};
         let caller = std::thread::current().id();
         // One group; two; three non-contiguous shard ids in a permuted
         // layout with empty shards (1 and 3) between them.

@@ -17,8 +17,9 @@
 //! arrive through [`OnlineInstance::ingest_stream`], which chunks
 //! same-second query runs through the collector's amortized hot path.
 
+use crate::fleet::FleetConfig;
 use crate::snapshot::{self, InstanceMeta, InstanceSnapshot};
-use pinsql::{Diagnosis, PinSql, PinSqlConfig};
+use pinsql::{Diagnosis, PinSql};
 use pinsql_collector::{HistoryStore, IncrementalAggregator, IncrementalConfig, IngestStats};
 use pinsql_dbsim::telemetry::query_run;
 use pinsql_dbsim::TelemetryEvent;
@@ -410,59 +411,29 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
 }
 
 /// Replays a scenario's telemetry through the full online path and
-/// diagnoses the closed case.
+/// diagnoses the closed case, under `cfg`'s look-back (`delta_s`),
+/// diagnoser (`pinsql`, whose `parallelism` applies inside the diagnosis)
+/// and detector `kernel`; the fleet-shaped knobs do not apply to one
+/// instance. The whole replay — ingest folds, detector steps, window cut
+/// and the three diagnosis stages — lands in `obs`.
 ///
 /// The returned `(LabeledCase, Diagnosis)` is bit-identical to what the
 /// batch path (`materialize` + `PinSql::diagnose`) produces for the same
-/// scenario and configuration — the engine's replay-equivalence contract,
-/// pinned against the golden corpus by the `equivalence` matrix.
-pub fn replay_diagnose(
+/// scenario and configuration, whatever `O` is — the engine's
+/// replay-equivalence contract, pinned against the golden corpus by the
+/// `equivalence` matrix.
+pub fn replay_diagnose<O: Observer>(
     scenario: &Scenario,
-    delta_s: i64,
-    cfg: &PinSqlConfig,
-) -> (LabeledCase, Diagnosis) {
-    replay(scenario, delta_s, cfg, KernelKind::default(), &NoopObserver)
-}
-
-/// [`replay_diagnose`] with an explicit detector-kernel choice. Both kinds
-/// are bit-identical; the parameter exists so the equivalence matrix — and
-/// any deployment wanting the scalar reference formulation — can pick.
-pub fn replay_diagnose_with_kernel(
-    scenario: &Scenario,
-    delta_s: i64,
-    cfg: &PinSqlConfig,
-    kernel: KernelKind,
-) -> (LabeledCase, Diagnosis) {
-    replay(scenario, delta_s, cfg, kernel, &NoopObserver)
-}
-
-/// [`replay_diagnose`] under an explicit observer: the whole replay —
-/// ingest folds, detector steps, window cut, and the three diagnosis
-/// stages — lands in the observer's registry. The case and diagnosis are
-/// byte-identical whatever `O` is.
-pub fn replay_diagnose_observed<O: Observer>(
-    scenario: &Scenario,
-    delta_s: i64,
-    cfg: &PinSqlConfig,
-    obs: &O,
-) -> (LabeledCase, Diagnosis) {
-    replay(scenario, delta_s, cfg, KernelKind::default(), obs)
-}
-
-fn replay<O: Observer>(
-    scenario: &Scenario,
-    delta_s: i64,
-    cfg: &PinSqlConfig,
-    kernel: KernelKind,
+    cfg: &FleetConfig,
     obs: &O,
 ) -> (LabeledCase, Diagnosis) {
     let events = materialize_events(scenario, None);
-    let mut inst = OnlineInstance::with_observer(scenario, delta_s, obs.clone())
-        .with_kernel(kernel)
-        .with_cut(cfg.cut);
+    let mut inst = OnlineInstance::with_observer(scenario, cfg.delta_s, obs.clone())
+        .with_kernel(cfg.kernel)
+        .with_cut(cfg.pinsql.cut);
     inst.ingest_stream(events);
     let lc = inst.close_case();
-    let d = PinSql::new(cfg.clone()).diagnose_observed(
+    let d = PinSql::new(cfg.pinsql.clone()).diagnose_observed(
         &lc.case,
         &lc.window,
         &lc.history,
@@ -475,6 +446,7 @@ fn replay<O: Observer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pinsql::PinSqlConfig;
     use pinsql_scenario::{generate_base, inject, materialize, AnomalyKind, ScenarioConfig};
 
     fn assert_case_eq(a: &LabeledCase, b: &LabeledCase) {
@@ -527,7 +499,8 @@ mod tests {
                 batch_lc.minutes_origin,
             );
 
-            let (online_lc, online_d) = replay_diagnose(&scenario, 600, &pin);
+            let (online_lc, online_d) =
+                replay_diagnose(&scenario, &FleetConfig::default(), &NoopObserver);
             assert_case_eq(&online_lc, &batch_lc);
             assert_diagnosis_eq(&online_d, &batch_d);
         }
@@ -562,11 +535,12 @@ mod tests {
         let cfg = ScenarioConfig::default().with_seed(21).with_businesses(6);
         let base = generate_base(&cfg);
         let scenario = inject(&base, &cfg, AnomalyKind::BusinessSpike);
-        let pin = PinSqlConfig::default();
-        let (lc_fast, d_fast) =
-            replay_diagnose_with_kernel(&scenario, 300, &pin, KernelKind::Fast);
-        let (lc_ref, d_ref) =
-            replay_diagnose_with_kernel(&scenario, 300, &pin, KernelKind::Reference);
+        let replay = |kernel| {
+            let cfg = FleetConfig { delta_s: 300, kernel, ..FleetConfig::default() };
+            replay_diagnose(&scenario, &cfg, &NoopObserver)
+        };
+        let (lc_fast, d_fast) = replay(KernelKind::Fast);
+        let (lc_ref, d_ref) = replay(KernelKind::Reference);
         assert_case_eq(&lc_fast, &lc_ref);
         assert_diagnosis_eq(&d_fast, &d_ref);
     }

@@ -25,10 +25,11 @@
 //!   [`pinsql::ConfigEpoch`]), drains, restarts, and O(regions) health
 //!   rollups. A daemon that finishes at config `F` is byte-identical to
 //!   the batch pipeline under `F`, whatever happened on the way.
-//! * [`fleet`] — the run's vocabulary ([`FleetConfig`], [`ReshardPlan`],
+//! * [`fleet`] — the run's vocabulary ([`FleetConfig`],
 //!   [`FleetCheckpoint`], [`FleetReport`] / [`FleetRun`]) and
-//!   [`FleetEngine`], whose run shapes (`run_full`, `run_resharded`,
-//!   `checkpoint_at`, `resume_full`) are each a few calls on a daemon.
+//!   [`FleetEngine`], whose one run shape (`run_full`) is a daemon
+//!   spawned and finished. Reshards, checkpoints, resumes and config
+//!   pushes drive the daemon itself: it is the engine's only front end.
 //! * [`snapshot`] — [`InstanceSnapshot`]: the versioned binary checkpoint
 //!   of one instance's entire online state (aggregator rings, history,
 //!   detector segments), the blob the reseat primitive moves. Malformed
@@ -61,11 +62,8 @@ pub use control::{
 pub use daemon::{ControlError, FleetDaemon, FleetServer};
 pub use fleet::{
     FleetCheckpoint, FleetConfig, FleetEngine, FleetReport, FleetRun, InstanceOutcome,
-    ReshardPlan, ReshardStep,
 };
-pub use instance::{
-    replay_diagnose, replay_diagnose_observed, replay_diagnose_with_kernel, OnlineInstance,
-};
+pub use instance::{replay_diagnose, OnlineInstance};
 pub use snapshot::{InstanceSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use transport::{
     pipe_pair, plan_frames, recv_hello, run_source, serve_agent, ByteConn, IngestSink, PipeConn,

@@ -83,7 +83,7 @@ impl StageSummary {
     }
 }
 
-/// The flat metrics document (`results/fleet_metrics.json`).
+/// The flat metrics document.
 #[derive(Debug, Clone)]
 pub struct MetricsExport {
     pub counters: BTreeMap<&'static str, u64>,
@@ -238,7 +238,7 @@ mod tests {
         assert_eq!(m.gauges["cell_seconds"], 30);
         assert_eq!(m.stages.len(), 3);
         assert!(m.stages.contains_key("hsql_rank"));
-        assert!(!m.stages.contains_key("repair_suggest"));
+        assert!(!m.stages.contains_key("reshard"));
         assert_eq!(m.trace_events, 3);
         let doc = pinsql_json::parse(&m.to_json().render_pretty()).unwrap();
         let hsql = doc.get("stages").and_then(|s| s.get("hsql_rank")).expect("recorded stage");

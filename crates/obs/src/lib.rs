@@ -24,7 +24,7 @@
 //!
 //! * [`Stage`] **spans** — one per pipeline stage (ingest merge, cell
 //!   fold, detector step, window cut, session estimation, H-SQL, R-SQL,
-//!   repair), each feeding a per-stage histogram and a capped trace-event
+//!   snapshot, reshard, config, restart, ingest wire), each feeding a per-stage histogram and a capped trace-event
 //!   ring for chrome-trace export ([`export::chrome_trace`]).
 //! * [`Counter`]s / [`Gauge`]s — monotone pipeline counters (events,
 //!   queries, drops, evictions, cases) and resident-state gauges (queue
@@ -68,8 +68,6 @@ pub enum Stage {
     Hsql,
     /// §VI R-SQL clustering, correlation, and history verification.
     Rsql,
-    /// Repairing-module action suggestion.
-    Repair,
     /// Serializing one instance's online state into a checkpoint blob.
     SnapshotWrite,
     /// Rebuilding one instance's online state from a checkpoint blob.
@@ -90,7 +88,7 @@ pub enum Stage {
 
 impl Stage {
     /// All stages, pipeline order (index = discriminant).
-    pub const ALL: [Stage; 15] = [
+    pub const ALL: [Stage; 14] = [
         Stage::IngestMerge,
         Stage::CellFold,
         Stage::DetectorStep,
@@ -99,7 +97,6 @@ impl Stage {
         Stage::SessionEstimate,
         Stage::Hsql,
         Stage::Rsql,
-        Stage::Repair,
         Stage::SnapshotWrite,
         Stage::SnapshotRestore,
         Stage::Reshard,
@@ -120,7 +117,6 @@ impl Stage {
             Stage::SessionEstimate => "session_estimate",
             Stage::Hsql => "hsql_rank",
             Stage::Rsql => "rsql_identify",
-            Stage::Repair => "repair_suggest",
             Stage::SnapshotWrite => "snapshot_write",
             Stage::SnapshotRestore => "snapshot_restore",
             Stage::Reshard => "reshard",

@@ -38,10 +38,7 @@ pub mod session_estimate;
 pub use config::{Ablation, ConfigEpoch, EstimatorKind, PinSqlConfig, PinSqlDelta, TransportPolicy};
 pub use hsql::{rank_hsqls, HsqlRanking};
 pub use pipeline::{Diagnosis, PinSql, RankedTemplate, StageTimings};
-pub use repair::{
-    suggest_actions, suggest_actions_observed, RepairAction, RepairConfig, RepairRule,
-    SuggestedAction,
-};
+pub use repair::{suggest_actions, RepairAction, RepairConfig, RepairRule, SuggestedAction};
 pub use report::{render_report, ReportOptions};
 pub use rsql::{identify_rsqls, RsqlOutcome};
 pub use session_estimate::{estimate_sessions, SessionEstimates};

@@ -16,7 +16,6 @@
 use crate::pipeline::Diagnosis;
 use pinsql_collector::CaseData;
 use pinsql_detect::AnomalyWindow;
-use pinsql_obs::{Observer, Stage};
 use pinsql_sqlkit::SqlId;
 use pinsql_timeseries::tukey_fences;
 use pinsql_workload::{CostProfile, SpecId, Workload};
@@ -117,27 +116,6 @@ pub struct SuggestedAction {
     pub label: String,
     pub action: RepairAction,
     pub auto_execute: bool,
-}
-
-/// [`suggest_actions`] bracketed by a [`Stage::Repair`] observability span.
-///
-/// The observer only watches — the returned actions are identical to the
-/// unobserved call, and with [`NoopObserver`](pinsql_obs::NoopObserver)
-/// the bracketing compiles away.
-pub fn suggest_actions_observed<O: Observer>(
-    diagnosis: &Diagnosis,
-    case: &CaseData,
-    window: &AnomalyWindow,
-    anomaly_type: &str,
-    cfg: &RepairConfig,
-    obs: &O,
-) -> Vec<SuggestedAction> {
-    let n0 = if O::ENABLED { obs.now_ns() } else { 0 };
-    let out = suggest_actions(diagnosis, case, window, anomaly_type, cfg);
-    if O::ENABLED {
-        obs.span(Stage::Repair, n0, obs.now_ns());
-    }
-    out
 }
 
 /// Applies the rule table to a diagnosis, producing actions on the top

@@ -389,7 +389,7 @@ pub fn assert_run_matches_batch(
 }
 
 /// Events per event-time second, summed across `streams`.
-fn events_per_second(streams: &[Vec<pinsql_dbsim::TelemetryEvent>]) -> Vec<usize> {
+fn events_in_each_second(streams: &[Vec<pinsql_dbsim::TelemetryEvent>]) -> Vec<usize> {
     let mut per_second = std::collections::BTreeMap::<i64, usize>::new();
     for ev in streams.iter().flatten() {
         *per_second.entry((ev.time_ms() / 1000.0).floor() as i64).or_default() += 1;
@@ -406,7 +406,7 @@ fn events_per_second(streams: &[Vec<pinsql_dbsim::TelemetryEvent>]) -> Vec<usize
 /// one batch on top, the tightest queue that stays live when the source
 /// marks an `Advance` every second (the backpressure suite runs there).
 pub fn busiest_second(streams: &[Vec<pinsql_dbsim::TelemetryEvent>]) -> usize {
-    events_per_second(streams).into_iter().max().expect("at least one second")
+    events_in_each_second(streams).into_iter().max().expect("at least one second")
 }
 
 /// The default [`TransportPolicy`](pinsql::TransportPolicy), its queue
@@ -419,7 +419,7 @@ pub fn busiest_second(streams: &[Vec<pinsql_dbsim::TelemetryEvent>]) -> usize {
 /// golden instances already outrun the default 8192.)
 pub fn live_policy(streams: &[Vec<pinsql_dbsim::TelemetryEvent>]) -> pinsql::TransportPolicy {
     let policy = pinsql::TransportPolicy::default();
-    let per_second = events_per_second(streams);
+    let per_second = events_in_each_second(streams);
     let two_seconds = per_second.windows(2).map(|w| w[0] + w[1]).max().unwrap_or(per_second[0]);
     policy.with_queue_capacity(policy.queue_capacity.max(two_seconds + policy.batch_events))
 }

@@ -1,7 +1,7 @@
 //! Checkpoints and handoffs beyond the equivalence matrix.
 //!
 //! `tests/equivalence.rs` pins checkpoint → resume (before, inside and
-//! after the anomaly, across layouts) and the reshard plans against the
+//! after the anomaly, across layouts) and the reshard rows against the
 //! batch reference. This suite keeps the properties that are not a
 //! matrix cell: checkpoint bytes do not depend on the layout that cut
 //! them, a checkpoint shipped as raw bytes resumes exactly, and a
@@ -12,17 +12,26 @@ mod common;
 use common::{load_manifest, reversed, scenario_for, snapshot_of, GOLDEN_DELTA_S};
 use pinsql::PinSqlConfig;
 use pinsql_detect::KernelKind;
-use pinsql_engine::{FleetConfig, FleetEngine, ReshardPlan};
+use pinsql_engine::{FleetCheckpoint, FleetConfig, FleetDaemon};
+use pinsql_obs::NoopObserver;
+use pinsql_scenario::Scenario;
 
-fn engine(shards: usize, fanout: usize) -> FleetEngine {
-    FleetEngine::new(FleetConfig {
+fn config(shards: usize, fanout: usize) -> FleetConfig {
+    FleetConfig {
         delta_s: GOLDEN_DELTA_S,
         pinsql: PinSqlConfig::default(),
         fanout,
         shards,
         kernel: KernelKind::Fast,
         ..FleetConfig::default()
-    })
+    }
+}
+
+/// Ingests every stream's prefix before `at_second` and freezes the fleet.
+fn freeze_at(cfg: FleetConfig, scenarios: &[Scenario], at_second: i64) -> FleetCheckpoint {
+    let mut daemon = FleetDaemon::spawn(cfg, scenarios);
+    daemon.advance_to(at_second);
+    daemon.checkpoint()
 }
 
 /// Checkpointing is deterministic: two checkpoints of the same fleet at
@@ -33,8 +42,8 @@ fn checkpoints_are_deterministic_and_layout_independent() {
     let manifest = load_manifest();
     let scenarios: Vec<_> = manifest.iter().take(4).map(scenario_for).collect();
 
-    let a = engine(1, 1).checkpoint_at(&scenarios, 800);
-    let b = engine(4, 2).checkpoint_at(&scenarios, 800);
+    let a = freeze_at(config(1, 1), &scenarios, 800);
+    let b = freeze_at(config(4, 2), &scenarios, 800);
     assert_eq!(a.snapshots.len(), b.snapshots.len());
     for (i, (sa, sb)) in a.snapshots.iter().zip(&b.snapshots).enumerate() {
         assert_eq!(sa.as_bytes(), sb.as_bytes(), "instance {i}: checkpoint bytes differ");
@@ -46,13 +55,13 @@ fn checkpoints_are_deterministic_and_layout_independent() {
 /// back through `from_bytes`, every snapshot still resumes exactly.
 #[test]
 fn shipped_checkpoint_bytes_resume_exactly() {
-    use pinsql_engine::{FleetCheckpoint, InstanceSnapshot};
+    use pinsql_engine::InstanceSnapshot;
 
     let manifest = load_manifest();
     let scenarios: Vec<_> = manifest.iter().take(4).map(scenario_for).collect();
 
-    let baseline = engine(1, 1).run_full(&scenarios);
-    let ckpt = engine(2, 2).checkpoint_at(&scenarios, 800);
+    let baseline = FleetDaemon::spawn(config(1, 1), &scenarios).finish();
+    let ckpt = freeze_at(config(2, 2), &scenarios, 800);
     let shipped = FleetCheckpoint {
         at_second: ckpt.at_second,
         snapshots: ckpt
@@ -61,7 +70,9 @@ fn shipped_checkpoint_bytes_resume_exactly() {
             .map(|s| InstanceSnapshot::from_bytes(s.as_bytes().to_vec()).expect("revalidates"))
             .collect(),
     };
-    let resumed = engine(2, 2).resume_full(&scenarios, &shipped).expect("checkpoint decodes");
+    let resumed = FleetDaemon::resume(config(2, 2), &scenarios, &shipped, NoopObserver)
+        .expect("checkpoint decodes")
+        .finish();
     for (i, entry) in manifest.iter().take(4).enumerate() {
         let a = snapshot_of(entry, &baseline.cases[i], &baseline.diagnoses[i]);
         let b = snapshot_of(entry, &resumed.cases[i], &resumed.diagnoses[i]);
@@ -79,8 +90,10 @@ fn reversing_handoff_preserves_instance_id_order() {
     let scenarios: Vec<_> = manifest.iter().map(scenario_for).collect();
     let n = scenarios.len();
 
-    let plan = ReshardPlan::single(800, reversed(n, 4));
-    let run = engine(4, 2).run_resharded(&scenarios, &plan).expect("handoff decodes");
+    let mut daemon = FleetDaemon::spawn(config(4, 2), &scenarios);
+    daemon.advance_to(800);
+    daemon.reshard(&reversed(n, 4)).expect("handoff decodes");
+    let run = daemon.finish();
     for (i, entry) in manifest.iter().enumerate() {
         assert_eq!(run.report.outcomes[i].instance, i);
         assert_eq!(

@@ -30,14 +30,13 @@ mod common;
 use common::{
     all_points, assert_run_matches_batch, axis_points, batch_reference, drive_loopback,
     golden_fleet_config, live_policy, load_manifest, one_per_kind, reversed, scenario_for,
-    ManifestEntry, MatrixPoint, ObserverKind, Snapshot, GOLDEN_DELTA_S,
+    ManifestEntry, MatrixPoint, ObserverKind, Snapshot,
 };
 use pinsql::{ConfigEpoch, Diagnosis, PinSqlConfig, PinSqlDelta};
 use pinsql_detect::{CutKind, KernelKind};
 use pinsql_engine::{
-    plan_frames, replay_diagnose, replay_diagnose_observed, replay_diagnose_with_kernel,
-    FleetConfig, FleetDaemon, FleetDelta, FleetEngine, FleetRun, FleetServer, IngestSink,
-    ReshardPlan, ReshardStep, SourcePlan, TransportError,
+    plan_frames, replay_diagnose, FleetConfig, FleetDaemon, FleetDelta, FleetRun, FleetServer,
+    IngestSink, SourcePlan, TransportError,
 };
 use pinsql_obs::{Counter, FleetHealth, NoopObserver, Observer, RecordingObserver, Stage};
 use pinsql_scenario::{materialize_events, LabeledCase, Scenario};
@@ -63,7 +62,7 @@ enum Path {
     Loopback,
     /// [`Path::Loopback`] torn mid-frame halfway through, then resumed.
     LoopbackReconnect,
-    /// `replay_diagnose*`, one instance at a time (fanout = diagnosis
+    /// `replay_diagnose`, one instance at a time (fanout = diagnosis
     /// parallelism; shards do not apply).
     Replay,
 }
@@ -206,26 +205,23 @@ fn loopback_run<O: Observer>(cfg: FleetConfig, sc: &[Scenario], tear: bool, obs:
 fn run_path<O: Observer>(path: Path, p: MatrixPoint, sc: &[Scenario], obs: &O) -> Outcome {
     let n = sc.len();
     let cfg = golden_fleet_config(p);
-    let engine = FleetEngine::new(cfg.clone());
+    // Quiesce at each boundary and hand the fleet over to its layout.
+    let resharded = |steps: &[(i64, Vec<usize>)]| {
+        let mut daemon = FleetDaemon::spawn_observed(cfg.clone(), sc, obs.clone());
+        for (at, assignment) in steps {
+            daemon.advance_to(*at);
+            daemon.reshard(assignment).expect("handoff decodes");
+        }
+        daemon.finish()
+    };
     match path {
         Path::RunFull => {
-            let run = engine.run_full_observed(sc, obs);
+            let run = resharded(&[]);
             assert_eq!(run.report.shards, p.shards.min(n));
             run.into()
         }
-        Path::ReversedReshard { at } => {
-            let plan = ReshardPlan::single(at, reversed(n, p.shards.min(n)));
-            engine.run_resharded_observed(sc, &plan, obs).expect("handoff decodes").into()
-        }
-        Path::Churn => {
-            let plan = ReshardPlan {
-                steps: vec![
-                    ReshardStep { at_second: 400, assignment: (0..n).collect() },
-                    ReshardStep { at_second: 900, assignment: vec![0; n] },
-                ],
-            };
-            engine.run_resharded_observed(sc, &plan, obs).expect("handoff decodes").into()
-        }
+        Path::ReversedReshard { at } => resharded(&[(at, reversed(n, p.shards.min(n)))]).into(),
+        Path::Churn => resharded(&[(400, (0..n).collect()), (900, vec![0; n])]).into(),
         Path::Resume { at } => {
             // A recovered fleet rarely comes back on the same machine
             // shape: cut the checkpoint under another layout.
@@ -261,21 +257,9 @@ fn run_path<O: Observer>(path: Path, p: MatrixPoint, sc: &[Scenario], obs: &O) -
         Path::Loopback => loopback_run(cfg, sc, false, obs).into(),
         Path::LoopbackReconnect => loopback_run(cfg, sc, true, obs).into(),
         Path::Replay => {
-            let pin = PinSqlConfig::default().with_parallelism(p.fanout).with_cut(p.cut);
-            // Three public names over one body. The observed one takes no
-            // kernel, so under a recording observer the kernel axis rests.
-            let (cases, diagnoses) = sc
-                .iter()
-                .map(|s| {
-                    if O::ENABLED {
-                        replay_diagnose_observed(s, GOLDEN_DELTA_S, &pin, obs)
-                    } else if p.kernel == KernelKind::default() {
-                        replay_diagnose(s, GOLDEN_DELTA_S, &pin)
-                    } else {
-                        replay_diagnose_with_kernel(s, GOLDEN_DELTA_S, &pin, p.kernel)
-                    }
-                })
-                .unzip();
+            let pinsql = cfg.pinsql.clone().with_parallelism(p.fanout);
+            let cfg = FleetConfig { pinsql, ..cfg };
+            let (cases, diagnoses) = sc.iter().map(|s| replay_diagnose(s, &cfg, obs)).unzip();
             Outcome { cases, diagnoses, health: None }
         }
     }

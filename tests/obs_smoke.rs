@@ -5,8 +5,7 @@
 mod common;
 
 use common::{load_manifest, scenario_for, GOLDEN_DELTA_S};
-use pinsql::PinSqlConfig;
-use pinsql_engine::{replay_diagnose_observed, OnlineInstance};
+use pinsql_engine::{replay_diagnose, FleetConfig, OnlineInstance};
 use pinsql_obs::export::{chrome_trace, metrics_export, validate_chrome_trace};
 use pinsql_obs::{Counter, RecordingObserver, Stage};
 use pinsql_scenario::materialize_events;
@@ -18,8 +17,8 @@ fn recorded_golden_case_exports_valid_trace_and_metrics() {
     let entry = &manifest[0];
     let scenario = scenario_for(entry);
     let obs = RecordingObserver::new();
-    let (lc, d) =
-        replay_diagnose_observed(&scenario, GOLDEN_DELTA_S, &PinSqlConfig::default(), &obs);
+    let cfg = FleetConfig { delta_s: GOLDEN_DELTA_S, ..FleetConfig::default() };
+    let (lc, d) = replay_diagnose(&scenario, &cfg, &obs);
     assert!(!lc.case.templates.is_empty());
     assert!(!d.rsqls.is_empty());
 
@@ -64,7 +63,7 @@ fn recorded_golden_case_exports_valid_trace_and_metrics() {
     assert!(opened >= 1, "a golden anomaly case must open");
     assert!(opened - closed <= 1, "opens {opened} vs closes {closed}");
 
-    // The document the fleet bench writes carries the same numbers.
+    // The rendered document carries the same numbers.
     let doc = pinsql_json::parse(&metrics.to_json().render()).expect("metrics document parses");
     let fold = doc.get("stages").and_then(|s| s.get(Stage::CellFold.name())).expect("cell_fold");
     assert_eq!(
