@@ -273,6 +273,40 @@ mod tests {
         }
     }
 
+    #[test]
+    fn outcomes_are_independent_of_fanout_and_shards() {
+        let scenarios = small_fleet(3);
+        let a = run_full(1, 1, &scenarios).report;
+        for (fanout, shards) in [(4, 1), (1, 2), (4, 3)] {
+            let b = run_full(fanout, shards, &scenarios).report;
+            assert_eq!(a.events_total, b.events_total);
+            for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
+                assert_eq!(x.detected, y.detected);
+                assert_eq!(x.anomaly_type, y.anomaly_type);
+                assert_eq!(x.n_events, y.n_events);
+                assert_eq!(x.n_queries, y.n_queries);
+                assert_eq!(x.case_seconds, y.case_seconds);
+                assert_eq!(x.n_templates, y.n_templates);
+                assert_eq!(x.n_reported, y.n_reported);
+                assert_eq!(x.top_rsql, y.top_rsql);
+                assert_eq!(x.truth_hit, y.truth_hit);
+            }
+        }
+    }
+
+    /// Sharded runs must reproduce the unsharded run's cases and
+    /// diagnoses exactly.
+    #[test]
+    fn scaling_smoke() {
+        let scenarios = small_fleet(4);
+        let base = run_full(1, 1, &scenarios);
+        for shards in [2usize, 4] {
+            let sharded = run_full(1, shards, &scenarios);
+            assert_eq!(sharded.report.shards, shards);
+            assert_run_eq(&base, &sharded, &format!("shards {shards}"));
+        }
+    }
+
     /// A mid-stream reshard — including one that *reverses* the shard
     /// assignment — must be behaviorally invisible. This is the in-crate
     /// smoke; the `equivalence` matrix runs against the golden corpus at

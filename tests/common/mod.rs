@@ -12,6 +12,7 @@ use pinsql_detect::{CutKind, KernelKind};
 use pinsql_engine::FleetConfig;
 use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
 use pinsql_json::Json;
+use pinsql_timeseries::par::par_map;
 use pinsql_scenario::{
     generate_base, inject, materialize, AnomalyKind, LabeledCase, Scenario, ScenarioConfig,
 };
@@ -200,10 +201,11 @@ pub fn batch_snapshot(entry: &ManifestEntry, parallelism: usize) -> (Snapshot, D
 }
 
 /// The batch reference, one snapshot per manifest entry — what every
-/// online path compares against. (The batch path's own parallelism
-/// invariance is pinned separately by `golden_corpus.rs`.)
+/// online path compares against. Entries are independent, so they are
+/// diagnosed across every core, each at parallelism 1. (The batch path's
+/// own parallelism invariance is pinned separately by `golden_corpus.rs`.)
 pub fn batch_reference(manifest: &[ManifestEntry]) -> Vec<Snapshot> {
-    manifest.iter().map(|entry| batch_snapshot(entry, 1).0).collect()
+    par_map(manifest.len(), 0, |i| batch_snapshot(&manifest[i], 1).0)
 }
 
 /// A small positive scenario for the snapshot and cut sweeps: big enough

@@ -20,8 +20,9 @@
 //! axis at a time, plus the all-moved corner) over one case per anomaly
 //! kind. The root manifest's dev profile is optimized, so plain `cargo
 //! test` will do; each test prints its wall time under `--nocapture`.
-//! Cells run one at a time (memory, not cores, is what a full-corpus run
-//! is short of): ~8 min for the tier on 2 cores. The full cross-product
+//! Cells run as many at once as fit a memory budget of cases in flight
+//! (one full-corpus cell beside one short-corpus cell; see [`Admission`]).
+//! The full cross-product
 //! over the same row table is `#[ignore]`d:
 //! `cargo test --test equivalence -- --ignored`.
 
@@ -30,7 +31,7 @@ mod common;
 use common::{
     all_points, assert_run_matches_batch, axis_points, batch_reference, drive_loopback,
     golden_fleet_config, live_policy, load_manifest, one_per_kind, reversed, scenario_for,
-    ManifestEntry, MatrixPoint, ObserverKind, Snapshot,
+    ManifestEntry, MatrixPoint, ObserverKind, Snapshot, MANIFEST,
 };
 use pinsql::{ConfigEpoch, Diagnosis, PinSqlConfig, PinSqlDelta};
 use pinsql_detect::{CutKind, KernelKind};
@@ -39,8 +40,8 @@ use pinsql_engine::{
     IngestSink, SourcePlan, TransportError,
 };
 use pinsql_obs::{Counter, FleetHealth, NoopObserver, Observer, RecordingObserver, Stage};
-use pinsql_scenario::{materialize_events, LabeledCase, Scenario};
-use std::sync::{Mutex, OnceLock};
+use pinsql_scenario::{materialize_events, AnomalyKind, LabeledCase, Scenario};
+use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// One way through the engine.
@@ -338,14 +339,11 @@ impl Corpus {
     }
 
     /// Runs one cell and checks it: snapshots against batch, trace if
-    /// recorded, health against the corpus's first. One cell at a time,
-    /// whatever libtest's thread count: a full-corpus run holds its
-    /// streams, their resident records and (on the wire paths) the frame
-    /// plan — well over a gigabyte. Returns the cell's own wall time.
+    /// recorded, health against the corpus's first. The cell waits for
+    /// its cases to fit the [`Admission`] budget. Returns the cell's own
+    /// wall time, waiting excluded.
     fn check(&self, name: &str, path: Path, p: MatrixPoint) -> Duration {
-        static TURN: Mutex<()> = Mutex::new(());
-        // Poison only means another path already failed; carry on.
-        let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+        let _admitted = Admission::wait(self.scenarios.len());
         let t = Instant::now();
         let what = format!("{name} ({})", p.label());
         let out = match p.observer {
@@ -368,6 +366,44 @@ impl Corpus {
             }
         }
         t.elapsed()
+    }
+}
+
+/// Cases in flight across every running cell. A cell holds its corpus's
+/// streams, their resident records and (on the wire paths) the frame plan
+/// — well over a gigabyte for the full corpus — so memory, not cores,
+/// bounds how many cells run at once: one full-corpus cell beside one
+/// short-corpus cell, or short cells alone, whatever libtest's thread
+/// count. Most cells keep one core busy (one shard, fanout 1), so this
+/// lets a second core work through short cells while a full one runs.
+const CASES_IN_FLIGHT: usize = MANIFEST.len() + AnomalyKind::ALL.len();
+
+static IN_FLIGHT: (Mutex<usize>, Condvar) = (Mutex::new(0), Condvar::new());
+
+/// A cell's share of [`CASES_IN_FLIGHT`], returned when dropped (also on
+/// the unwind of a failing cell).
+struct Admission(usize);
+
+impl Admission {
+    /// Blocks until `cases` more fit the budget. A cell alone always fits.
+    fn wait(cases: usize) -> Self {
+        let cases = cases.min(CASES_IN_FLIGHT);
+        let (in_flight, freed) = &IN_FLIGHT;
+        // Poison only means another path already failed; carry on.
+        let mut held = in_flight.lock().unwrap_or_else(|e| e.into_inner());
+        while *held + cases > CASES_IN_FLIGHT {
+            held = freed.wait(held).unwrap_or_else(|e| e.into_inner());
+        }
+        *held += cases;
+        Self(cases)
+    }
+}
+
+impl Drop for Admission {
+    fn drop(&mut self) {
+        let (in_flight, freed) = &IN_FLIGHT;
+        *in_flight.lock().unwrap_or_else(|e| e.into_inner()) -= self.0;
+        freed.notify_all();
     }
 }
 
