@@ -39,11 +39,6 @@ impl TemplateSeries {
         }
     }
 
-    /// Total executions over the whole window.
-    pub fn total_executions(&self) -> f64 {
-        self.execution_count.iter().sum()
-    }
-
     /// 1-minute execution counts (sum over each 60-second block).
     ///
     /// Only *complete* minutes are emitted: a trailing partial minute would
@@ -437,7 +432,6 @@ mod tests {
         assert_eq!(a.series.execution_count, vec![2.0, 1.0, 0.0, 0.0]);
         assert_eq!(a.series.total_rt_ms, vec![30.0, 30.0, 0.0, 0.0]);
         assert_eq!(a.series.examined_rows, vec![12.0, 2.0, 0.0, 0.0]);
-        assert_eq!(a.series.total_executions(), 3.0);
         assert_eq!(a.record_idx.len(), 3);
     }
 

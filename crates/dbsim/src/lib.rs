@@ -32,7 +32,6 @@
 pub mod closedloop;
 pub mod config;
 pub mod engine;
-pub mod integrator;
 pub mod locks;
 pub mod metrics;
 pub mod ordf64;

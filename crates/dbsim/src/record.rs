@@ -37,16 +37,6 @@ impl QueryRecord {
         (hi - lo).max(0.0)
     }
 
-    /// `P(observed(p, q))` for the window `[from_ms, to_ms)`.
-    #[inline]
-    pub fn observed_probability(&self, from_ms: f64, to_ms: f64) -> f64 {
-        let width = to_ms - from_ms;
-        if width <= 0.0 {
-            return 0.0;
-        }
-        self.overlap_ms(from_ms, to_ms) / width
-    }
-
     /// True when the query is in flight at instant `t_ms`.
     #[inline]
     pub fn active_at(&self, t_ms: f64) -> bool {
@@ -79,14 +69,5 @@ mod tests {
         assert_eq!(q.overlap_ms(0.0, 100.0), 0.0);
         assert_eq!(q.overlap_ms(150.0, 200.0), 0.0);
         assert_eq!(q.overlap_ms(125.0, 300.0), 25.0);
-    }
-
-    #[test]
-    fn observed_probability_matches_definition() {
-        // P(observed(p,q)) = |p ∩ [t(q), t(q)+rt)| / |p|
-        let q = rec(500.0, 250.0);
-        assert!((q.observed_probability(0.0, 1000.0) - 0.25).abs() < 1e-12);
-        assert!((q.observed_probability(500.0, 750.0) - 1.0).abs() < 1e-12);
-        assert_eq!(q.observed_probability(0.0, 0.0), 0.0);
     }
 }

@@ -1,8 +1,7 @@
 //! Property sweeps for the simulator substrates — processor-sharing
-//! invariants, lock-manager safety, integrator conservation — on `CASES`
-//! seeded random inputs; a failure names the seed.
+//! invariants and lock-manager safety — on `CASES` seeded random inputs; a
+//! failure names the seed.
 
-use pinsql_dbsim::integrator::SecondIntegrator;
 use pinsql_dbsim::locks::{LockKind, LockManager, QueryId};
 use pinsql_dbsim::ps::PsResource;
 use pinsql_workload::rng::{rng_from_seed, RngExt, StdRng};
@@ -127,36 +126,5 @@ fn lock_manager_safety_and_liveness() {
         // Waiter accounting agrees with the mirror.
         let queued_total: usize = mirror.iter().map(|m| m.queued.len()).sum();
         assert_eq!(m.mdl_waiters(), queued_total, "seed {seed}");
-    }
-}
-
-/// Per-second means stay within the range of the observed values.
-#[test]
-fn integrator_means_bounded_by_values() {
-    for seed in 0..CASES {
-        let mut rng = rng_from_seed(seed);
-        let steps: Vec<(f64, f64)> = (0..rng.random_range(1..40usize))
-            .map(|_| (rng.random_range(1.0..3000.0), rng.random_range(0.0..50.0)))
-            .collect();
-        let first = steps[0].1;
-        let mut integ = SecondIntegrator::new(0.0, first);
-        let mut t = 0.0;
-        let mut lo = first;
-        let mut hi = first;
-        for &(dt, v) in &steps {
-            t += dt;
-            integ.set(t, v);
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        let end = t + 500.0;
-        let out = integ.finish(end);
-        for (i, &mean) in out.iter().enumerate() {
-            assert!(
-                mean >= lo - 1e-9 && mean <= hi + 1e-9,
-                "seed {seed}: second {i}: mean {mean} outside [{lo}, {hi}]"
-            );
-        }
-        assert_eq!(out.len(), (end / 1000.0).ceil() as usize, "seed {seed}");
     }
 }

@@ -3,13 +3,16 @@
 //! For each metric the detector keeps a trailing baseline (rolling median +
 //! MAD over "normal" samples only) and flags samples whose robust z-score
 //! crosses a trigger threshold. Consecutive flagged samples form a
-//! segment; a segment that recovers to baseline within `spike_max_s`
-//! seconds is a *spike*, otherwise it is a *level shift* — after which the
-//! baseline is re-seeded at the new level so detection continues (and so a
-//! later recovery registers as a shift back, not as one endless anomaly).
+//! segment, judged against the baseline statistics frozen when it opened;
+//! flagged samples never enter the baseline. A segment that recovers to
+//! baseline within `spike_max_s` seconds is a *spike*; one that recovers
+//! later, or runs to the end of data, is a *level shift*.
+//!
+//! The algorithm lives in [`OnlineFeatureDetector`], one sample at a time;
+//! [`detect_features`] is that detector pushed over a whole series.
 
-use crate::features::{Feature, FeatureKind};
-use pinsql_timeseries::rolling::{robust_z, RollingWindow};
+use crate::features::Feature;
+use crate::online::OnlineFeatureDetector;
 use pinsql_timeseries::KernelKind;
 
 /// Detector tuning.
@@ -60,7 +63,8 @@ impl DetectorConfig {
     /// The standard configuration for a metric by canonical name:
     /// utilization metrics (fraction-valued, `*_usage`) get the lower MAD
     /// floor, everything else the default. This is the single mapping both
-    /// the batch detection loop and the online detector bank use.
+    /// the per-metric `detect_features` loop and the online detector bank
+    /// use.
     pub fn for_metric(name: &str) -> Self {
         if name.contains("usage") {
             Self::for_utilization()
@@ -77,96 +81,27 @@ impl DetectorConfig {
 }
 
 /// Detects anomalous features in `series`, whose first sample is at
-/// `start_second` (1-second sampling).
+/// `start_second` (1-second sampling): the series pushed through one
+/// [`OnlineFeatureDetector`], then finished.
 pub fn detect_features(
     metric: &str,
     series: &[f64],
     start_second: i64,
     cfg: &DetectorConfig,
 ) -> Vec<Feature> {
+    let mut det = OnlineFeatureDetector::new(metric, start_second, cfg.clone());
     let mut features = Vec::new();
-    let mut baseline = RollingWindow::new(cfg.baseline_len.max(2));
-    let mut i = 0usize;
-    while i < series.len() {
-        let x = series[i];
-        if baseline.len() < cfg.warmup.max(2) {
-            baseline.push(x);
-            i += 1;
-            continue;
-        }
-        // `capacity >= 2` makes an empty post-warm-up baseline impossible,
-        // but the graceful-degradation contract says degenerate input never
-        // panics: an unwarm baseline keeps warming instead.
-        let Some((med, mad)) = baseline.median_mad(cfg.kernel) else {
-            baseline.push(x);
-            i += 1;
-            continue;
-        };
-        let z = robust_z(x, med, mad, cfg.mad_floor);
-        if z.abs() < cfg.trigger_z {
-            baseline.push(x);
-            i += 1;
-            continue;
-        }
-        // A segment opens at i. Scan forward until recovery or end.
-        let up = z > 0.0;
-        let seg_start = i;
-        let mut peak_z: f64 = z.abs();
-        let mut recovered_run = 0usize;
-        let mut j = i + 1;
-        let mut seg_end = series.len(); // exclusive index; trimmed on recovery
-        while j < series.len() {
-            let zj = robust_z(series[j], med, mad, cfg.mad_floor);
-            peak_z = peak_z.max(zj.abs());
-            let back = zj.abs() < cfg.recover_z;
-            if back {
-                recovered_run += 1;
-                if recovered_run >= cfg.recover_len {
-                    seg_end = j + 1 - recovered_run;
-                    break;
-                }
-            } else {
-                recovered_run = 0;
-            }
-            j += 1;
-        }
-        let recovered = seg_end < series.len();
-        let duration = (seg_end - seg_start) as i64;
-        let kind = match (recovered && duration <= cfg.spike_max_s, up) {
-            (true, true) => FeatureKind::SpikeUp,
-            (true, false) => FeatureKind::SpikeDown,
-            (false, true) => FeatureKind::LevelShiftUp,
-            (false, false) => FeatureKind::LevelShiftDown,
-        };
-        features.push(Feature {
-            metric: metric.to_string(),
-            kind,
-            start: start_second + seg_start as i64,
-            end: start_second + seg_end as i64,
-            peak_z,
-        });
-        if recovered {
-            // Resume just after the segment; the baseline stays valid.
-            i = seg_end;
-        } else if j >= series.len() && seg_end == series.len() {
-            // Ran to the end of data.
-            break;
-        } else {
-            // Level shift: re-seed the baseline at the new level.
-            let reseed_from = seg_end.min(series.len());
-            baseline = RollingWindow::new(cfg.baseline_len.max(2));
-            for &v in &series[seg_start..reseed_from] {
-                baseline.push(v);
-            }
-            i = reseed_from;
-        }
+    for &x in series {
+        det.push(x, &mut features);
     }
+    features.extend(det.finish());
     features
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::FeatureKind;
 
     fn flat(n: usize, level: f64) -> Vec<f64> {
         (0..n).map(|i| level + ((i * 7) % 3) as f64 * 0.3).collect()

@@ -13,16 +13,6 @@ pub enum FeatureKind {
 }
 
 impl FeatureKind {
-    /// True for upward anomalies.
-    pub fn is_up(&self) -> bool {
-        matches!(self, FeatureKind::SpikeUp | FeatureKind::LevelShiftUp)
-    }
-
-    /// True for spikes (recovering anomalies).
-    pub fn is_spike(&self) -> bool {
-        matches!(self, FeatureKind::SpikeUp | FeatureKind::SpikeDown)
-    }
-
     /// The configuration-string suffix (`"spike"` / `"levelshift"` with
     /// direction), e.g. `active_session.spike_up`.
     pub fn suffix(&self) -> &'static str {
@@ -78,12 +68,10 @@ mod tests {
 
     #[test]
     fn kind_predicates() {
-        assert!(FeatureKind::SpikeUp.is_up());
-        assert!(FeatureKind::LevelShiftUp.is_up());
-        assert!(!FeatureKind::SpikeDown.is_up());
-        assert!(FeatureKind::SpikeDown.is_spike());
-        assert!(!FeatureKind::LevelShiftDown.is_spike());
         assert_eq!(FeatureKind::SpikeUp.to_string(), "spike_up");
+        assert_eq!(FeatureKind::SpikeDown.to_string(), "spike_down");
+        assert_eq!(FeatureKind::LevelShiftUp.to_string(), "levelshift_up");
+        assert_eq!(FeatureKind::LevelShiftDown.to_string(), "levelshift_down");
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! Two layers, mirroring the production design:
 //!
-//! * **Basic Perception** ([`features`], [`detector`]) — robust streaming
-//!   detectors that turn each performance-metric series into *anomalous
-//!   features*: spike up/down and level-shift up/down segments. The
-//!   [`online`] module hosts the sample-at-a-time formulation of the same
-//!   algorithm (bounded rolling state, bit-identical features) for the
-//!   event-driven engine.
+//! * **Basic Perception** ([`features`], [`detector`], [`online`]) — one
+//!   robust streaming detector per metric ([`OnlineFeatureDetector`],
+//!   sample at a time, bounded rolling state) that turns each
+//!   performance-metric series into *anomalous features*: spike up/down and
+//!   level-shift up/down segments. The engine drives it live;
+//!   [`detect_features`] pushes a whole series through it.
 //! * **Phenomenon Perception** ([`phenomenon`]) — a configurable rule table
 //!   combining features of different metrics into typed anomalous
 //!   *phenomena* (e.g. `[active_session.spike]`), merging phenomena of the
@@ -22,14 +22,12 @@
 #![forbid(unsafe_code)]
 
 pub mod case;
-pub mod confirm;
 pub mod detector;
 pub mod features;
 pub mod online;
 pub mod phenomenon;
 
 pub use case::AnomalyWindow;
-pub use confirm::{confirm_level_shifts, ConfirmConfig};
 pub use detector::{detect_features, DetectorConfig};
 pub use features::{Feature, FeatureKind};
 pub use online::{OnlineDetectorBank, OnlineFeatureDetector};

@@ -1,30 +1,28 @@
 //! Online basic perception: sample-at-a-time feature detection.
 //!
-//! [`detect_features`](crate::detect_features) scans a complete series;
-//! the online engine only ever has *the next sample*. This module hosts the
-//! streaming formulation with bounded rolling state:
+//! The online engine only ever has *the next sample*, so the detection
+//! algorithm lives here, with bounded rolling state:
 //!
-//! * [`OnlineFeatureDetector`] — one metric's detector. Internally it is the
-//!   batch algorithm's state machine made explicit: a *baseline* mode
+//! * [`OnlineFeatureDetector`] — one metric's detector: a *baseline* mode
 //!   (rolling median/MAD over normal samples, warm-up gated) and a *segment*
 //!   mode (frozen baseline statistics, peak-z tracking, recovery-run
 //!   counting). Memory is `O(baseline_len + recover_len)` regardless of
-//!   stream length.
+//!   stream length. [`detect_features`](crate::detect_features) is this
+//!   detector pushed over a whole series.
 //! * [`OnlineDetectorBank`] — the six instance metrics' detectors driven
 //!   from one [`MetricsSample`] stream, collecting closed features
-//!   per-metric so the case layer sees them in exactly the order the batch
-//!   detection loop produces.
+//!   per-metric so the case layer sees them in exactly the order the
+//!   per-metric `detect_features` loop produces.
 //!
-//! ## Replay equivalence
+//! ## Recovery replay
 //!
-//! Pushing a series sample-by-sample and then calling `finish` yields the
-//! *same features, bit-for-bit*, as one `detect_features` call over the
-//! whole series. The one subtle point is segment close: the batch scanner
-//! resumes at `seg_end`, *re-processing* the recovery-run samples through
-//! the baseline path. The online detector reproduces that by buffering the
-//! current recovery run (at most `recover_len` samples) and replaying it
-//! through its own baseline mode when the segment closes — pushing the same
-//! values into the same rolling window in the same order.
+//! A segment closes once `recover_len` consecutive samples are back within
+//! `recover_z`, and it ends where that run began. The run's samples then
+//! count as arriving after the close: the detector buffers the current run
+//! (at most `recover_len` samples) and replays it through its own baseline
+//! mode, which may push them into the window or open the next segment. The
+//! batch scanner this formulation was derived from (scan a segment forward,
+//! resume at its end) is the oracle of this module's tests.
 
 use crate::detector::DetectorConfig;
 use crate::features::{Feature, FeatureKind};
@@ -87,33 +85,17 @@ impl OnlineFeatureDetector {
         matches!(self.state, State::Segment { .. })
     }
 
-    /// The second the open segment started at, if one is open.
-    pub fn open_segment_start(&self) -> Option<i64> {
-        match &self.state {
-            State::Segment { seg_start, .. } => Some(self.start_second + *seg_start as i64),
-            State::Baseline => None,
-        }
-    }
-
-    /// Consumes the next sample; returns any features that *closed* on it
-    /// (usually none, at most one plus whatever the recovery replay opens).
-    pub fn push(&mut self, x: f64) -> Vec<Feature> {
-        let mut out = Vec::new();
-        self.push_into(x, &mut out);
-        out
-    }
-
-    /// [`push`](Self::push) appending closed features into `out` — the
-    /// allocation-free form the detector bank drives per second.
-    pub fn push_into(&mut self, x: f64, out: &mut Vec<Feature>) {
+    /// Consumes the next sample, appending to `out` any feature that
+    /// *closed* on it (usually none, at most one).
+    pub fn push(&mut self, x: f64, out: &mut Vec<Feature>) {
         let idx = self.n;
         self.n += 1;
         self.step(idx, x, out);
     }
 
     /// Ends the stream: an unrecovered open segment is emitted as a level
-    /// shift running to the end of data, exactly like the batch scanner.
-    /// The detector is left in baseline mode.
+    /// shift running to the end of data. The detector is left in baseline
+    /// mode.
     pub fn finish(&mut self) -> Option<Feature> {
         match std::mem::replace(&mut self.state, State::Baseline) {
             State::Baseline => None,
@@ -130,10 +112,9 @@ impl OnlineFeatureDetector {
         }
     }
 
-    /// One batch-loop iteration for the sample at `idx`. Recovery replay
-    /// recurses at most one level: a replayed sample can open a new segment
-    /// but can never complete a `recover_len` run inside the (shorter)
-    /// replay buffer.
+    /// One step for the sample at `idx`. Recovery replay recurses at most
+    /// one level: a replayed sample can open a new segment but can never
+    /// complete a `recover_len` run inside the (shorter) replay buffer.
     fn step(&mut self, idx: usize, x: f64, out: &mut Vec<Feature>) {
         match std::mem::replace(&mut self.state, State::Baseline) {
             State::Baseline => {
@@ -183,8 +164,8 @@ impl OnlineFeatureDetector {
                             end: self.start_second + seg_end as i64,
                             peak_z,
                         });
-                        // Replay the recovery run through baseline mode —
-                        // the batch scanner's `i = seg_end` resume.
+                        // Replay the recovery run through baseline mode, as
+                        // samples arriving after the close.
                         for (k, v) in run {
                             self.step(k, v, out);
                         }
@@ -212,7 +193,7 @@ pub struct OnlineDetectorBank {
 
 /// The instance metrics watched, in [`InstanceMetrics::iter_named`]
 /// (`pinsql_dbsim::InstanceMetrics::iter_named`) order — the order the
-/// batch detection loop visits them, which phenomenon classification's
+/// per-metric detection loop visits them, which phenomenon classification's
 /// tie-breaking depends on.
 pub const WATCHED_METRICS: [&str; 6] = [
     names::ACTIVE_SESSION,
@@ -286,7 +267,7 @@ impl OnlineDetectorBank {
         for (slot, det) in self.detectors.iter_mut().enumerate() {
             let v = values[slot];
             let v = if v.is_finite() { v } else { 0.0 };
-            det.push_into(v, &mut self.closed[slot]);
+            det.push(v, &mut self.closed[slot]);
         }
     }
 
@@ -321,7 +302,7 @@ impl OnlineDetectorBank {
     }
 
     /// All features so far, grouped by metric in [`WATCHED_METRICS`] order
-    /// and time-ordered within each metric — the exact list the batch
+    /// and time-ordered within each metric — the exact list the per-metric
     /// detection loop hands to `classify`.
     pub fn features(&self) -> Vec<Feature> {
         self.closed.iter().flatten().cloned().collect()
@@ -498,24 +479,87 @@ impl OnlineDetectorBank {
 mod tests {
     use super::*;
     use crate::detector::detect_features;
+    use pinsql_workload::rng::{rng_from_seed, RngExt, StdRng};
+
+    /// The batch scanner the online detector was derived from, kept as its
+    /// oracle: warm the baseline on normal samples; on a trigger, scan the
+    /// segment forward against the frozen statistics to its recovery run
+    /// or the end of data, then resume at the segment's end.
+    fn batch_scan(
+        metric: &str,
+        series: &[f64],
+        start_second: i64,
+        cfg: &DetectorConfig,
+    ) -> Vec<Feature> {
+        let mut features = Vec::new();
+        let mut baseline = RollingWindow::new(cfg.baseline_len.max(2));
+        let mut i = 0usize;
+        while i < series.len() {
+            let x = series[i];
+            if baseline.len() < cfg.warmup.max(2) {
+                baseline.push(x);
+                i += 1;
+                continue;
+            }
+            let Some((med, mad)) = baseline.median_mad(cfg.kernel) else {
+                baseline.push(x);
+                i += 1;
+                continue;
+            };
+            let z = robust_z(x, med, mad, cfg.mad_floor);
+            if z.abs() < cfg.trigger_z {
+                baseline.push(x);
+                i += 1;
+                continue;
+            }
+            let up = z > 0.0;
+            let seg_start = i;
+            let mut peak_z: f64 = z.abs();
+            let mut recovered_run = 0usize;
+            let mut seg_end = series.len(); // exclusive; trimmed on recovery
+            for (j, &xj) in series.iter().enumerate().skip(i + 1) {
+                let zj = robust_z(xj, med, mad, cfg.mad_floor);
+                peak_z = peak_z.max(zj.abs());
+                if zj.abs() < cfg.recover_z {
+                    recovered_run += 1;
+                    if recovered_run >= cfg.recover_len {
+                        seg_end = j + 1 - recovered_run;
+                        break;
+                    }
+                } else {
+                    recovered_run = 0;
+                }
+            }
+            let recovered = seg_end < series.len();
+            let duration = (seg_end - seg_start) as i64;
+            let kind = match (recovered && duration <= cfg.spike_max_s, up) {
+                (true, true) => FeatureKind::SpikeUp,
+                (true, false) => FeatureKind::SpikeDown,
+                (false, true) => FeatureKind::LevelShiftUp,
+                (false, false) => FeatureKind::LevelShiftDown,
+            };
+            features.push(Feature {
+                metric: metric.to_string(),
+                kind,
+                start: start_second + seg_start as i64,
+                end: start_second + seg_end as i64,
+                peak_z,
+            });
+            if !recovered {
+                break; // ran to the end of data
+            }
+            i = seg_end;
+        }
+        features
+    }
 
     fn cfg() -> DetectorConfig {
         DetectorConfig { baseline_len: 40, warmup: 10, spike_max_s: 30, ..Default::default() }
     }
 
-    fn online(series: &[f64], start: i64, cfg: &DetectorConfig) -> Vec<Feature> {
-        let mut det = OnlineFeatureDetector::new("m", start, cfg.clone());
-        let mut out = Vec::new();
-        for &x in series {
-            out.extend(det.push(x));
-        }
-        out.extend(det.finish());
-        out
-    }
-
     fn assert_matches_batch(series: &[f64], start: i64, cfg: &DetectorConfig) {
-        let batch = detect_features("m", series, start, cfg);
-        let stream = online(series, start, cfg);
+        let batch = batch_scan("m", series, start, cfg);
+        let stream = detect_features("m", series, start, cfg);
         assert_eq!(stream, batch, "online/batch divergence on {} samples", series.len());
     }
 
@@ -602,31 +646,134 @@ mod tests {
         assert_matches_batch(&s, 0, &cfg());
     }
 
-    #[test]
-    fn equivalent_on_pseudorandom_noise() {
-        // A deterministic LCG drives amplitude-varied noise with occasional
-        // bursts — a broad sweep across trigger/recover boundaries.
+    /// Seeds of [`online_detector_matches_the_batch_scan_oracle`]: the
+    /// first [`NOISE_TRIALS`] run the amplitude-varied noise series, the
+    /// rest one seeded walk each.
+    const SWEEP_SEEDS: u64 = 264;
+    const NOISE_TRIALS: usize = 8;
+
+    /// Amplitude-varied noise with occasional bursts and dips, one series
+    /// per trial from one continuing LCG stream: a broad sweep across the
+    /// trigger / recover boundaries.
+    fn noise_trials() -> Vec<Vec<f64>> {
         let mut state = 0x2545F4914F6CDD1Du64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             ((state >> 33) as f64) / (u32::MAX as f64)
         };
-        for trial in 0..8 {
-            let n = 150 + trial * 37;
-            let series: Vec<f64> = (0..n)
-                .map(|i| {
-                    let base = 10.0 + 2.0 * next();
-                    if next() < 0.04 {
-                        base + 40.0 + 30.0 * next()
-                    } else if i % 97 == 0 {
-                        base - 8.0
-                    } else {
-                        base
+        (0..NOISE_TRIALS)
+            .map(|trial| {
+                (0..150 + trial * 37)
+                    .map(|i| {
+                        let base = 10.0 + 2.0 * next();
+                        if next() < 0.04 {
+                            base + 40.0 + 30.0 * next()
+                        } else if i % 97 == 0 {
+                            base - 8.0
+                        } else {
+                            base
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `n` samples at `level` with jitter of `unit` scale.
+    fn jitter(rng: &mut StdRng, s: &mut Vec<f64>, n: usize, level: f64, unit: f64) {
+        s.extend((0..n).map(|_| level + 0.6 * unit * rng.random::<f64>()));
+    }
+
+    /// One seeded walk. The configuration is paper-scale, default,
+    /// utilization or degenerate (a tiny baseline, warm-up 0/1/2, low
+    /// thresholds), the kernel by parity. The series strings together quiet
+    /// stretches, spikes, level shifts and recovery runs interrupted one
+    /// sample short, and may end on a recovery run one short of, exactly
+    /// at or one past `recover_len`.
+    fn seeded_walk(seed: u64) -> (Vec<f64>, i64, DetectorConfig) {
+        let mut rng = rng_from_seed(seed);
+        let kernel = if seed.is_multiple_of(2) { KernelKind::Reference } else { KernelKind::Fast };
+        let cfg = match (seed / 2) % 4 {
+            0 => cfg(),
+            1 => DetectorConfig::default(),
+            2 => DetectorConfig::for_utilization(),
+            _ => DetectorConfig {
+                baseline_len: rng.random_range(1..12usize),
+                trigger_z: rng.random_range(1.0..4.0),
+                recover_z: rng.random_range(0.5..5.0),
+                recover_len: rng.random_range(1..7usize),
+                spike_max_s: rng.random_range(1..20u64) as i64,
+                warmup: rng.random_range(0..3usize),
+                ..Default::default()
+            },
+        }
+        .with_kernel(kernel);
+        let start = rng.random_range(0..2000u64) as i64 - 1000;
+        // Utilization series live in [0, 1]: scale everything by the floor.
+        let unit = cfg.mad_floor;
+        let mut level = if unit < 1.0 { 0.3 } else { 10.0 };
+        let back = cfg.recover_len;
+        let target = rng.random_range(0..400usize);
+        let mut s = Vec::new();
+        while s.len() < target {
+            let sign = if rng.random::<f64>() < 0.7 { 1.0 } else { -1.0 };
+            let high = level + sign * unit * rng.random_range(8.0..60.0);
+            // A recovery run settles up to about 4 z above the level: across
+            // the recover threshold and, on degenerate thresholds, the
+            // trigger one, so a replayed sample can reopen a segment.
+            let settle = level + unit * rng.random_range(0.0..6.0);
+            match rng.random_range(0..5u32) {
+                0 => {
+                    let n = rng.random_range(1..60usize);
+                    jitter(&mut rng, &mut s, n, level, unit);
+                }
+                1 => {
+                    let n = rng.random_range(1..2 * cfg.spike_max_s as usize + 2);
+                    jitter(&mut rng, &mut s, n, high, unit);
+                }
+                2 => level = high,
+                3 => {
+                    for _ in 0..rng.random_range(1..4usize) {
+                        let n = rng.random_range(1..10usize);
+                        jitter(&mut rng, &mut s, n, high, unit);
+                        jitter(&mut rng, &mut s, back - 1, settle, unit);
                     }
-                })
-                .collect();
-            assert_matches_batch(&series, trial as i64 * 100, &cfg());
-            assert_matches_batch(&series, 0, &DetectorConfig::default());
+                }
+                _ => {
+                    let n = rng.random_range(1..30usize);
+                    jitter(&mut rng, &mut s, n, high, unit);
+                    let n = back + rng.random_range(0..3usize) - 1;
+                    jitter(&mut rng, &mut s, n, settle, unit);
+                    break;
+                }
+            }
+        }
+        (s, start, cfg)
+    }
+
+    /// `detect_features` (the online detector) against the batch scanner,
+    /// bit for bit: the noise trials at two configurations under both
+    /// kernels, then 256 seeded walks. Every failure names its seed.
+    #[test]
+    fn online_detector_matches_the_batch_scan_oracle() {
+        let noise = noise_trials();
+        for seed in 0..SWEEP_SEEDS {
+            let inputs = match noise.get(seed as usize) {
+                Some(series) => [KernelKind::Reference, KernelKind::Fast]
+                    .into_iter()
+                    .flat_map(|k| {
+                        [(seed as i64 * 100, cfg()), (0, DetectorConfig::default())]
+                            .map(|(start, c)| (series.clone(), start, c.with_kernel(k)))
+                    })
+                    .collect(),
+                None => vec![seeded_walk(seed)],
+            };
+            for (series, start, cfg) in inputs {
+                let what = format!("seed {seed}: {} samples from second {start}, {cfg:?}", series.len());
+                let online = std::panic::catch_unwind(|| detect_features("m", &series, start, &cfg))
+                    .unwrap_or_else(|_| panic!("{what}: the online detector panicked"));
+                assert_eq!(online, batch_scan("m", &series, start, &cfg), "{what}");
+            }
         }
     }
 
@@ -677,8 +824,8 @@ mod tests {
             })
             .collect();
         for base in [cfg(), DetectorConfig::default(), DetectorConfig::for_utilization()] {
-            let fast = online(&series, 7, &base.clone().with_kernel(KernelKind::Fast));
-            let reference = online(&series, 7, &base.with_kernel(KernelKind::Reference));
+            let fast = detect_features("m", &series, 7, &base.clone().with_kernel(KernelKind::Fast));
+            let reference = detect_features("m", &series, 7, &base.with_kernel(KernelKind::Reference));
             assert_eq!(fast, reference);
         }
     }
@@ -686,13 +833,13 @@ mod tests {
     #[test]
     fn open_segment_is_visible() {
         let mut det = OnlineFeatureDetector::new("m", 0, cfg());
+        let mut out = Vec::new();
         for &x in &flat(100, 10.0) {
-            det.push(x);
+            det.push(x, &mut out);
         }
         assert!(!det.in_segment());
-        det.push(90.0);
+        det.push(90.0, &mut out);
         assert!(det.in_segment());
-        assert_eq!(det.open_segment_start(), Some(100));
     }
 
     #[test]
@@ -717,11 +864,11 @@ mod tests {
             *v = 0.95;
         }
 
-        // The batch loop, as materialize runs it.
+        // The per-metric loop, as materialize runs it, on the oracle.
         let mut batch = Vec::new();
         for (name, series) in m.iter_named() {
             let c = DetectorConfig::for_metric(name);
-            batch.extend(detect_features(name, series, m.start_second, &c));
+            batch.extend(batch_scan(name, series, m.start_second, &c));
         }
 
         let mut bank = OnlineDetectorBank::new();
@@ -734,6 +881,7 @@ mod tests {
         assert!(!batch.is_empty(), "test scenario should trigger features");
         assert_eq!(bank.features(), batch);
     }
+
     #[test]
     fn bank_snapshot_round_trip_is_bit_exact() {
         use pinsql_timeseries::{WireReader, WireWriter};

@@ -18,12 +18,6 @@ pub struct MetricFeature {
 }
 
 impl MetricFeature {
-    /// `metric.spike` (up only — performance anomalies are upward for
-    /// session/usage metrics).
-    pub fn spike_up(metric: &str) -> Self {
-        Self { metric: metric.to_string(), kinds: vec![FeatureKind::SpikeUp] }
-    }
-
     /// Any upward anomaly on the metric.
     pub fn any_up(metric: &str) -> Self {
         Self {

@@ -32,9 +32,6 @@ pub const CONTROL_MAGIC: [u8; 4] = *b"PCTL";
 /// frames with [`WireError::FutureVersion`] instead of misparsing them.
 pub const CONTROL_VERSION: u16 = 1;
 
-/// Bytes before the body section: magic (4) + version (2) + tag (1).
-pub const CONTROL_HEADER_LEN: usize = 7;
-
 /// The `PCTL` envelope identity under the shared [`WireFormat`] dialect.
 /// Any version at or below [`CONTROL_VERSION`] decodes (the format has
 /// never broken compatibility, so there is no floor).

@@ -55,10 +55,7 @@ pub mod snapshot;
 pub mod transport;
 pub mod wire;
 
-pub use control::{
-    ControlMsg, ControlResp, DaemonState, FleetDelta, CONTROL_HEADER_LEN, CONTROL_MAGIC,
-    CONTROL_VERSION,
-};
+pub use control::{ControlMsg, ControlResp, DaemonState, FleetDelta, CONTROL_MAGIC, CONTROL_VERSION};
 pub use daemon::{ControlError, FleetDaemon, FleetServer};
 pub use fleet::{
     FleetCheckpoint, FleetConfig, FleetEngine, FleetReport, FleetRun, InstanceOutcome,

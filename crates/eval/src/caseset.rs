@@ -1,7 +1,7 @@
 //! Reproducible case-set generation (the ADAC stand-in).
 
 use pinsql_scenario::{
-    generate_base, inject, inject_many, inject_none, materialize, materialize_with,
+    generate_base, inject, inject_many, materialize, materialize_with,
     AnomalyKind, LabeledCase, PerturbConfig, ScenarioConfig,
 };
 
@@ -61,29 +61,6 @@ pub fn build_case_with(
     materialize_with(&scenario, cfg.delta_s, perturb)
 }
 
-/// Builds one round-robin case with degraded telemetry.
-pub fn build_case_perturbed(
-    cfg: &CaseSetConfig,
-    i: usize,
-    perturb: &PerturbConfig,
-) -> LabeledCase {
-    let kind = AnomalyKind::ALL[i % AnomalyKind::ALL.len()];
-    build_case_with(cfg, i, &[kind], Some(perturb))
-}
-
-/// Builds one negative (no-anomaly) case.
-pub fn build_negative_case(cfg: &CaseSetConfig, i: usize) -> LabeledCase {
-    let scenario_cfg = cfg.scenario.clone().with_seed(cfg.seed + i as u64);
-    let base = generate_base(&scenario_cfg);
-    let scenario = inject_none(&base, &scenario_cfg);
-    materialize(&scenario, cfg.delta_s)
-}
-
-/// Builds the whole case set (sequentially; each case is independent).
-pub fn build_cases(cfg: &CaseSetConfig) -> Vec<LabeledCase> {
-    build_cases_par(cfg, 1)
-}
-
 /// Builds the whole case set fanning out over `workers` threads (`0` =
 /// all cores). Case `i` depends only on `seed + i`, so the produced set
 /// is identical for every worker count.
@@ -98,7 +75,7 @@ mod tests {
     #[test]
     fn round_robin_kinds() {
         let cfg = CaseSetConfig::default().with_cases(4).with_seed(77);
-        let cases = build_cases(&cfg);
+        let cases = build_cases_par(&cfg, 1);
         assert_eq!(cases.len(), 4);
         let kinds: Vec<_> = cases.iter().map(|c| c.kind).collect();
         assert_eq!(kinds, AnomalyKind::ALL.map(Some).to_vec());
@@ -110,12 +87,13 @@ mod tests {
     #[test]
     fn negative_and_perturbed_builders() {
         let cfg = CaseSetConfig::default().with_cases(1).with_seed(78);
-        let neg = build_negative_case(&cfg, 0);
+        let neg = build_case_with(&cfg, 0, &[], None);
         assert!(neg.is_negative());
         assert!(neg.truth.rsqls.is_empty());
 
         let clean = build_case(&cfg, 0);
-        let noisy = build_case_perturbed(&cfg, 0, &PerturbConfig::at_intensity(780, 0.6));
+        let perturb = PerturbConfig::at_intensity(780, 0.6);
+        let noisy = build_case_with(&cfg, 0, &[clean.kind.unwrap()], Some(&perturb));
         assert_eq!(noisy.truth.rsqls, clean.truth.rsqls, "truth survives degradation");
         assert_ne!(
             noisy.case.records.len(),

@@ -44,12 +44,7 @@ pub fn run_par(cfg: &CaseSetConfig, parallelism: usize) -> Breakdown {
     run_on_par(&cases, parallelism)
 }
 
-/// Runs the breakdown on pre-built cases (all cores).
-pub fn run_on(cases: &[LabeledCase]) -> Breakdown {
-    run_on_par(cases, 0)
-}
-
-/// [`run_on`] with an explicit parallelism knob.
+/// Runs on pre-built cases with an explicit parallelism knob (`0` = all cores).
 pub fn run_on_par(cases: &[LabeledCase], parallelism: usize) -> Breakdown {
     let (workers, inner) = split_parallelism(parallelism);
     let methods = vec![

@@ -65,12 +65,7 @@ pub fn run_par(cfg: &CaseSetConfig, parallelism: usize) -> Fig6 {
     run_on_par(&cases, parallelism)
 }
 
-/// Runs the ablation study on pre-built cases (all cores).
-pub fn run_on(cases: &[LabeledCase]) -> Fig6 {
-    run_on_par(cases, 0)
-}
-
-/// [`run_on`] with an explicit parallelism knob.
+/// Runs on pre-built cases with an explicit parallelism knob (`0` = all cores).
 pub fn run_on_par(cases: &[LabeledCase], parallelism: usize) -> Fig6 {
     let (workers, inner) = split_parallelism(parallelism);
     let mut out = Vec::new();

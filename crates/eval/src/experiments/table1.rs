@@ -97,12 +97,7 @@ pub fn run_par(cfg: &CaseSetConfig, parallelism: usize) -> Table1 {
     run_on_par(&cases, parallelism)
 }
 
-/// Runs the Table I experiment on pre-built cases (all cores).
-pub fn run_on(cases: &[LabeledCase]) -> Table1 {
-    run_on_par(cases, 0)
-}
-
-/// [`run_on`] with an explicit parallelism knob.
+/// Runs on pre-built cases with an explicit parallelism knob (`0` = all cores).
 pub fn run_on_par(cases: &[LabeledCase], parallelism: usize) -> Table1 {
     let (workers, inner) = split_parallelism(parallelism);
     let mut rows = Vec::new();

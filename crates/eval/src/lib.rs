@@ -22,9 +22,6 @@ pub mod experiments;
 pub mod methods;
 pub mod metrics;
 
-pub use caseset::{
-    build_case, build_case_perturbed, build_case_with, build_cases, build_cases_par,
-    build_negative_case, CaseSetConfig,
-};
+pub use caseset::{build_case, build_case_with, build_cases_par, CaseSetConfig};
 pub use methods::{rank_with, split_parallelism, Method, Rankings};
 pub use metrics::{first_hit_rank, hits_at_k, mean_reciprocal_rank, RankSummary};

@@ -133,8 +133,6 @@ pub struct Ablation {
 /// All tunables, with the defaults of §VIII-A.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PinSqlConfig {
-    /// Look-back before the anomaly, seconds (paper: 30 min).
-    pub delta_s: i64,
     /// Sigmoid smooth factor `k_s` for the trend-level weights.
     pub ks: f64,
     /// Clustering correlation threshold `τ`.
@@ -178,7 +176,6 @@ pub struct PinSqlConfig {
 impl Default for PinSqlConfig {
     fn default() -> Self {
         Self {
-            delta_s: 1800,
             ks: 30.0,
             tau: 0.8,
             kc: 5,
@@ -203,13 +200,6 @@ impl PinSqlConfig {
     /// Builder-style ablation override.
     pub fn with_ablation(mut self, ablation: Ablation) -> Self {
         self.ablation = ablation;
-        self
-    }
-
-    /// Builder-style look-back override (scenarios use shorter windows
-    /// than production's 30 minutes).
-    pub fn with_delta_s(mut self, delta_s: i64) -> Self {
-        self.delta_s = delta_s;
         self
     }
 
@@ -310,7 +300,6 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = PinSqlConfig::default();
-        assert_eq!(c.delta_s, 1800);
         assert_eq!(c.ks, 30.0);
         assert_eq!(c.tau, 0.8);
         assert_eq!(c.kc, 5);
@@ -393,11 +382,9 @@ mod tests {
     #[test]
     fn builders() {
         let c = PinSqlConfig::default()
-            .with_delta_s(600)
             .with_estimator(EstimatorKind::ByRt)
             .with_buckets(5)
             .with_ablation(Ablation { no_trend_level: true, ..Default::default() });
-        assert_eq!(c.delta_s, 600);
         assert_eq!(c.estimator, EstimatorKind::ByRt);
         assert_eq!(c.buckets_k, 5);
         assert!(c.ablation.no_trend_level);

@@ -31,7 +31,6 @@ pub mod config;
 pub mod hsql;
 pub mod pipeline;
 pub mod repair;
-pub mod report;
 pub mod rsql;
 pub mod session_estimate;
 
@@ -39,6 +38,5 @@ pub use config::{Ablation, ConfigEpoch, EstimatorKind, PinSqlConfig, PinSqlDelta
 pub use hsql::{rank_hsqls, HsqlRanking};
 pub use pipeline::{Diagnosis, PinSql, RankedTemplate, StageTimings};
 pub use repair::{suggest_actions, RepairAction, RepairConfig, RepairRule, SuggestedAction};
-pub use report::{render_report, ReportOptions};
 pub use rsql::{identify_rsqls, RsqlOutcome};
 pub use session_estimate::{estimate_sessions, SessionEstimates};

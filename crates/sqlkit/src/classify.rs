@@ -38,29 +38,6 @@ pub enum StatementKind {
     Other,
 }
 
-impl StatementKind {
-    /// True for statements that modify rows (take exclusive row locks).
-    pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            StatementKind::Insert
-                | StatementKind::Update
-                | StatementKind::Delete
-                | StatementKind::Replace
-        )
-    }
-
-    /// True for DDL (takes an exclusive metadata lock).
-    pub fn is_ddl(&self) -> bool {
-        matches!(self, StatementKind::Ddl(_))
-    }
-
-    /// True for reads, locking or not.
-    pub fn is_read(&self) -> bool {
-        matches!(self, StatementKind::Select | StatementKind::SelectLocking)
-    }
-}
-
 /// Classifies a tokenized statement by its leading keyword (and, for
 /// SELECT, by a trailing locking clause).
 pub fn classify(tokens: &[Token]) -> StatementKind {
@@ -135,7 +112,6 @@ mod tests {
             kind("SELECT * FROM t WHERE a = 1 LOCK IN SHARE MODE"),
             StatementKind::SelectLocking
         );
-        assert!(StatementKind::SelectLocking.is_read());
     }
 
     #[test]
@@ -145,7 +121,7 @@ mod tests {
         assert_eq!(kind("DROP TABLE t"), StatementKind::Ddl(DdlKind::Drop));
         assert_eq!(kind("TRUNCATE TABLE t"), StatementKind::Ddl(DdlKind::Truncate));
         assert_eq!(kind("RENAME TABLE t TO u"), StatementKind::Ddl(DdlKind::Rename));
-        assert!(kind("ALTER TABLE t ADD KEY (a)").is_ddl());
+        assert_eq!(kind("ALTER TABLE t ADD KEY (a)"), StatementKind::Ddl(DdlKind::Alter));
     }
 
     #[test]
@@ -164,15 +140,6 @@ mod tests {
         assert_eq!(kind("EXPLAIN SELECT 1"), StatementKind::Other);
         assert_eq!(kind(""), StatementKind::Other);
         assert_eq!(kind("/* just a comment */"), StatementKind::Other);
-    }
-
-    #[test]
-    fn write_read_predicates() {
-        assert!(StatementKind::Update.is_write());
-        assert!(StatementKind::Insert.is_write());
-        assert!(!StatementKind::Select.is_write());
-        assert!(StatementKind::Select.is_read());
-        assert!(!StatementKind::Ddl(DdlKind::Alter).is_read());
     }
 
     #[test]

@@ -21,13 +21,11 @@
 
 pub mod classify;
 pub mod lexer;
-pub mod params;
 pub mod tables;
 pub mod template;
 
 pub use classify::{DdlKind, StatementKind};
 pub use lexer::{tokenize, Token, TokenKind};
-pub use params::{extract_params, Literal, ParamSlot};
 pub use template::{fingerprint, normalize, SqlId, SqlTemplate};
 
 #[cfg(test)]

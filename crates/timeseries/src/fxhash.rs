@@ -20,7 +20,7 @@
 //! No external crates: the build container is offline, so this is grown
 //! in-repo rather than pulled from `rustc-hash`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The mixing constant: `2^64 / φ` rounded to odd, the same fixed-point
@@ -102,12 +102,10 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` keyed with the deterministic [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` keyed with the deterministic [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::hash::{BuildHasher, Hash};
 
     fn digest<T: Hash>(v: &T) -> u64 {
@@ -156,7 +154,7 @@ mod tests {
         assert_eq!(map.get(&7), Some(&"seven"));
         assert_eq!(map.len(), 2);
 
-        let mut set: FxHashSet<String> = FxHashSet::default();
+        let mut set: HashSet<String, FxBuildHasher> = HashSet::default();
         set.insert("a".into());
         assert!(set.contains("a"));
         assert!(!set.contains("b"));

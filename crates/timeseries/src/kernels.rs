@@ -416,36 +416,6 @@ impl CoMomentAccumulator {
         self.n
     }
 
-    /// Sum of `x` observations.
-    #[inline]
-    pub fn sum_x(&self) -> f64 {
-        self.sx
-    }
-
-    /// Sum of `y` observations.
-    #[inline]
-    pub fn sum_y(&self) -> f64 {
-        self.sy
-    }
-
-    /// Sum of `x²`.
-    #[inline]
-    pub fn sum_xx(&self) -> f64 {
-        self.sxx
-    }
-
-    /// Sum of `y²`.
-    #[inline]
-    pub fn sum_yy(&self) -> f64 {
-        self.syy
-    }
-
-    /// Sum of `x·y`.
-    #[inline]
-    pub fn sum_xy(&self) -> f64 {
-        self.sxy
-    }
-
     /// Pearson correlation of the folded stream, clamped to `[-1, 1]`;
     /// `0.0` for degenerate input (fewer than two observations, zero
     /// variance on either side, or cancellation-poisoned sums), matching
@@ -686,11 +656,11 @@ mod tests {
         }
         for got in [by_unmerge, by_evict] {
             assert_eq!(got.count(), expect.count());
-            assert_eq!(got.sum_x().to_bits(), expect.sum_x().to_bits());
-            assert_eq!(got.sum_y().to_bits(), expect.sum_y().to_bits());
-            assert_eq!(got.sum_xx().to_bits(), expect.sum_xx().to_bits());
-            assert_eq!(got.sum_yy().to_bits(), expect.sum_yy().to_bits());
-            assert_eq!(got.sum_xy().to_bits(), expect.sum_xy().to_bits());
+            assert_eq!(got.sx.to_bits(), expect.sx.to_bits());
+            assert_eq!(got.sy.to_bits(), expect.sy.to_bits());
+            assert_eq!(got.sxx.to_bits(), expect.sxx.to_bits());
+            assert_eq!(got.syy.to_bits(), expect.syy.to_bits());
+            assert_eq!(got.sxy.to_bits(), expect.sxy.to_bits());
         }
 
         let mut merged = by_unmerge;
@@ -699,11 +669,11 @@ mod tests {
 
         let rebuilt = CoMomentAccumulator::from_sums(
             acc.count(),
-            acc.sum_x(),
-            acc.sum_y(),
-            acc.sum_xx(),
-            acc.sum_yy(),
-            acc.sum_xy(),
+            acc.sx,
+            acc.sy,
+            acc.sxx,
+            acc.syy,
+            acc.sxy,
         );
         assert_eq!(rebuilt, acc);
     }

@@ -15,9 +15,6 @@
 //!   `W_t = σ((t-a_s)/k_s) + σ((a_e-t)/k_s) − 1` (Eq. 1).
 //! * [`outlier`] — Tukey's rule, used by the history-trend verification step
 //!   (§VI) to decide whether a template's execution count is anomalous.
-//! * [`changepoint`] — Pettitt's non-parametric change-point test, one of
-//!   the methods §IV-B's detection component integrates; the detector uses
-//!   it to confirm level shifts.
 //! * [`rolling`] — rolling robust statistics (median / MAD / quantiles) used
 //!   by the anomaly-feature detectors in the `pinsql-detect` crate.
 //! * [`kernels`] — unrolled slice kernels (sum / sumsq / dot), the
@@ -30,9 +27,9 @@
 //!   Pearson degrades to a dot product.
 //! * [`par`] — deterministic scoped-thread fan-out ([`par_map`]) used to
 //!   parallelize the embarrassingly parallel diagnosis loops.
-//! * [`fxhash`] — a seedless multiply-rotate hasher ([`FxHashMap`] /
-//!   [`FxHashSet`]) for the internal integer-keyed maps on ingest hot
-//!   paths, where SipHash's DoS resistance buys nothing.
+//! * [`fxhash`] — a seedless multiply-rotate hasher ([`FxHashMap`]) for
+//!   the internal integer-keyed maps on ingest hot paths, where SipHash's
+//!   DoS resistance buys nothing.
 //! * [`resample`] — aggregation between the 1-second and 1-minute
 //!   granularities the collector maintains (§IV-A).
 //!
@@ -42,7 +39,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod changepoint;
 pub mod fxhash;
 pub mod graph;
 pub mod kernels;
@@ -56,8 +52,7 @@ pub mod stats;
 pub mod weights;
 pub mod wire;
 
-pub use changepoint::{has_change_point, pettitt, Pettitt};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use kernels::{CoMomentAccumulator, CutKind, KernelKind, MomentAccumulator};
 pub use graph::{
     connected_components, connected_components_par, CorrelationGraph, UnionFind,
@@ -67,7 +62,7 @@ pub use par::{available_parallelism, effective_parallelism, par_flat_map, par_ma
 pub use outlier::{tukey_fences, Quantiles, TukeyFences};
 pub use series::TimeSeries;
 pub use stats::{
-    covariance, mean, mean_squared_error, min_max_normalize, pearson, std_dev, variance,
+    covariance, mean, mean_squared_error, min_max_normalize, pearson, variance,
     weighted_covariance, weighted_mean, weighted_pearson,
 };
 pub use weights::{sigmoid, sigmoid_window_weights};

@@ -71,12 +71,6 @@ impl TukeyFences {
     pub fn is_lower_outlier(&self, x: f64) -> bool {
         x < self.lower
     }
-
-    /// True when `x` lies outside either fence.
-    #[inline]
-    pub fn is_outlier(&self, x: f64) -> bool {
-        self.is_upper_outlier(x) || self.is_lower_outlier(x)
-    }
 }
 
 /// Computes Tukey fences `[Q1 − k·IQR, Q3 + k·IQR]` for the sample.
@@ -93,19 +87,6 @@ pub fn tukey_fences(xs: &[f64], k: f64) -> Option<TukeyFences> {
     let q = quantiles(xs)?;
     let iqr = q.iqr();
     Some(TukeyFences { lower: q.q1 - k * iqr, upper: q.q3 + k * iqr })
-}
-
-/// Convenience: does `window` contain any upper outlier relative to fences
-/// computed from `baseline`? This is the §VI history-trend check: the
-/// anomaly-period execution counts (`window`) are compared against fences
-/// fit on the surrounding data (`baseline`).
-///
-/// Returns `false` when the baseline is empty.
-pub fn has_upper_outlier(baseline: &[f64], window: &[f64], k: f64) -> bool {
-    match tukey_fences(baseline, k) {
-        Some(f) => window.iter().any(|&x| f.is_upper_outlier(x)),
-        None => false,
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +132,6 @@ mod tests {
         let fences = tukey_fences(&baseline, 1.5).unwrap();
         assert!(fences.is_upper_outlier(25.0));
         assert!(fences.is_lower_outlier(-5.0));
-        assert!(!fences.is_outlier(11.0));
     }
 
     #[test]
@@ -162,13 +142,5 @@ mod tests {
         let fences = tukey_fences(&[0.0; 20], 1.5).unwrap();
         assert!(fences.is_upper_outlier(1.0));
         assert!(!fences.is_upper_outlier(0.0));
-    }
-
-    #[test]
-    fn has_upper_outlier_window_check() {
-        let baseline: Vec<f64> = (0..60).map(|i| 5.0 + (i % 4) as f64).collect();
-        assert!(has_upper_outlier(&baseline, &[5.0, 6.0, 30.0], 1.5));
-        assert!(!has_upper_outlier(&baseline, &[5.0, 6.0, 7.0], 1.5));
-        assert!(!has_upper_outlier(&[], &[100.0], 1.5));
     }
 }

@@ -44,21 +44,6 @@ pub fn downsample(series: &TimeSeries, factor: u32, how: Downsample) -> TimeSeri
     out
 }
 
-/// Aligns two series onto their overlapping timestamps, returning value
-/// vectors of equal length (empty when they don't overlap or intervals
-/// differ).
-pub fn align(a: &TimeSeries, b: &TimeSeries) -> (Vec<f64>, Vec<f64>) {
-    if a.interval() != b.interval() {
-        return (Vec::new(), Vec::new());
-    }
-    let from = a.start().max(b.start());
-    let to = a.end().min(b.end());
-    if to <= from {
-        return (Vec::new(), Vec::new());
-    }
-    (a.window(from, to).to_vec(), b.window(from, to).to_vec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,23 +75,5 @@ mod tests {
         let out = downsample(&ts, 1, Downsample::Sum);
         assert_eq!(out.values(), ts.values());
         assert_eq!(out.interval(), 2);
-    }
-
-    #[test]
-    fn align_overlapping_series() {
-        let a = TimeSeries::from_values(0, 1, vec![1.0, 2.0, 3.0, 4.0]);
-        let b = TimeSeries::from_values(2, 1, vec![30.0, 40.0, 50.0]);
-        let (va, vb) = align(&a, &b);
-        assert_eq!(va, vec![3.0, 4.0]);
-        assert_eq!(vb, vec![30.0, 40.0]);
-    }
-
-    #[test]
-    fn align_disjoint_or_mismatched() {
-        let a = TimeSeries::from_values(0, 1, vec![1.0, 2.0]);
-        let b = TimeSeries::from_values(10, 1, vec![3.0]);
-        assert_eq!(align(&a, &b), (vec![], vec![]));
-        let c = TimeSeries::from_values(0, 2, vec![3.0]);
-        assert_eq!(align(&a, &c), (vec![], vec![]));
     }
 }

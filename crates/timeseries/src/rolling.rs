@@ -57,12 +57,6 @@ impl RollingWindow {
         self.len == 0
     }
 
-    /// True once the window holds `capacity` observations.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.len == self.capacity
-    }
-
     /// Pushes an observation, evicting the oldest when full.
     pub fn push(&mut self, x: f64) {
         debug_assert!(!x.is_nan(), "NaN pushed into rolling window");
@@ -140,11 +134,6 @@ impl RollingWindow {
         Some(self.sorted.iter().sum::<f64>() / self.len as f64)
     }
 
-    /// The current contents in sorted order.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// The configured capacity.
     #[inline]
     pub fn capacity(&self) -> usize {
@@ -220,7 +209,7 @@ mod tests {
         }
         // window now holds [9, 2, 2]
         assert_eq!(w.len(), 3);
-        assert_eq!(w.sorted_values(), &[2.0, 2.0, 9.0]);
+        assert_eq!(w.sorted, [2.0, 2.0, 9.0]);
         assert_eq!(w.median(), Some(2.0));
     }
 
@@ -231,7 +220,7 @@ mod tests {
         w.push(4.0);
         w.push(4.0);
         w.push(7.0);
-        assert_eq!(w.sorted_values(), &[4.0, 7.0]);
+        assert_eq!(w.sorted, [4.0, 7.0]);
     }
 
     #[test]
@@ -295,13 +284,13 @@ mod tests {
                 for &v in &arrival {
                     restored.push(v);
                 }
-                assert_eq!(restored.sorted_values(), w.sorted_values());
+                assert_eq!(restored.sorted, w.sorted);
                 assert_eq!(restored.arrival_values(), arrival);
                 // Continue both in lockstep: eviction order must agree.
                 for i in 0..capacity * 2 {
                     w.push(i as f64 * 0.5);
                     restored.push(i as f64 * 0.5);
-                    assert_eq!(restored.sorted_values(), w.sorted_values());
+                    assert_eq!(restored.sorted, w.sorted);
                     assert_eq!(restored.arrival_values(), w.arrival_values());
                 }
             }

@@ -53,12 +53,6 @@ impl TimeSeries {
         Self::from_values(start, interval, vec![0.0; n])
     }
 
-    /// Builds a series by evaluating `f` at each timestamp.
-    pub fn from_fn(start: i64, interval: u32, n: usize, mut f: impl FnMut(i64) -> f64) -> Self {
-        let values = (0..n).map(|i| f(start + i as i64 * interval as i64)).collect();
-        Self::from_values(start, interval, values)
-    }
-
     /// Timestamp of the first observation.
     #[inline]
     pub fn start(&self) -> i64 {
@@ -94,12 +88,6 @@ impl TimeSeries {
     #[inline]
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Mutable access to the raw observations.
-    #[inline]
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
     }
 
     /// Consumes the series, returning its observations.
@@ -178,23 +166,6 @@ impl TimeSeries {
     /// Sum of observations inside `[from, to)`.
     pub fn sum_window(&self, from: i64, to: i64) -> f64 {
         self.window(from, to).iter().sum()
-    }
-
-    /// Element-wise addition of another series with the *same* start and
-    /// interval. Series of different lengths are added over the common prefix
-    /// and the longer tail is kept from `self` (or appended from `other`).
-    ///
-    /// # Panics
-    /// Panics if the start timestamps or intervals differ.
-    pub fn add_assign(&mut self, other: &TimeSeries) {
-        assert_eq!(self.start, other.start, "series starts differ");
-        assert_eq!(self.interval, other.interval, "series intervals differ");
-        if other.values.len() > self.values.len() {
-            self.values.resize(other.values.len(), 0.0);
-        }
-        for (a, b) in self.values.iter_mut().zip(other.values.iter()) {
-            *a += *b;
-        }
     }
 
     /// Element-wise ratio `self / denom`, mapping divisions by values whose
@@ -279,28 +250,6 @@ mod tests {
         assert_eq!(sub.start(), 12);
         assert_eq!(sub.interval(), 2);
         assert_eq!(sub.values(), &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn from_fn_evaluates_at_timestamps() {
-        let ts = TimeSeries::from_fn(5, 1, 4, |t| t as f64 * 10.0);
-        assert_eq!(ts.values(), &[50.0, 60.0, 70.0, 80.0]);
-    }
-
-    #[test]
-    fn add_assign_extends_shorter_series() {
-        let mut a = s(vec![1.0, 2.0]);
-        let b = s(vec![10.0, 10.0, 10.0]);
-        a.add_assign(&b);
-        assert_eq!(a.values(), &[11.0, 12.0, 10.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "starts differ")]
-    fn add_assign_rejects_misaligned() {
-        let mut a = TimeSeries::from_values(0, 1, vec![1.0]);
-        let b = TimeSeries::from_values(1, 1, vec![1.0]);
-        a.add_assign(&b);
     }
 
     #[test]

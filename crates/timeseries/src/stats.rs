@@ -33,11 +33,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|&x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
 }
 
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Population covariance over the common prefix of `xs` and `ys`.
 pub fn covariance(xs: &[f64], ys: &[f64]) -> f64 {
     let n = xs.len().min(ys.len());
@@ -224,7 +219,6 @@ mod tests {
         assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < EPS);
         assert_eq!(variance(&[5.0]), 0.0);
         assert!((variance(&[1.0, 3.0]) - 1.0).abs() < EPS);
-        assert!((std_dev(&[1.0, 3.0]) - 1.0).abs() < EPS);
     }
 
     #[test]

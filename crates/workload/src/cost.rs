@@ -28,21 +28,6 @@ pub enum LockMode {
     ExclusiveTable,
 }
 
-impl LockMode {
-    /// True when two modes conflict on the same slot/table.
-    pub fn conflicts_with(&self, other: LockMode) -> bool {
-        use LockMode::*;
-        match (self, other) {
-            (None, _) | (_, None) => false,
-            (SharedRows, SharedRows) => false,
-            // Table-level exclusivity conflicts with everything.
-            (ExclusiveTable, _) | (_, ExclusiveTable) => true,
-            // Row-exclusive conflicts with shared and exclusive rows.
-            _ => true,
-        }
-    }
-}
-
 /// The lock footprint of one statement execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LockFootprint {
@@ -186,23 +171,6 @@ mod tests {
     use crate::rng::rng_from_seed;
 
     const T: TableId = TableId(0);
-
-    #[test]
-    fn lock_conflict_matrix() {
-        use LockMode::*;
-        assert!(!None.conflicts_with(None));
-        assert!(!None.conflicts_with(ExclusiveRows));
-        assert!(!SharedRows.conflicts_with(SharedRows));
-        assert!(SharedRows.conflicts_with(ExclusiveRows));
-        assert!(ExclusiveRows.conflicts_with(ExclusiveRows));
-        assert!(ExclusiveTable.conflicts_with(SharedRows));
-        assert!(ExclusiveTable.conflicts_with(ExclusiveTable));
-        // `None` means "no row locks": at the *row* level DDL does not
-        // conflict with plain readers. DDL still blocks them through the
-        // metadata-lock manager, which every statement passes (readers take
-        // shared MDL, DDL takes exclusive MDL) — see dbsim::locks.
-        assert!(!ExclusiveTable.conflicts_with(None));
-    }
 
     #[test]
     fn profiles_carry_expected_lock_modes() {

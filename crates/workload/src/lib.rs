@@ -27,14 +27,12 @@ pub mod cost;
 pub mod dag;
 pub mod rng;
 pub mod spec;
-pub mod summary;
 pub mod tables;
 pub mod traffic;
 
 pub use cost::{CostProfile, LockFootprint, LockMode, QueryCost};
 pub use dag::{Api, ApiDag, ApiId, SpecId};
 pub use spec::TemplateSpec;
-pub use summary::{TemplateDemand, WorkloadSummary};
 pub use tables::{TableDef, TableId};
 pub use traffic::{EventShape, RateEvent, TrafficPattern};
 

@@ -17,7 +17,8 @@
 #   obs_smoke         chrome-trace export + zero-cost disabled observer
 #   kernel_smoke      fast kernels vs scalar reference, the cell store vs
 #                     its map-per-second oracle, the chunked record ring vs
-#                     its VecDeque oracle, runs of N vs runs of one: bit
+#                     its VecDeque oracle, the online feature detector vs
+#                     its batch-scan oracle, runs of N vs runs of one: bit
 #                     for bit
 #   snapshot_smoke    snapshot wire/property suites against the committed
 #                     golden blob, restore refusing what the fold never
@@ -34,7 +35,7 @@
 #                     loopback rows, backpressure faults
 #   equivalence       the whole execution-path x matrix-point table
 #                     against the golden corpus (tests/equivalence.rs,
-#                     one #[test] per path; ~5 min on 2 cores)
+#                     one #[test] per path; ~8 min on 2 cores)
 #   bench_quick       `benchmark/run.sh --quick`: every workload of the
 #                     end-to-end benchmark, short, through every drive;
 #                     fails unless all four come back correct with no
@@ -47,7 +48,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,41p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,42p' "$0" | sed 's/^# \{0,1\}//' >&2
 }
 
 # `cargo test -q ARGS`, echoed as it runs, failing when the tests pass but
@@ -105,13 +106,15 @@ obs_smoke() {
 
 # Kernels: the fast kernels must stay bit-identical to the scalar
 # reference, the cell store to the map-per-second oracle in its test
-# module and the chunked record ring to the VecDeque ring it replaced
-# (seeded op-sequence sweeps), and the fold entered as runs of N to the
-# fold entered as runs of one.
+# module, the chunked record ring to the VecDeque ring it replaced (seeded
+# op-sequence sweeps), the online feature detector to the batch scanner
+# it replaced (seeded series sweep), and the fold entered as runs of N to
+# the fold entered as runs of one.
 kernel_smoke() {
   tests --test kernel_props
   tests -p pinsql-collector cellstore
   tests -p pinsql-collector records::tests::chunked_ring_matches_the_deque_oracle
+  tests -p pinsql-detect online::tests::online_detector_matches_the_batch_scan_oracle
   tests --test cellstore_props
 }
 
