@@ -32,9 +32,10 @@ use crate::probe::{ProbeLog, ProbeSample};
 use crate::ps::PsResource;
 use crate::record::QueryRecord;
 use pinsql_workload::rng::{poisson, RngExt, SeedableRng, StdRng, Zipf};
-use pinsql_workload::{LockFootprint, LockMode, SpecId, Workload};
+use pinsql_timeseries::FxHashMap;
+use pinsql_workload::{CostSampler, LockFootprint, LockMode, SpecId, Workload};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::ordf64::OrdF64;
 
@@ -92,10 +93,15 @@ struct Engine<'a> {
     now: f64,
     seq: u64,
     events: BinaryHeap<Reverse<(OrdF64, u64, EventKindOrd)>>,
+    /// Every second's probe and tick, known up front: sorted by the same
+    /// `(time, seq)` key as `events` and merged with it in
+    /// [`Engine::next_event`], so the heap holds only the queries' events.
+    timeline: Vec<(OrdF64, u64, EventKindOrd)>,
+    next_timed: usize,
     cpu: PsResource,
     io: PsResource,
     locks: LockManager,
-    states: HashMap<QueryId, QueryState>,
+    states: FxHashMap<QueryId, QueryState>,
     admission_queue: VecDeque<QueryId>,
     admitted: usize,
     next_qid: QueryId,
@@ -103,6 +109,8 @@ struct Engine<'a> {
     arrivals: Vec<(f64, SpecId)>,
     next_arrival: usize,
     rng: StdRng,
+    /// One per spec, indexed by `SpecId`.
+    costs: Vec<CostSampler>,
     zipfs: Vec<Zipf>,
     log: Vec<QueryRecord>,
     // metric accumulation
@@ -148,18 +156,22 @@ impl<'a> Engine<'a> {
             now: start_s as f64 * 1000.0,
             seq: 0,
             events: BinaryHeap::new(),
+            timeline: Vec::with_capacity(2 * (end_s - start_s) as usize),
+            next_timed: 0,
             cpu: PsResource::new(cfg.cores),
             io: PsResource::new(cfg.io_channels),
             locks: LockManager::new(workload.tables.len()),
-            states: HashMap::new(),
+            states: FxHashMap::default(),
             admission_queue: VecDeque::new(),
             admitted: 0,
             next_qid: 0,
+            // Every arrival ends as exactly one record.
+            log: Vec::with_capacity(arrivals.len()),
             arrivals,
             next_arrival: 0,
             rng,
+            costs: workload.specs.iter().map(|s| CostSampler::new(&s.cost)).collect(),
             zipfs,
-            log: Vec::new(),
             start_ms: start_s as f64 * 1000.0,
             end_ms: end_s as f64 * 1000.0,
             completed_this_second: 0,
@@ -176,9 +188,31 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// The least pending event of `events` and `timeline` together: the
+    /// order one heap holding both would pop them in.
+    fn next_event(&mut self) -> Option<(OrdF64, u64, EventKindOrd)> {
+        let timed = self.timeline.get(self.next_timed).copied();
+        match (self.events.peek(), timed) {
+            (Some(Reverse(queued)), Some(timed)) if *queued < timed => {
+                self.events.pop().map(|Reverse(ev)| ev)
+            }
+            (_, Some(timed)) => {
+                self.next_timed += 1;
+                Some(timed)
+            }
+            (_, None) => self.events.pop().map(|Reverse(ev)| ev),
+        }
+    }
+
     fn push_event(&mut self, at: f64, kind: EventKindOrd) {
         self.seq += 1;
         self.events.push(Reverse((OrdF64::new(at), self.seq, kind)));
+    }
+
+    /// [`Self::push_event`] for the `timeline`.
+    fn push_timed(&mut self, at: f64, kind: EventKindOrd) {
+        self.seq += 1;
+        self.timeline.push((OrdF64::new(at), self.seq, kind));
     }
 
     fn run(mut self, start_s: i64, end_s: i64) -> SimOutput {
@@ -188,16 +222,18 @@ impl<'a> Engine<'a> {
         // Seed per-second probe and tick events.
         for s in start_s..end_s {
             let offset: f64 = self.rng.random::<f64>() * 1000.0;
-            self.push_event(s as f64 * 1000.0 + offset, EventKindOrd::Probe);
-            self.push_event((s + 1) as f64 * 1000.0 - 1e-3, EventKindOrd::SecondTick);
+            self.push_timed(s as f64 * 1000.0 + offset, EventKindOrd::Probe);
+            self.push_timed((s + 1) as f64 * 1000.0 - 1e-3, EventKindOrd::SecondTick);
         }
+        // A probe may fall after its second's tick.
+        self.timeline.sort_unstable();
         if !self.arrivals.is_empty() {
             let at = self.arrivals[0].0;
             self.push_event(at, EventKindOrd::Arrival);
         }
 
         let drain_end = self.end_ms + DRAIN_CAP_S as f64 * 1000.0;
-        while let Some(Reverse((at, _, kind))) = self.events.pop() {
+        while let Some((at, _, kind)) = self.next_event() {
             let at = at.get();
             if at > drain_end {
                 break;
@@ -219,8 +255,10 @@ impl<'a> Engine<'a> {
         }
 
         // Force-complete whatever is still in flight at the drain cap (the
-        // equivalent of killed sessions being written to the slow log).
-        let remaining: Vec<QueryId> = self.states.keys().copied().collect();
+        // equivalent of killed sessions being written to the slow log), in
+        // arrival order.
+        let mut remaining: Vec<QueryId> = self.states.keys().copied().collect();
+        remaining.sort_unstable();
         let final_now = self.now.max(self.end_ms);
         for qid in remaining {
             let st = self.states.remove(&qid).expect("state present");
@@ -279,9 +317,8 @@ impl<'a> Engine<'a> {
     fn spawn_query(&mut self, arrival_ms: f64, spec: SpecId) {
         let qid = self.next_qid;
         self.next_qid += 1;
-        let profile = &self.workload.specs[spec.0].cost;
-        let cost = profile.sample(&mut self.rng);
-        let lock = profile.lock;
+        let cost = self.costs[spec.0].sample(&mut self.rng);
+        let lock = self.workload.specs[spec.0].cost.lock;
         let slots = match lock {
             Some(fp) if matches!(fp.mode, LockMode::SharedRows | LockMode::ExclusiveRows) => {
                 sample_slots(&self.zipfs[fp.table.0], fp.slots, &mut self.rng)

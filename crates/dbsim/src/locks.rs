@@ -12,7 +12,8 @@
 //!    conflicting statements queue FIFO per slot, so a slow batch write
 //!    slows every later statement touching its slots (category 3-ii).
 
-use std::collections::{HashMap, VecDeque};
+use pinsql_timeseries::FxHashMap;
+use std::collections::VecDeque;
 
 /// Query identifier, assigned by the engine.
 pub type QueryId = u64;
@@ -103,7 +104,7 @@ impl LockState {
 #[derive(Debug)]
 pub struct LockManager {
     mdl: Vec<LockState>,
-    rows: HashMap<(u32, u32), LockState>,
+    rows: FxHashMap<(u32, u32), LockState>,
     /// Cumulative number of requests that had to wait, split by kind.
     pub mdl_wait_events: u64,
     pub row_wait_events: u64,
@@ -114,7 +115,7 @@ impl LockManager {
     pub fn new(n_tables: usize) -> Self {
         Self {
             mdl: (0..n_tables).map(|_| LockState::default()).collect(),
-            rows: HashMap::new(),
+            rows: FxHashMap::default(),
             mdl_wait_events: 0,
             row_wait_events: 0,
         }

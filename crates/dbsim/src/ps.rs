@@ -4,11 +4,13 @@
 //! `min(1, c/n)` (a job cannot use more than one server). The classic
 //! virtual-time trick makes departures `O(log n)`: maintain a clock `V`
 //! advancing at the common per-job rate; a job arriving at `V₀` with demand
-//! `d` departs when `V = V₀ + d`. Jobs live in an ordered set keyed by
-//! their target `V`, so the next departure is the first entry.
+//! `d` departs when `V = V₀ + d`. Jobs live in a min-heap keyed by their
+//! target `V` (ties by job id, so the order is total), so the next
+//! departure is the top.
 
 use crate::ordf64::OrdF64;
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Identifier of a job on a resource (the engine uses query ids).
 pub type JobId = u64;
@@ -21,8 +23,8 @@ pub struct PsResource {
     virt: f64,
     /// Wall-clock ms at which `virt` was last advanced.
     last: f64,
-    /// Jobs keyed by (target virtual time, job id).
-    jobs: BTreeSet<(OrdF64, JobId)>,
+    /// Jobs keyed by (target virtual time, job id), least first.
+    jobs: BinaryHeap<Reverse<(OrdF64, JobId)>>,
     /// Membership generation, bumped on add/remove; used by the engine to
     /// discard stale departure events.
     generation: u64,
@@ -37,7 +39,7 @@ impl PsResource {
     /// Panics unless `capacity > 0`.
     pub fn new(capacity: f64) -> Self {
         assert!(capacity > 0.0, "resource capacity must be positive");
-        Self { capacity, virt: 0.0, last: 0.0, jobs: BTreeSet::new(), generation: 0, busy_ms: 0.0 }
+        Self { capacity, virt: 0.0, last: 0.0, jobs: BinaryHeap::new(), generation: 0, busy_ms: 0.0 }
     }
 
     /// Number of jobs currently in service.
@@ -95,7 +97,7 @@ impl PsResource {
     pub fn add(&mut self, now: f64, job: JobId, demand_ms: f64) {
         self.advance(now);
         let target = self.virt + demand_ms.max(0.0);
-        self.jobs.insert((OrdF64::new(target), job));
+        self.jobs.push(Reverse((OrdF64::new(target), job)));
         self.generation += 1;
     }
 
@@ -103,21 +105,19 @@ impl PsResource {
     /// job was present. `O(n)` scan — kills are rare.
     pub fn remove(&mut self, now: f64, job: JobId) -> bool {
         self.advance(now);
-        let found = self.jobs.iter().find(|(_, j)| *j == job).copied();
-        match found {
-            Some(key) => {
-                self.jobs.remove(&key);
-                self.generation += 1;
-                true
-            }
-            None => false,
+        let before = self.jobs.len();
+        self.jobs.retain(|&Reverse((_, j))| j != job);
+        let found = self.jobs.len() != before;
+        if found {
+            self.generation += 1;
         }
+        found
     }
 
     /// The wall-clock time at which the next departure will occur if
     /// membership does not change, with the departing job id.
     pub fn next_departure(&self) -> Option<(f64, JobId)> {
-        let (target, job) = self.jobs.first().copied()?;
+        let Reverse((target, job)) = self.jobs.peek().copied()?;
         let rate = self.rate(self.jobs.len());
         let dt = (target.get() - self.virt).max(0.0) / rate;
         Some((self.last + dt, job))
@@ -129,9 +129,9 @@ impl PsResource {
     pub fn pop_finished(&mut self, now: f64, eps_ms: f64, out: &mut Vec<JobId>) {
         self.advance(now);
         let before = out.len();
-        while let Some(&(target, job)) = self.jobs.first() {
+        while let Some(&Reverse((target, job))) = self.jobs.peek() {
             if target.get() <= self.virt + eps_ms {
-                self.jobs.remove(&(target, job));
+                self.jobs.pop();
                 out.push(job);
             } else {
                 break;

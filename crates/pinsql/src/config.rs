@@ -149,11 +149,11 @@ pub struct PinSqlConfig {
     pub tukey_k: f64,
     /// Days back to verify against (paper: 1, 3, 7).
     pub history_days: Vec<u32>,
-    /// Worker threads for the parallel hot paths (clustering, session
-    /// estimation, H-SQL scoring): `0` = all available cores, `1` =
-    /// serial. Results are identical for every value — parallelism only
-    /// fans out independent (i, j)/template units with a deterministic
-    /// merge order.
+    /// Worker threads for the parallel hot paths (clustering, H-SQL
+    /// scoring; session estimation is serial, see `session_estimate`):
+    /// `0` = all available cores, `1` = serial. Results are identical for
+    /// every value — parallelism only fans out independent (i, j)/template
+    /// units with a deterministic merge order.
     pub parallelism: usize,
     /// Minimum final R-SQL score for a template to be *reported* as a root
     /// cause (the false-positive guard). The full ranking is always kept

@@ -17,20 +17,38 @@
 //! Both passes walk `case.records` once, front to back. A query covers its
 //! interior seconds entirely (one `+1/−1` pair in a difference array, so a
 //! minutes-long blocked query costs nothing per covered second) and at
-//! most two *edge* seconds partially.
+//! most two *edge* seconds partially. Every bucket's bounds come from one
+//! `[second][bucket]` table built per case, with the per-template
+//! formulation's expression: `lo = ts_ms + t·1000 + b·bucket_ms`,
+//! `hi = lo + bucket_ms`.
 //!
-//! * Pass 1 sums the instance expectation: one difference array plus an
-//!   edge table laid out `[second][bucket]`, so a query's `K` edge cells
-//!   are contiguous. Only the buckets the query can reach are visited (the
-//!   range is widened by one bucket on each side against rounding); for
-//!   every bucket outside it the overlap clamps to exactly `+0.0`.
+//! * Pass 1 classifies each record once. Its clipped start and end, in
+//!   seconds from the window start (`s_sec`, `e_sec`), are compared with a
+//!   *seated* second `t`:
+//!   - `t < s_sec < t + 1` and `e_sec < t + 1` is the *fast arm*: the
+//!     query lies inside second `t`, which is its one edge second;
+//!   - a start outside the seated second reseats it at `floor(s_sec)`
+//!     (one cast; an unsorted ring only reseats more often), and the test
+//!     is made again;
+//!   - every other record — several seconds long, starting on a second
+//!     bound, straddling the window — takes the *general arm*: the casts
+//!     give its edge seconds and its fully covered range. Corrupt and
+//!     out-of-window records are skipped.
+//!
+//!   Both arms add a query's share to exactly the buckets it overlaps,
+//!   `s < hi && e > lo`, in an edge table laid out `[second][bucket]`. The
+//!   fast arm finds the first of them from a cursor that follows the
+//!   records through the second, so the usual single bucket costs a
+//!   comparison or two, not a walk.
 //! * Bucket selection per second, as above.
-//! * Pass 2 attributes each record to its template through
+//! * Pass 2 replays pass 1's classification, so no record is clipped
+//!   twice. It attributes each record to its template through
 //!   [`CaseData::record_templates`] and adds it to that template's
 //!   difference row and to its output row at the one bucket selected for
-//!   the edge second — the other `K − 1` buckets are never needed again.
-//!   Scratch is `O(templates · n)`, not `O(templates · K · n)`, and a
-//!   case's records (tens of MB) are streamed rather than gathered
+//!   the edge second — and only when the record overlaps that bucket, about
+//!   one fast-arm record in `K`. The other `K − 1` buckets are never needed
+//!   again. Scratch is `O(templates · n)`, not `O(templates · K · n)`, and
+//!   a case's records (tens of MB) are streamed rather than gathered
 //!   template by template through `record_idx`.
 //!
 //! # Why the result does not depend on the sweep
@@ -38,8 +56,25 @@
 //! Every output cell is an f64 sum, so it is fixed by *which* terms are
 //! added *in which order*. A template's cells receive its own records'
 //! terms only, and `record_idx` is ascending, so record order restricted
-//! to one template is the order a per-template gather visits. A skipped
-//! bucket's term is `+0.0`, and no cell is ever `-0.0` (cells start at
+//! to one template is the order a per-template gather visits. Two facts
+//! make the set of nonzero terms the same:
+//!
+//! * *The fast arm is the general arm, exactly.* `t` and `t + 1` are exact
+//!   integers. `t < s_sec < t + 1` gives `floor(s_sec) = t` and
+//!   `ceil(s_sec) = t + 1`. Rounded subtraction and division are monotone,
+//!   so `e > s` gives `e_sec ≥ s_sec > t`, and with `e_sec < t + 1`
+//!   `ceil(e_sec) = t + 1` and `floor(e_sec) = t`. So the clip gives first
+//!   and last second `t` and an empty fully covered range: the record's
+//!   only terms are the buckets of second `t`, as the fast arm adds them.
+//! * *`s < hi && e > lo` selects exactly the nonzero terms.* A share is
+//!   `(min(e, hi) − max(s, lo)).max(0) / bucket_ms`. `e > s` always, and
+//!   `hi > lo` since a bucket is many ulps of its bounds wide; so when
+//!   `s < hi` and `e > lo` the minuend exceeds the subtrahend, and for
+//!   floats `a > b` implies `fl(a − b) > 0`. Any other bucket's difference
+//!   is `≤ 0` and clamps to a zero. `lo` and `hi` are nondecreasing in
+//!   `b`, so the overlapped buckets are one contiguous run.
+//!
+//! A left-out term is a zero, and no cell is ever `-0.0` (cells start at
 //! `+0.0` and `x + y = -0.0` needs both operands `-0.0`), so leaving it
 //! out changes nothing. The previous per-template formulation is kept under
 //! `#[cfg(test)]` as the oracle the sweep is compared with bit for bit.
@@ -49,8 +84,14 @@
 //! and at two workers that measured no better than this sweep (DESIGN.md,
 //! "Report path").
 //!
-//! Complexity: `O(records)` clips plus `O(edge buckets reached)` in pass 1
-//! and `O(1)` per record in pass 2.
+//! # Complexity
+//!
+//! `O(records)` comparisons. Casts are made once per reseat and for
+//! general-arm records only (90–99.9 % of a benchmark case's records take
+//! the fast arm). Pass 1 adds one term per overlapped bucket, which is one
+//! or two for a fast-arm record, and steps its cursor; a general-arm record
+//! scans at most the `K` buckets of each of its edge seconds. Pass 2 is
+//! `O(1)` per record.
 
 use crate::config::{EstimatorKind, PinSqlConfig};
 use pinsql_collector::CaseData;
@@ -118,17 +159,31 @@ fn estimate_by_rt(case: &CaseData) -> SessionEstimates {
 /// output is bit-identical to the per-template formulation.
 fn estimate_with_buckets(case: &CaseData, k: usize) -> SessionEstimates {
     let n = case.n_seconds();
-    let grid = Grid { ts_ms: case.ts as f64 * 1000.0, n, k, bucket_ms: 1000.0 / k as f64 };
+    let grid = Grid::new(case.ts, n, k);
 
     // Pass 1: expected instance session per (second, bucket). `full[t]`
     // counts queries covering second t entirely (same for every bucket);
     // `edges[t * k + b]` accumulates partial-coverage probabilities.
     let mut full_diff = vec![0.0f64; n + 1];
     let mut edges = vec![0.0f64; n * k];
+    let mut plan = Plan { arms: Vec::with_capacity(case.records.len()), general: Vec::new() };
+    let mut seat = Seat::default();
     for rec in &case.records {
-        let Some(q) = grid.clip(rec) else { continue };
-        q.add_full(&mut full_diff);
-        q.for_each_edge_second(n, |t| grid.add_reachable_buckets(&q, t, &mut edges[t * k..][..k]));
+        match grid.classify(rec, &mut seat) {
+            Arm::Skip => plan.arms.push(Plan::SKIP),
+            Arm::Fast { t, s, e } => {
+                seat.cursor = grid.add_overlapping(&mut edges[t * k..][..k], t, s, e, seat.cursor);
+                plan.arms.push(t as u32);
+            }
+            Arm::General(q) => {
+                q.add_full(&mut full_diff);
+                q.for_each_edge_second(n, |t| {
+                    grid.add_overlapping(&mut edges[t * k..][..k], t, q.s, q.e, 0);
+                });
+                plan.arms.push(Plan::GENERAL);
+                plan.general.push(q);
+            }
+        }
     }
     let full = prefix_sum(&full_diff, n);
 
@@ -157,7 +212,7 @@ fn estimate_with_buckets(case: &CaseData, k: usize) -> SessionEstimates {
     }
 
     // Pass 2: per-template sessions evaluated at the selected buckets.
-    let per_template = sweep_templates(case, &grid, &selected_bucket);
+    let per_template = sweep_templates(case, &grid, &plan, &selected_bucket);
 
     // The instance expectation at the selected buckets (bucket 0 for K = 1).
     let instance_estimate = (0..n).map(|t| full[t] + edges[t * k + selected_bucket[t]]).collect();
@@ -165,20 +220,45 @@ fn estimate_with_buckets(case: &CaseData, k: usize) -> SessionEstimates {
     SessionEstimates { start: case.ts, per_template, selected_bucket, instance_estimate }
 }
 
-/// Pass 2: one sweep over all records, each added to the rows of the
-/// template [`CaseData::record_templates`] attributes it to. Returns
-/// `per_template`.
-fn sweep_templates(case: &CaseData, grid: &Grid, selected_bucket: &[usize]) -> Vec<Vec<f64>> {
+/// Pass 2: one sweep over all records, replaying pass 1's [`Plan`], each
+/// record added to the rows of the template [`CaseData::record_templates`]
+/// attributes it to. Returns `per_template`.
+fn sweep_templates(
+    case: &CaseData,
+    grid: &Grid,
+    plan: &Plan,
+    selected_bucket: &[usize],
+) -> Vec<Vec<f64>> {
     let n = grid.n;
     let mut full_diff = vec![0.0f64; case.templates.len() * (n + 1)];
     // Edge sums accumulate straight into the output rows.
     let mut rows = vec![vec![0.0f64; n]; case.templates.len()];
-    for (rec, &pos) in case.records.iter().zip(&case.record_templates()) {
+    let mut general = plan.general.iter();
+    let owners = case.record_templates();
+    // Only the selected bucket's term, and only when it is nonzero.
+    let add_selected = |row: &mut [f64], t: usize, s: f64, e: f64| {
+        let bucket = grid.bounds_of(t)[selected_bucket[t]];
+        if bucket.overlaps(s, e) {
+            row[t] += grid.share(s, e, bucket);
+        }
+    };
+    for ((rec, &pos), &arm) in case.records.iter().zip(&owners).zip(&plan.arms) {
+        if arm == Plan::SKIP {
+            continue;
+        }
+        // Taken whether or not a template owns the record, so the clipped
+        // intervals stay in step with the records.
+        let clipped = (arm == Plan::GENERAL)
+            .then(|| general.next().expect("one clipped interval per general-arm record"));
         // `NO_TEMPLATE` lies beyond every row.
         let Some(row) = rows.get_mut(pos as usize) else { continue };
-        let Some(q) = grid.clip(rec) else { continue };
-        q.add_full(&mut full_diff[pos as usize * (n + 1)..][..n + 1]);
-        q.for_each_edge_second(n, |t| row[t] += grid.bucket_share(&q, t, selected_bucket[t]));
+        if let Some(q) = clipped {
+            q.add_full(&mut full_diff[pos as usize * (n + 1)..][..n + 1]);
+            q.for_each_edge_second(n, |t| add_selected(row, t, q.s, q.e));
+        } else {
+            let (s, e) = grid.clamp(rec);
+            add_selected(row, arm as usize, s, e);
+        }
     }
     for (row, diff) in rows.iter_mut().zip(full_diff.chunks_exact(n + 1)) {
         let mut full = 0.0;
@@ -193,9 +273,69 @@ fn sweep_templates(case: &CaseData, grid: &Grid, selected_bucket: &[usize]) -> V
 /// The window's second × bucket grid.
 struct Grid {
     ts_ms: f64,
+    end_ms: f64,
     n: usize,
     k: usize,
     bucket_ms: f64,
+    /// Every bucket's bounds, `[second][bucket]`: the one place they are
+    /// computed.
+    bounds: Vec<Bucket>,
+}
+
+/// One bucket's bounds `[lo, hi)`, as the per-template formulation
+/// computes them: `hi` is `lo + bucket_ms`, which need not equal the next
+/// bucket's `lo`.
+#[derive(Clone, Copy)]
+struct Bucket {
+    lo: f64,
+    hi: f64,
+}
+
+impl Bucket {
+    /// True exactly when a record's share of this bucket is nonzero (module
+    /// docs, "Why the result does not depend on the sweep").
+    #[inline]
+    fn overlaps(self, s: f64, e: f64) -> bool {
+        s < self.hi && e > self.lo
+    }
+}
+
+/// Which arm of the sweep a record takes.
+enum Arm {
+    /// Nothing of the record lies in the window, or it is corrupt.
+    Skip,
+    /// Within the one second `t`, starting after its first instant.
+    Fast { t: usize, s: f64, e: f64 },
+    /// Anything else, clipped.
+    General(Clipped),
+}
+
+/// Pass 1's classification of every record, replayed by pass 2 so that no
+/// record is clipped twice.
+struct Plan {
+    /// Per record: its second when it took the fast arm, else
+    /// [`Plan::GENERAL`] or [`Plan::SKIP`].
+    arms: Vec<u32>,
+    /// The general-arm records' clipped intervals, in record order.
+    general: Vec<Clipped>,
+}
+
+impl Plan {
+    const SKIP: u32 = u32::MAX;
+    const GENERAL: u32 = u32::MAX - 1;
+}
+
+/// The second the fast arm is seated on, and pass 1's bucket cursor in it.
+/// The default seat holds no second, so the first record reseats it.
+#[derive(Default)]
+struct Seat {
+    t: usize,
+    /// `t` and `t + 1`, in seconds from the window start.
+    lo: f64,
+    hi: f64,
+    /// A bucket index near the last fast-arm record's first overlapped
+    /// bucket, where [`Grid::add_overlapping`] starts its search.
+    cursor: usize,
 }
 
 /// One query's active interval `[s, e)` clipped to the window, with the
@@ -212,65 +352,106 @@ struct Clipped {
 }
 
 impl Grid {
-    /// Clips a record to the window; `None` when it contributes nothing.
+    fn new(ts: i64, n: usize, k: usize) -> Grid {
+        assert!(n < Plan::GENERAL as usize, "a window of {n} s");
+        let ts_ms = ts as f64 * 1000.0;
+        let bucket_ms = 1000.0 / k as f64;
+        let bounds = (0..n)
+            .flat_map(|t| {
+                (0..k).map(move |b| {
+                    let lo = ts_ms + t as f64 * 1000.0 + b as f64 * bucket_ms;
+                    Bucket { lo, hi: lo + bucket_ms }
+                })
+            })
+            .collect();
+        Grid { ts_ms, end_ms: ts_ms + n as f64 * 1000.0, n, k, bucket_ms, bounds }
+    }
+
+    /// The `K` buckets of second `t`.
+    #[inline]
+    fn bounds_of(&self, t: usize) -> &[Bucket] {
+        &self.bounds[t * self.k..][..self.k]
+    }
+
+    /// A record's active interval clamped to the window.
+    #[inline]
+    fn clamp(&self, rec: &QueryRecord) -> (f64, f64) {
+        (rec.start_ms.max(self.ts_ms), rec.end_ms().min(self.end_ms))
+    }
+
+    /// Classifies a record by comparing its clipped start and end, in
+    /// seconds from the window start, with the seated second, reseating it
+    /// (one cast) when the start lies outside. Only the general arm casts
+    /// the rest of what it needs.
     #[allow(
         clippy::neg_cmp_op_on_partial_ord,
         reason = "`!(x > y)` is deliberate: it is also true when either side is NaN"
     )]
     #[inline]
-    fn clip(&self, rec: &QueryRecord) -> Option<Clipped> {
-        let (ts_ms, n) = (self.ts_ms, self.n);
+    fn classify(&self, rec: &QueryRecord, seat: &mut Seat) -> Arm {
         let s = rec.start_ms;
         let e = rec.end_ms();
         // `!(e > s)` also rejects NaN endpoints from corrupted records, which
         // would otherwise poison the difference arrays via `floor() as usize`.
         if !(e > s) || !s.is_finite() || !e.is_finite() {
-            return None;
+            return Arm::Skip;
         }
-        let end_ms = ts_ms + n as f64 * 1000.0;
-        let s = s.max(ts_ms);
-        let e = e.min(end_ms);
+        let (s, e) = self.clamp(rec);
         if e <= s {
-            return None;
+            return Arm::Skip;
         }
-        let (s_sec, e_sec) = ((s - ts_ms) / 1000.0, (e - ts_ms) / 1000.0);
-        Some(Clipped {
+        let (s_sec, e_sec) = ((s - self.ts_ms) / 1000.0, (e - self.ts_ms) / 1000.0);
+        if s_sec <= seat.lo || s_sec >= seat.hi {
+            let t = floor_index(s_sec);
+            if t < self.n {
+                seat.t = t;
+                seat.lo = t as f64;
+                seat.hi = seat.lo + 1.0;
+            }
+        }
+        if seat.lo < s_sec && s_sec < seat.hi && e_sec < seat.hi {
+            return Arm::Fast { t: seat.t, s, e };
+        }
+        Arm::General(Clipped {
             s,
             e,
             sec_first: floor_index(s_sec),
             // e is exclusive, so back off one second from its ceiling.
-            sec_last: ceil_index(e_sec).saturating_sub(1).min(n - 1),
+            sec_last: ceil_index(e_sec).saturating_sub(1).min(self.n - 1),
             full_lo: ceil_index(s_sec),
             full_hi: floor_index(e_sec),
         })
     }
 
-    /// `P(observed)` of `q` within bucket `b` of second `t`.
+    /// `P(observed)` of `[s, e)` within `bucket`.
     #[inline]
-    fn bucket_share(&self, q: &Clipped, t: usize, b: usize) -> f64 {
-        let lo = self.ts_ms + t as f64 * 1000.0 + b as f64 * self.bucket_ms;
-        let hi = lo + self.bucket_ms;
-        overlap(q.s, q.e, lo, hi) / self.bucket_ms
+    fn share(&self, s: f64, e: f64, bucket: Bucket) -> f64 {
+        overlap(s, e, bucket.lo, bucket.hi) / self.bucket_ms
     }
 
-    /// Adds `q`'s share to every bucket of edge second `t` it can overlap
-    /// (`row` is the second's `K` cells).
-    ///
-    /// The range is the buckets holding `q`'s endpoints within the second,
-    /// widened by one each side: a bucket's computed bounds are off its
-    /// exact ones by a few ulps of a millisecond timestamp, orders of
-    /// magnitude below one bucket width, so a bucket outside the widened
-    /// range ends before `q.s` or starts after `q.e` and its share clamps
-    /// to `+0.0`.
+    /// Adds `[s, e)`'s share to exactly the buckets of second `t` that it
+    /// overlaps (`row` is the second's `K` cells), and returns the first of
+    /// them. Both bounds are nondecreasing in the bucket index, so these
+    /// buckets are one run: it starts at the first bucket ending after `s`,
+    /// found by stepping from bucket `from` either way, and ends before the
+    /// first bucket starting at or after `e`.
     #[inline]
-    fn add_reachable_buckets(&self, q: &Clipped, t: usize, row: &mut [f64]) {
-        let base = self.ts_ms + t as f64 * 1000.0;
-        // A negative offset (query began in an earlier second) casts to 0.
-        let first = floor_index((q.s - base) / self.bucket_ms).saturating_sub(1);
-        let last = ceil_index((q.e - base) / self.bucket_ms).saturating_add(1).min(self.k);
-        for (b, cell) in row.iter_mut().enumerate().take(last).skip(first) {
-            *cell += self.bucket_share(q, t, b);
+    fn add_overlapping(&self, row: &mut [f64], t: usize, s: f64, e: f64, from: usize) -> usize {
+        let buckets = self.bounds_of(t);
+        let mut first = from;
+        while first < self.k && buckets[first].hi <= s {
+            first += 1;
         }
+        while first > 0 && buckets[first - 1].hi > s {
+            first -= 1;
+        }
+        for (cell, &bucket) in row[first..].iter_mut().zip(&buckets[first..]) {
+            if bucket.lo >= e {
+                break;
+            }
+            *cell += self.share(s, e, bucket);
+        }
+        first
     }
 }
 
@@ -303,7 +484,7 @@ impl Clipped {
 /// `x.floor() as usize`: the cast truncates toward zero and saturates, so
 /// it agrees with the floor wherever that is representable — without the
 /// function call `floor` compiles to on a baseline x86-64 build (no
-/// `roundsd` before SSE4.1), several per record.
+/// `roundsd` before SSE4.1), several per general-arm record.
 #[inline]
 fn floor_index(x: f64) -> usize {
     x as usize

@@ -3,13 +3,20 @@
 //! of its seed, and a failure names the seed and `K`.
 
 use super::tests::specs_n;
-use super::{estimate_with_buckets, oracle, SessionEstimates};
+use super::{estimate_with_buckets, oracle, Arm, Grid, Seat, SessionEstimates};
 use pinsql_collector::{aggregate_case, CaseData};
 use pinsql_dbsim::probe::ProbeLog;
 use pinsql_dbsim::{InstanceMetrics, QueryRecord};
 use pinsql_workload::SpecId;
 
 const KS: [usize; 5] = [1, 3, 7, 10, 16];
+
+const SEEDS: u64 = 256;
+
+/// An epoch-scale window start (s): at `1.7e12` ms a bucket's computed
+/// bounds are off their exact values by ulps, so neighbouring buckets'
+/// `hi` and `lo` disagree.
+const EPOCH_TS: i64 = 1_700_000_000;
 
 /// splitmix64.
 struct Rng(u64);
@@ -52,22 +59,26 @@ fn grid_ms(rng: &mut Rng, n: usize) -> f64 {
 fn adversarial_case(seed: u64) -> CaseData {
     let mut rng = Rng(seed);
     let n = 1 + rng.below(40) as usize;
-    let ts = rng.pick(&[0i64, 17, 3_600, 86_399]);
+    let ts = rng.pick(&[0i64, 17, 3_600, 86_399, EPOCH_TS]);
     let ts_ms = ts as f64 * 1000.0;
     let n_ms = n as f64 * 1000.0;
     let specs = specs_n(1 + rng.below(48) as usize);
 
     let log: Vec<QueryRecord> = (0..rng.below(1500))
         .map(|_| {
-            let start = match rng.below(4) {
+            let start = match rng.below(5) {
                 0 => grid_ms(&mut rng, n).min(n_ms - 1.0),
+                // On a second bound.
+                1 => rng.below(n as u64) as f64 * 1000.0,
                 _ => rng.unit() * n_ms * 0.999,
             };
-            let response = match rng.below(8) {
+            let response = match rng.below(9) {
                 // Blocked: spans many seconds, often past the window end.
                 0 => rng.unit() * n_ms * 1.5,
                 // Ends on a bucket bound (or is empty when that lies behind).
                 1 | 2 => grid_ms(&mut rng, n) - start,
+                // Ends on a second bound.
+                3 => (start / 1000.0).floor() * 1000.0 + 1000.0 * rng.below(3) as f64 - start,
                 _ => rng.unit() * rng.unit() * 2500.0,
             };
             QueryRecord {
@@ -123,7 +134,32 @@ fn adversarial_case(seed: u64) -> CaseData {
     // A probe second the bucket selection cannot use.
     let nan_at = rng.below(n as u64) as usize;
     case.metrics.active_session[nan_at] = f64::NAN;
+    // The online record ring is unsorted under perturbation.
+    if rng.below(3) == 0 {
+        shuffle(&mut case, &mut rng);
+    }
     case
+}
+
+/// Permutes `case.records` and renumbers every template's `record_idx`,
+/// which must stay ascending.
+fn shuffle(case: &mut CaseData, rng: &mut Rng) {
+    let len = case.records.len();
+    let mut order: Vec<usize> = (0..len).collect();
+    for i in (1..len).rev() {
+        order.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let mut moved_to = vec![0u32; len];
+    for (to, &from) in order.iter().enumerate() {
+        moved_to[from] = to as u32;
+    }
+    case.records = order.iter().map(|&from| case.records[from]).collect();
+    for tpl in &mut case.templates {
+        for ri in &mut tpl.record_idx {
+            *ri = moved_to[*ri as usize];
+        }
+        tpl.record_idx.sort_unstable();
+    }
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -146,12 +182,14 @@ fn assert_bit_identical(new: &SessionEstimates, old: &SessionEstimates, what: &s
 
 #[test]
 fn sweep_matches_oracle_bit_for_bit() {
-    for seed in 0..80u64 {
+    for seed in 0..SEEDS {
         let case = adversarial_case(seed);
         for k in KS {
+            let what = format!("seed {seed} K={k}");
             let old = oracle::estimate_with_buckets(&case, k);
-            let new = estimate_with_buckets(&case, k);
-            assert_bit_identical(&new, &old, &format!("seed {seed} K={k}"));
+            let new = std::panic::catch_unwind(|| estimate_with_buckets(&case, k))
+                .unwrap_or_else(|_| panic!("{what}: the sweep panicked"));
+            assert_bit_identical(&new, &old, &what);
         }
     }
 }
@@ -161,20 +199,41 @@ fn adversarial_cases_hold_what_they_claim() {
     // The generator must actually produce the shapes the sweep is for;
     // otherwise a change to it could hollow the suite out silently.
     let (mut non_finite, mut before, mut blocked, mut unowned, mut aligned) = (0, 0, 0, 0, 0);
-    for seed in 0..80u64 {
+    let (mut starts_on_second, mut ends_on_second, mut split_bounds) = (0, 0, 0);
+    let (mut fast, mut general, mut backward) = (0, 0, 0);
+    for seed in 0..SEEDS {
         let case = adversarial_case(seed);
         let ts_ms = case.ts as f64 * 1000.0;
         let owner = case.record_templates();
         unowned += owner.iter().filter(|&&o| o == CaseData::NO_TEMPLATE).count();
+        let on_bound = |x: f64, k: usize| ((x - ts_ms) * k as f64 / 1000.0).fract() == 0.0;
         for r in &case.records {
             let e = r.end_ms();
             non_finite += usize::from(!r.start_ms.is_finite() || !e.is_finite());
             before += usize::from(r.start_ms < ts_ms && e > ts_ms);
             blocked += usize::from(e.is_finite() && r.response_ms > 5000.0);
-            aligned += usize::from(
-                e.is_finite()
-                    && KS.iter().any(|&k| ((e - ts_ms) * k as f64 / 1000.0).fract() == 0.0),
-            );
+            aligned += usize::from(e.is_finite() && KS.iter().any(|&k| on_bound(e, k)));
+            starts_on_second += usize::from(r.start_ms.is_finite() && on_bound(r.start_ms, 1));
+            ends_on_second += usize::from(e.is_finite() && on_bound(e, 1));
+        }
+        // The arms pass 1 sends the records down, and how often the seat
+        // moves back to an earlier second.
+        let grid = Grid::new(case.ts, case.n_seconds(), 7);
+        if case.ts == EPOCH_TS {
+            split_bounds += grid.bounds.windows(2).filter(|w| w[0].hi != w[1].lo).count();
+        }
+        let mut seat = Seat::default();
+        let mut last_fast = 0;
+        for r in &case.records {
+            match grid.classify(r, &mut seat) {
+                Arm::Skip => {}
+                Arm::Fast { t, .. } => {
+                    fast += 1;
+                    backward += usize::from(t < last_fast);
+                    last_fast = t;
+                }
+                Arm::General(_) => general += 1,
+            }
         }
         assert!(case.instance_session().iter().any(|v| v.is_nan()), "seed {seed}: NaN probe");
     }
@@ -184,7 +243,13 @@ fn adversarial_cases_hold_what_they_claim() {
         ("blocked queries", blocked),
         ("unreferenced records", unowned),
         ("bucket-aligned ends", aligned),
+        ("records starting on a second bound", starts_on_second),
+        ("records ending on a second bound", ends_on_second),
+        ("epoch-scale buckets whose hi is not the next lo", split_bounds),
+        ("fast-arm records", fast),
+        ("general-arm records", general),
+        ("backward reseats", backward),
     ] {
-        assert!(count >= 100, "only {count} {what} over 80 seeds");
+        assert!(count >= 100, "only {count} {what} over {SEEDS} seeds");
     }
 }

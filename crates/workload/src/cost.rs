@@ -7,7 +7,7 @@
 //! is a property of the *statement shape* (an `UPDATE … WHERE pk = ?` locks
 //! one hot slot; an `ALTER TABLE` takes the metadata lock).
 
-use crate::rng::{lognormal_with_mean, Rng};
+use crate::rng::{lognormal, Rng};
 use crate::tables::TableId;
 
 /// How a statement locks the table it touches.
@@ -144,14 +144,45 @@ impl CostProfile {
 
     /// Samples the concrete cost of one execution.
     pub fn sample(&self, rng: &mut impl Rng) -> QueryCost {
-        let (cpu_ms, io_ms, rows) = if self.sigma <= 0.0 {
-            (self.cpu_ms, self.io_ms, self.examined_rows)
+        CostSampler::new(self).sample(rng)
+    }
+}
+
+/// A [`CostProfile`] prepared for many draws: each demand's log-normal
+/// location `μ = ln(mean) − σ²/2` (see
+/// [`lognormal_with_mean`](crate::rng::lognormal_with_mean)) is computed
+/// once instead of per execution. Draws are exactly those of
+/// [`CostProfile::sample`], which is this sampler built on the spot.
+#[derive(Debug, Clone, Copy)]
+pub struct CostSampler {
+    sigma: f64,
+    /// CPU ms, IO ms, examined rows.
+    means: [f64; 3],
+    mus: [f64; 3],
+}
+
+impl CostSampler {
+    pub fn new(profile: &CostProfile) -> Self {
+        let sigma = profile.sigma;
+        let means = [profile.cpu_ms, profile.io_ms, profile.examined_rows];
+        Self { sigma, means, mus: means.map(|mean| mean.ln() - sigma * sigma / 2.0) }
+    }
+
+    /// Samples the concrete cost of one execution.
+    #[inline]
+    pub fn sample(&self, rng: &mut impl Rng) -> QueryCost {
+        let [cpu_ms, io_ms, rows] = if self.sigma <= 0.0 {
+            self.means
         } else {
-            (
-                lognormal_with_mean(rng, self.cpu_ms, self.sigma),
-                lognormal_with_mean(rng, self.io_ms, self.sigma),
-                lognormal_with_mean(rng, self.examined_rows, self.sigma),
-            )
+            // In order: each draw consumes the stream, a zero mean none.
+            let mut draw = |i: usize| {
+                if self.means[i] <= 0.0 {
+                    0.0
+                } else {
+                    lognormal(rng, self.mus[i], self.sigma)
+                }
+            };
+            [draw(0), draw(1), draw(2)]
         };
         QueryCost { cpu_ms, io_ms, examined_rows: rows.round().max(0.0) as u64 }
     }
@@ -214,5 +245,41 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.cpu_ms, 5.0);
         assert_eq!(a.examined_rows, 10);
+    }
+
+    /// The prepared sampler draws, bit for bit, what one
+    /// `lognormal_with_mean` call per demand draws, including a zero mean
+    /// (no draw) and a zero sigma (no draws at all).
+    #[test]
+    fn sampler_matches_per_draw_lognormal_with_mean() {
+        use crate::rng::lognormal_with_mean;
+        let profiles = [
+            CostProfile::point_read(T),
+            CostProfile::point_write(T),
+            CostProfile::poor_scan(T, 50_000.0),
+            CostProfile::batch_write(T, 8, 120.0),
+            CostProfile::ddl(T, 3_000.0), // examined_rows 0
+            CostProfile { cpu_ms: 5.0, io_ms: 0.0, examined_rows: 10.0, sigma: 0.0, lock: None },
+        ];
+        for (i, p) in profiles.iter().enumerate() {
+            let sampler = CostSampler::new(p);
+            let (mut a, mut b) = (rng_from_seed(i as u64), rng_from_seed(i as u64));
+            for draw in 0..500 {
+                let got = sampler.sample(&mut a);
+                let (cpu_ms, io_ms, rows) = if p.sigma <= 0.0 {
+                    (p.cpu_ms, p.io_ms, p.examined_rows)
+                } else {
+                    (
+                        lognormal_with_mean(&mut b, p.cpu_ms, p.sigma),
+                        lognormal_with_mean(&mut b, p.io_ms, p.sigma),
+                        lognormal_with_mean(&mut b, p.examined_rows, p.sigma),
+                    )
+                };
+                let what = format!("profile {i}, draw {draw}");
+                assert_eq!(got.cpu_ms.to_bits(), cpu_ms.to_bits(), "{what}: cpu");
+                assert_eq!(got.io_ms.to_bits(), io_ms.to_bits(), "{what}: io");
+                assert_eq!(got.examined_rows, rows.round().max(0.0) as u64, "{what}: rows");
+            }
+        }
     }
 }

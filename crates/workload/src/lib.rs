@@ -30,7 +30,7 @@ pub mod spec;
 pub mod tables;
 pub mod traffic;
 
-pub use cost::{CostProfile, LockFootprint, LockMode, QueryCost};
+pub use cost::{CostProfile, CostSampler, LockFootprint, LockMode, QueryCost};
 pub use dag::{Api, ApiDag, ApiId, SpecId};
 pub use spec::TemplateSpec;
 pub use tables::{TableDef, TableId};

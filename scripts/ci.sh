@@ -18,8 +18,9 @@
 #   kernel_smoke      fast kernels vs scalar reference, the cell store vs
 #                     its map-per-second oracle, the chunked record ring vs
 #                     its VecDeque oracle, the online feature detector vs
-#                     its batch-scan oracle, runs of N vs runs of one: bit
-#                     for bit
+#                     its batch-scan oracle, the session estimator's record
+#                     sweep vs its per-template oracle, runs of N vs runs
+#                     of one: bit for bit
 #   snapshot_smoke    snapshot wire/property suites against the committed
 #                     golden blob, restore refusing what the fold never
 #                     stores, checkpoint bytes and handoff order, the
@@ -48,7 +49,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,42p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,43p' "$0" | sed 's/^# \{0,1\}//' >&2
 }
 
 # `cargo test -q ARGS`, echoed as it runs, failing when the tests pass but
@@ -108,13 +109,15 @@ obs_smoke() {
 # reference, the cell store to the map-per-second oracle in its test
 # module, the chunked record ring to the VecDeque ring it replaced (seeded
 # op-sequence sweeps), the online feature detector to the batch scanner
-# it replaced (seeded series sweep), and the fold entered as runs of N to
-# the fold entered as runs of one.
+# it replaced (seeded series sweep), the session estimator's record sweep
+# to its per-template oracle (seeded adversarial cases), and the fold
+# entered as runs of N to the fold entered as runs of one.
 kernel_smoke() {
   tests --test kernel_props
   tests -p pinsql-collector cellstore
   tests -p pinsql-collector records::tests::chunked_ring_matches_the_deque_oracle
   tests -p pinsql-detect online::tests::online_detector_matches_the_batch_scan_oracle
+  tests -p pinsql session_estimate::sweep_tests
   tests --test cellstore_props
 }
 
