@@ -352,8 +352,7 @@ fn time_jump_of_the_clock_skips_untouched_minutes_arithmetically() {
     let now_ms = (i64::MAX / 2) as f64 * 1000.0;
     query(&mut agg, rec(0, now_ms, 2.0, 1));
     agg.ingest(TelemetryEvent::Tick { second: i64::MAX / 2 + 120 });
-    let series = agg.history().get(id).expect("recorded");
-    assert_eq!((series.start_minute, series.executions.len()), (i64::MAX / 2 / 60, 1));
+    assert_eq!(agg.history().span(id), Some((i64::MAX / 2 / 60, 1)));
 }
 
 /// Both checkpoint sections, as the engine's envelope orders them.
@@ -505,6 +504,35 @@ fn checkpoint_rejects_a_cell_row_naming_a_slot_twice() {
     twice[at..at + 4].copy_from_slice(&cell_row(a, (0.0, 0.0, 0.0))[..4]);
     let err = restore(&specs, &twice).expect_err("a row naming one slot twice");
     assert!(matches!(err, WireError::Mismatch { what: "cell slot", .. }), "{err}");
+}
+
+#[test]
+fn checkpoint_rejects_a_history_span_past_the_end_of_time() {
+    let specs = vec![spec("SELECT 1 FROM t WHERE id = 1")];
+    let mut agg = IncrementalAggregator::new(&specs, IncrementalConfig::default());
+    query(&mut agg, rec(0, 1000.0, 2.0, 1));
+    query(&mut agg, rec(0, 61_000.0, 2.0, 1));
+    agg.advance_watermark(125);
+    let (blob, _) = checkpoint(&agg);
+    restore(&specs, &blob).expect("the honest blob restores");
+
+    // The history series: id, start minute 0, two minutes.
+    let id = agg.catalog().id_of_spec(SpecId(0));
+    let head = [id.0.to_le_bytes(), 0i64.to_le_bytes(), 2u64.to_le_bytes()].concat();
+    let start = offset_of(&blob, &head) + 8;
+    let at = |minute: i64| {
+        let mut edited = blob.clone();
+        edited[start..start + 8].copy_from_slice(&minute.to_le_bytes());
+        restore(&specs, &edited)
+    };
+    // A span at the bottom of the clock restores and reads past without
+    // wrapping; one whose last minute lies past i64::MAX is refused.
+    let low = at(i64::MIN).expect("a span starting at i64::MIN");
+    assert_eq!(low.history().window_filled(id, 0, 3), vec![0.0; 3]);
+    assert_eq!(low.history().window_filled(id, i64::MIN, i64::MIN + 3), vec![1.0, 1.0, 0.0]);
+    at(i64::MAX - 1).expect("a span ending at i64::MAX");
+    let err = at(i64::MAX).expect_err("a span ending past i64::MAX");
+    assert!(matches!(err, WireError::Mismatch { what: "history span", .. }), "{err}");
 }
 
 /// The three fixed-width `PSNP` rows (record, cell, moment) against the

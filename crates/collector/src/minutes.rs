@@ -14,20 +14,9 @@
 //! of admitted records, so the ring is as bounded as the cell ring is.
 
 use crate::catalog::TemplateCatalog;
-use crate::history::{HistorySeries, HistoryStore};
-use pinsql_sqlkit::SqlId;
+use crate::history::{get_f64s, HistoryStore};
 use pinsql_timeseries::{WireError, WireReader, WireWriter};
 use std::collections::VecDeque;
-
-/// A length-prefixed run of `f64`s.
-fn get_f64s(r: &mut WireReader) -> Result<Vec<f64>, WireError> {
-    let n = r.get_len(8)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.get_f64()?);
-    }
-    Ok(out)
-}
 
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MinuteFeed {
@@ -124,15 +113,7 @@ impl MinuteFeed {
 
     /// `PSNP`: the history store, the fold frontier, the in-flight rows.
     pub fn write(&self, w: &mut WireWriter) {
-        w.put_len(self.history.len());
-        for series in self.history.iter() {
-            w.put_u64(series.id.0);
-            w.put_i64(series.start_minute);
-            w.put_len(series.executions.len());
-            for &v in &series.executions {
-                w.put_f64(v);
-            }
-        }
+        self.history.write(w);
         w.put_bool(self.next.is_some());
         w.put_i64(self.next.unwrap_or(0));
         w.put_i64(self.start);
@@ -147,13 +128,7 @@ impl MinuteFeed {
 
     /// Reads [`write`](Self::write)'s stretch.
     pub fn read(r: &mut WireReader) -> Result<Self, WireError> {
-        let n_series = r.get_len(24)?;
-        let mut history = HistoryStore::new();
-        for _ in 0..n_series {
-            let id = SqlId(r.get_u64()?);
-            let start_minute = r.get_i64()?;
-            history.insert(HistorySeries { id, start_minute, executions: get_f64s(r)? });
-        }
+        let history = HistoryStore::read(r)?;
         let has_next = r.get_bool()?;
         let next = r.get_i64()?;
         let start = r.get_i64()?;

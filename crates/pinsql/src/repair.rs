@@ -380,7 +380,7 @@ mod tests {
         assert!((throttled.dag.apis[0].queries[0].prob - 0.1).abs() < 1e-12);
         // Original untouched.
         assert_eq!(w.dag.apis[0].queries[0].prob, 1.0);
-        let rates = throttled.expected_spec_rates(0);
+        let rates = throttled.spec_rates().at(0);
         assert!((rates[0] - 5.0 * 4.0 * 0.1).abs() < 1e-9);
     }
 

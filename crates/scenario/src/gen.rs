@@ -309,7 +309,7 @@ mod tests {
     #[test]
     fn expected_rates_are_positive() {
         let base = generate_base(&ScenarioConfig::default().with_seed(5));
-        let rates = base.workload.expected_spec_rates(100);
+        let rates = base.workload.spec_rates().at(100);
         assert!(rates.iter().all(|&r| r >= 0.0));
         assert!(rates.iter().sum::<f64>() > 1.0);
     }

@@ -8,7 +8,7 @@
 //! patterns repeat) plus Poisson noise. Injected templates have no history
 //! (they are new), which is precisely what rule (ii) checks.
 
-use pinsql_collector::{HistoryStore, TemplateCatalog};
+use pinsql_collector::HistoryStore;
 use pinsql_workload::rng::{poisson, SeedableRng, StdRng};
 use pinsql_workload::Workload;
 
@@ -31,26 +31,26 @@ pub fn synthesize_history(
 ) -> HistoryStore {
     let mut store = HistoryStore::new();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x8f3a_79b1_22dd_4e01);
+    // Each workload's DAG is folded once per call, not once per minute.
+    let clean_rates = (clean, clean.spec_rates());
+    let replay = replay_anomaly_from.map(|(w, days)| ((w, w.spec_rates()), days));
     for &d in days {
-        let (workload, _is_replay) = match replay_anomaly_from {
-            Some((w, replay_days)) if replay_days.contains(&d) => (w, true),
-            _ => (clean, false),
+        let (workload, rates_of) = match &replay {
+            Some((rates, replay_days)) if replay_days.contains(&d) => rates,
+            _ => &clean_rates,
         };
-        let catalog = TemplateCatalog::from_specs(&workload.specs);
         let from = minutes_origin - d as i64 * 1440;
         for m in 0..window_min {
             // Evaluate expected per-second rates at the same within-window
             // offset (patterns are stationary across days up to phase).
-            let t_s = m * 60 + 30;
-            let rates = workload.expected_spec_rates(t_s);
-            for (spec_idx, &rate) in rates.iter().enumerate() {
+            let rates = rates_of.at(m * 60 + 30);
+            for (spec, &rate) in workload.specs.iter().zip(&rates) {
                 if rate <= 0.0 {
                     continue;
                 }
                 let count = poisson(&mut rng, rate * 60.0) as f64;
                 if count > 0.0 {
-                    let id = catalog.id_of_spec(pinsql_workload::SpecId(spec_idx));
-                    store.record(id, from + m, count);
+                    store.record(spec.template.id, from + m, count);
                 }
             }
         }
@@ -63,6 +63,7 @@ mod tests {
     use super::*;
     use crate::gen::{generate_base, ScenarioConfig};
     use crate::inject::{inject, AnomalyKind};
+    use pinsql_collector::TemplateCatalog;
 
     #[test]
     fn history_covers_lookback_windows() {

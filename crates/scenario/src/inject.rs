@@ -373,8 +373,9 @@ mod tests {
             let base = generate_base(&cfg);
             let victim_specs = &base.businesses[biz].specs;
             // Expected victim rates rise during the anomaly relative to before.
+            let spec_rates = s.workload.spec_rates();
             let rate_at = |t: i64| -> f64 {
-                let rates = s.workload.expected_spec_rates(t);
+                let rates = spec_rates.at(t);
                 victim_specs.iter().map(|s2| rates[s2.0]).sum()
             };
             sweep.push((seed, biz, rate_at(100), rate_at(cfg.anomaly_start + 50)));

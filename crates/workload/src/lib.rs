@@ -50,14 +50,32 @@ pub struct Workload {
 }
 
 impl Workload {
+    /// The expected-rate table: every root's DAG multiplicities folded
+    /// once, so each [`SpecRates::at`] costs one `mean_rate` per root.
+    pub fn spec_rates(&self) -> SpecRates<'_> {
+        let mults =
+            self.roots.iter().map(|(root, _)| self.dag.expected_multiplicities(*root)).collect();
+        SpecRates { workload: self, mults }
+    }
+}
+
+/// A workload's expected per-spec execution rates, with the API DAG
+/// folded once per root ([`Workload::spec_rates`]).
+#[derive(Debug, Clone)]
+pub struct SpecRates<'w> {
+    workload: &'w Workload,
+    /// `mults[i]`: root `i`'s expected executions per spec, per invocation.
+    mults: Vec<Vec<(SpecId, f64)>>,
+}
+
+impl SpecRates<'_> {
     /// Expected executions of each spec per second at time `t`, combining
-    /// every root's rate with the DAG's expected multiplicities. Useful for
-    /// sanity checks and capacity planning in tests.
-    pub fn expected_spec_rates(&self, t: i64) -> Vec<f64> {
-        let mut rates = vec![0.0; self.specs.len()];
-        for (root, pattern) in &self.roots {
+    /// every root's rate with the DAG's expected multiplicities.
+    pub fn at(&self, t: i64) -> Vec<f64> {
+        let mut rates = vec![0.0; self.workload.specs.len()];
+        for ((_, pattern), mults) in self.workload.roots.iter().zip(&self.mults) {
             let rate = pattern.mean_rate(t);
-            for (spec, mult) in self.dag.expected_multiplicities(*root) {
+            for &(spec, mult) in mults {
                 rates[spec.0] += rate * mult;
             }
         }

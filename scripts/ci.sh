@@ -17,7 +17,8 @@
 #   obs_smoke         chrome-trace export + zero-cost disabled observer
 #   kernel_smoke      fast kernels vs scalar reference, the cell store vs
 #                     its map-per-second oracle, the chunked record ring vs
-#                     its VecDeque oracle, the online feature detector vs
+#                     its VecDeque oracle, the history store's runs vs its
+#                     dense-span oracle, the online feature detector vs
 #                     its batch-scan oracle, the session estimator's record
 #                     sweep vs its per-template oracle, runs of N vs runs
 #                     of one: bit for bit
@@ -49,7 +50,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,43p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,44p' "$0" | sed 's/^# \{0,1\}//' >&2
 }
 
 # `cargo test -q ARGS`, echoed as it runs, failing when the tests pass but
@@ -107,8 +108,9 @@ obs_smoke() {
 
 # Kernels: the fast kernels must stay bit-identical to the scalar
 # reference, the cell store to the map-per-second oracle in its test
-# module, the chunked record ring to the VecDeque ring it replaced (seeded
-# op-sequence sweeps), the online feature detector to the batch scanner
+# module, the chunked record ring to the VecDeque ring it replaced and the
+# history store's runs to the dense span they replaced (seeded op-sequence
+# sweeps), the online feature detector to the batch scanner
 # it replaced (seeded series sweep), the session estimator's record sweep
 # to its per-template oracle (seeded adversarial cases), and the fold
 # entered as runs of N to the fold entered as runs of one.
@@ -116,15 +118,17 @@ kernel_smoke() {
   tests --test kernel_props
   tests -p pinsql-collector cellstore
   tests -p pinsql-collector records::tests::chunked_ring_matches_the_deque_oracle
+  tests -p pinsql-collector history::tests::runs_match_the_dense_oracle
   tests -p pinsql-detect online::tests::online_detector_matches_the_batch_scan_oracle
   tests -p pinsql session_estimate::sweep_tests
   tests --test cellstore_props
 }
 
 # Checkpoint/restore + live resharding: the collector's and the engine's
-# PSNP unit tests (the collector's `checkpoint` filter includes the two
-# restore refusals, checkpoint_rejects_a_sorted_flag_over_unsorted_records
-# and checkpoint_rejects_a_cell_row_naming_a_slot_twice), the
+# PSNP unit tests (the collector's `checkpoint` filter includes the three
+# restore refusals, checkpoint_rejects_a_sorted_flag_over_unsorted_records,
+# checkpoint_rejects_a_cell_row_naming_a_slot_twice and
+# checkpoint_rejects_a_history_span_past_the_end_of_time), the
 # wire-hardening suite (committed golden blob, v2 only, reserved bytes)
 # and the property suite, checkpoint-bytes / shipped-bytes /
 # handoff-order checks, then the matrix's reshard and resume rows.
