@@ -67,21 +67,15 @@ pub struct TemplateData {
     pub record_idx: Vec<u32>,
 }
 
-/// Precomputed per-template cut state carried on a [`CaseData`] when the
-/// incremental cut path is active (`CutKind::Incremental`).
+/// Per-template minute rows carried on a [`CaseData`] cut from the online
+/// aggregator.
 ///
 /// The rows are the 1-minute execution-count series every template would
-/// get from [`TemplateSeries::per_minute`], assembled during the snapshot's
-/// single cell sweep instead of one `O(window)` re-scan per template —
+/// get from [`TemplateSeries::per_minute`], assembled during the window
+/// cut's cell sweep instead of one `O(window)` re-scan per template —
 /// minute counts are integer-valued sums of `1.0` accumulated in ascending
-/// second order, so they are bit-identical to the reference derivation and
-/// the diagnosis output cannot depend on which path produced them.
-///
-/// The gate scores are template↔active-session Pearson correlations
-/// assembled in `O(1)` per template from the running ingest-time moments
-/// (see `IncrementalAggregator`). They are advisory — candidate ranking
-/// hints and observability, never substituted into the exact §V/§VI
-/// scoring math.
+/// second order, so they are bit-identical to the per-template derivation
+/// and the diagnosis output cannot depend on which one produced them.
 #[derive(Debug, Clone, Default)]
 pub struct WindowCut {
     /// First absolute minute of the rows (`ts / 60` for aligned windows).
@@ -90,13 +84,6 @@ pub struct WindowCut {
     /// [`CaseData::templates`] (sorted by `SqlId`); `n_seconds / 60`
     /// complete minutes each.
     pub minute_rows: Vec<Vec<f64>>,
-    /// Advisory per-template Pearson vs the active-session metric over the
-    /// window's seconds, parallel to [`CaseData::templates`].
-    pub gate: Vec<f64>,
-    /// Running-moment updates applied at ingest to build this state.
-    pub moments_pushed: u64,
-    /// Running-moment contributions evicted past the retention horizon.
-    pub moments_evicted: u64,
 }
 
 impl WindowCut {
@@ -119,8 +106,8 @@ pub struct CaseData {
     pub records: Vec<QueryRecord>,
     /// Per-template aggregates, in a stable order (sorted by `SqlId`).
     pub templates: Vec<TemplateData>,
-    /// Precomputed minute rows + gate scores when the incremental cut path
-    /// produced this case; `None` on the reference/batch path.
+    /// Precomputed minute rows when the online window cut produced this
+    /// case; `None` on the batch path.
     pub cut: Option<Box<WindowCut>>,
 }
 
@@ -257,19 +244,19 @@ pub(crate) fn cut_window(
     let n = (te - ts) as usize;
 
     // One sweep over the window's touched cells yields each template's
-    // execution-count moments. Membership and sizing then need no record
+    // execution count. Membership and sizing then need no record
     // re-scan: a template is in the window iff it has a touched cell there
     // (every retained record has its cell row — one retention horizon), and
     // its record count is the integer-exact count sum. So `templates` and
     // `records` are built at final size and the loop below only pushes.
     let touched = cells.sweep_window(ts, te, slot_pos);
-    let window_records: usize = touched.iter().map(|(_, m)| m.sum() as usize).sum();
+    let window_records: usize = touched.iter().map(|&(_, count)| count).sum();
     let mut templates: Vec<TemplateData> = touched
         .iter()
-        .map(|&(slot, ref m)| TemplateData {
+        .map(|&(slot, count)| TemplateData {
             id: catalog.id_of_slot(slot),
             series: TemplateSeries::zeros(ts, n),
-            record_idx: Vec::with_capacity(m.sum() as usize),
+            record_idx: Vec::with_capacity(count),
         })
         .collect();
 
@@ -295,17 +282,12 @@ pub(crate) fn cut_window(
     // Series values come straight from the cells: each `(template, second)`
     // cell was accumulated record-by-record at ingest, in the order the
     // batch aggregator sums, so assignment (not re-accumulation) preserves
-    // bit-identity. With the incremental cut on, the same sweep buckets each
-    // template's counts into complete minutes — ascending seconds, zeros
-    // contributing nothing, exactly `TemplateSeries::per_minute`'s partial
-    // sums — so no per-template re-scan ever derives the matrix rows.
-    let want_cut = cells.cut_enabled();
+    // bit-identity. The same sweep buckets each template's counts into
+    // complete minutes — ascending seconds, zeros contributing nothing,
+    // exactly `TemplateSeries::per_minute`'s partial sums — so no
+    // per-template re-scan ever derives the matrix rows.
     let n_minutes = n / 60;
-    let mut minute_rows: Vec<Vec<f64>> = if want_cut {
-        templates.iter().map(|_| vec![0.0; n_minutes]).collect()
-    } else {
-        Vec::new()
-    };
+    let mut minute_rows: Vec<Vec<f64>> = templates.iter().map(|_| vec![0.0; n_minutes]).collect();
     cells.for_each_in(ts, te, |s, slot, cell| {
         let pos = slot_pos[slot as usize];
         if pos != u32::MAX {
@@ -314,7 +296,7 @@ pub(crate) fn cut_window(
             series.execution_count[idx] = cell.0;
             series.total_rt_ms[idx] = cell.1;
             series.examined_rows[idx] = cell.2;
-            if want_cut && idx / 60 < n_minutes {
+            if idx / 60 < n_minutes {
                 minute_rows[pos as usize][idx / 60] += cell.0;
             }
         }
@@ -322,27 +304,11 @@ pub(crate) fn cut_window(
 
     // The sort below reorders `templates`, so the cut rows pair with
     // their ids first and sort the same way — they must stay parallel.
-    let cut = (want_cut && minute_rows.len() == templates.len()).then(|| {
-        let gate = cells.window_gate(ts, te, &touched, metrics);
-        let mut entries: Vec<(SqlId, Vec<f64>, f64)> = Vec::with_capacity(templates.len());
-        for ((tpl, row), g) in templates.iter().zip(minute_rows).zip(gate) {
-            entries.push((tpl.id, row, g));
-        }
-        entries.sort_by_key(|(id, _, _)| *id);
-        let (moments_pushed, moments_evicted) = cells.cut_moments();
-        let mut cut = WindowCut {
-            minute_start: ts.div_euclid(60),
-            minute_rows: Vec::with_capacity(entries.len()),
-            gate: Vec::with_capacity(entries.len()),
-            moments_pushed,
-            moments_evicted,
-        };
-        for (_, row, g) in entries {
-            cut.minute_rows.push(row);
-            cut.gate.push(g);
-        }
-        Box::new(cut)
-    });
+    let mut entries: Vec<(SqlId, Vec<f64>)> =
+        templates.iter().map(|tpl| tpl.id).zip(minute_rows).collect();
+    entries.sort_by_key(|(id, _)| *id);
+    let minute_rows = entries.into_iter().map(|(_, row)| row).collect();
+    let cut = Some(Box::new(WindowCut { minute_start: ts.div_euclid(60), minute_rows }));
 
     templates.sort_by_key(|t| t.id);
 

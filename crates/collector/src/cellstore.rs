@@ -96,8 +96,7 @@ pub struct RowWriter<'a> {
 
 impl RowWriter<'_> {
     /// Folds one record into `slot`, returning the cell's execution count
-    /// *before* this record (`0.0` for a freshly touched cell) — the
-    /// running-moment tracker turns that into an O(1) evict + push delta.
+    /// *before* this record (`0.0` for a freshly touched cell).
     ///
     /// New cells start at `(0.0, 0.0, 0.0)` and are accumulated with `+=`
     /// rather than assigned from the first record: `0.0 + (-0.0)` is

@@ -3,13 +3,13 @@
 //! The online replacement for [`aggregate_case`](crate::aggregate_case):
 //! [`IncrementalAggregator`] folds a [`TelemetryEvent`] stream as it
 //! arrives into four state components — resident `records`, per-second
-//! `cells` with the cut tracker's running moments, per-second `metrics`,
-//! in-flight `minutes` feeding the 1-minute [`HistoryStore`] — each a
-//! module of this crate that owns its bytes, its one `extend`/`push` step,
-//! its `evict(horizon)` step and its stretch of the `PSNP` body. The
-//! aggregator composes them: it owns the watermark and the counters,
-//! routes each event, evicts behind `watermark − retention_s` (which bounds
-//! everything but the history store), and cuts windows (`cut_window`).
+//! `cells`, per-second `metrics`, in-flight `minutes` feeding the 1-minute
+//! [`HistoryStore`] — each a module of this crate that owns its bytes, its
+//! one `extend`/`push` step, its `evict(horizon)` step and its stretch of
+//! the `PSNP` body. The aggregator composes them: it owns the watermark
+//! and the counters, routes each event, evicts behind
+//! `watermark − retention_s` (which bounds everything but the history
+//! store), and cuts windows (`cut_window`).
 //!
 //! There is one fold path, `fold_run`: [`ingest_drain`]
 //! (IncrementalAggregator::ingest_drain) chunks a stream into same-second
@@ -17,6 +17,12 @@
 //! [`ingest`](IncrementalAggregator::ingest) folds a run of one. On a
 //! time-ordered stream it visits records in the order the batch path sums
 //! them, which is what makes a window cut bit-identical to it.
+//!
+//! There is one cut path, `cut_window`: one sweep of the window's resident
+//! cells fills each template's series and buckets its 1-minute execution
+//! rows ([`WindowCut`](crate::WindowCut)) in the same pass. Nothing is kept
+//! at ingest for the cut; the per-template `per_minute` re-derivation it
+//! replaced is the oracle of the `cut_props` suite.
 
 use crate::aggregate::{cut_window, CaseData};
 use crate::catalog::TemplateCatalog;
@@ -41,14 +47,11 @@ pub struct IncrementalConfig {
     /// Absolute minute index the stream's second 0 maps to in the history
     /// store's timeline (histories are addressed by absolute minute).
     pub history_origin_min: i64,
-    /// Whether window cuts carry running-moment state assembled at ingest
-    /// (`Incremental`) or re-derive their rows from the raw series.
-    pub cut: CutKind,
 }
 
 impl Default for IncrementalConfig {
     fn default() -> Self {
-        Self { retention_s: 7200, history_origin_min: 0, cut: CutKind::default() }
+        Self { retention_s: 7200, history_origin_min: 0 }
     }
 }
 
@@ -60,9 +63,10 @@ impl IncrementalConfig {
         self
     }
 
-    /// Builder-style cut-path override.
-    pub fn with_cut(mut self, cut: CutKind) -> Self {
-        self.cut = cut;
+    /// A no-op: `cut` has one value. Single-valued; deleted by the
+    /// `benchmark` PR (ROADMAP 3).
+    pub fn with_cut(self, cut: CutKind) -> Self {
+        let CutKind::Incremental = cut;
         self
     }
 }
@@ -92,7 +96,7 @@ pub struct IngestStats {
 #[derive(Debug, Clone)]
 pub struct IncrementalAggregator {
     catalog: TemplateCatalog,
-    /// From [`IncrementalConfig`]; the cut path lives with the cells.
+    /// From [`IncrementalConfig`].
     retention_s: i64,
     history_origin_min: i64,
     records: RecordRing,
@@ -115,7 +119,7 @@ impl IncrementalAggregator {
             retention_s: cfg.retention_s,
             history_origin_min: cfg.history_origin_min,
             records: RecordRing::new(),
-            cells: CellRing::new(catalog.n_slots(), cfg.cut),
+            cells: CellRing::new(catalog.n_slots()),
             metrics: MetricRing::new(),
             feed: MinuteFeed::default(),
             watermark: i64::MIN,
@@ -164,8 +168,8 @@ impl IncrementalAggregator {
     }
 
     /// The fold (arrival attribution, §IV-A): one horizon check and one
-    /// cell-row, session and history-row lookup for the run, then per record
-    /// a slot lookup, a cell add, a moment swap, a minute count, a ring push.
+    /// cell-row and history-row lookup for the run, then per record a slot
+    /// lookup, a cell add, a minute count, a ring push.
     fn fold_run(&mut self, second: i64, events: &[TelemetryEvent]) {
         let row = match self.watermark != i64::MIN && second < self.horizon() {
             true => Err(OffRing::Behind),
@@ -187,12 +191,10 @@ impl IncrementalAggregator {
                 return;
             }
         };
-        // The whole run shares one second, so its session reading — the
-        // cut tracker's co-moment `y` — and its minute resolve once.
-        let session = if self.cells.cut_enabled() { self.metrics.session_at(second) } else { 0.0 };
+        // The whole run shares one second, so its minute resolves once.
         let Self { cells, catalog, records, stats, feed, .. } = self;
         let mut hist = feed.row_mut(second.div_euclid(60), catalog.n_slots());
-        let (mut row, cut) = cells.fold_at(idx);
+        let mut row = cells.fold_at(idx);
         for ev in events {
             let TelemetryEvent::Query(rec) = ev else {
                 debug_assert!(false, "non-query event in a query run");
@@ -205,8 +207,7 @@ impl IncrementalAggregator {
             }
             stats.queries += 1;
             let slot = catalog.slot_of_spec(rec.spec);
-            let prev = row.add(slot, rec.response_ms, rec.examined_rows as f64);
-            cut.on_record(slot, prev, session);
+            row.add(slot, rec.response_ms, rec.examined_rows as f64);
             if let Some(h) = hist.as_deref_mut() {
                 h[slot as usize] += 1.0;
             }
@@ -218,11 +219,7 @@ impl IncrementalAggregator {
     /// second `s` arrives once `s` has fully elapsed.
     fn push_metrics(&mut self, sample: MetricsSample) {
         let second = sample.second;
-        let cells = &mut self.cells;
-        let pushed = self.metrics.push(sample, self.retention_s, |s, old, new| {
-            cells.session_resident(s, old, new)
-        });
-        match pushed {
+        match self.metrics.push(sample, self.retention_s) {
             Ok(()) => self.advance_watermark(second.saturating_add(1)),
             Err(OffRing::Behind) => self.stats.late += 1,
             Err(OffRing::Ahead) => self.stats.malformed += 1,
@@ -240,12 +237,10 @@ impl IncrementalAggregator {
             self.stats.history_minutes +=
                 self.feed.fold(second, first, &self.catalog, self.history_origin_min);
         }
-        // Cell rows go before metric samples (why: see `cells`).
         let horizon = self.horizon();
-        let Self { cells, metrics, records, stats, .. } = self;
-        stats.evictions += cells.evict(horizon, metrics);
-        stats.evictions += metrics.evict(horizon, |old| cells.session_gone(old));
-        stats.evictions += records.evict(horizon);
+        self.stats.evictions += self.cells.evict(horizon);
+        self.stats.evictions += self.metrics.evict(horizon);
+        self.stats.evictions += self.records.evict(horizon);
     }
 
     /// The oldest second retention keeps.
@@ -298,39 +293,9 @@ impl IncrementalAggregator {
         cut_window(catalog, cells, records, metrics, slot_pos, ts, te)
     }
 
-    /// The active cut path.
-    pub fn cut(&self) -> CutKind {
-        self.cells.cut_kind()
-    }
-
-    /// Running cut-moment counters `(pushed, evicted)`; zero on `Reference`.
-    pub fn cut_moments(&self) -> (u64, u64) {
-        self.cells.cut_moments()
-    }
-
-    /// Flips the cut path at runtime (daemon config pushes): to
-    /// `Incremental` rebuilds the running moments from the resident rings,
-    /// to `Reference` drops them. A no-op when already on `kind`.
-    pub fn set_cut(&mut self, kind: CutKind) {
-        self.cells.set_cut(kind, &self.metrics);
-    }
-
-    /// Serializes the cut path and its running moments (raw bits): its own
-    /// `PSNP` envelope section, not part of [`write_snapshot`](Self::write_snapshot).
-    pub fn write_cut_state(&self, w: &mut WireWriter) {
-        self.cells.write_cut(w);
-    }
-
-    /// Restores what [`write_cut_state`](Self::write_cut_state) wrote,
-    /// replacing the current cut path and moments. An unknown cut tag is a
-    /// `BadTag`, a slot count that does not match the catalog a `Mismatch`.
-    pub fn read_cut_state(&mut self, r: &mut WireReader) -> Result<(), WireError> {
-        self.cells.read_cut(r)
-    }
-
-    /// Serializes the aggregator's complete online state but the cut
-    /// moments into `w` (the checkpoint body — the engine wraps it in a
-    /// magic/version envelope): configuration, a reserved `0` byte (it once
+    /// Serializes the aggregator's complete online state into `w` (the
+    /// checkpoint body — the engine wraps it in a magic/version envelope):
+    /// configuration, a reserved `0` byte (it once
     /// told two cell-row representations apart; the layout did not move),
     /// the catalog's slot→id assignment, counters, the watermark, then
     /// each component's own stretch. All `f64`s travel as raw bits, so
@@ -356,9 +321,7 @@ impl IncrementalAggregator {
 
     /// Decodes a [`write_snapshot`](Self::write_snapshot) body back into a
     /// live aggregator over `specs`, which must be the workload specs the
-    /// serialized instance was built from (a typed mismatch otherwise). The
-    /// cut path comes up as `Reference`, without moments, until the envelope's
-    /// cut-state section is read ([`read_cut_state`](Self::read_cut_state)).
+    /// serialized instance was built from (a typed mismatch otherwise).
     pub fn read_snapshot(specs: &[TemplateSpec], r: &mut WireReader) -> Result<Self, WireError> {
         let retention_s = r.get_i64()?;
         let history_origin_min = r.get_i64()?;

@@ -3,13 +3,11 @@
 
 use super::*;
 use crate::aggregate::aggregate_case;
-use crate::cells::{cell_from_row, cell_row, moment_from_row, moment_row};
-use crate::cells::{CELL_ROW_BYTES, MOMENT_ROW_BYTES};
+use crate::cells::{cell_from_row, cell_row, CELL_ROW_BYTES};
 use crate::cellstore::Cell;
 use pinsql_dbsim::probe::ProbeLog;
 use pinsql_dbsim::wire::{query_record_bytes, query_record_from_bytes, QUERY_RECORD_BYTES};
 use pinsql_dbsim::{interleave, InstanceMetrics, QueryRecord};
-use pinsql_timeseries::MomentAccumulator;
 use pinsql_workload::{CostProfile, SpecId, TableId};
 
 fn spec(sql: &str) -> TemplateSpec {
@@ -355,12 +353,11 @@ fn time_jump_of_the_clock_skips_untouched_minutes_arithmetically() {
     assert_eq!(agg.history().span(id), Some((i64::MAX / 2 / 60, 1)));
 }
 
-/// Both checkpoint sections, as the engine's envelope orders them.
-fn checkpoint(agg: &IncrementalAggregator) -> (Vec<u8>, Vec<u8>) {
-    let (mut body, mut cut) = (WireWriter::new(), WireWriter::new());
+/// The checkpoint body the engine's envelope wraps.
+fn checkpoint(agg: &IncrementalAggregator) -> Vec<u8> {
+    let mut body = WireWriter::new();
     agg.write_snapshot(&mut body);
-    agg.write_cut_state(&mut cut);
-    (body.into_bytes(), cut.into_bytes())
+    body.into_bytes()
 }
 
 #[test]
@@ -382,14 +379,11 @@ fn checkpoint_round_trip_is_behaviorally_exact() {
     for ev in &events[..split] {
         live.ingest(ev.clone());
     }
-    let (body, cut) = checkpoint(&live);
+    let body = checkpoint(&live);
     let mut r = WireReader::new(&body);
     let mut restored = IncrementalAggregator::read_snapshot(&specs, &mut r).unwrap();
     r.finish("aggregator snapshot").unwrap();
-    let mut r = WireReader::new(&cut);
-    restored.read_cut_state(&mut r).unwrap();
-    r.finish("cut state").unwrap();
-    assert_eq!(checkpoint(&restored), (body, cut), "re-serialization drifted");
+    assert_eq!(checkpoint(&restored), body, "re-serialization drifted");
 
     for ev in &events[split..] {
         live.ingest(ev.clone());
@@ -455,7 +449,7 @@ fn checkpoint_rejects_a_sorted_flag_over_unsorted_records() {
         query(&mut agg, r);
     }
     agg.advance_watermark(5);
-    let (blob, _) = checkpoint(&agg);
+    let blob = checkpoint(&agg);
     restore(&specs, &blob).expect("the honest blob restores");
 
     // The record stretch: the sorted flag, the count, then the rows. Taken
@@ -492,7 +486,7 @@ fn checkpoint_rejects_a_cell_row_naming_a_slot_twice() {
     query(&mut agg, rec(0, 1100.0, 2.0, 7));
     query(&mut agg, rec(1, 1200.0, 3.0, 9));
     agg.advance_watermark(5);
-    let (blob, _) = checkpoint(&agg);
+    let blob = checkpoint(&agg);
     restore(&specs, &blob).expect("the honest blob restores");
 
     // Rename the second cell of second 1 to the first one's slot. Taken in,
@@ -513,7 +507,7 @@ fn checkpoint_rejects_a_history_span_past_the_end_of_time() {
     query(&mut agg, rec(0, 1000.0, 2.0, 1));
     query(&mut agg, rec(0, 61_000.0, 2.0, 1));
     agg.advance_watermark(125);
-    let (blob, _) = checkpoint(&agg);
+    let blob = checkpoint(&agg);
     restore(&specs, &blob).expect("the honest blob restores");
 
     // The history series: id, start minute 0, two minutes.
@@ -535,7 +529,7 @@ fn checkpoint_rejects_a_history_span_past_the_end_of_time() {
     assert!(matches!(err, WireError::Mismatch { what: "history span", .. }), "{err}");
 }
 
-/// The three fixed-width `PSNP` rows (record, cell, moment) against the
+/// The two fixed-width `PSNP` rows (record, cell) against the
 /// field-by-field calls they replaced: the same bytes out, and from
 /// every prefix of those bytes and every single-byte mutation the same
 /// value bit for bit or the same `WireError` variant (`need` / `have`
@@ -550,7 +544,6 @@ fn fixed_width_snapshot_rows_match_the_field_calls() {
         rec: &QueryRecord,
         slot: u32,
         cell: Cell,
-        m: &MomentAccumulator,
     ) {
         w.put_u64(rec.spec.0 as u64);
         w.put_f64(rec.start_ms);
@@ -560,11 +553,8 @@ fn fixed_width_snapshot_rows_match_the_field_calls() {
         w.put_f64(cell.0);
         w.put_f64(cell.1);
         w.put_f64(cell.2);
-        w.put_u64(m.count());
-        w.put_f64(m.sum());
-        w.put_f64(m.sum_sq());
     }
-    type Rows = (QueryRecord, (u32, Cell), MomentAccumulator);
+    type Rows = (QueryRecord, (u32, Cell));
     fn get_fields(r: &mut WireReader) -> Result<Rows, WireError> {
         let rec = QueryRecord {
             spec: SpecId(r.get_u64()? as usize),
@@ -573,18 +563,16 @@ fn fixed_width_snapshot_rows_match_the_field_calls() {
             examined_rows: r.get_u64()?,
         };
         let cell = (r.get_u32()?, (r.get_f64()?, r.get_f64()?, r.get_f64()?));
-        let m = MomentAccumulator::from_sums(r.get_u64()?, r.get_f64()?, r.get_f64()?);
-        Ok((rec, cell, m))
+        Ok((rec, cell))
     }
     fn get_rows(r: &mut WireReader) -> Result<Rows, WireError> {
         let rec = query_record_from_bytes(r.get_array()?);
         let cell = cell_from_row(r.get_array()?);
-        let m = moment_from_row(r.get_array()?);
-        Ok((rec, cell, m))
+        Ok((rec, cell))
     }
-    let refield = |(rec, (slot, cell), m): &Rows| {
+    let refield = |(rec, (slot, cell)): &Rows| {
         let mut w = WireWriter::new();
-        put_fields(&mut w, rec, *slot, *cell, m);
+        put_fields(&mut w, rec, *slot, *cell);
         w.into_bytes()
     };
     let agree = |bytes: &[u8], what: &dyn Fn() -> String| {
@@ -634,15 +622,13 @@ fn fixed_width_snapshot_rows_match_the_field_calls() {
             examined_rows: rng.next(),
         };
         let (slot, cell) = (rng.next() as u32, (rng.float(), rng.float(), rng.float()));
-        let m = MomentAccumulator::from_sums(rng.next(), rng.float(), rng.float());
 
         let mut w = WireWriter::new();
         w.put_array(query_record_bytes(&rec));
         w.put_array(cell_row(slot, cell));
-        w.put_array(moment_row(&m));
         let bytes = w.into_bytes();
-        assert_eq!(bytes, refield(&(rec, (slot, cell), m)), "seed {seed}: bytes differ");
-        assert_eq!(bytes.len(), QUERY_RECORD_BYTES + CELL_ROW_BYTES + MOMENT_ROW_BYTES);
+        assert_eq!(bytes, refield(&(rec, (slot, cell))), "seed {seed}: bytes differ");
+        assert_eq!(bytes.len(), QUERY_RECORD_BYTES + CELL_ROW_BYTES);
 
         for cut in 0..=bytes.len() {
             agree(&bytes[..cut], &|| format!("seed {seed}, cut at {cut}"));

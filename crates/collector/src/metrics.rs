@@ -11,9 +11,8 @@ use pinsql_dbsim::{InstanceMetrics, MetricsSample};
 use pinsql_timeseries::{WireError, WireReader, WireWriter};
 use std::collections::VecDeque;
 
-/// Non-finite telemetry reads as 0 everywhere a window or a cut moment
-/// touches it — the rule the batch slicer applies, so running sums agree
-/// with what a window re-scan would see.
+/// Non-finite telemetry reads as 0 everywhere a window touches it — the
+/// rule the batch slicer applies.
 #[inline]
 pub(crate) fn finite(x: f64) -> f64 {
     if x.is_finite() { x } else { 0.0 }
@@ -46,12 +45,6 @@ pub(crate) fn reach(start: i64, len: usize, second: i64, retention_s: i64) -> Re
     }
 }
 
-/// `second`'s row index in a ring of `len` contiguous rows from `start`.
-pub(crate) fn offset(start: i64, len: usize, second: i64) -> Option<usize> {
-    let at = second.checked_sub(start).and_then(|d| usize::try_from(d).ok());
-    at.filter(|&i| i < len)
-}
-
 #[derive(Debug, Clone)]
 pub(crate) struct MetricRing {
     ring: VecDeque<MetricsSample>,
@@ -68,18 +61,11 @@ impl MetricRing {
         self.ring.len()
     }
 
-    /// Stores one sample, replacing the one already held for its second.
-    /// `resident(second, old, new)` reports every active-session reading
-    /// that becomes resident (`old = None`) or is replaced — the gap
-    /// seconds this call zero-fills included, which is the one place a
-    /// metric gap is materialised. A sample before the ring's start or
-    /// more than a retention past it is refused and nothing changes.
-    pub fn push(
-        &mut self,
-        sample: MetricsSample,
-        retention_s: i64,
-        mut resident: impl FnMut(i64, Option<f64>, f64),
-    ) -> Result<(), OffRing> {
+    /// Stores one sample, replacing the one already held for its second,
+    /// and zero-fills the gap seconds before it — the one place a metric
+    /// gap is materialised. A sample before the ring's start or more than
+    /// a retention past it is refused and nothing changes.
+    pub fn push(&mut self, sample: MetricsSample, retention_s: i64) -> Result<(), OffRing> {
         let second = sample.second;
         if self.ring.is_empty() {
             self.start = second;
@@ -90,44 +76,24 @@ impl MetricRing {
         };
         while self.ring.len() < idx {
             let missing = self.start + self.ring.len() as i64;
-            resident(missing, None, 0.0);
             self.ring.push_back(MetricsSample { second: missing, ..Default::default() });
         }
-        let new = finite(sample.active_session);
         if idx < self.ring.len() {
-            resident(second, Some(finite(self.ring[idx].active_session)), new);
             self.ring[idx] = sample;
         } else {
-            resident(second, None, new);
             self.ring.push_back(sample);
         }
         Ok(())
     }
 
-    /// Drops the samples before `horizon`, handing each one's
-    /// active-session reading to `gone`; returns how many went.
-    pub fn evict(&mut self, horizon: i64, mut gone: impl FnMut(f64)) -> u64 {
+    /// Drops the samples before `horizon`; returns how many went.
+    pub fn evict(&mut self, horizon: i64) -> u64 {
         let mut evicted = 0;
-        while self.start < horizon {
-            let Some(old) = self.ring.pop_front() else { break };
-            gone(finite(old.active_session));
+        while self.start < horizon && self.ring.pop_front().is_some() {
             self.start += 1;
             evicted += 1;
         }
         evicted
-    }
-
-    /// The active-session reading for a second, 0 while its sample is
-    /// absent (never collected, or evicted).
-    pub fn session_at(&self, second: i64) -> f64 {
-        let at = offset(self.start, self.ring.len(), second);
-        at.map_or(0.0, |i| finite(self.ring[i].active_session))
-    }
-
-    /// Every resident `(second, active-session reading)`, oldest first.
-    pub fn sessions(&self) -> impl Iterator<Item = (i64, f64)> + '_ {
-        let seconds = (0..).map(|i| self.start.saturating_add(i));
-        seconds.zip(self.ring.iter().map(|s| finite(s.active_session)))
     }
 
     /// The retained metrics restricted to `[ts, te)`, non-finite samples

@@ -13,7 +13,6 @@
 
 use crate::features::Feature;
 use crate::online::OnlineFeatureDetector;
-use pinsql_timeseries::KernelKind;
 
 /// Detector tuning.
 #[derive(Debug, Clone)]
@@ -33,10 +32,6 @@ pub struct DetectorConfig {
     pub mad_floor: f64,
     /// Minimum samples before detection starts (baseline warm-up).
     pub warmup: usize,
-    /// Which median/MAD implementation the baseline uses. Both kinds are
-    /// bit-identical (see `pinsql_timeseries::kernels`); the knob exists
-    /// for the equivalence suites and as an escape hatch.
-    pub kernel: KernelKind,
 }
 
 impl Default for DetectorConfig {
@@ -49,7 +44,6 @@ impl Default for DetectorConfig {
             spike_max_s: 60,
             mad_floor: 1.0,
             warmup: 20,
-            kernel: KernelKind::default(),
         }
     }
 }
@@ -71,12 +65,6 @@ impl DetectorConfig {
         } else {
             Self::default()
         }
-    }
-
-    /// Builder-style kernel override.
-    pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
-        self
     }
 }
 

@@ -125,7 +125,7 @@ impl OnlineFeatureDetector {
                 // With `capacity >= 2` a warm baseline always has a median,
                 // but degenerate input must never panic (the PR 2
                 // graceful-degradation contract): keep warming instead.
-                let Some((med, mad)) = self.baseline.median_mad(self.cfg.kernel) else {
+                let Some((med, mad)) = self.baseline.median_mad() else {
                     self.baseline.push(x);
                     return;
                 };
@@ -180,6 +180,9 @@ impl OnlineFeatureDetector {
     }
 }
 
+/// The bank section's kernel tag: the one detector kernel there is.
+const KERNEL_TAG: u8 = 1;
+
 /// The six instance-metric detectors driven from one sample stream.
 #[derive(Debug, Clone)]
 pub struct OnlineDetectorBank {
@@ -188,7 +191,6 @@ pub struct OnlineDetectorBank {
     closed: Vec<Vec<Feature>>,
     start_second: Option<i64>,
     finished: bool,
-    kernel: KernelKind,
 }
 
 /// The instance metrics watched, in [`InstanceMetrics::iter_named`]
@@ -215,19 +217,14 @@ impl OnlineDetectorBank {
     /// [`DetectorConfig::for_metric`]). The time origin latches to the
     /// first observed sample's second.
     pub fn new() -> Self {
-        Self::with_kernel(KernelKind::default())
+        Self { detectors: Vec::new(), closed: Vec::new(), start_second: None, finished: false }
     }
 
-    /// [`new`](Self::new) with an explicit statistics kernel for every
-    /// detector (the equivalence suites run both kinds).
+    /// [`new`](Self::new); `kernel` has one value. Single-valued; deleted
+    /// by the `benchmark` PR (ROADMAP 3).
     pub fn with_kernel(kernel: KernelKind) -> Self {
-        Self {
-            detectors: Vec::new(),
-            closed: Vec::new(),
-            start_second: None,
-            finished: false,
-            kernel,
-        }
+        let KernelKind::Fast = kernel;
+        Self::new()
     }
 
     /// Feeds one per-second metrics sample to all six detectors.
@@ -245,16 +242,9 @@ impl OnlineDetectorBank {
         if self.start_second.is_none() {
             let start = sample.second;
             self.start_second = Some(start);
-            let kernel = self.kernel;
             self.detectors = WATCHED_METRICS
                 .iter()
-                .map(|m| {
-                    OnlineFeatureDetector::new(
-                        m,
-                        start,
-                        DetectorConfig::for_metric(m).with_kernel(kernel),
-                    )
-                })
+                .map(|m| OnlineFeatureDetector::new(m, start, DetectorConfig::for_metric(m)))
                 .collect();
             self.closed = vec![Vec::new(); WATCHED_METRICS.len()];
         }
@@ -313,38 +303,20 @@ impl OnlineDetectorBank {
         self.closed.iter().map(Vec::len).sum()
     }
 
-    /// The statistics kernel every detector in this bank runs.
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
-    }
-
-    /// Swaps the statistics kernel on a *live* bank — the config-push
-    /// path's kernel hot-swap. Safe mid-stream because baselines hold raw
-    /// samples (median/MAD are computed on demand per push) and both
-    /// kernel kinds are bit-identical, so every subsequent sample folds
-    /// exactly as it would have under a cold start with `kernel`.
-    pub fn set_kernel(&mut self, kernel: KernelKind) {
-        self.kernel = kernel;
-        for det in &mut self.detectors {
-            det.cfg.kernel = kernel;
-        }
-    }
-
     /// Serializes the bank's complete streaming state into `w` (the
     /// checkpoint body — the engine wraps it in a magic/version envelope).
     ///
-    /// Per detector slot ([`WATCHED_METRICS`] order): sample count, the
-    /// baseline window in arrival order, the state machine (frozen segment
-    /// statistics and the recovery replay buffer included), and the closed
-    /// features. Detector configurations are *not* serialized: the bank
-    /// always derives them as `DetectorConfig::for_metric(m)` with its
-    /// kernel, so restore rebuilds them deterministically — one fewer way
-    /// for a snapshot to disagree with the code that replays it.
+    /// A kernel tag byte (`1`, the only legal value; `0` named a second
+    /// kernel that is now a test oracle), then per detector slot
+    /// ([`WATCHED_METRICS`] order): sample count, the baseline window in
+    /// arrival order, the state machine (frozen segment statistics and the
+    /// recovery replay buffer included), and the closed features. Detector
+    /// configurations are *not* serialized: the bank always derives them as
+    /// `DetectorConfig::for_metric(m)`, so restore rebuilds them
+    /// deterministically — one fewer way for a snapshot to disagree with
+    /// the code that replays it.
     pub fn write_snapshot(&self, w: &mut WireWriter) {
-        w.put_u8(match self.kernel {
-            KernelKind::Reference => 0,
-            KernelKind::Fast => 1,
-        });
+        w.put_u8(KERNEL_TAG);
         w.put_bool(self.finished);
         w.put_bool(self.start_second.is_some());
         w.put_i64(self.start_second.unwrap_or(0));
@@ -396,12 +368,11 @@ impl OnlineDetectorBank {
     /// windows, segment statistics come back as their exact frozen bits,
     /// and the recovery replay buffer resumes mid-run.
     pub fn read_snapshot(r: &mut WireReader) -> Result<Self, WireError> {
-        let kernel = match r.get_u8()? {
-            0 => KernelKind::Reference,
-            1 => KernelKind::Fast,
+        match r.get_u8()? {
+            KERNEL_TAG => {}
             v => return Err(WireError::BadTag { what: "kernel kind", value: v as u64 }),
-        };
-        let mut bank = Self::with_kernel(kernel);
+        }
+        let mut bank = Self::new();
         bank.finished = r.get_bool()?;
         let has_start = r.get_bool()?;
         let start = r.get_i64()?;
@@ -410,8 +381,8 @@ impl OnlineDetectorBank {
         }
         bank.start_second = Some(start);
         for metric in WATCHED_METRICS {
-            let cfg = DetectorConfig::for_metric(metric).with_kernel(kernel);
-            let mut det = OnlineFeatureDetector::new(metric, start, cfg);
+            let mut det =
+                OnlineFeatureDetector::new(metric, start, DetectorConfig::for_metric(metric));
             det.n = r.get_u64()? as usize;
             let n_base = r.get_len(8)?;
             if n_base > det.baseline.capacity() {
@@ -501,7 +472,7 @@ mod tests {
                 i += 1;
                 continue;
             }
-            let Some((med, mad)) = baseline.median_mad(cfg.kernel) else {
+            let Some((med, mad)) = baseline.median_mad() else {
                 baseline.push(x);
                 i += 1;
                 continue;
@@ -686,13 +657,12 @@ mod tests {
 
     /// One seeded walk. The configuration is paper-scale, default,
     /// utilization or degenerate (a tiny baseline, warm-up 0/1/2, low
-    /// thresholds), the kernel by parity. The series strings together quiet
+    /// thresholds). The series strings together quiet
     /// stretches, spikes, level shifts and recovery runs interrupted one
     /// sample short, and may end on a recovery run one short of, exactly
     /// at or one past `recover_len`.
     fn seeded_walk(seed: u64) -> (Vec<f64>, i64, DetectorConfig) {
         let mut rng = rng_from_seed(seed);
-        let kernel = if seed.is_multiple_of(2) { KernelKind::Reference } else { KernelKind::Fast };
         let cfg = match (seed / 2) % 4 {
             0 => cfg(),
             1 => DetectorConfig::default(),
@@ -706,8 +676,7 @@ mod tests {
                 warmup: rng.random_range(0..3usize),
                 ..Default::default()
             },
-        }
-        .with_kernel(kernel);
+        };
         let start = rng.random_range(0..2000u64) as i64 - 1000;
         // Utilization series live in [0, 1]: scale everything by the floor.
         let unit = cfg.mad_floor;
@@ -752,20 +721,16 @@ mod tests {
     }
 
     /// `detect_features` (the online detector) against the batch scanner,
-    /// bit for bit: the noise trials at two configurations under both
-    /// kernels, then 256 seeded walks. Every failure names its seed.
+    /// bit for bit: the noise trials at two configurations, then 256
+    /// seeded walks. Every failure names its seed.
     #[test]
     fn online_detector_matches_the_batch_scan_oracle() {
         let noise = noise_trials();
         for seed in 0..SWEEP_SEEDS {
             let inputs = match noise.get(seed as usize) {
-                Some(series) => [KernelKind::Reference, KernelKind::Fast]
-                    .into_iter()
-                    .flat_map(|k| {
-                        [(seed as i64 * 100, cfg()), (0, DetectorConfig::default())]
-                            .map(|(start, c)| (series.clone(), start, c.with_kernel(k)))
-                    })
-                    .collect(),
+                Some(series) => [(seed as i64 * 100, cfg()), (0, DetectorConfig::default())]
+                    .map(|(start, c)| (series.clone(), start, c))
+                    .to_vec(),
                 None => vec![seeded_walk(seed)],
             };
             for (series, start, cfg) in inputs {
@@ -783,50 +748,21 @@ mod tests {
         // detector whose baseline cannot produce statistics must keep
         // warming up, never panic — the graceful-degradation contract.
         for warmup in [0usize, 1, 2] {
-            for kernel in [KernelKind::Reference, KernelKind::Fast] {
-                let cfg = DetectorConfig {
-                    warmup,
-                    baseline_len: 1, // clamped to 2 internally
-                    kernel,
-                    ..Default::default()
-                };
-                // Constant, tiny, and empty streams all stay feature-free.
-                assert_matches_batch(&[], 0, &cfg);
-                assert_matches_batch(&[5.0], 0, &cfg);
-                assert_matches_batch(&vec![5.0; 50], 0, &cfg);
-                // A stream that triggers immediately after the minimal
-                // warm-up still closes cleanly.
-                let mut s = vec![1.0, 1.0, 1.0];
-                s.extend(std::iter::repeat_n(500.0, 10));
-                s.extend(std::iter::repeat_n(1.0, 20));
-                assert_matches_batch(&s, 0, &cfg);
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_kinds_are_bit_identical_on_noise() {
-        let mut state = 0xDEADBEEFCAFEu64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / (u32::MAX as f64)
-        };
-        let series: Vec<f64> = (0..600)
-            .map(|i| {
-                let base = 10.0 + 2.0 * next();
-                if next() < 0.03 {
-                    base + 50.0 * next()
-                } else if i % 89 == 0 {
-                    base - 9.0
-                } else {
-                    base
-                }
-            })
-            .collect();
-        for base in [cfg(), DetectorConfig::default(), DetectorConfig::for_utilization()] {
-            let fast = detect_features("m", &series, 7, &base.clone().with_kernel(KernelKind::Fast));
-            let reference = detect_features("m", &series, 7, &base.with_kernel(KernelKind::Reference));
-            assert_eq!(fast, reference);
+            let cfg = DetectorConfig {
+                warmup,
+                baseline_len: 1, // clamped to 2 internally
+                ..Default::default()
+            };
+            // Constant, tiny, and empty streams all stay feature-free.
+            assert_matches_batch(&[], 0, &cfg);
+            assert_matches_batch(&[5.0], 0, &cfg);
+            assert_matches_batch(&vec![5.0; 50], 0, &cfg);
+            // A stream that triggers immediately after the minimal
+            // warm-up still closes cleanly.
+            let mut s = vec![1.0, 1.0, 1.0];
+            s.extend(std::iter::repeat_n(500.0, 10));
+            s.extend(std::iter::repeat_n(1.0, 20));
+            assert_matches_batch(&s, 0, &cfg);
         }
     }
 
@@ -899,35 +835,33 @@ mod tests {
                 ..Default::default()
             }
         };
-        for kernel in [KernelKind::Reference, KernelKind::Fast] {
-            for split in [0usize, 1, 60, 130, 150, 182, 299] {
-                let mut live = OnlineDetectorBank::with_kernel(kernel);
-                let mut pre = OnlineDetectorBank::with_kernel(kernel);
-                for s in 0..split as i64 {
-                    live.observe(&sample_at(s));
-                    pre.observe(&sample_at(s));
-                }
-                let mut w = WireWriter::new();
-                pre.write_snapshot(&mut w);
-                let bytes = w.into_bytes();
-                let mut r = WireReader::new(&bytes);
-                let mut restored = OnlineDetectorBank::read_snapshot(&mut r).unwrap();
-                r.finish("bank").unwrap();
-
-                // Re-serialization of the restored bank is byte-identical.
-                let mut w2 = WireWriter::new();
-                restored.write_snapshot(&mut w2);
-                assert_eq!(w2.into_bytes(), bytes, "split {split}");
-
-                for s in split as i64..n as i64 {
-                    live.observe(&sample_at(s));
-                    restored.observe(&sample_at(s));
-                }
-                live.finish();
-                restored.finish();
-                assert_eq!(live.features(), restored.features(), "split {split} {kernel:?}");
-                assert_eq!(live.samples_seen(), restored.samples_seen());
+        for split in [0usize, 1, 60, 130, 150, 182, 299] {
+            let mut live = OnlineDetectorBank::new();
+            let mut pre = OnlineDetectorBank::new();
+            for s in 0..split as i64 {
+                live.observe(&sample_at(s));
+                pre.observe(&sample_at(s));
             }
+            let mut w = WireWriter::new();
+            pre.write_snapshot(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = WireReader::new(&bytes);
+            let mut restored = OnlineDetectorBank::read_snapshot(&mut r).unwrap();
+            r.finish("bank").unwrap();
+
+            // Re-serialization of the restored bank is byte-identical.
+            let mut w2 = WireWriter::new();
+            restored.write_snapshot(&mut w2);
+            assert_eq!(w2.into_bytes(), bytes, "split {split}");
+
+            for s in split as i64..n as i64 {
+                live.observe(&sample_at(s));
+                restored.observe(&sample_at(s));
+            }
+            live.finish();
+            restored.finish();
+            assert_eq!(live.features(), restored.features(), "split {split}");
+            assert_eq!(live.samples_seen(), restored.samples_seen());
         }
     }
 
@@ -946,12 +880,17 @@ mod tests {
         bank.write_snapshot(&mut w);
         let bytes = w.into_bytes();
 
-        let mut corrupt = bytes.clone();
-        corrupt[0] = 9; // kernel tag
-        assert!(matches!(
-            OnlineDetectorBank::read_snapshot(&mut WireReader::new(&corrupt)),
-            Err(WireError::BadTag { what: "kernel kind", .. })
-        ));
+        // The kernel tag has one legal value; `0` named the kernel that
+        // is now a test oracle.
+        assert_eq!(bytes[0], 1);
+        for tag in [0u8, 2, 9] {
+            let mut corrupt = bytes.clone();
+            corrupt[0] = tag;
+            assert!(matches!(
+                OnlineDetectorBank::read_snapshot(&mut WireReader::new(&corrupt)),
+                Err(WireError::BadTag { what: "kernel kind", value }) if value == tag as u64
+            ));
+        }
         for cut in 0..bytes.len() {
             assert!(
                 OnlineDetectorBank::read_snapshot(&mut WireReader::new(&bytes[..cut])).is_err()
@@ -962,12 +901,11 @@ mod tests {
 
         // An un-started bank round-trips too (fresh instance checkpointed
         // before its first metrics sample).
-        let empty = OnlineDetectorBank::with_kernel(KernelKind::Fast);
+        let empty = OnlineDetectorBank::new();
         let mut w = WireWriter::new();
         empty.write_snapshot(&mut w);
         let bytes = w.into_bytes();
         let restored = OnlineDetectorBank::read_snapshot(&mut WireReader::new(&bytes)).unwrap();
         assert_eq!(restored.samples_seen(), 0);
-        assert_eq!(restored.kernel(), KernelKind::Fast);
     }
 }

@@ -17,7 +17,6 @@
 //! header flips, trailing garbage, future versions).
 
 use crate::fleet::FleetConfig;
-use crate::snapshot::{cut_tag, decode_cut, decode_kernel, kernel_tag};
 use crate::wire::{
     get_opt_f64, get_opt_i64, get_opt_u64, put_opt_f64, put_opt_i64, put_opt_u64, WireFormat,
 };
@@ -99,18 +98,16 @@ impl std::fmt::Display for DaemonState {
 /// A sparse override of [`FleetConfig`] — what a config push carries.
 ///
 /// Every field is optional; `None` keeps the running value. The fleet
-/// knobs that are safe to retune live (shard/fanout layout, statistics
-/// kernel, collection look-back, region map) ride alongside the
-/// diagnoser's own [`PinSqlDelta`].
+/// knobs that are safe to retune live (shard/fanout layout, collection
+/// look-back, region map) ride alongside the diagnoser's own
+/// [`PinSqlDelta`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetDelta {
     /// Ingestion shard count (must be ≥ 1 when present).
     pub shards: Option<usize>,
     /// Across-instance worker threads (`0` = all cores).
     pub fanout: Option<usize>,
-    /// Detector statistics kernel (hot-swapped at the quiesce boundary).
-    pub kernel: Option<pinsql_detect::KernelKind>,
-    /// Collection look-back δ_s.
+    /// Collection look-back δ_s (must be ≥ 0 when present).
     pub delta_s: Option<i64>,
     /// Health-rollup region count (must be ≥ 1 when present).
     pub regions: Option<usize>,
@@ -131,9 +128,6 @@ impl FleetDelta {
         }
         if let Some(v) = self.fanout {
             cfg.fanout = v;
-        }
-        if let Some(v) = self.kernel {
-            cfg.kernel = v;
         }
         if let Some(v) = self.delta_s {
             cfg.delta_s = v;
@@ -294,13 +288,7 @@ fn read_frame_header(r: &mut WireReader<'_>) -> Result<u8, WireError> {
 fn write_delta(w: &mut WireWriter, d: &FleetDelta) {
     put_opt_u64(w, d.shards.map(|v| v as u64));
     put_opt_u64(w, d.fanout.map(|v| v as u64));
-    match d.kernel {
-        Some(k) => {
-            w.put_bool(true);
-            w.put_u8(kernel_tag(k));
-        }
-        None => w.put_bool(false),
-    }
+    w.put_bool(false); // reserved: once the kernel's presence flag
     put_opt_i64(w, d.delta_s);
     put_opt_u64(w, d.regions.map(|v| v as u64));
     put_opt_f64(w, d.pinsql.tau);
@@ -309,12 +297,15 @@ fn write_delta(w: &mut WireWriter, d: &FleetDelta) {
     put_opt_f64(w, d.pinsql.tukey_k);
     put_opt_f64(w, d.pinsql.rsql_score_min);
     put_opt_u64(w, d.pinsql.parallelism.map(|v| v as u64));
-    match d.pinsql.cut {
-        Some(c) => {
-            w.put_bool(true);
-            w.put_u8(cut_tag(c));
-        }
-        None => w.put_bool(false),
+    w.put_bool(false); // reserved: once the cut path's presence flag
+}
+
+/// A presence byte whose field is gone: `false`, as every frame that never
+/// set the field wrote it; anything else is a `BadTag`.
+fn check_reserved(r: &mut WireReader<'_>) -> Result<(), WireError> {
+    match r.get_u8()? {
+        0 => Ok(()),
+        v => Err(WireError::BadTag { what: "reserved byte", value: v as u64 }),
     }
 }
 
@@ -327,7 +318,7 @@ fn read_delta(r: &mut WireReader<'_>) -> Result<FleetDelta, WireError> {
         });
     }
     let fanout = get_opt_u64(r)?.map(|v| v as usize);
-    let kernel = if r.get_bool()? { Some(decode_kernel(r.get_u8()?)?) } else { None };
+    check_reserved(r)?;
     let delta_s = get_opt_i64(r)?;
     let regions = get_opt_u64(r)?.map(|v| v as usize);
     if regions == Some(0) {
@@ -336,22 +327,16 @@ fn read_delta(r: &mut WireReader<'_>) -> Result<FleetDelta, WireError> {
             detail: "must be >= 1".into(),
         });
     }
-    Ok(FleetDelta {
-        shards,
-        fanout,
-        kernel,
-        delta_s,
-        regions,
-        pinsql: PinSqlDelta {
-            tau: get_opt_f64(r)?,
-            kc: get_opt_u64(r)?.map(|v| v as usize),
-            tau_c: get_opt_f64(r)?,
-            tukey_k: get_opt_f64(r)?,
-            rsql_score_min: get_opt_f64(r)?,
-            parallelism: get_opt_u64(r)?.map(|v| v as usize),
-            cut: if r.get_bool()? { Some(decode_cut(r.get_u8()?)?) } else { None },
-        },
-    })
+    let pinsql = PinSqlDelta {
+        tau: get_opt_f64(r)?,
+        kc: get_opt_u64(r)?.map(|v| v as usize),
+        tau_c: get_opt_f64(r)?,
+        tukey_k: get_opt_f64(r)?,
+        rsql_score_min: get_opt_f64(r)?,
+        parallelism: get_opt_u64(r)?.map(|v| v as usize),
+    };
+    check_reserved(r)?;
+    Ok(FleetDelta { shards, fanout, delta_s, regions, pinsql })
 }
 
 fn write_rollup(w: &mut WireWriter, r: &HealthRollup) {
@@ -425,14 +410,12 @@ fn read_rollup_tree(r: &mut WireReader<'_>) -> Result<FleetRollup, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pinsql_detect::{CutKind, KernelKind};
     use pinsql_obs::HealthSnapshot;
 
     fn full_delta() -> FleetDelta {
         FleetDelta {
             shards: Some(4),
             fanout: Some(2),
-            kernel: Some(KernelKind::Fast),
             delta_s: Some(480),
             regions: Some(3),
             pinsql: PinSqlDelta {
@@ -442,7 +425,6 @@ mod tests {
                 tukey_k: Some(2.5),
                 rsql_score_min: Some(0.5),
                 parallelism: Some(2),
-                cut: Some(CutKind::Reference),
             },
         }
     }
@@ -504,12 +486,10 @@ mod tests {
         full_delta().apply(&mut cfg);
         assert_eq!(cfg.shards, 4);
         assert_eq!(cfg.fanout, 2);
-        assert_eq!(cfg.kernel, KernelKind::Fast);
         assert_eq!(cfg.delta_s, 480);
         assert_eq!(cfg.regions, 3);
         assert_eq!(cfg.pinsql.tau, 0.9);
         assert_eq!(cfg.pinsql.parallelism, 2);
-        assert_eq!(cfg.pinsql.cut, CutKind::Reference);
 
         let mut untouched = FleetConfig::default();
         FleetDelta::default().apply(&mut untouched);

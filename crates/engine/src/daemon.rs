@@ -2,9 +2,9 @@
 //!
 //! Production PinSQL (§VII) runs one online pipeline per instance:
 //! collectors stream, a streaming layer folds, diagnosis fires when a
-//! case closes — and operators retune thresholds, swap kernels, move
-//! instances between shards and bounce agents without losing a second of
-//! online state. [`FleetDaemon`] is that shape, and it is the engine's
+//! case closes — and operators retune thresholds, move instances between
+//! shards and bounce agents without losing a second of online state.
+//! [`FleetDaemon`] is that shape, and it is the engine's
 //! **only** front end and the only thing in this crate that spawns shard
 //! workers: a static run is `spawn` + `finish` (all
 //! [`FleetEngine::run_full`](crate::FleetEngine::run_full) does), a
@@ -46,9 +46,6 @@
 //!
 //! A config push is byte-identical to a cold start because
 //!
-//! - the **kernel** hot-swap is safe: detector baselines hold raw samples
-//!   (median/MAD recompute on demand) and both kernel kinds are
-//!   bit-identical;
 //! - **`δ_s`** and every [`pinsql::PinSqlDelta`] knob are only read when
 //!   a case closes / diagnoses, after the final config is in place;
 //! - **shards / fanout / regions** never touch per-instance state.
@@ -486,6 +483,9 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
         if delta.shards == Some(0) || delta.regions == Some(0) {
             return self.reject("delta shards/regions must be >= 1".into());
         }
+        if let Some(d @ ..0) = delta.delta_s {
+            return self.reject(format!("delta_s {d} is a negative look-back"));
+        }
         let n0 = if O::ENABLED { self.obs.now_ns() } else { 0 };
         // Re-seat through the untrusted snapshot path first — the same
         // handoff a reshard performs — so the new config starts from
@@ -554,14 +554,11 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
         self.ack()
     }
 
-    /// Kernel, δ_s, and the cut path live inside each pipeline; hot-swap
-    /// them to the config in force (bit-identical — see the module docs;
-    /// a cut flip rebuilds the running moments from the resident rings).
+    /// δ_s lives inside each pipeline; set it to the config in force
+    /// (only read at case close — see the module docs).
     fn tune_instances(&mut self) {
         for inst in &mut self.instances {
-            inst.set_kernel(self.cfg.kernel);
             inst.set_delta_s(self.cfg.delta_s);
-            inst.set_cut(self.cfg.pinsql.cut);
         }
     }
 
@@ -700,8 +697,6 @@ fn fresh_instances<'a, O: Observer>(
         .enumerate()
         .map(|(i, sc)| {
             OnlineInstance::with_observer(sc, cfg.delta_s, obs.fork(&format!("inst{i}")))
-                .with_kernel(cfg.kernel)
-                .with_cut(cfg.pinsql.cut)
         })
         .collect()
 }
@@ -1051,6 +1046,30 @@ mod tests {
                 other => panic!("epoch {stale} must be rejected whole, got {other:?}"),
             }
         }
+    }
+
+    /// A negative look-back would be acked and then panic at `finish`;
+    /// the push is rejected whole instead, through the PCTL bytes.
+    #[test]
+    fn negative_delta_s_pushes_are_rejected_whole() {
+        let scenarios = small_fleet(2);
+        let mut agent = FleetDaemon::spawn(cfg(1), &scenarios);
+        agent.advance_to(60);
+        for delta_s in [-1i64, i64::MIN] {
+            let delta = FleetDelta { delta_s: Some(delta_s), ..FleetDelta::default() };
+            let frame = ControlMsg::ConfigPush { epoch: ConfigEpoch(1), delta }.to_bytes();
+            match ControlResp::from_bytes(&agent.handle_frame(&frame)).unwrap() {
+                ControlResp::Reject { epoch, reason } => {
+                    assert_eq!(epoch, ConfigEpoch::INITIAL);
+                    assert!(reason.contains("delta_s"), "reason names the field: {reason}");
+                }
+                other => panic!("delta_s {delta_s} must be rejected, got {other:?}"),
+            }
+            assert_eq!(agent.config().delta_s, 180, "no part of the delta leaks");
+        }
+        let run = agent.finish();
+        assert_eq!(run.report.config_epoch, 0);
+        assert_eq!(run.cases.len(), 2);
     }
 
     #[test]

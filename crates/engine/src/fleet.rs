@@ -48,9 +48,8 @@ pub struct FleetConfig {
     /// Must be ≥ 1; values above the instance count are clamped at run
     /// time. Outcomes are identical at every value.
     pub shards: usize,
-    /// Detector statistics kernel for every instance's bank. Both kinds
-    /// are bit-identical; the `equivalence` matrix runs kernel × shards ×
-    /// fanout × cut against the golden corpus.
+    /// Detector statistics kernel. Single-valued; deleted by the
+    /// `benchmark` PR (ROADMAP 3).
     pub kernel: KernelKind,
     /// Aggregation regions for the health rollup tree: instances map to
     /// regions by the same contiguous layout sharding uses, each region

@@ -94,24 +94,11 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
         }
     }
 
-    /// Replaces the detector bank's statistics kernel (bit-identical
-    /// either way; the knob feeds the equivalence suites). Call before the
-    /// first event — the bank is rebuilt empty.
-    pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        debug_assert_eq!(self.events, 0, "kernel must be chosen before ingestion");
-        self.bank = OnlineDetectorBank::with_kernel(kernel);
+    /// A no-op: `kernel` has one value. Single-valued; deleted by the
+    /// `benchmark` PR (ROADMAP 3).
+    pub fn with_kernel(self, kernel: KernelKind) -> Self {
+        let KernelKind::Fast = kernel;
         self
-    }
-
-    /// Hot-swaps the detector statistics kernel on a **live** pipeline —
-    /// the daemon's config-push path. Unlike [`with_kernel`]
-    /// (Self::with_kernel) this keeps all streaming state: detector
-    /// baselines store raw samples (median/MAD are recomputed per push)
-    /// and the two kernels are bit-identical, so the remainder of the
-    /// stream folds exactly as it would under a cold start with `kernel`
-    /// (pinned by the `equivalence` matrix's daemon path).
-    pub fn set_kernel(&mut self, kernel: KernelKind) {
-        self.bank.set_kernel(kernel);
     }
 
     /// Retunes the collection look-back `δ_s` on a live pipeline. The
@@ -122,26 +109,11 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
         self.delta_s = delta_s;
     }
 
-    /// Selects the window-cut path (bit-identical either way; the knob
-    /// feeds the equivalence suites). Safe at any point — flipping on a
-    /// live pipeline rebuilds the running moments from resident state.
-    pub fn with_cut(mut self, cut: CutKind) -> Self {
-        self.aggregator.set_cut(cut);
+    /// A no-op: `cut` has one value. Single-valued; deleted by the
+    /// `benchmark` PR (ROADMAP 3).
+    pub fn with_cut(self, cut: CutKind) -> Self {
+        let CutKind::Incremental = cut;
         self
-    }
-
-    /// Hot-swaps the window-cut path on a **live** pipeline — the daemon's
-    /// config-push path. Switching to [`CutKind::Incremental`] rebuilds
-    /// the running moments from the resident rings, so the next case cut
-    /// is exactly what a cold start under `cut` would have produced
-    /// (pinned by the `equivalence` matrix's daemon path).
-    pub fn set_cut(&mut self, cut: CutKind) {
-        self.aggregator.set_cut(cut);
-    }
-
-    /// The active window-cut path.
-    pub fn cut(&self) -> CutKind {
-        self.aggregator.cut()
     }
 
     /// Folds one telemetry event into the pipeline: every event reaches
@@ -280,7 +252,6 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
         let mut w = WireWriter::with_capacity(4096);
         snapshot::write_header(
             &mut w,
-            self.bank.kernel(),
             InstanceMeta {
                 delta_s: self.delta_s,
                 events: self.events,
@@ -291,7 +262,6 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
         );
         w.put_section(|w| self.aggregator.write_snapshot(w));
         w.put_section(|w| self.bank.write_snapshot(w));
-        w.put_section(|w| self.aggregator.write_cut_state(w));
         let snap = InstanceSnapshot::from_trusted(w.into_bytes());
         if O::ENABLED {
             self.obs.span(Stage::SnapshotWrite, n0, self.obs.now_ns());
@@ -315,26 +285,15 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
     ) -> Result<Self, WireError> {
         let n0 = if O::ENABLED { obs.now_ns() } else { 0 };
         let mut r = WireReader::new(snap.as_bytes());
-        let (kernel, meta) = snapshot::read_header(&mut r)?;
+        let meta = snapshot::read_header(&mut r)?;
         let mut agg_r = r.get_section()?;
-        let mut aggregator =
+        let aggregator =
             IncrementalAggregator::read_snapshot(&scenario.workload.specs, &mut agg_r)?;
         agg_r.finish("aggregator section")?;
         let mut bank_r = r.get_section()?;
         let bank = OnlineDetectorBank::read_snapshot(&mut bank_r)?;
         bank_r.finish("detector bank section")?;
-        let mut cut_r = r.get_section()?;
-        aggregator.read_cut_state(&mut cut_r)?;
-        cut_r.finish("cut state section")?;
         r.finish("instance snapshot")?;
-        // The header tag lets readers route a blob without a body decode;
-        // cross-checking it here means a spliced blob cannot restore.
-        if bank.kernel() != kernel {
-            return Err(WireError::Mismatch {
-                what: "kernel tag",
-                detail: format!("header declares {kernel:?}, bank section holds {:?}", bank.kernel()),
-            });
-        }
         if O::ENABLED {
             obs.span(Stage::SnapshotRestore, n0, obs.now_ns());
             obs.add(Counter::SnapshotsRestored, 1);
@@ -390,9 +349,6 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
             let n1 = self.obs.now_ns();
             self.obs.span(Stage::CaseCut, c0, n1);
             self.obs.span(Stage::WindowCut, n0, n1);
-            let (pushed, evicted) = self.aggregator.cut_moments();
-            self.obs.add(Counter::CutMomentsPushed, pushed);
-            self.obs.add(Counter::CutMomentsEvicted, evicted);
         }
         let truth = label_truth(self.scenario, &case, &window);
         let history = case_history(self.scenario, &window);
@@ -411,11 +367,11 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
 }
 
 /// Replays a scenario's telemetry through the full online path and
-/// diagnoses the closed case, under `cfg`'s look-back (`delta_s`),
-/// diagnoser (`pinsql`, whose `parallelism` applies inside the diagnosis)
-/// and detector `kernel`; the fleet-shaped knobs do not apply to one
-/// instance. The whole replay — ingest folds, detector steps, window cut
-/// and the three diagnosis stages — lands in `obs`.
+/// diagnoses the closed case, under `cfg`'s look-back (`delta_s`) and
+/// diagnoser (`pinsql`, whose `parallelism` applies inside the
+/// diagnosis); the fleet-shaped knobs do not apply to one instance. The
+/// whole replay — ingest folds, detector steps, window cut and the three
+/// diagnosis stages — lands in `obs`.
 ///
 /// The returned `(LabeledCase, Diagnosis)` is bit-identical to what the
 /// batch path (`materialize` + `PinSql::diagnose`) produces for the same
@@ -428,9 +384,7 @@ pub fn replay_diagnose<O: Observer>(
     obs: &O,
 ) -> (LabeledCase, Diagnosis) {
     let events = materialize_events(scenario, None);
-    let mut inst = OnlineInstance::with_observer(scenario, cfg.delta_s, obs.clone())
-        .with_kernel(cfg.kernel)
-        .with_cut(cfg.pinsql.cut);
+    let mut inst = OnlineInstance::with_observer(scenario, cfg.delta_s, obs.clone());
     inst.ingest_stream(events);
     let lc = inst.close_case();
     let d = PinSql::new(cfg.pinsql.clone()).diagnose_observed(
@@ -531,21 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_kinds_replay_identically() {
-        let cfg = ScenarioConfig::default().with_seed(21).with_businesses(6);
-        let base = generate_base(&cfg);
-        let scenario = inject(&base, &cfg, AnomalyKind::BusinessSpike);
-        let replay = |kernel| {
-            let cfg = FleetConfig { delta_s: 300, kernel, ..FleetConfig::default() };
-            replay_diagnose(&scenario, &cfg, &NoopObserver)
-        };
-        let (lc_fast, d_fast) = replay(KernelKind::Fast);
-        let (lc_ref, d_ref) = replay(KernelKind::Reference);
-        assert_case_eq(&lc_fast, &lc_ref);
-        assert_diagnosis_eq(&d_fast, &d_ref);
-    }
-
-    #[test]
     fn instance_tracks_stream_state() {
         let cfg = ScenarioConfig::default().with_seed(7).with_businesses(6);
         let base = generate_base(&cfg);
@@ -570,34 +509,59 @@ mod tests {
         let scenario = inject(&base, &cfg, AnomalyKind::BusinessSpike);
         let events = materialize_events(&scenario, None);
 
-        for kernel in [KernelKind::Reference, KernelKind::Fast] {
-            for split in [0, 1, events.len() / 3, events.len() / 2, events.len()] {
-                let mut live = OnlineInstance::new(&scenario, 300).with_kernel(kernel);
-                let mut pre = OnlineInstance::new(&scenario, 300).with_kernel(kernel);
-                live.ingest_stream(events[..split].to_vec());
-                pre.ingest_stream(events[..split].to_vec());
+        for split in [0, 1, events.len() / 3, events.len() / 2, events.len()] {
+            let mut live = OnlineInstance::new(&scenario, 300);
+            let mut pre = OnlineInstance::new(&scenario, 300);
+            live.ingest_stream(events[..split].to_vec());
+            pre.ingest_stream(events[..split].to_vec());
 
-                let snap = pre.snapshot();
-                assert_eq!(snap.kernel(), kernel);
-                // A valid blob survives the untrusted entry point too.
-                let snap =
-                    crate::snapshot::InstanceSnapshot::from_bytes(snap.into_bytes()).unwrap();
-                let mut restored = OnlineInstance::restore(&scenario, &snap).unwrap();
+            // A valid blob survives the untrusted entry point too.
+            let snap =
+                crate::snapshot::InstanceSnapshot::from_bytes(pre.snapshot().into_bytes()).unwrap();
+            let mut restored = OnlineInstance::restore(&scenario, &snap).unwrap();
 
-                // Re-serialization is byte-idempotent.
-                assert_eq!(
-                    restored.snapshot().as_bytes(),
-                    snap.as_bytes(),
-                    "split {split}: restored snapshot drifted"
-                );
+            // Re-serialization is byte-idempotent.
+            assert_eq!(
+                restored.snapshot().as_bytes(),
+                snap.as_bytes(),
+                "split {split}: restored snapshot drifted"
+            );
 
-                live.ingest_stream(events[split..].to_vec());
-                restored.ingest_stream(events[split..].to_vec());
-                assert_eq!(live.events_ingested(), restored.events_ingested());
-                assert_eq!(live.health_snapshot(), restored.health_snapshot());
-                assert_case_eq(&live.close_case(), &restored.close_case());
-            }
+            live.ingest_stream(events[split..].to_vec());
+            restored.ingest_stream(events[split..].to_vec());
+            assert_eq!(live.events_ingested(), restored.events_ingested());
+            assert_eq!(live.health_snapshot(), restored.health_snapshot());
+            assert_case_eq(&live.close_case(), &restored.close_case());
         }
+    }
+
+    /// `delta_s` sits at bytes 16..24 (header 8, meta section length 8).
+    /// A negative one would panic at case close; restore refuses it with a
+    /// typed mismatch instead.
+    #[test]
+    fn snapshot_rejects_a_negative_delta_s() {
+        let cfg = ScenarioConfig::default().with_seed(31).with_businesses(6);
+        let base = generate_base(&cfg);
+        let scenario = inject(&base, &cfg, AnomalyKind::BusinessSpike);
+        let mut inst = OnlineInstance::new(&scenario, 300);
+        inst.ingest_stream(materialize_events(&scenario, None));
+        let mut bytes = inst.snapshot().into_bytes();
+        assert_eq!(bytes[16..24], 300i64.to_le_bytes());
+        for delta_s in [-1i64, -600, i64::MIN] {
+            bytes[16..24].copy_from_slice(&delta_s.to_le_bytes());
+            let snap = crate::snapshot::InstanceSnapshot::from_bytes(bytes.clone()).unwrap();
+            assert!(
+                matches!(
+                    OnlineInstance::restore(&scenario, &snap),
+                    Err(WireError::Mismatch { what: "delta_s", .. })
+                ),
+                "delta_s {delta_s} restored"
+            );
+        }
+        bytes[16..24].copy_from_slice(&0i64.to_le_bytes());
+        let snap = crate::snapshot::InstanceSnapshot::from_bytes(bytes).unwrap();
+        let restored = OnlineInstance::restore(&scenario, &snap).expect("a zero look-back is legal");
+        assert!(restored.close_case().window.anomaly_len() > 0);
     }
 
     #[test]

@@ -16,28 +16,25 @@
 //!
 //! ```text
 //! magic    "PSNP"           4 bytes
-//! version  u16              2, the only version read (a newer one is a
+//! version  u16              3, the only version read (a newer one is a
 //!                           typed `FutureVersion`, an older one a
 //!                           `BadTag`, never a panic)
-//! kernel   u8               detector kernel kind tag
+//! kernel   u8               1 (anything else is a `BadTag`)
 //! reserved u8               0 (anything else is a `BadTag`)
-//! section instance meta     length-prefixed: delta_s, events ingested,
-//!                           segment-open flag, case open/close counters
+//! section instance meta     length-prefixed: delta_s (≥ 0, else a
+//!                           `Mismatch`), events ingested, segment-open
+//!                           flag, case open/close counters
 //! section aggregator        `IncrementalAggregator::write_snapshot` body
 //! section detector bank     `OnlineDetectorBank::write_snapshot` body
-//! section cut state         `IncrementalAggregator::write_cut_state`
-//!                           body: cut kind tag + running moments
 //! ```
 //!
-//! The reserved byte, and a second one inside the aggregator body, used
-//! to name one of two cell-row representations. One is left; the bytes
-//! stayed, as zeros, so that neither the layout nor `SNAPSHOT_VERSION`
-//! moved.
-//!
-//! The header kernel tag duplicates the tag inside the bank section on
-//! purpose: a reader can route a blob (e.g. group checkpoints by kernel)
-//! without decoding megabytes of body, and restore cross-checks header
-//! against body so a spliced blob fails with a typed [`WireError::Mismatch`].
+//! The kernel byte, and its twin opening the bank section, once told two
+//! detector kernels apart; the second is now a test oracle, and both
+//! bytes stayed with the one legal value. The reserved byte, and a second
+//! one inside the aggregator body, used to name one of two cell-row
+//! representations; one is left and the bytes stayed, as zeros. Version 3
+//! dropped version 2's fourth section (running moments for a
+//! template↔session score nothing read); a version-2 blob is refused.
 //!
 //! Malformed input of every shape — truncation at any byte, wrong magic,
 //! future or previous version, bad tags, trailing garbage, a blob from a
@@ -46,13 +43,12 @@
 //! truncation point of a golden blob to pin this.
 
 use crate::wire::WireFormat;
-use pinsql_detect::{CutKind, KernelKind};
 use pinsql_timeseries::{WireError, WireReader, WireWriter};
 
 /// The four magic bytes opening every instance snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PSNP";
 /// The snapshot wire version this build writes and reads.
-pub const SNAPSHOT_VERSION: u16 = 2;
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// The `PSNP` envelope identity under the shared [`WireFormat`] dialect.
 const SNAPSHOT_FORMAT: WireFormat = WireFormat {
@@ -69,8 +65,7 @@ const HEADER_LEN: usize = 8;
 ///
 /// Construction always validates the header ([`from_bytes`]
 /// (Self::from_bytes) for untrusted bytes; `OnlineInstance::snapshot` for
-/// live state), so [`kernel`](Self::kernel) never fails. Body sections are
-/// validated on restore.
+/// live state). Body sections are validated on restore.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstanceSnapshot {
     bytes: Vec<u8>,
@@ -80,12 +75,12 @@ impl InstanceSnapshot {
     /// Wraps untrusted bytes, validating magic, version, and header tags.
     ///
     /// Body sections are *not* decoded here — a snapshot can be routed
-    /// (shipped to its new shard, grouped by kernel) without paying for a
-    /// full decode. Restore validates everything else.
+    /// (shipped to its new shard) without paying for a full decode.
+    /// Restore validates everything else.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, WireError> {
         let mut r = WireReader::new(&bytes);
         SNAPSHOT_FORMAT.read_magic_version(&mut r)?;
-        decode_kernel(r.get_u8()?)?;
+        check_kernel(r.get_u8()?)?;
         check_reserved(r.get_u8()?)?;
         Ok(Self { bytes })
     }
@@ -115,11 +110,6 @@ impl InstanceSnapshot {
     pub fn is_empty(&self) -> bool {
         false
     }
-
-    /// The detector kernel the checkpointed instance ran.
-    pub fn kernel(&self) -> KernelKind {
-        decode_kernel(self.bytes[6]).expect("validated at construction")
-    }
 }
 
 /// The instance-level scalars carried alongside the aggregator and bank.
@@ -132,17 +122,12 @@ pub(crate) struct InstanceMeta {
     pub cases_closed: u64,
 }
 
-pub(crate) fn kernel_tag(kernel: KernelKind) -> u8 {
-    match kernel {
-        KernelKind::Reference => 0,
-        KernelKind::Fast => 1,
-    }
-}
+/// Header byte 6: the one detector kernel's tag.
+const KERNEL_TAG: u8 = 1;
 
-pub(crate) fn decode_kernel(tag: u8) -> Result<KernelKind, WireError> {
-    match tag {
-        0 => Ok(KernelKind::Reference),
-        1 => Ok(KernelKind::Fast),
+fn check_kernel(byte: u8) -> Result<(), WireError> {
+    match byte {
+        KERNEL_TAG => Ok(()),
         t => Err(WireError::BadTag { what: "kernel kind", value: t as u64 }),
     }
 }
@@ -155,26 +140,11 @@ fn check_reserved(byte: u8) -> Result<(), WireError> {
     }
 }
 
-pub(crate) fn cut_tag(cut: CutKind) -> u8 {
-    match cut {
-        CutKind::Reference => 0,
-        CutKind::Incremental => 1,
-    }
-}
-
-pub(crate) fn decode_cut(tag: u8) -> Result<CutKind, WireError> {
-    match tag {
-        0 => Ok(CutKind::Reference),
-        1 => Ok(CutKind::Incremental),
-        t => Err(WireError::BadTag { what: "cut kind", value: t as u64 }),
-    }
-}
-
 /// Writes the envelope header plus the instance-meta section; the caller
 /// (instance.rs) appends the aggregator and bank sections.
-pub(crate) fn write_header(w: &mut WireWriter, kernel: KernelKind, meta: InstanceMeta) {
+pub(crate) fn write_header(w: &mut WireWriter, meta: InstanceMeta) {
     SNAPSHOT_FORMAT.write_magic_version(w);
-    w.put_u8(kernel_tag(kernel));
+    w.put_u8(KERNEL_TAG);
     w.put_u8(0);
     w.put_section(|w| {
         w.put_i64(meta.delta_s);
@@ -185,14 +155,12 @@ pub(crate) fn write_header(w: &mut WireWriter, kernel: KernelKind, meta: Instanc
     });
 }
 
-/// Reads the envelope header plus the instance-meta section, returning
-/// the declared kernel tag for the caller to cross-check against the
-/// decoded bank section.
-pub(crate) fn read_header(
-    r: &mut WireReader<'_>,
-) -> Result<(KernelKind, InstanceMeta), WireError> {
+/// Reads the envelope header plus the instance-meta section. A negative
+/// `delta_s` is a typed mismatch: window selection cannot look back a
+/// negative span.
+pub(crate) fn read_header(r: &mut WireReader<'_>) -> Result<InstanceMeta, WireError> {
     SNAPSHOT_FORMAT.read_magic_version(r)?;
-    let kernel = decode_kernel(r.get_u8()?)?;
+    check_kernel(r.get_u8()?)?;
     check_reserved(r.get_u8()?)?;
     let mut meta_r = r.get_section()?;
     let meta = InstanceMeta {
@@ -203,7 +171,13 @@ pub(crate) fn read_header(
         cases_closed: meta_r.get_u64()?,
     };
     meta_r.finish("instance meta")?;
-    Ok((kernel, meta))
+    if meta.delta_s < 0 {
+        return Err(WireError::Mismatch {
+            what: "delta_s",
+            detail: format!("{}s is a negative look-back", meta.delta_s),
+        });
+    }
+    Ok(meta)
 }
 
 #[cfg(test)]
@@ -214,7 +188,6 @@ mod tests {
         let mut w = WireWriter::new();
         write_header(
             &mut w,
-            KernelKind::Fast,
             InstanceMeta {
                 delta_s: 600,
                 events: 12345,
@@ -230,9 +203,8 @@ mod tests {
     fn header_round_trips() {
         let bytes = golden_header();
         let mut r = WireReader::new(&bytes);
-        let (kernel, meta) = read_header(&mut r).unwrap();
+        let meta = read_header(&mut r).unwrap();
         r.finish("header").unwrap();
-        assert_eq!(kernel, KernelKind::Fast);
         assert_eq!(
             meta,
             InstanceMeta {
@@ -263,12 +235,14 @@ mod tests {
             Err(WireError::FutureVersion { supported: SNAPSHOT_VERSION, .. })
         ));
 
-        let mut bad_kernel = bytes.clone();
-        bad_kernel[6] = 7;
-        assert!(matches!(
-            read_header(&mut WireReader::new(&bad_kernel)),
-            Err(WireError::BadTag { what: "kernel kind", value: 7 })
-        ));
+        for value in [0u8, 2, 7] {
+            let mut bad_kernel = bytes.clone();
+            bad_kernel[6] = value;
+            assert!(matches!(
+                read_header(&mut WireReader::new(&bad_kernel)),
+                Err(WireError::BadTag { what: "kernel kind", value: v }) if v == value as u64
+            ));
+        }
 
         for value in [1u8, 9, 0xFF] {
             let mut reserved = bytes.clone();
@@ -293,17 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn cut_tags_round_trip() {
-        for cut in [CutKind::Reference, CutKind::Incremental] {
-            assert_eq!(decode_cut(cut_tag(cut)).unwrap(), cut);
-        }
-        assert!(matches!(
-            decode_cut(9),
-            Err(WireError::BadTag { what: "cut kind", value: 9 })
-        ));
-    }
-
-    #[test]
     fn header_rejects_every_truncation() {
         let bytes = golden_header();
         for cut in 0..bytes.len() {
@@ -319,7 +282,6 @@ mod tests {
         assert!(InstanceSnapshot::from_bytes(vec![]).is_err());
         assert!(InstanceSnapshot::from_bytes(b"JUNKJUNK".to_vec()).is_err());
         let snap = InstanceSnapshot::from_bytes(golden_header()).unwrap();
-        assert_eq!(snap.kernel(), KernelKind::Fast);
         assert!(!snap.is_empty());
         assert_eq!(snap.len(), snap.as_bytes().len());
     }

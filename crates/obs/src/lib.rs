@@ -57,10 +57,9 @@ pub enum Stage {
     DetectorStep,
     /// Case close: window selection plus the `CaseData` snapshot cut.
     WindowCut,
-    /// Just the `CaseData` snapshot cut — assembling the retained rings
-    /// (and, on the incremental path, the precomputed minute rows and
-    /// gate scores) into the diagnosis input. A sub-span of
-    /// [`WindowCut`](Stage::WindowCut).
+    /// Just the `CaseData` snapshot cut — assembling the retained rings,
+    /// per-template minute rows included, into the diagnosis input. A
+    /// sub-span of [`WindowCut`](Stage::WindowCut).
     CaseCut,
     /// §IV-C individual active-session estimation.
     SessionEstimate,
@@ -171,11 +170,6 @@ pub enum Counter {
     DaemonRestarts,
     /// Control-wire frames decoded by the agent.
     ControlFrames,
-    /// Per-second samples pushed into the running cut moments.
-    CutMomentsPushed,
-    /// Samples evicted from the running cut moments (retention or
-    /// delta-update replacement).
-    CutMomentsEvicted,
     /// `PEVT` ingest-wire frames decoded by the sink.
     EventFrames,
     /// Telemetry events that arrived over the ingest wire.
@@ -186,7 +180,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const ALL: [Counter; 23] = [
+    pub const ALL: [Counter; 21] = [
         Counter::EventsIngested,
         Counter::QueriesIngested,
         Counter::MalformedDropped,
@@ -205,8 +199,6 @@ impl Counter {
         Counter::ConfigRejected,
         Counter::DaemonRestarts,
         Counter::ControlFrames,
-        Counter::CutMomentsPushed,
-        Counter::CutMomentsEvicted,
         Counter::EventFrames,
         Counter::EventsWired,
         Counter::TransportResumes,
@@ -234,8 +226,6 @@ impl Counter {
             Counter::ConfigRejected => "config_rejected",
             Counter::DaemonRestarts => "daemon_restarts",
             Counter::ControlFrames => "control_frames",
-            Counter::CutMomentsPushed => "cut_moments_pushed",
-            Counter::CutMomentsEvicted => "cut_moments_evicted",
             Counter::EventFrames => "event_frames",
             Counter::EventsWired => "events_wired",
             Counter::TransportResumes => "transport_resumes",

@@ -53,9 +53,6 @@ pub struct PinSqlDelta {
     pub rsql_score_min: Option<f64>,
     /// Worker threads for the parallel diagnosis hot paths.
     pub parallelism: Option<usize>,
-    /// Window-cut assembly path (incremental running moments vs reference
-    /// re-scan).
-    pub cut: Option<CutKind>,
 }
 
 impl PinSqlDelta {
@@ -83,9 +80,6 @@ impl PinSqlDelta {
         }
         if let Some(v) = self.parallelism {
             cfg.parallelism = v;
-        }
-        if let Some(v) = self.cut {
-            cfg.cut = v;
         }
     }
 }
@@ -162,12 +156,8 @@ pub struct PinSqlConfig {
     /// survives history verification or every candidate correlates weakly —
     /// reports an empty set instead of its least-bad candidate.
     pub rsql_score_min: f64,
-    /// How a window cut assembles the per-template minute trends the
-    /// clustering consumes: [`CutKind::Incremental`] (the default) reuses
-    /// rows precomputed from running ingest-time moments when the case
-    /// carries them; [`CutKind::Reference`] always re-derives them from the
-    /// raw series. Both produce bit-identical diagnoses — the knob trades
-    /// per-cut recompute cost only.
+    /// The window-cut path. Single-valued; deleted by the `benchmark` PR
+    /// (ROADMAP 3).
     pub cut: CutKind,
     /// Ablation switches (all off for full PinSQL).
     pub ablation: Ablation,
@@ -221,9 +211,10 @@ impl PinSqlConfig {
         self
     }
 
-    /// Builder-style cut-path override.
-    pub fn with_cut(mut self, cut: CutKind) -> Self {
-        self.cut = cut;
+    /// A no-op: `cut` has one value. Single-valued; deleted by the
+    /// `benchmark` PR (ROADMAP 3).
+    pub fn with_cut(self, cut: CutKind) -> Self {
+        let CutKind::Incremental = cut;
         self
     }
 
@@ -349,7 +340,6 @@ mod tests {
             tau: Some(0.9),
             rsql_score_min: Some(0.5),
             parallelism: Some(2),
-            cut: Some(CutKind::Reference),
             ..PinSqlDelta::default()
         };
         assert!(!delta.is_empty());
@@ -358,7 +348,6 @@ mod tests {
         assert_eq!(cfg.tau, 0.9);
         assert_eq!(cfg.rsql_score_min, 0.5);
         assert_eq!(cfg.parallelism, 2);
-        assert_eq!(cfg.cut, CutKind::Reference);
         // Untouched knobs keep the base values.
         assert_eq!(cfg.kc, base.kc);
         assert_eq!(cfg.tau_c, base.tau_c);

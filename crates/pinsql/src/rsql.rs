@@ -25,7 +25,7 @@ use pinsql_collector::{CaseData, HistoryStore};
 use pinsql_detect::AnomalyWindow;
 use pinsql_timeseries::resample::{downsample, Downsample};
 use pinsql_timeseries::{
-    par_map, pearson, tukey_fences, CorrelationGraph, CutKind, NormalizedMatrix, TimeSeries,
+    par_map, pearson, tukey_fences, CorrelationGraph, NormalizedMatrix, TimeSeries,
 };
 
 /// Everything the R-SQL stage produces (kept for diagnostics and tests).
@@ -76,23 +76,20 @@ pub fn identify_rsqls(
     // independent units (templates / pair-loop rows) with index-ordered
     // merges, so the clustering is identical at every parallelism level.
     //
-    // With the incremental cut the per-template minute rows arrive
-    // precomputed on the case — assembled from running ingest-time moments
-    // during the snapshot's single cell sweep, bit-identical to
-    // `per_minute` — so the O(templates × window) resampling pass (and its
-    // n transient allocations) disappears. Either way the series normalize
-    // into ONE `NormalizedMatrix` handed to the graph build, instead of
-    // re-collecting slice refs inside every clustering call.
-    let cut = (cfg.cut == CutKind::Incremental)
-        .then_some(case.cut.as_deref())
-        .flatten()
-        .filter(|c| c.minute_rows.len() == n);
+    // A case cut online carries the per-template minute rows, bucketed
+    // during the window cut's cell sweep and bit-identical to
+    // `per_minute`, so the O(templates × window) resampling pass (and its
+    // n transient allocations) disappears; a batch case re-derives them.
+    // Either way the series normalize into ONE `NormalizedMatrix` handed to
+    // the graph build, instead of re-collecting slice refs inside every
+    // clustering call.
+    let cut = case.cut.as_deref().filter(|c| c.minute_rows.len() == n);
     let tpl_minutes: Vec<Vec<f64>> = match cut {
         Some(_) => Vec::new(),
         None => par_map(n, parallelism, |i| case.templates[i].series.per_minute()),
     };
     let tpl_rows: Vec<&[f64]> = match cut {
-        Some(c) => c.minute_rows.iter().map(|r| r.as_slice()).collect(),
+        Some(c) => c.row_refs(),
         None => tpl_minutes.iter().map(|v| v.as_slice()).collect(),
     };
     let helper_series: Vec<Vec<f64>> = helper_nodes(case);
@@ -205,8 +202,8 @@ fn helper_nodes(case: &CaseData) -> Vec<Vec<f64>> {
 
 /// §VI's two-rule history check for one template, over its 1-minute
 /// execution counts `per_min` (precomputed by the caller — either the
-/// case's incremental cut rows or a fresh `per_minute` derivation; they
-/// are bit-identical).
+/// case's cut rows or a fresh `per_minute` derivation; they are
+/// bit-identical).
 ///
 /// Rule (i): the execution count has an upward Tukey outlier inside the
 /// anomaly window, relative to the rest of the collection window.

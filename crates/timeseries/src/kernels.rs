@@ -1,11 +1,10 @@
-//! Unrolled, SIMD-friendly f64 kernels and streaming moment state for the
-//! per-event hot path.
+//! Unrolled, SIMD-friendly f64 kernels for the per-event hot path.
 //!
 //! The online pipeline's cost is dominated by a handful of tiny numeric
-//! loops: summing slices when matrices are normalized, re-deriving rolling
-//! median/MAD on every detector step, and re-counting window aggregates at
-//! snapshot time. This module concentrates those loops so they are written
-//! once, with two properties the rest of the workspace leans on:
+//! loops: summing slices when matrices are normalized and re-deriving
+//! rolling median/MAD on every detector step. This module concentrates
+//! those loops so they are written once, with two properties the rest of
+//! the workspace leans on:
 //!
 //! * **Deterministic lane semantics.** The slice kernels ([`sum`],
 //!   [`sumsq`], [`dot`]) accumulate in eight independent lanes with a
@@ -15,72 +14,37 @@
 //!   rounding as *themselves*, everywhere, which is what byte-stable golden
 //!   output needs.
 //! * **Bit-identical selection statistics.** [`median_of_sorted`] /
-//!   [`mad_of_sorted`] produce *exactly* the bits of the reference
-//!   "collect, sort, index the middle" computation, without allocating or
-//!   sorting: the rolling window already maintains its contents sorted, and
-//!   the absolute deviations about the median form two implicitly sorted
+//!   [`mad_of_sorted`] produce *exactly* the bits of the "collect, sort,
+//!   index the middle" computation, without allocating or sorting: the
+//!   rolling window already maintains its contents sorted, and the
+//!   absolute deviations about the median form two implicitly sorted
 //!   arrays (values below the median, read right-to-left; values at or
 //!   above it, read left-to-right), so the middle deviations are order
 //!   statistics reachable by an `O(log w)` two-array selection. See
-//!   DESIGN.md "Kernel layer" for the rounding argument.
-//!
-//! [`KernelKind`] is the knob: `Reference` is the straight-line scalar
-//! formulation kept for equivalence testing, `Fast` the kernels here. The
-//! two are pinned bit-identical by unit tests below, `kernel_props` at the
-//! workspace root, and the golden-corpus equivalence suites.
+//!   DESIGN.md "Kernel layer" for the rounding argument. The
+//!   allocate-and-sort formulation is the test oracle
+//!   (`rolling::tests::median_mad_kernels_are_bit_identical`, this
+//!   module's tests).
 
-/// Which statistics implementation the detector layers use.
+/// The detector statistics kernel: the selection kernels above.
 ///
-/// Both kinds produce bit-identical output (pinned by the golden corpus
-/// across shards × fanout × kernel); `Reference` exists so the equivalence
-/// suites always have a straight-line scalar formulation to diff against,
-/// and as the escape hatch if a future platform's rounding ever disagrees.
+/// Single-valued; deleted by the `benchmark` PR (ROADMAP 3).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum KernelKind {
-    /// Allocate-and-sort scalar statistics (the original formulation).
-    Reference,
     /// Unrolled slice kernels + selection-based rolling median/MAD.
     #[default]
     Fast,
 }
 
-impl KernelKind {
-    /// Stable lowercase label for bench output and summaries.
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelKind::Reference => "reference",
-            KernelKind::Fast => "fast",
-        }
-    }
-}
-
-/// How a case cut assembles its per-template minute trends and gate
-/// correlations.
+/// The window-cut path: one sweep of the resident cells builds the
+/// per-template minute rows.
 ///
-/// Both kinds produce bit-identical diagnosis output (pinned by the golden
-/// corpus across shards × fanout × kernel × cut): the incremental path
-/// buckets the same integer execution counts into the same minute rows the
-/// reference path derives by re-scanning the window, and both feed the one
-/// shared [`crate::NormalizedMatrix::from_series`] normalization.
-/// `Reference` exists as the re-scan formulation the equivalence suites
-/// diff against.
+/// Single-valued; deleted by the `benchmark` PR (ROADMAP 3).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum CutKind {
-    /// Rebuild minute trends by re-scanning the window at every cut.
-    Reference,
-    /// Assemble the cut from running per-template moments kept at ingest.
+    /// Minute rows bucketed during the window cut's cell sweep.
     #[default]
     Incremental,
-}
-
-impl CutKind {
-    /// Stable lowercase label for bench output and summaries.
-    pub fn label(self) -> &'static str {
-        match self {
-            CutKind::Reference => "reference",
-            CutKind::Incremental => "incremental",
-        }
-    }
 }
 
 /// Sum of a slice in eight independent lanes plus a serial tail.
@@ -140,9 +104,9 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 /// Median of an ascending-sorted slice; `None` when empty.
 ///
-/// The exact expression of the reference rolling-window median (odd:
-/// middle element; even: arithmetic mean of the two middles), so the fast
-/// path is bit-identical by construction.
+/// The exact expression of the allocate-and-sort oracle's median (odd:
+/// middle element; even: arithmetic mean of the two middles), so the
+/// kernel is bit-identical to it by construction.
 #[inline]
 pub fn median_of_sorted(sorted: &[f64]) -> Option<f64> {
     let n = sorted.len();
@@ -158,7 +122,7 @@ pub fn median_of_sorted(sorted: &[f64]) -> Option<f64> {
 
 /// Median absolute deviation about `med` of an ascending-sorted slice,
 /// without allocating or sorting: `O(log n)` selection instead of the
-/// reference's collect + `O(n log n)` sort.
+/// oracle's collect + `O(n log n)` sort.
 ///
 /// The deviations `|v - med|` split at `p = #{v < med}` into two
 /// implicitly sorted arrays — `med - sorted[p-1-i]` (values below the
@@ -169,7 +133,7 @@ pub fn median_of_sorted(sorted: &[f64]) -> Option<f64> {
 /// negative difference is exactly its negation. The middle deviation(s)
 /// are then order statistics of the two-array merge, selected in
 /// `O(log n)` by [`kth_of_two_sorted`]; the even-length case averages the
-/// two middles with the reference's exact expression.
+/// two middles with the oracle's exact expression.
 ///
 /// Returns `0.0` for an empty slice (callers gate on emptiness through
 /// [`median_of_sorted`]).
@@ -227,218 +191,6 @@ fn kth_of_two_sorted(
         }
     }
     best
-}
-
-/// Running first and second moments of a value stream with eviction.
-///
-/// Backs the collector's O(1)-per-template snapshot finalize: per-slot
-/// window moments accumulate in one sweep over the touched cells, after
-/// which each template's membership, total executions, and exact
-/// `record_idx` capacity are plain field reads. Add/evict symmetry is
-/// *exact* for integer-valued data below 2^53 (per-second execution
-/// counts), the only data the collector feeds it.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MomentAccumulator {
-    n: u64,
-    sum: f64,
-    sumsq: f64,
-}
-
-impl MomentAccumulator {
-    /// Reconstructs an accumulator from exported sums (checkpoint restore;
-    /// the inverse of reading [`count`](Self::count) / [`sum`](Self::sum) /
-    /// [`sum_sq`](Self::sum_sq)).
-    pub fn from_sums(n: u64, sum: f64, sumsq: f64) -> Self {
-        Self { n, sum, sumsq }
-    }
-
-    /// Folds one observation in.
-    #[inline]
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        self.sum += x;
-        self.sumsq += x * x;
-    }
-
-    /// Removes one previously-pushed observation (exact inverse of
-    /// [`push`](Self::push) for integer-valued data).
-    #[inline]
-    pub fn evict(&mut self, x: f64) {
-        debug_assert!(self.n > 0, "evict from empty accumulator");
-        self.n -= 1;
-        self.sum -= x;
-        self.sumsq -= x * x;
-    }
-
-    /// Folds another accumulator's observations in.
-    #[inline]
-    pub fn merge(&mut self, other: &Self) {
-        self.n += other.n;
-        self.sum += other.sum;
-        self.sumsq += other.sumsq;
-    }
-
-    /// Removes another accumulator's observations (exact inverse of
-    /// [`merge`](Self::merge) for integer-valued data) — the complement
-    /// trick: window moments are the resident total minus the out-of-window
-    /// remainder, without walking the window itself.
-    #[inline]
-    pub fn unmerge(&mut self, other: &Self) {
-        debug_assert!(self.n >= other.n, "unmerge more observations than folded in");
-        self.n -= other.n;
-        self.sum -= other.sum;
-        self.sumsq -= other.sumsq;
-    }
-
-    /// Resets to the empty state (for scratch reuse).
-    #[inline]
-    pub fn clear(&mut self) {
-        *self = Self::default();
-    }
-
-    /// Observations folded in.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sum of observations.
-    #[inline]
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Sum of squared observations.
-    #[inline]
-    pub fn sum_sq(&self) -> f64 {
-        self.sumsq
-    }
-
-    /// Mean; `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.n > 0).then(|| self.sum / self.n as f64)
-    }
-
-    /// Population variance `E[x²] − E[x]²`, floored at zero against
-    /// cancellation; `None` when empty.
-    pub fn variance(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        Some((self.sumsq / self.n as f64 - mean * mean).max(0.0))
-    }
-}
-
-/// Running bivariate moments of an `(x, y)` pair stream with eviction —
-/// everything a Pearson correlation needs, updatable in O(1) per
-/// observation.
-///
-/// Backs the collector's incremental cut gate: per-template co-moments of
-/// (execution count, session metric) accumulate at ingest, so the
-/// template↔metric correlation that gates H-SQL candidate selection is a
-/// handful of field reads at cut time instead of a window scan. Push/evict
-/// and merge/unmerge are exact inverses for integer-valued data; mixed
-/// real-valued streams instead lean on periodic renormalization (pinned by
-/// the `cut_props` drift suite).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CoMomentAccumulator {
-    n: u64,
-    sx: f64,
-    sy: f64,
-    sxx: f64,
-    syy: f64,
-    sxy: f64,
-}
-
-impl CoMomentAccumulator {
-    /// Builds directly from raw sums (for assembling a window view out of
-    /// separately maintained marginal and cross moments).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_sums(n: u64, sx: f64, sy: f64, sxx: f64, syy: f64, sxy: f64) -> Self {
-        Self { n, sx, sy, sxx, syy, sxy }
-    }
-
-    /// Folds one `(x, y)` observation in.
-    #[inline]
-    pub fn push(&mut self, x: f64, y: f64) {
-        self.n += 1;
-        self.sx += x;
-        self.sy += y;
-        self.sxx += x * x;
-        self.syy += y * y;
-        self.sxy += x * y;
-    }
-
-    /// Removes one previously-pushed observation.
-    #[inline]
-    pub fn evict(&mut self, x: f64, y: f64) {
-        debug_assert!(self.n > 0, "evict from empty co-accumulator");
-        self.n -= 1;
-        self.sx -= x;
-        self.sy -= y;
-        self.sxx -= x * x;
-        self.syy -= y * y;
-        self.sxy -= x * y;
-    }
-
-    /// Folds another accumulator's observations in.
-    #[inline]
-    pub fn merge(&mut self, other: &Self) {
-        self.n += other.n;
-        self.sx += other.sx;
-        self.sy += other.sy;
-        self.sxx += other.sxx;
-        self.syy += other.syy;
-        self.sxy += other.sxy;
-    }
-
-    /// Removes another accumulator's observations — the complement trick,
-    /// see [`MomentAccumulator::unmerge`].
-    #[inline]
-    pub fn unmerge(&mut self, other: &Self) {
-        debug_assert!(self.n >= other.n, "unmerge more observations than folded in");
-        self.n -= other.n;
-        self.sx -= other.sx;
-        self.sy -= other.sy;
-        self.sxx -= other.sxx;
-        self.syy -= other.syy;
-        self.sxy -= other.sxy;
-    }
-
-    /// Resets to the empty state (for scratch reuse).
-    #[inline]
-    pub fn clear(&mut self) {
-        *self = Self::default();
-    }
-
-    /// Observations folded in.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Pearson correlation of the folded stream, clamped to `[-1, 1]`;
-    /// `0.0` for degenerate input (fewer than two observations, zero
-    /// variance on either side, or cancellation-poisoned sums), matching
-    /// [`crate::stats::pearson`]'s degenerate-input contract.
-    pub fn pearson(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        let n = self.n as f64;
-        let cov = self.sxy / n - (self.sx / n) * (self.sy / n);
-        let var_x = (self.sxx / n - (self.sx / n) * (self.sx / n)).max(0.0);
-        let var_y = (self.syy / n - (self.sy / n) * (self.sy / n)).max(0.0);
-        let denom = (var_x * var_y).sqrt();
-        if !denom.is_finite() || denom <= f64::EPSILON * f64::EPSILON {
-            return 0.0;
-        }
-        let r = cov / denom;
-        if r.is_finite() {
-            r.clamp(-1.0, 1.0)
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -550,163 +302,5 @@ mod tests {
                 assert_eq!(got.to_bits(), merged[k - 1].to_bits(), "trial {trial} k {k}");
             }
         }
-    }
-
-    #[test]
-    fn moment_accumulator_push_evict_is_exact_on_counts() {
-        let mut acc = MomentAccumulator::default();
-        let xs: Vec<f64> = (0..500).map(|i| ((i * 13) % 97) as f64).collect();
-        for &x in &xs {
-            acc.push(x);
-        }
-        let full = acc;
-        for &x in &xs[..200] {
-            acc.evict(x);
-        }
-        let mut tail = MomentAccumulator::default();
-        for &x in &xs[200..] {
-            tail.push(x);
-        }
-        assert_eq!(acc.count(), tail.count());
-        assert_eq!(acc.sum().to_bits(), tail.sum().to_bits(), "integer eviction is exact");
-        assert_eq!(acc.sum_sq().to_bits(), tail.sum_sq().to_bits());
-
-        let mut merged = acc;
-        let mut head = MomentAccumulator::default();
-        for &x in &xs[..200] {
-            head.push(x);
-        }
-        merged.merge(&head);
-        assert_eq!(merged.count(), full.count());
-        assert_eq!(merged.sum(), full.sum());
-    }
-
-    #[test]
-    fn moment_accumulator_stats() {
-        let mut acc = MomentAccumulator::default();
-        assert_eq!(acc.mean(), None);
-        assert_eq!(acc.variance(), None);
-        for x in [2.0, 4.0, 6.0] {
-            acc.push(x);
-        }
-        assert_eq!(acc.mean(), Some(4.0));
-        let var = acc.variance().unwrap();
-        assert!((var - 8.0 / 3.0).abs() < 1e-12);
-        acc.clear();
-        assert_eq!(acc.count(), 0);
-    }
-
-    #[test]
-    fn moment_accumulator_unmerge_inverts_merge_on_counts() {
-        let xs: Vec<f64> = (0..300).map(|i| ((i * 29) % 83) as f64).collect();
-        let mut total = MomentAccumulator::default();
-        let mut head = MomentAccumulator::default();
-        for (i, &x) in xs.iter().enumerate() {
-            total.push(x);
-            if i < 120 {
-                head.push(x);
-            }
-        }
-        let mut tail = total;
-        tail.unmerge(&head);
-        let mut expect = MomentAccumulator::default();
-        for &x in &xs[120..] {
-            expect.push(x);
-        }
-        assert_eq!(tail.count(), expect.count());
-        assert_eq!(tail.sum().to_bits(), expect.sum().to_bits());
-        assert_eq!(tail.sum_sq().to_bits(), expect.sum_sq().to_bits());
-    }
-
-    #[test]
-    fn co_moments_match_direct_pearson() {
-        let xs = lcg_series(3, 240);
-        let ys = lcg_series(9, 240);
-        let mut acc = CoMomentAccumulator::default();
-        for (&x, &y) in xs.iter().zip(&ys) {
-            acc.push(x, y);
-        }
-        let direct = crate::stats::pearson(&xs, &ys);
-        assert!((acc.pearson() - direct).abs() < 1e-9, "{} vs {direct}", acc.pearson());
-    }
-
-    #[test]
-    fn co_moments_evict_and_unmerge_are_exact_on_counts() {
-        // Integer-valued pairs (the collector's execution counts against
-        // integer-ish session samples): the inverse ops are bit-exact.
-        let pairs: Vec<(f64, f64)> =
-            (0..400).map(|i| (((i * 13) % 57) as f64, ((i * 7) % 91) as f64)).collect();
-        let mut acc = CoMomentAccumulator::default();
-        let mut head = CoMomentAccumulator::default();
-        for (i, &(x, y)) in pairs.iter().enumerate() {
-            acc.push(x, y);
-            if i < 150 {
-                head.push(x, y);
-            }
-        }
-        let mut by_unmerge = acc;
-        by_unmerge.unmerge(&head);
-        let mut by_evict = acc;
-        for &(x, y) in &pairs[..150] {
-            by_evict.evict(x, y);
-        }
-        let mut expect = CoMomentAccumulator::default();
-        for &(x, y) in &pairs[150..] {
-            expect.push(x, y);
-        }
-        for got in [by_unmerge, by_evict] {
-            assert_eq!(got.count(), expect.count());
-            assert_eq!(got.sx.to_bits(), expect.sx.to_bits());
-            assert_eq!(got.sy.to_bits(), expect.sy.to_bits());
-            assert_eq!(got.sxx.to_bits(), expect.sxx.to_bits());
-            assert_eq!(got.syy.to_bits(), expect.syy.to_bits());
-            assert_eq!(got.sxy.to_bits(), expect.sxy.to_bits());
-        }
-
-        let mut merged = by_unmerge;
-        merged.merge(&head);
-        assert_eq!(merged, acc);
-
-        let rebuilt = CoMomentAccumulator::from_sums(
-            acc.count(),
-            acc.sx,
-            acc.sy,
-            acc.sxx,
-            acc.syy,
-            acc.sxy,
-        );
-        assert_eq!(rebuilt, acc);
-    }
-
-    #[test]
-    fn co_moments_degenerate_inputs_yield_zero() {
-        let mut empty = CoMomentAccumulator::default();
-        assert_eq!(empty.pearson(), 0.0);
-        empty.push(1.0, 2.0);
-        assert_eq!(empty.pearson(), 0.0, "a single pair has no correlation");
-
-        let mut constant_x = CoMomentAccumulator::default();
-        for i in 0..10 {
-            constant_x.push(4.0, i as f64);
-        }
-        assert_eq!(constant_x.pearson(), 0.0, "zero variance on x");
-
-        let mut cleared = constant_x;
-        cleared.clear();
-        assert_eq!(cleared, CoMomentAccumulator::default());
-    }
-
-    #[test]
-    fn cut_kind_defaults_and_labels() {
-        assert_eq!(CutKind::default(), CutKind::Incremental);
-        assert_eq!(CutKind::Incremental.label(), "incremental");
-        assert_eq!(CutKind::Reference.label(), "reference");
-    }
-
-    #[test]
-    fn kernel_kind_defaults_and_labels() {
-        assert_eq!(KernelKind::default(), KernelKind::Fast);
-        assert_eq!(KernelKind::Fast.label(), "fast");
-        assert_eq!(KernelKind::Reference.label(), "reference");
     }
 }

@@ -17,9 +17,8 @@
 //!   (§VI) to decide whether a template's execution count is anomalous.
 //! * [`rolling`] — rolling robust statistics (median / MAD / quantiles) used
 //!   by the anomaly-feature detectors in the `pinsql-detect` crate.
-//! * [`kernels`] — unrolled slice kernels (sum / sumsq / dot), the
-//!   selection-based `O(log w)` rolling median/MAD, streaming moment
-//!   accumulators, and the [`KernelKind`] fast/reference knob.
+//! * [`kernels`] — unrolled slice kernels (sum / sumsq / dot) and the
+//!   selection-based `O(log w)` rolling median/MAD.
 //! * [`graph`] — correlation graphs and connected components (union-find),
 //!   used by SQL-template clustering (§VI).
 //! * [`matrix`] — the [`NormalizedMatrix`] correlation kernel: z-scored,
@@ -53,7 +52,7 @@ pub mod weights;
 pub mod wire;
 
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
-pub use kernels::{CoMomentAccumulator, CutKind, KernelKind, MomentAccumulator};
+pub use kernels::{CutKind, KernelKind};
 pub use graph::{
     connected_components, connected_components_par, CorrelationGraph, UnionFind,
 };

@@ -5,16 +5,15 @@
 //! the recent baseline — we provide a rolling median / MAD (median absolute
 //! deviation) window, plus a simple rolling mean/std for cheap callers.
 //!
-//! The windows here are small (tens to hundreds of samples), so the median
-//! is recomputed from a maintained sorted buffer: `O(w)` per step via binary
+//! The windows here are small (tens to hundreds of samples), so the window
+//! keeps its contents in a sorted buffer: `O(w)` per step via binary
 //! search + shift, which comfortably beats fancier structures at these sizes.
-//! The MAD, by contrast, used to collect-and-sort the deviations on every
-//! query; [`RollingWindow::median_mad`] routes that through the
-//! selection-based `O(log w)` kernel ([`crate::kernels::mad_of_sorted`]) —
-//! bit-identical to the reference formulation, which stays available behind
-//! [`KernelKind::Reference`] for the equivalence suites.
+//! [`RollingWindow::median_mad`] reads the median straight off that buffer
+//! and selects the MAD in `O(log w)` ([`crate::kernels::mad_of_sorted`]);
+//! the collect-and-sort formulation it replaced is this module's test
+//! oracle, bit for bit.
 
-use crate::kernels::{self, KernelKind};
+use crate::kernels;
 
 /// A fixed-capacity rolling window maintaining its contents both in arrival
 /// order (for eviction) and in sorted order (for quantiles).
@@ -78,52 +77,17 @@ impl RollingWindow {
         self.sorted.insert(pos, x);
     }
 
-    /// Median of the current contents; `None` when empty.
-    pub fn median(&self) -> Option<f64> {
-        if self.sorted.is_empty() {
-            return None;
-        }
-        let n = self.sorted.len();
-        Some(if n % 2 == 1 {
-            self.sorted[n / 2]
-        } else {
-            (self.sorted[n / 2 - 1] + self.sorted[n / 2]) / 2.0
-        })
-    }
-
-    /// Median absolute deviation around the median; `None` when empty.
+    /// Median and MAD (median absolute deviation around the median);
+    /// `None` when empty.
     ///
-    /// A `floor` is *not* applied here; detector layers add their own floor
-    /// so that flat baselines don't produce infinite z-scores.
-    pub fn mad(&self) -> Option<f64> {
-        let med = self.median()?;
-        let mut devs: Vec<f64> = self.sorted.iter().map(|&v| (v - med).abs()).collect();
-        devs.sort_by(|a, b| a.partial_cmp(b).expect("NaN in window"));
-        let n = devs.len();
-        Some(if n % 2 == 1 {
-            devs[n / 2]
-        } else {
-            (devs[n / 2 - 1] + devs[n / 2]) / 2.0
-        })
-    }
-
-    /// Median and MAD in one call, through the selected kernel; `None`
-    /// when empty.
-    ///
-    /// `KernelKind::Reference` is [`median`](Self::median) +
-    /// [`mad`](Self::mad) (allocate the deviations, sort, index);
-    /// `KernelKind::Fast` selects the same order statistics straight from
-    /// the maintained sorted buffer in `O(log w)` without allocating. The
-    /// two are bit-identical (pinned by this module's tests, `kernel_props`
-    /// and the golden corpus).
-    pub fn median_mad(&self, kind: KernelKind) -> Option<(f64, f64)> {
-        match kind {
-            KernelKind::Reference => Some((self.median()?, self.mad()?)),
-            KernelKind::Fast => {
-                let med = kernels::median_of_sorted(&self.sorted)?;
-                Some((med, kernels::mad_of_sorted(&self.sorted, med)))
-            }
-        }
+    /// Selects the order statistics straight from the maintained sorted
+    /// buffer in `O(log w)` without allocating — bit-identical to the
+    /// allocate-and-sort `median` / `mad` oracle in this module's tests.
+    /// No MAD floor is applied here; detector layers add their own so that
+    /// flat baselines don't produce infinite z-scores.
+    pub fn median_mad(&self) -> Option<(f64, f64)> {
+        let med = kernels::median_of_sorted(&self.sorted)?;
+        Some((med, kernels::mad_of_sorted(&self.sorted, med)))
     }
 
     /// Mean of the current contents; `None` when empty.
@@ -159,6 +123,37 @@ impl RollingWindow {
             out.extend_from_slice(&self.ring[..self.head]);
         }
         out
+    }
+}
+
+/// The allocate-and-sort oracle [`RollingWindow::median_mad`] is held to.
+#[cfg(test)]
+impl RollingWindow {
+    /// Median of the current contents; `None` when empty.
+    pub(crate) fn median(&self) -> Option<f64> {
+        if self.sorted.is_empty() {
+            return None;
+        }
+        let n = self.sorted.len();
+        Some(if n % 2 == 1 {
+            self.sorted[n / 2]
+        } else {
+            (self.sorted[n / 2 - 1] + self.sorted[n / 2]) / 2.0
+        })
+    }
+
+    /// Median absolute deviation around the median: collect the
+    /// deviations, sort, index the middle; `None` when empty.
+    pub(crate) fn mad(&self) -> Option<f64> {
+        let med = self.median()?;
+        let mut devs: Vec<f64> = self.sorted.iter().map(|&v| (v - med).abs()).collect();
+        devs.sort_by(|a, b| a.partial_cmp(b).expect("NaN in window"));
+        let n = devs.len();
+        Some(if n % 2 == 1 {
+            devs[n / 2]
+        } else {
+            (devs[n / 2 - 1] + devs[n / 2]) / 2.0
+        })
     }
 }
 
@@ -244,27 +239,100 @@ mod tests {
         assert_eq!(w.mad(), Some(1.0));
     }
 
+    /// Deterministic LCG, so a failure reproduces from its printed seed.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            self.0 >> 11
+        }
+        fn next_f64(&mut self) -> f64 {
+            (self.next_u64() & ((1 << 53) - 1)) as f64 / (1u64 << 53) as f64
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next_u64() % n as u64) as usize
+        }
+    }
+
+    /// One seed's stream, by shape: random, out of order (ascending,
+    /// descending or shuffled), degraded (dropped, duplicated and spiked
+    /// samples), constant, and finite values with one `+inf` and one
+    /// `-inf` — placed where a window of at least three keeps its median
+    /// finite, the only case the detector feeds it.
+    fn stream(seed: u64, rng: &mut Lcg) -> (&'static str, Vec<f64>) {
+        match seed % 5 {
+            0 => ("random", (0..200).map(|_| (rng.next_f64() - 0.5) * 1e3).collect()),
+            1 => {
+                let mut v: Vec<f64> = (0..150).map(|_| rng.next_f64() * 100.0).collect();
+                v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                match rng.below(3) {
+                    0 => ("ascending", v),
+                    1 => ("descending", v.into_iter().rev().collect()),
+                    _ => {
+                        for i in (1..v.len()).rev() {
+                            v.swap(i, rng.below(i + 1));
+                        }
+                        ("shuffled", v)
+                    }
+                }
+            }
+            2 => {
+                let (mut v, mut last) = (Vec::new(), 10.0);
+                for t in 0..300 {
+                    let base = 10.0 + (t as f64 / 20.0).sin() * 2.0 + rng.next_f64();
+                    match rng.below(10) {
+                        0 => continue,
+                        1 => v.extend([last, last]),
+                        2 => v.push(base * 50.0),
+                        _ => v.push(base),
+                    }
+                    last = base;
+                }
+                ("degraded", v)
+            }
+            3 => {
+                let value = [0.0, -0.0, 1.0, -273.15, 1e300][rng.below(5)];
+                ("constant", vec![value; 40])
+            }
+            _ => {
+                let mut v: Vec<f64> = (0..40).map(|_| rng.below(50) as f64).collect();
+                let up = 2 + rng.below(38);
+                let mut down = 2 + rng.below(37);
+                if down >= up {
+                    down += 1;
+                }
+                v[up] = f64::INFINITY;
+                v[down] = f64::NEG_INFINITY;
+                ("infinities", v)
+            }
+        }
+    }
+
+    /// `median_mad()` against the allocate-and-sort `median()` / `mad()`
+    /// after every push, bitwise, over 320 seeded streams of every shape.
     #[test]
     fn median_mad_kernels_are_bit_identical() {
-        // A deterministic stream with duplicates, evictions, and values
-        // landing exactly on the median.
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (((state >> 40) % 1000) as f64) / 10.0
-        };
-        for capacity in [2usize, 3, 5, 16, 121] {
+        for seed in 0..320u64 {
+            let mut rng = Lcg(seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1));
+            let (shape, xs) = stream(seed, &mut rng);
+            let capacity = 3 + rng.below(62);
             let mut w = RollingWindow::new(capacity);
-            assert_eq!(w.median_mad(KernelKind::Fast), None);
-            assert_eq!(w.median_mad(KernelKind::Reference), None);
-            for _ in 0..(capacity * 3 + 7) {
-                w.push(next());
-                let (fm, fd) = w.median_mad(KernelKind::Fast).unwrap();
-                let (rm, rd) = w.median_mad(KernelKind::Reference).unwrap();
-                assert_eq!(fm.to_bits(), rm.to_bits(), "median, capacity {capacity}");
-                assert_eq!(fd.to_bits(), rd.to_bits(), "mad, capacity {capacity}");
-                assert_eq!(rm.to_bits(), w.median().unwrap().to_bits());
-                assert_eq!(rd.to_bits(), w.mad().unwrap().to_bits());
+            assert_eq!(w.median_mad(), None, "seed {seed}: empty window");
+            for (i, &x) in xs.iter().enumerate() {
+                w.push(x);
+                let (med, mad) = w.median_mad().expect("non-empty window");
+                let (oracle_med, oracle_mad) = (w.median().unwrap(), w.mad().unwrap());
+                assert_eq!(
+                    (med.to_bits(), mad.to_bits()),
+                    (oracle_med.to_bits(), oracle_mad.to_bits()),
+                    "seed {seed} ({shape}, capacity {capacity}), step {i}: \
+                     kernel ({med}, {mad}) vs oracle ({oracle_med}, {oracle_mad})"
+                );
+                if shape == "constant" {
+                    assert_eq!(med.to_bits(), x.to_bits(), "seed {seed}: constant median");
+                    assert_eq!(mad, 0.0, "seed {seed}: constant MAD");
+                }
             }
         }
     }

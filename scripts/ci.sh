@@ -15,7 +15,8 @@
 #   scaling_smoke     the run_full row of the equivalence matrix: shards
 #                     1/2/4 and fanout close bit-identical cases
 #   obs_smoke         chrome-trace export + zero-cost disabled observer
-#   kernel_smoke      fast kernels vs scalar reference, the cell store vs
+#   kernel_smoke      slice kernels vs serial loops, the rolling median/MAD
+#                     vs its allocate-and-sort oracle, the cell store vs
 #                     its map-per-second oracle, the chunked record ring vs
 #                     its VecDeque oracle, the history store's runs vs its
 #                     dense-span oracle, the online feature detector vs
@@ -28,8 +29,8 @@
 #                     matrix's reshard and checkpoint -> resume rows
 #   daemon_smoke      resident daemon: control-wire hardening, report and
 #                     epoch contracts, the matrix's daemon row
-#   case_cut_smoke    incremental window cut: running-moment rows bit-
-#                     identical to the reference derivation
+#   case_cut_smoke    window cut: minute rows bit-identical to the
+#                     per-template per_minute oracle
 #   transport_smoke   cross-process ingest: the loopback pipe vs its
 #                     byte-queue oracle, PEVT wire hardening, TCP framing /
 #                     region server / credit deadlock / wire extremes and
@@ -37,7 +38,7 @@
 #                     loopback rows, backpressure faults
 #   equivalence       the whole execution-path x matrix-point table
 #                     against the golden corpus (tests/equivalence.rs,
-#                     one #[test] per path; ~8 min on 2 cores)
+#                     one #[test] per path; ~3 min on 2 cores)
 #   bench_quick       `benchmark/run.sh --quick`: every workload of the
 #                     end-to-end benchmark, short, through every drive;
 #                     fails unless all four come back correct with no
@@ -50,7 +51,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,44p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,45p' "$0" | sed 's/^# \{0,1\}//' >&2
 }
 
 # `cargo test -q ARGS`, echoed as it runs, failing when the tests pass but
@@ -82,9 +83,8 @@ fleet_smoke() {
 
 # One or more rows of the equivalence matrix (tests/equivalence.rs: one
 # #[test] per execution path, each against the batch reference at every
-# value of shards / fanout / kernel / cut / observer). Arguments are test
-# name filters; none runs the whole table. --nocapture prints each path's
-# wall time.
+# value of shards / fanout / observer). Arguments are test name filters;
+# none runs the whole table. --nocapture prints each path's wall time.
 matrix() {
   tests --test equivalence -- --nocapture "$@"
 }
@@ -106,16 +106,19 @@ obs_smoke() {
   tests --test obs_smoke
 }
 
-# Kernels: the fast kernels must stay bit-identical to the scalar
-# reference, the cell store to the map-per-second oracle in its test
-# module, the chunked record ring to the VecDeque ring it replaced and the
-# history store's runs to the dense span they replaced (seeded op-sequence
-# sweeps), the online feature detector to the batch scanner
-# it replaced (seeded series sweep), the session estimator's record sweep
-# to its per-template oracle (seeded adversarial cases), and the fold
-# entered as runs of N to the fold entered as runs of one.
+# Kernels: the slice kernels must agree with serial loops, the rolling
+# median/MAD stay bit-identical to the allocate-and-sort oracle in its
+# test module (seeded stream sweep), the cell store to the map-per-second
+# oracle in its test module, the chunked record ring to the VecDeque ring
+# it replaced and the history store's runs to the dense span they
+# replaced (seeded op-sequence sweeps), the online feature detector to
+# the batch scanner it replaced (seeded series sweep), the session
+# estimator's record sweep to its per-template oracle (seeded adversarial
+# cases), and the fold entered as runs of N to the fold entered as runs
+# of one.
 kernel_smoke() {
   tests --test kernel_props
+  tests -p pinsql-timeseries rolling::tests::median_mad_kernels_are_bit_identical
   tests -p pinsql-collector cellstore
   tests -p pinsql-collector records::tests::chunked_ring_matches_the_deque_oracle
   tests -p pinsql-collector history::tests::runs_match_the_dense_oracle
@@ -128,10 +131,12 @@ kernel_smoke() {
 # PSNP unit tests (the collector's `checkpoint` filter includes the three
 # restore refusals, checkpoint_rejects_a_sorted_flag_over_unsorted_records,
 # checkpoint_rejects_a_cell_row_naming_a_slot_twice and
-# checkpoint_rejects_a_history_span_past_the_end_of_time), the
-# wire-hardening suite (committed golden blob, v2 only, reserved bytes)
-# and the property suite, checkpoint-bytes / shipped-bytes /
-# handoff-order checks, then the matrix's reshard and resume rows.
+# checkpoint_rejects_a_history_span_past_the_end_of_time; the engine's
+# `snapshot` filter includes snapshot_rejects_a_negative_delta_s), the
+# wire-hardening suite (committed golden blob, older versions refused,
+# kernel tags and reserved bytes) and the property suite, checkpoint-bytes
+# / shipped-bytes / handoff-order checks, then the matrix's reshard and
+# resume rows.
 snapshot_smoke() {
   tests -p pinsql-collector checkpoint
   tests -p pinsql-engine snapshot
@@ -152,8 +157,9 @@ daemon_smoke() {
   matrix daemon_push_restart
 }
 
-# Incremental window cut: the running-moment property suite (cut rows
-# bit-identical to the reference derivation under random/perturbed/
+# Window cut: the property suite (minute rows bit-identical to the
+# per-template per_minute oracle, and their normalized matrix to
+# from_series over the oracle's rows, under random/perturbed/constant/
 # evicting/restored streams).
 case_cut_smoke() {
   tests --test cut_props

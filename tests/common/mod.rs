@@ -8,7 +8,6 @@
 #![allow(dead_code)]
 
 use pinsql::{Diagnosis, PinSql, PinSqlConfig};
-use pinsql_detect::{CutKind, KernelKind};
 use pinsql_engine::FleetConfig;
 use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
 use pinsql_json::Json;
@@ -277,30 +276,20 @@ pub enum ObserverKind {
 pub struct MatrixPoint {
     pub shards: usize,
     pub fanout: usize,
-    pub kernel: KernelKind,
-    pub cut: CutKind,
     pub observer: ObserverKind,
 }
 
 impl MatrixPoint {
     /// The production defaults, unsharded and unobserved.
-    pub const BASELINE: MatrixPoint = MatrixPoint {
-        shards: 1,
-        fanout: 1,
-        kernel: KernelKind::Fast,
-        cut: CutKind::Incremental,
-        observer: ObserverKind::Noop,
-    };
+    pub const BASELINE: MatrixPoint =
+        MatrixPoint { shards: 1, fanout: 1, observer: ObserverKind::Noop };
 
-    /// Failure-message label:
-    /// `shards 2, fanout 4, kernel fast, cut incremental, observer noop`.
+    /// Failure-message label: `shards 2, fanout 4, observer noop`.
     pub fn label(&self) -> String {
         format!(
-            "shards {}, fanout {}, kernel {}, cut {}, observer {}",
+            "shards {}, fanout {}, observer {}",
             self.shards,
             self.fanout,
-            self.kernel.label(),
-            self.cut.label(),
             match self.observer {
                 ObserverKind::Noop => "noop",
                 ObserverKind::Recording => "recording",
@@ -319,31 +308,19 @@ pub fn axis_points() -> Vec<MatrixPoint> {
         MatrixPoint { shards: 2, ..b },
         MatrixPoint { shards: 4, ..b },
         MatrixPoint { fanout: 4, ..b },
-        MatrixPoint { kernel: KernelKind::Reference, ..b },
-        MatrixPoint { cut: CutKind::Reference, ..b },
         MatrixPoint { observer: ObserverKind::Recording, ..b },
-        MatrixPoint {
-            shards: 4,
-            fanout: 4,
-            kernel: KernelKind::Reference,
-            cut: CutKind::Reference,
-            observer: ObserverKind::Recording,
-        },
+        MatrixPoint { shards: 4, fanout: 4, observer: ObserverKind::Recording },
     ]
 }
 
 /// The full cross-product: shards {1, 2, 4} × fanout {1, 4} × both
-/// detector kernels × both window-cut paths × both observers.
+/// observers.
 pub fn all_points() -> Vec<MatrixPoint> {
     let mut points = Vec::new();
     for shards in [1usize, 2, 4] {
         for fanout in [1usize, 4] {
-            for kernel in [KernelKind::Fast, KernelKind::Reference] {
-                for cut in [CutKind::Incremental, CutKind::Reference] {
-                    for observer in [ObserverKind::Noop, ObserverKind::Recording] {
-                        points.push(MatrixPoint { shards, fanout, kernel, cut, observer });
-                    }
-                }
+            for observer in [ObserverKind::Noop, ObserverKind::Recording] {
+                points.push(MatrixPoint { shards, fanout, observer });
             }
         }
     }
@@ -354,10 +331,9 @@ pub fn all_points() -> Vec<MatrixPoint> {
 pub fn golden_fleet_config(p: MatrixPoint) -> FleetConfig {
     FleetConfig {
         delta_s: GOLDEN_DELTA_S,
-        pinsql: PinSqlConfig::default().with_cut(p.cut),
+        pinsql: PinSqlConfig::default(),
         fanout: p.fanout,
         shards: p.shards,
-        kernel: p.kernel,
         ..FleetConfig::default()
     }
 }

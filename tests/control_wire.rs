@@ -8,13 +8,13 @@
 //! * truncation at every byte offset of a representative message and
 //!   response frame;
 //! * wrong magic, future version, unknown frame tags;
-//! * corrupted inner tags (presence flags, kernel kind, daemon state);
+//! * corrupted inner tags (presence flags, daemon state) and the two
+//!   reserved presence bytes where the kernel and cut-path fields sat;
 //! * semantic garbage (zero shard counts, non-UTF-8 reject reasons,
 //!   inconsistent rollup trees, non-ascending region ids);
 //! * trailing bytes both inside the body section and after the frame.
 
 use pinsql::{ConfigEpoch, PinSqlDelta};
-use pinsql_detect::{CutKind, KernelKind};
 use pinsql_engine::{
     ControlMsg, ControlResp, DaemonState, FleetDelta, CONTROL_MAGIC, CONTROL_VERSION,
 };
@@ -29,7 +29,6 @@ fn full_push_frame() -> Vec<u8> {
         delta: FleetDelta {
             shards: Some(4),
             fanout: Some(2),
-            kernel: Some(KernelKind::Reference),
             delta_s: Some(480),
             regions: Some(3),
             pinsql: PinSqlDelta {
@@ -39,7 +38,6 @@ fn full_push_frame() -> Vec<u8> {
                 tukey_k: Some(2.0),
                 rsql_score_min: Some(0.4),
                 parallelism: Some(2),
-                cut: Some(CutKind::Incremental),
             },
         },
     }
@@ -173,14 +171,49 @@ fn corrupt_push_bodies_yield_specific_typed_errors() {
         Err(WireError::Mismatch { what: "delta shards", .. })
     ));
 
-    // Byte 42 is the kernel tag (after shards and fanout at 9 bytes each,
-    // plus the kernel presence flag).
-    let mut bad_kernel = bytes.clone();
-    bad_kernel[42] = 9;
+    // Bytes 42..51 are the `delta_s` presence flag and value.
+    let mut bad_delta_s_flag = bytes.clone();
+    bad_delta_s_flag[42] = 2;
     assert!(matches!(
-        ControlMsg::from_bytes(&bad_kernel),
-        Err(WireError::BadTag { what: "kernel kind", value: 9 })
+        ControlMsg::from_bytes(&bad_delta_s_flag),
+        Err(WireError::BadTag { what: "bool", value: 2 })
     ));
+}
+
+/// Byte 41 (after shards and fanout at 9 bytes each) and the body's last
+/// byte were the presence flags of the detector kernel and the window-cut
+/// path. Both fields are gone; the bytes stay, `false`, so a frame that
+/// never set them is unchanged, and any other value is a typed error.
+#[test]
+fn reserved_presence_bytes_refuse_anything_but_false() {
+    let bytes = full_push_frame();
+    let last = bytes.len() - 1;
+    assert_eq!((bytes[41], bytes[last]), (0, 0));
+    for at in [41, last] {
+        for value in [1u8, 2, 0xFF] {
+            let mut set = bytes.clone();
+            set[at] = value;
+            assert!(
+                matches!(
+                    ControlMsg::from_bytes(&set),
+                    Err(WireError::BadTag { what: "reserved byte", value: v }) if v == value as u64
+                ),
+                "byte {at} = {value}"
+            );
+        }
+    }
+
+    // An empty push — the shape every frame that set neither field had —
+    // is the same 35 bytes it always was: header, body length 20, the
+    // epoch, and twelve absent fields.
+    let empty = ControlMsg::ConfigPush { epoch: ConfigEpoch(9), delta: FleetDelta::default() };
+    let mut expect = b"PCTL".to_vec();
+    expect.extend_from_slice(&1u16.to_le_bytes());
+    expect.push(1);
+    expect.extend_from_slice(&20u64.to_le_bytes());
+    expect.extend_from_slice(&9u64.to_le_bytes());
+    expect.extend_from_slice(&[0; 12]);
+    assert_eq!(empty.to_bytes(), expect);
 }
 
 #[test]

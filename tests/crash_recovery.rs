@@ -11,7 +11,6 @@ mod common;
 
 use common::{load_manifest, reversed, scenario_for, snapshot_of, GOLDEN_DELTA_S};
 use pinsql::PinSqlConfig;
-use pinsql_detect::KernelKind;
 use pinsql_engine::{FleetCheckpoint, FleetConfig, FleetDaemon};
 use pinsql_obs::NoopObserver;
 use pinsql_scenario::Scenario;
@@ -22,7 +21,6 @@ fn config(shards: usize, fanout: usize) -> FleetConfig {
         pinsql: PinSqlConfig::default(),
         fanout,
         shards,
-        kernel: KernelKind::Fast,
         ..FleetConfig::default()
     }
 }
@@ -47,7 +45,6 @@ fn checkpoints_are_deterministic_and_layout_independent() {
     assert_eq!(a.snapshots.len(), b.snapshots.len());
     for (i, (sa, sb)) in a.snapshots.iter().zip(&b.snapshots).enumerate() {
         assert_eq!(sa.as_bytes(), sb.as_bytes(), "instance {i}: checkpoint bytes differ");
-        assert_eq!(sa.kernel(), KernelKind::Fast);
     }
 }
 

@@ -1,21 +1,17 @@
-//! Property sweeps for the incremental window cut.
+//! Property sweeps for the online window cut.
 //!
-//! The contract under test: for any ingest stream, an instance running
-//! with [`CutKind::Incremental`] closes its case carrying a
-//! [`WindowCut`] whose per-template 1-minute rows are **bit-identical**
-//! to what the reference path re-derives from the raw series
-//! (`TemplateSeries::per_minute`), whose normalized matrix matches
-//! `NormalizedMatrix::from_series` row for row, and whose advisory gate
-//! is always a finite value in `[-1, 1]` — while everything *outside*
-//! the cut is byte-for-byte the same as a [`CutKind::Reference`] run.
-//! Streams come from seeded random generators (out-of-order arrivals,
-//! ±inf/NaN records), chaos-perturbed scenario telemetry, constant
-//! workloads, retention-evicting long windows, and mid-window
+//! The contract under test: for any ingest stream, an instance closes its
+//! case carrying a [`WindowCut`] whose per-template 1-minute rows are
+//! **bit-identical** to what the oracle re-derives from the case's raw
+//! series (`TemplateSeries::per_minute`), and whose normalized matrix
+//! matches `NormalizedMatrix::from_series` over those re-derived rows, row
+//! for row. Streams come from seeded random generators (out-of-order
+//! arrivals, ±inf/NaN records), chaos-perturbed scenario telemetry,
+//! constant workloads, retention-evicting long windows, and mid-window
 //! snapshot/restore splits. A failing sweep names its seed.
 
 use pinsql_collector::{CaseData, IncrementalAggregator, IncrementalConfig, WindowCut};
 use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
-use pinsql_detect::CutKind;
 use pinsql_engine::{InstanceSnapshot, OnlineInstance};
 use pinsql_scenario::{materialize_events, PerturbConfig, Scenario};
 use pinsql_timeseries::NormalizedMatrix;
@@ -27,14 +23,13 @@ use common::{random_event_stream, small_scenario};
 
 const DELTA_S: i64 = 60;
 
-/// The cut's rows equal the per-template reference derivation bit for
-/// bit, and normalizing them reproduces `from_series` exactly.
-fn assert_cut_is_reference_exact(case: &CaseData, what: &str) -> WindowCut {
-    let cut = case.cut.as_deref().unwrap_or_else(|| panic!("{what}: incremental cut missing"));
+/// The cut's rows equal the per-template `per_minute` oracle bit for
+/// bit, and normalizing them reproduces `from_series` over the oracle's
+/// rows exactly.
+fn assert_cut_is_exact(case: &CaseData, what: &str) -> WindowCut {
+    let cut = case.cut.as_deref().unwrap_or_else(|| panic!("{what}: window cut missing"));
     assert_eq!(cut.minute_rows.len(), case.templates.len(), "{what}: row count");
-    assert_eq!(cut.gate.len(), case.templates.len(), "{what}: gate count");
     assert_eq!(cut.minute_start, case.ts.div_euclid(60), "{what}: minute origin");
-    assert!(cut.moments_pushed >= cut.moments_evicted, "{what}: eviction exceeds pushes");
 
     let per_minutes: Vec<Vec<f64>> =
         case.templates.iter().map(|t| t.series.per_minute()).collect();
@@ -47,11 +42,6 @@ fn assert_cut_is_reference_exact(case: &CaseData, what: &str) -> WindowCut {
                 "{what}: template {i} minute {m}: cut {a} vs per_minute {b}"
             );
         }
-        assert!(
-            cut.gate[i].is_finite() && (-1.0..=1.0).contains(&cut.gate[i]),
-            "{what}: gate {i} out of range: {}",
-            cut.gate[i]
-        );
     }
 
     let cut_matrix = NormalizedMatrix::from_series(&cut.row_refs());
@@ -67,7 +57,7 @@ fn assert_cut_is_reference_exact(case: &CaseData, what: &str) -> WindowCut {
             }
             (None, None) => {}
             (a, b) => panic!(
-                "{what}: matrix row {i} validity diverged (cut {:?}, reference {:?})",
+                "{what}: matrix row {i} validity diverged (cut {:?}, oracle {:?})",
                 a.is_some(),
                 b.is_some()
             ),
@@ -76,7 +66,7 @@ fn assert_cut_is_reference_exact(case: &CaseData, what: &str) -> WindowCut {
     cut.clone()
 }
 
-/// Everything *outside* the cut is identical across the two cut paths.
+/// Everything *outside* the cut is identical across two cases.
 fn assert_case_eq_modulo_cut(a: &CaseData, b: &CaseData, what: &str) {
     assert_eq!(a.ts, b.ts, "{what}: ts");
     assert_eq!(a.te, b.te, "{what}: te");
@@ -90,27 +80,17 @@ fn assert_case_eq_modulo_cut(a: &CaseData, b: &CaseData, what: &str) {
     assert_eq!(a.metrics.active_session, b.metrics.active_session, "{what}: active_session");
 }
 
-/// Runs one stream through both cut paths and checks the full contract.
+/// Runs one stream through an instance and checks its cut against the
+/// oracle.
 fn check_stream(scenario: &Scenario, events: &[TelemetryEvent], what: &str) {
-    let mk = |cut: CutKind| OnlineInstance::new(scenario, DELTA_S).with_cut(cut);
-
-    let mut inc = mk(CutKind::Incremental);
-    inc.ingest_stream(events.to_vec());
-    let lc = inc.close_case();
-
-    let mut reference = mk(CutKind::Reference);
-    reference.ingest_stream(events.to_vec());
-    let lc_ref = reference.close_case();
-
-    assert!(lc_ref.case.cut.is_none(), "{what}: reference path must not carry a cut");
-    assert_cut_is_reference_exact(&lc.case, what);
-    assert_case_eq_modulo_cut(&lc.case, &lc_ref.case, what);
+    let mut inst = OnlineInstance::new(scenario, DELTA_S);
+    inst.ingest_stream(events.to_vec());
+    assert_cut_is_exact(&inst.close_case().case, what);
 }
 
 /// Seeded random streams: arrivals in any order (including before the
 /// ring start), a sprinkle of NaN/∞ records, interleaved metric samples
-/// and ticks — the running moments always reproduce the reference
-/// derivation exactly. 256 streams.
+/// and ticks — the cut always reproduces the oracle exactly. 256 streams.
 #[test]
 fn random_streams_cut_exactly() {
     let scenario = small_scenario(7);
@@ -123,8 +103,7 @@ fn random_streams_cut_exactly() {
 
 /// Chaos-perturbed real telemetry: dropped/duplicated/jittered/
 /// reordered records and blanked metric seconds never desynchronize the
-/// running moments from the raw series. 256 perturbations of one
-/// scenario.
+/// cut from the raw series. 256 perturbations of one scenario.
 #[test]
 fn perturbed_streams_cut_exactly() {
     let scenario = small_scenario(11);
@@ -145,10 +124,9 @@ fn perturbed_streams_cut_exactly() {
 }
 
 /// A perfectly constant workload — zero variance on every template and
-/// on the session metric — yields degenerate-but-finite gate scores and
-/// exact constant rows.
+/// on the session metric — yields exact constant rows.
 #[test]
-fn constant_stream_cut_is_exact_and_degenerate_gate_is_finite() {
+fn constant_stream_cut_is_exact() {
     let scenario = small_scenario(3);
     let n_specs = scenario.workload.specs.len();
     let mut events: Vec<TelemetryEvent> = Vec::new();
@@ -173,7 +151,7 @@ fn constant_stream_cut_is_exact_and_degenerate_gate_is_finite() {
 
 /// A stream that runs far past the retention horizon: early seconds are
 /// evicted from the rings, the eviction counter advances, and the cut at
-/// close still matches the reference derivation over what remains.
+/// close still matches the oracle over what remains.
 /// (`OnlineInstance` sizes retention to the whole simulated window, so it
 /// never evicts; the aggregator is driven directly, under the 60 s
 /// look-back.)
@@ -182,7 +160,7 @@ fn eviction_past_the_window_stays_exact() {
     let scenario = small_scenario(5);
     let mut agg = IncrementalAggregator::new(
         &scenario.workload.specs,
-        IncrementalConfig::default().with_retention(DELTA_S).with_cut(CutKind::Incremental),
+        IncrementalConfig::default().with_retention(DELTA_S),
     );
     // 240 s of telemetry: three quarters of the stream age out of the
     // rings before the window is cut.
@@ -190,9 +168,8 @@ fn eviction_past_the_window_stays_exact() {
         agg.ingest(ev);
     }
     let te = scenario.cfg.window_s;
-    let cut = assert_cut_is_reference_exact(&agg.snapshot(te - DELTA_S, te), "evicting stream");
-    assert!(cut.moments_pushed > 0, "long stream must push moments");
-    assert!(cut.moments_evicted > 0, "a 240 s stream under a 60 s retention must evict");
+    assert_cut_is_exact(&agg.snapshot(te - DELTA_S, te), "evicting stream");
+    assert!(agg.stats().evictions > 0, "a 240 s stream under a 60 s retention must evict");
 }
 
 /// Snapshot mid-window, restore through the untrusted byte path, drain
@@ -204,7 +181,7 @@ fn snapshot_restore_mid_window_preserves_the_cut() {
     let events = materialize_events(&scenario, None);
     for frac in [0.25f64, 0.5, 0.85] {
         let split = ((events.len() as f64) * frac) as usize;
-        let mk = || OnlineInstance::new(&scenario, DELTA_S).with_cut(CutKind::Incremental);
+        let mk = || OnlineInstance::new(&scenario, DELTA_S);
 
         let mut baseline = mk();
         baseline.ingest_stream(events.clone());
@@ -216,46 +193,13 @@ fn snapshot_restore_mid_window_preserves_the_cut() {
             .expect("own bytes revalidate");
         let mut restored =
             OnlineInstance::restore(&scenario, &snap).expect("own snapshot restores");
-        assert_eq!(restored.cut(), CutKind::Incremental, "split {split}: cut kind survives");
         restored.ingest_stream(events[split..].to_vec());
         let lc_restored = restored.close_case();
 
         let what = format!("restored at {split}");
-        let cut_base = assert_cut_is_reference_exact(&lc_base.case, "baseline");
-        let cut_restored = assert_cut_is_reference_exact(&lc_restored.case, &what);
+        let cut_base = assert_cut_is_exact(&lc_base.case, "baseline");
+        let cut_restored = assert_cut_is_exact(&lc_restored.case, &what);
         assert_case_eq_modulo_cut(&lc_restored.case, &lc_base.case, &what);
         assert_eq!(cut_restored.minute_rows, cut_base.minute_rows, "{what}: rows");
-        for (i, (a, b)) in cut_restored.gate.iter().zip(&cut_base.gate).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "{what}: gate {i}");
-        }
-    }
-}
-
-/// A mid-stream `set_cut(Reference → Incremental)` — the daemon's config
-/// push — rebuilds the running moments from the resident rings. The
-/// rebuilt state then tracks the stream like one that ran from the first
-/// event: carried matrix rows identical, advisory gates equal to within
-/// the rounding of the ring-sweep order (1e-9).
-#[test]
-fn a_mid_stream_flip_to_incremental_rebuilds_the_running_moments() {
-    let scenario = small_scenario(9);
-    let events = materialize_events(&scenario, None);
-    let mut from_birth = OnlineInstance::new(&scenario, DELTA_S).with_cut(CutKind::Incremental);
-    from_birth.ingest_stream(events.clone());
-    let born = assert_cut_is_reference_exact(&from_birth.close_case().case, "incremental from birth");
-
-    for frac in [0.0f64, 0.3, 0.6, 1.0] {
-        let split = ((events.len() as f64) * frac) as usize;
-        let what = format!("flipped at {split}");
-        let mut flipped = OnlineInstance::new(&scenario, DELTA_S).with_cut(CutKind::Reference);
-        flipped.ingest_stream(events[..split].to_vec());
-        flipped.set_cut(CutKind::Incremental);
-        flipped.ingest_stream(events[split..].to_vec());
-        let rebuilt = assert_cut_is_reference_exact(&flipped.close_case().case, &what);
-        assert_eq!(rebuilt.minute_rows, born.minute_rows, "{what}: carried matrix rows");
-        assert_eq!(rebuilt.gate.len(), born.gate.len(), "{what}");
-        for (i, (x, y)) in rebuilt.gate.iter().zip(&born.gate).enumerate() {
-            assert!((x - y).abs() <= 1e-9, "{what}: gate {i}: rebuilt {x} vs running {y}");
-        }
     }
 }

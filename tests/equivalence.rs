@@ -9,7 +9,7 @@
 //! and then restarted mid-anomaly, the `PEVT` loopback transport, the
 //! same with a mid-frame tear and a replaying reconnect, and the
 //! single-instance replay. **Columns** are [`MatrixPoint`]s: shards ×
-//! fanout × detector kernel × window-cut path × observer. Each cell
+//! fanout × observer. Each cell
 //! compares every case's [`common::Snapshot`] — scores as `f64` bit
 //! patterns, so a single ULP of drift anywhere fails — against the batch
 //! reference, and a failure names the path, the point and the case.
@@ -34,7 +34,6 @@ use common::{
     ManifestEntry, MatrixPoint, ObserverKind, Snapshot, MANIFEST,
 };
 use pinsql::{ConfigEpoch, Diagnosis, PinSqlConfig, PinSqlDelta};
-use pinsql_detect::{CutKind, KernelKind};
 use pinsql_engine::{
     plan_frames, replay_diagnose, FleetConfig, FleetDaemon, FleetDelta, FleetRun, FleetServer,
     IngestSink, SourcePlan, TransportError,
@@ -117,26 +116,13 @@ impl From<FleetRun> for Outcome {
 /// A spawn config that disagrees with the golden config on every knob a
 /// [`FleetDelta`] can touch — the push must erase all of it.
 fn perturbed_config(golden: &FleetConfig) -> FleetConfig {
-    let other_kernel = match golden.kernel {
-        KernelKind::Fast => KernelKind::Reference,
-        KernelKind::Reference => KernelKind::Fast,
-    };
-    let other_cut = match golden.pinsql.cut {
-        CutKind::Incremental => CutKind::Reference,
-        CutKind::Reference => CutKind::Incremental,
-    };
     FleetConfig {
         delta_s: 120,
-        pinsql: PinSqlConfig {
-            tau: 0.5,
-            rsql_score_min: 0.9,
-            cut: other_cut,
-            ..PinSqlConfig::default()
-        },
+        pinsql: PinSqlConfig { tau: 0.5, rsql_score_min: 0.9, ..PinSqlConfig::default() },
         fanout: golden.fanout % 2 + 1,
         shards: 3,
-        kernel: other_kernel,
         regions: 1,
+        ..FleetConfig::default()
     }
 }
 
@@ -147,13 +133,11 @@ fn restoring_delta(golden: &FleetConfig) -> FleetDelta {
     FleetDelta {
         shards: Some(golden.shards),
         fanout: Some(golden.fanout),
-        kernel: Some(golden.kernel),
         delta_s: Some(golden.delta_s),
         regions: Some(3),
         pinsql: PinSqlDelta {
             tau: Some(defaults.tau),
             rsql_score_min: Some(defaults.rsql_score_min),
-            cut: Some(golden.pinsql.cut),
             ..PinSqlDelta::default()
         },
     }
@@ -242,7 +226,7 @@ fn run_path<O: Observer>(path: Path, p: MatrixPoint, sc: &[Scenario], obs: &O) -
             let mut server = FleetServer::with_agent(agent);
             // Ingest under the wrong config, then push the correction: the
             // quiesce-at-watermark + snapshot handoff must leave no trace
-            // of the perturbed thresholds, look-back, kernel, or layout.
+            // of the perturbed thresholds, look-back, or layout.
             server.advance_to(600);
             let epoch = server.push_config(restoring_delta(&cfg)).expect("config push acked");
             assert_eq!(epoch, ConfigEpoch(1), "first push mints epoch 1");
@@ -421,10 +405,10 @@ fn default_tier(name: &str, path: Path) {
 }
 
 /// The full cross-product the per-path suites used to declare, over the
-/// same row table and the full corpus: 10 paths × 48 points. Hours, not
+/// same row table and the full corpus: 10 paths × 12 points. Hours, not
 /// minutes — run it when a change touches how two axes interact.
 #[test]
-#[ignore = "full cross-product: ~480 full-corpus runs"]
+#[ignore = "full cross-product: ~120 full-corpus runs"]
 fn full_cross_product_matches_batch() {
     let t0 = Instant::now();
     for &(name, path) in PATHS {

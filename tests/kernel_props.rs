@@ -1,18 +1,18 @@
-//! Property equivalence of the fast stats kernels against their scalar
-//! reference formulations.
+//! Property checks of the timeseries kernels against scalar formulations.
 //!
-//! The kernel layer (`pinsql_timeseries::kernels`) promises two things:
-//! the selection-based rolling median/MAD is *bit-identical* to the
-//! allocate-and-sort reference, and the running `MomentAccumulator` is an
-//! exact replacement for re-summing a window of integer-valued counts.
-//! This suite drives both through seeded random streams, out-of-order
-//! arrivals, perturbation-degraded streams (dropped, duplicated, and
-//! spiked samples — the shapes the chaos layer produces), constant
-//! series, and ±inf / NaN edge cases, comparing `KernelKind::Fast`
-//! against `KernelKind::Reference` bitwise at every step.
+//! The unrolled slice kernels (`pinsql_timeseries::kernels`) must agree
+//! with serial loops: ~ulp in general, bitwise on integer-valued data.
+//! The selection-based `RollingWindow::median_mad` must be *bit-identical*
+//! to an allocate-and-sort median/MAD of the window's contents, which this
+//! suite recomputes from `arrival_values()` after every push. The streams
+//! are seeded random, out-of-order arrivals, perturbation-degraded
+//! (dropped, duplicated and spiked samples — the shapes the chaos layer
+//! produces), constant series and ±inf edge cases. The timeseries crate's
+//! own `rolling::tests::median_mad_kernels_are_bit_identical` sweeps the
+//! same shapes against its in-crate oracle over 320 seeds.
 
+use pinsql_timeseries::kernels;
 use pinsql_timeseries::rolling::RollingWindow;
-use pinsql_timeseries::{kernels, KernelKind, MomentAccumulator};
 
 /// Deterministic LCG so every failure reproduces from a printed seed.
 struct Lcg(u64);
@@ -30,13 +30,35 @@ impl Lcg {
     }
 }
 
-/// Asserts Fast and Reference median/MAD agree bitwise after every push.
+/// Median of an ascending slice: the middle value, or the mean of the two
+/// middle values.
+fn median_of(sorted: &[f64]) -> f64 {
+    let n = sorted.len();
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+    }
+}
+
+/// Allocate-and-sort median and MAD of `values`.
+fn sorted_median_mad(values: &[f64]) -> (f64, f64) {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in window"));
+    let med = median_of(&sorted);
+    let mut devs: Vec<f64> = sorted.iter().map(|&v| (v - med).abs()).collect();
+    devs.sort_by(|a, b| a.partial_cmp(b).expect("NaN in deviations"));
+    (med, median_of(&devs))
+}
+
+/// Asserts `median_mad()` equals the allocate-and-sort oracle bitwise
+/// after every push.
 fn assert_window_equivalence(capacity: usize, stream: &[f64], ctx: &str) {
     let mut w = RollingWindow::new(capacity);
     for (i, &x) in stream.iter().enumerate() {
         w.push(x);
-        let fast = w.median_mad(KernelKind::Fast).expect("non-empty window");
-        let reference = w.median_mad(KernelKind::Reference).expect("non-empty window");
+        let fast = w.median_mad().expect("non-empty window");
+        let reference = sorted_median_mad(&w.arrival_values());
         assert_eq!(
             (fast.0.to_bits(), fast.1.to_bits()),
             (reference.0.to_bits(), reference.1.to_bits()),
@@ -114,7 +136,7 @@ fn rolling_median_mad_matches_reference_on_constant_series() {
         for _ in 0..8 {
             w.push(value);
         }
-        let (med, mad) = w.median_mad(KernelKind::Fast).unwrap();
+        let (med, mad) = w.median_mad().unwrap();
         assert_eq!(med.to_bits(), value.to_bits(), "median of a constant series is the value");
         assert_eq!(mad, 0.0, "MAD of a constant series is zero");
     }
@@ -130,105 +152,6 @@ fn rolling_median_mad_matches_reference_with_infinities() {
     for capacity in [5, 9, 30] {
         assert_window_equivalence(capacity, &stream, "infinities");
     }
-}
-
-/// Scalar reference for the moment accumulator: re-sum the live window.
-fn serial_moments(window: &[f64]) -> (u64, f64, f64) {
-    (
-        window.len() as u64,
-        window.iter().sum(),
-        window.iter().map(|x| x * x).sum(),
-    )
-}
-
-#[test]
-fn moments_match_serial_resum_on_integer_sliding_windows() {
-    // The collector feeds the accumulator per-second execution counts —
-    // integer-valued f64s — and evicts them as the retention window
-    // slides. Push/evict must be an exact inverse there: equality is
-    // bitwise, not approximate.
-    for seed in 0..16u64 {
-        let mut rng = Lcg(0xC0DE + seed);
-        let mut acc = MomentAccumulator::default();
-        let mut window: Vec<f64> = Vec::new();
-        for step in 0..500 {
-            let x = rng.below(1000) as f64;
-            acc.push(x);
-            window.push(x);
-            while window.len() > 60 {
-                acc.evict(window.remove(0));
-            }
-            let (n, sum, sumsq) = serial_moments(&window);
-            assert_eq!(acc.count(), n, "seed {seed} step {step}");
-            assert_eq!(acc.sum().to_bits(), sum.to_bits(), "seed {seed} step {step}");
-            assert_eq!(acc.sum_sq().to_bits(), sumsq.to_bits(), "seed {seed} step {step}");
-        }
-    }
-}
-
-#[test]
-fn moments_merge_matches_sequential_on_integer_streams() {
-    let mut rng = Lcg(0x5EED);
-    let stream: Vec<f64> = (0..256).map(|_| rng.below(10_000) as f64).collect();
-    for split in [0, 1, 100, 255, 256] {
-        let mut left = MomentAccumulator::default();
-        let mut right = MomentAccumulator::default();
-        for &x in &stream[..split] {
-            left.push(x);
-        }
-        for &x in &stream[split..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        let mut sequential = MomentAccumulator::default();
-        for &x in &stream {
-            sequential.push(x);
-        }
-        assert_eq!(left.count(), sequential.count());
-        assert_eq!(left.sum().to_bits(), sequential.sum().to_bits(), "split {split}");
-        assert_eq!(left.sum_sq().to_bits(), sequential.sum_sq().to_bits(), "split {split}");
-    }
-}
-
-#[test]
-fn moments_track_serial_resum_within_ulps_on_real_valued_streams() {
-    // For non-integer data push/evict is no longer exactly invertible;
-    // the contract is closeness, and degenerate windows must still yield
-    // a non-negative variance (the cancellation floor).
-    let mut rng = Lcg(0xF00D);
-    let mut acc = MomentAccumulator::default();
-    let mut window: Vec<f64> = Vec::new();
-    for _ in 0..2000 {
-        let x = rng.next_f64() * 20.0 - 5.0;
-        acc.push(x);
-        window.push(x);
-        if window.len() > 120 {
-            acc.evict(window.remove(0));
-        }
-        let (_, sum, _) = serial_moments(&window);
-        assert!((acc.sum() - sum).abs() <= 1e-9 * (1.0 + sum.abs()));
-        assert!(acc.variance().unwrap() >= 0.0, "variance floor");
-    }
-    let mut constant = MomentAccumulator::default();
-    for _ in 0..50 {
-        constant.push(1e8 + 0.5);
-    }
-    assert_eq!(constant.variance(), Some(0.0), "constant series variance floors at zero");
-}
-
-#[test]
-fn moments_propagate_non_finite_values_like_the_serial_loop() {
-    let mut acc = MomentAccumulator::default();
-    for x in [1.0, f64::NAN, 2.0] {
-        acc.push(x);
-    }
-    assert!(acc.sum().is_nan() && acc.mean().unwrap().is_nan());
-    let mut inf = MomentAccumulator::default();
-    for x in [1.0, f64::INFINITY, 2.0] {
-        inf.push(x);
-    }
-    assert_eq!(inf.sum(), f64::INFINITY);
-    assert_eq!(inf.sum_sq(), f64::INFINITY);
 }
 
 #[test]

@@ -12,7 +12,6 @@
 
 use pinsql_collector::CaseData;
 use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
-use pinsql_detect::KernelKind;
 use pinsql_engine::{InstanceSnapshot, OnlineInstance};
 use pinsql_scenario::{materialize_events, LabeledCase, PerturbConfig, Scenario};
 use pinsql_workload::rng::{rng_from_seed, RngExt};
@@ -58,19 +57,16 @@ fn round_trip_at(
     scenario: &Scenario,
     events: &[TelemetryEvent],
     split: usize,
-    kernel: KernelKind,
     ctx: &str,
 ) {
-    let mk = || OnlineInstance::new(scenario, DELTA_S).with_kernel(kernel);
+    let mk = || OnlineInstance::new(scenario, DELTA_S);
 
     let mut baseline = mk();
     baseline.ingest_stream(events.to_vec());
 
     let mut live = mk();
     live.ingest_stream(events[..split].to_vec());
-    let snap = live.snapshot();
-    assert_eq!(snap.kernel(), kernel, "{ctx}: header tag");
-    let wrapped = InstanceSnapshot::from_bytes(snap.into_bytes())
+    let wrapped = InstanceSnapshot::from_bytes(live.snapshot().into_bytes())
         .unwrap_or_else(|e| panic!("{ctx}: own bytes must revalidate: {e:?}"));
     let mut restored = OnlineInstance::restore(scenario, &wrapped)
         .unwrap_or_else(|e| panic!("{ctx}: own snapshot must restore: {e:?}"));
@@ -104,9 +100,7 @@ fn random_streams_round_trip() {
         let mut rng = rng_from_seed(seed);
         let events = random_event_stream(&mut rng, scenario.workload.specs.len());
         let split = ((events.len() as f64) * rng.random_range(0.0..1.0)) as usize;
-        let kernel =
-            if rng.random_range(0..2u32) == 1 { KernelKind::Fast } else { KernelKind::Reference };
-        round_trip_at(&scenario, &events, split, kernel, &format!("seed {seed}"));
+        round_trip_at(&scenario, &events, split, &format!("seed {seed}"));
     }
 }
 
@@ -130,7 +124,7 @@ fn perturbed_streams_round_trip() {
         };
         let events = materialize_events(&scenario, Some(&perturb));
         let split = ((events.len() as f64) * rng.random_range(0.0..1.0)) as usize;
-        round_trip_at(&scenario, &events, split, KernelKind::Fast, &format!("seed {seed}"));
+        round_trip_at(&scenario, &events, split, &format!("seed {seed}"));
     }
 }
 

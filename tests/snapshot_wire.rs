@@ -11,10 +11,11 @@
 //! * byte-stability — today's engine reproduces the committed blob
 //!   exactly, so any accidental wire-format change fails loudly;
 //! * typed failure on *every* malformed shape — truncation at each byte,
-//!   wrong magic, future and previous versions, unknown and spliced kind
-//!   tags, a non-zero reserved byte in the header or the body, trailing
-//!   garbage, and restore into the wrong scenario — never a panic, never
-//!   a silently wrong instance.
+//!   wrong magic, future and previous versions (version 2 included), a
+//!   kernel tag other than `1` in the header or the bank section, a
+//!   non-zero reserved byte in the header or the body, trailing garbage,
+//!   and restore into the wrong scenario — never a panic, never a
+//!   silently wrong instance.
 
 mod common;
 
@@ -24,10 +25,20 @@ use pinsql_timeseries::WireError;
 
 const DELTA_S: i64 = 60;
 
-/// Where the aggregator body's reserved byte sits in a blob: the 8-byte
-/// header, the meta section (8-byte length + 33), the aggregator
-/// section's length, then two `i64` configuration fields.
-const BODY_RESERVED_AT: usize = 8 + (8 + 33) + 8 + 16;
+/// Where the aggregator section's length sits in a blob: after the
+/// 8-byte header and the meta section (8-byte length + 33).
+const AGGREGATOR_AT: usize = 8 + (8 + 33);
+
+/// Where the aggregator body's reserved byte sits in a blob: the
+/// aggregator section's length, then two `i64` configuration fields.
+const BODY_RESERVED_AT: usize = AGGREGATOR_AT + 8 + 16;
+
+/// Where the bank section's kernel tag sits in `blob`: past the
+/// aggregator section and the bank section's own length.
+fn bank_kernel_at(blob: &[u8]) -> usize {
+    let len = &blob[AGGREGATOR_AT..AGGREGATOR_AT + 8];
+    AGGREGATOR_AT + 8 + u64::from_le_bytes(len.try_into().unwrap()) as usize + 8
+}
 
 fn golden_scenario() -> pinsql_scenario::Scenario {
     let cfg = ScenarioConfig {
@@ -86,7 +97,6 @@ fn golden_blob_is_byte_stable_and_restores() {
     // The committed bytes round-trip through the untrusted path and keep
     // ingesting: drain the tail and close the case without error.
     let wrapped = InstanceSnapshot::from_bytes(committed).expect("golden blob validates");
-    assert_eq!(wrapped.kernel(), snap.kernel());
     let mut restored = OnlineInstance::restore(&scenario, &wrapped).expect("golden blob restores");
     let events = materialize_events(&scenario, None);
     let cut = events.partition_point(|ev| ev.time_ms() < 150.0 * 1000.0);
@@ -128,7 +138,7 @@ fn corrupt_headers_yield_specific_typed_errors() {
     ));
 
     let mut future = bytes.clone();
-    future[4] = 0xFF; // little-endian low byte: version 0xFF > 2
+    future[4] = 0xFF; // little-endian low byte: version 0xFF > 3
     assert!(matches!(
         InstanceSnapshot::from_bytes(future),
         Err(WireError::FutureVersion { supported: SNAPSHOT_VERSION, .. })
@@ -141,14 +151,6 @@ fn corrupt_headers_yield_specific_typed_errors() {
         Err(WireError::BadTag { what: "kernel kind", value: 9 })
     ));
 
-    // The version before this one had no cut-state section; nothing
-    // reads it any more.
-    let mut previous = bytes.clone();
-    previous[4..6].copy_from_slice(&(SNAPSHOT_VERSION - 1).to_le_bytes());
-    assert!(matches!(
-        InstanceSnapshot::from_bytes(previous),
-        Err(WireError::BadTag { what: "snapshot version", value: 1 })
-    ));
 
     // Header byte 7 and the aggregator body's byte 16 once named a
     // cell-row representation; they are reserved now, and must be 0.
@@ -169,17 +171,6 @@ fn corrupt_headers_yield_specific_typed_errors() {
         ));
     }
 
-    // A *valid-looking* spliced header — the kernel tag flipped to the
-    // other legal value — passes routing validation but must fail
-    // restore's header-vs-body cross-check.
-    let mut spliced_kernel = bytes.clone();
-    spliced_kernel[6] ^= 1;
-    let snap = InstanceSnapshot::from_bytes(spliced_kernel).expect("tag is legal in isolation");
-    assert!(matches!(
-        OnlineInstance::restore(&scenario, &snap),
-        Err(WireError::Mismatch { what: "kernel tag", .. })
-    ));
-
     let mut trailing = bytes.clone();
     trailing.extend_from_slice(b"garbage");
     let snap = InstanceSnapshot::from_bytes(trailing).expect("header is intact");
@@ -187,6 +178,43 @@ fn corrupt_headers_yield_specific_typed_errors() {
         OnlineInstance::restore(&scenario, &snap),
         Err(WireError::TrailingBytes { .. })
     ));
+}
+
+/// Tag `0` named the detector kernel that is now a test oracle, and
+/// version 2 carried a cut-state section nothing reads: both bytes are
+/// refused with typed errors, in the header and in the bank section.
+#[test]
+fn snapshot_rejects_retired_kernel_tags_and_older_versions() {
+    let scenario = golden_scenario();
+    let bytes = build_snapshot(&scenario).into_bytes();
+    let bank_at = bank_kernel_at(&bytes);
+    assert_eq!((bytes[6], bytes[bank_at]), (1, 1), "both kernel tags hold the one legal value");
+
+    for value in [0u8, 2, 9] {
+        let mut header = bytes.clone();
+        header[6] = value;
+        assert!(matches!(
+            InstanceSnapshot::from_bytes(header),
+            Err(WireError::BadTag { what: "kernel kind", value: v }) if v == value as u64
+        ));
+        let mut bank = bytes.clone();
+        bank[bank_at] = value;
+        let snap = InstanceSnapshot::from_bytes(bank).expect("header is intact");
+        assert!(matches!(
+            OnlineInstance::restore(&scenario, &snap),
+            Err(WireError::BadTag { what: "kernel kind", value: v }) if v == value as u64
+        ));
+    }
+
+    for old in 0..SNAPSHOT_VERSION {
+        let mut previous = bytes.clone();
+        previous[4..6].copy_from_slice(&old.to_le_bytes());
+        assert!(matches!(
+            InstanceSnapshot::from_bytes(previous),
+            Err(WireError::BadTag { what: "snapshot version", value: v }) if v == old as u64
+        ));
+    }
+    assert_eq!(SNAPSHOT_VERSION, 3, "version 2 is among the refused");
 }
 
 #[test]

@@ -533,10 +533,9 @@ fn advance_at_a_drained_agent_is_refused_not_fatal() {
     assert_eq!(sink.daemon().watermark(), 5);
 }
 
-/// The aggregator and cut-state sections of a `PSNP` blob, the
-/// aggregator's seven counters zeroed — the fold's state with the
-/// bookkeeping of how it got there masked out.
-fn fold_state(blob: &[u8]) -> Vec<Vec<u8>> {
+/// The aggregator section of a `PSNP` blob, its seven counters zeroed —
+/// the fold's state with the bookkeeping of how it got there masked out.
+fn fold_state(blob: &[u8]) -> Vec<u8> {
     let mut sections = Vec::new();
     let mut at = 8;
     while at < blob.len() {
@@ -544,11 +543,11 @@ fn fold_state(blob: &[u8]) -> Vec<Vec<u8>> {
         sections.push(blob[at + 8..at + 8 + len].to_vec());
         at += 8 + len;
     }
-    let [_meta, mut aggregator, _bank, cut] = <[Vec<u8>; 4]>::try_from(sections).unwrap();
+    let [_meta, mut aggregator, _bank] = <[Vec<u8>; 3]>::try_from(sections).unwrap();
     // retention, history origin, reserved byte, slot count, slot ids.
     let n_slots = u64::from_le_bytes(aggregator[17..25].try_into().unwrap()) as usize;
     aggregator[25 + 8 * n_slots..][..7 * 8].fill(0);
-    vec![aggregator, cut]
+    aggregator
 }
 
 /// What the fold must make of a spliced event, told from the event and
