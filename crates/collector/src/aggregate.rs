@@ -5,16 +5,25 @@
 //! timestamp. Three metrics are maintained per template at 1-second
 //! granularity (`#execution` count, total response time, total examined
 //! rows); 1-minute series are derived by [`TemplateSeries::per_minute`].
+//!
+//! A [`CaseData`] holds the window's records as a [`RecordView`] (shared
+//! chunks of the online record ring, or one chunk of a batch log) and says
+//! which template a record belongs to by a table lookup on its spec,
+//! [`CaseData::template_of`]: a record of spec `s` belongs to the template
+//! of `s`'s catalog slot, so a template's records in record order are
+//! exactly the records of its specs in record order. Both builders fill
+//! the table from the same slot → position map their series are
+//! accumulated through.
 
 use crate::catalog::TemplateCatalog;
 use crate::cells::CellRing;
 use crate::metrics::{finite, MetricRing};
-use crate::records::RecordRing;
+use crate::records::{RecordRing, RecordView};
 use pinsql_dbsim::{InstanceMetrics, QueryRecord};
 use pinsql_sqlkit::SqlId;
 use pinsql_timeseries::resample::{downsample, Downsample};
 use pinsql_timeseries::TimeSeries;
-use pinsql_workload::TemplateSpec;
+use pinsql_workload::{SpecId, TemplateSpec};
 
 /// Per-template metric series over a collection window.
 #[derive(Debug, Clone)]
@@ -55,16 +64,12 @@ impl TemplateSeries {
     }
 }
 
-/// One template's aggregated view within a case.
+/// One template's aggregated view within a case. Its records are the
+/// case's records [`CaseData::template_of`] maps to its position.
 #[derive(Debug, Clone)]
 pub struct TemplateData {
     pub id: SqlId,
     pub series: TemplateSeries,
-    /// Indices into [`CaseData::records`] of this template's queries.
-    /// Strictly ascending, and no record is listed by two templates:
-    /// [`CaseData::record_templates`] and the record-order sums built on it
-    /// (session estimation, HSQL labels) depend on both and panic otherwise.
-    pub record_idx: Vec<u32>,
 }
 
 /// Per-template minute rows carried on a [`CaseData`] cut from the online
@@ -103,9 +108,12 @@ pub struct CaseData {
     /// Instance metrics for the window.
     pub metrics: InstanceMetrics,
     /// All query records arriving in the window, sorted by arrival.
-    pub records: Vec<QueryRecord>,
+    pub records: RecordView,
     /// Per-template aggregates, in a stable order (sorted by `SqlId`).
     pub templates: Vec<TemplateData>,
+    /// Per spec, the position in `templates` of its template, or
+    /// [`CaseData::NO_TEMPLATE`]: [`CaseData::template_of`]'s table.
+    owners: Vec<u32>,
     /// Precomputed minute rows when the online window cut produced this
     /// case; `None` on the batch path.
     pub cut: Option<Box<WindowCut>>,
@@ -127,40 +135,49 @@ impl CaseData {
         &self.metrics.active_session
     }
 
-    /// [`CaseData::record_templates`]' marker for an unreferenced record.
+    /// [`CaseData::template_of`]'s answer for a spec no template of the
+    /// case covers.
     pub const NO_TEMPLATE: u32 = u32::MAX;
 
-    /// For each record, the position in [`CaseData::templates`] of the
-    /// template whose `record_idx` lists it; [`CaseData::NO_TEMPLATE`] for
-    /// a record no template references.
+    /// The position in [`CaseData::templates`] of the template a record
+    /// of `spec` belongs to; [`CaseData::NO_TEMPLATE`] when the case has
+    /// none (the spec's template has no cell in the window).
     ///
     /// This is what lets per-template sums be taken in one front-to-back
-    /// pass over `records` instead of one strided gather per template.
-    /// Because every `record_idx` is ascending and a record belongs to at
-    /// most one template (both hold by construction in `aggregate_case`
-    /// and `IncrementalAggregator::snapshot`), such a pass adds each
-    /// template's records in the same order the gather would — so f64 sums
-    /// come out bit-identical.
-    ///
-    /// # Panics
-    /// If a `record_idx` is not strictly ascending or lists a record another
-    /// template already owns: either would change the sums silently.
-    pub fn record_templates(&self) -> Vec<u32> {
-        let mut owner = vec![Self::NO_TEMPLATE; self.records.len()];
-        for (pos, tpl) in self.templates.iter().enumerate() {
-            let mut floor = 0;
-            for &ri in &tpl.record_idx {
-                let slot = &mut owner[ri as usize];
-                assert!(
-                    ri >= floor && *slot == Self::NO_TEMPLATE,
-                    "template {pos}: record_idx must ascend and own record {ri} alone"
-                );
-                *slot = pos as u32;
-                floor = ri + 1;
-            }
-        }
-        owner
+    /// pass over `records` instead of one gather per template: restricted
+    /// to one template, record order is the order a gather of its records
+    /// visits, so f64 sums come out bit-identical.
+    #[inline]
+    pub fn template_of(&self, spec: SpecId) -> u32 {
+        self.owners.get(spec.0).copied().unwrap_or(Self::NO_TEMPLATE)
     }
+}
+
+/// The window's templates, zeroed, in `SqlId` order, for the catalog
+/// slots `slots` (each once): `slot_pos[slot]` is left at each one's
+/// position. Other entries of `slot_pos` are left as they are.
+fn seat_templates(
+    catalog: &TemplateCatalog,
+    mut slots: Vec<u32>,
+    slot_pos: &mut [u32],
+    ts: i64,
+    n: usize,
+) -> Vec<TemplateData> {
+    slots.sort_unstable_by_key(|&slot| catalog.id_of_slot(slot));
+    for (pos, &slot) in slots.iter().enumerate() {
+        slot_pos[slot as usize] = pos as u32;
+    }
+    let zeros = || TemplateSeries::zeros(ts, n);
+    slots
+        .into_iter()
+        .map(|slot| TemplateData { id: catalog.id_of_slot(slot), series: zeros() })
+        .collect()
+}
+
+/// [`CaseData::template_of`]'s table: each spec's slot's entry of
+/// `slot_pos` (a position, or [`CaseData::NO_TEMPLATE`]).
+fn owner_table(catalog: &TemplateCatalog, slot_pos: &[u32]) -> Vec<u32> {
+    (0..catalog.n_specs()).map(|s| slot_pos[catalog.slot_of_spec(SpecId(s)) as usize]).collect()
 }
 
 /// Aggregates a simulation log into a [`CaseData`] for the window
@@ -196,35 +213,31 @@ pub fn aggregate_case(
         .collect();
     records.sort_by(|a, b| a.start_ms.total_cmp(&b.start_ms));
 
-    // Accumulate per template through the catalog's dense slots: `slot_pos`
-    // maps a template's slot to its position in `templates` (`u32::MAX` =
-    // not yet seen), so attribution is two `Vec` lookups — no hashing.
-    let mut slot_pos = vec![u32::MAX; catalog.n_slots()];
-    let mut templates: Vec<TemplateData> = Vec::new();
-    for (i, rec) in records.iter().enumerate() {
-        let slot = catalog.slot_of_spec(rec.spec) as usize;
-        let entry = if slot_pos[slot] == u32::MAX {
-            slot_pos[slot] = templates.len() as u32;
-            templates.push(TemplateData {
-                id: catalog.id_of_slot(slot as u32),
-                series: TemplateSeries::zeros(ts, n),
-                record_idx: Vec::new(),
-            });
-            templates.last_mut().expect("just pushed")
-        } else {
-            &mut templates[slot_pos[slot] as usize]
-        };
+    // Accumulate per template through the catalog's dense slots: the
+    // window's slots first, then `slot_pos` maps each to its template's
+    // position, so attribution is two `Vec` lookups — no hashing.
+    let mut slot_pos = vec![CaseData::NO_TEMPLATE; catalog.n_slots()];
+    let mut slots = Vec::new();
+    for rec in &records {
+        let slot = catalog.slot_of_spec(rec.spec);
+        if slot_pos[slot as usize] == CaseData::NO_TEMPLATE {
+            slot_pos[slot as usize] = 0;
+            slots.push(slot);
+        }
+    }
+    let mut templates = seat_templates(&catalog, slots, &mut slot_pos, ts, n);
+    let owners = owner_table(&catalog, &slot_pos);
+    for rec in &records {
+        let series = &mut templates[owners[rec.spec.0] as usize].series;
         let sec = ((rec.start_ms - ts_ms) / 1000.0) as usize;
         let sec = sec.min(n - 1);
-        entry.series.execution_count[sec] += 1.0;
-        entry.series.total_rt_ms[sec] += rec.response_ms;
-        entry.series.examined_rows[sec] += rec.examined_rows as f64;
-        entry.record_idx.push(i as u32);
+        series.execution_count[sec] += 1.0;
+        series.total_rt_ms[sec] += rec.response_ms;
+        series.examined_rows[sec] += rec.examined_rows as f64;
     }
-    templates.sort_by_key(|t| t.id);
 
     let metrics = slice_metrics(metrics, ts, te);
-    CaseData { ts, te, catalog, metrics, records, templates, cut: None }
+    CaseData { ts, te, catalog, metrics, records: records.into(), templates, owners, cut: None }
 }
 
 /// The online counterpart of [`aggregate_case`]: the same [`CaseData`] for
@@ -243,41 +256,11 @@ pub(crate) fn cut_window(
     assert!(te > ts, "empty collection window");
     let n = (te - ts) as usize;
 
-    // One sweep over the window's touched cells yields each template's
-    // execution count. Membership and sizing then need no record
-    // re-scan: a template is in the window iff it has a touched cell there
-    // (every retained record has its cell row — one retention horizon), and
-    // its record count is the integer-exact count sum. So `templates` and
-    // `records` are built at final size and the loop below only pushes.
-    let touched = cells.sweep_window(ts, te, slot_pos);
-    let window_records: usize = touched.iter().map(|&(_, count)| count).sum();
-    let mut templates: Vec<TemplateData> = touched
-        .iter()
-        .map(|&(slot, count)| TemplateData {
-            id: catalog.id_of_slot(slot),
-            series: TemplateSeries::zeros(ts, n),
-            record_idx: Vec::with_capacity(count),
-        })
-        .collect();
-
-    // Window records in arrival order. `slot_pos`, filled by the sweep,
-    // maps each slot to its template's position; the create-on-miss arm is
-    // unreachable for consistent state and kept as a graceful fallback.
-    let mut records: Vec<QueryRecord> = Vec::with_capacity(window_records);
-    ring.for_each_in(ts as f64 * 1000.0, te as f64 * 1000.0, |rec| {
-        let slot = catalog.slot_of_spec(rec.spec) as usize;
-        if slot_pos[slot] == u32::MAX {
-            debug_assert!(false, "window record without a window cell");
-            slot_pos[slot] = templates.len() as u32;
-            templates.push(TemplateData {
-                id: catalog.id_of_slot(slot as u32),
-                series: TemplateSeries::zeros(ts, n),
-                record_idx: Vec::new(),
-            });
-        }
-        templates[slot_pos[slot] as usize].record_idx.push(records.len() as u32);
-        records.push(*rec);
-    });
+    // One sweep over the window's touched cells yields its templates: a
+    // template is in the window iff it has a touched cell there (every
+    // retained record has its cell row — one retention horizon).
+    let slots = cells.sweep_window(ts, te, slot_pos);
+    let mut templates = seat_templates(catalog, slots, slot_pos, ts, n);
 
     // Series values come straight from the cells: each `(template, second)`
     // cell was accumulated record-by-record at ingest, in the order the
@@ -287,38 +270,31 @@ pub(crate) fn cut_window(
     // exactly `TemplateSeries::per_minute`'s partial sums — so no
     // per-template re-scan ever derives the matrix rows.
     let n_minutes = n / 60;
-    let mut minute_rows: Vec<Vec<f64>> = templates.iter().map(|_| vec![0.0; n_minutes]).collect();
+    let mut minute_rows = vec![vec![0.0; n_minutes]; templates.len()];
     cells.for_each_in(ts, te, |s, slot, cell| {
-        let pos = slot_pos[slot as usize];
-        if pos != u32::MAX {
-            let idx = (s - ts) as usize;
-            let series = &mut templates[pos as usize].series;
-            series.execution_count[idx] = cell.0;
-            series.total_rt_ms[idx] = cell.1;
-            series.examined_rows[idx] = cell.2;
-            if idx / 60 < n_minutes {
-                minute_rows[pos as usize][idx / 60] += cell.0;
-            }
+        let pos = slot_pos[slot as usize] as usize;
+        let idx = (s - ts) as usize;
+        let series = &mut templates[pos].series;
+        series.execution_count[idx] = cell.0;
+        series.total_rt_ms[idx] = cell.1;
+        series.examined_rows[idx] = cell.2;
+        if idx / 60 < n_minutes {
+            minute_rows[pos][idx / 60] += cell.0;
         }
     });
-
-    // The sort below reorders `templates`, so the cut rows pair with
-    // their ids first and sort the same way — they must stay parallel.
-    let mut entries: Vec<(SqlId, Vec<f64>)> =
-        templates.iter().map(|tpl| tpl.id).zip(minute_rows).collect();
-    entries.sort_by_key(|(id, _)| *id);
-    let minute_rows = entries.into_iter().map(|(_, row)| row).collect();
     let cut = Some(Box::new(WindowCut { minute_start: ts.div_euclid(60), minute_rows }));
 
-    templates.sort_by_key(|t| t.id);
-
+    // The records are the ring's, shared. A record whose template has no
+    // cell in the window — only a crafted checkpoint makes one — is left
+    // to no template.
     CaseData {
         ts,
         te,
         catalog: catalog.clone(),
         metrics: metrics.window(ts, te),
-        records,
+        records: ring.view(ts as f64 * 1000.0, te as f64 * 1000.0),
         templates,
+        owners: owner_table(catalog, slot_pos),
         cut,
     }
 }
@@ -394,44 +370,46 @@ mod tests {
         let case = aggregate_case(&log, &specs, &empty_metrics(0, 4), 0, 4);
         assert_eq!(case.templates.len(), 2);
         let a_id = case.catalog.id_of_spec(SpecId(0));
-        let a = &case.templates[case.template_index(a_id).unwrap()];
+        let a_pos = case.template_index(a_id).unwrap();
+        let a = &case.templates[a_pos];
         assert_eq!(a.series.execution_count, vec![2.0, 1.0, 0.0, 0.0]);
         assert_eq!(a.series.total_rt_ms, vec![30.0, 30.0, 0.0, 0.0]);
         assert_eq!(a.series.examined_rows, vec![12.0, 2.0, 0.0, 0.0]);
-        assert_eq!(a.record_idx.len(), 3);
+        let owned = case.records.iter().filter(|r| case.template_of(r.spec) == a_pos as u32);
+        assert_eq!(owned.count(), 3);
     }
 
     #[test]
-    fn record_templates_inverts_record_idx() {
-        let specs = vec![spec("SELECT * FROM a WHERE x = 1"), spec("SELECT * FROM b WHERE x = 1")];
+    fn template_of_maps_each_spec_to_its_template() {
+        // Specs 0 and 2 share a template; spec 3's template has no record
+        // in the window.
+        let specs = vec![
+            spec("SELECT * FROM a WHERE x = 1"),
+            spec("SELECT * FROM b WHERE x = 1"),
+            spec("SELECT * FROM a WHERE x = 2"),
+            spec("SELECT * FROM c WHERE x = 1"),
+        ];
         let log = vec![
             rec(1, 100.0, 1.0, 0),
             rec(0, 200.0, 1.0, 0),
-            rec(1, 300.0, 1.0, 0),
+            rec(2, 300.0, 1.0, 0),
             rec(0, 1400.0, 1.0, 0),
+            rec(3, 2500.0, 1.0, 0),
         ];
-        let mut case = aggregate_case(&log, &specs, &empty_metrics(0, 2), 0, 2);
-        // A record appended behind the aggregator's back belongs to nobody.
-        case.records.push(rec(0, 1500.0, 1.0, 0));
-        let owner = case.record_templates();
-        assert_eq!(owner.len(), 5);
-        assert_eq!(owner[4], CaseData::NO_TEMPLATE);
-        for (pos, tpl) in case.templates.iter().enumerate() {
-            let swept: Vec<u32> =
-                (0..owner.len() as u32).filter(|&i| owner[i as usize] == pos as u32).collect();
-            assert_eq!(swept, tpl.record_idx, "record order within template {pos}");
+        let case = aggregate_case(&log, &specs, &empty_metrics(0, 2), 0, 2);
+        assert_eq!(case.templates.len(), 2);
+        for s in 0..specs.len() {
+            let want = case.template_index(case.catalog.id_of_spec(SpecId(s)));
+            let want = want.map_or(CaseData::NO_TEMPLATE, |pos| pos as u32);
+            assert_eq!(case.template_of(SpecId(s)), want, "spec {s}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "record_idx must ascend")]
-    fn record_templates_rejects_a_shared_record() {
-        let specs = vec![spec("SELECT * FROM a WHERE x = 1"), spec("SELECT * FROM b WHERE x = 1")];
-        let log = vec![rec(0, 100.0, 1.0, 0), rec(1, 200.0, 1.0, 0)];
-        let mut case = aggregate_case(&log, &specs, &empty_metrics(0, 2), 0, 2);
-        let shared = case.templates[0].record_idx[0];
-        case.templates[1].record_idx.insert(0, shared);
-        case.record_templates();
+        assert_eq!(case.template_of(SpecId(3)), CaseData::NO_TEMPLATE);
+        assert_eq!(case.template_of(SpecId(specs.len())), CaseData::NO_TEMPLATE);
+        // Record order within the shared template is arrival order.
+        let a = case.template_of(SpecId(0));
+        let in_a = case.records.iter().filter(|r| case.template_of(r.spec) == a);
+        let starts: Vec<f64> = in_a.map(|r| r.start_ms).collect();
+        assert_eq!(starts, vec![200.0, 300.0, 1400.0]);
     }
 
     #[test]

@@ -92,6 +92,12 @@ impl TemplateCatalog {
         self.slot_to_id[slot as usize]
     }
 
+    /// Number of workload specs the catalog was built from.
+    #[inline]
+    pub fn n_specs(&self) -> usize {
+        self.spec_to_slot.len()
+    }
+
     /// Number of dense slots (== number of distinct templates).
     #[inline]
     pub fn n_slots(&self) -> usize {
@@ -116,6 +122,11 @@ impl TemplateCatalog {
     /// Iterates over all templates (unspecified order).
     pub fn iter(&self) -> impl Iterator<Item = &TemplateInfo> {
         self.map.values()
+    }
+
+    /// Bytes [`write_slots`](Self::write_slots) writes.
+    pub(crate) fn slots_wire_len(&self) -> usize {
+        8 + 8 * self.slot_to_id.len()
     }
 
     /// `PSNP`: the slot → id assignment. A catalog is never restored from

@@ -12,6 +12,10 @@ use pinsql_timeseries::{WireError, WireReader, WireWriter};
 /// Serialized size of one resident cell: slot + count + Σrt + Σrows.
 pub(crate) const CELL_ROW_BYTES: usize = 4 + 3 * 8;
 
+/// The largest execution count a cell holds: the fold adds `1.0` per
+/// record, which stays exact up to 2^53.
+const MAX_COUNT: f64 = (1u64 << 53) as f64;
+
 /// One cell of the `PSNP` cell ring as its fixed-width row.
 #[inline]
 pub(crate) fn cell_row(slot: u32, cell: Cell) -> [u8; CELL_ROW_BYTES] {
@@ -117,23 +121,27 @@ impl CellRing {
         }
     }
 
-    /// One sweep over the window's touched cells: `(slot, its executions
-    /// in the window)` in first-touch order, leaving `slot_pos[slot]` =
-    /// position for every touched slot and `u32::MAX` elsewhere (callers
-    /// use it as the template index map).
-    pub fn sweep_window(&self, ts: i64, te: i64, slot_pos: &mut Vec<u32>) -> Vec<(u32, usize)> {
+    /// One sweep over the window's touched cells: the slots touched, in
+    /// first-touch order, each marked in `slot_pos` (`u32::MAX` elsewhere)
+    /// for the caller to number.
+    pub fn sweep_window(&self, ts: i64, te: i64, slot_pos: &mut Vec<u32>) -> Vec<u32> {
         slot_pos.clear();
         slot_pos.resize(self.store.n_slots(), u32::MAX);
-        let mut touched: Vec<(u32, usize)> = Vec::new();
-        self.for_each_in(ts, te, |_, slot, cell| {
+        let mut touched = Vec::new();
+        self.for_each_in(ts, te, |_, slot, _| {
             let pos = &mut slot_pos[slot as usize];
             if *pos == u32::MAX {
                 *pos = touched.len() as u32;
-                touched.push((slot, 0));
+                touched.push(slot);
             }
-            touched[*pos as usize].1 += cell.0 as usize;
         });
         touched
+    }
+
+    /// Bytes [`write`](Self::write) writes.
+    pub fn wire_len(&self) -> usize {
+        let rows = (0..self.store.len()).map(|idx| 8 + CELL_ROW_BYTES * self.store.row_len(idx));
+        16 + rows.sum::<usize>()
     }
 
     /// `PSNP` aggregator body: start second, then each row's touched cells
@@ -155,7 +163,10 @@ impl CellRing {
     /// Reads [`write`](Self::write)'s stretch. A cell naming a slot outside
     /// the catalog, or one its row already named, is a typed mismatch: a
     /// row holds each touched slot once, and the shared write table
-    /// indexes it by that.
+    /// indexes it by that. So is a count the fold never stores — anything
+    /// but a whole number in `1..=2^53`: a touched cell has counted at
+    /// least one record, one `+= 1.0` at a time, and a window cut sizes
+    /// and sums by these counts.
     pub fn read(r: &mut WireReader, n_slots: usize) -> Result<Self, WireError> {
         let start = r.get_i64()?;
         let n_rows = r.get_len(8)?;
@@ -176,6 +187,12 @@ impl CellRing {
                     return Err(mismatch(format!("slot {slot} twice in row {i}")));
                 }
                 *seen = i;
+                if !((1.0..=MAX_COUNT).contains(&cell.0) && cell.0.fract() == 0.0) {
+                    return Err(WireError::Mismatch {
+                        what: "cell count",
+                        detail: format!("count {} at slot {slot} of row {i}", cell.0),
+                    });
+                }
                 row.push((slot, cell));
             }
             store.push_back_row(row.iter().copied());

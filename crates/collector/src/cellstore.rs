@@ -243,6 +243,11 @@ impl CellStore {
         }
     }
 
+    /// Number of touched cells in row `idx`.
+    pub fn row_len(&self, idx: usize) -> usize {
+        self.rows[idx].len()
+    }
+
     /// Visits every *touched* cell of row `idx`, in first-touch order.
     pub fn for_each(&self, idx: usize, mut f: impl FnMut(u32, Cell)) {
         for &(slot, cell) in &self.rows[idx] {

@@ -247,6 +247,12 @@ impl HistoryStore {
     /// across the gaps between runs. Re-[`insert`](Self::insert)ing them
     /// into an empty store in this order reproduces every cached
     /// [`entry_index`](Self::entry_index) value.
+    /// Bytes [`write`](Self::write) writes.
+    pub(crate) fn wire_len(&self) -> usize {
+        let spans = self.series.iter().map(|s| (s.end() - s.start() as i128) as usize);
+        8 + spans.map(|minutes| 24 + 8 * minutes).sum::<usize>()
+    }
+
     pub(crate) fn write(&self, w: &mut WireWriter) {
         w.put_len(self.series.len());
         for series in &self.series {

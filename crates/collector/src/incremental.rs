@@ -293,6 +293,15 @@ impl IncrementalAggregator {
         cut_window(catalog, cells, records, metrics, slot_pos, ts, te)
     }
 
+    /// Bytes [`write_snapshot`](Self::write_snapshot) writes, counted
+    /// from the rings' lengths without writing: what a caller sizes its
+    /// buffer by. The records are the bulk, 32 bytes each.
+    pub fn snapshot_len(&self) -> usize {
+        let head = 2 * 8 + 1 + self.catalog.slots_wire_len() + 7 * 8 + 8;
+        let rings = self.records.wire_len() + self.cells.wire_len() + self.metrics.wire_len();
+        head + rings + self.feed.wire_len()
+    }
+
     /// Serializes the aggregator's complete online state into `w` (the
     /// checkpoint body — the engine wraps it in a magic/version envelope):
     /// configuration, a reserved `0` byte (it once

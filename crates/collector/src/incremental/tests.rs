@@ -35,6 +35,16 @@ fn flat_metrics(start: i64, n: usize) -> InstanceMetrics {
     }
 }
 
+/// Each record's owner against the catalog's id for its spec, looked up
+/// among the case's templates.
+fn assert_owners_by_catalog(case: &CaseData) {
+    for rec in case.records.iter() {
+        let pos = case.template_index(case.catalog.id_of_spec(rec.spec));
+        let want = pos.map_or(CaseData::NO_TEMPLATE, |p| p as u32);
+        assert_eq!(case.template_of(rec.spec), want, "owner of {rec:?}");
+    }
+}
+
 fn assert_case_eq(a: &CaseData, b: &CaseData) {
     assert_eq!(a.ts, b.ts);
     assert_eq!(a.te, b.te);
@@ -48,9 +58,10 @@ fn assert_case_eq(a: &CaseData, b: &CaseData) {
     assert_eq!(a.metrics.qps, b.metrics.qps);
     assert_eq!(a.metrics.probes.samples, b.metrics.probes.samples);
     assert_eq!(a.templates.len(), b.templates.len());
+    assert_owners_by_catalog(a);
+    assert_owners_by_catalog(b);
     for (x, y) in a.templates.iter().zip(&b.templates) {
         assert_eq!(x.id, y.id);
-        assert_eq!(x.record_idx, y.record_idx);
         assert_eq!(x.series.start, y.series.start);
         assert_eq!(x.series.execution_count, y.series.execution_count);
         assert_eq!(x.series.total_rt_ms, y.series.total_rt_ms);
@@ -397,6 +408,31 @@ fn checkpoint_round_trip_is_behaviorally_exact() {
     assert_eq!(checkpoint(&live), checkpoint(&restored), "post-drain state drifted");
 }
 
+/// `snapshot_len` counts what `write_snapshot` writes, byte for byte:
+/// empty, mid-stream, unsorted, and after evicting and restoring.
+#[test]
+fn snapshot_len_counts_the_checkpoint_body() {
+    let specs = vec![spec("SELECT * FROM a WHERE x = 1"), spec("SELECT * FROM b WHERE x = 1")];
+    let mut agg =
+        IncrementalAggregator::new(&specs, IncrementalConfig::default().with_retention(90));
+    assert_eq!(agg.snapshot_len(), checkpoint(&agg).len(), "empty");
+    let metrics = flat_metrics(0, 400);
+    let log: Vec<QueryRecord> =
+        (0..3000).map(|i| rec(i % 2, (i as f64 * 131.3) % 400_000.0, 1.0, i as u64)).collect();
+    let events = interleave(&log, &metrics);
+    for (i, ev) in events.into_iter().enumerate() {
+        agg.ingest(ev);
+        if i % 397 == 0 {
+            assert_eq!(agg.snapshot_len(), checkpoint(&agg).len(), "after {i} events");
+        }
+    }
+    query(&mut agg, rec(1, 360_500.0, 1.0, 1));
+    let body = checkpoint(&agg);
+    assert_eq!(agg.snapshot_len(), body.len(), "unsorted");
+    let restored = restore(&specs, &body).expect("own body restores");
+    assert_eq!(restored.snapshot_len(), body.len(), "restored");
+}
+
 #[test]
 fn checkpoint_rejects_wrong_scenario_and_corrupt_tags() {
     let specs = vec![spec("SELECT 1 FROM t WHERE id = 1")];
@@ -498,6 +534,55 @@ fn checkpoint_rejects_a_cell_row_naming_a_slot_twice() {
     twice[at..at + 4].copy_from_slice(&cell_row(a, (0.0, 0.0, 0.0))[..4]);
     let err = restore(&specs, &twice).expect_err("a row naming one slot twice");
     assert!(matches!(err, WireError::Mismatch { what: "cell slot", .. }), "{err}");
+}
+
+#[test]
+fn checkpoint_rejects_a_cell_count_the_fold_never_stores() {
+    let specs = vec![spec("SELECT 1 FROM t WHERE id = 1")];
+    let mut agg = IncrementalAggregator::new(&specs, IncrementalConfig::default());
+    query(&mut agg, rec(0, 1100.0, 2.0, 7));
+    agg.advance_watermark(5);
+    let blob = checkpoint(&agg);
+    restore(&specs, &blob).expect("the honest blob restores");
+
+    // The count of second 1's one cell. No cut follows a restore here: a
+    // count taken at its word sizes and sums the cut.
+    let slot = agg.catalog().slot_of_spec(SpecId(0));
+    let at = offset_of(&blob, &cell_row(slot, (1.0, 2.0, 7.0))) + 4;
+    let with_count = |count: f64| {
+        let mut edited = blob.clone();
+        edited[at..at + 8].copy_from_slice(&count.to_bits().to_le_bytes());
+        restore(&specs, &edited)
+    };
+    let max = (1u64 << 53) as f64;
+    with_count(max).expect("2^53 is a count the fold can reach");
+    for bad in [f64::MAX, 1e18, max + 2.0, f64::NAN, f64::INFINITY, -5.0, 0.0, -0.0, 2.5] {
+        let err = with_count(bad).err().unwrap_or_else(|| panic!("count {bad} restored"));
+        assert!(matches!(err, WireError::Mismatch { what: "cell count", .. }), "{bad}: {err}");
+    }
+}
+
+#[test]
+fn checkpoint_with_a_record_no_window_cell_counts_cuts_it_unowned() {
+    let specs = vec![spec("SELECT * FROM a WHERE x = 1"), spec("SELECT * FROM b WHERE x = 1")];
+    let mut agg = IncrementalAggregator::new(&specs, IncrementalConfig::default());
+    let honest = rec(0, 1100.0, 2.0, 7);
+    query(&mut agg, honest);
+    agg.advance_watermark(5);
+    let blob = checkpoint(&agg);
+
+    // Re-label the one record as spec 1: it passes every check a restore
+    // makes, but no cell of the window counts it.
+    let mut crafted = blob.clone();
+    let at = offset_of(&blob, &query_record_bytes(&honest));
+    crafted[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
+    let mut restored = restore(&specs, &crafted).expect("the record row itself is sound");
+    let case = restored.snapshot(0, 5);
+    assert_eq!(case.records.len(), 1);
+    assert_eq!(case.templates.len(), 1);
+    assert_eq!(case.templates[0].id, agg.catalog().id_of_spec(SpecId(0)));
+    assert_eq!(case.template_of(SpecId(1)), CaseData::NO_TEMPLATE);
+    assert_eq!(case.template_of(SpecId(0)), 0);
 }
 
 #[test]

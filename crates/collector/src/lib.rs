@@ -41,6 +41,7 @@ mod minutes;
 mod records;
 
 pub use aggregate::{aggregate_case, CaseData, TemplateData, TemplateSeries, WindowCut};
+pub use records::RecordView;
 pub use catalog::{TemplateCatalog, TemplateInfo};
 pub use cellstore::CellStore;
 pub use history::{HistorySeries, HistoryStore};

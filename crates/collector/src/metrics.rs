@@ -128,6 +128,11 @@ impl MetricRing {
         out
     }
 
+    /// Bytes [`write`](Self::write) writes.
+    pub fn wire_len(&self) -> usize {
+        16 + self.ring.iter().map(|s| 8 + 6 * 8 + 8 + 20 * s.probes.len()).sum::<usize>()
+    }
+
     /// `PSNP`: start second, then each sample with its probes.
     pub fn write(&self, w: &mut WireWriter) {
         w.put_i64(self.start);

@@ -111,6 +111,12 @@ impl MinuteFeed {
         (end - next) as u64
     }
 
+    /// Bytes [`write`](Self::write) writes.
+    pub fn wire_len(&self) -> usize {
+        let rows = self.rows.iter().map(|row| 8 + 8 * row.len());
+        self.history.wire_len() + 1 + 3 * 8 + rows.sum::<usize>()
+    }
+
     /// `PSNP`: the history store, the fold frontier, the in-flight rows.
     pub fn write(&self, w: &mut WireWriter) {
         self.history.write(w);

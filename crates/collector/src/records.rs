@@ -1,4 +1,4 @@
-//! The resident raw-record ring.
+//! The resident raw-record ring, and the window views cut from it.
 //!
 //! The §IV-C session estimator needs the individual records of a
 //! collection window, so they are retained in arrival order for the same
@@ -13,19 +13,32 @@
 //! back one — the open chunk pushes write into — is full. So ring position
 //! `p` sits at `head + p` counted from the first chunk's first slot, in
 //! chunk `(head + p) / CHUNK`, and a push never moves a record: when the
-//! open chunk is full it joins the full ones and the next one opens.
-//! Eviction advances `head` and recycles a chunk through the free list
-//! once it drains, so a steady state that evicts as fast as it pushes
-//! cycles through the same few chunks without touching the allocator. The
-//! one growing `VecDeque` this replaced (doubling, copying the whole ring
-//! at each step, both buffers live at once) is this module's
+//! open chunk is full it is sealed behind the full ones and the next one
+//! opens. The one growing `VecDeque` this replaced (doubling, copying the
+//! whole ring at each step, both buffers live at once) is this module's
 //! `#[cfg(test)]` oracle.
+//!
+//! A sealed chunk is never written again, so it is shared: the full chunks
+//! are `Arc`s, and a window cut on a sorted ring ([`RecordRing::view`])
+//! hands a case the `Arc`s of the chunks that cover the window, trimmed to
+//! `[lo, hi)` at the two ends, as a [`RecordView`]. Only the open chunk's
+//! in-window tail, at most [`CHUNK`] records, is copied. An unsorted ring
+//! has no window boundaries to share along, so its cut copies the window's
+//! records into chunks the view owns. Eviction advances `head` and, once a
+//! chunk drains, recycles it through the free list only when no view holds
+//! it (`Arc::try_unwrap`): a steady state that evicts as fast as it pushes
+//! cycles through the same few chunks without touching the allocator,
+//! while a chunk a case still reads lives on with the case and is freed
+//! when the last view of it drops.
 
 use pinsql_dbsim::wire::{query_record_bytes, query_record_from_bytes, QUERY_RECORD_BYTES};
 use pinsql_dbsim::QueryRecord;
 use pinsql_timeseries::wire::{f64_at, u64_at};
 use pinsql_timeseries::{WireError, WireReader, WireWriter};
 use std::collections::VecDeque;
+use std::fmt;
+use std::ops::Index;
+use std::sync::Arc;
 
 /// Records per chunk: 4096 × 32 B = 128 KiB. A constant, not an option —
 /// large enough that the per-chunk bookkeeping vanishes per record, small
@@ -34,23 +47,24 @@ const CHUNK: usize = 4096;
 
 #[derive(Debug)]
 pub(crate) struct RecordRing {
-    /// Full chunks, oldest first: `CHUNK` records each.
-    full: VecDeque<Vec<QueryRecord>>,
+    /// Full chunks, oldest first: `CHUNK` records each, sealed, shared
+    /// with the views that cover them.
+    full: VecDeque<Arc<Vec<QueryRecord>>>,
     /// The chunk pushes write into, after the full ones: capacity `CHUNK`,
     /// up to `CHUNK` records, empty only while the whole ring is.
     open: Vec<QueryRecord>,
     /// Records of the first chunk (the front full one, else `open`)
     /// already evicted: below its length, 0 while the ring is empty.
     head: usize,
-    /// Drained chunks, cleared, awaiting reuse.
+    /// Drained chunks no view holds, cleared, awaiting reuse.
     free: Vec<Vec<QueryRecord>>,
     sorted: bool,
 }
 
 impl Clone for RecordRing {
-    /// The open chunk keeps its full capacity (a derived clone would size
-    /// it to its length, and the next push would grow it); the free list
-    /// stays behind.
+    /// The full chunks are shared with the copy; the open chunk keeps its
+    /// full capacity (a derived clone would size it to its length, and the
+    /// next push would grow it); the free list stays behind.
     fn clone(&self) -> Self {
         let mut open = Vec::with_capacity(CHUNK);
         open.extend_from_slice(&self.open);
@@ -63,7 +77,11 @@ impl RecordRing {
         Self::from_chunks(VecDeque::new(), Vec::with_capacity(CHUNK), true)
     }
 
-    fn from_chunks(full: VecDeque<Vec<QueryRecord>>, open: Vec<QueryRecord>, sorted: bool) -> Self {
+    fn from_chunks(
+        full: VecDeque<Arc<Vec<QueryRecord>>>,
+        open: Vec<QueryRecord>,
+        sorted: bool,
+    ) -> Self {
         Self { full, open, head: 0, free: Vec::new(), sorted }
     }
 
@@ -87,12 +105,12 @@ impl RecordRing {
         self.open.push(rec);
     }
 
-    /// Moves the full open chunk behind the others and opens the next one.
+    /// Seals the full open chunk behind the others and opens the next one.
     #[cold]
     #[inline(never)]
     fn seal(&mut self) {
         let next = self.free.pop().unwrap_or_else(|| Vec::with_capacity(CHUNK));
-        self.full.push_back(std::mem::replace(&mut self.open, next));
+        self.full.push_back(Arc::new(std::mem::replace(&mut self.open, next)));
     }
 
     /// Drops the records at the front that arrived before `horizon`
@@ -101,7 +119,7 @@ impl RecordRing {
         let horizon_ms = horizon as f64 * 1000.0;
         let mut evicted = 0;
         loop {
-            let live = &self.full.front().unwrap_or(&self.open)[self.head..];
+            let live = &self.full.front().map_or(&self.open, |c| &**c)[self.head..];
             if let Some(kept) = live.iter().position(|r| r.start_ms >= horizon_ms) {
                 self.head += kept;
                 evicted += kept;
@@ -110,9 +128,12 @@ impl RecordRing {
             evicted += live.len();
             self.head = 0;
             match self.full.pop_front() {
-                Some(mut drained) => {
-                    drained.clear();
-                    self.free.push(drained);
+                Some(drained) => {
+                    // A chunk a view still holds goes with the view.
+                    if let Ok(mut drained) = Arc::try_unwrap(drained) {
+                        drained.clear();
+                        self.free.push(drained);
+                    }
                 }
                 None => {
                     self.open.clear();
@@ -131,7 +152,7 @@ impl RecordRing {
     /// one slice per chunk they touch.
     fn slices_in(&self, lo: usize, hi: usize) -> impl Iterator<Item = &[QueryRecord]> + '_ {
         let (first, hi) = (lo / CHUNK, hi.max(lo));
-        let chunks = self.full.iter().chain([&self.open]).skip(first);
+        let chunks = self.full.iter().map(|c| &**c).chain([&self.open]).skip(first);
         chunks.enumerate().map_while(move |(i, chunk)| {
             let base = (first + i) * CHUNK;
             (base < hi).then(|| &chunk[lo.saturating_sub(base)..(hi - base).min(chunk.len())])
@@ -144,28 +165,50 @@ impl RecordRing {
     fn partition_point(&self, pred: impl Fn(&QueryRecord) -> bool) -> usize {
         let c = self.full.partition_point(|chunk| chunk.last().is_some_and(&pred));
         let from = if c == 0 { self.head } else { 0 };
-        c * CHUNK + from + self.full.get(c).unwrap_or(&self.open)[from..].partition_point(pred)
+        c * CHUNK
+            + from
+            + self.full.get(c).map_or(&self.open, |c| &**c)[from..].partition_point(pred)
     }
 
-    /// Visits the records arriving in `[ts_ms, te_ms)` in arrival order —
-    /// on a time-ordered stream, the batch path's filter-then-stable-sort
-    /// order. One loop calls `f` for both paths, so the caller's closure
-    /// is inlined into it rather than called per record.
-    pub fn for_each_in(&self, ts_ms: f64, te_ms: f64, mut f: impl FnMut(&QueryRecord)) {
-        let (lo, hi) = match self.sorted {
-            true => (
-                self.partition_point(|r| r.start_ms < ts_ms),
-                self.partition_point(|r| r.start_ms < te_ms),
-            ),
-            false => (self.head, self.end()),
-        };
-        for slice in self.slices_in(lo, hi) {
-            for rec in slice {
-                if self.sorted || (rec.start_ms >= ts_ms && rec.start_ms < te_ms) {
-                    f(rec);
+    /// The records arriving in `[ts_ms, te_ms)` in arrival order — on a
+    /// time-ordered stream, the batch path's filter-then-stable-sort
+    /// order. A sorted ring shares the chunks that cover the window and
+    /// copies only the open chunk's part of it; an unsorted one copies the
+    /// window's records into chunks of the view's own.
+    pub fn view(&self, ts_ms: f64, te_ms: f64) -> RecordView {
+        let mut view = RecordView::default();
+        if !self.sorted {
+            let mut chunk = Vec::with_capacity(CHUNK);
+            for slice in self.slices_in(self.head, self.end()) {
+                for rec in slice.iter().filter(|r| r.start_ms >= ts_ms && r.start_ms < te_ms) {
+                    chunk.push(*rec);
+                    if chunk.len() == CHUNK {
+                        view.push_owned(std::mem::replace(&mut chunk, Vec::with_capacity(CHUNK)));
+                    }
                 }
             }
+            view.push_owned(chunk);
+            return view;
         }
+        let lo = self.partition_point(|r| r.start_ms < ts_ms);
+        let hi = self.partition_point(|r| r.start_ms < te_ms).max(lo);
+        for (c, chunk) in self.full.iter().enumerate().skip(lo / CHUNK) {
+            let base = c * CHUNK;
+            if base >= hi {
+                break;
+            }
+            view.push(Arc::clone(chunk), lo.saturating_sub(base), (hi - base).min(CHUNK));
+        }
+        let base = self.full.len() * CHUNK;
+        if hi > base {
+            view.push_owned(self.open[lo.saturating_sub(base)..hi - base].to_vec());
+        }
+        view
+    }
+
+    /// Bytes [`write`](Self::write) writes.
+    pub fn wire_len(&self) -> usize {
+        1 + 8 + QUERY_RECORD_BYTES * self.len()
     }
 
     /// `PSNP`: the sorted flag, then the records as fixed-width rows.
@@ -212,7 +255,7 @@ impl RecordRing {
             if left == 0 {
                 return Ok(Self::from_chunks(full, chunk, sorted));
             }
-            full.push_back(chunk);
+            full.push_back(Arc::new(chunk));
         }
     }
 }
@@ -235,6 +278,94 @@ fn refusal(row: &[u8; QUERY_RECORD_BYTES], prev_ms: f64, n_specs: usize) -> Wire
         ("record order", format!("start {start} ms after {prev_ms} ms in a ring flagged sorted"))
     };
     WireError::Mismatch { what, detail }
+}
+
+/// A window's records in arrival order, held as ranges of shared chunks:
+/// what a case carries (`CaseData::records`). Cloning one clones `Arc`s,
+/// not records; two views are equal when their records are, however they
+/// are chunked.
+#[derive(Clone, Default)]
+pub struct RecordView {
+    /// Non-empty ranges `chunk[start..end]`, in record order.
+    parts: Vec<Part>,
+    len: usize,
+}
+
+#[derive(Clone)]
+struct Part {
+    chunk: Arc<Vec<QueryRecord>>,
+    start: usize,
+    end: usize,
+}
+
+impl RecordView {
+    /// Appends `chunk[start..end]`; an empty range adds nothing.
+    fn push(&mut self, chunk: Arc<Vec<QueryRecord>>, start: usize, end: usize) {
+        if start < end {
+            self.len += end - start;
+            self.parts.push(Part { chunk, start, end });
+        }
+    }
+
+    fn push_owned(&mut self, records: Vec<QueryRecord>) {
+        let end = records.len();
+        self.push(Arc::new(records), 0, end);
+    }
+
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The records as contiguous slices, in order: what a sweep walks.
+    pub fn slices(&self) -> impl Iterator<Item = &[QueryRecord]> + '_ {
+        self.parts.iter().map(|p| &p.chunk[p.start..p.end])
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = &QueryRecord> + '_ {
+        self.slices().flatten()
+    }
+}
+
+impl From<Vec<QueryRecord>> for RecordView {
+    /// The records as one chunk of their own.
+    fn from(records: Vec<QueryRecord>) -> Self {
+        let mut view = Self::default();
+        view.push_owned(records);
+        view
+    }
+}
+
+impl Index<usize> for RecordView {
+    type Output = QueryRecord;
+
+    /// Record `i`, found by walking the chunks: for the odd lookup; a
+    /// sweep walks [`slices`](RecordView::slices).
+    fn index(&self, i: usize) -> &QueryRecord {
+        let mut rest = i;
+        for slice in self.slices() {
+            match slice.get(rest) {
+                Some(rec) => return rec,
+                None => rest -= slice.len(),
+            }
+        }
+        panic!("record {i} of a {}-record view", self.len)
+    }
+}
+
+impl PartialEq for RecordView {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for RecordView {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 #[cfg(test)]
@@ -332,6 +463,24 @@ mod tests {
         out
     }
 
+    fn bytes_of_view(view: &RecordView) -> Vec<[u8; 32]> {
+        view.iter().map(query_record_bytes).collect()
+    }
+
+    /// A view the sweep holds across later ops, with the oracle's copy of
+    /// the window from when it was taken.
+    struct Held {
+        view: RecordView,
+        want: Vec<[u8; 32]>,
+        /// Some chunk of the view has since been evicted from the ring.
+        outlived: bool,
+    }
+
+    fn assert_held(held: &Held, ctx: &str) {
+        assert_eq!(held.view.len(), held.want.len(), "{ctx}: held view length");
+        assert!(bytes_of_view(&held.view) == held.want, "{ctx}: a held view changed");
+    }
+
     /// The two invariants the position arithmetic rests on, and that no
     /// chunk was ever allocated short of its full size.
     fn assert_chunk_shape(ring: &RecordRing, ctx: &str) {
@@ -341,7 +490,7 @@ mod tests {
         let open = &ring.open;
         assert!(open.capacity() >= CHUNK, "{ctx}: open chunk capacity {}", open.capacity());
         assert!(open.len() <= CHUNK, "{ctx}: open chunk holds {}", open.len());
-        match ring.full.front().or((!open.is_empty()).then_some(open)) {
+        match ring.full.front().map(|c| &**c).or((!open.is_empty()).then_some(open)) {
             Some(first) => assert!(ring.head < first.len(), "{ctx}: head {} drained", ring.head),
             None => assert_eq!(ring.head, 0, "{ctx}: empty ring with head {}", ring.head),
         }
@@ -359,6 +508,8 @@ mod tests {
         windows_empty: u64,
         windows_unsorted: u64,
         round_trips_then_pushes: u64,
+        views_outliving_their_chunks: u64,
+        held_chunks_kept_off_the_free_list: u64,
     }
 
     /// A position `p` on the ring close to a chunk edge: an edge, or one
@@ -381,6 +532,7 @@ mod tests {
         let mut tag = 0u64;
         let mut was_emptied = false;
         let mut restored = false;
+        let mut held: Vec<Held> = Vec::new();
 
         for op in 0..96 {
             let ctx = format!("seed {seed}, op {op}");
@@ -439,8 +591,34 @@ mod tests {
                         Some(r) => (r.start_ms / 1000.0).floor() as i64,
                         None => (clock_ms / 1000.0).floor() as i64 + 1,
                     };
+                    // Which chunks a view holds besides the ring.
+                    let before: Vec<_> = ring
+                        .full
+                        .iter()
+                        .map(|c| (Arc::as_ptr(c), Arc::strong_count(c) > 1))
+                        .collect();
+                    let free_before = ring.free.len();
                     let evicted = ring.evict(horizon);
                     assert_eq!(evicted, oracle.evict(horizon), "{ctx}: evict({horizon})");
+                    let drained = &before[..before.len() - ring.full.len()];
+                    let kept = drained.iter().filter(|&&(_, shared)| shared).count();
+                    assert_eq!(
+                        ring.free.len() - free_before,
+                        drained.len() - kept,
+                        "{ctx}: a drained chunk is recycled exactly when no view holds it"
+                    );
+                    tally.held_chunks_kept_off_the_free_list += kept as u64;
+                    for h in held.iter_mut().filter(|h| !h.outlived) {
+                        let chunks = &h.view.parts;
+                        if chunks
+                            .iter()
+                            .any(|p| drained.iter().any(|d| d.0 == Arc::as_ptr(&p.chunk)))
+                        {
+                            h.outlived = true;
+                            tally.views_outliving_their_chunks += 1;
+                            assert_held(h, &ctx);
+                        }
+                    }
                     if evicted > 0 && ring.head == 0 {
                         match ring.len() {
                             0 => was_emptied = true,
@@ -464,9 +642,19 @@ mod tests {
                         _ => at(p_lo.max(near_an_edge(&mut rng, &ring)), nudge(&mut rng)),
                     }
                     .max(ts_ms);
-                    let got = window_of(|f| ring.for_each_in(ts_ms, te_ms, f));
+                    let view = ring.view(ts_ms, te_ms);
+                    let got = bytes_of_view(&view);
                     let want = window_of(|f| oracle.for_each_in(ts_ms, te_ms, f));
-                    assert_eq!(got, want, "{ctx}: for_each_in({ts_ms}, {te_ms})");
+                    assert_eq!(got, want, "{ctx}: view({ts_ms}, {te_ms})");
+                    assert_eq!(view.len(), got.len(), "{ctx}: view length");
+                    // Hold one view in two, a few at a time, released at
+                    // random.
+                    if rng.random_range(0..2u32) == 0 {
+                        if held.len() == 6 {
+                            assert_held(&held.swap_remove(rng.random_range(0..6usize)), &ctx);
+                        }
+                        held.push(Held { view, want: got.clone(), outlived: false });
+                    }
                     if got.is_empty() {
                         tally.windows_empty += 1;
                     } else if !ring.sorted {
@@ -499,7 +687,10 @@ mod tests {
             assert_eq!(ring.sorted, oracle.sorted, "{ctx}: sorted flag");
             assert_chunk_shape(&ring, &ctx);
         }
-        let all = window_of(|f| ring.for_each_in(f64::MIN, f64::MAX, f));
+        for h in &held {
+            assert_held(h, &format!("seed {seed}, end"));
+        }
+        let all = bytes_of_view(&ring.view(f64::MIN, f64::MAX));
         assert_eq!(all, window_of(|f| oracle.for_each_in(f64::MIN, f64::MAX, f)), "seed {seed}");
         assert_eq!(bytes_of(|w| ring.write(w)), bytes_of(|w| oracle.write(w)), "seed {seed}");
     }
@@ -508,8 +699,11 @@ mod tests {
     /// mid-chunk, onto a chunk edge and to empty, windows across chunk
     /// edges and empty ones, `write` → `read` round trips, clones — answer
     /// exactly as the `VecDeque` ring: every eviction count, window, length,
-    /// sorted flag and written byte. 256 sequences; a failure names seed
-    /// and step.
+    /// sorted flag and written byte. Views taken at random are held across
+    /// later pushes, evictions and round trips and keep reading as the
+    /// oracle's window did when they were taken; a drained chunk a view
+    /// holds never joins the free list. 256 sequences; a failure names
+    /// seed and step.
     #[test]
     fn chunked_ring_matches_the_deque_oracle() {
         let mut tally = Tally::default();
@@ -533,6 +727,8 @@ mod tests {
             windows_empty,
             windows_unsorted,
             round_trips_then_pushes,
+            views_outliving_their_chunks,
+            held_chunks_kept_off_the_free_list,
         } = tally;
         for (shape, n) in [
             ("back chunks filled exactly", back_filled_exactly),
@@ -544,6 +740,12 @@ mod tests {
             ("round trips followed by pushes", round_trips_then_pushes),
         ] {
             assert!(n >= 20, "the sweep reached only {n} {shape}: {tally:?}");
+        }
+        for (shape, n) in [
+            ("views held across the eviction of their chunks", views_outliving_their_chunks),
+            ("held chunks kept off the free list", held_chunks_kept_off_the_free_list),
+        ] {
+            assert!(n >= 100, "the sweep reached only {n} {shape}: {tally:?}");
         }
     }
 }

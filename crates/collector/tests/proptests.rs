@@ -69,11 +69,11 @@ fn aggregation_conserves_counts_and_sums() {
         assert!((got_rt - expect_rt).abs() < 1e-6 * expect_rt.max(1.0), "seed {seed}: rt");
         assert!((got_rows - expect_rows).abs() < 1e-9, "seed {seed}: rows");
         assert_eq!(case.records.len() as f64, expect_count, "seed {seed}");
-        // Record indices are a partition of the record set.
-        let mut all_idx: Vec<u32> =
-            case.templates.iter().flat_map(|t| t.record_idx.iter().copied()).collect();
-        all_idx.sort_unstable();
-        assert_eq!(all_idx, (0..case.records.len() as u32).collect::<Vec<_>>(), "seed {seed}");
+        // Every record belongs to exactly the template of its spec's id.
+        for rec in case.records.iter() {
+            let pos = case.template_index(case.catalog.id_of_spec(rec.spec));
+            assert_eq!(pos.map(|p| p as u32), Some(case.template_of(rec.spec)), "seed {seed}");
+        }
     }
 }
 

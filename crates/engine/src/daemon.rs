@@ -1008,6 +1008,8 @@ mod tests {
         for (a, b) in run.cases.iter().zip(&batch.cases) {
             assert_eq!(a.window, b.window);
             assert_eq!(a.case.records, b.case.records);
+            crate::instance::assert_owners_by_catalog(&a.case);
+            crate::instance::assert_owners_by_catalog(&b.case);
         }
         for (a, b) in run.diagnoses.iter().zip(&batch.diagnoses) {
             assert_eq!(a.rsqls, b.rsqls);

@@ -241,6 +241,8 @@ mod tests {
         for (i, (x, y)) in a.cases.iter().zip(&b.cases).enumerate() {
             assert_eq!(x.window, y.window, "{what}: instance {i}");
             assert_eq!(x.case.records, y.case.records, "{what}: instance {i}");
+            crate::instance::assert_owners_by_catalog(&x.case);
+            crate::instance::assert_owners_by_catalog(&y.case);
             assert_eq!(x.truth.rsqls, y.truth.rsqls, "{what}: instance {i}");
         }
         for (i, (x, y)) in a.diagnoses.iter().zip(&b.diagnoses).enumerate() {

@@ -31,6 +31,10 @@ use pinsql_scenario::{
 };
 use pinsql_timeseries::{WireError, WireReader, WireWriter};
 
+/// What a snapshot buffer is given beyond the aggregator's body: the
+/// headers and the detector bank.
+const SNAPSHOT_SLACK: usize = 64 << 10;
+
 /// One instance's online pipeline: incremental aggregation + streaming
 /// detection, closed into a labelled case on demand.
 ///
@@ -249,7 +253,7 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
     /// any event boundary, including mid-anomaly.
     pub fn snapshot(&self) -> InstanceSnapshot {
         let n0 = if O::ENABLED { self.obs.now_ns() } else { 0 };
-        let mut w = WireWriter::with_capacity(4096);
+        let mut w = WireWriter::with_capacity(self.snapshot_len_hint());
         snapshot::write_header(
             &mut w,
             InstanceMeta {
@@ -269,6 +273,13 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
             self.obs.add(Counter::SnapshotBytes, snap.len() as u64);
         }
         snap
+    }
+
+    /// The capacity [`snapshot`](Self::snapshot) starts its buffer at: the
+    /// aggregator's body, which is the bulk of the blob, and
+    /// [`SNAPSHOT_SLACK`] for the rest.
+    fn snapshot_len_hint(&self) -> usize {
+        self.aggregator.snapshot_len() + SNAPSHOT_SLACK
     }
 
     /// Rebuilds an instance from a [`snapshot`](Self::snapshot) under an
@@ -397,6 +408,18 @@ pub fn replay_diagnose<O: Observer>(
     (lc, d)
 }
 
+/// Each record's template as the case's owner table gives it, against an
+/// independent path: the catalog's id for the record's spec, looked up
+/// among the case's templates.
+#[cfg(test)]
+pub(crate) fn assert_owners_by_catalog(case: &pinsql_collector::CaseData) {
+    for rec in case.records.iter() {
+        let pos = case.template_index(case.catalog.id_of_spec(rec.spec));
+        let want = pos.map_or(pinsql_collector::CaseData::NO_TEMPLATE, |p| p as u32);
+        assert_eq!(case.template_of(rec.spec), want, "owner of {rec:?}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,9 +440,10 @@ mod tests {
         assert_eq!(a.case.metrics.qps, b.case.metrics.qps);
         assert_eq!(a.case.metrics.probes.samples, b.case.metrics.probes.samples);
         assert_eq!(a.case.templates.len(), b.case.templates.len());
+        assert_owners_by_catalog(&a.case);
+        assert_owners_by_catalog(&b.case);
         for (x, y) in a.case.templates.iter().zip(&b.case.templates) {
             assert_eq!(x.id, y.id);
-            assert_eq!(x.record_idx, y.record_idx);
             assert_eq!(x.series.execution_count, y.series.execution_count);
             assert_eq!(x.series.total_rt_ms, y.series.total_rt_ms);
             assert_eq!(x.series.examined_rows, y.series.examined_rows);
@@ -500,6 +524,20 @@ mod tests {
         let lc = inst.close_case();
         assert!(lc.window.anomaly_len() > 0);
         assert!(!lc.case.templates.is_empty());
+    }
+
+    #[test]
+    fn snapshot_len_hint_covers_a_mid_stream_blob() {
+        let cfg = ScenarioConfig::default().with_seed(37).with_businesses(16);
+        let scenario = inject(&generate_base(&cfg), &cfg, AnomalyKind::BusinessSpike);
+        let events = materialize_events(&scenario, None);
+        for split in [events.len() / 10, events.len() / 2] {
+            let mut inst = OnlineInstance::new(&scenario, 300);
+            inst.ingest_stream(events[..split].to_vec());
+            let (hint, len) = (inst.snapshot_len_hint(), inst.snapshot().len());
+            // Enough for the blob, and no more than the slack over it.
+            assert!((len..=len + SNAPSHOT_SLACK).contains(&hint), "{split} events: {hint}, {len}");
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!
 //! # Sweep order
 //!
-//! Both passes walk `case.records` once, front to back. A query covers its
+//! Both passes walk `case.records` once, front to back, slice by slice of
+//! its shared chunks (`RecordView::slices`). A query covers its
 //! interior seconds entirely (one `+1/−1` pair in a difference array, so a
 //! minutes-long blocked query costs nothing per covered second) and at
 //! most two *edge* seconds partially. Every bucket's bounds come from one
@@ -42,22 +43,23 @@
 //!   comparison or two, not a walk.
 //! * Bucket selection per second, as above.
 //! * Pass 2 replays pass 1's classification, so no record is clipped
-//!   twice. It attributes each record to its template through
-//!   [`CaseData::record_templates`] and adds it to that template's
+//!   twice. It attributes each record to its template by a lookup on its
+//!   spec ([`CaseData::template_of`]) and adds it to that template's
 //!   difference row and to its output row at the one bucket selected for
 //!   the edge second — and only when the record overlaps that bucket, about
 //!   one fast-arm record in `K`. The other `K − 1` buckets are never needed
 //!   again. Scratch is `O(templates · n)`, not `O(templates · K · n)`, and
 //!   a case's records (tens of MB) are streamed rather than gathered
-//!   template by template through `record_idx`.
+//!   template by template.
 //!
 //! # Why the result does not depend on the sweep
 //!
 //! Every output cell is an f64 sum, so it is fixed by *which* terms are
 //! added *in which order*. A template's cells receive its own records'
-//! terms only, and `record_idx` is ascending, so record order restricted
-//! to one template is the order a per-template gather visits. Two facts
-//! make the set of nonzero terms the same:
+//! terms only — the records whose spec maps to it — and the sweep visits
+//! them in record order, which is the order a per-template gather of
+//! those records visits. Two facts make the set of nonzero terms the
+//! same:
 //!
 //! * *The fast arm is the general arm, exactly.* `t` and `t + 1` are exact
 //!   integers. `t < s_sec < t + 1` gives `floor(s_sec) = t` and
@@ -168,20 +170,23 @@ fn estimate_with_buckets(case: &CaseData, k: usize) -> SessionEstimates {
     let mut edges = vec![0.0f64; n * k];
     let mut plan = Plan { arms: Vec::with_capacity(case.records.len()), general: Vec::new() };
     let mut seat = Seat::default();
-    for rec in &case.records {
-        match grid.classify(rec, &mut seat) {
-            Arm::Skip => plan.arms.push(Plan::SKIP),
-            Arm::Fast { t, s, e } => {
-                seat.cursor = grid.add_overlapping(&mut edges[t * k..][..k], t, s, e, seat.cursor);
-                plan.arms.push(t as u32);
-            }
-            Arm::General(q) => {
-                q.add_full(&mut full_diff);
-                q.for_each_edge_second(n, |t| {
-                    grid.add_overlapping(&mut edges[t * k..][..k], t, q.s, q.e, 0);
-                });
-                plan.arms.push(Plan::GENERAL);
-                plan.general.push(q);
+    for slice in case.records.slices() {
+        for rec in slice {
+            match grid.classify(rec, &mut seat) {
+                Arm::Skip => plan.arms.push(Plan::SKIP),
+                Arm::Fast { t, s, e } => {
+                    let row = &mut edges[t * k..][..k];
+                    seat.cursor = grid.add_overlapping(row, t, s, e, seat.cursor);
+                    plan.arms.push(t as u32);
+                }
+                Arm::General(q) => {
+                    q.add_full(&mut full_diff);
+                    q.for_each_edge_second(n, |t| {
+                        grid.add_overlapping(&mut edges[t * k..][..k], t, q.s, q.e, 0);
+                    });
+                    plan.arms.push(Plan::GENERAL);
+                    plan.general.push(q);
+                }
             }
         }
     }
@@ -221,7 +226,7 @@ fn estimate_with_buckets(case: &CaseData, k: usize) -> SessionEstimates {
 }
 
 /// Pass 2: one sweep over all records, replaying pass 1's [`Plan`], each
-/// record added to the rows of the template [`CaseData::record_templates`]
+/// record added to the rows of the template [`CaseData::template_of`]
 /// attributes it to. Returns `per_template`.
 fn sweep_templates(
     case: &CaseData,
@@ -234,7 +239,6 @@ fn sweep_templates(
     // Edge sums accumulate straight into the output rows.
     let mut rows = vec![vec![0.0f64; n]; case.templates.len()];
     let mut general = plan.general.iter();
-    let owners = case.record_templates();
     // Only the selected bucket's term, and only when it is nonzero.
     let add_selected = |row: &mut [f64], t: usize, s: f64, e: f64| {
         let bucket = grid.bounds_of(t)[selected_bucket[t]];
@@ -242,22 +246,26 @@ fn sweep_templates(
             row[t] += grid.share(s, e, bucket);
         }
     };
-    for ((rec, &pos), &arm) in case.records.iter().zip(&owners).zip(&plan.arms) {
-        if arm == Plan::SKIP {
-            continue;
-        }
-        // Taken whether or not a template owns the record, so the clipped
-        // intervals stay in step with the records.
-        let clipped = (arm == Plan::GENERAL)
-            .then(|| general.next().expect("one clipped interval per general-arm record"));
-        // `NO_TEMPLATE` lies beyond every row.
-        let Some(row) = rows.get_mut(pos as usize) else { continue };
-        if let Some(q) = clipped {
-            q.add_full(&mut full_diff[pos as usize * (n + 1)..][..n + 1]);
-            q.for_each_edge_second(n, |t| add_selected(row, t, q.s, q.e));
-        } else {
-            let (s, e) = grid.clamp(rec);
-            add_selected(row, arm as usize, s, e);
+    let mut arms = plan.arms.iter();
+    for slice in case.records.slices() {
+        for (rec, &arm) in slice.iter().zip(&mut arms) {
+            if arm == Plan::SKIP {
+                continue;
+            }
+            // Taken whether or not a template owns the record, so the
+            // clipped intervals stay in step with the records.
+            let clipped = (arm == Plan::GENERAL)
+                .then(|| general.next().expect("one clipped interval per general-arm record"));
+            // `NO_TEMPLATE` lies beyond every row.
+            let pos = case.template_of(rec.spec) as usize;
+            let Some(row) = rows.get_mut(pos) else { continue };
+            if let Some(q) = clipped {
+                q.add_full(&mut full_diff[pos * (n + 1)..][..n + 1]);
+                q.for_each_edge_second(n, |t| add_selected(row, t, q.s, q.e));
+            } else {
+                let (s, e) = grid.clamp(rec);
+                add_selected(row, arm as usize, s, e);
+            }
         }
     }
     for (row, diff) in rows.iter_mut().zip(full_diff.chunks_exact(n + 1)) {
@@ -767,12 +775,13 @@ mod tests {
         // second 0) is selected and the template's estimate there is 1.
         let probes = vec![(0, 1, 700.0)];
         let case = aggregate_case(&log, &specs2(), &metrics_with_probes(3, probes), 0, 3);
-        // Inject corrupt records under the aggregated case's nose.
+        // Inject corrupt records of template "a" under the aggregated
+        // case's nose.
         let mut case = case;
-        case.records.push(rec(0, f64::NAN, 100.0));
-        case.records.push(rec(0, 2500.0, f64::INFINITY));
-        case.templates[0].record_idx.push(1);
-        case.templates[0].record_idx.push(2);
+        let mut records: Vec<_> = case.records.iter().copied().collect();
+        records.push(rec(0, f64::NAN, 100.0));
+        records.push(rec(0, 2500.0, f64::INFINITY));
+        case.records = records.into();
         let est = estimate_sessions(&case, &cfg(EstimatorKind::Buckets, 10));
         let a_idx = case.template_index(case.catalog.id_of_spec(SpecId(0))).unwrap();
         assert!((est.per_template[a_idx][0] - 1.0).abs() < 1e-9);

@@ -1,7 +1,9 @@
 //! The per-template formulation of the bucketed estimator, kept as the
 //! test oracle for [`super::estimate_with_buckets`]: pass 2 gathers each
-//! template's records through `record_idx` into a `K × n` edge matrix of
-//! its own. The sweep must reproduce its output bit for bit.
+//! template's records into a `K × n` edge matrix of its own. A record's
+//! template is found by its own path — the catalog's id for its spec,
+//! looked up among the case's templates — not by the case's owner table.
+//! The sweep must reproduce its output bit for bit.
 
 use super::{overlap, prefix_sum, SessionEstimates};
 use pinsql_collector::CaseData;
@@ -20,7 +22,7 @@ pub(super) fn estimate_with_buckets(case: &CaseData, k: usize) -> SessionEstimat
     // bucket); `edges[k][t]` accumulates partial-coverage probabilities.
     let mut full_diff = vec![0.0f64; n + 1];
     let mut edges = vec![vec![0.0f64; n]; k];
-    for rec in &case.records {
+    for rec in case.records.iter() {
         accumulate_query(rec, ts_ms, n, bucket_ms, &mut full_diff, &mut edges, None);
     }
     let full = prefix_sum(&full_diff, n);
@@ -51,15 +53,20 @@ pub(super) fn estimate_with_buckets(case: &CaseData, k: usize) -> SessionEstimat
     }
 
     // Pass 2: per-template sessions evaluated at the selected buckets.
-    let per_template: Vec<Vec<f64>> = case
-        .templates
+    let mut gathered: Vec<Vec<&QueryRecord>> = vec![Vec::new(); case.templates.len()];
+    for rec in case.records.iter() {
+        if let Some(pos) = case.template_index(case.catalog.id_of_spec(rec.spec)) {
+            gathered[pos].push(rec);
+        }
+    }
+    let per_template: Vec<Vec<f64>> = gathered
         .iter()
-        .map(|tpl| {
+        .map(|records| {
             let mut tpl_full_diff = vec![0.0f64; n + 1];
             let mut tpl_edges = vec![vec![0.0f64; n]; k];
-            for &ri in &tpl.record_idx {
+            for rec in records {
                 accumulate_query(
-                    &case.records[ri as usize],
+                    rec,
                     ts_ms,
                     n,
                     bucket_ms,

@@ -53,16 +53,19 @@ fn grid_ms(rng: &mut Rng, n: usize) -> f64 {
 }
 
 /// A case of `n` seconds starting at `ts` whose records stress every guard
-/// of the estimator. Built by aggregating a clean in-window log (so
-/// `record_idx` is what production builds) and then corrupting records in
-/// place, which leaves the record → template attribution intact.
+/// of the estimator. Built by aggregating a clean in-window log (so the
+/// owner table is what production builds) and then corrupting records in
+/// place, which leaves each record's spec, and so its template, intact.
+/// The catalog holds one spec more than the log uses: its records belong
+/// to no template of the case.
 fn adversarial_case(seed: u64) -> CaseData {
     let mut rng = Rng(seed);
     let n = 1 + rng.below(40) as usize;
     let ts = rng.pick(&[0i64, 17, 3_600, 86_399, EPOCH_TS]);
     let ts_ms = ts as f64 * 1000.0;
     let n_ms = n as f64 * 1000.0;
-    let specs = specs_n(1 + rng.below(48) as usize);
+    let n_used = 1 + rng.below(48);
+    let specs = specs_n(n_used as usize + 1);
 
     let log: Vec<QueryRecord> = (0..rng.below(1500))
         .map(|_| {
@@ -82,7 +85,7 @@ fn adversarial_case(seed: u64) -> CaseData {
                 _ => rng.unit() * rng.unit() * 2500.0,
             };
             QueryRecord {
-                spec: SpecId(rng.below(specs.len() as u64) as usize),
+                spec: SpecId(rng.below(n_used) as usize),
                 start_ms: ts_ms + start,
                 response_ms: response.max(0.001),
                 examined_rows: 1,
@@ -104,7 +107,8 @@ fn adversarial_case(seed: u64) -> CaseData {
     assert_eq!(case.records.len(), log.len(), "seed {seed}: clean log is all in-window");
 
     // Everything `aggregate_case` would have filtered or sanitized.
-    for rec in &mut case.records {
+    let mut records: Vec<QueryRecord> = case.records.iter().copied().collect();
+    for rec in &mut records {
         match rng.below(12) {
             // Straddles the lower window edge, sometimes both.
             0 => {
@@ -122,15 +126,16 @@ fn adversarial_case(seed: u64) -> CaseData {
             _ => {}
         }
     }
-    // Records no template references.
+    // Records of the spec no template of the case covers.
     for _ in 0..rng.below(20) {
-        case.records.push(QueryRecord {
-            spec: SpecId(0),
+        records.push(QueryRecord {
+            spec: SpecId(n_used as usize),
             start_ms: ts_ms + rng.unit() * n_ms,
             response_ms: rng.unit() * 3000.0,
             examined_rows: 1,
         });
     }
+    case.records = records.into();
     // A probe second the bucket selection cannot use.
     let nan_at = rng.below(n as u64) as usize;
     case.metrics.active_session[nan_at] = f64::NAN;
@@ -141,25 +146,13 @@ fn adversarial_case(seed: u64) -> CaseData {
     case
 }
 
-/// Permutes `case.records` and renumbers every template's `record_idx`,
-/// which must stay ascending.
+/// Permutes `case.records`; each record keeps its spec, so its template.
 fn shuffle(case: &mut CaseData, rng: &mut Rng) {
-    let len = case.records.len();
-    let mut order: Vec<usize> = (0..len).collect();
-    for i in (1..len).rev() {
-        order.swap(i, rng.below(i as u64 + 1) as usize);
+    let mut records: Vec<QueryRecord> = case.records.iter().copied().collect();
+    for i in (1..records.len()).rev() {
+        records.swap(i, rng.below(i as u64 + 1) as usize);
     }
-    let mut moved_to = vec![0u32; len];
-    for (to, &from) in order.iter().enumerate() {
-        moved_to[from] = to as u32;
-    }
-    case.records = order.iter().map(|&from| case.records[from]).collect();
-    for tpl in &mut case.templates {
-        for ri in &mut tpl.record_idx {
-            *ri = moved_to[*ri as usize];
-        }
-        tpl.record_idx.sort_unstable();
-    }
+    case.records = records.into();
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -204,10 +197,13 @@ fn adversarial_cases_hold_what_they_claim() {
     for seed in 0..SEEDS {
         let case = adversarial_case(seed);
         let ts_ms = case.ts as f64 * 1000.0;
-        let owner = case.record_templates();
-        unowned += owner.iter().filter(|&&o| o == CaseData::NO_TEMPLATE).count();
+        unowned += case
+            .records
+            .iter()
+            .filter(|r| case.template_of(r.spec) == CaseData::NO_TEMPLATE)
+            .count();
         let on_bound = |x: f64, k: usize| ((x - ts_ms) * k as f64 / 1000.0).fract() == 0.0;
-        for r in &case.records {
+        for r in case.records.iter() {
             let e = r.end_ms();
             non_finite += usize::from(!r.start_ms.is_finite() || !e.is_finite());
             before += usize::from(r.start_ms < ts_ms && e > ts_ms);
@@ -224,7 +220,7 @@ fn adversarial_cases_hold_what_they_claim() {
         }
         let mut seat = Seat::default();
         let mut last_fast = 0;
-        for r in &case.records {
+        for r in case.records.iter() {
             match grid.classify(r, &mut seat) {
                 Arm::Skip => {}
                 Arm::Fast { t, .. } => {
@@ -241,7 +237,7 @@ fn adversarial_cases_hold_what_they_claim() {
         ("non-finite records", non_finite),
         ("records straddling the window start", before),
         ("blocked queries", blocked),
-        ("unreferenced records", unowned),
+        ("records of a spec with no template", unowned),
         ("bucket-aligned ends", aligned),
         ("records starting on a second bound", starts_on_second),
         ("records ending on a second bound", ends_on_second),

@@ -249,14 +249,18 @@ fn label_hsqls(case: &CaseData, window: &AnomalyWindow) -> Vec<SqlId> {
     }
     let ts_ms = window.ts() as f64 * 1000.0;
     // True session mass from the full log (expected activity), per template
-    // as `(anomaly, baseline)`: one pass in record order, which within a
-    // template is the order its `record_idx` lists (see `record_templates`;
-    // its `NO_TEMPLATE` marker indexes past `mass`).
+    // as `(anomaly, baseline)`: one pass in record order, each record's
+    // template looked up by its spec (`template_of`; its `NO_TEMPLATE`
+    // marker indexes past `mass`).
     let mut mass = vec![(0.0f64, 0.0f64); case.templates.len()];
-    for (r, &pos) in case.records.iter().zip(&case.record_templates()) {
-        let Some((anom, base)) = mass.get_mut(pos as usize) else { continue };
-        *anom += r.overlap_ms(ts_ms + a_lo as f64 * 1000.0, ts_ms + a_hi as f64 * 1000.0);
-        *base += r.overlap_ms(ts_ms, ts_ms + a_lo as f64 * 1000.0);
+    for slice in case.records.slices() {
+        for r in slice {
+            let Some((anom, base)) = mass.get_mut(case.template_of(r.spec) as usize) else {
+                continue;
+            };
+            *anom += r.overlap_ms(ts_ms + a_lo as f64 * 1000.0, ts_ms + a_hi as f64 * 1000.0);
+            *base += r.overlap_ms(ts_ms, ts_ms + a_lo as f64 * 1000.0);
+        }
     }
     let mut out = Vec::new();
     let mut best: Option<(SqlId, f64)> = None;

@@ -18,11 +18,15 @@
 #   kernel_smoke      slice kernels vs serial loops, the rolling median/MAD
 #                     vs its allocate-and-sort oracle, the cell store vs
 #                     its map-per-second oracle, the chunked record ring vs
-#                     its VecDeque oracle, the history store's runs vs its
-#                     dense-span oracle, the online feature detector vs
-#                     its batch-scan oracle, the session estimator's record
-#                     sweep vs its per-template oracle, runs of N vs runs
-#                     of one: bit for bit
+#                     its VecDeque oracle with case views held across
+#                     evictions (chunked_ring_matches_the_deque_oracle),
+#                     the history store's runs vs its dense-span oracle,
+#                     the online feature detector vs its batch-scan
+#                     oracle, the session estimator's record sweep vs its
+#                     per-template oracle and each case's record owners vs
+#                     the catalog lookup (sweep_matches_oracle_bit_for_bit,
+#                     cellstore_props), runs of N vs runs of one: bit for
+#                     bit
 #   snapshot_smoke    snapshot wire/property suites against the committed
 #                     golden blob, restore refusing what the fold never
 #                     stores, checkpoint bytes and handoff order, the
@@ -51,7 +55,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,45p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,49p' "$0" | sed 's/^# \{0,1\}//' >&2
 }
 
 # `cargo test -q ARGS`, echoed as it runs, failing when the tests pass but
@@ -110,12 +114,15 @@ obs_smoke() {
 # median/MAD stay bit-identical to the allocate-and-sort oracle in its
 # test module (seeded stream sweep), the cell store to the map-per-second
 # oracle in its test module, the chunked record ring to the VecDeque ring
-# it replaced and the history store's runs to the dense span they
-# replaced (seeded op-sequence sweeps), the online feature detector to
-# the batch scanner it replaced (seeded series sweep), the session
-# estimator's record sweep to its per-template oracle (seeded adversarial
-# cases), and the fold entered as runs of N to the fold entered as runs
-# of one.
+# it replaced — views cut from it held across later pushes, evictions and
+# round trips included — and the history store's runs to the dense span
+# they replaced (seeded op-sequence sweeps), the online feature detector
+# to the batch scanner it replaced (seeded series sweep), the session
+# estimator's record sweep to its per-template oracle, which finds each
+# record's template by the catalog lookup rather than the case's owner
+# table (seeded adversarial cases), and the fold entered as runs of N to
+# the fold entered as runs of one, every record's owner checked against
+# the catalog lookup.
 kernel_smoke() {
   tests --test kernel_props
   tests -p pinsql-timeseries rolling::tests::median_mad_kernels_are_bit_identical
@@ -128,10 +135,12 @@ kernel_smoke() {
 }
 
 # Checkpoint/restore + live resharding: the collector's and the engine's
-# PSNP unit tests (the collector's `checkpoint` filter includes the three
+# PSNP unit tests (the collector's `checkpoint` filter includes the four
 # restore refusals, checkpoint_rejects_a_sorted_flag_over_unsorted_records,
-# checkpoint_rejects_a_cell_row_naming_a_slot_twice and
-# checkpoint_rejects_a_history_span_past_the_end_of_time; the engine's
+# checkpoint_rejects_a_cell_row_naming_a_slot_twice,
+# checkpoint_rejects_a_cell_count_the_fold_never_stores and
+# checkpoint_rejects_a_history_span_past_the_end_of_time, and
+# checkpoint_with_a_record_no_window_cell_counts_cuts_it_unowned; the engine's
 # `snapshot` filter includes snapshot_rejects_a_negative_delta_s), the
 # wire-hardening suite (committed golden blob, older versions refused,
 # kernel tags and reserved bytes) and the property suite, checkpoint-bytes

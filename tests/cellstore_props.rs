@@ -17,6 +17,9 @@ use pinsql_scenario::{
 use pinsql_workload::{CostProfile, SpecId, TableId, TemplateSpec};
 use pinsql_workload::rng::{rng_from_seed, RngExt};
 
+mod common;
+use common::assert_owners_by_catalog;
+
 fn specs(n: usize) -> Vec<TemplateSpec> {
     (0..n)
         .map(|i| {
@@ -35,9 +38,10 @@ fn assert_case_eq(a: &CaseData, b: &CaseData, ctx: &str) {
     assert_eq!(a.te, b.te, "{ctx}");
     assert_eq!(a.records, b.records, "{ctx}");
     assert_eq!(a.templates.len(), b.templates.len(), "{ctx}");
+    assert_owners_by_catalog(a, ctx);
+    assert_owners_by_catalog(b, ctx);
     for (x, y) in a.templates.iter().zip(&b.templates) {
         assert_eq!(x.id, y.id, "{ctx}");
-        assert_eq!(x.record_idx, y.record_idx, "{ctx}: {:?}", x.id);
         assert_eq!(x.series.start, y.series.start, "{ctx}: {:?}", x.id);
         assert_eq!(x.series.execution_count, y.series.execution_count, "{ctx}: {:?}", x.id);
         assert_eq!(x.series.total_rt_ms, y.series.total_rt_ms, "{ctx}: {:?}", x.id);

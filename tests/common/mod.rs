@@ -8,6 +8,7 @@
 #![allow(dead_code)]
 
 use pinsql::{Diagnosis, PinSql, PinSqlConfig};
+use pinsql_collector::CaseData;
 use pinsql_engine::FleetConfig;
 use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
 use pinsql_json::Json;
@@ -335,6 +336,17 @@ pub fn golden_fleet_config(p: MatrixPoint) -> FleetConfig {
         fanout: p.fanout,
         shards: p.shards,
         ..FleetConfig::default()
+    }
+}
+
+/// Each record's template as the case's owner table gives it, against an
+/// independent path: the catalog's id for the record's spec, looked up
+/// among the case's templates.
+pub fn assert_owners_by_catalog(case: &CaseData, what: &str) {
+    for (i, rec) in case.records.iter().enumerate() {
+        let pos = case.template_index(case.catalog.id_of_spec(rec.spec));
+        let want = pos.map_or(CaseData::NO_TEMPLATE, |p| p as u32);
+        assert_eq!(case.template_of(rec.spec), want, "{what}: owner of record {i}");
     }
 }
 

@@ -8,7 +8,9 @@
 //! for row. Streams come from seeded random generators (out-of-order
 //! arrivals, ±inf/NaN records), chaos-perturbed scenario telemetry,
 //! constant workloads, retention-evicting long windows, and mid-window
-//! snapshot/restore splits. A failing sweep names its seed.
+//! snapshot/restore splits. Each cut's record → template owner table is
+//! held to the catalog lookup it stands for on every one of them. A
+//! failing sweep names its seed.
 
 use pinsql_collector::{CaseData, IncrementalAggregator, IncrementalConfig, WindowCut};
 use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
@@ -19,7 +21,7 @@ use pinsql_workload::rng::{rng_from_seed, RngExt};
 use pinsql_workload::SpecId;
 
 mod common;
-use common::{random_event_stream, small_scenario};
+use common::{assert_owners_by_catalog, random_event_stream, small_scenario};
 
 const DELTA_S: i64 = 60;
 
@@ -30,6 +32,7 @@ fn assert_cut_is_exact(case: &CaseData, what: &str) -> WindowCut {
     let cut = case.cut.as_deref().unwrap_or_else(|| panic!("{what}: window cut missing"));
     assert_eq!(cut.minute_rows.len(), case.templates.len(), "{what}: row count");
     assert_eq!(cut.minute_start, case.ts.div_euclid(60), "{what}: minute origin");
+    assert_owners_by_catalog(case, what);
 
     let per_minutes: Vec<Vec<f64>> =
         case.templates.iter().map(|t| t.series.per_minute()).collect();

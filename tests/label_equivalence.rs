@@ -1,8 +1,9 @@
 //! H-SQL ground-truth labelling sums each template's true session mass in
-//! one record-order sweep. This pins it to the per-template formulation it
-//! replaced — a gather through `record_idx` — on golden-shape scenarios:
-//! same additions in the same order, so the labels must be equal, not
-//! merely close.
+//! one record-order sweep, finding a record's template through the case's
+//! owner table. This pins it to the per-template formulation it replaced —
+//! a gather of each template's records, found through the catalog's id
+//! for their spec — on golden-shape scenarios: same additions in the same
+//! order, so the labels must be equal, not merely close.
 
 use pinsql_collector::CaseData;
 use pinsql_detect::AnomalyWindow;
@@ -11,6 +12,7 @@ use pinsql_scenario::{
     ScenarioConfig,
 };
 use pinsql_sqlkit::SqlId;
+use pinsql_workload::SpecId;
 
 /// The labelling rule over per-template gathers (the previous
 /// `scenario::materialize::label_hsqls`).
@@ -22,13 +24,21 @@ fn label_hsqls_by_gather(case: &CaseData, window: &AnomalyWindow) -> Vec<SqlId> 
         return Vec::new();
     }
     let ts_ms = window.ts() as f64 * 1000.0;
+    let mut gathered = vec![Vec::new(); case.templates.len()];
+    for r in case.records.iter() {
+        // A spec outside the catalog has no template.
+        if r.spec.0 < case.catalog.n_specs() {
+            if let Some(pos) = case.template_index(case.catalog.id_of_spec(r.spec)) {
+                gathered[pos].push(r);
+            }
+        }
+    }
     let mut out = Vec::new();
     let mut best: Option<(SqlId, f64)> = None;
-    for tpl in &case.templates {
+    for (tpl, records) in case.templates.iter().zip(&gathered) {
         let mut anom = 0.0;
         let mut base = 0.0;
-        for &ri in &tpl.record_idx {
-            let r = &case.records[ri as usize];
+        for r in records {
             anom += r.overlap_ms(ts_ms + a_lo as f64 * 1000.0, ts_ms + a_hi as f64 * 1000.0);
             base += r.overlap_ms(ts_ms, ts_ms + a_lo as f64 * 1000.0);
         }
@@ -61,11 +71,16 @@ fn sweep_labels_equal_gather_labels_on_golden_shapes() {
             assert!(!expected.is_empty(), "{kind:?}/{seed}: a positive case has an H-SQL");
             assert_eq!(lc.truth.hsqls, expected, "{kind:?}/{seed}");
 
-            // A record no template references is skipped by both.
+            // A record of a spec with no template is skipped by both.
             let mut case = lc.case.clone();
-            let mut stray = case.records[case.records.len() / 2];
+            let mut records: Vec<_> = case.records.iter().copied().collect();
+            let mut stray = records[records.len() / 2];
+            stray.spec = SpecId(case.catalog.n_specs());
             stray.response_ms = 1e9;
-            case.records.push(stray);
+            records.push(stray);
+            case.records = records.into();
+            assert_eq!(case.template_of(stray.spec), CaseData::NO_TEMPLATE);
+            assert_eq!(label_hsqls_by_gather(&case, &lc.window), expected, "{kind:?}/{seed}");
             assert_eq!(
                 label_truth(&scenario, &case, &lc.window).hsqls,
                 expected,

@@ -18,7 +18,7 @@ use pinsql_workload::rng::{rng_from_seed, RngExt};
 use pinsql_workload::SpecId;
 
 mod common;
-use common::{random_event_stream, small_scenario};
+use common::{assert_owners_by_catalog, random_event_stream, small_scenario};
 
 const DELTA_S: i64 = 60;
 
@@ -27,9 +27,10 @@ fn assert_case_eq(a: &CaseData, b: &CaseData, what: &str) {
     assert_eq!(a.te, b.te, "{what}: te");
     assert_eq!(a.records, b.records, "{what}: records");
     assert_eq!(a.templates.len(), b.templates.len(), "{what}: template count");
+    assert_owners_by_catalog(a, what);
+    assert_owners_by_catalog(b, what);
     for (x, y) in a.templates.iter().zip(&b.templates) {
         assert_eq!(x.id, y.id, "{what}: template id");
-        assert_eq!(x.record_idx, y.record_idx, "{what}: record_idx of {:?}", x.id);
         assert_eq!(x.series.start, y.series.start, "{what}: series start of {:?}", x.id);
         assert_eq!(x.series.execution_count, y.series.execution_count, "{what}: {:?}", x.id);
         assert_eq!(x.series.total_rt_ms, y.series.total_rt_ms, "{what}: {:?}", x.id);
