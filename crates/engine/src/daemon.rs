@@ -6,10 +6,10 @@
 //! shards and bounce agents without losing a second of online state.
 //! [`FleetDaemon`] is that shape, and it is the engine's
 //! **only** front end and the only thing in this crate that spawns shard
-//! workers: a static run is `spawn` + `finish` (all
-//! [`FleetEngine::run_full`](crate::FleetEngine::run_full) does), a
-//! reshard is `advance_to` + `reshard` between them, a crash drill is
-//! `checkpoint` on one agent and `resume` + `finish` on the next.
+//! workers. It takes telemetry, not scenarios to simulate: a static run
+//! is `spawn` over the caller's streams + `finish`, a reshard is
+//! `advance_to` + `reshard` between them, a crash drill is `checkpoint` on
+//! one agent and `resume` + `finish` on the next.
 //!
 //! - **Agent** ([`FleetDaemon`]) — owns the live [`OnlineInstance`]s, the
 //!   unconsumed stream tails and the instance → shard map.
@@ -66,7 +66,7 @@ use pinsql_dbsim::TelemetryEvent;
 use pinsql_obs::{
     Counter, FleetHealth, FleetRollup, HealthSnapshot, NoopObserver, Observer, Stage,
 };
-use pinsql_scenario::{materialize_events, LabeledCase, Scenario};
+use pinsql_scenario::{LabeledCase, Scenario};
 use pinsql_timeseries::par::par_map;
 use pinsql_timeseries::WireError;
 
@@ -95,70 +95,71 @@ pub struct FleetDaemon<'a, O: Observer = NoopObserver> {
 }
 
 impl<'a> FleetDaemon<'a> {
-    /// Boots an agent over `scenarios`: materializes every stream and
-    /// builds one live pipeline per instance under `cfg`.
-    ///
-    /// # Panics
-    /// Panics on an empty fleet or `cfg.shards == 0` / `cfg.regions == 0`
-    /// (programmer errors, like [`crate::FleetEngine::new`]).
-    pub fn spawn(cfg: FleetConfig, scenarios: &'a [Scenario]) -> Self {
-        Self::spawn_observed(cfg, scenarios, NoopObserver)
-    }
-
     /// Boots a **hollow** agent: live pipelines, empty streams. Telemetry
     /// arrives later over the `PEVT` ingest wire
-    /// ([`offer_events`](FleetDaemon::offer_events)) instead of being
-    /// materialized up front — the deployment shape behind
-    /// [`crate::transport::IngestSink`].
+    /// ([`offer_events`](FleetDaemon::offer_events)) — the deployment
+    /// shape behind [`crate::transport::IngestSink`].
     pub fn spawn_hollow(cfg: FleetConfig, scenarios: &'a [Scenario]) -> Self {
         Self::spawn_hollow_observed(cfg, scenarios, NoopObserver)
     }
 }
 
 impl<'a, O: Observer> FleetDaemon<'a, O> {
-    /// [`spawn`](FleetDaemon::spawn) under an explicit observer; each
-    /// instance records on its own `inst{i}` lane, each ingest round on
-    /// one `r{round}shard{s}` lane per shard, each diagnosis on `diag{i}`.
-    pub fn spawn_observed(cfg: FleetConfig, scenarios: &'a [Scenario], obs: O) -> Self {
-        let streams = materialize(&cfg, scenarios);
-        let instances = fresh_instances(&cfg, scenarios, &obs);
-        Self::boot(cfg, scenarios, obs, streams, instances)
+    /// Boots an agent: one live pipeline per scenario under `cfg`, with
+    /// `streams[i]` seated on instance `i` through
+    /// [`offer_events`](Self::offer_events), the `PEVT` wire's admission
+    /// check, whose typed error a refused stream returns. Missing streams
+    /// leave their instances hollow. Each instance records on its own
+    /// `inst{i}` lane, each ingest round on one `r{round}shard{s}` lane
+    /// per shard, each diagnosis on `diag{i}`.
+    ///
+    /// # Panics
+    /// Panics on an empty fleet or `cfg.shards == 0` / `cfg.regions == 0`
+    /// (programmer errors, like [`crate::FleetEngine::new`]).
+    pub fn spawn(
+        cfg: FleetConfig,
+        scenarios: &'a [Scenario],
+        streams: Vec<Vec<TelemetryEvent>>,
+        obs: O,
+    ) -> Result<Self, WireError> {
+        let instances = scenarios
+            .iter()
+            .enumerate()
+            .map(|(i, sc)| {
+                OnlineInstance::with_observer(sc, cfg.delta_s, obs.fork(&format!("inst{i}")))
+            })
+            .collect();
+        Self::boot(cfg, scenarios, obs, instances).seat(streams)
     }
 
     /// [`spawn_hollow`](FleetDaemon::spawn_hollow) under an explicit
     /// observer.
     pub fn spawn_hollow_observed(cfg: FleetConfig, scenarios: &'a [Scenario], obs: O) -> Self {
-        let streams = scenarios.iter().map(|_| Vec::new()).collect();
-        let instances = fresh_instances(&cfg, scenarios, &obs);
-        Self::boot(cfg, scenarios, obs, streams, instances)
+        Self::spawn(cfg, scenarios, Vec::new(), obs).expect("no stream to refuse")
     }
 
     /// Boots an agent from a [`FleetCheckpoint`] — crash recovery: every
     /// instance is restored from its snapshot and re-tuned to `cfg`, the
-    /// materialized streams drop the prefix the checkpoint already
-    /// covers, and the watermark starts at the checkpoint boundary, so
-    /// [`finish`](Self::finish) replays only the tail. `cfg`'s layout
-    /// need not match the one that cut the checkpoint.
+    /// streams are seated as by [`spawn`](Self::spawn) and drop the
+    /// prefix the checkpoint already covers, and the watermark starts at
+    /// the checkpoint boundary, so [`finish`](Self::finish) replays only
+    /// the tail. `cfg`'s layout need not match the one that cut the
+    /// checkpoint.
     ///
-    /// Errors if a snapshot fails to decode or belongs to another
-    /// scenario; panics like [`spawn`](FleetDaemon::spawn), or when the
-    /// checkpoint's fleet size differs.
+    /// Errors if the checkpoint's fleet size differs, a snapshot fails to
+    /// decode or belongs to another scenario, or a stream is refused;
+    /// panics like `spawn`.
     pub fn resume(
         cfg: FleetConfig,
         scenarios: &'a [Scenario],
+        streams: Vec<Vec<TelemetryEvent>>,
         checkpoint: &FleetCheckpoint,
         obs: O,
     ) -> Result<Self, WireError> {
-        assert_eq!(
-            checkpoint.snapshots.len(),
-            scenarios.len(),
-            "checkpoint holds {} instances, fleet has {}",
-            checkpoint.snapshots.len(),
-            scenarios.len()
-        );
-        let mut streams = materialize(&cfg, scenarios);
-        for stream in &mut streams {
-            stream.drain(..prefix_len(stream, Some(checkpoint.at_second)));
+        let (held, n) = (checkpoint.snapshots.len(), scenarios.len());
+        if held != n {
+            let detail = format!("checkpoint holds {held} instances, fleet has {n}");
+            return Err(WireError::Mismatch { what: "checkpoint fleet size", detail });
         }
         let instances = scenarios
             .iter()
@@ -168,20 +169,22 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
                 OnlineInstance::restore_with_observer(sc, snap, obs.fork(&format!("inst{i}")))
             })
             .collect::<Result<_, _>>()?;
-        let mut daemon = Self::boot(cfg, scenarios, obs, streams, instances);
+        let mut daemon = Self::boot(cfg, scenarios, obs, instances).seat(streams)?;
+        for stream in &mut daemon.streams {
+            stream.drain(..prefix_len(stream, Some(checkpoint.at_second)));
+        }
         daemon.tune_instances();
         daemon.watermark = checkpoint.at_second;
         Ok(daemon)
     }
 
-    /// `Starting` covers the constructors; by here the streams (empty for
-    /// a hollow agent fed over the wire) and one live pipeline per
-    /// instance are in hand, to be seated on the contiguous layout.
+    /// `Starting` covers the constructors; by here one live pipeline per
+    /// instance is in hand, to be seated on the contiguous layout with
+    /// empty streams.
     fn boot(
         cfg: FleetConfig,
         scenarios: &'a [Scenario],
         obs: O,
-        streams: Vec<Vec<TelemetryEvent>>,
         instances: Vec<OnlineInstance<'a, O>>,
     ) -> Self {
         assert!(!scenarios.is_empty(), "fleet daemon needs at least one scenario");
@@ -193,7 +196,7 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
             state: DaemonState::Running,
             scenarios,
             instances,
-            streams,
+            streams: vec![Vec::new(); n],
             assignment: contiguous_assignment(n, cfg.shards.clamp(1, n)),
             watermark: i64::MIN,
             rounds: 0,
@@ -203,15 +206,23 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
         }
     }
 
-    /// Appends wire-delivered telemetry to one instance's pending stream.
-    /// The events fold at the next [`advance_to`](FleetDaemon::advance_to)
-    /// boundary, exactly like a materialized stream's prefix.
+    /// Offers `streams[i]` to instance `i`.
+    fn seat(mut self, streams: Vec<Vec<TelemetryEvent>>) -> Result<Self, WireError> {
+        for (i, stream) in streams.into_iter().enumerate() {
+            self.offer_events(i, stream)?;
+        }
+        Ok(self)
+    }
+
+    /// Appends telemetry to one instance's pending stream: a `PEVT`
+    /// batch, or a whole stream a constructor seats. The events fold at
+    /// the next [`advance_to`](FleetDaemon::advance_to) boundary.
     ///
-    /// The inputs are untrusted (they crossed a process boundary): an
-    /// unknown instance id, a batch that would break the stream's
-    /// event-time order — the invariant the boundary split relies on — or
-    /// a query naming a `spec` the instance's catalog does not hold comes
-    /// back as a typed error and leaves the agent untouched.
+    /// The inputs are untrusted (they may have crossed a process
+    /// boundary): an unknown instance id, a batch that would break the
+    /// stream's event-time order — the invariant the boundary split relies
+    /// on — or a query naming a `spec` the instance's catalog does not hold
+    /// comes back as a typed error and leaves the agent untouched.
     pub fn offer_events(
         &mut self,
         instance: usize,
@@ -286,7 +297,7 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
         Ok(latest_tick)
     }
 
-    /// Events offered (or left from materialized streams) but not yet
+    /// Events offered (by the wire or a constructor) but not yet
     /// folded by a boundary — the queue depth the ingest-wire credit
     /// window bounds.
     pub fn buffered_events(&self) -> usize {
@@ -680,27 +691,6 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
     }
 }
 
-/// Every scenario's event stream, produced with the `par_map` fan-out
-/// (instances generate telemetry concurrently in the real system).
-fn materialize(cfg: &FleetConfig, scenarios: &[Scenario]) -> Vec<Vec<TelemetryEvent>> {
-    par_map(scenarios.len(), cfg.fanout, |i| materialize_events(&scenarios[i], None))
-}
-
-/// One cold pipeline per instance under `cfg`, each on its `inst{i}` lane.
-fn fresh_instances<'a, O: Observer>(
-    cfg: &FleetConfig,
-    scenarios: &'a [Scenario],
-    obs: &O,
-) -> Vec<OnlineInstance<'a, O>> {
-    scenarios
-        .iter()
-        .enumerate()
-        .map(|(i, sc)| {
-            OnlineInstance::with_observer(sc, cfg.delta_s, obs.fork(&format!("inst{i}")))
-        })
-        .collect()
-}
-
 /// The shard → region → fleet rollup tree: instances map to regions by
 /// the same contiguous layout sharding uses.
 fn region_rollup(health: &[HealthSnapshot], regions: usize) -> FleetRollup {
@@ -871,13 +861,6 @@ pub struct FleetServer<'a, O: Observer = NoopObserver> {
     epoch: ConfigEpoch,
 }
 
-impl<'a> FleetServer<'a> {
-    /// Boots an agent under `cfg` and attaches the control plane.
-    pub fn start(cfg: FleetConfig, scenarios: &'a [Scenario]) -> Self {
-        Self::with_agent(FleetDaemon::spawn(cfg, scenarios))
-    }
-}
-
 impl<'a, O: Observer> FleetServer<'a, O> {
     /// Attaches the control plane to an existing agent.
     pub fn with_agent(agent: FleetDaemon<'a, O>) -> Self {
@@ -981,6 +964,12 @@ mod tests {
             .collect()
     }
 
+    /// A daemon over the fleet's simulated streams.
+    fn spawn(cfg: FleetConfig, scenarios: &[Scenario]) -> FleetDaemon<'_> {
+        let streams = crate::instance::simulated_streams(scenarios);
+        FleetDaemon::spawn(cfg, scenarios, streams, NoopObserver).expect("streams admitted")
+    }
+
     fn cfg(shards: usize) -> FleetConfig {
         FleetConfig {
             delta_s: 180,
@@ -996,7 +985,7 @@ mod tests {
         let scenarios = small_fleet(3);
         let batch = FleetEngine::new(cfg(1)).run_full(&scenarios);
 
-        let mut server = FleetServer::start(cfg(2), &scenarios);
+        let mut server = FleetServer::with_agent(spawn(cfg(2), &scenarios));
         assert_eq!(server.agent().state(), DaemonState::Running);
         server.advance_to(120);
         server.advance_to(300);
@@ -1023,7 +1012,7 @@ mod tests {
     #[test]
     fn stale_and_replayed_epochs_are_rejected_whole() {
         let scenarios = small_fleet(2);
-        let mut agent = FleetDaemon::spawn(cfg(1), &scenarios);
+        let mut agent = spawn(cfg(1), &scenarios);
         agent.advance_to(60);
         let mut push = |epoch: u64, delta_s: i64| {
             let delta = FleetDelta { delta_s: Some(delta_s), ..FleetDelta::default() };
@@ -1055,7 +1044,7 @@ mod tests {
     #[test]
     fn negative_delta_s_pushes_are_rejected_whole() {
         let scenarios = small_fleet(2);
-        let mut agent = FleetDaemon::spawn(cfg(1), &scenarios);
+        let mut agent = spawn(cfg(1), &scenarios);
         agent.advance_to(60);
         for delta_s in [-1i64, i64::MIN] {
             let delta = FleetDelta { delta_s: Some(delta_s), ..FleetDelta::default() };
@@ -1077,7 +1066,7 @@ mod tests {
     #[test]
     fn lifecycle_states_gate_messages() {
         let scenarios = small_fleet(2);
-        let mut server = FleetServer::start(cfg(1), &scenarios);
+        let mut server = FleetServer::with_agent(spawn(cfg(1), &scenarios));
         server.advance_to(100);
 
         assert_eq!(server.drain(200).unwrap(), DaemonState::Draining);
@@ -1108,7 +1097,7 @@ mod tests {
     #[test]
     fn shard_map_follows_reshards_and_shard_pushes_only() {
         let scenarios = small_fleet(3);
-        let mut agent = FleetDaemon::spawn(cfg(2), &scenarios);
+        let mut agent = spawn(cfg(2), &scenarios);
         assert_eq!(agent.assignment, [0, 1, 1]);
         agent.advance_to(100);
         agent.reshard(&[2, 0, 2]).unwrap();
@@ -1131,7 +1120,7 @@ mod tests {
     #[should_panic(expected = "advance_to boundary 100 behind watermark 200")]
     fn advance_to_behind_the_watermark_panics() {
         let scenarios = small_fleet(2);
-        let mut agent = FleetDaemon::spawn(cfg(1), &scenarios);
+        let mut agent = spawn(cfg(1), &scenarios);
         agent.advance_to(200);
         agent.advance_to(100);
     }
@@ -1142,7 +1131,7 @@ mod tests {
     #[should_panic(expected = "reshard assignment covers 1 instances, fleet has 2")]
     fn reshard_of_the_wrong_length_panics() {
         let scenarios = small_fleet(2);
-        let mut agent = FleetDaemon::spawn(cfg(1), &scenarios);
+        let mut agent = spawn(cfg(1), &scenarios);
         agent.advance_to(100);
         let _ = agent.reshard(&[0]);
     }
@@ -1155,7 +1144,7 @@ mod tests {
     #[should_panic(expected = "puts instance 0 on shard 18446744073709551615, outside 0..2")]
     fn reshard_to_a_shard_beyond_the_fleet_panics_before_reseating() {
         let scenarios = small_fleet(2);
-        let mut agent = FleetDaemon::spawn(cfg(1), &scenarios);
+        let mut agent = spawn(cfg(1), &scenarios);
         agent.advance_to(100);
         let _ = agent.reshard(&[usize::MAX, 0]);
     }
@@ -1215,11 +1204,66 @@ mod tests {
         }
     }
 
+    /// A checkpoint is shipped bytes: one cut over a fleet of another size
+    /// is refused with a typed error, not a panic.
+    #[test]
+    fn resume_refuses_a_checkpoint_of_another_fleet_size() {
+        let scenarios = small_fleet(3);
+        let ckpt = FleetDaemon::spawn_hollow(cfg(1), &scenarios[..2]).checkpoint();
+        let err = FleetDaemon::resume(cfg(1), &scenarios, Vec::new(), &ckpt, NoopObserver)
+            .expect_err("two snapshots cannot seat three instances");
+        match err {
+            WireError::Mismatch { what, detail } => {
+                assert_eq!(what, "checkpoint fleet size");
+                assert!(detail.contains("holds 2 instances, fleet has 3"), "{detail}");
+            }
+            other => panic!("expected a fleet-size mismatch, got {other:?}"),
+        }
+    }
+
+    /// Caller streams pass the same admission as a `PEVT` batch: a spec
+    /// outside the instance's catalog, event times going backwards and
+    /// more streams than scenarios each come back as `offer_events`'
+    /// typed mismatch, from `spawn` and from `resume` alike.
+    #[test]
+    fn spawn_and_resume_refuse_streams_admission_refuses() {
+        use pinsql_dbsim::QueryRecord;
+        use pinsql_workload::SpecId;
+
+        let scenarios = small_fleet(2);
+        let n_specs = scenarios[1].workload.specs.len();
+        let query = |spec: usize, start_ms: f64| {
+            TelemetryEvent::Query(QueryRecord {
+                spec: SpecId(spec),
+                start_ms,
+                response_ms: 1.0,
+                examined_rows: 1,
+            })
+        };
+        let tick = |second| TelemetryEvent::Tick { second };
+        let refused = [
+            ("event spec", vec![vec![tick(0)], vec![query(0, 10.0), query(n_specs, 20.0)]]),
+            ("event stream order", vec![vec![tick(0), query(0, 2500.0), query(0, 1500.0)]]),
+            ("event batch instance", vec![vec![tick(0)], vec![tick(0)], vec![tick(0)]]),
+        ];
+        let ckpt = FleetDaemon::spawn_hollow(cfg(1), &scenarios).checkpoint();
+        for (want, streams) in refused {
+            let spawned = FleetDaemon::spawn(cfg(1), &scenarios, streams.clone(), NoopObserver);
+            let resumed = FleetDaemon::resume(cfg(1), &scenarios, streams, &ckpt, NoopObserver);
+            for (how, got) in [("spawn", spawned.map(drop)), ("resume", resumed.map(drop))] {
+                match got {
+                    Err(WireError::Mismatch { what, .. }) => assert_eq!(what, want, "{how}"),
+                    other => panic!("{how}: expected a {want} mismatch, got {other:?}"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn rollup_tree_tracks_live_state() {
         let scenarios = small_fleet(3);
         let mut server =
-            FleetServer::start(FleetConfig { regions: 2, ..cfg(2) }, &scenarios);
+            FleetServer::with_agent(spawn(FleetConfig { regions: 2, ..cfg(2) }, &scenarios));
         server.advance_to(200);
         let tree = server.rollup().unwrap();
         assert_eq!(tree.instances(), 3);

@@ -4,20 +4,22 @@
 //! telemetry from all of them arrives interleaved on a shared bus, each
 //! instance's events fold into its own online pipeline, and diagnosis
 //! fans out across the cases that close. The executor for that shape is
-//! [`FleetDaemon`] (see [`crate::daemon`]: materialize → sharded k-way
-//! merge → close, reassemble by instance id, diagnose), and it is the only
-//! way to drive a fleet. This module holds what a *run* is made of —
+//! [`FleetDaemon`] (see [`crate::daemon`]: admit → sharded k-way merge
+//! → close, reassemble by instance id, diagnose), and it is the only way
+//! to drive a fleet. This module holds what a *run* is made of —
 //! [`FleetConfig`], [`FleetCheckpoint`], [`FleetReport`] / [`FleetRun`] —
 //! and [`FleetEngine`], whose one run shape,
-//! [`run_full`](FleetEngine::run_full), is a daemon spawned and finished.
-//! Every other shape is a few calls on the daemon itself:
+//! [`run_full`](FleetEngine::run_full), simulates, spawns and finishes.
+//! Every other shape is a few calls on the daemon, over the caller's
+//! streams:
 //!
 //! | run shape | daemon calls |
 //! |---|---|
-//! | static run | `spawn`, `finish` |
-//! | reshard | `spawn`; per handoff `advance_to(at_second)`, `reshard(&assignment)`; `finish` |
-//! | checkpoint | `spawn`, `advance_to(at_second)`, `checkpoint` |
-//! | resume | `resume(&checkpoint)`, `finish` |
+//! | static run | `spawn(streams)`, `finish` |
+//! | reshard | `spawn(streams)`; per handoff `advance_to(at_second)`, `reshard(&assignment)`; `finish` |
+//! | checkpoint | `spawn(streams)`, `advance_to(at_second)`, `checkpoint` |
+//! | resume | `resume(streams, &checkpoint)`, `finish` |
+//! | wire-fed | `spawn_hollow`; `offer_events` per batch, `advance_to` per mark; `finish` |
 //!
 //! **Determinism.** Instances are independent, every shard layout
 //! preserves each instance's own event order, and a snapshot/restore
@@ -30,8 +32,9 @@ use crate::daemon::FleetDaemon;
 use crate::snapshot::InstanceSnapshot;
 use pinsql::{Diagnosis, PinSqlConfig};
 use pinsql_detect::KernelKind;
-use pinsql_obs::{FleetHealth, FleetRollup};
-use pinsql_scenario::{LabeledCase, Scenario};
+use pinsql_obs::{FleetHealth, FleetRollup, NoopObserver};
+use pinsql_scenario::{materialize_events, LabeledCase, Scenario};
+use pinsql_timeseries::par::par_map;
 
 /// Knobs for a fleet run.
 #[derive(Debug, Clone)]
@@ -41,8 +44,8 @@ pub struct FleetConfig {
     /// Diagnoser configuration (its `parallelism` applies *inside* each
     /// diagnosis; `fanout` below is the across-instance knob).
     pub pinsql: PinSqlConfig,
-    /// Worker threads for across-instance stages (materialize, diagnose);
-    /// `0` = all cores.
+    /// Worker threads for diagnosing the closed cases across instances
+    /// (and for [`FleetEngine::run_full`]'s simulations); `0` = all cores.
     pub fanout: usize,
     /// Ingestion worker threads, each owning a disjoint set of instances.
     /// Must be ≥ 1; values above the instance count are clamped at run
@@ -169,13 +172,18 @@ impl FleetEngine {
         Self { cfg }
     }
 
-    /// Runs the full loop over one scenario per instance: a daemon
-    /// spawned under the config and finished straight away.
+    /// Runs the full loop over one scenario per instance: each scenario
+    /// simulated (`fanout` at a time), then a daemon spawned over the
+    /// streams under the config and finished straight away.
     ///
     /// Cases and diagnoses are deterministic and independent of both
     /// `shards` and `fanout` — see the module docs.
     pub fn run_full(&self, scenarios: &[Scenario]) -> FleetRun {
-        FleetDaemon::spawn(self.cfg.clone(), scenarios).finish()
+        let streams =
+            par_map(scenarios.len(), self.cfg.fanout, |i| materialize_events(&scenarios[i], None));
+        FleetDaemon::spawn(self.cfg.clone(), scenarios, streams, NoopObserver)
+            .expect("simulated streams are admitted")
+            .finish()
     }
 }
 
@@ -194,7 +202,7 @@ pub(crate) fn contiguous_assignment(n: usize, shards: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pinsql_obs::NoopObserver;
+    use crate::instance::simulated_streams;
     use pinsql_scenario::{generate_base, inject, inject_none, AnomalyKind, ScenarioConfig};
 
     /// A small, fast fleet: short windows, few businesses, one scenario of
@@ -230,6 +238,12 @@ mod tests {
             shards,
             ..FleetConfig::default()
         }
+    }
+
+    /// A daemon over the fleet's simulated streams.
+    fn spawn(cfg: FleetConfig, scenarios: &[Scenario]) -> FleetDaemon<'_> {
+        FleetDaemon::spawn(cfg, scenarios, simulated_streams(scenarios), NoopObserver)
+            .expect("streams admitted")
     }
 
     fn run_full(fanout: usize, shards: usize, scenarios: &[Scenario]) -> FleetRun {
@@ -318,13 +332,13 @@ mod tests {
         let baseline = run_full(1, 2, &scenarios);
 
         // Reverse the contiguous {0,0,1,1} layout mid-run.
-        let mut daemon = FleetDaemon::spawn(config(1, 2), &scenarios);
+        let mut daemon = spawn(config(1, 2), &scenarios);
         daemon.advance_to(200);
         daemon.reshard(&[1, 1, 0, 0]).unwrap();
         assert_run_eq(&baseline, &daemon.finish(), "reversed assignment");
 
         // Degenerate 1 → 4 → 1 churn.
-        let mut daemon = FleetDaemon::spawn(config(1, 1), &scenarios);
+        let mut daemon = spawn(config(1, 1), &scenarios);
         daemon.advance_to(150);
         daemon.reshard(&[0, 1, 2, 3]).unwrap();
         daemon.advance_to(300);
@@ -337,12 +351,14 @@ mod tests {
     fn checkpoint_resume_smoke() {
         let scenarios = small_fleet(3);
         let baseline = run_full(1, 2, &scenarios);
-        let mut daemon = FleetDaemon::spawn(config(1, 2), &scenarios);
+        let mut daemon = spawn(config(1, 2), &scenarios);
         daemon.advance_to(250);
         let ckpt = daemon.checkpoint();
         assert_eq!(ckpt.snapshots.len(), 3);
         assert!(ckpt.total_bytes() > 0);
-        let resumed = FleetDaemon::resume(config(1, 2), &scenarios, &ckpt, NoopObserver).unwrap();
+        let streams = simulated_streams(&scenarios);
+        let resumed =
+            FleetDaemon::resume(config(1, 2), &scenarios, streams, &ckpt, NoopObserver).unwrap();
         assert_run_eq(&baseline, &resumed.finish(), "checkpoint/resume at 250");
     }
 

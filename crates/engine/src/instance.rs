@@ -26,9 +26,7 @@ use pinsql_dbsim::TelemetryEvent;
 use pinsql_detect::{classify, CutKind, KernelKind, OnlineDetectorBank, PhenomenonConfig};
 use pinsql_obs::{Counter, Gauge, HealthSnapshot, NoopObserver, Observer, Stage};
 use pinsql_scenario::materialize::MINUTES_ORIGIN;
-use pinsql_scenario::{
-    case_history, label_truth, materialize_events, select_case_window, LabeledCase, Scenario,
-};
+use pinsql_scenario::{case_history, label_truth, select_case_window, LabeledCase, Scenario};
 use pinsql_timeseries::{WireError, WireReader, WireWriter};
 
 /// What a snapshot buffer is given beyond the aggregator's body: the
@@ -195,11 +193,6 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
         self.aggregator.watermark()
     }
 
-    /// True while any metric detector has an open anomalous segment.
-    pub fn anomaly_open(&self) -> bool {
-        self.bank.any_open()
-    }
-
     /// The per-template 1-minute history the collector accumulated in-line
     /// from this stream (what a long-running deployment would verify
     /// against; [`close_case`](Self::close_case) uses the scenario's
@@ -207,11 +200,6 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
     /// than 1/3/7 days).
     pub fn online_history(&self) -> &HistoryStore {
         self.aggregator.history()
-    }
-
-    /// The scenario this instance replays.
-    pub fn scenario(&self) -> &Scenario {
-        self.scenario
     }
 
     /// A point-in-time read of the pipeline's counters and queue depths.
@@ -377,10 +365,10 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
     }
 }
 
-/// Replays a scenario's telemetry through the full online path and
-/// diagnoses the closed case, under `cfg`'s look-back (`delta_s`) and
-/// diagnoser (`pinsql`, whose `parallelism` applies inside the
-/// diagnosis); the fleet-shaped knobs do not apply to one instance. The
+/// Replays a scenario's time-ordered telemetry (`events`) through the
+/// full online path and diagnoses the closed case, under `cfg`'s look-back
+/// (`delta_s`) and diagnoser (`pinsql`, whose `parallelism` applies inside
+/// the diagnosis); the fleet-shaped knobs do not apply to one instance. The
 /// whole replay — ingest folds, detector steps, window cut and the three
 /// diagnosis stages — lands in `obs`.
 ///
@@ -391,10 +379,10 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
 /// `equivalence` matrix.
 pub fn replay_diagnose<O: Observer>(
     scenario: &Scenario,
+    events: Vec<TelemetryEvent>,
     cfg: &FleetConfig,
     obs: &O,
 ) -> (LabeledCase, Diagnosis) {
-    let events = materialize_events(scenario, None);
     let mut inst = OnlineInstance::with_observer(scenario, cfg.delta_s, obs.clone());
     inst.ingest_stream(events);
     let lc = inst.close_case();
@@ -420,11 +408,21 @@ pub(crate) fn assert_owners_by_catalog(case: &pinsql_collector::CaseData) {
     }
 }
 
+/// Each scenario simulated into its event stream, for the unit tests that
+/// drive a daemon.
+#[cfg(test)]
+pub(crate) fn simulated_streams(scenarios: &[Scenario]) -> Vec<Vec<TelemetryEvent>> {
+    scenarios.iter().map(|s| pinsql_scenario::materialize_events(s, None)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pinsql::PinSqlConfig;
-    use pinsql_scenario::{generate_base, inject, materialize, AnomalyKind, ScenarioConfig};
+    use pinsql_scenario::{
+        generate_base, inject, materialize_events, materialize_telemetry, simulate_telemetry,
+        telemetry_events, AnomalyKind, ScenarioConfig,
+    };
 
     fn assert_case_eq(a: &LabeledCase, b: &LabeledCase) {
         assert_eq!(a.window, b.window);
@@ -468,7 +466,9 @@ mod tests {
             let base = generate_base(&cfg);
             let scenario = inject(&base, &cfg, kind);
 
-            let batch_lc = materialize(&scenario, 600);
+            let (log, metrics) = simulate_telemetry(&scenario, None);
+            let events = telemetry_events(log.clone(), metrics.clone(), None);
+            let batch_lc = materialize_telemetry(&scenario, log, metrics, 600, None);
             let pin = PinSqlConfig::default();
             let batch_d = PinSql::new(pin.clone()).diagnose(
                 &batch_lc.case,
@@ -478,7 +478,7 @@ mod tests {
             );
 
             let (online_lc, online_d) =
-                replay_diagnose(&scenario, &FleetConfig::default(), &NoopObserver);
+                replay_diagnose(&scenario, events, &FleetConfig::default(), &NoopObserver);
             assert_case_eq(&online_lc, &batch_lc);
             assert_diagnosis_eq(&online_d, &batch_d);
         }

@@ -16,7 +16,9 @@
 //!   labels ground truth (injected templates = R-SQLs; templates whose
 //!   *true* per-second session inflates during the anomaly = H-SQLs); also
 //!   emits the same telemetry as a time-ordered event stream
-//!   ([`materialize::materialize_events`]) for the online engine;
+//!   ([`materialize::materialize_events`], or
+//!   [`materialize::telemetry_events`] over telemetry already simulated)
+//!   for the online engine;
 //! * [`history`] — synthesizes the per-template 1-minute execution history
 //!   for the 1/3/7-day look-back from the *clean* workload's expected
 //!   rates (optionally replaying the anomaly in history, for tests of the
@@ -41,7 +43,8 @@ pub use history::synthesize_history;
 pub use inject::{inject, inject_many, inject_none, AnomalyKind, Scenario};
 pub use materialize::{
     case_history, label_truth, materialize, materialize_events, materialize_telemetry,
-    materialize_with, select_case_window, simulate_telemetry, GroundTruth, LabeledCase,
+    materialize_with, select_case_window, simulate_telemetry, telemetry_events, GroundTruth,
+    LabeledCase,
 };
 pub use perturb::{
     perturb_log, perturb_metrics, perturb_telemetry, PerturbConfig, PerturbStats,

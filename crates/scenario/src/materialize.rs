@@ -115,7 +115,19 @@ pub fn materialize_events(
     scenario: &Scenario,
     perturb: Option<&PerturbConfig>,
 ) -> Vec<TelemetryEvent> {
-    let (log, metrics) = simulate_telemetry(scenario, perturb);
+    let (log, metrics) = simulate_telemetry(scenario, None);
+    telemetry_events(log, metrics, perturb)
+}
+
+/// Emits already-simulated telemetry as the time-ordered event stream
+/// [`materialize_events`] produces, optionally degraded first — so one
+/// simulation can feed any number of perturbations.
+pub fn telemetry_events(
+    log: Vec<QueryRecord>,
+    metrics: InstanceMetrics,
+    perturb: Option<&PerturbConfig>,
+) -> Vec<TelemetryEvent> {
+    let (log, metrics) = prepare_telemetry(log, metrics, perturb);
     interleave(&log, &metrics)
 }
 
@@ -388,6 +400,20 @@ mod tests {
         assert_eq!(samples, metrics.len(), "every metric second appears exactly once");
         for pair in events.windows(2) {
             assert!(pair[0].time_ms() <= pair[1].time_ms(), "stream must be time-ordered");
+        }
+    }
+
+    #[test]
+    fn perturbing_simulated_telemetry_matches_a_fresh_simulation() {
+        let cfg =
+            ScenarioConfig::default().with_seed(50).with_businesses(4).with_window(300, 150, 210);
+        let base = generate_base(&cfg);
+        let s = inject(&base, &cfg, AnomalyKind::BusinessSpike);
+        let (log, metrics) = simulate_telemetry(&s, None);
+        for perturb in [None, Some(PerturbConfig::at_intensity(51, 0.6))] {
+            let fresh = materialize_events(&s, perturb.as_ref());
+            let reused = telemetry_events(log.clone(), metrics.clone(), perturb.as_ref());
+            assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "{perturb:?}");
         }
     }
 

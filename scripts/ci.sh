@@ -42,7 +42,7 @@
 #                     loopback rows, backpressure faults
 #   equivalence       the whole execution-path x matrix-point table
 #                     against the golden corpus (tests/equivalence.rs,
-#                     one #[test] per path; ~3 min on 2 cores)
+#                     one #[test] per path; ~40 s on 2 cores)
 #   bench_quick       `benchmark/run.sh --quick`: every workload of the
 #                     end-to-end benchmark, short, through every drive;
 #                     fails unless all four come back correct with no

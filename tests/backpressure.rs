@@ -21,14 +21,14 @@ mod common;
 
 use common::{
     assert_run_matches_batch, batch_reference, busiest_second, drive_loopback, golden_fleet_config,
-    load_manifest, scenario_for, ManifestEntry, MatrixPoint,
+    golden_scenarios, golden_streams, load_manifest, ManifestEntry, MatrixPoint,
 };
 use pinsql::TransportPolicy;
 use pinsql_engine::{
     pipe_pair, plan_frames, run_source, serve_agent, EventFrame, FleetDaemon, FleetRun,
     IngestSink, SourcePlan,
 };
-use pinsql_scenario::{materialize_events, Scenario};
+use pinsql_scenario::Scenario;
 use pinsql_dbsim::TelemetryEvent;
 
 const ADVANCE_EVERY_S: i64 = 1;
@@ -44,8 +44,8 @@ fn point() -> MatrixPoint {
 fn fixture() -> (Vec<ManifestEntry>, Vec<Scenario>, Vec<Vec<TelemetryEvent>>, TransportPolicy) {
     let manifest = load_manifest();
     let entries: Vec<_> = manifest.into_iter().take(4).collect();
-    let scenarios: Vec<_> = entries.iter().map(scenario_for).collect();
-    let streams: Vec<_> = scenarios.iter().map(|s| materialize_events(s, None)).collect();
+    let scenarios = golden_scenarios(&entries);
+    let streams = golden_streams(&entries);
 
     let policy = TransportPolicy::default()
         .with_queue_capacity(busiest_second(&streams) + BATCH_EVENTS)
@@ -207,7 +207,7 @@ fn severed_ack_path_drops_the_applied_window_on_resume() {
 #[test]
 fn duplicate_frames_re_ack_without_reapplying() {
     let manifest = load_manifest();
-    let scenarios: Vec<_> = manifest.iter().take(1).map(scenario_for).collect();
+    let scenarios = golden_scenarios(&manifest[..1]);
     let policy =
         TransportPolicy::default().with_queue_capacity(128).with_batch_events(16);
     let single = MatrixPoint { shards: 1, ..point() };

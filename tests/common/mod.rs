@@ -1,24 +1,33 @@
 //! Shared fixtures for the golden-corpus suites: the manifest (a const
-//! table), the rank-relevant `Snapshot` view of a diagnosis, the batch
-//! pipeline that produces it, and the axes of the equivalence matrix
-//! (`tests/equivalence.rs` holds the execution paths). `golden_corpus.rs`
-//! pins snapshots to disk; everything else compares `Snapshot` structs
-//! against the batch reference via [`assert_run_matches_batch`].
+//! table), the per-process simulation cache, the rank-relevant `Snapshot`
+//! view of a diagnosis, the batch pipeline that produces it, and the axes
+//! of the equivalence matrix (`tests/equivalence.rs` holds the execution
+//! paths). `golden_corpus.rs` pins snapshots to disk; everything else
+//! compares `Snapshot` structs against the batch reference via
+//! [`assert_run_matches_batch`].
+//!
+//! The simulator dominates a suite's time, so each input — a manifest
+//! entry ([`golden`]) or a [`small_scenario`] seed ([`small`]) — is
+//! simulated at most once per test binary and every consumer clones what
+//! it needs from the cached [`Simulated`].
 
 #![allow(dead_code)]
 
 use pinsql::{Diagnosis, PinSql, PinSqlConfig};
 use pinsql_collector::CaseData;
 use pinsql_engine::FleetConfig;
-use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
+use pinsql_dbsim::{InstanceMetrics, MetricsSample, QueryRecord, TelemetryEvent};
 use pinsql_json::Json;
 use pinsql_timeseries::par::par_map;
 use pinsql_scenario::{
-    generate_base, inject, materialize, AnomalyKind, LabeledCase, Scenario, ScenarioConfig,
+    generate_base, inject, materialize_telemetry, simulate_telemetry, telemetry_events,
+    AnomalyKind, LabeledCase, PerturbConfig, Scenario, ScenarioConfig,
 };
 use pinsql_workload::rng::{RngExt, StdRng};
 use pinsql_workload::SpecId;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, OnceLock};
 
 /// Collection look-back used for every golden case.
 pub const GOLDEN_DELTA_S: i64 = 600;
@@ -164,6 +173,68 @@ pub fn scenario_for(entry: &ManifestEntry) -> Scenario {
     inject(&base, &cfg, kind_of(entry.kind))
 }
 
+/// One input, simulated once: the scenario, the simulator's raw output
+/// and its event stream.
+#[derive(Debug)]
+pub struct Simulated {
+    pub scenario: Scenario,
+    pub log: Vec<QueryRecord>,
+    pub metrics: InstanceMetrics,
+    pub events: Vec<TelemetryEvent>,
+}
+
+impl Simulated {
+    fn new(scenario: Scenario) -> Self {
+        let (log, metrics) = simulate_telemetry(&scenario, None);
+        let events = telemetry_events(log.clone(), metrics.clone(), None);
+        Self { scenario, log, metrics, events }
+    }
+
+    /// The batch pipeline's labelled case under look-back `delta_s`.
+    pub fn labeled(&self, delta_s: i64) -> LabeledCase {
+        materialize_telemetry(&self.scenario, self.log.clone(), self.metrics.clone(), delta_s, None)
+    }
+
+    /// The event stream as the chaos layer degrades it under `perturb`.
+    pub fn perturbed_events(&self, perturb: &PerturbConfig) -> Vec<TelemetryEvent> {
+        telemetry_events(self.log.clone(), self.metrics.clone(), Some(perturb))
+    }
+}
+
+/// The cache: one `OnceLock` per input `key` (which must name the
+/// scenario `scenario` builds), so distinct inputs simulate concurrently
+/// and a repeated one waits for the first.
+pub fn simulated(key: String, scenario: impl FnOnce() -> Scenario) -> &'static Simulated {
+    static CACHE: Mutex<BTreeMap<String, &'static OnceLock<Simulated>>> =
+        Mutex::new(BTreeMap::new());
+    let cell = *CACHE
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .entry(key)
+        .or_insert_with(|| Box::leak(Box::new(OnceLock::new())));
+    cell.get_or_init(|| Simulated::new(scenario()))
+}
+
+/// A manifest entry, simulated once per process.
+pub fn golden(entry: &ManifestEntry) -> &'static Simulated {
+    simulated(entry.name.to_string(), || scenario_for(entry))
+}
+
+/// [`small_scenario`]`(seed)`, simulated once per process.
+pub fn small(seed: u64) -> &'static Simulated {
+    simulated(format!("small_scenario({seed})"), || small_scenario(seed))
+}
+
+/// The entries' scenarios, cloned from the cache (fleet order).
+pub fn golden_scenarios(entries: &[ManifestEntry]) -> Vec<Scenario> {
+    entries.iter().map(|e| golden(e).scenario.clone()).collect()
+}
+
+/// The entries' event streams, cloned from the cache (fleet order).
+pub fn golden_streams(entries: &[ManifestEntry]) -> Vec<Vec<TelemetryEvent>> {
+    entries.iter().map(|e| golden(e).events.clone()).collect()
+}
+
 /// Builds the snapshot view from an already-labelled, already-diagnosed
 /// case — shared by the batch and online paths so both compare through
 /// the exact same struct.
@@ -186,10 +257,10 @@ pub fn snapshot_of(entry: &ManifestEntry, lc: &LabeledCase, d: &Diagnosis) -> Sn
     }
 }
 
-/// Materializes and diagnoses one manifest entry through the batch path.
+/// Labels and diagnoses one manifest entry through the batch path, from
+/// its cached simulation.
 pub fn batch_snapshot(entry: &ManifestEntry, parallelism: usize) -> (Snapshot, Diagnosis) {
-    let scenario = scenario_for(entry);
-    let lc = materialize(&scenario, GOLDEN_DELTA_S);
+    let lc = golden(entry).labeled(GOLDEN_DELTA_S);
     let d = PinSql::new(PinSqlConfig::default().with_parallelism(parallelism)).diagnose(
         &lc.case,
         &lc.window,

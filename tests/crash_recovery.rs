@@ -9,7 +9,10 @@
 
 mod common;
 
-use common::{load_manifest, reversed, scenario_for, snapshot_of, GOLDEN_DELTA_S};
+use common::{
+    golden_scenarios, golden_streams, load_manifest, reversed, snapshot_of, ManifestEntry,
+    GOLDEN_DELTA_S,
+};
 use pinsql::PinSqlConfig;
 use pinsql_engine::{FleetCheckpoint, FleetConfig, FleetDaemon};
 use pinsql_obs::NoopObserver;
@@ -25,9 +28,24 @@ fn config(shards: usize, fanout: usize) -> FleetConfig {
     }
 }
 
+/// A daemon over `entries`' cached streams.
+fn spawn<'a>(
+    cfg: FleetConfig,
+    scenarios: &'a [Scenario],
+    entries: &[ManifestEntry],
+) -> FleetDaemon<'a> {
+    FleetDaemon::spawn(cfg, scenarios, golden_streams(entries), NoopObserver)
+        .expect("streams admitted")
+}
+
 /// Ingests every stream's prefix before `at_second` and freezes the fleet.
-fn freeze_at(cfg: FleetConfig, scenarios: &[Scenario], at_second: i64) -> FleetCheckpoint {
-    let mut daemon = FleetDaemon::spawn(cfg, scenarios);
+fn freeze_at(
+    cfg: FleetConfig,
+    scenarios: &[Scenario],
+    entries: &[ManifestEntry],
+    at_second: i64,
+) -> FleetCheckpoint {
+    let mut daemon = spawn(cfg, scenarios, entries);
     daemon.advance_to(at_second);
     daemon.checkpoint()
 }
@@ -37,11 +55,11 @@ fn freeze_at(cfg: FleetConfig, scenarios: &[Scenario], at_second: i64) -> FleetC
 /// default dense cell store serializes in slot order).
 #[test]
 fn checkpoints_are_deterministic_and_layout_independent() {
-    let manifest = load_manifest();
-    let scenarios: Vec<_> = manifest.iter().take(4).map(scenario_for).collect();
+    let entries = &load_manifest()[..4];
+    let scenarios = golden_scenarios(entries);
 
-    let a = freeze_at(config(1, 1), &scenarios, 800);
-    let b = freeze_at(config(4, 2), &scenarios, 800);
+    let a = freeze_at(config(1, 1), &scenarios, entries, 800);
+    let b = freeze_at(config(4, 2), &scenarios, entries, 800);
     assert_eq!(a.snapshots.len(), b.snapshots.len());
     for (i, (sa, sb)) in a.snapshots.iter().zip(&b.snapshots).enumerate() {
         assert_eq!(sa.as_bytes(), sb.as_bytes(), "instance {i}: checkpoint bytes differ");
@@ -54,11 +72,11 @@ fn checkpoints_are_deterministic_and_layout_independent() {
 fn shipped_checkpoint_bytes_resume_exactly() {
     use pinsql_engine::InstanceSnapshot;
 
-    let manifest = load_manifest();
-    let scenarios: Vec<_> = manifest.iter().take(4).map(scenario_for).collect();
+    let entries = &load_manifest()[..4];
+    let scenarios = golden_scenarios(entries);
 
-    let baseline = FleetDaemon::spawn(config(1, 1), &scenarios).finish();
-    let ckpt = freeze_at(config(2, 2), &scenarios, 800);
+    let baseline = spawn(config(1, 1), &scenarios, entries).finish();
+    let ckpt = freeze_at(config(2, 2), &scenarios, entries, 800);
     let shipped = FleetCheckpoint {
         at_second: ckpt.at_second,
         snapshots: ckpt
@@ -67,10 +85,11 @@ fn shipped_checkpoint_bytes_resume_exactly() {
             .map(|s| InstanceSnapshot::from_bytes(s.as_bytes().to_vec()).expect("revalidates"))
             .collect(),
     };
-    let resumed = FleetDaemon::resume(config(2, 2), &scenarios, &shipped, NoopObserver)
+    let streams = golden_streams(entries);
+    let resumed = FleetDaemon::resume(config(2, 2), &scenarios, streams, &shipped, NoopObserver)
         .expect("checkpoint decodes")
         .finish();
-    for (i, entry) in manifest.iter().take(4).enumerate() {
+    for (i, entry) in entries.iter().enumerate() {
         let a = snapshot_of(entry, &baseline.cases[i], &baseline.diagnoses[i]);
         let b = snapshot_of(entry, &resumed.cases[i], &resumed.diagnoses[i]);
         assert_eq!(a, b, "{}: shipped checkpoint diverged", entry.name);
@@ -84,10 +103,10 @@ fn shipped_checkpoint_bytes_resume_exactly() {
 #[test]
 fn reversing_handoff_preserves_instance_id_order() {
     let manifest = load_manifest();
-    let scenarios: Vec<_> = manifest.iter().map(scenario_for).collect();
+    let scenarios = golden_scenarios(&manifest);
     let n = scenarios.len();
 
-    let mut daemon = FleetDaemon::spawn(config(4, 2), &scenarios);
+    let mut daemon = spawn(config(4, 2), &scenarios, &manifest);
     daemon.advance_to(800);
     daemon.reshard(&reversed(n, 4)).expect("handoff decodes");
     let run = daemon.finish();

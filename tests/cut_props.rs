@@ -15,13 +15,13 @@
 use pinsql_collector::{CaseData, IncrementalAggregator, IncrementalConfig, WindowCut};
 use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
 use pinsql_engine::{InstanceSnapshot, OnlineInstance};
-use pinsql_scenario::{materialize_events, PerturbConfig, Scenario};
+use pinsql_scenario::{PerturbConfig, Scenario};
 use pinsql_timeseries::NormalizedMatrix;
 use pinsql_workload::rng::{rng_from_seed, RngExt};
 use pinsql_workload::SpecId;
 
 mod common;
-use common::{assert_owners_by_catalog, random_event_stream, small_scenario};
+use common::{assert_owners_by_catalog, random_event_stream, small, small_scenario, Simulated};
 
 const DELTA_S: i64 = 60;
 
@@ -106,10 +106,10 @@ fn random_streams_cut_exactly() {
 
 /// Chaos-perturbed real telemetry: dropped/duplicated/jittered/
 /// reordered records and blanked metric seconds never desynchronize the
-/// cut from the raw series. 256 perturbations of one scenario.
+/// cut from the raw series. 256 perturbations of one simulation.
 #[test]
 fn perturbed_streams_cut_exactly() {
-    let scenario = small_scenario(11);
+    let sim = small(11);
     for seed in 0..256u64 {
         let mut rng = rng_from_seed(seed);
         let perturb = PerturbConfig {
@@ -121,8 +121,8 @@ fn perturbed_streams_cut_exactly() {
             reorder: rng.random_range(0..2u32) == 1,
             metric_blank_prob: 0.05,
         };
-        let events = materialize_events(&scenario, Some(&perturb));
-        check_stream(&scenario, &events, &format!("seed {seed}: perturbed stream"));
+        let events = sim.perturbed_events(&perturb);
+        check_stream(&sim.scenario, &events, &format!("seed {seed}: perturbed stream"));
     }
 }
 
@@ -160,14 +160,15 @@ fn constant_stream_cut_is_exact() {
 /// look-back.)
 #[test]
 fn eviction_past_the_window_stays_exact() {
-    let scenario = small_scenario(5);
+    let sim = small(5);
+    let scenario = &sim.scenario;
     let mut agg = IncrementalAggregator::new(
         &scenario.workload.specs,
         IncrementalConfig::default().with_retention(DELTA_S),
     );
     // 240 s of telemetry: three quarters of the stream age out of the
     // rings before the window is cut.
-    for ev in materialize_events(&scenario, None) {
+    for ev in sim.events.clone() {
         agg.ingest(ev);
     }
     let te = scenario.cfg.window_s;
@@ -180,11 +181,10 @@ fn eviction_past_the_window_stays_exact() {
 /// from an instance that never snapshotted.
 #[test]
 fn snapshot_restore_mid_window_preserves_the_cut() {
-    let scenario = small_scenario(9);
-    let events = materialize_events(&scenario, None);
+    let Simulated { scenario, events, .. } = small(9);
     for frac in [0.25f64, 0.5, 0.85] {
         let split = ((events.len() as f64) * frac) as usize;
-        let mk = || OnlineInstance::new(&scenario, DELTA_S);
+        let mk = || OnlineInstance::new(scenario, DELTA_S);
 
         let mut baseline = mk();
         baseline.ingest_stream(events.clone());
@@ -195,7 +195,7 @@ fn snapshot_restore_mid_window_preserves_the_cut() {
         let snap = InstanceSnapshot::from_bytes(live.snapshot().into_bytes())
             .expect("own bytes revalidate");
         let mut restored =
-            OnlineInstance::restore(&scenario, &snap).expect("own snapshot restores");
+            OnlineInstance::restore(scenario, &snap).expect("own snapshot restores");
         restored.ingest_stream(events[split..].to_vec());
         let lc_restored = restored.close_case();
 

@@ -9,14 +9,15 @@
 
 mod common;
 
-use common::{load_manifest, scenario_for, GOLDEN_DELTA_S};
-use pinsql_engine::{FleetConfig, FleetRun, FleetServer};
+use common::{golden_scenarios, golden_streams, load_manifest, GOLDEN_DELTA_S};
+use pinsql_engine::{FleetConfig, FleetDaemon, FleetRun, FleetServer};
+use pinsql_obs::NoopObserver;
 
 /// Five golden scenarios under two shards and three regions, run to the
 /// end with no pushes.
 fn five_instance_run() -> FleetRun {
-    let manifest = load_manifest();
-    let scenarios: Vec<_> = manifest.iter().take(5).map(scenario_for).collect();
+    let entries = &load_manifest()[..5];
+    let scenarios = golden_scenarios(entries);
     let cfg = FleetConfig {
         delta_s: GOLDEN_DELTA_S,
         shards: 2,
@@ -24,7 +25,9 @@ fn five_instance_run() -> FleetRun {
         regions: 3,
         ..FleetConfig::default()
     };
-    FleetServer::start(cfg, &scenarios).stop().expect("drains and stops")
+    let agent = FleetDaemon::spawn(cfg, &scenarios, golden_streams(entries), NoopObserver)
+        .expect("streams admitted");
+    FleetServer::with_agent(agent).stop().expect("drains and stops")
 }
 
 /// The report's rollup tree is exact: region counts partition the fleet

@@ -30,16 +30,17 @@ mod common;
 
 use common::{
     all_points, assert_run_matches_batch, axis_points, batch_reference, drive_loopback,
-    golden_fleet_config, live_policy, load_manifest, one_per_kind, reversed, scenario_for,
-    ManifestEntry, MatrixPoint, ObserverKind, Snapshot, MANIFEST,
+    golden_fleet_config, golden_scenarios, golden_streams, live_policy, load_manifest,
+    one_per_kind, reversed, ManifestEntry, MatrixPoint, ObserverKind, Snapshot, MANIFEST,
 };
 use pinsql::{ConfigEpoch, Diagnosis, PinSqlConfig, PinSqlDelta};
 use pinsql_engine::{
     plan_frames, replay_diagnose, FleetConfig, FleetDaemon, FleetDelta, FleetRun, FleetServer,
     IngestSink, SourcePlan, TransportError,
 };
+use pinsql_dbsim::TelemetryEvent;
 use pinsql_obs::{Counter, FleetHealth, NoopObserver, Observer, RecordingObserver, Stage};
-use pinsql_scenario::{materialize_events, AnomalyKind, LabeledCase, Scenario};
+use pinsql_scenario::{AnomalyKind, LabeledCase, Scenario};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -143,16 +144,21 @@ fn restoring_delta(golden: &FleetConfig) -> FleetDelta {
     }
 }
 
-/// Streams `scenarios` through the loopback into a hollow daemon. With
-/// `tear`, the first connection dies mid-frame halfway through the plan
-/// (past the anomaly onset) and a second one resumes from the sink's
-/// `Hello`, replaying the unacked window.
-fn loopback_run<O: Observer>(cfg: FleetConfig, sc: &[Scenario], tear: bool, obs: &O) -> FleetRun {
-    let streams: Vec<_> = sc.iter().map(|s| materialize_events(s, None)).collect();
+/// Streams `sc`'s telemetry (`streams`, borrowed: the plan owns a copy)
+/// through the loopback into a hollow daemon. With `tear`, the first
+/// connection dies mid-frame halfway through the plan (past the anomaly
+/// onset) and a second one resumes from the sink's `Hello`, replaying
+/// the unacked window.
+fn loopback_run<O: Observer>(
+    cfg: FleetConfig,
+    sc: &[Scenario],
+    streams: &[Vec<TelemetryEvent>],
+    tear: bool,
+    obs: &O,
+) -> FleetRun {
     let total_events = streams.iter().map(Vec::len).sum::<usize>() as u64;
-    let policy = live_policy(&streams);
-    let frames = plan_frames(&streams, &policy, ADVANCE_EVERY_S);
-    drop(streams); // the plan owns a copy; 16 golden streams are ~0.4 GB
+    let policy = live_policy(streams);
+    let frames = plan_frames(streams, &policy, ADVANCE_EVERY_S);
     // Half the framed bytes plus two always lands inside a length prefix
     // or a body.
     let cut_at = frames.iter().map(|f| 4 + f.to_bytes().len()).sum::<usize>() / 2 + 2;
@@ -186,13 +192,17 @@ fn loopback_run<O: Observer>(cfg: FleetConfig, sc: &[Scenario], tear: bool, obs:
     sink.finish()
 }
 
-/// Runs one cell of the matrix under `obs`.
-fn run_path<O: Observer>(path: Path, p: MatrixPoint, sc: &[Scenario], obs: &O) -> Outcome {
+/// Runs one cell of the matrix over `corpus` under `obs`.
+fn run_path<O: Observer>(path: Path, p: MatrixPoint, corpus: &Corpus, obs: &O) -> Outcome {
+    let (sc, streams) = (&corpus.scenarios[..], &corpus.streams[..]);
     let n = sc.len();
     let cfg = golden_fleet_config(p);
+    let spawn = |cfg: FleetConfig| {
+        FleetDaemon::spawn(cfg, sc, streams.to_vec(), obs.clone()).expect("streams admitted")
+    };
     // Quiesce at each boundary and hand the fleet over to its layout.
     let resharded = |steps: &[(i64, Vec<usize>)]| {
-        let mut daemon = FleetDaemon::spawn_observed(cfg.clone(), sc, obs.clone());
+        let mut daemon = spawn(cfg.clone());
         for (at, assignment) in steps {
             daemon.advance_to(*at);
             daemon.reshard(assignment).expect("handoff decodes");
@@ -211,19 +221,18 @@ fn run_path<O: Observer>(path: Path, p: MatrixPoint, sc: &[Scenario], obs: &O) -
             // A recovered fleet rarely comes back on the same machine
             // shape: cut the checkpoint under another layout.
             let crashed = FleetConfig { shards: 3, fanout: 5 - p.fanout.min(4), ..cfg.clone() };
-            let mut daemon = FleetDaemon::spawn_observed(crashed, sc, obs.clone());
+            let mut daemon = spawn(crashed);
             daemon.advance_to(at);
             let ckpt = daemon.checkpoint();
             drop(daemon);
             assert_eq!(ckpt.at_second, at);
             assert_eq!(ckpt.snapshots.len(), n);
             assert!(ckpt.total_bytes() > 0);
-            let resumed = FleetDaemon::resume(cfg, sc, &ckpt, obs.clone());
+            let resumed = FleetDaemon::resume(cfg, sc, streams.to_vec(), &ckpt, obs.clone());
             resumed.expect("checkpoint decodes").finish().into()
         }
         Path::Daemon => {
-            let agent = FleetDaemon::spawn_observed(perturbed_config(&cfg), sc, obs.clone());
-            let mut server = FleetServer::with_agent(agent);
+            let mut server = FleetServer::with_agent(spawn(perturbed_config(&cfg)));
             // Ingest under the wrong config, then push the correction: the
             // quiesce-at-watermark + snapshot handoff must leave no trace
             // of the perturbed thresholds, look-back, or layout.
@@ -239,12 +248,16 @@ fn run_path<O: Observer>(path: Path, p: MatrixPoint, sc: &[Scenario], obs: &O) -
             assert_eq!(run.report.shards, p.shards.min(n), "final shard layout");
             run.into()
         }
-        Path::Loopback => loopback_run(cfg, sc, false, obs).into(),
-        Path::LoopbackReconnect => loopback_run(cfg, sc, true, obs).into(),
+        Path::Loopback => loopback_run(cfg, sc, streams, false, obs).into(),
+        Path::LoopbackReconnect => loopback_run(cfg, sc, streams, true, obs).into(),
         Path::Replay => {
             let pinsql = cfg.pinsql.clone().with_parallelism(p.fanout);
             let cfg = FleetConfig { pinsql, ..cfg };
-            let (cases, diagnoses) = sc.iter().map(|s| replay_diagnose(s, &cfg, obs)).unzip();
+            let (cases, diagnoses) = sc
+                .iter()
+                .zip(streams)
+                .map(|(s, events)| replay_diagnose(s, events.clone(), &cfg, obs))
+                .unzip();
             Outcome { cases, diagnoses, health: None }
         }
     }
@@ -292,22 +305,25 @@ fn assert_trace(path: Path, p: MatrixPoint, n: usize, obs: &RecordingObserver, w
     }
 }
 
-/// One corpus with its scenarios, its batch reference, and the first
-/// fleet-shaped health rollup seen on it (every later one must equal it:
-/// health is part of the output contract, on every path). Shared by the
-/// per-path tests, so the references are computed once per process.
+/// One corpus with its scenarios, their event streams, its batch
+/// reference, and the first fleet-shaped health rollup seen on it (every
+/// later one must equal it: health is part of the output contract, on
+/// every path). Shared by the per-path tests, so each case is simulated
+/// once per process and every cell clones or borrows its streams.
 struct Corpus {
     entries: Vec<ManifestEntry>,
     scenarios: Vec<Scenario>,
+    streams: Vec<Vec<TelemetryEvent>>,
     batch: Vec<Snapshot>,
     health: Mutex<Option<(String, FleetHealth)>>,
 }
 
 impl Corpus {
     fn new(entries: Vec<ManifestEntry>) -> Self {
-        let scenarios = entries.iter().map(scenario_for).collect();
         let batch = batch_reference(&entries);
-        Self { entries, scenarios, batch, health: Mutex::new(None) }
+        let scenarios = golden_scenarios(&entries);
+        let streams = golden_streams(&entries);
+        Self { entries, scenarios, streams, batch, health: Mutex::new(None) }
     }
 
     /// All 16 golden cases.
@@ -331,10 +347,10 @@ impl Corpus {
         let t = Instant::now();
         let what = format!("{name} ({})", p.label());
         let out = match p.observer {
-            ObserverKind::Noop => run_path(path, p, &self.scenarios, &NoopObserver),
+            ObserverKind::Noop => run_path(path, p, self, &NoopObserver),
             ObserverKind::Recording => {
                 let obs = RecordingObserver::new();
-                let out = run_path(path, p, &self.scenarios, &obs);
+                let out = run_path(path, p, self, &obs);
                 assert_trace(path, p, self.scenarios.len(), &obs, &what);
                 out
             }

@@ -8,8 +8,8 @@
 use pinsql_collector::CaseData;
 use pinsql_detect::AnomalyWindow;
 use pinsql_scenario::{
-    generate_base, inject, label_truth, materialize, materialize_with, AnomalyKind, PerturbConfig,
-    ScenarioConfig,
+    generate_base, inject, label_truth, materialize_telemetry, simulate_telemetry, AnomalyKind,
+    PerturbConfig, ScenarioConfig,
 };
 use pinsql_sqlkit::SqlId;
 use pinsql_workload::SpecId;
@@ -66,7 +66,11 @@ fn sweep_labels_equal_gather_labels_on_golden_shapes() {
         let cfg = ScenarioConfig::default().with_seed(seed);
         let scenario = inject(&generate_base(&cfg), &cfg, kind);
         let perturb = PerturbConfig::at_intensity(seed, 0.3);
-        for lc in [materialize(&scenario, 600), materialize_with(&scenario, 600, Some(&perturb))] {
+        // One simulation, labelled clean and degraded.
+        let (log, metrics) = simulate_telemetry(&scenario, None);
+        let clean = materialize_telemetry(&scenario, log.clone(), metrics.clone(), 600, None);
+        let degraded = materialize_telemetry(&scenario, log, metrics, 600, Some(&perturb));
+        for lc in [clean, degraded] {
             let expected = label_hsqls_by_gather(&lc.case, &lc.window);
             assert!(!expected.is_empty(), "{kind:?}/{seed}: a positive case has an H-SQL");
             assert_eq!(lc.truth.hsqls, expected, "{kind:?}/{seed}");

@@ -4,21 +4,19 @@
 
 mod common;
 
-use common::{load_manifest, scenario_for, GOLDEN_DELTA_S};
+use common::{golden, load_manifest, GOLDEN_DELTA_S};
 use pinsql_engine::{replay_diagnose, FleetConfig, OnlineInstance};
 use pinsql_obs::export::{chrome_trace, metrics_export, validate_chrome_trace};
 use pinsql_obs::{Counter, RecordingObserver, Stage};
-use pinsql_scenario::materialize_events;
 use std::time::Instant;
 
 #[test]
 fn recorded_golden_case_exports_valid_trace_and_metrics() {
     let manifest = load_manifest();
-    let entry = &manifest[0];
-    let scenario = scenario_for(entry);
+    let sim = golden(&manifest[0]);
     let obs = RecordingObserver::new();
     let cfg = FleetConfig { delta_s: GOLDEN_DELTA_S, ..FleetConfig::default() };
-    let (lc, d) = replay_diagnose(&scenario, &cfg, &obs);
+    let (lc, d) = replay_diagnose(&sim.scenario, sim.events.clone(), &cfg, &obs);
     assert!(!lc.case.templates.is_empty());
     assert!(!d.rsqls.is_empty());
 
@@ -82,8 +80,8 @@ fn disabled_observer_adds_no_measurable_ingest_cost() {
     // forgotten always-on `Instant::now()` per event would blow well past
     // the bar. Min-of-N wall clocks to shed scheduler noise.
     let manifest = load_manifest();
-    let scenario = scenario_for(&manifest[0]);
-    let events = materialize_events(&scenario, None);
+    let sim = golden(&manifest[0]);
+    let (scenario, events) = (&sim.scenario, &sim.events);
     const ROUNDS: usize = 5;
 
     let mut raw_best = f64::INFINITY;
@@ -108,7 +106,7 @@ fn disabled_observer_adds_no_measurable_ingest_cost() {
 
         let evs = events.clone();
         let t = Instant::now();
-        let mut inst = OnlineInstance::new(&scenario, GOLDEN_DELTA_S);
+        let mut inst = OnlineInstance::new(scenario, GOLDEN_DELTA_S);
         for ev in evs {
             inst.ingest(ev);
         }

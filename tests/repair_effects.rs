@@ -2,24 +2,45 @@
 //! and optimizing the pinpointed R-SQL must actually resolve the anomaly
 //! — through the batch path and through the online replay path.
 
+mod common;
+
+use common::Simulated;
 use pinsql::repair::{optimize_spec, suggest_actions, throttle_spec};
 use pinsql::{PinSql, PinSqlConfig, RepairConfig};
 use pinsql_dbsim::run_open_loop;
 use pinsql_engine::{replay_diagnose, FleetConfig};
 use pinsql_obs::NoopObserver;
-use pinsql_scenario::{generate_base, inject, materialize, AnomalyKind, ScenarioConfig};
+use pinsql_scenario::{generate_base, inject, AnomalyKind, Scenario, ScenarioConfig};
+use pinsql_workload::SpecId;
 
 fn anomaly_mean(series: &[f64], cfg: &ScenarioConfig) -> f64 {
     let (lo, hi) = (cfg.anomaly_start as usize, cfg.anomaly_end as usize);
     series[lo..hi.min(series.len())].iter().sum::<f64>() / (hi - lo) as f64
 }
 
+/// The default-shaped poor-SQL scenario at `seed`, simulated once per
+/// process (the unrepaired run every test here compares against).
+fn poor_sql(seed: u64) -> &'static Simulated {
+    common::simulated(format!("poor_sql({seed})"), || {
+        let cfg = ScenarioConfig::default().with_seed(seed);
+        inject(&generate_base(&cfg), &cfg, AnomalyKind::PoorSql)
+    })
+}
+
+/// [`poor_sql`]`(seed)` with `spec` throttled to 2 %, simulated once per
+/// process (the batch and the online test throttle the same R-SQL).
+fn throttled(seed: u64, spec: SpecId) -> &'static Simulated {
+    common::simulated(format!("poor_sql({seed}) throttling {spec:?}"), || {
+        let scenario = &poor_sql(seed).scenario;
+        Scenario { workload: throttle_spec(&scenario.workload, spec, 0.02), ..scenario.clone() }
+    })
+}
+
 #[test]
 fn throttling_the_rsql_suppresses_the_anomaly() {
-    let cfg = ScenarioConfig::default().with_seed(71);
-    let base = generate_base(&cfg);
-    let scenario = inject(&base, &cfg, AnomalyKind::PoorSql);
-    let case = materialize(&scenario, 600);
+    let sim = poor_sql(71);
+    let cfg = &sim.scenario.cfg;
+    let case = sim.labeled(600);
     let d = PinSql::new(PinSqlConfig::default()).diagnose(
         &case.case,
         &case.window,
@@ -30,12 +51,10 @@ fn throttling_the_rsql_suppresses_the_anomaly() {
     assert!(case.truth.rsqls.contains(&rsql.id), "diagnosis correct for this seed");
     let spec = case.case.catalog.get(rsql.id).unwrap().specs[0];
 
-    let original = run_open_loop(&scenario.workload, &scenario.sim, 0, cfg.window_s);
-    let throttled_w = throttle_spec(&scenario.workload, spec, 0.02);
-    let throttled = run_open_loop(&throttled_w, &scenario.sim, 0, cfg.window_s);
+    let repaired = throttled(71, spec);
 
-    let before = anomaly_mean(&original.metrics.active_session, &cfg);
-    let after = anomaly_mean(&throttled.metrics.active_session, &cfg);
+    let before = anomaly_mean(&sim.metrics.active_session, cfg);
+    let after = anomaly_mean(&repaired.metrics.active_session, cfg);
     assert!(
         after < before * 0.3,
         "throttling the root cause must deflate the session: {before:.1} -> {after:.1}"
@@ -44,10 +63,9 @@ fn throttling_the_rsql_suppresses_the_anomaly() {
 
 #[test]
 fn optimizing_the_rsql_resolves_without_losing_traffic() {
-    let cfg = ScenarioConfig::default().with_seed(73);
-    let base = generate_base(&cfg);
-    let scenario = inject(&base, &cfg, AnomalyKind::PoorSql);
-    let case = materialize(&scenario, 600);
+    let sim = poor_sql(73);
+    let (scenario, cfg) = (&sim.scenario, &sim.scenario.cfg);
+    let case = sim.labeled(600);
     let d = PinSql::new(PinSqlConfig::default()).diagnose(
         &case.case,
         &case.window,
@@ -58,12 +76,11 @@ fn optimizing_the_rsql_resolves_without_losing_traffic() {
     assert!(case.truth.rsqls.contains(&rsql.id), "diagnosis correct for this seed");
     let spec = case.case.catalog.get(rsql.id).unwrap().specs[0];
 
-    let original = run_open_loop(&scenario.workload, &scenario.sim, 0, cfg.window_s);
     let optimized_w = optimize_spec(&scenario.workload, spec);
     let optimized = run_open_loop(&optimized_w, &scenario.sim, 0, cfg.window_s);
 
-    let before = anomaly_mean(&original.metrics.active_session, &cfg);
-    let after = anomaly_mean(&optimized.metrics.active_session, &cfg);
+    let before = anomaly_mean(&sim.metrics.active_session, cfg);
+    let after = anomaly_mean(&optimized.metrics.active_session, cfg);
     assert!(
         after < before * 0.3,
         "optimizing the root cause must deflate the session: {before:.1} -> {after:.1}"
@@ -72,7 +89,7 @@ fn optimizing_the_rsql_resolves_without_losing_traffic() {
     let count = |log: &[pinsql_dbsim::QueryRecord]| {
         log.iter().filter(|r| r.spec == spec).count() as f64
     };
-    let executed_before = count(&original.log);
+    let executed_before = count(&sim.log);
     let executed_after = count(&optimized.log);
     assert!(
         executed_after > executed_before * 0.8,
@@ -85,12 +102,11 @@ fn online_replay_drives_the_same_repair_as_batch() {
     // The production loop suggests repairs from *online* diagnoses, not
     // batch ones. The replay-equivalence contract says both paths must
     // land on the same actions; this pins it through `replay_diagnose`.
-    let cfg = ScenarioConfig::default().with_seed(71);
-    let base = generate_base(&cfg);
-    let scenario = inject(&base, &cfg, AnomalyKind::PoorSql);
+    let sim = poor_sql(71);
+    let (scenario, cfg) = (&sim.scenario, &sim.scenario.cfg);
     let repair_cfg = RepairConfig::default();
 
-    let batch = materialize(&scenario, 600);
+    let batch = sim.labeled(600);
     let batch_d = PinSql::new(PinSqlConfig::default()).diagnose(
         &batch.case,
         &batch.window,
@@ -100,7 +116,8 @@ fn online_replay_drives_the_same_repair_as_batch() {
     let batch_actions =
         suggest_actions(&batch_d, &batch.case, &batch.window, &batch.anomaly_type, &repair_cfg);
 
-    let (lc, d) = replay_diagnose(&scenario, &FleetConfig::default(), &NoopObserver);
+    let (lc, d) =
+        replay_diagnose(scenario, sim.events.clone(), &FleetConfig::default(), &NoopObserver);
     let online_actions = suggest_actions(&d, &lc.case, &lc.window, &lc.anomaly_type, &repair_cfg);
     assert_eq!(online_actions, batch_actions, "online replay must repair like batch");
 
@@ -110,11 +127,9 @@ fn online_replay_drives_the_same_repair_as_batch() {
     let rsql = &d.rsqls[0];
     assert!(lc.truth.rsqls.contains(&rsql.id), "online diagnosis correct for this seed");
     let spec = lc.case.catalog.get(rsql.id).unwrap().specs[0];
-    let original = run_open_loop(&scenario.workload, &scenario.sim, 0, cfg.window_s);
-    let throttled_w = throttle_spec(&scenario.workload, spec, 0.02);
-    let throttled = run_open_loop(&throttled_w, &scenario.sim, 0, cfg.window_s);
-    let before = anomaly_mean(&original.metrics.active_session, &cfg);
-    let after = anomaly_mean(&throttled.metrics.active_session, &cfg);
+    let repaired = throttled(71, spec);
+    let before = anomaly_mean(&sim.metrics.active_session, cfg);
+    let after = anomaly_mean(&repaired.metrics.active_session, cfg);
     assert!(
         after < before * 0.3,
         "throttling the online-pinpointed root cause must deflate: {before:.1} -> {after:.1}"

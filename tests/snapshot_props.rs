@@ -13,12 +13,12 @@
 use pinsql_collector::CaseData;
 use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
 use pinsql_engine::{InstanceSnapshot, OnlineInstance};
-use pinsql_scenario::{materialize_events, LabeledCase, PerturbConfig, Scenario};
+use pinsql_scenario::{LabeledCase, PerturbConfig, Scenario};
 use pinsql_workload::rng::{rng_from_seed, RngExt};
 use pinsql_workload::SpecId;
 
 mod common;
-use common::{assert_owners_by_catalog, random_event_stream, small_scenario};
+use common::{assert_owners_by_catalog, random_event_stream, small, small_scenario};
 
 const DELTA_S: i64 = 60;
 
@@ -108,10 +108,10 @@ fn random_streams_round_trip() {
 /// Chaos-perturbed real telemetry: dropped/duplicated/jittered/
 /// reordered records and blanked metric seconds. Whatever the
 /// degradation, a mid-stream snapshot round-trips exactly. 256
-/// perturbations of one scenario.
+/// perturbations of one simulation.
 #[test]
 fn perturbed_streams_round_trip() {
-    let scenario = small_scenario(11);
+    let sim = small(11);
     for seed in 0..256u64 {
         let mut rng = rng_from_seed(seed);
         let perturb = PerturbConfig {
@@ -123,9 +123,9 @@ fn perturbed_streams_round_trip() {
             reorder: rng.random_range(0..2u32) == 1,
             metric_blank_prob: 0.05,
         };
-        let events = materialize_events(&scenario, Some(&perturb));
+        let events = sim.perturbed_events(&perturb);
         let split = ((events.len() as f64) * rng.random_range(0.0..1.0)) as usize;
-        round_trip_at(&scenario, &events, split, &format!("seed {seed}"));
+        round_trip_at(&sim.scenario, &events, split, &format!("seed {seed}"));
     }
 }
 

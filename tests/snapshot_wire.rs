@@ -20,7 +20,8 @@
 mod common;
 
 use pinsql_engine::{InstanceSnapshot, OnlineInstance, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-use pinsql_scenario::{generate_base, inject, materialize_events, AnomalyKind, ScenarioConfig};
+use pinsql_dbsim::TelemetryEvent;
+use pinsql_scenario::{generate_base, inject, AnomalyKind, Scenario, ScenarioConfig};
 use pinsql_timeseries::WireError;
 
 const DELTA_S: i64 = 60;
@@ -40,29 +41,23 @@ fn bank_kernel_at(blob: &[u8]) -> usize {
     AGGREGATOR_AT + 8 + u64::from_le_bytes(len.try_into().unwrap()) as usize + 8
 }
 
-fn golden_scenario() -> pinsql_scenario::Scenario {
-    let cfg = ScenarioConfig {
-        seed: 42,
-        n_business: 4,
-        n_giants: 1,
-        root_rate: (1.0, 3.0),
-        giant_rate: (6.0, 10.0),
-        window_s: 240,
-        anomaly_start: 120,
-        anomaly_end: 180,
-        cores: 2.0,
-        io_channels: 4.0,
-    };
-    let base = generate_base(&cfg);
-    inject(&base, &cfg, AnomalyKind::BusinessSpike)
+/// The golden scenario: a 240 s business spike, `common::small_scenario`
+/// at seed 42.
+fn golden_scenario() -> &'static Scenario {
+    &common::small(42).scenario
+}
+
+/// The golden scenario's event stream, simulated once per process.
+fn golden_events() -> &'static [TelemetryEvent] {
+    &common::small(42).events
 }
 
 /// The canonical blob: the golden scenario's stream cut mid-anomaly
 /// (open detector segment, half-folded minute) and snapshotted.
-fn build_snapshot(scenario: &pinsql_scenario::Scenario) -> InstanceSnapshot {
-    let events = materialize_events(scenario, None);
+fn build_snapshot() -> InstanceSnapshot {
+    let events = golden_events();
     let cut = events.partition_point(|ev| ev.time_ms() < 150.0 * 1000.0);
-    let mut inst = OnlineInstance::new(scenario, DELTA_S);
+    let mut inst = OnlineInstance::new(golden_scenario(), DELTA_S);
     inst.ingest_stream(events[..cut].to_vec());
     inst.snapshot()
 }
@@ -70,7 +65,7 @@ fn build_snapshot(scenario: &pinsql_scenario::Scenario) -> InstanceSnapshot {
 #[test]
 fn golden_blob_is_byte_stable_and_restores() {
     let scenario = golden_scenario();
-    let snap = build_snapshot(&scenario);
+    let snap = build_snapshot();
     assert_eq!(&snap.as_bytes()[..4], &SNAPSHOT_MAGIC);
     assert!(!snap.is_empty());
     assert_eq!(snap.len(), snap.as_bytes().len());
@@ -97,8 +92,8 @@ fn golden_blob_is_byte_stable_and_restores() {
     // The committed bytes round-trip through the untrusted path and keep
     // ingesting: drain the tail and close the case without error.
     let wrapped = InstanceSnapshot::from_bytes(committed).expect("golden blob validates");
-    let mut restored = OnlineInstance::restore(&scenario, &wrapped).expect("golden blob restores");
-    let events = materialize_events(&scenario, None);
+    let mut restored = OnlineInstance::restore(scenario, &wrapped).expect("golden blob restores");
+    let events = golden_events();
     let cut = events.partition_point(|ev| ev.time_ms() < 150.0 * 1000.0);
     restored.ingest_stream(events[cut..].to_vec());
     let lc = restored.close_case();
@@ -108,12 +103,12 @@ fn golden_blob_is_byte_stable_and_restores() {
 #[test]
 fn every_truncation_yields_a_typed_error() {
     let scenario = golden_scenario();
-    let bytes = build_snapshot(&scenario).into_bytes();
+    let bytes = build_snapshot().into_bytes();
     for cut in 0..bytes.len() {
         match InstanceSnapshot::from_bytes(bytes[..cut].to_vec()) {
             // Header survived the cut; the body decode must catch it.
             Ok(snap) => assert!(
-                OnlineInstance::restore(&scenario, &snap).is_err(),
+                OnlineInstance::restore(scenario, &snap).is_err(),
                 "truncation at {cut}/{} restored",
                 bytes.len()
             ),
@@ -128,7 +123,7 @@ fn every_truncation_yields_a_typed_error() {
 #[test]
 fn corrupt_headers_yield_specific_typed_errors() {
     let scenario = golden_scenario();
-    let bytes = build_snapshot(&scenario).into_bytes();
+    let bytes = build_snapshot().into_bytes();
 
     let mut wrong_magic = bytes.clone();
     wrong_magic[0] = b'Q';
@@ -166,7 +161,7 @@ fn corrupt_headers_yield_specific_typed_errors() {
         reserved[BODY_RESERVED_AT] = value;
         let snap = InstanceSnapshot::from_bytes(reserved).expect("header is intact");
         assert!(matches!(
-            OnlineInstance::restore(&scenario, &snap),
+            OnlineInstance::restore(scenario, &snap),
             Err(WireError::BadTag { what: "reserved byte", value: v }) if v == value as u64
         ));
     }
@@ -175,7 +170,7 @@ fn corrupt_headers_yield_specific_typed_errors() {
     trailing.extend_from_slice(b"garbage");
     let snap = InstanceSnapshot::from_bytes(trailing).expect("header is intact");
     assert!(matches!(
-        OnlineInstance::restore(&scenario, &snap),
+        OnlineInstance::restore(scenario, &snap),
         Err(WireError::TrailingBytes { .. })
     ));
 }
@@ -186,7 +181,7 @@ fn corrupt_headers_yield_specific_typed_errors() {
 #[test]
 fn snapshot_rejects_retired_kernel_tags_and_older_versions() {
     let scenario = golden_scenario();
-    let bytes = build_snapshot(&scenario).into_bytes();
+    let bytes = build_snapshot().into_bytes();
     let bank_at = bank_kernel_at(&bytes);
     assert_eq!((bytes[6], bytes[bank_at]), (1, 1), "both kernel tags hold the one legal value");
 
@@ -201,7 +196,7 @@ fn snapshot_rejects_retired_kernel_tags_and_older_versions() {
         bank[bank_at] = value;
         let snap = InstanceSnapshot::from_bytes(bank).expect("header is intact");
         assert!(matches!(
-            OnlineInstance::restore(&scenario, &snap),
+            OnlineInstance::restore(scenario, &snap),
             Err(WireError::BadTag { what: "kernel kind", value: v }) if v == value as u64
         ));
     }
@@ -219,8 +214,7 @@ fn snapshot_rejects_retired_kernel_tags_and_older_versions() {
 
 #[test]
 fn restore_into_wrong_scenario_is_a_typed_error() {
-    let scenario = golden_scenario();
-    let snap = build_snapshot(&scenario);
+    let snap = build_snapshot();
 
     let other_cfg = ScenarioConfig { seed: 43, n_business: 7, ..ScenarioConfig::default() };
     let other = inject(&generate_base(&other_cfg), &other_cfg, AnomalyKind::MdlLock);

@@ -18,8 +18,9 @@
 mod common;
 
 use common::{
-    assert_run_matches_batch, batch_reference, drive_loopback, golden_fleet_config, live_policy,
-    load_manifest, scenario_for, small_scenario, MatrixPoint, GOLDEN_DELTA_S,
+    assert_run_matches_batch, batch_reference, drive_loopback, golden_fleet_config,
+    golden_scenarios, golden_streams, live_policy, load_manifest, scenario_for, small_scenario,
+    MatrixPoint, GOLDEN_DELTA_S,
 };
 use pinsql::TransportPolicy;
 use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
@@ -28,7 +29,7 @@ use pinsql_engine::{
     DaemonState, EventFrame, FleetDaemon, IngestSink, OnlineInstance, RegionServer, SourcePlan,
     TcpConn, TransportError,
 };
-use pinsql_scenario::{materialize_events, Scenario};
+use pinsql_scenario::Scenario;
 use pinsql_timeseries::WireError;
 use pinsql_workload::rng::{rng_from_seed, RngExt};
 use pinsql_workload::SpecId;
@@ -52,10 +53,10 @@ fn two_shards() -> MatrixPoint {
 fn tcp_transport_smoke_matches_batch() {
     let manifest = load_manifest();
     let entries: Vec<_> = manifest.into_iter().take(4).collect();
-    let scenarios: Vec<_> = entries.iter().map(scenario_for).collect();
+    let scenarios = golden_scenarios(&entries);
     let cfg = golden_fleet_config(two_shards());
 
-    let streams: Vec<_> = scenarios.iter().map(|s| materialize_events(s, None)).collect();
+    let streams = golden_streams(&entries);
     let policy = TransportPolicy::default();
     let mut plan = SourcePlan::new(plan_frames(&streams, &policy, ADVANCE_EVERY_S));
 
@@ -90,12 +91,12 @@ fn tcp_transport_smoke_matches_batch() {
 #[test]
 fn region_server_merges_rollups_from_many_agents() {
     let manifest = load_manifest();
-    let scenarios: Vec<_> = manifest.iter().map(scenario_for).collect();
+    let scenarios = golden_scenarios(&manifest);
     let mut region = RegionServer::new();
 
     let mut total_events = 0u64;
-    for slice in scenarios.chunks(8) {
-        let streams: Vec<_> = slice.iter().map(|s| materialize_events(s, None)).collect();
+    for (slice, entries) in scenarios.chunks(8).zip(manifest.chunks(8)) {
+        let streams = golden_streams(entries);
         // Eight golden instances outrun the default queue; size it to
         // stay live.
         let policy = live_policy(&streams);
@@ -244,8 +245,8 @@ fn tcp_conn_refuses_an_over_cap_prefix_before_the_body() {
 fn a_credit_deadlock_is_a_typed_error_not_a_hang() {
     let (done, outcome) = mpsc::channel();
     let drive = std::thread::spawn(move || {
-        let scenarios: Vec<_> = load_manifest().iter().take(8).map(scenario_for).collect();
-        let streams: Vec<_> = scenarios.iter().map(|s| materialize_events(s, None)).collect();
+        let entries = &load_manifest()[..8];
+        let (scenarios, streams) = (golden_scenarios(entries), golden_streams(entries));
         let policy = TransportPolicy::default();
         let mut plan = SourcePlan::new(plan_frames(&streams, &policy, ADVANCE_EVERY_S));
         let daemon = FleetDaemon::spawn_hollow(golden_fleet_config(two_shards()), &scenarios);
