@@ -1,10 +1,22 @@
-//! Batch aggregation of a collection window into per-template series.
+//! A collection window as per-template series: [`CaseData`] and its two
+//! builders.
 //!
 //! §IV-A: `metric_{Q,t} = Aggregate({metric(q) ∀q ∈ Q, t(q) ∈ [t, t+Δt)})`
 //! — queries are attributed to the interval containing their *arrival*
 //! timestamp. Three metrics are maintained per template at 1-second
 //! granularity (`#execution` count, total response time, total examined
-//! rows); 1-minute series are derived by [`TemplateSeries::per_minute`].
+//! rows), plus each template's 1-minute execution counts
+//! ([`CaseData::minute_rows`]).
+//!
+//! Every case a deployment or an experiment diagnoses is cut online, from
+//! the incremental aggregator's rings (`cut_window`, reached through
+//! [`IncrementalAggregator::snapshot`](crate::IncrementalAggregator::snapshot)).
+//! [`aggregate_case`] builds the same case from a complete log. No
+//! production path calls it; it stays public as the reference that unit
+//! tests in other crates build small fixtures from, and that the root
+//! suite's batch oracle aggregates with. Test-only code shared across
+//! crates needs a public item: a cargo feature gating it would add a
+//! build option, and a shared test-kit crate is a larger move of its own.
 //!
 //! A [`CaseData`] holds the window's records as a [`RecordView`] (shared
 //! chunks of the online record ring, or one chunk of a batch log) and says
@@ -72,32 +84,6 @@ pub struct TemplateData {
     pub series: TemplateSeries,
 }
 
-/// Per-template minute rows carried on a [`CaseData`] cut from the online
-/// aggregator.
-///
-/// The rows are the 1-minute execution-count series every template would
-/// get from [`TemplateSeries::per_minute`], assembled during the window
-/// cut's cell sweep instead of one `O(window)` re-scan per template —
-/// minute counts are integer-valued sums of `1.0` accumulated in ascending
-/// second order, so they are bit-identical to the per-template derivation
-/// and the diagnosis output cannot depend on which one produced them.
-#[derive(Debug, Clone, Default)]
-pub struct WindowCut {
-    /// First absolute minute of the rows (`ts / 60` for aligned windows).
-    pub minute_start: i64,
-    /// Per-template 1-minute execution counts, parallel to
-    /// [`CaseData::templates`] (sorted by `SqlId`); `n_seconds / 60`
-    /// complete minutes each.
-    pub minute_rows: Vec<Vec<f64>>,
-}
-
-impl WindowCut {
-    /// Borrowed minute rows in `&[&[f64]]` shape for matrix assembly.
-    pub fn row_refs(&self) -> Vec<&[f64]> {
-        self.minute_rows.iter().map(|r| r.as_slice()).collect()
-    }
-}
-
 /// Everything the root-cause pipeline needs about one collection window.
 #[derive(Debug, Clone)]
 pub struct CaseData {
@@ -111,12 +97,16 @@ pub struct CaseData {
     pub records: RecordView,
     /// Per-template aggregates, in a stable order (sorted by `SqlId`).
     pub templates: Vec<TemplateData>,
+    /// Per-template 1-minute execution counts, parallel to `templates`:
+    /// each template's [`TemplateSeries::per_minute`], `n_seconds / 60`
+    /// complete minutes. The online cut buckets them during its cell sweep
+    /// and [`aggregate_case`] derives them per template; minute counts are
+    /// integer-valued sums of `1.0` in ascending second order, so both are
+    /// bit-identical and a diagnosis cannot tell which builder ran.
+    pub minute_rows: Vec<Vec<f64>>,
     /// Per spec, the position in `templates` of its template, or
     /// [`CaseData::NO_TEMPLATE`]: [`CaseData::template_of`]'s table.
     owners: Vec<u32>,
-    /// Precomputed minute rows when the online window cut produced this
-    /// case; `None` on the batch path.
-    pub cut: Option<Box<WindowCut>>,
 }
 
 impl CaseData {
@@ -181,7 +171,8 @@ fn owner_table(catalog: &TemplateCatalog, slot_pos: &[u32]) -> Vec<u32> {
 }
 
 /// Aggregates a simulation log into a [`CaseData`] for the window
-/// `[ts, te)` seconds.
+/// `[ts, te)` seconds: the batch reference the online cut is pinned
+/// against (module docs).
 ///
 /// `metrics` must cover the window (it is sliced to it); records outside
 /// the window are dropped, mirroring the collector's retention query.
@@ -237,13 +228,14 @@ pub fn aggregate_case(
     }
 
     let metrics = slice_metrics(metrics, ts, te);
-    CaseData { ts, te, catalog, metrics, records: records.into(), templates, owners, cut: None }
+    let minute_rows = templates.iter().map(|t| t.series.per_minute()).collect();
+    CaseData { ts, te, catalog, metrics, records: records.into(), templates, minute_rows, owners }
 }
 
 /// The online counterpart of [`aggregate_case`]: the same [`CaseData`] for
 /// `[ts, te)`, assembled from the incremental aggregator's resident rings
 /// instead of a complete trace. `slot_pos` is scratch the caller keeps
-/// across cuts. Panics if `te <= ts`, like the batch path.
+/// across cuts. Panics if `te <= ts`, like `aggregate_case`.
 pub(crate) fn cut_window(
     catalog: &TemplateCatalog,
     cells: &CellRing,
@@ -282,7 +274,6 @@ pub(crate) fn cut_window(
             minute_rows[pos][idx / 60] += cell.0;
         }
     });
-    let cut = Some(Box::new(WindowCut { minute_start: ts.div_euclid(60), minute_rows }));
 
     // The records are the ring's, shared. A record whose template has no
     // cell in the window — only a crafted checkpoint makes one — is left
@@ -294,8 +285,8 @@ pub(crate) fn cut_window(
         metrics: metrics.window(ts, te),
         records: ring.view(ts as f64 * 1000.0, te as f64 * 1000.0),
         templates,
+        minute_rows,
         owners: owner_table(catalog, slot_pos),
-        cut,
     }
 }
 

@@ -15,12 +15,13 @@
 //! (IncrementalAggregator::ingest_drain) chunks a stream into same-second
 //! runs, which pay the horizon check and the row lookups once per run, and
 //! [`ingest`](IncrementalAggregator::ingest) folds a run of one. On a
-//! time-ordered stream it visits records in the order the batch path sums
-//! them, which is what makes a window cut bit-identical to it.
+//! time-ordered stream it visits records in the order the batch reference
+//! (`aggregate_case`) sums them, which is what makes a window cut
+//! bit-identical to it.
 //!
 //! There is one cut path, `cut_window`: one sweep of the window's resident
 //! cells fills each template's series and buckets its 1-minute execution
-//! rows ([`WindowCut`](crate::WindowCut)) in the same pass. Nothing is kept
+//! rows ([`CaseData::minute_rows`]) in the same pass. Nothing is kept
 //! at ingest for the cut; the per-template `per_minute` re-derivation it
 //! replaced is the oracle of the `cut_props` suite.
 

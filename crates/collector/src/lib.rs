@@ -40,7 +40,7 @@ mod metrics;
 mod minutes;
 mod records;
 
-pub use aggregate::{aggregate_case, CaseData, TemplateData, TemplateSeries, WindowCut};
+pub use aggregate::{aggregate_case, CaseData, TemplateData, TemplateSeries};
 pub use records::RecordView;
 pub use catalog::{TemplateCatalog, TemplateInfo};
 pub use cellstore::CellStore;

@@ -51,7 +51,7 @@
 //! - **shards / fanout / regions** never touch per-instance state.
 //!
 //! So a daemon that ends at config `F` — however many pushes, reshards
-//! and restarts it took — produces the same bytes as the batch pipeline
+//! and restarts it took — produces the same bytes as the batch oracle
 //! under `F`. The `equivalence` matrix at the workspace root pins every
 //! path against the golden corpus.
 
@@ -60,7 +60,7 @@ use crate::fleet::{
     contiguous_assignment, FleetCheckpoint, FleetConfig, FleetReport, FleetRun, InstanceOutcome,
 };
 use crate::instance::OnlineInstance;
-use crate::snapshot::InstanceSnapshot;
+use crate::snapshot::{self, InstanceSnapshot};
 use pinsql::{ConfigEpoch, PinSql};
 use pinsql_dbsim::TelemetryEvent;
 use pinsql_obs::{
@@ -109,9 +109,11 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
     /// `streams[i]` seated on instance `i` through
     /// [`offer_events`](Self::offer_events), the `PEVT` wire's admission
     /// check, whose typed error a refused stream returns. Missing streams
-    /// leave their instances hollow. Each instance records on its own
-    /// `inst{i}` lane, each ingest round on one `r{round}shard{s}` lane
-    /// per shard, each diagnosis on `diag{i}`.
+    /// leave their instances hollow. A negative `cfg.delta_s` is refused
+    /// as a typed `delta_s` mismatch, as a config push or a snapshot
+    /// carrying one is. Each instance records on its own `inst{i}` lane,
+    /// each ingest round on one `r{round}shard{s}` lane per shard, each
+    /// diagnosis on `diag{i}`.
     ///
     /// # Panics
     /// Panics on an empty fleet or `cfg.shards == 0` / `cfg.regions == 0`
@@ -122,6 +124,7 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
         streams: Vec<Vec<TelemetryEvent>>,
         obs: O,
     ) -> Result<Self, WireError> {
+        snapshot::check_delta_s(cfg.delta_s)?;
         let instances = scenarios
             .iter()
             .enumerate()
@@ -133,9 +136,10 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
     }
 
     /// [`spawn_hollow`](FleetDaemon::spawn_hollow) under an explicit
-    /// observer.
+    /// observer. Panics like `spawn`, and on a negative `cfg.delta_s`.
     pub fn spawn_hollow_observed(cfg: FleetConfig, scenarios: &'a [Scenario], obs: O) -> Self {
-        Self::spawn(cfg, scenarios, Vec::new(), obs).expect("no stream to refuse")
+        Self::spawn(cfg, scenarios, Vec::new(), obs)
+            .expect("a hollow agent refuses only a negative delta_s")
     }
 
     /// Boots an agent from a [`FleetCheckpoint`] — crash recovery: every
@@ -146,9 +150,9 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
     /// the tail. `cfg`'s layout need not match the one that cut the
     /// checkpoint.
     ///
-    /// Errors if the checkpoint's fleet size differs, a snapshot fails to
-    /// decode or belongs to another scenario, or a stream is refused;
-    /// panics like `spawn`.
+    /// Errors if `cfg.delta_s` is negative, the checkpoint's fleet size
+    /// differs, a snapshot fails to decode or belongs to another scenario,
+    /// or a stream is refused; panics like `spawn`.
     pub fn resume(
         cfg: FleetConfig,
         scenarios: &'a [Scenario],
@@ -156,6 +160,7 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
         checkpoint: &FleetCheckpoint,
         obs: O,
     ) -> Result<Self, WireError> {
+        snapshot::check_delta_s(cfg.delta_s)?;
         let (held, n) = (checkpoint.snapshots.len(), scenarios.len());
         if held != n {
             let detail = format!("checkpoint holds {held} instances, fleet has {n}");
@@ -454,7 +459,7 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
     /// Tears the agent down into a full [`FleetRun`]: drains any
     /// remaining stream tails, closes every case in its shard, diagnoses,
     /// and rolls the report up under the **final** config and epoch. The
-    /// result is byte-identical to the batch pipeline under that config.
+    /// result is byte-identical to the batch oracle under that config.
     pub fn finish(mut self) -> FleetRun {
         if self.state != DaemonState::Stopped {
             self.ingest_prefix(None);
@@ -943,7 +948,6 @@ impl<'a, O: Observer> FleetServer<'a, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FleetEngine;
     use pinsql::PinSqlConfig;
     use pinsql_scenario::{generate_base, inject, inject_none, AnomalyKind, ScenarioConfig};
 
@@ -983,7 +987,7 @@ mod tests {
     #[test]
     fn daemon_smoke_matches_batch_run() {
         let scenarios = small_fleet(3);
-        let batch = FleetEngine::new(cfg(1)).run_full(&scenarios);
+        let batch = spawn(cfg(1), &scenarios).finish();
 
         let mut server = FleetServer::with_agent(spawn(cfg(2), &scenarios));
         assert_eq!(server.agent().state(), DaemonState::Running);
@@ -1061,6 +1065,27 @@ mod tests {
         let run = agent.finish();
         assert_eq!(run.report.config_epoch, 0);
         assert_eq!(run.cases.len(), 2);
+    }
+
+    /// A negative look-back handed to `spawn` or `resume` would boot an
+    /// agent that panics at `finish`; both refuse it as a typed mismatch,
+    /// as a config push or a snapshot carrying one is refused.
+    #[test]
+    fn negative_delta_s_configs_are_refused_at_spawn_and_resume() {
+        let scenarios = small_fleet(1);
+        let ckpt = FleetDaemon::spawn_hollow(cfg(1), &scenarios).checkpoint();
+        for delta_s in [-1i64, i64::MIN] {
+            let bad = FleetConfig { delta_s, ..cfg(1) };
+            let refused = |r: Result<FleetDaemon<'_>, WireError>| {
+                matches!(r, Err(WireError::Mismatch { what: "delta_s", .. }))
+            };
+            let spawned = FleetDaemon::spawn(bad.clone(), &scenarios, Vec::new(), NoopObserver);
+            assert!(refused(spawned), "spawn took delta_s {delta_s}");
+            let resumed = FleetDaemon::resume(bad, &scenarios, Vec::new(), &ckpt, NoopObserver);
+            assert!(refused(resumed), "resume took delta_s {delta_s}");
+        }
+        let zero = FleetConfig { delta_s: 0, ..cfg(1) };
+        assert!(FleetDaemon::resume(zero, &scenarios, Vec::new(), &ckpt, NoopObserver).is_ok());
     }
 
     #[test]

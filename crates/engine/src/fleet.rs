@@ -246,8 +246,10 @@ mod tests {
             .expect("streams admitted")
     }
 
+    /// [`FleetEngine::run_full`] over the cached streams: a daemon spawned
+    /// and finished straight away. `fleet_smoke` runs the real one.
     fn run_full(fanout: usize, shards: usize, scenarios: &[Scenario]) -> FleetRun {
-        FleetEngine::new(config(fanout, shards)).run_full(scenarios)
+        spawn(config(fanout, shards), scenarios).finish()
     }
 
     fn assert_run_eq(a: &FleetRun, b: &FleetRun, what: &str) {
@@ -271,7 +273,7 @@ mod tests {
     #[test]
     fn fleet_smoke() {
         let scenarios = small_fleet(4);
-        let report = run_full(2, 2, &scenarios).report;
+        let report = FleetEngine::new(config(2, 2)).run_full(&scenarios).report;
 
         assert_eq!(report.n_instances, 4);
         assert_eq!(report.shards, 2);

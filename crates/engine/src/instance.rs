@@ -1,14 +1,16 @@
-//! One database instance's online diagnosis pipeline.
+//! One database instance's online diagnosis pipeline — the one path to a
+//! case.
 //!
-//! An [`OnlineInstance`] is the event-driven counterpart of the batch
-//! `materialize` path: the same telemetry, delivered one
-//! [`TelemetryEvent`] at a time, flows through the incremental collector
-//! (ring-buffered per-second cells, bounded retention, in-line history
-//! feed) and the online detector bank (bounded rolling state per metric).
-//! Closing the case runs the identical window-selection and labelling code
-//! the batch path uses, over a `CaseData` snapshot that is bit-identical
-//! to batch aggregation — which is what makes [`replay_diagnose`]
-//! reproduce batch diagnoses exactly.
+//! An [`OnlineInstance`] is the streaming aggregator PinSQL reads its
+//! per-template series from: telemetry, delivered one [`TelemetryEvent`]
+//! at a time, flows through the incremental collector (ring-buffered
+//! per-second cells, bounded retention, in-line history feed) and the
+//! online detector bank (bounded rolling state per metric). Closing the
+//! case selects the window, cuts it and labels it ([`LabeledCase::new`]).
+//! Every deployment path and every experiment builds its cases here. The
+//! root test suite holds a batch labeller over the complete log as the
+//! oracle: its cases and diagnoses are bit-identical to this one's, on
+//! the golden corpus and on the shapes the experiments build.
 //!
 //! The pipeline borrows its [`Scenario`] (instances are cheap views over
 //! fleet-owned scenarios; nothing is cloned per instance) and consumes
@@ -25,8 +27,7 @@ use pinsql_dbsim::telemetry::query_run;
 use pinsql_dbsim::TelemetryEvent;
 use pinsql_detect::{classify, CutKind, KernelKind, OnlineDetectorBank, PhenomenonConfig};
 use pinsql_obs::{Counter, Gauge, HealthSnapshot, NoopObserver, Observer, Stage};
-use pinsql_scenario::materialize::MINUTES_ORIGIN;
-use pinsql_scenario::{case_history, label_truth, select_case_window, LabeledCase, Scenario};
+use pinsql_scenario::{select_case_window, LabeledCase, Scenario};
 use pinsql_timeseries::{WireError, WireReader, WireWriter};
 
 /// What a snapshot buffer is given beyond the aggregator's body: the
@@ -311,9 +312,8 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
     }
 
     /// Closes the anomaly case: flushes the detectors, classifies
-    /// phenomena, selects the case window, cuts the batch-bit-identical
-    /// snapshot, and labels ground truth — the exact sequence (and code)
-    /// of the batch labelling path.
+    /// phenomena, selects the case window, cuts it, and labels ground
+    /// truth.
     pub fn close_case(mut self) -> LabeledCase {
         if O::ENABLED {
             // Lifetime counters roll up once, at close; the live state is
@@ -349,19 +349,7 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
             self.obs.span(Stage::CaseCut, c0, n1);
             self.obs.span(Stage::WindowCut, n0, n1);
         }
-        let truth = label_truth(self.scenario, &case, &window);
-        let history = case_history(self.scenario, &window);
-        LabeledCase {
-            case,
-            window,
-            truth,
-            history,
-            minutes_origin: MINUTES_ORIGIN,
-            kind: self.scenario.kind,
-            injected: self.scenario.injected.clone(),
-            detected,
-            anomaly_type,
-        }
+        LabeledCase::new(self.scenario, case, window, detected, anomaly_type)
     }
 }
 
@@ -372,11 +360,9 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
 /// whole replay — ingest folds, detector steps, window cut and the three
 /// diagnosis stages — lands in `obs`.
 ///
-/// The returned `(LabeledCase, Diagnosis)` is bit-identical to what the
-/// batch path (`materialize` + `PinSql::diagnose`) produces for the same
-/// scenario and configuration, whatever `O` is — the engine's
-/// replay-equivalence contract, pinned against the golden corpus by the
-/// `equivalence` matrix.
+/// The returned `(LabeledCase, Diagnosis)` is the same whatever `O` is,
+/// and bit-identical to the root suite's batch oracle over the complete
+/// log — pinned against the golden corpus by the `equivalence` matrix.
 pub fn replay_diagnose<O: Observer>(
     scenario: &Scenario,
     events: Vec<TelemetryEvent>,
@@ -408,21 +394,39 @@ pub(crate) fn assert_owners_by_catalog(case: &pinsql_collector::CaseData) {
     }
 }
 
-/// Each scenario simulated into its event stream, for the unit tests that
-/// drive a daemon.
+/// Each scenario's event stream, simulated at most once per test process:
+/// one `OnceLock` per scenario, keyed by the configuration and injected
+/// kinds that name it (every scenario these tests build is
+/// `inject_many(generate_base(cfg), cfg, kinds)`), so distinct scenarios
+/// simulate concurrently and a repeated one waits for the first.
 #[cfg(test)]
 pub(crate) fn simulated_streams(scenarios: &[Scenario]) -> Vec<Vec<TelemetryEvent>> {
-    scenarios.iter().map(|s| pinsql_scenario::materialize_events(s, None)).collect()
+    use std::collections::BTreeMap;
+    use std::sync::{Mutex, OnceLock};
+    type Cell = &'static OnceLock<Vec<TelemetryEvent>>;
+    static CACHE: Mutex<BTreeMap<String, Cell>> = Mutex::new(BTreeMap::new());
+    let stream = |s: &Scenario| {
+        let key = format!("{:?} {:?}", s.cfg, s.injected);
+        let cell: Cell = *CACHE
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .entry(key)
+            .or_insert_with(|| Box::leak(Box::new(OnceLock::new())));
+        cell.get_or_init(|| pinsql_scenario::materialize_events(s, None)).clone()
+    };
+    scenarios.iter().map(stream).collect()
+}
+
+/// [`simulated_streams`] of one scenario.
+#[cfg(test)]
+pub(crate) fn simulated_stream(scenario: &Scenario) -> Vec<TelemetryEvent> {
+    simulated_streams(std::slice::from_ref(scenario)).remove(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pinsql::PinSqlConfig;
-    use pinsql_scenario::{
-        generate_base, inject, materialize_events, materialize_telemetry, simulate_telemetry,
-        telemetry_events, AnomalyKind, ScenarioConfig,
-    };
+    use pinsql_scenario::{generate_base, inject, AnomalyKind, ScenarioConfig};
 
     fn assert_case_eq(a: &LabeledCase, b: &LabeledCase) {
         assert_eq!(a.window, b.window);
@@ -448,48 +452,12 @@ mod tests {
         }
     }
 
-    fn assert_diagnosis_eq(a: &Diagnosis, b: &Diagnosis) {
-        assert_eq!(a.hsqls, b.hsqls);
-        assert_eq!(a.rsqls, b.rsqls);
-        assert_eq!(a.reported_rsqls, b.reported_rsqls);
-        assert_eq!(a.n_verified, b.n_verified);
-        assert_eq!(a.n_clusters, b.n_clusters);
-        assert_eq!(a.selected_clusters, b.selected_clusters);
-    }
-
-    #[test]
-    fn replay_matches_batch_bit_for_bit() {
-        // One spike case and one lock case cover both window-selection
-        // paths; the full 16-case corpus is pinned at the workspace root.
-        for (kind, seed) in [(AnomalyKind::BusinessSpike, 42), (AnomalyKind::MdlLock, 43)] {
-            let cfg = ScenarioConfig::default().with_seed(seed);
-            let base = generate_base(&cfg);
-            let scenario = inject(&base, &cfg, kind);
-
-            let (log, metrics) = simulate_telemetry(&scenario, None);
-            let events = telemetry_events(log.clone(), metrics.clone(), None);
-            let batch_lc = materialize_telemetry(&scenario, log, metrics, 600, None);
-            let pin = PinSqlConfig::default();
-            let batch_d = PinSql::new(pin.clone()).diagnose(
-                &batch_lc.case,
-                &batch_lc.window,
-                &batch_lc.history,
-                batch_lc.minutes_origin,
-            );
-
-            let (online_lc, online_d) =
-                replay_diagnose(&scenario, events, &FleetConfig::default(), &NoopObserver);
-            assert_case_eq(&online_lc, &batch_lc);
-            assert_diagnosis_eq(&online_d, &batch_d);
-        }
-    }
-
     #[test]
     fn chunked_stream_matches_per_event_ingest() {
         let cfg = ScenarioConfig::default().with_seed(11).with_businesses(6);
         let base = generate_base(&cfg);
         let scenario = inject(&base, &cfg, AnomalyKind::BusinessSpike);
-        let events = materialize_events(&scenario, None);
+        let events = simulated_stream(&scenario);
 
         let mut scalar = OnlineInstance::new(&scenario, 300);
         for ev in events.clone() {
@@ -513,7 +481,7 @@ mod tests {
         let cfg = ScenarioConfig::default().with_seed(7).with_businesses(6);
         let base = generate_base(&cfg);
         let scenario = inject(&base, &cfg, AnomalyKind::BusinessSpike);
-        let events = materialize_events(&scenario, None);
+        let events = simulated_stream(&scenario);
         let n_events = events.len() as u64;
         let mut inst = OnlineInstance::new(&scenario, 300);
         inst.ingest_stream(events);
@@ -530,7 +498,7 @@ mod tests {
     fn snapshot_len_hint_covers_a_mid_stream_blob() {
         let cfg = ScenarioConfig::default().with_seed(37).with_businesses(16);
         let scenario = inject(&generate_base(&cfg), &cfg, AnomalyKind::BusinessSpike);
-        let events = materialize_events(&scenario, None);
+        let events = simulated_stream(&scenario);
         for split in [events.len() / 10, events.len() / 2] {
             let mut inst = OnlineInstance::new(&scenario, 300);
             inst.ingest_stream(events[..split].to_vec());
@@ -545,7 +513,7 @@ mod tests {
         let cfg = ScenarioConfig::default().with_seed(31).with_businesses(6);
         let base = generate_base(&cfg);
         let scenario = inject(&base, &cfg, AnomalyKind::BusinessSpike);
-        let events = materialize_events(&scenario, None);
+        let events = simulated_stream(&scenario);
 
         for split in [0, 1, events.len() / 3, events.len() / 2, events.len()] {
             let mut live = OnlineInstance::new(&scenario, 300);
@@ -582,7 +550,7 @@ mod tests {
         let base = generate_base(&cfg);
         let scenario = inject(&base, &cfg, AnomalyKind::BusinessSpike);
         let mut inst = OnlineInstance::new(&scenario, 300);
-        inst.ingest_stream(materialize_events(&scenario, None));
+        inst.ingest_stream(simulated_stream(&scenario));
         let mut bytes = inst.snapshot().into_bytes();
         assert_eq!(bytes[16..24], 300i64.to_le_bytes());
         for delta_s in [-1i64, -600, i64::MIN] {
@@ -611,7 +579,7 @@ mod tests {
         let base_b = generate_base(&cfg_b);
         let scenario_b = inject(&base_b, &cfg_b, AnomalyKind::MdlLock);
 
-        let events = materialize_events(&scenario_a, None);
+        let events = simulated_stream(&scenario_a);
         let mut inst = OnlineInstance::new(&scenario_a, 300);
         inst.ingest_stream(events);
         let snap = inst.snapshot();

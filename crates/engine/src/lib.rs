@@ -10,8 +10,8 @@
 //!   pipeline. A [`TelemetryEvent`](pinsql_dbsim::TelemetryEvent) stream
 //!   drives the incremental collector (ring-buffered cells, in-line
 //!   history) and the online detector bank; when the case closes, the
-//!   window is selected, a batch-bit-identical `CaseData` snapshot is cut,
-//!   and the case is labelled.
+//!   window is selected, a `CaseData` snapshot is cut, and the case is
+//!   labelled. Every experiment builds its cases through it.
 //! * [`daemon`] — [`FleetDaemon`] / [`FleetServer`]: the one shard
 //!   executor. The agent shards N instances' event streams across scoped
 //!   ingestion workers (each a private time-ordered k-way merge over a
@@ -24,7 +24,7 @@
 //!   ([`control`]) — versioned config pushes ([`FleetDelta`] under a
 //!   [`pinsql::ConfigEpoch`]), drains, restarts, and O(regions) health
 //!   rollups. A daemon that finishes at config `F` is byte-identical to
-//!   the batch pipeline under `F`, whatever happened on the way.
+//!   the batch oracle under `F`, whatever happened on the way.
 //! * [`fleet`] — the run's vocabulary ([`FleetConfig`],
 //!   [`FleetCheckpoint`], [`FleetReport`] / [`FleetRun`]) and
 //!   [`FleetEngine`], whose one run shape (`run_full`) is a daemon
@@ -40,10 +40,11 @@
 //!
 //! ## Replay equivalence (the non-negotiable invariant)
 //!
-//! For any scenario, feeding its materialized event stream through the
-//! online path yields a `Diagnosis` **bit-identical** to the batch path —
-//! same golden corpus, any parallelism, any execution path. See
-//! `replay_diagnose` and the `equivalence` matrix at the workspace root.
+//! For any scenario, feeding its event stream through the online path
+//! yields a `Diagnosis` **bit-identical** to the root test suite's batch
+//! oracle, which labels the complete log — same golden corpus, any
+//! parallelism, any execution path. See `replay_diagnose`, the
+//! `equivalence` matrix and the `eval_cases` suite at the workspace root.
 
 #![forbid(unsafe_code)]
 

@@ -171,13 +171,21 @@ pub(crate) fn read_header(r: &mut WireReader<'_>) -> Result<InstanceMeta, WireEr
         cases_closed: meta_r.get_u64()?,
     };
     meta_r.finish("instance meta")?;
-    if meta.delta_s < 0 {
-        return Err(WireError::Mismatch {
-            what: "delta_s",
-            detail: format!("{}s is a negative look-back", meta.delta_s),
-        });
-    }
+    check_delta_s(meta.delta_s)?;
     Ok(meta)
+}
+
+/// A negative `delta_s` is a typed mismatch wherever one enters an
+/// instance (a snapshot, a spawned or resumed daemon's config): window
+/// selection cannot look back a negative span.
+pub(crate) fn check_delta_s(delta_s: i64) -> Result<(), WireError> {
+    match delta_s {
+        ..0 => Err(WireError::Mismatch {
+            what: "delta_s",
+            detail: format!("{delta_s}s is a negative look-back"),
+        }),
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]

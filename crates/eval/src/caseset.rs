@@ -1,8 +1,20 @@
 //! Reproducible case-set generation (the ADAC stand-in).
+//!
+//! Every case an experiment scores is cut by the online engine, the
+//! streaming aggregator a deployment runs ([`label_online`]): the scenario
+//! is simulated, its telemetry (degraded by the chaos layer, if asked)
+//! streams through one `OnlineInstance`, and closing the instance selects,
+//! cuts and labels the case. Telemetry that comes with no scenario — a
+//! re-simulation, a synthetic timing case — is cut by the collector alone
+//! ([`cut_telemetry`]).
 
+use pinsql_collector::{CaseData, IncrementalAggregator, IncrementalConfig};
+use pinsql_dbsim::{interleave, InstanceMetrics, QueryRecord};
+use pinsql_engine::OnlineInstance;
+use pinsql_workload::TemplateSpec;
 use pinsql_scenario::{
-    generate_base, inject, inject_many, materialize, materialize_with,
-    AnomalyKind, LabeledCase, PerturbConfig, ScenarioConfig,
+    generate_base, inject_many, materialize_events, AnomalyKind, LabeledCase, PerturbConfig,
+    Scenario, ScenarioConfig,
 };
 
 /// Case-set sizing.
@@ -38,27 +50,61 @@ impl CaseSetConfig {
     }
 }
 
-/// Builds one labelled case.
-pub fn build_case(cfg: &CaseSetConfig, i: usize) -> LabeledCase {
-    let kind = AnomalyKind::ALL[i % AnomalyKind::ALL.len()];
-    let scenario_cfg = cfg.scenario.clone().with_seed(cfg.seed + i as u64);
-    let base = generate_base(&scenario_cfg);
-    let scenario = inject(&base, &scenario_cfg, kind);
-    materialize(&scenario, cfg.delta_s)
+/// The labelled case the online engine cuts from `scenario` under
+/// look-back `delta_s`: the simulated telemetry, degraded by `perturb` if
+/// given, streamed through one instance, which closes the case.
+pub fn label_online(
+    scenario: &Scenario,
+    delta_s: i64,
+    perturb: Option<&PerturbConfig>,
+) -> LabeledCase {
+    let mut instance = OnlineInstance::new(scenario, delta_s);
+    instance.ingest_stream(materialize_events(scenario, perturb));
+    instance.close_case()
 }
 
-/// Builds one labelled case of the given kinds (empty = negative case,
-/// two or more = overlapping anomalies), with optional telemetry chaos.
+/// The case the online collector cuts for `[ts, te)` from a simulated log
+/// and its metrics: the telemetry streams, in time order, through an
+/// aggregator over `specs` that retains all of it.
+pub fn cut_telemetry(
+    specs: &[TemplateSpec],
+    log: &[QueryRecord],
+    metrics: &InstanceMetrics,
+    ts: i64,
+    te: i64,
+) -> CaseData {
+    let retention = IncrementalConfig::default().with_retention(metrics.len() as i64 + 120);
+    let mut aggregator = IncrementalAggregator::new(specs, retention);
+    aggregator.ingest_drain(&mut interleave(log, metrics));
+    aggregator.snapshot(ts, te)
+}
+
+/// Case `i`'s kind: the four rotate round-robin.
+pub fn case_kind(i: usize) -> AnomalyKind {
+    AnomalyKind::ALL[i % AnomalyKind::ALL.len()]
+}
+
+/// Case `i`'s scenario with `kinds` injected (empty = negative case, two
+/// or more = overlapping anomalies).
+pub fn case_scenario(cfg: &CaseSetConfig, i: usize, kinds: &[AnomalyKind]) -> Scenario {
+    let scenario_cfg = cfg.scenario.clone().with_seed(cfg.seed + i as u64);
+    inject_many(&generate_base(&scenario_cfg), &scenario_cfg, kinds)
+}
+
+/// Builds one labelled case of [`case_kind`].
+pub fn build_case(cfg: &CaseSetConfig, i: usize) -> LabeledCase {
+    build_case_with(cfg, i, &[case_kind(i)], None)
+}
+
+/// Builds one labelled case of the given kinds, with optional telemetry
+/// chaos.
 pub fn build_case_with(
     cfg: &CaseSetConfig,
     i: usize,
     kinds: &[AnomalyKind],
     perturb: Option<&PerturbConfig>,
 ) -> LabeledCase {
-    let scenario_cfg = cfg.scenario.clone().with_seed(cfg.seed + i as u64);
-    let base = generate_base(&scenario_cfg);
-    let scenario = inject_many(&base, &scenario_cfg, kinds);
-    materialize_with(&scenario, cfg.delta_s, perturb)
+    label_online(&case_scenario(cfg, i, kinds), cfg.delta_s, perturb)
 }
 
 /// Builds the whole case set fanning out over `workers` threads (`0` =

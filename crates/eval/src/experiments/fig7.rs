@@ -8,11 +8,13 @@
 //!
 //! Timing doesn't need labelled ground truth, so cases here are
 //! synthesized directly (random template traffic around a session
-//! anomaly) — that is what lets the sweep reach the paper's thousands of
-//! templates without hour-long simulations.
+//! anomaly) and cut by the online collector — that is what lets the sweep
+//! reach the paper's thousands of templates without hour-long
+//! simulations.
 
+use crate::caseset::cut_telemetry;
 use pinsql::{PinSql, PinSqlConfig};
-use pinsql_collector::{aggregate_case, HistoryStore};
+use pinsql_collector::HistoryStore;
 use pinsql_detect::AnomalyWindow;
 use pinsql_dbsim::probe::{ProbeLog, ProbeSample};
 use pinsql_dbsim::{InstanceMetrics, QueryRecord};
@@ -101,7 +103,7 @@ pub fn timing_case(
         qps: vec![0.0; n],
         probes: ProbeLog { samples: probes },
     };
-    let case = aggregate_case(&log, &specs, &metrics, 0, window_s);
+    let case = cut_telemetry(&specs, &log, &metrics, 0, window_s);
     let window = AnomalyWindow { anomaly_start: a_start, anomaly_end: a_end, delta_s };
     (case, window)
 }

@@ -15,11 +15,11 @@
 //! Each phase is simulated with the appropriate workload variant; the
 //! per-phase mean active session is the series the figure plots.
 
-use crate::caseset::CaseSetConfig;
+use crate::caseset::{label_online, CaseSetConfig};
 use pinsql::repair::{optimize_spec, throttle_spec};
 use pinsql::{PinSql, PinSqlConfig};
 use pinsql_baselines::{rank_top, TopMetric};
-use pinsql_scenario::{generate_base, inject, materialize, AnomalyKind};
+use pinsql_scenario::{generate_base, inject, AnomalyKind};
 use pinsql_workload::{SpecId, Workload};
 
 /// One phase of the storyline.
@@ -120,7 +120,7 @@ pub fn run(cfg: &CaseSetConfig) -> Fig8 {
     let scenario_cfg = cfg.scenario.clone().with_seed(cfg.seed);
     let base = generate_base(&scenario_cfg);
     let scenario = inject(&base, &scenario_cfg, AnomalyKind::RowLock);
-    let case = materialize(&scenario, cfg.delta_s);
+    let case = label_online(&scenario, cfg.delta_s, None);
 
     // The user's view: Top-RT during the anomaly.
     let top_rt = rank_top(&case.case, &case.window, TopMetric::TotalResponseTime);

@@ -13,14 +13,12 @@
 //! Reported: R-SQL quality with and without history verification, plus the
 //! decoy-top-1 rate (how often the diagnoser's top pick is the decoy).
 
-use crate::caseset::CaseSetConfig;
+use crate::caseset::{case_kind, case_scenario, label_online, CaseSetConfig};
 use crate::methods::split_parallelism;
 use crate::metrics::{first_hit_rank, RankSummary};
 use pinsql::{Ablation, PinSql, PinSqlConfig};
 use pinsql_timeseries::par_map;
-use pinsql_scenario::{
-    generate_base, inject, materialize, synthesize_history, AnomalyKind, Scenario,
-};
+use pinsql_scenario::Scenario;
 use pinsql_sqlkit::SqlId;
 use pinsql_workload::dag::{Api, Call};
 use pinsql_workload::{CostProfile, EventShape, RateEvent, SpecId, TemplateSpec, TrafficPattern};
@@ -105,25 +103,13 @@ pub fn run_par(cfg: &CaseSetConfig, n_cases: usize, parallelism: usize) -> Recur
     }
     let (workers, inner) = split_parallelism(parallelism);
     let outcomes = par_map(n_cases, workers, |i| {
-        let kind = AnomalyKind::ALL[i % AnomalyKind::ALL.len()];
-        let scenario_cfg = cfg.scenario.clone().with_seed(cfg.seed + i as u64);
-        let base = generate_base(&scenario_cfg);
-        let mut scenario = inject(&base, &scenario_cfg, kind);
+        let mut scenario = case_scenario(cfg, i, &[case_kind(i)]);
         let decoy_spec = plant_decoy(&mut scenario);
-        let mut case = materialize(&scenario, cfg.delta_s);
-        // History synthesis in materialize() uses the clean workload; the
+        // Labelling synthesizes history from the clean workload; the
         // decoy's surge recurs there because plant_decoy added it to the
         // clean workload *with its rate event*, so each look-back day
         // replays the surge.
-        let window_min = (case.window.window_len() + 59) / 60;
-        case.history = synthesize_history(
-            &scenario.base_workload,
-            case.minutes_origin,
-            window_min,
-            &[1, 3, 7],
-            scenario_cfg.seed,
-            None,
-        );
+        let case = label_online(&scenario, cfg.delta_s, None);
         let decoy_id: SqlId = case.case.catalog.id_of_spec(decoy_spec);
 
         let run_arm = |ablation: Ablation| {

@@ -15,12 +15,11 @@
 //! SQLs, because slow SQLs are often *victims* slowed by other statements,
 //! with little intrinsic room for optimization.
 
-use crate::caseset::CaseSetConfig;
+use crate::caseset::{case_kind, case_scenario, cut_telemetry, label_online, CaseSetConfig};
 use pinsql::repair::{optimize_spec, suggest_actions, RepairAction, RepairConfig};
 use pinsql::{PinSql, PinSqlConfig};
-use pinsql_collector::aggregate_case;
 use pinsql_dbsim::run_open_loop;
-use pinsql_scenario::{generate_base, inject, materialize, AnomalyKind, LabeledCase, Scenario};
+use pinsql_scenario::{LabeledCase, Scenario};
 use pinsql_sqlkit::SqlId;
 use pinsql_workload::SpecId;
 
@@ -70,7 +69,7 @@ fn means_after_optimizing(
     let optimized = optimize_spec(&scenario.workload, spec);
     let out = run_open_loop(&optimized, &scenario.sim, 0, scenario.cfg.window_s);
     let new_case =
-        aggregate_case(&out.log, &optimized.specs, &out.metrics, case.window.ts(), case.window.te());
+        cut_telemetry(&optimized.specs, &out.log, &out.metrics, case.window.ts(), case.window.te());
     let idx = new_case.template_index(id)?;
     let t = &new_case.templates[idx];
     let lo = (case.window.anomaly_start - case.window.ts()).max(0) as usize;
@@ -114,11 +113,8 @@ pub fn run(cfg: &CaseSetConfig, n_cases: usize) -> Table2 {
     let repair_cfg = RepairConfig::default();
 
     for i in 0..n_cases {
-        let kind = AnomalyKind::ALL[i % AnomalyKind::ALL.len()];
-        let scenario_cfg = cfg.scenario.clone().with_seed(cfg.seed + i as u64);
-        let base = generate_base(&scenario_cfg);
-        let scenario = inject(&base, &scenario_cfg, kind);
-        let case = materialize(&scenario, cfg.delta_s);
+        let scenario = case_scenario(cfg, i, &[case_kind(i)]);
+        let case = label_online(&scenario, cfg.delta_s, None);
 
         // R-SQL path: only when the rules actually suggest optimization.
         let d = pinsql.diagnose(&case.case, &case.window, &case.history, case.minutes_origin);

@@ -5,14 +5,16 @@
 //! Simulation is by far the expensive step, so each anomaly kind (plus a
 //! negative scenario) is simulated exactly once and cached; every seeded
 //! case then degrades a clone of the cached telemetry its own way and runs
-//! the full pipeline on it. A failure names the seed.
+//! the full pipeline on it — the online engine cuts the case, as it does
+//! for every experiment. A failure names the seed.
 
 use pinsql::{PinSql, PinSqlConfig};
 use pinsql_dbsim::{run_open_loop, SimOutput};
+use pinsql_engine::OnlineInstance;
 use pinsql_eval::first_hit_rank;
 use pinsql_scenario::{
-    generate_base, inject, inject_none, materialize_telemetry, AnomalyKind, PerturbConfig,
-    Scenario, ScenarioConfig,
+    generate_base, inject, inject_none, telemetry_events, AnomalyKind, PerturbConfig, Scenario,
+    ScenarioConfig,
 };
 use pinsql_sqlkit::SqlId;
 use pinsql_workload::rng::{rng_from_seed, RngExt, StdRng};
@@ -46,8 +48,9 @@ fn sims() -> &'static [(Scenario, SimOutput)] {
 fn check_diagnosis(seed: u64, which: usize, p: &PerturbConfig) {
     let (scenario, sim) = &sims()[which];
     let outcome = std::panic::catch_unwind(|| {
-        let lc =
-            materialize_telemetry(scenario, sim.log.clone(), sim.metrics.clone(), 240, Some(p));
+        let mut instance = OnlineInstance::new(scenario, 240);
+        instance.ingest_stream(telemetry_events(sim.log.clone(), sim.metrics.clone(), Some(p)));
+        let lc = instance.close_case();
         assert!(lc.window.window_len() > 0, "window collapsed: {:?}", lc.window);
         assert!(lc.window.anomaly_len() > 0);
         let d = PinSql::new(PinSqlConfig::default()).diagnose(

@@ -71,30 +71,17 @@ pub fn identify_rsqls(
     let parallelism = cfg.effective_parallelism();
 
     // --- 1. Clustering on 1-minute execution trends + metric helpers. ---
-    // The per-minute resampling and the pairwise correlation graph are the
-    // dominant cost at paper-scale template counts; both fan out over
-    // independent units (templates / pair-loop rows) with index-ordered
+    // The pairwise correlation graph is the dominant cost at paper-scale
+    // template counts; it fans out over pair-loop rows with index-ordered
     // merges, so the clustering is identical at every parallelism level.
-    //
-    // A case cut online carries the per-template minute rows, bucketed
-    // during the window cut's cell sweep and bit-identical to
-    // `per_minute`, so the O(templates × window) resampling pass (and its
-    // n transient allocations) disappears; a batch case re-derives them.
-    // Either way the series normalize into ONE `NormalizedMatrix` handed to
-    // the graph build, instead of re-collecting slice refs inside every
-    // clustering call.
-    let cut = case.cut.as_deref().filter(|c| c.minute_rows.len() == n);
-    let tpl_minutes: Vec<Vec<f64>> = match cut {
-        Some(_) => Vec::new(),
-        None => par_map(n, parallelism, |i| case.templates[i].series.per_minute()),
-    };
-    let tpl_rows: Vec<&[f64]> = match cut {
-        Some(c) => c.row_refs(),
-        None => tpl_minutes.iter().map(|v| v.as_slice()).collect(),
-    };
+    // The case carries each template's minute row (both case builders fill
+    // them); they and the helper series normalize into ONE
+    // `NormalizedMatrix` handed to the graph build.
+    let tpl_rows = &case.minute_rows;
+    debug_assert_eq!(tpl_rows.len(), n, "one minute row per template");
     let helper_series: Vec<Vec<f64>> = helper_nodes(case);
     let mut series_refs: Vec<&[f64]> = Vec::with_capacity(n + helper_series.len());
-    series_refs.extend(tpl_rows.iter().copied());
+    series_refs.extend(tpl_rows.iter().map(|r| r.as_slice()));
     series_refs.extend(helper_series.iter().map(|v| v.as_slice()));
     let matrix = NormalizedMatrix::from_series(&series_refs);
     let raw_components =
@@ -156,7 +143,7 @@ pub fn identify_rsqls(
     } else {
         let keep = par_map(candidates.len(), parallelism, |ci| {
             let i = candidates[ci];
-            verify_history(case, i, tpl_rows[i], window, history, minutes_origin, cfg)
+            verify_history(case, i, &tpl_rows[i], window, history, minutes_origin, cfg)
         });
         candidates.iter().zip(keep).filter(|(_, k)| *k).map(|(&i, _)| i).collect()
     };
@@ -178,7 +165,7 @@ pub fn identify_rsqls(
     .into_values();
     let mut ranked: Vec<(usize, f64)> = par_map(final_set.len(), parallelism, |fi| {
         let i = final_set[fi];
-        (i, pearson(tpl_rows[i], &session_min))
+        (i, pearson(&tpl_rows[i], &session_min))
     });
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
 
@@ -201,9 +188,7 @@ fn helper_nodes(case: &CaseData) -> Vec<Vec<f64>> {
 }
 
 /// §VI's two-rule history check for one template, over its 1-minute
-/// execution counts `per_min` (precomputed by the caller — either the
-/// case's cut rows or a fresh `per_minute` derivation; they are
-/// bit-identical).
+/// execution counts `per_min` (the case's minute row for `idx`).
 ///
 /// Rule (i): the execution count has an upward Tukey outlier inside the
 /// anomaly window, relative to the rest of the collection window.

@@ -12,19 +12,18 @@
 //!   injectors: business spike (category 1), poor SQL (category 2), and
 //!   MDL-lock / row-lock streams (category 3);
 //! * [`materialize`] — runs the database simulator on the injected
-//!   workload, aggregates the collection window, detects the anomaly, and
-//!   labels ground truth (injected templates = R-SQLs; templates whose
-//!   *true* per-second session inflates during the anomaly = H-SQLs); also
-//!   emits the same telemetry as a time-ordered event stream
-//!   ([`materialize::materialize_events`], or
-//!   [`materialize::telemetry_events`] over telemetry already simulated)
-//!   for the online engine;
+//!   workload and emits its telemetry as the time-ordered event stream
+//!   the online engine ingests ([`materialize::materialize_events`], or
+//!   [`materialize::telemetry_events`] over telemetry already simulated);
+//!   labels the case the engine cuts ([`LabeledCase::new`]: injected
+//!   templates = R-SQLs; templates whose *true* per-second session
+//!   inflates during the anomaly = H-SQLs);
 //! * [`history`] — synthesizes the per-template 1-minute execution history
 //!   for the 1/3/7-day look-back from the *clean* workload's expected
 //!   rates (optionally replaying the anomaly in history, for tests of the
 //!   recurring-spike rejection rule);
 //! * [`perturb`] — the telemetry-chaos layer: seeded post-hoc degradation
-//!   of a materialized case (drop/duplicate/jitter/skew/reorder log
+//!   of simulated telemetry (drop/duplicate/jitter/skew/reorder log
 //!   records, blank metric seconds), plus negative (no-anomaly) and
 //!   overlapping-anomaly scenario construction via [`inject_none`] /
 //!   [`inject_many`]. Degradation changes what the pipeline observes,
@@ -42,9 +41,8 @@ pub use gen::{generate_base, ScenarioConfig};
 pub use history::synthesize_history;
 pub use inject::{inject, inject_many, inject_none, AnomalyKind, Scenario};
 pub use materialize::{
-    case_history, label_truth, materialize, materialize_events, materialize_telemetry,
-    materialize_with, select_case_window, simulate_telemetry, telemetry_events, GroundTruth,
-    LabeledCase,
+    label_truth, materialize_events, prepare_telemetry, select_case_window, simulate_telemetry,
+    telemetry_events, GroundTruth, LabeledCase,
 };
 pub use perturb::{
     perturb_log, perturb_metrics, perturb_telemetry, PerturbConfig, PerturbStats,

@@ -1,22 +1,30 @@
-//! Materializing a scenario into a labelled anomaly case.
+//! Simulating a scenario into telemetry, and labelling the case cut from
+//! it.
 //!
-//! Runs the database simulator on the injected workload, aggregates the
-//! collection window, runs the anomaly detector to find the case window
-//! (falling back to the injected hint when detection misses), synthesizes
-//! history, and labels the ground truth:
+//! [`simulate_telemetry`] runs the database simulator on the injected
+//! workload (optionally degrading the output through the chaos layer) and
+//! [`telemetry_events`] / [`materialize_events`] emit it as the
+//! time-ordered event stream the online engine ingests. The engine's
+//! instance detects the anomaly, picks the case window
+//! ([`select_case_window`], falling back to the injected hint when
+//! detection misses), cuts the window and hands the case to
+//! [`LabeledCase::new`], which labels the ground truth and synthesizes
+//! history:
 //!
 //! * **R-SQLs** — the injected templates (root causes by construction);
 //! * **H-SQLs** — templates whose *true* per-second active session
 //!   (computed from the complete query log) inflates during the anomaly —
 //!   the objective analogue of the DBAs' "direct cause" labels.
+//!
+//! Every experiment builds its cases that way; the batch labeller that
+//! aggregates a whole simulated log instead lives in the root test suite,
+//! as the oracle the online path is compared against.
 
 use crate::history::synthesize_history;
 use crate::inject::{AnomalyKind, Scenario};
 use crate::perturb::{perturb_telemetry, PerturbConfig};
-use pinsql_collector::{aggregate_case, CaseData, HistoryStore};
-use pinsql_detect::{
-    classify, detect_features, AnomalyWindow, DetectorConfig, Phenomenon, PhenomenonConfig,
-};
+use pinsql_collector::{CaseData, HistoryStore};
+use pinsql_detect::{AnomalyWindow, Phenomenon};
 use pinsql_dbsim::{interleave, run_open_loop, InstanceMetrics, QueryRecord, TelemetryEvent};
 use pinsql_sqlkit::SqlId;
 
@@ -50,36 +58,41 @@ pub struct LabeledCase {
 }
 
 impl LabeledCase {
+    /// Labels the case cut for `window` from `scenario`'s telemetry: truth
+    /// from what was injected ([`label_truth`]), the synthesized look-back
+    /// history ([`case_history`]), and the detector's verdict as given.
+    pub fn new(
+        scenario: &Scenario,
+        case: CaseData,
+        window: AnomalyWindow,
+        detected: bool,
+        anomaly_type: String,
+    ) -> Self {
+        let truth = label_truth(scenario, &case, &window);
+        let history = case_history(scenario, &window);
+        Self {
+            case,
+            window,
+            truth,
+            history,
+            minutes_origin: MINUTES_ORIGIN,
+            kind: scenario.kind,
+            injected: scenario.injected.clone(),
+            detected,
+            anomaly_type,
+        }
+    }
+
     /// True when this is a no-anomaly (pure-noise) case.
     pub fn is_negative(&self) -> bool {
         self.injected.is_empty()
     }
 }
 
-/// Simulates and labels a scenario.
-///
-/// `delta_s` is the collection look-back the diagnoser will use; the
-/// produced window is clamped so `[t_s, t_e)` fits in the simulated data.
-pub fn materialize(scenario: &Scenario, delta_s: i64) -> LabeledCase {
-    materialize_with(scenario, delta_s, None)
-}
-
-/// Simulates, optionally degrades the telemetry through the chaos layer,
-/// and labels. Ground truth is computed from the scenario (what was
-/// injected), not from the degraded observation — degradation changes what
-/// the pipeline *sees*, never what is *true*.
-pub fn materialize_with(
-    scenario: &Scenario,
-    delta_s: i64,
-    perturb: Option<&PerturbConfig>,
-) -> LabeledCase {
-    let (log, metrics) = simulate_telemetry(scenario, perturb);
-    materialize_telemetry_prepared(scenario, log, metrics, delta_s)
-}
-
 /// Runs the simulator and (optionally) the chaos layer, returning the
-/// telemetry every downstream path — batch labelling or online event
-/// streaming — starts from.
+/// telemetry every downstream path starts from. Degradation changes what
+/// the pipeline *sees*, never what is *true*: ground truth is labelled
+/// from the scenario.
 pub fn simulate_telemetry(
     scenario: &Scenario,
     perturb: Option<&PerturbConfig>,
@@ -90,7 +103,7 @@ pub fn simulate_telemetry(
 
 /// Applies the chaos layer (if any) and sanitizes, in place of simulation —
 /// the shared tail of [`simulate_telemetry`] for callers holding telemetry.
-fn prepare_telemetry(
+pub fn prepare_telemetry(
     mut log: Vec<QueryRecord>,
     mut metrics: InstanceMetrics,
     perturb: Option<&PerturbConfig>,
@@ -109,8 +122,8 @@ fn prepare_telemetry(
 /// to the online engine. Optionally degrades the telemetry first.
 ///
 /// Replaying these events through the incremental collector and online
-/// detectors yields the same case the batch path labels (the engine crate's
-/// golden tests pin this bit-for-bit).
+/// detectors yields the same case the batch oracle labels from the whole
+/// log (the root suite's equivalence tests pin this bit for bit).
 pub fn materialize_events(
     scenario: &Scenario,
     perturb: Option<&PerturbConfig>,
@@ -131,62 +144,11 @@ pub fn telemetry_events(
     interleave(&log, &metrics)
 }
 
-/// Labels a case from already-simulated telemetry (exposed so tests can
-/// simulate once and degrade many ways).
-pub fn materialize_telemetry(
-    scenario: &Scenario,
-    log: Vec<QueryRecord>,
-    metrics: InstanceMetrics,
-    delta_s: i64,
-    perturb: Option<&PerturbConfig>,
-) -> LabeledCase {
-    let (log, metrics) = prepare_telemetry(log, metrics, perturb);
-    materialize_telemetry_prepared(scenario, log, metrics, delta_s)
-}
-
-/// The batch labelling path over already-prepared (perturbed + sanitized)
-/// telemetry: detect → select the case window → aggregate → label.
-fn materialize_telemetry_prepared(
-    scenario: &Scenario,
-    out_log: Vec<QueryRecord>,
-    out_metrics: InstanceMetrics,
-    delta_s: i64,
-) -> LabeledCase {
-    // --- Detection over the (possibly degraded) metrics. ---
-    let mut features = Vec::new();
-    for (name, series) in out_metrics.iter_named() {
-        let c = DetectorConfig::for_metric(name);
-        features.extend(detect_features(name, series, out_metrics.start_second, &c));
-    }
-    let phenomena = classify(&features, &PhenomenonConfig::default());
-    let (window, detected, anomaly_type) =
-        select_case_window(&phenomena, scenario, delta_s);
-
-    // --- Aggregate the collection window. ---
-    let case =
-        aggregate_case(&out_log, &scenario.workload.specs, &out_metrics, window.ts(), window.te());
-
-    let truth = label_truth(scenario, &case, &window);
-    let history = case_history(scenario, &window);
-
-    LabeledCase {
-        case,
-        window,
-        truth,
-        history,
-        minutes_origin: MINUTES_ORIGIN,
-        kind: scenario.kind,
-        injected: scenario.injected.clone(),
-        detected,
-        anomaly_type,
-    }
-}
-
 /// Picks the anomaly case window from classified phenomena: prefer the
 /// phenomenon overlapping the injected window; else the longest; else fall
-/// back to the injected hint. Shared verbatim by the batch labelling path
-/// and the online engine's case-close trigger (replay equivalence depends
-/// on both sides choosing identically).
+/// back to the injected hint. Shared verbatim by the online engine's
+/// case-close trigger and the batch oracle (their equivalence depends on
+/// both sides choosing identically).
 pub fn select_case_window(
     phenomena: &[Phenomenon],
     scenario: &Scenario,
@@ -237,7 +199,7 @@ pub fn label_truth(scenario: &Scenario, case: &CaseData, window: &AnomalyWindow)
 
 /// Synthesizes the look-back history a case's diagnosis verifies against
 /// (injected templates are new → absent 1/3/7 days ago).
-pub fn case_history(scenario: &Scenario, window: &AnomalyWindow) -> HistoryStore {
+fn case_history(scenario: &Scenario, window: &AnomalyWindow) -> HistoryStore {
     let window_min = (window.window_len() + 59) / 60;
     synthesize_history(
         &scenario.base_workload,
@@ -300,12 +262,39 @@ mod tests {
     use crate::gen::{generate_base, ScenarioConfig};
     use crate::inject::{inject, inject_none};
     use crate::perturb::PerturbConfig;
+    use pinsql_collector::aggregate_case;
+    use pinsql_detect::{classify, detect_features, DetectorConfig, PhenomenonConfig};
+
+    /// The labelled case these tests check, built from the references the
+    /// online engine is pinned against: detection over each whole metric
+    /// series and `aggregate_case` over the selected window. (The engine
+    /// depends on this crate, and the root suite's oracle is out of a unit
+    /// test's reach.)
+    fn label_batch(
+        scenario: &Scenario,
+        delta_s: i64,
+        perturb: Option<&PerturbConfig>,
+    ) -> LabeledCase {
+        let (log, metrics) = simulate_telemetry(scenario, perturb);
+        let features: Vec<_> = metrics
+            .iter_named()
+            .flat_map(|(name, series)| {
+                let c = DetectorConfig::for_metric(name);
+                detect_features(name, series, metrics.start_second, &c)
+            })
+            .collect();
+        let phenomena = classify(&features, &PhenomenonConfig::default());
+        let (window, detected, anomaly_type) = select_case_window(&phenomena, scenario, delta_s);
+        let case =
+            aggregate_case(&log, &scenario.workload.specs, &metrics, window.ts(), window.te());
+        LabeledCase::new(scenario, case, window, detected, anomaly_type)
+    }
 
     fn labeled(kind: AnomalyKind, seed: u64) -> LabeledCase {
         let cfg = ScenarioConfig::default().with_seed(seed);
         let base = generate_base(&cfg);
         let s = inject(&base, &cfg, kind);
-        materialize(&s, 600)
+        label_batch(&s, 600, None)
     }
 
     #[test]
@@ -362,7 +351,7 @@ mod tests {
         let cfg = ScenarioConfig::default().with_seed(46);
         let base = generate_base(&cfg);
         let s = inject_none(&base, &cfg);
-        let lc = materialize(&s, 600);
+        let lc = label_batch(&s, 600, None);
         assert!(lc.is_negative());
         assert_eq!(lc.kind, None);
         assert!(lc.truth.rsqls.is_empty());
@@ -375,9 +364,9 @@ mod tests {
         let cfg = ScenarioConfig::default().with_seed(47);
         let base = generate_base(&cfg);
         let s = inject(&base, &cfg, AnomalyKind::BusinessSpike);
-        let clean = materialize(&s, 600);
+        let clean = label_batch(&s, 600, None);
         let rough =
-            materialize_with(&s, 600, Some(&PerturbConfig::at_intensity(470, 0.8)));
+            label_batch(&s, 600, Some(&PerturbConfig::at_intensity(470, 0.8)));
         // Degradation never touches the truth...
         assert_eq!(rough.truth.rsqls, clean.truth.rsqls);
         assert_eq!(rough.injected, clean.injected);
@@ -422,8 +411,8 @@ mod tests {
         let cfg = ScenarioConfig::default().with_seed(48);
         let base = generate_base(&cfg);
         let s = inject(&base, &cfg, AnomalyKind::PoorSql);
-        let clean = materialize(&s, 600);
-        let noop = materialize_with(&s, 600, Some(&PerturbConfig::noop(1)));
+        let clean = label_batch(&s, 600, None);
+        let noop = label_batch(&s, 600, Some(&PerturbConfig::noop(1)));
         assert_eq!(noop.case.records.len(), clean.case.records.len());
         assert_eq!(noop.window, clean.window);
         assert_eq!(noop.truth.hsqls, clean.truth.hsqls);

@@ -8,15 +8,18 @@
 //! and cluster together, how a sudden business spike is detected, and how
 //! the spiking business's cluster carries the root cause.
 
-use pinsql::{estimate_sessions, identify_rsqls, rank_hsqls, PinSql, PinSqlConfig};
-use pinsql_scenario::{generate_base, inject, materialize, AnomalyKind, ScenarioConfig};
+use pinsql::{estimate_sessions, identify_rsqls, rank_hsqls, PinSqlConfig};
+use pinsql_engine::{replay_diagnose, FleetConfig};
+use pinsql_obs::NoopObserver;
+use pinsql_scenario::{generate_base, inject, materialize_events, AnomalyKind, ScenarioConfig};
 
 fn main() {
     let cfg = ScenarioConfig::default().with_seed(12).with_businesses(10);
     let base = generate_base(&cfg);
     let scenario = inject(&base, &cfg, AnomalyKind::BusinessSpike);
     println!("simulating a QPS spike (Double-11 style) on a 10-business instance...");
-    let case = materialize(&scenario, 600);
+    let events = materialize_events(&scenario, None);
+    let (case, d) = replay_diagnose(&scenario, events, &FleetConfig::default(), &NoopObserver);
     println!(
         "anomaly: {} [{}, {}) s",
         case.anomaly_type, case.window.anomaly_start, case.window.anomaly_end
@@ -59,7 +62,6 @@ fn main() {
         );
     }
 
-    let d = PinSql::new(pcfg).diagnose(&case.case, &case.window, &case.history, case.minutes_origin);
     println!("\nPinSQL top-3 R-SQLs:");
     for r in d.rsqls.iter().take(3) {
         println!("  score {:+.2}  {}", r.score, r.label);

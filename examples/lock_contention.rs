@@ -15,9 +15,9 @@
 
 use pinsql::{PinSql, PinSqlConfig};
 use pinsql_baselines::{rank_top, TopMetric};
-use pinsql_collector::{aggregate_case, HistoryStore};
-use pinsql_detect::{classify, detect_features, AnomalyWindow, DetectorConfig, PhenomenonConfig};
-use pinsql_dbsim::{run_open_loop, SimConfig};
+use pinsql_collector::{HistoryStore, IncrementalAggregator, IncrementalConfig};
+use pinsql_detect::{classify, AnomalyWindow, OnlineDetectorBank, PhenomenonConfig};
+use pinsql_dbsim::{interleave, run_open_loop, SimConfig, TelemetryEvent};
 use pinsql_workload::dag::{Api, Call};
 use pinsql_workload::{
     ApiDag, CostProfile, EventShape, RateEvent, SpecId, TableDef, TableId, TemplateSpec,
@@ -86,22 +86,23 @@ fn main() {
     println!("simulating 720 s of the SALES scenario...");
     let out = run_open_loop(&workload, &SimConfig::default().with_cores(2.0).with_seed(5), 0, 720);
 
-    // Detect the anomaly on the instance metrics.
-    let mut features = Vec::new();
-    for (name, series) in out.metrics.iter_named() {
-        let cfg = if name.contains("usage") {
-            DetectorConfig::for_utilization()
-        } else {
-            DetectorConfig::default()
-        };
-        features.extend(detect_features(name, series, 0, &cfg));
+    // Stream the telemetry through the online collector and detector bank,
+    // in time order: every event is folded, every metric sample stepped.
+    let mut collector = IncrementalAggregator::new(&workload.specs, IncrementalConfig::default());
+    let mut detectors = OnlineDetectorBank::new();
+    for ev in interleave(&out.log, &out.metrics) {
+        if let TelemetryEvent::Metrics(sample) = &ev {
+            detectors.observe(sample);
+        }
+        collector.ingest(ev);
     }
-    let phenomena = classify(&features, &PhenomenonConfig::default());
+    detectors.finish();
+    let phenomena = classify(&detectors.features(), &PhenomenonConfig::default());
     let p = phenomena.iter().max_by_key(|p| p.end - p.start).expect("anomaly detected");
     println!("detected {} over [{}, {}) s", p.anomaly_type, p.start, p.end);
 
     let window = AnomalyWindow::from_phenomenon(p, 240).clamped(0, 720);
-    let case = aggregate_case(&out.log, &workload.specs, &out.metrics, window.ts(), window.te());
+    let case = collector.snapshot(window.ts(), window.te());
 
     // What a Top-SQL product shows the DBA:
     let top = rank_top(&case, &window, TopMetric::TotalResponseTime);

@@ -5,11 +5,13 @@
 //! ```
 //!
 //! Builds a microservice workload, injects a poorly-written SQL deploy,
-//! simulates the database instance, detects the anomaly on the active
-//! session metric, and lets PinSQL pinpoint the root-cause template.
+//! simulates the database instance, streams its telemetry through the
+//! online engine (which detects the anomaly on the active session metric
+//! and cuts the case), and lets PinSQL pinpoint the root-cause template.
 
-use pinsql::{PinSql, PinSqlConfig};
-use pinsql_scenario::{generate_base, inject, materialize, AnomalyKind, ScenarioConfig};
+use pinsql_engine::{replay_diagnose, FleetConfig};
+use pinsql_obs::NoopObserver;
+use pinsql_scenario::{generate_base, inject, materialize_events, AnomalyKind, ScenarioConfig};
 
 fn main() {
     // 1. A 16-business workload with an unindexed-scan deploy at t=720 s.
@@ -23,8 +25,10 @@ fn main() {
         scenario.workload.tables.len()
     );
 
-    // 2. Simulate, collect, detect, label (materialize does all four).
-    let case = materialize(&scenario, 600);
+    // 2. Simulate, then stream the telemetry through one online instance:
+    //    collect, detect, cut the case and diagnose it (δ_s = 600 s).
+    let events = materialize_events(&scenario, None);
+    let (case, d) = replay_diagnose(&scenario, events, &FleetConfig::default(), &NoopObserver);
     println!(
         "anomaly detected: {} ({}); window [{}, {}) s, {} templates aggregated",
         case.detected,
@@ -33,10 +37,6 @@ fn main() {
         case.window.anomaly_end,
         case.case.templates.len()
     );
-
-    // 3. Diagnose.
-    let pinsql = PinSql::new(PinSqlConfig::default());
-    let d = pinsql.diagnose(&case.case, &case.window, &case.history, case.minutes_origin);
 
     println!("\ntop-5 High-impact SQLs (direct causes):");
     for (i, h) in d.hsqls.iter().take(5).enumerate() {

@@ -6,9 +6,11 @@
 //! ```
 
 use pinsql::repair::{optimize_spec, suggest_actions, RepairConfig};
-use pinsql::{PinSql, PinSqlConfig, RepairAction};
+use pinsql::RepairAction;
 use pinsql_dbsim::run_open_loop;
-use pinsql_scenario::{generate_base, inject, materialize, AnomalyKind, ScenarioConfig};
+use pinsql_engine::{replay_diagnose, FleetConfig};
+use pinsql_obs::NoopObserver;
+use pinsql_scenario::{generate_base, inject, materialize_events, AnomalyKind, ScenarioConfig};
 
 fn mean(v: &[f64], lo: usize, hi: usize) -> f64 {
     v[lo..hi.min(v.len())].iter().sum::<f64>() / (hi - lo) as f64
@@ -19,15 +21,15 @@ fn main() {
     let cfg = ScenarioConfig::default().with_seed(21);
     let base = generate_base(&cfg);
     let scenario = inject(&base, &cfg, AnomalyKind::PoorSql);
-    let case = materialize(&scenario, 600);
+    // 1–2. Stream the telemetry through the online engine: it detects the
+    // anomaly, cuts the case and pinpoints the root cause.
+    let events = materialize_events(&scenario, None);
+    let (case, d) = replay_diagnose(&scenario, events, &FleetConfig::default(), &NoopObserver);
     let (a_lo, a_hi) = (cfg.anomaly_start as usize, cfg.anomaly_end as usize);
 
     println!("1. anomaly detected: {} (type {})", case.detected, case.anomaly_type);
     let before = mean(&case.case.metrics.active_session, 0, case.case.metrics.len());
 
-    // 2. Pinpoint.
-    let pinsql = PinSql::new(PinSqlConfig::default());
-    let d = pinsql.diagnose(&case.case, &case.window, &case.history, case.minutes_origin);
     let rsql = d.rsqls.first().expect("a root cause");
     println!("2. pinpointed R-SQL: {} (score {:+.2})", rsql.label, rsql.score);
 

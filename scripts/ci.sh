@@ -34,7 +34,9 @@
 #   daemon_smoke      resident daemon: control-wire hardening, report and
 #                     epoch contracts, the matrix's daemon row
 #   case_cut_smoke    window cut: minute rows bit-identical to the
-#                     per-template per_minute oracle
+#                     per-template per_minute oracle; the cases every
+#                     experiment cuts online vs the batch oracle on the
+#                     shapes the matrix never runs (eval_cases)
 #   transport_smoke   cross-process ingest: the loopback pipe vs its
 #                     byte-queue oracle, PEVT wire hardening, TCP framing /
 #                     region server / credit deadlock / wire extremes and
@@ -55,7 +57,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,49p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,51p' "$0" | sed 's/^# \{0,1\}//' >&2
 }
 
 # `cargo test -q ARGS`, echoed as it runs, failing when the tests pass but
@@ -169,9 +171,13 @@ daemon_smoke() {
 # Window cut: the property suite (minute rows bit-identical to the
 # per-template per_minute oracle, and their normalized matrix to
 # from_series over the oracle's rows, under random/perturbed/constant/
-# evicting/restored streams).
+# evicting/restored streams), then the cases the experiments cut through
+# the online engine against the batch oracle in tests/common, series and
+# diagnoses bit for bit: perturbed telemetry, overlapping anomalies,
+# negatives and look-backs other than the golden 600 s.
 case_cut_smoke() {
   tests --test cut_props
+  tests --test eval_cases
 }
 
 # Cross-process ingest transport: engine wire/transport unit tests (with

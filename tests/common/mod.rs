@@ -1,10 +1,10 @@
 //! Shared fixtures for the golden-corpus suites: the manifest (a const
 //! table), the per-process simulation cache, the rank-relevant `Snapshot`
-//! view of a diagnosis, the batch pipeline that produces it, and the axes
-//! of the equivalence matrix (`tests/equivalence.rs` holds the execution
-//! paths). `golden_corpus.rs` pins snapshots to disk; everything else
-//! compares `Snapshot` structs against the batch reference via
-//! [`assert_run_matches_batch`].
+//! view of a diagnosis, the batch oracle that labels the reference cases
+//! ([`materialize_telemetry`]), and the axes of the equivalence matrix
+//! (`tests/equivalence.rs` holds the execution paths). `golden_corpus.rs`
+//! pins snapshots to disk; everything else compares `Snapshot` structs
+//! against the batch reference via [`assert_run_matches_batch`].
 //!
 //! The simulator dominates a suite's time, so each input — a manifest
 //! entry ([`golden`]) or a [`small_scenario`] seed ([`small`]) — is
@@ -14,14 +14,15 @@
 #![allow(dead_code)]
 
 use pinsql::{Diagnosis, PinSql, PinSqlConfig};
-use pinsql_collector::CaseData;
+use pinsql_collector::{aggregate_case, CaseData};
+use pinsql_detect::{classify, detect_features, DetectorConfig, PhenomenonConfig};
 use pinsql_engine::FleetConfig;
 use pinsql_dbsim::{InstanceMetrics, MetricsSample, QueryRecord, TelemetryEvent};
 use pinsql_json::Json;
 use pinsql_timeseries::par::par_map;
 use pinsql_scenario::{
-    generate_base, inject, materialize_telemetry, simulate_telemetry, telemetry_events,
-    AnomalyKind, LabeledCase, PerturbConfig, Scenario, ScenarioConfig,
+    generate_base, inject, prepare_telemetry, select_case_window, simulate_telemetry,
+    telemetry_events, AnomalyKind, LabeledCase, PerturbConfig, Scenario, ScenarioConfig,
 };
 use pinsql_workload::rng::{RngExt, StdRng};
 use pinsql_workload::SpecId;
@@ -173,6 +174,32 @@ pub fn scenario_for(entry: &ManifestEntry) -> Scenario {
     inject(&base, &cfg, kind_of(entry.kind))
 }
 
+/// The batch oracle: labels a case from a scenario's complete simulated
+/// telemetry, degraded by `perturb` if given. Where the engine steps its
+/// detector bank sample by sample and cuts its rings, the oracle detects
+/// over each whole metric series (`detect_features`) and aggregates the
+/// whole log over the selected window (`aggregate_case`); window selection
+/// and labelling are the code the engine runs. Every online path is
+/// compared against it bit for bit.
+pub fn materialize_telemetry(
+    scenario: &Scenario,
+    log: Vec<QueryRecord>,
+    metrics: InstanceMetrics,
+    delta_s: i64,
+    perturb: Option<&PerturbConfig>,
+) -> LabeledCase {
+    let (log, metrics) = prepare_telemetry(log, metrics, perturb);
+    let mut features = Vec::new();
+    for (name, series) in metrics.iter_named() {
+        let c = DetectorConfig::for_metric(name);
+        features.extend(detect_features(name, series, metrics.start_second, &c));
+    }
+    let phenomena = classify(&features, &PhenomenonConfig::default());
+    let (window, detected, anomaly_type) = select_case_window(&phenomena, scenario, delta_s);
+    let case = aggregate_case(&log, &scenario.workload.specs, &metrics, window.ts(), window.te());
+    LabeledCase::new(scenario, case, window, detected, anomaly_type)
+}
+
 /// One input, simulated once: the scenario, the simulator's raw output
 /// and its event stream.
 #[derive(Debug)]
@@ -190,9 +217,11 @@ impl Simulated {
         Self { scenario, log, metrics, events }
     }
 
-    /// The batch pipeline's labelled case under look-back `delta_s`.
-    pub fn labeled(&self, delta_s: i64) -> LabeledCase {
-        materialize_telemetry(&self.scenario, self.log.clone(), self.metrics.clone(), delta_s, None)
+    /// The batch oracle's labelled case under look-back `delta_s`, from
+    /// the telemetry as the chaos layer degrades it under `perturb`.
+    pub fn labeled(&self, delta_s: i64, perturb: Option<&PerturbConfig>) -> LabeledCase {
+        let (log, metrics) = (self.log.clone(), self.metrics.clone());
+        materialize_telemetry(&self.scenario, log, metrics, delta_s, perturb)
     }
 
     /// The event stream as the chaos layer degrades it under `perturb`.
@@ -257,10 +286,10 @@ pub fn snapshot_of(entry: &ManifestEntry, lc: &LabeledCase, d: &Diagnosis) -> Sn
     }
 }
 
-/// Labels and diagnoses one manifest entry through the batch path, from
-/// its cached simulation.
+/// Labels and diagnoses one manifest entry through the batch oracle,
+/// from its cached simulation.
 pub fn batch_snapshot(entry: &ManifestEntry, parallelism: usize) -> (Snapshot, Diagnosis) {
-    let lc = golden(entry).labeled(GOLDEN_DELTA_S);
+    let lc = golden(entry).labeled(GOLDEN_DELTA_S, None);
     let d = PinSql::new(PinSqlConfig::default().with_parallelism(parallelism)).diagnose(
         &lc.case,
         &lc.window,

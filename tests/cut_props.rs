@@ -1,7 +1,7 @@
 //! Property sweeps for the online window cut.
 //!
 //! The contract under test: for any ingest stream, an instance closes its
-//! case carrying a [`WindowCut`] whose per-template 1-minute rows are
+//! case whose per-template 1-minute rows (`CaseData::minute_rows`) are
 //! **bit-identical** to what the oracle re-derives from the case's raw
 //! series (`TemplateSeries::per_minute`), and whose normalized matrix
 //! matches `NormalizedMatrix::from_series` over those re-derived rows, row
@@ -12,7 +12,7 @@
 //! held to the catalog lookup it stands for on every one of them. A
 //! failing sweep names its seed.
 
-use pinsql_collector::{CaseData, IncrementalAggregator, IncrementalConfig, WindowCut};
+use pinsql_collector::{CaseData, IncrementalAggregator, IncrementalConfig};
 use pinsql_dbsim::{MetricsSample, QueryRecord, TelemetryEvent};
 use pinsql_engine::{InstanceSnapshot, OnlineInstance};
 use pinsql_scenario::{PerturbConfig, Scenario};
@@ -28,17 +28,16 @@ const DELTA_S: i64 = 60;
 /// The cut's rows equal the per-template `per_minute` oracle bit for
 /// bit, and normalizing them reproduces `from_series` over the oracle's
 /// rows exactly.
-fn assert_cut_is_exact(case: &CaseData, what: &str) -> WindowCut {
-    let cut = case.cut.as_deref().unwrap_or_else(|| panic!("{what}: window cut missing"));
-    assert_eq!(cut.minute_rows.len(), case.templates.len(), "{what}: row count");
-    assert_eq!(cut.minute_start, case.ts.div_euclid(60), "{what}: minute origin");
+fn assert_cut_is_exact(case: &CaseData, what: &str) {
+    let rows = &case.minute_rows;
+    assert_eq!(rows.len(), case.templates.len(), "{what}: row count");
     assert_owners_by_catalog(case, what);
 
     let per_minutes: Vec<Vec<f64>> =
         case.templates.iter().map(|t| t.series.per_minute()).collect();
     for (i, per_min) in per_minutes.iter().enumerate() {
-        assert_eq!(cut.minute_rows[i].len(), per_min.len(), "{what}: row {i} length");
-        for (m, (a, b)) in cut.minute_rows[i].iter().zip(per_min).enumerate() {
+        assert_eq!(rows[i].len(), per_min.len(), "{what}: row {i} length");
+        for (m, (a, b)) in rows[i].iter().zip(per_min).enumerate() {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
@@ -47,7 +46,8 @@ fn assert_cut_is_exact(case: &CaseData, what: &str) -> WindowCut {
         }
     }
 
-    let cut_matrix = NormalizedMatrix::from_series(&cut.row_refs());
+    let row_refs: Vec<&[f64]> = rows.iter().map(|v| v.as_slice()).collect();
+    let cut_matrix = NormalizedMatrix::from_series(&row_refs);
     let refs: Vec<&[f64]> = per_minutes.iter().map(|v| v.as_slice()).collect();
     let ref_matrix = NormalizedMatrix::from_series(&refs);
     assert_eq!(cut_matrix.row_len(), ref_matrix.row_len(), "{what}: matrix row length");
@@ -66,7 +66,6 @@ fn assert_cut_is_exact(case: &CaseData, what: &str) -> WindowCut {
             ),
         }
     }
-    cut.clone()
 }
 
 /// Everything *outside* the cut is identical across two cases.
@@ -200,9 +199,9 @@ fn snapshot_restore_mid_window_preserves_the_cut() {
         let lc_restored = restored.close_case();
 
         let what = format!("restored at {split}");
-        let cut_base = assert_cut_is_exact(&lc_base.case, "baseline");
-        let cut_restored = assert_cut_is_exact(&lc_restored.case, &what);
+        assert_cut_is_exact(&lc_base.case, "baseline");
+        assert_cut_is_exact(&lc_restored.case, &what);
         assert_case_eq_modulo_cut(&lc_restored.case, &lc_base.case, &what);
-        assert_eq!(cut_restored.minute_rows, cut_base.minute_rows, "{what}: rows");
+        assert_eq!(lc_restored.case.minute_rows, lc_base.case.minute_rows, "{what}: rows");
     }
 }

@@ -4,7 +4,8 @@
 
 use pinsql::{PinSql, PinSqlConfig};
 use pinsql_dbsim::run_open_loop;
-use pinsql_scenario::{generate_base, inject, materialize, AnomalyKind, ScenarioConfig};
+use pinsql_eval::caseset::label_online;
+use pinsql_scenario::{generate_base, inject, AnomalyKind, ScenarioConfig};
 
 #[test]
 fn simulation_is_deterministic() {
@@ -28,7 +29,7 @@ fn diagnosis_is_deterministic() {
     let cfg = ScenarioConfig::default().with_seed(32);
     let base = generate_base(&cfg);
     let scenario = inject(&base, &cfg, AnomalyKind::PoorSql);
-    let case = materialize(&scenario, 600);
+    let case = label_online(&scenario, 600, None);
     let pinsql = PinSql::new(PinSqlConfig::default());
     let d1 = pinsql.diagnose(&case.case, &case.window, &case.history, case.minutes_origin);
     let d2 = pinsql.diagnose(&case.case, &case.window, &case.history, case.minutes_origin);

@@ -2,14 +2,15 @@
 //! detector → PinSQL, for every anomaly category.
 
 use pinsql::{PinSql, PinSqlConfig};
+use pinsql_eval::caseset::label_online;
 use pinsql_eval::first_hit_rank;
-use pinsql_scenario::{generate_base, inject, materialize, AnomalyKind, ScenarioConfig};
+use pinsql_scenario::{generate_base, inject, AnomalyKind, ScenarioConfig};
 
 fn diagnose(kind: AnomalyKind, seed: u64) -> (Option<usize>, Option<usize>, bool) {
     let cfg = ScenarioConfig::default().with_seed(seed);
     let base = generate_base(&cfg);
     let scenario = inject(&base, &cfg, kind);
-    let case = materialize(&scenario, 600);
+    let case = label_online(&scenario, 600, None);
     let d = PinSql::new(PinSqlConfig::default()).diagnose(
         &case.case,
         &case.window,
@@ -70,7 +71,7 @@ fn hsqls_differ_from_rsqls_in_lock_cases() {
     let cfg = ScenarioConfig::default().with_seed(9500);
     let base = generate_base(&cfg);
     let scenario = inject(&base, &cfg, AnomalyKind::MdlLock);
-    let case = materialize(&scenario, 600);
+    let case = label_online(&scenario, 600, None);
     let victims: Vec<_> =
         case.truth.hsqls.iter().filter(|h| !case.truth.rsqls.contains(h)).collect();
     assert!(

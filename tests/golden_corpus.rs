@@ -1,7 +1,7 @@
 //! Golden-diagnosis regression corpus.
 //!
 //! Sixteen seeded cases (four per anomaly kind, listed in
-//! `common::MANIFEST`) are materialized and diagnosed; the
+//! `common::MANIFEST`) are labelled by the batch oracle and diagnosed; the
 //! rank-relevant output is snapshotted as JSON and compared byte-for-byte
 //! against `tests/golden/<name>.json`. Each case is additionally diagnosed
 //! at parallelism 1 and 4 and the two snapshots must be identical — the

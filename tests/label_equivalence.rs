@@ -7,8 +7,9 @@
 
 use pinsql_collector::CaseData;
 use pinsql_detect::AnomalyWindow;
+use pinsql_engine::OnlineInstance;
 use pinsql_scenario::{
-    generate_base, inject, label_truth, materialize_telemetry, simulate_telemetry, AnomalyKind,
+    generate_base, inject, label_truth, simulate_telemetry, telemetry_events, AnomalyKind,
     PerturbConfig, ScenarioConfig,
 };
 use pinsql_sqlkit::SqlId;
@@ -66,11 +67,12 @@ fn sweep_labels_equal_gather_labels_on_golden_shapes() {
         let cfg = ScenarioConfig::default().with_seed(seed);
         let scenario = inject(&generate_base(&cfg), &cfg, kind);
         let perturb = PerturbConfig::at_intensity(seed, 0.3);
-        // One simulation, labelled clean and degraded.
+        // One simulation, cut and labelled online clean and degraded.
         let (log, metrics) = simulate_telemetry(&scenario, None);
-        let clean = materialize_telemetry(&scenario, log.clone(), metrics.clone(), 600, None);
-        let degraded = materialize_telemetry(&scenario, log, metrics, 600, Some(&perturb));
-        for lc in [clean, degraded] {
+        for perturb in [None, Some(&perturb)] {
+            let mut instance = OnlineInstance::new(&scenario, 600);
+            instance.ingest_stream(telemetry_events(log.clone(), metrics.clone(), perturb));
+            let lc = instance.close_case();
             let expected = label_hsqls_by_gather(&lc.case, &lc.window);
             assert!(!expected.is_empty(), "{kind:?}/{seed}: a positive case has an H-SQL");
             assert_eq!(lc.truth.hsqls, expected, "{kind:?}/{seed}");

@@ -4,15 +4,14 @@
 //! though the evaluation-only full ranking still exists.
 
 use pinsql::{PinSql, PinSqlConfig};
-use pinsql_scenario::{
-    generate_base, inject_none, materialize, materialize_with, PerturbConfig, ScenarioConfig,
-};
+use pinsql_eval::caseset::label_online;
+use pinsql_scenario::{generate_base, inject_none, PerturbConfig, ScenarioConfig};
 
 fn negative_case(seed: u64) -> pinsql_scenario::LabeledCase {
     let cfg = ScenarioConfig::default().with_seed(seed);
     let base = generate_base(&cfg);
     let scenario = inject_none(&base, &cfg);
-    materialize(&scenario, 600)
+    label_online(&scenario, 600, None)
 }
 
 #[test]
@@ -53,7 +52,7 @@ fn degraded_negative_case_stays_quiet_and_finite() {
     let cfg = ScenarioConfig::default().with_seed(9650);
     let base = generate_base(&cfg);
     let scenario = inject_none(&base, &cfg);
-    let lc = materialize_with(&scenario, 600, Some(&PerturbConfig::at_intensity(965, 1.0)));
+    let lc = label_online(&scenario, 600, Some(&PerturbConfig::at_intensity(965, 1.0)));
     assert!(lc.is_negative());
     assert!(lc.truth.rsqls.is_empty());
     assert!(lc.window.window_len() > 0, "window must stay usable");

@@ -5,14 +5,15 @@
 //! a single expected number in EXPERIMENTS.md.
 
 use pinsql::{Diagnosis, PinSql, PinSqlConfig};
-use pinsql_scenario::{generate_base, inject, materialize, AnomalyKind, LabeledCase, ScenarioConfig};
+use pinsql_eval::caseset::label_online;
+use pinsql_scenario::{generate_base, inject, AnomalyKind, LabeledCase, ScenarioConfig};
 use pinsql_timeseries::{connected_components, connected_components_par, par_map};
 
 fn labeled_case(seed: u64, kind: AnomalyKind) -> LabeledCase {
     let cfg = ScenarioConfig::default().with_seed(seed);
     let base = generate_base(&cfg);
     let scenario = inject(&base, &cfg, kind);
-    materialize(&scenario, 600)
+    label_online(&scenario, 600, None)
 }
 
 fn diagnose_with(case: &LabeledCase, parallelism: usize) -> Diagnosis {

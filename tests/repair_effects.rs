@@ -40,7 +40,7 @@ fn throttled(seed: u64, spec: SpecId) -> &'static Simulated {
 fn throttling_the_rsql_suppresses_the_anomaly() {
     let sim = poor_sql(71);
     let cfg = &sim.scenario.cfg;
-    let case = sim.labeled(600);
+    let case = sim.labeled(600, None);
     let d = PinSql::new(PinSqlConfig::default()).diagnose(
         &case.case,
         &case.window,
@@ -65,7 +65,7 @@ fn throttling_the_rsql_suppresses_the_anomaly() {
 fn optimizing_the_rsql_resolves_without_losing_traffic() {
     let sim = poor_sql(73);
     let (scenario, cfg) = (&sim.scenario, &sim.scenario.cfg);
-    let case = sim.labeled(600);
+    let case = sim.labeled(600, None);
     let d = PinSql::new(PinSqlConfig::default()).diagnose(
         &case.case,
         &case.window,
@@ -106,7 +106,7 @@ fn online_replay_drives_the_same_repair_as_batch() {
     let (scenario, cfg) = (&sim.scenario, &sim.scenario.cfg);
     let repair_cfg = RepairConfig::default();
 
-    let batch = sim.labeled(600);
+    let batch = sim.labeled(600, None);
     let batch_d = PinSql::new(PinSqlConfig::default()).diagnose(
         &batch.case,
         &batch.window,
