@@ -89,7 +89,7 @@ fn snapshot_matches_batch_aggregation() {
     let batch = aggregate_case(&log, &specs, &metrics, 20, 100);
 
     let mut agg = IncrementalAggregator::new(&specs, IncrementalConfig::default());
-    for ev in interleave(&log, &metrics) {
+    for ev in interleave(log, &metrics) {
         agg.ingest(ev);
     }
     assert_case_eq(&agg.snapshot(20, 100), &batch);
@@ -110,7 +110,7 @@ fn chunked_ingest_matches_scalar_ingest() {
     log.push(rec(0, f64::NAN, 1.0, 0));
     log.push(rec(1, 10_500.0, f64::INFINITY, 0));
     let metrics = flat_metrics(0, 90);
-    let events = interleave(&log, &metrics);
+    let events = interleave(log, &metrics);
 
     let mut scalar = IncrementalAggregator::new(&specs, IncrementalConfig::default());
     for ev in events.clone() {
@@ -138,7 +138,7 @@ fn snapshot_windows_are_reusable_and_nested() {
         (0..600).map(|i| rec(0, i as f64 * 100.0, 2.0, 1)).collect();
     let metrics = flat_metrics(0, 60);
     let mut agg = IncrementalAggregator::new(&specs, IncrementalConfig::default());
-    for ev in interleave(&log, &metrics) {
+    for ev in interleave(log.clone(), &metrics) {
         agg.ingest(ev);
     }
     for (ts, te) in [(0, 60), (10, 50), (30, 31)] {
@@ -247,7 +247,7 @@ fn chunked_ingest_matches_scalar_fold_counters() {
         log.push(rec(i % 2, s as f64 * 1000.0 + (i % 13) as f64 * 71.3, 2.0, 1));
     }
     let metrics = flat_metrics(0, 70);
-    let events = interleave(&log, &metrics);
+    let events = interleave(log, &metrics);
     let mut scalar = IncrementalAggregator::new(&specs, IncrementalConfig::default());
     for ev in events.clone() {
         scalar.ingest(ev);
@@ -383,7 +383,7 @@ fn checkpoint_round_trip_is_behaviorally_exact() {
     let log: Vec<QueryRecord> = (0..600)
         .map(|i| rec(i % 3, (i as f64 * 311.7) % 200_000.0, 2.0 + (i % 7) as f64, i as u64))
         .collect();
-    let events = interleave(&log, &metrics);
+    let events = interleave(log, &metrics);
     let split = events.len() / 3;
 
     let mut live = IncrementalAggregator::new(&specs, cfg);
@@ -419,7 +419,7 @@ fn snapshot_len_counts_the_checkpoint_body() {
     let metrics = flat_metrics(0, 400);
     let log: Vec<QueryRecord> =
         (0..3000).map(|i| rec(i % 2, (i as f64 * 131.3) % 400_000.0, 1.0, i as u64)).collect();
-    let events = interleave(&log, &metrics);
+    let events = interleave(log, &metrics);
     for (i, ev) in events.into_iter().enumerate() {
         agg.ingest(ev);
         if i % 397 == 0 {

@@ -115,25 +115,24 @@ impl TelemetryEvent {
 /// telemetry stream (the ordering contract in the module docs).
 ///
 /// The log may be in any order (the simulator emits completion order); it
-/// is stably sorted by arrival here, so tie order matches the batch
-/// aggregator's `filter`-then-stable-sort. Records arriving before the
-/// metric horizon's first second lead the stream; records at or past its
-/// end trail it, before the final tick.
-pub fn interleave(log: &[QueryRecord], metrics: &InstanceMetrics) -> Vec<TelemetryEvent> {
-    let mut sorted: Vec<QueryRecord> = log.to_vec();
-    sorted.sort_by(|a, b| a.start_ms.total_cmp(&b.start_ms));
+/// is stably sorted by arrival here, in place, so tie order matches the
+/// batch aggregator's `filter`-then-stable-sort. Records arriving before
+/// the metric horizon's first second lead the stream; records at or past
+/// its end trail it, before the final tick.
+pub fn interleave(mut log: Vec<QueryRecord>, metrics: &InstanceMetrics) -> Vec<TelemetryEvent> {
+    log.sort_by(|a, b| a.start_ms.total_cmp(&b.start_ms));
 
     let n = metrics.len();
     let start = metrics.start_second;
-    let mut events = Vec::with_capacity(sorted.len() + 2 * n + 1);
+    let mut events = Vec::with_capacity(log.len() + 2 * n + 1);
     let mut probe_cursor = 0usize;
     let mut rec_cursor = 0usize;
 
     for idx in 0..n {
         let second = start + idx as i64;
         let boundary = (second + 1) as f64 * 1000.0;
-        while rec_cursor < sorted.len() && sorted[rec_cursor].start_ms < boundary {
-            events.push(TelemetryEvent::Query(sorted[rec_cursor]));
+        while rec_cursor < log.len() && log[rec_cursor].start_ms < boundary {
+            events.push(TelemetryEvent::Query(log[rec_cursor]));
             rec_cursor += 1;
         }
         let mut probes = Vec::new();
@@ -159,10 +158,10 @@ pub fn interleave(log: &[QueryRecord], metrics: &InstanceMetrics) -> Vec<Telemet
     }
 
     // Records past the metric horizon, then a final watermark covering them.
-    if rec_cursor < sorted.len() {
-        let last = sorted.last().expect("non-empty tail");
+    if rec_cursor < log.len() {
+        let last = log.last().expect("non-empty tail");
         let end_second = second_of(last.start_ms) + 1;
-        events.extend(sorted[rec_cursor..].iter().map(|r| TelemetryEvent::Query(*r)));
+        events.extend(log[rec_cursor..].iter().map(|r| TelemetryEvent::Query(*r)));
         events.push(TelemetryEvent::Tick { second: end_second.max(start + n as i64) });
     }
     events
@@ -243,7 +242,7 @@ mod tests {
     #[test]
     fn stream_is_time_ordered() {
         let log = vec![rec(2500.0), rec(100.0), rec(1999.0)];
-        let events = interleave(&log, &metrics(0, 4));
+        let events = interleave(log, &metrics(0, 4));
         for pair in events.windows(2) {
             assert!(pair[0].time_ms() <= pair[1].time_ms(), "{pair:?}");
         }
@@ -259,7 +258,7 @@ mod tests {
 
     #[test]
     fn seconds_close_with_metrics_then_tick() {
-        let events = interleave(&[rec(500.0)], &metrics(0, 2));
+        let events = interleave(vec![rec(500.0)], &metrics(0, 2));
         assert!(matches!(events[0], TelemetryEvent::Query(_)));
         assert!(matches!(&events[1], TelemetryEvent::Metrics(m) if m.second == 0));
         assert!(matches!(events[2], TelemetryEvent::Tick { second: 1 }));
@@ -269,7 +268,7 @@ mod tests {
 
     #[test]
     fn probes_ride_their_second() {
-        let events = interleave(&[], &metrics(10, 3));
+        let events = interleave(Vec::new(), &metrics(10, 3));
         let samples: Vec<&MetricsSample> = events
             .iter()
             .filter_map(|e| match e {
@@ -286,7 +285,7 @@ mod tests {
 
     #[test]
     fn trailing_records_precede_final_tick() {
-        let events = interleave(&[rec(500.0), rec(7200.0)], &metrics(0, 2));
+        let events = interleave(vec![rec(500.0), rec(7200.0)], &metrics(0, 2));
         let last = events.last().unwrap();
         assert!(matches!(last, TelemetryEvent::Tick { second: 8 }));
         assert!(matches!(events[events.len() - 2], TelemetryEvent::Query(r) if r.start_ms == 7200.0));
@@ -298,7 +297,7 @@ mod tests {
         // batch aggregator's stable sort applies.
         let a = QueryRecord { spec: SpecId(1), start_ms: 100.0, response_ms: 1.0, examined_rows: 0 };
         let b = QueryRecord { spec: SpecId(2), start_ms: 100.0, response_ms: 2.0, examined_rows: 0 };
-        let events = interleave(&[a, b], &metrics(0, 1));
+        let events = interleave(vec![a, b], &metrics(0, 1));
         let specs: Vec<usize> = events
             .iter()
             .filter_map(|e| match e {
@@ -312,7 +311,7 @@ mod tests {
     #[test]
     fn query_runs_chunk_by_attribution_second() {
         let events = interleave(
-            &[rec(100.0), rec(900.0), rec(999.9), rec(1000.0), rec(2500.0)],
+            vec![rec(100.0), rec(900.0), rec(999.9), rec(1000.0), rec(2500.0)],
             &metrics(0, 3),
         );
         // Walk the whole stream through query_run the way a consumer does.
@@ -429,7 +428,7 @@ mod tests {
 
     #[test]
     fn by_name_matches_instance_metrics_names() {
-        let events = interleave(&[], &metrics(0, 1));
+        let events = interleave(Vec::new(), &metrics(0, 1));
         let TelemetryEvent::Metrics(m) = &events[0] else { panic!("metrics first") };
         assert_eq!(m.by_name("active_session"), Some(1.0));
         assert_eq!(m.by_name("cpu_usage"), Some(0.1));

@@ -808,7 +808,7 @@ mod tests {
         }
 
         let mut bank = OnlineDetectorBank::new();
-        for ev in interleave(&[], &m) {
+        for ev in interleave(Vec::new(), &m) {
             if let TelemetryEvent::Metrics(sample) = ev {
                 bank.observe(&sample);
             }

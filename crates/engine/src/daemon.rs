@@ -31,20 +31,20 @@
 //!
 //! At a watermark the fleet is quiesced. From there a **checkpoint**
 //! ([`checkpoint`](FleetDaemon::checkpoint)) hands the per-instance
-//! snapshots out; a **reshard** ([`reshard`](FleetDaemon::reshard)), a
-//! **config push** and a **graceful restart** each re-seat every instance
-//! through the full untrusted snapshot path (serialize →
-//! [`InstanceSnapshot::from_bytes`] → restore) and then change,
-//! respectively, the shard map, the configuration, or nothing at all; a
+//! snapshots out; a **reshard** ([`reshard`](FleetDaemon::reshard)) and a
+//! **graceful restart** each re-seat every instance through the full
+//! untrusted snapshot path (serialize → [`InstanceSnapshot::from_bytes`]
+//! → restore) and then change the shard map or nothing at all; a
 //! **resume** ([`resume`](FleetDaemon::resume)) boots an agent from the
-//! snapshots a checkpoint handed out. A snapshot/restore boundary is
-//! behaviorally invisible and instances are independent — no event of
-//! one can affect another's pipeline, and every shard layout preserves
-//! each instance's own event order — so cases and diagnoses are
-//! bit-identical for **any** `shards` / `fanout`, any sequence of
-//! reshards, any checkpoint boundary and any restart schedule.
+//! snapshots a checkpoint handed out. A **config push** moves no state.
+//! A snapshot/restore boundary is behaviorally invisible and instances
+//! are independent — no event of one can affect another's pipeline, and
+//! every shard layout preserves each instance's own event order — so
+//! cases and diagnoses are bit-identical for **any** `shards` / `fanout`,
+//! any sequence of reshards, any checkpoint boundary and any restart
+//! schedule.
 //!
-//! A config push is byte-identical to a cold start because
+//! A config push is byte-identical to a cold start without a reseat because
 //!
 //! - **`δ_s`** and every [`pinsql::PinSqlDelta`] knob are only read when
 //!   a case closes / diagnoses, after the final config is in place;
@@ -486,9 +486,10 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
         ControlResp::Ack { epoch: self.epoch, state: self.state }
     }
 
-    /// Applies `delta` under `epoch` at the current watermark. Epochs are
-    /// strictly monotone: stale or replayed pushes are rejected whole, so
-    /// a push either moves the agent or leaves it untouched.
+    /// Applies `delta` under `epoch` at the current watermark, in place:
+    /// no knob it can name touches per-instance state (module docs).
+    /// Epochs are strictly monotone: stale or replayed pushes are rejected
+    /// whole, so a push either moves the agent or leaves it untouched.
     fn config_push(&mut self, epoch: ConfigEpoch, delta: &FleetDelta) -> ControlResp {
         if self.state == DaemonState::Stopped {
             return self.reject(format!("config push in state {}", self.state));
@@ -503,12 +504,6 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
             return self.reject(format!("delta_s {d} is a negative look-back"));
         }
         let n0 = if O::ENABLED { self.obs.now_ns() } else { 0 };
-        // Re-seat through the untrusted snapshot path first — the same
-        // handoff a reshard performs — so the new config starts from
-        // revalidated state and a corrupt pipeline surfaces here.
-        if let Err(e) = self.reseat() {
-            return self.reject(format!("snapshot handoff failed: {e}"));
-        }
         delta.apply(&mut self.cfg);
         self.epoch = epoch;
         if delta.shards.is_some() {
@@ -948,7 +943,8 @@ impl<'a, O: Observer> FleetServer<'a, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pinsql::PinSqlConfig;
+    use pinsql::{PinSqlConfig, PinSqlDelta};
+    use pinsql_obs::RecordingObserver;
     use pinsql_scenario::{generate_base, inject, inject_none, AnomalyKind, ScenarioConfig};
 
     fn small_fleet(n: usize) -> Vec<Scenario> {
@@ -1138,6 +1134,106 @@ mod tests {
         assert!(matches!(agent.handle(push(2, relayout)), ControlResp::Ack { .. }));
         assert_eq!(agent.assignment, [0, 1, 2]);
         assert_eq!(agent.finish().report.shards, 3);
+    }
+
+    /// Diagnosis settings off the default on every knob a delta can name.
+    fn off_default() -> PinSqlConfig {
+        PinSqlConfig {
+            tau: 0.5,
+            kc: 2,
+            tau_c: 0.7,
+            tukey_k: 3.0,
+            rsql_score_min: 0.9,
+            parallelism: 3,
+            ..PinSqlConfig::default()
+        }
+    }
+
+    /// Every [`PinSqlDelta`] knob set to `p`'s value.
+    fn every_knob(p: &PinSqlConfig) -> PinSqlDelta {
+        PinSqlDelta {
+            tau: Some(p.tau),
+            kc: Some(p.kc),
+            tau_c: Some(p.tau_c),
+            tukey_k: Some(p.tukey_k),
+            rsql_score_min: Some(p.rsql_score_min),
+            parallelism: Some(p.parallelism),
+        }
+    }
+
+    /// A push changes the config, not the pipelines: neither an empty
+    /// delta nor one naming δ_s and every diagnosis knob writes or
+    /// restores a snapshot. A restart, the crash drill, still reseats
+    /// every instance.
+    #[test]
+    fn config_push_writes_no_snapshot_and_restart_reseats() {
+        let scenarios = small_fleet(3);
+        let n = scenarios.len() as u64;
+        let obs = RecordingObserver::new();
+        let streams = crate::instance::simulated_streams(&scenarios);
+        let agent = FleetDaemon::spawn(cfg(2), &scenarios, streams, obs.clone());
+        let mut server = FleetServer::with_agent(agent.expect("streams admitted"));
+        server.advance_to(280);
+        server.push_config(FleetDelta::default()).expect("empty push acked");
+        let pinsql = every_knob(&off_default());
+        let knobs = FleetDelta { delta_s: Some(240), pinsql, ..FleetDelta::default() };
+        server.push_config(knobs).expect("knob push acked");
+        let count = |c| obs.registry().counter(c);
+        assert_eq!(count(Counter::ConfigPushes), 2);
+        assert_eq!(count(Counter::SnapshotsWritten), 0, "a push wrote a snapshot");
+        assert_eq!(count(Counter::SnapshotsRestored), 0, "a push restored a snapshot");
+
+        server.restart().expect("restart acked");
+        assert_eq!(count(Counter::SnapshotsWritten), n);
+        assert_eq!(count(Counter::SnapshotsRestored), n);
+    }
+
+    /// The push alone, with no reseat after it to hide a fault: booted
+    /// under settings that disagree on every knob a delta can touch and
+    /// corrected mid-anomaly, the daemon closes the cases and diagnoses of
+    /// one spawned under the final config, bit for bit (`Debug` prints an
+    /// `f64` in its shortest round-trip form, so equal text is equal bits;
+    /// a diagnosis's wall-clock `timings` are left out).
+    #[test]
+    fn push_mid_anomaly_matches_a_cold_start_under_the_final_config() {
+        let scenarios = small_fleet(3);
+        let last = FleetConfig { regions: 2, ..cfg(2) };
+        let wrong = FleetConfig {
+            delta_s: 120,
+            pinsql: off_default(),
+            fanout: 2,
+            shards: 3,
+            regions: 1,
+            ..last.clone()
+        };
+        let correcting = FleetDelta {
+            shards: Some(last.shards),
+            fanout: Some(last.fanout),
+            delta_s: Some(last.delta_s),
+            regions: Some(last.regions),
+            pinsql: every_knob(&last.pinsql),
+        };
+        let mut server = FleetServer::with_agent(spawn(wrong, &scenarios));
+        server.advance_to(280); // the anomalies run 240..330
+        assert_eq!(server.push_config(correcting).expect("push acked"), ConfigEpoch(1));
+        let pushed = server.stop().expect("drains and stops");
+        let cold = spawn(last, &scenarios).finish();
+
+        assert_eq!(pushed.report.config_epoch, 1);
+        assert_eq!(pushed.report.shards, cold.report.shards);
+        assert_eq!(pushed.cases.len(), cold.cases.len());
+        for (i, (a, b)) in pushed.cases.iter().zip(&cold.cases).enumerate() {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "case {i}");
+        }
+        let ranked = |d: &pinsql::Diagnosis| {
+            let counts = (d.n_verified, d.n_clusters, d.selected_clusters);
+            format!("{:?}", (&d.hsqls, &d.rsqls, &d.reported_rsqls, counts))
+        };
+        assert_eq!(pushed.diagnoses.len(), cold.diagnoses.len());
+        for (i, (a, b)) in pushed.diagnoses.iter().zip(&cold.diagnoses).enumerate() {
+            assert_eq!(ranked(a), ranked(b), "diagnosis {i}");
+        }
+        assert_eq!(pushed.health, cold.health);
     }
 
     /// A boundary behind the watermark is refused before anything folds.

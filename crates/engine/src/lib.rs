@@ -18,13 +18,14 @@
 //!   disjoint set of instances), keeps the pipelines live between
 //!   event-time watermarks, and on `finish` closes every case and fans
 //!   diagnosis out with the deterministic `par_map` primitive. Checkpoint,
-//!   resume, live reshard, config push and graceful restart are all the
-//!   same quiesce → snapshot → reseat primitive. The server control plane
-//!   steers the agent exclusively through the typed `PCTL` wire
-//!   ([`control`]) — versioned config pushes ([`FleetDelta`] under a
-//!   [`pinsql::ConfigEpoch`]), drains, restarts, and O(regions) health
-//!   rollups. A daemon that finishes at config `F` is byte-identical to
-//!   the batch oracle under `F`, whatever happened on the way.
+//!   resume, live reshard and graceful restart are all the same quiesce →
+//!   snapshot → reseat primitive; a config push applies in place. The
+//!   server control plane steers the agent exclusively through the typed
+//!   `PCTL` wire ([`control`]) — versioned config pushes ([`FleetDelta`]
+//!   under a [`pinsql::ConfigEpoch`]), drains, restarts, and O(regions)
+//!   health rollups. A daemon that finishes at config `F` is
+//!   byte-identical to the batch oracle under `F`, whatever happened on
+//!   the way.
 //! * [`fleet`] — the run's vocabulary ([`FleetConfig`],
 //!   [`FleetCheckpoint`], [`FleetReport`] / [`FleetRun`]) and
 //!   [`FleetEngine`], whose one run shape (`run_full`) is a daemon

@@ -68,7 +68,7 @@ pub fn label_online(
 /// aggregator over `specs` that retains all of it.
 pub fn cut_telemetry(
     specs: &[TemplateSpec],
-    log: &[QueryRecord],
+    log: Vec<QueryRecord>,
     metrics: &InstanceMetrics,
     ts: i64,
     te: i64,

@@ -103,7 +103,7 @@ pub fn timing_case(
         qps: vec![0.0; n],
         probes: ProbeLog { samples: probes },
     };
-    let case = cut_telemetry(&specs, &log, &metrics, 0, window_s);
+    let case = cut_telemetry(&specs, log, &metrics, 0, window_s);
     let window = AnomalyWindow { anomaly_start: a_start, anomaly_end: a_end, delta_s };
     (case, window)
 }

@@ -69,7 +69,7 @@ fn means_after_optimizing(
     let optimized = optimize_spec(&scenario.workload, spec);
     let out = run_open_loop(&optimized, &scenario.sim, 0, scenario.cfg.window_s);
     let new_case =
-        cut_telemetry(&optimized.specs, &out.log, &out.metrics, case.window.ts(), case.window.te());
+        cut_telemetry(&optimized.specs, out.log, &out.metrics, case.window.ts(), case.window.te());
     let idx = new_case.template_index(id)?;
     let t = &new_case.templates[idx];
     let lo = (case.window.anomaly_start - case.window.ts()).max(0) as usize;

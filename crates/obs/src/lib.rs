@@ -74,8 +74,8 @@ pub enum Stage {
     /// One reshard handoff: quiesce, snapshot the fleet, re-seat every
     /// instance on its new shard.
     Reshard,
-    /// One daemon config push: quiesce at the watermark, snapshot, apply
-    /// the delta, restore under the new configuration.
+    /// One daemon config push: apply the delta in place at the watermark
+    /// (no snapshot is written; the pipelines stay live).
     ConfigApply,
     /// One graceful daemon restart: drain, serialize, rebuild the fleet
     /// from bytes.

@@ -141,7 +141,7 @@ pub fn telemetry_events(
     perturb: Option<&PerturbConfig>,
 ) -> Vec<TelemetryEvent> {
     let (log, metrics) = prepare_telemetry(log, metrics, perturb);
-    interleave(&log, &metrics)
+    interleave(log, &metrics)
 }
 
 /// Picks the anomaly case window from classified phenomena: prefer the

@@ -90,7 +90,7 @@ fn main() {
     // in time order: every event is folded, every metric sample stepped.
     let mut collector = IncrementalAggregator::new(&workload.specs, IncrementalConfig::default());
     let mut detectors = OnlineDetectorBank::new();
-    for ev in interleave(&out.log, &out.metrics) {
+    for ev in interleave(out.log, &out.metrics) {
         if let TelemetryEvent::Metrics(sample) = &ev {
             detectors.observe(sample);
         }

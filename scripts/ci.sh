@@ -32,7 +32,9 @@
 #                     stores, checkpoint bytes and handoff order, the
 #                     matrix's reshard and checkpoint -> resume rows
 #   daemon_smoke      resident daemon: control-wire hardening, report and
-#                     epoch contracts, the matrix's daemon row
+#                     epoch contracts, config push in place (it writes no
+#                     snapshot; a push alone closes a cold start's cases),
+#                     the matrix's daemon row
 #   case_cut_smoke    window cut: minute rows bit-identical to the
 #                     per-template per_minute oracle; the cases every
 #                     experiment cuts online vs the batch oracle on the
@@ -57,7 +59,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,51p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,53p' "$0" | sed 's/^# \{0,1\}//' >&2
 }
 
 # `cargo test -q ARGS`, echoed as it runs, failing when the tests pass but
@@ -157,9 +159,10 @@ snapshot_smoke() {
   matrix reshard_ resume_at_
 }
 
-# Resident fleet daemon: control/daemon unit tests, PCTL wire hardening,
-# the report and epoch contracts, the matrix's daemon row (mid-stream
-# config push + graceful restart, byte-identical to a cold start).
+# Resident fleet daemon: control/daemon unit tests (a config push applies
+# in place), PCTL wire hardening, the report and epoch contracts, the
+# matrix's daemon row (mid-stream config push + graceful restart,
+# byte-identical to a cold start).
 daemon_smoke() {
   tests -p pinsql-engine control
   tests -p pinsql-engine daemon

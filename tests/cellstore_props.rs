@@ -152,7 +152,7 @@ fn stores_agree_on_perturbed_telemetry() {
         fold_both_ways(specs, raw, window, &format!("seed {seed}, raw order"));
 
         let ctx = format!("seed {seed}, time order");
-        let online = fold_both_ways(specs, interleave(&log, &metrics), window, &ctx);
+        let online = fold_both_ways(specs, interleave(log.clone(), &metrics), window, &ctx);
         assert_case_eq(&online, &aggregate_case(&log, specs, &metrics, window.0, window.1), &ctx);
     }
 }

@@ -234,8 +234,8 @@ fn run_path<O: Observer>(path: Path, p: MatrixPoint, corpus: &Corpus, obs: &O) -
         Path::Daemon => {
             let mut server = FleetServer::with_agent(spawn(perturbed_config(&cfg)));
             // Ingest under the wrong config, then push the correction: the
-            // quiesce-at-watermark + snapshot handoff must leave no trace
-            // of the perturbed thresholds, look-back, or layout.
+            // in-place apply at the watermark must leave no trace of the
+            // perturbed thresholds, look-back, or layout.
             server.advance_to(600);
             let epoch = server.push_config(restoring_delta(&cfg)).expect("config push acked");
             assert_eq!(epoch, ConfigEpoch(1), "first push mints epoch 1");
