@@ -25,8 +25,8 @@ pub struct PsResource {
     last: f64,
     /// Jobs keyed by (target virtual time, job id), least first.
     jobs: BinaryHeap<Reverse<(OrdF64, JobId)>>,
-    /// Membership generation, bumped on add/remove; used by the engine to
-    /// discard stale departure events.
+    /// Membership generation, bumped when jobs join or leave; used by the
+    /// engine to discard stale departure events.
     generation: u64,
     /// Busy integral accumulator: ∫ min(n, c)/c dt, i.e. utilization·time.
     busy_ms: f64,
@@ -40,18 +40,6 @@ impl PsResource {
     pub fn new(capacity: f64) -> Self {
         assert!(capacity > 0.0, "resource capacity must be positive");
         Self { capacity, virt: 0.0, last: 0.0, jobs: BinaryHeap::new(), generation: 0, busy_ms: 0.0 }
-    }
-
-    /// Number of jobs currently in service.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// True when no job is in service.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
     }
 
     /// Current membership generation.
@@ -68,12 +56,6 @@ impl PsResource {
         } else {
             (self.capacity / n as f64).min(1.0)
         }
-    }
-
-    /// Instantaneous utilization in `[0, 1]`.
-    #[inline]
-    pub fn utilization(&self) -> f64 {
-        (self.jobs.len() as f64 / self.capacity).min(1.0)
     }
 
     /// Advances the virtual clock (and the busy integral) to wall time
@@ -99,19 +81,6 @@ impl PsResource {
         let target = self.virt + demand_ms.max(0.0);
         self.jobs.push(Reverse((OrdF64::new(target), job)));
         self.generation += 1;
-    }
-
-    /// Removes a job before completion (e.g. a kill). Returns true when the
-    /// job was present. `O(n)` scan — kills are rare.
-    pub fn remove(&mut self, now: f64, job: JobId) -> bool {
-        self.advance(now);
-        let before = self.jobs.len();
-        self.jobs.retain(|&Reverse((_, j))| j != job);
-        let found = self.jobs.len() != before;
-        if found {
-            self.generation += 1;
-        }
-        found
     }
 
     /// The wall-clock time at which the next departure will occur if
@@ -164,7 +133,7 @@ mod tests {
         let mut out = Vec::new();
         r.pop_finished(100.0, EPS, &mut out);
         assert_eq!(out, vec![1]);
-        assert!(r.is_empty());
+        assert_eq!(r.next_departure(), None);
     }
 
     #[test]
@@ -203,19 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_mid_service_speeds_up_the_rest() {
-        let mut r = PsResource::new(1.0);
-        r.add(0.0, 1, 100.0);
-        r.add(0.0, 2, 100.0);
-        assert!(r.remove(50.0, 2));
-        assert!(!r.remove(50.0, 2));
-        // Job 1 did 25 ms of work in [0,50) at rate 0.5; 75 left at rate 1.
-        let (t, j) = r.next_departure().unwrap();
-        assert_eq!(j, 1);
-        assert!((t - 125.0).abs() < EPS);
-    }
-
-    #[test]
     fn busy_integral_tracks_utilization() {
         let mut r = PsResource::new(2.0);
         r.add(0.0, 1, 100.0); // 1 job on 2 cores: util 0.5
@@ -247,15 +203,6 @@ mod tests {
         let mut out = Vec::new();
         r.pop_finished(0.0, EPS, &mut out);
         assert_eq!(out, vec![7]);
-    }
-
-    #[test]
-    fn utilization_caps_at_one() {
-        let mut r = PsResource::new(2.0);
-        for j in 0..10 {
-            r.add(0.0, j, 100.0);
-        }
-        assert_eq!(r.utilization(), 1.0);
     }
 
     #[test]

@@ -33,8 +33,7 @@ fn ps_everyone_departs_and_busy_bounded() {
         }
         let mut done: Vec<u64> = Vec::new();
         let mut guard = 0;
-        while !r.is_empty() {
-            let (at, _) = r.next_departure().expect("jobs remain");
+        while let Some((at, _)) = r.next_departure() {
             let at = at.max(t);
             r.pop_finished(at, 1e-6, &mut done);
             t = at + 1e-3;
