@@ -12,8 +12,9 @@
 //!   waiting `ALTER TABLE` piles every later statement up behind it, the
 //!   paper's category-3(i) anomaly) and shared/exclusive row-slot locks
 //!   (category-3(ii));
-//! * [`engine`] — the event loop: arrivals → MDL → row locks → CPU phase →
-//!   IO phase → completion, emitting [`QueryRecord`]s;
+//! * [`engine`] — the one query lifecycle (MDL → row locks → CPU phase →
+//!   IO phase → release) and its open-loop driver: arrivals through
+//!   admission, completions emitted as [`QueryRecord`]s;
 //! * [`probe`] — the `SHOW STATUS`-style active-session probe taken at a
 //!   *uniformly random sub-second instant* each second (Fig. 3's `t3`),
 //!   which is exactly the ambiguity §IV-C's bucket estimation resolves;
@@ -22,8 +23,9 @@
 //! * [`telemetry`] — the unified [`TelemetryEvent`] stream (query record |
 //!   metric sample | clock tick) that the online collector, detectors, and
 //!   fleet engine consume;
-//! * [`closedloop`] — a saturation driver (N clients issuing back-to-back
-//!   queries) used for the Table IV Performance-Schema overhead study;
+//! * [`closedloop`] — the second driver of the same lifecycle: N clients
+//!   issuing back-to-back queries, for the Table IV Performance-Schema
+//!   overhead study;
 //! * [`config`] — instance sizing and the Performance-Schema overhead
 //!   model.
 

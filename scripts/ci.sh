@@ -26,7 +26,10 @@
 #                     per-template oracle and each case's record owners vs
 #                     the catalog lookup (sweep_matches_oracle_bit_for_bit,
 #                     cellstore_props), runs of N vs runs of one: bit for
-#                     bit
+#                     bit; the simulator's one query lifecycle pinned by
+#                     two known answers, every bit of each golden entry's
+#                     open-loop output (raw_simulator_output_is_pinned)
+#                     and a closed-loop grid (closed_loop_known_answer_grid)
 #   snapshot_smoke    snapshot wire/property suites against the committed
 #                     golden blob, restore refusing what the fold never
 #                     stores, checkpoint bytes and handoff order, the
@@ -59,7 +62,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,53p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,56p' "$0" | sed 's/^# \{0,1\}//' >&2
 }
 
 # `cargo test -q ARGS`, echoed as it runs, failing when the tests pass but
@@ -126,7 +129,8 @@ obs_smoke() {
 # record's template by the catalog lookup rather than the case's owner
 # table (seeded adversarial cases), and the fold entered as runs of N to
 # the fold entered as runs of one, every record's owner checked against
-# the catalog lookup.
+# the catalog lookup. Then the simulator's known answers: both drivers of
+# its one query lifecycle, bit for bit.
 kernel_smoke() {
   tests --test kernel_props
   tests -p pinsql-timeseries rolling::tests::median_mad_kernels_are_bit_identical
@@ -136,6 +140,8 @@ kernel_smoke() {
   tests -p pinsql-detect online::tests::online_detector_matches_the_batch_scan_oracle
   tests -p pinsql session_estimate::sweep_tests
   tests --test cellstore_props
+  tests -p pinsql-dbsim closedloop::tests::closed_loop_known_answer_grid
+  tests --test golden_corpus raw_simulator_output_is_pinned
 }
 
 # Checkpoint/restore + live resharding: the collector's and the engine's

@@ -670,10 +670,11 @@ fn extreme_event_times_are_bounded_and_a_dropped_one_changes_nothing() {
         assert!(whole.snapshot() == blob, "{ctx}: chunked and per-event ingest diverged");
 
         // Over the wire: every event its own batch, folded by the widest
-        // Advance there is. An event at the very end of time is behind no
-        // boundary, so it stays buffered and admission refuses (typed)
-        // whatever comes after it; short of that, the wire path ends on
-        // the direct path's bits.
+        // Advance there is. A finite time at or past that boundary (a tick
+        // at `i64::MAX`, a query at `f64::MAX`) stays buffered, and
+        // admission refuses (typed) whatever comes after it; a NaN or
+        // infinite time is held to nothing and wedges no stream. Short of
+        // a refusal, the wire path ends on the direct path's bits.
         let mut sink = small_sink(&scenarios);
         let mut seq = 0;
         for (i, ev) in with.iter().enumerate() {
