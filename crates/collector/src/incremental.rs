@@ -36,6 +36,7 @@ use pinsql_dbsim::telemetry::{query_run, second_of};
 use pinsql_dbsim::{MetricsSample, TelemetryEvent};
 use pinsql_timeseries::{CutKind, WireError, WireReader, WireWriter};
 use pinsql_workload::TemplateSpec;
+use std::ops::Range;
 
 /// Tuning for the incremental aggregator.
 #[derive(Debug, Clone)]
@@ -282,6 +283,12 @@ impl IncrementalAggregator {
     /// Number of metric samples currently retained (≤ `retention_s + 1`).
     pub fn metric_seconds(&self) -> usize {
         self.metrics.len()
+    }
+
+    /// The seconds of the retained metric samples: from the oldest to one
+    /// past the last the stream delivered (`0..0` before any).
+    pub fn metric_span(&self) -> Range<i64> {
+        self.metrics.span()
     }
 
     /// Re-assembles the [`CaseData`] for the collection window `[ts, te)`:

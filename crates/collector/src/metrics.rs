@@ -10,6 +10,7 @@ use pinsql_dbsim::probe::{ProbeLog, ProbeSample};
 use pinsql_dbsim::{InstanceMetrics, MetricsSample};
 use pinsql_timeseries::{WireError, WireReader, WireWriter};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Non-finite telemetry reads as 0 everywhere a window touches it — the
 /// rule the batch slicer applies.
@@ -61,6 +62,11 @@ impl MetricRing {
         self.ring.len()
     }
 
+    /// The seconds the ring holds, `[start, start + len)`.
+    pub fn span(&self) -> Range<i64> {
+        self.start..self.start.saturating_add(self.ring.len() as i64)
+    }
+
     /// Stores one sample, replacing the one already held for its second,
     /// and zero-fills the gap seconds before it — the one place a metric
     /// gap is materialised. A sample before the ring's start or more than
@@ -101,7 +107,7 @@ impl MetricRing {
     /// to available data the same way.
     pub fn window(&self, ts: i64, te: i64) -> InstanceMetrics {
         let lo = ts.max(self.start);
-        let hi = te.min(self.start.saturating_add(self.ring.len() as i64));
+        let hi = te.min(self.span().end);
         // Non-empty only when `start <= lo < hi <= start + len`.
         let at = |second: i64| (second - self.start) as usize;
         let range = if lo < hi { at(lo)..at(hi) } else { 0..0 };

@@ -7,6 +7,7 @@
 //! [a_s − δ_s, a_e)`.
 
 use crate::phenomenon::Phenomenon;
+use std::ops::Range;
 
 /// The time geometry of one anomaly case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +64,28 @@ impl AnomalyWindow {
     }
 }
 
+/// Picks the case window over the metric seconds `span` a stream
+/// delivered: the longest phenomenon (the last of equals, as `max_by_key`
+/// keeps it) with its `delta_s` look-back, clamped to `span`. Undetected,
+/// or clamped to nothing, the case is the whole span with no look-back; an
+/// empty span becomes the one second at its start. Returns the window,
+/// whether a phenomenon was detected, and its type.
+pub fn select_case_window(
+    phenomena: &[Phenomenon],
+    delta_s: i64,
+    span: Range<i64>,
+) -> (AnomalyWindow, bool, String) {
+    let start = span.start.min(i64::MAX - 1);
+    let end = span.end.max(start + 1);
+    let whole = AnomalyWindow { anomaly_start: start, anomaly_end: end, delta_s: 0 };
+    let Some(p) = phenomena.iter().max_by_key(|p| p.duration()) else {
+        return (whole, false, "active_session_anomaly".to_string());
+    };
+    let window = AnomalyWindow::from_phenomenon(p, delta_s).clamped(start, end);
+    let window = if window.anomaly_len() > 0 { window } else { whole };
+    (window, true, p.anomaly_type.clone())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,6 +114,53 @@ mod tests {
         assert_eq!(c.ts(), 0);
         assert_eq!(c.anomaly_start, 100);
         assert_eq!(c.te(), 350);
+    }
+
+    fn ph(anomaly_type: &str, start: i64, end: i64) -> Phenomenon {
+        Phenomenon { anomaly_type: anomaly_type.into(), start, end }
+    }
+
+    #[test]
+    fn select_takes_the_longest_phenomenon_and_the_last_of_equals() {
+        let ps = [ph("a", 100, 150), ph("b", 300, 400), ph("c", 500, 550)];
+        let (w, detected, ty) = select_case_window(&ps, 120, 0..1200);
+        assert_eq!(w, AnomalyWindow { anomaly_start: 300, anomaly_end: 400, delta_s: 120 });
+        assert!(detected);
+        assert_eq!(ty, "b");
+        let tied = [ph("a", 100, 200), ph("b", 300, 400), ph("c", 500, 550)];
+        let (w, _, ty) = select_case_window(&tied, 120, 0..1200);
+        assert_eq!((w.anomaly_start, ty.as_str()), (300, "b"));
+        // Clamped to the span: the look-back stops at its start.
+        let (w, ..) = select_case_window(&[ph("a", 50, 900)], 120, 0..600);
+        assert_eq!(w, AnomalyWindow { anomaly_start: 50, anomaly_end: 600, delta_s: 50 });
+    }
+
+    #[test]
+    fn select_falls_back_to_the_whole_span_when_the_phenomenon_clamps_empty() {
+        let (w, detected, ty) = select_case_window(&[ph("cpu", 700, 800)], 120, 0..600);
+        assert_eq!(w, AnomalyWindow { anomaly_start: 0, anomaly_end: 600, delta_s: 0 });
+        assert!(detected, "a phenomenon was detected, even if past the stream");
+        assert_eq!(ty, "cpu");
+    }
+
+    #[test]
+    fn select_without_phenomena_is_the_whole_undetected_span() {
+        let (w, detected, ty) = select_case_window(&[], 600, 0..1200);
+        assert_eq!(w, AnomalyWindow { anomaly_start: 0, anomaly_end: 1200, delta_s: 0 });
+        assert!(!detected);
+        assert_eq!(ty, "active_session_anomaly");
+    }
+
+    #[test]
+    fn select_over_an_empty_span_is_one_second() {
+        let one = |s| AnomalyWindow { anomaly_start: s, anomaly_end: s + 1, delta_s: 0 };
+        let spans = [(0, 0, 0), (0, -5, 0), (0, i64::MIN, 0), (i64::MAX, i64::MAX, i64::MAX - 1)];
+        for (start, end, at) in spans {
+            let span = start..end;
+            assert_eq!(select_case_window(&[], 600, span.clone()).0, one(at), "{span:?}");
+            let (w, detected, _) = select_case_window(&[ph("a", 10, 20)], 600, span.clone());
+            assert_eq!((w, detected), (one(at), true), "{span:?}");
+        }
     }
 
     #[test]

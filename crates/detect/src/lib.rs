@@ -12,8 +12,9 @@
 //!   combining features of different metrics into typed anomalous
 //!   *phenomena* (e.g. `[active_session.spike]`), merging phenomena of the
 //!   same type that occur close together and dropping those shorter than a
-//!   configurable minimum duration. The result is the anomaly case window
-//!   `[a_s, a_e)` that triggers root-cause analysis.
+//!   configurable minimum duration. The longest phenomenon is the anomaly
+//!   case window `[a_s, a_e)` that triggers root-cause analysis
+//!   ([`select_case_window`], which reads nothing but the stream).
 //!
 //! (The paper plugs iSQUAD in for phenomenon typing; the rule table here
 //! reproduces the part PinSQL depends on — building typed anomaly cases —
@@ -27,7 +28,7 @@ pub mod features;
 pub mod online;
 pub mod phenomenon;
 
-pub use case::AnomalyWindow;
+pub use case::{select_case_window, AnomalyWindow};
 pub use detector::{detect_features, DetectorConfig};
 pub use features::{Feature, FeatureKind};
 pub use online::{OnlineDetectorBank, OnlineFeatureDetector};

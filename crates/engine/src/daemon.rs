@@ -257,7 +257,7 @@ impl<'a, O: Observer> FleetDaemon<'a, O> {
                 detail: format!("instance {instance} outside fleet of {}", self.streams.len()),
             });
         };
-        let n_specs = self.scenarios[instance].workload.specs.len();
+        let n_specs = self.instances[instance].n_specs();
         // Nothing is behind negative infinity, so an empty stream admits
         // any first event. `last` is the latest finite time: a NaN or
         // infinite timestamp passes (the fold counts it as malformed) but
@@ -994,6 +994,21 @@ mod tests {
             shards,
             ..FleetConfig::default()
         }
+    }
+
+    /// A hollow agent finished before any event closes each case on the
+    /// one second an empty stream gets, and diagnoses it.
+    #[test]
+    fn hollow_agent_finishes_without_events() {
+        let scenarios = small_fleet(3);
+        let run = FleetDaemon::spawn_hollow(cfg(2), &scenarios).finish();
+        assert_eq!(run.report.events_total, 0);
+        assert_eq!(run.cases.len(), 3);
+        for lc in &run.cases {
+            assert!(!lc.detected);
+            assert_eq!((lc.window.ts(), lc.window.te()), (0, 1));
+        }
+        assert!(run.diagnoses.iter().all(|d| d.reported_rsqls.is_empty()));
     }
 
     #[test]

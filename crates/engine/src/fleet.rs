@@ -103,7 +103,7 @@ pub struct InstanceOutcome {
     /// Injected anomaly kind label ("none" for negative scenarios).
     pub kind: String,
     pub seed: u64,
-    /// Whether the online detectors raised the case (vs. hint fallback).
+    /// Whether the online detectors raised the case (else: whole stream).
     pub detected: bool,
     pub anomaly_type: String,
     pub n_events: u64,

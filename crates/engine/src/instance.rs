@@ -25,9 +25,11 @@ use pinsql::{Diagnosis, PinSql};
 use pinsql_collector::{HistoryStore, IncrementalAggregator, IncrementalConfig, IngestStats};
 use pinsql_dbsim::telemetry::query_run;
 use pinsql_dbsim::TelemetryEvent;
-use pinsql_detect::{classify, CutKind, KernelKind, OnlineDetectorBank, PhenomenonConfig};
+use pinsql_detect::{
+    classify, select_case_window, CutKind, KernelKind, OnlineDetectorBank, PhenomenonConfig,
+};
 use pinsql_obs::{Counter, Gauge, HealthSnapshot, NoopObserver, Observer, Stage};
-use pinsql_scenario::{select_case_window, LabeledCase, Scenario};
+use pinsql_scenario::{LabeledCase, Scenario};
 use pinsql_timeseries::{WireError, WireReader, WireWriter};
 
 /// What a snapshot buffer is given beyond the aggregator's body: the
@@ -194,6 +196,11 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
         self.aggregator.watermark()
     }
 
+    /// Workload specs the instance's catalog holds.
+    pub(crate) fn n_specs(&self) -> usize {
+        self.aggregator.catalog().n_specs()
+    }
+
     /// The per-template 1-minute history the collector accumulated in-line
     /// from this stream (what a long-running deployment would verify
     /// against; [`close_case`](Self::close_case) uses the scenario's
@@ -312,8 +319,8 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
     }
 
     /// Closes the anomaly case: flushes the detectors, classifies
-    /// phenomena, selects the case window, cuts it, and labels ground
-    /// truth.
+    /// phenomena, selects the case window from the stream alone
+    /// ([`select_case_window`]), cuts it, and labels ground truth.
     pub fn close_case(mut self) -> LabeledCase {
         if O::ENABLED {
             // Lifetime counters roll up once, at close; the live state is
@@ -341,7 +348,7 @@ impl<'a, O: Observer> OnlineInstance<'a, O> {
         }
         let phenomena = classify(&features, &PhenomenonConfig::default());
         let (window, detected, anomaly_type) =
-            select_case_window(&phenomena, self.scenario, self.delta_s);
+            select_case_window(&phenomena, self.delta_s, self.aggregator.metric_span());
         let c0 = if O::ENABLED { self.obs.now_ns() } else { 0 };
         let case = self.aggregator.snapshot(window.ts(), window.te());
         if O::ENABLED {
@@ -426,7 +433,9 @@ pub(crate) fn simulated_stream(scenario: &Scenario) -> Vec<TelemetryEvent> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pinsql_scenario::{generate_base, inject, AnomalyKind, ScenarioConfig};
+    use pinsql_dbsim::MetricsSample;
+    use pinsql_detect::AnomalyWindow;
+    use pinsql_scenario::{generate_base, inject, inject_none, AnomalyKind, ScenarioConfig};
 
     fn assert_case_eq(a: &LabeledCase, b: &LabeledCase) {
         assert_eq!(a.window, b.window);
@@ -474,6 +483,66 @@ mod tests {
         assert_eq!(s.malformed, c.malformed);
         assert_eq!(s.late, c.late);
         assert_case_eq(&scalar.close_case(), &chunked.close_case());
+    }
+
+    /// The case window comes from the stream alone: one negative scenario
+    /// under two injected-window settings closes to the same window, the
+    /// whole stream, and the same diagnosis.
+    #[test]
+    fn negative_case_ignores_the_injected_window() {
+        let close = |start, end| {
+            let cfg = ScenarioConfig::default()
+                .with_seed(23)
+                .with_businesses(6)
+                .with_window(420, start, end);
+            let scenario = inject_none(&generate_base(&cfg), &cfg);
+            let (lc, d) = replay_diagnose(
+                &scenario,
+                simulated_stream(&scenario),
+                &FleetConfig { delta_s: 180, ..FleetConfig::default() },
+                &NoopObserver,
+            );
+            assert!(!lc.detected, "injected window {start}..{end}: a clean stream tripped");
+            (lc, d)
+        };
+        let (a, da) = close(60, 120);
+        let (b, db) = close(240, 400);
+        assert_eq!(a.window, AnomalyWindow { anomaly_start: 0, anomaly_end: 420, delta_s: 0 });
+        assert_case_eq(&a, &b);
+        assert_eq!(da.hsqls, db.hsqls);
+        assert_eq!(da.rsqls, db.rsqls);
+        assert_eq!(da.reported_rsqls, db.reported_rsqls);
+        assert_eq!(
+            (da.n_verified, da.n_clusters, da.selected_clusters),
+            (db.n_verified, db.n_clusters, db.selected_clusters)
+        );
+    }
+
+    /// The whole span an undetected case takes is the metric seconds the
+    /// instance holds, wherever the stream put them: a far-future clock
+    /// cuts its three seconds, not a span from zero, and a sample at the
+    /// last second there is cuts one.
+    #[test]
+    fn undetected_case_spans_the_metric_seconds_held() {
+        let cfg = ScenarioConfig::default().with_seed(7).with_businesses(6);
+        let scenario = inject_none(&generate_base(&cfg), &cfg);
+        let far = 1i64 << 40;
+        let cases = [
+            (vec![far, far + 1, far + 2], (far, far + 3)),
+            (vec![i64::MAX], (i64::MAX - 1, i64::MAX)),
+        ];
+        for (seconds, want) in cases {
+            let events = seconds
+                .into_iter()
+                .map(|second| MetricsSample { second, ..Default::default() })
+                .map(|sample| TelemetryEvent::Metrics(Box::new(sample)))
+                .collect();
+            let fleet = FleetConfig::default();
+            let (lc, d) = replay_diagnose(&scenario, events, &fleet, &NoopObserver);
+            assert!(!lc.detected);
+            assert_eq!((lc.window.ts(), lc.window.te()), want);
+            assert!(d.reported_rsqls.is_empty());
+        }
     }
 
     #[test]

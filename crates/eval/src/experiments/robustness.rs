@@ -58,8 +58,8 @@ pub struct CurvePoint {
     pub n_cases: usize,
     pub rsql: RankSummary,
     pub hsql: RankSummary,
-    /// Fraction of cases where the detector (not the injected hint) found
-    /// the anomaly window in the degraded metrics.
+    /// Fraction of cases where the detector found an anomaly window in the
+    /// degraded metrics (else the case is the whole stream).
     pub detected_rate: f64,
     /// Fraction of cases where PinSQL asserted at least one R-SQL (the
     /// `reported_rsqls` gate, not the evaluation-only full ranking).

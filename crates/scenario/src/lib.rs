@@ -41,8 +41,8 @@ pub use gen::{generate_base, ScenarioConfig};
 pub use history::synthesize_history;
 pub use inject::{inject, inject_many, inject_none, AnomalyKind, Scenario};
 pub use materialize::{
-    label_truth, materialize_events, prepare_telemetry, select_case_window, simulate_telemetry,
-    telemetry_events, GroundTruth, LabeledCase,
+    label_truth, materialize_events, prepare_telemetry, simulate_telemetry, telemetry_events,
+    GroundTruth, LabeledCase,
 };
 pub use perturb::{
     perturb_log, perturb_metrics, perturb_telemetry, PerturbConfig, PerturbStats,

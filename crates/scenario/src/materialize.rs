@@ -5,11 +5,11 @@
 //! workload (optionally degrading the output through the chaos layer) and
 //! [`telemetry_events`] / [`materialize_events`] emit it as the
 //! time-ordered event stream the online engine ingests. The engine's
-//! instance detects the anomaly, picks the case window
-//! ([`select_case_window`], falling back to the injected hint when
-//! detection misses), cuts the window and hands the case to
-//! [`LabeledCase::new`], which labels the ground truth and synthesizes
-//! history:
+//! instance detects the anomaly, picks the case window from the stream
+//! alone (`pinsql_detect::select_case_window`: the longest phenomenon, or
+//! the whole stream when detection finds none), cuts the window and hands
+//! the case to [`LabeledCase::new`], which labels the ground truth and
+//! synthesizes history:
 //!
 //! * **R-SQLs** — the injected templates (root causes by construction);
 //! * **H-SQLs** — templates whose *true* per-second active session
@@ -24,7 +24,7 @@ use crate::history::synthesize_history;
 use crate::inject::{AnomalyKind, Scenario};
 use crate::perturb::{perturb_telemetry, PerturbConfig};
 use pinsql_collector::{CaseData, HistoryStore};
-use pinsql_detect::{AnomalyWindow, Phenomenon};
+use pinsql_detect::AnomalyWindow;
 use pinsql_dbsim::{interleave, run_open_loop, InstanceMetrics, QueryRecord, TelemetryEvent};
 use pinsql_sqlkit::SqlId;
 
@@ -51,7 +51,8 @@ pub struct LabeledCase {
     pub kind: Option<AnomalyKind>,
     /// Every injected anomaly (empty for negatives).
     pub injected: Vec<AnomalyKind>,
-    /// Whether the detector found the anomaly (vs. the injected hint).
+    /// Whether the detector found an anomaly (else the case is the whole
+    /// stream).
     pub detected: bool,
     /// The anomaly type reported by phenomenon perception.
     pub anomaly_type: String,
@@ -144,43 +145,6 @@ pub fn telemetry_events(
     interleave(log, &metrics)
 }
 
-/// Picks the anomaly case window from classified phenomena: prefer the
-/// phenomenon overlapping the injected window; else the longest; else fall
-/// back to the injected hint. Shared verbatim by the online engine's
-/// case-close trigger and the batch oracle (their equivalence depends on
-/// both sides choosing identically).
-pub fn select_case_window(
-    phenomena: &[Phenomenon],
-    scenario: &Scenario,
-    delta_s: i64,
-) -> (AnomalyWindow, bool, String) {
-    let cfg = &scenario.cfg;
-    let hint = (cfg.anomaly_start, cfg.anomaly_end);
-    let best = phenomena
-        .iter()
-        .filter(|p| p.start < hint.1 && p.end > hint.0)
-        .max_by_key(|p| p.duration())
-        .or_else(|| phenomena.iter().max_by_key(|p| p.duration()));
-    let hint_window = AnomalyWindow { anomaly_start: hint.0, anomaly_end: hint.1, delta_s }
-        .clamped(0, cfg.window_s);
-    let (mut window, detected, anomaly_type) = match best {
-        Some(p) => (
-            AnomalyWindow::from_phenomenon(p, delta_s).clamped(0, cfg.window_s),
-            true,
-            p.anomaly_type.clone(),
-        ),
-        None => (hint_window, false, "active_session_anomaly".to_string()),
-    };
-    // Degraded telemetry can produce a phenomenon that clamps to nothing
-    // (e.g. entirely inside a blanked tail). Aggregation needs a non-empty
-    // window, so fall back to the injected hint — which the ScenarioConfig
-    // guarantees is non-degenerate.
-    if window.window_len() <= 0 || window.anomaly_len() <= 0 {
-        window = hint_window;
-    }
-    (window, detected, anomaly_type)
-}
-
 /// Labels a case's ground truth: R-SQLs are the injected templates mapped
 /// into the catalog; H-SQLs come from the true per-second activity in the
 /// complete window records. Negative scenarios have empty truth by
@@ -263,7 +227,9 @@ mod tests {
     use crate::inject::{inject, inject_none};
     use crate::perturb::PerturbConfig;
     use pinsql_collector::aggregate_case;
-    use pinsql_detect::{classify, detect_features, DetectorConfig, PhenomenonConfig};
+    use pinsql_detect::{
+        classify, detect_features, select_case_window, DetectorConfig, PhenomenonConfig,
+    };
 
     /// The labelled case these tests check, built from the references the
     /// online engine is pinned against: detection over each whole metric
@@ -284,7 +250,8 @@ mod tests {
             })
             .collect();
         let phenomena = classify(&features, &PhenomenonConfig::default());
-        let (window, detected, anomaly_type) = select_case_window(&phenomena, scenario, delta_s);
+        let span = metrics.start_second..metrics.start_second + metrics.len() as i64;
+        let (window, detected, anomaly_type) = select_case_window(&phenomena, delta_s, span);
         let case =
             aggregate_case(&log, &scenario.workload.specs, &metrics, window.ts(), window.te());
         LabeledCase::new(scenario, case, window, detected, anomaly_type)

@@ -41,7 +41,11 @@
 #   case_cut_smoke    window cut: minute rows bit-identical to the
 #                     per-template per_minute oracle; the cases every
 #                     experiment cuts online vs the batch oracle on the
-#                     shapes the matrix never runs (eval_cases)
+#                     shapes the matrix never runs (eval_cases); the
+#                     truth-free window selector (longest phenomenon, else
+#                     the whole stream), a negative closing to the same
+#                     window whatever was injected, and the negatives'
+#                     false-positive guard (negative_cases)
 #   transport_smoke   cross-process ingest: the loopback pipe vs its
 #                     byte-queue oracle, PEVT wire hardening, TCP framing /
 #                     region server / credit deadlock / wire extremes and
@@ -62,7 +66,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,56p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,60p' "$0" | sed 's/^# \{0,1\}//' >&2
 }
 
 # `cargo test -q ARGS`, echoed as it runs, failing when the tests pass but
@@ -183,10 +187,15 @@ daemon_smoke() {
 # evicting/restored streams), then the cases the experiments cut through
 # the online engine against the batch oracle in tests/common, series and
 # diagnoses bit for bit: perturbed telemetry, overlapping anomalies,
-# negatives and look-backs other than the golden 600 s.
+# negatives and look-backs other than the golden 600 s. Then the window
+# selector, which reads nothing but the stream, and the negatives it
+# hands the whole stream.
 case_cut_smoke() {
   tests --test cut_props
   tests --test eval_cases
+  tests -p pinsql-detect case::tests::select
+  tests -p pinsql-engine negative_case_ignores_the_injected_window
+  tests --test negative_cases
 }
 
 # Cross-process ingest transport: engine wire/transport unit tests (with

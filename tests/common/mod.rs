@@ -15,14 +15,16 @@
 
 use pinsql::{Diagnosis, PinSql, PinSqlConfig};
 use pinsql_collector::{aggregate_case, CaseData};
-use pinsql_detect::{classify, detect_features, DetectorConfig, PhenomenonConfig};
+use pinsql_detect::{
+    classify, detect_features, select_case_window, DetectorConfig, PhenomenonConfig,
+};
 use pinsql_engine::FleetConfig;
 use pinsql_dbsim::{InstanceMetrics, MetricsSample, QueryRecord, TelemetryEvent};
 use pinsql_json::Json;
 use pinsql_timeseries::par::par_map;
 use pinsql_scenario::{
-    generate_base, inject, prepare_telemetry, select_case_window, simulate_telemetry,
-    telemetry_events, AnomalyKind, LabeledCase, PerturbConfig, Scenario, ScenarioConfig,
+    generate_base, inject, prepare_telemetry, simulate_telemetry, telemetry_events, AnomalyKind,
+    LabeledCase, PerturbConfig, Scenario, ScenarioConfig,
 };
 use pinsql_workload::rng::{RngExt, StdRng};
 use pinsql_workload::SpecId;
@@ -179,7 +181,8 @@ pub fn scenario_for(entry: &ManifestEntry) -> Scenario {
 /// detector bank sample by sample and cuts its rings, the oracle detects
 /// over each whole metric series (`detect_features`) and aggregates the
 /// whole log over the selected window (`aggregate_case`); window selection
-/// and labelling are the code the engine runs. Every online path is
+/// (over the metric seconds the telemetry holds) and labelling are the
+/// code the engine runs. Every online path is
 /// compared against it bit for bit.
 pub fn materialize_telemetry(
     scenario: &Scenario,
@@ -195,7 +198,8 @@ pub fn materialize_telemetry(
         features.extend(detect_features(name, series, metrics.start_second, &c));
     }
     let phenomena = classify(&features, &PhenomenonConfig::default());
-    let (window, detected, anomaly_type) = select_case_window(&phenomena, scenario, delta_s);
+    let span = metrics.start_second..metrics.start_second + metrics.len() as i64;
+    let (window, detected, anomaly_type) = select_case_window(&phenomena, delta_s, span);
     let case = aggregate_case(&log, &scenario.workload.specs, &metrics, window.ts(), window.te());
     LabeledCase::new(scenario, case, window, detected, anomaly_type)
 }
