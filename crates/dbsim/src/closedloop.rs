@@ -12,12 +12,13 @@
 //! only what makes the loop closed. At each completion the driver counts
 //! the query and issues that client's next one (mix draw, then the cost
 //! and slot draws). The queries the completions' released locks granted
-//! are resumed only after the whole departure event — every completion
-//! and the departure's reschedule. A stale departure skips the event
-//! whole, the warm-up CPU snapshot included.
+//! are resumed only after the whole departure — every completion and the
+//! resource's reschedule. The run stops at the first departure at or past
+//! its end, superseded ones included: the CPU busy integral is read
+//! there.
 
 use crate::config::SimConfig;
-use crate::engine::{Driver, Event, Lifecycle, Res};
+use crate::engine::{Driver, Lifecycle, Res};
 use crate::locks::QueryId;
 use pinsql_workload::rng::{RngExt, SeedableRng, StdRng};
 use pinsql_workload::{SpecId, Workload};
@@ -56,6 +57,9 @@ struct Clients<'c> {
     mix: &'c [(usize, f64)],
     total_weight: f64,
     warm_ms: f64,
+    end_ms: f64,
+    /// The earliest superseded departure at or past `end_ms`.
+    stale_stop: f64,
     completed_measured: u64,
 }
 
@@ -66,6 +70,12 @@ impl Driver for Clients<'_> {
             life.driver.completed_measured += 1;
         }
         issue(life);
+    }
+
+    fn superseded(&mut self, at: f64) {
+        if at >= self.end_ms {
+            self.stale_stop = self.stale_stop.min(at);
+        }
     }
 }
 
@@ -103,24 +113,28 @@ pub fn run_closed_loop(
     let rng = StdRng::seed_from_u64(sim.seed ^ 0xA5A5_5A5A_DEAD_BEEF);
     let end_ms = (cfg.warmup_s + cfg.measure_s) * 1000.0;
     let warm_ms = cfg.warmup_s * 1000.0;
-    let clients = Clients { mix: &cfg.mix, total_weight, warm_ms, completed_measured: 0 };
+    let clients = Clients {
+        mix: &cfg.mix,
+        total_weight,
+        warm_ms,
+        end_ms,
+        stale_stop: f64::INFINITY,
+        completed_measured: 0,
+    };
     let mut life = Lifecycle::new(workload, sim, rng, 0.0, clients);
     for _ in 0..cfg.clients {
         issue(&mut life);
     }
 
     let mut cpu_busy_at_warm: Option<f64> = None;
-    while let Some((at, event)) = life.pop_event() {
+    let mut stop = f64::INFINITY;
+    while let Some((at, res)) = life.pop_event() {
         life.now = at.max(life.now);
         if life.now >= end_ms {
+            stop = life.now;
             break;
         }
-        let Event::Departure(res, gen) = event else { unreachable!("closed loop: {event:?}") };
-        // A stale departure skips the whole event, the warm-up snapshot
-        // below included: Table IV's numbers were measured that way.
-        if !life.depart(res, gen) {
-            continue;
-        }
+        life.depart(res);
         life.resume_grants();
         // Snapshot CPU busy time at the warm-up boundary.
         if cpu_busy_at_warm.is_none() && life.now >= warm_ms {
@@ -128,7 +142,10 @@ pub fn run_closed_loop(
         }
     }
 
-    life.now = end_ms.max(life.now);
+    // The clock stops at the first departure at or past the end,
+    // superseded ones included; with none pending, at the end.
+    let stop = stop.min(life.driver.stale_stop);
+    life.now = if stop.is_finite() { stop } else { end_ms.max(life.now) };
     let busy = life.busy_ms(Res::Cpu) - cpu_busy_at_warm.unwrap_or(0.0);
     ClosedLoopResult {
         qps: life.driver.completed_measured as f64 / cfg.measure_s,

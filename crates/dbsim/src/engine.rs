@@ -11,10 +11,11 @@
 //! ```
 //!
 //! [`Lifecycle`] owns everything a query's life touches: the clock, the
-//! `(time, seq)` event heap, the CPU and IO processor-sharing resources,
-//! the lock manager, the in-flight table, the RNG, the per-spec cost
-//! samplers and the per-table Zipfs. A [`Driver`] decides where queries
-//! come from and what a completion does. There are two:
+//! CPU and IO processor-sharing resources with each one's pending
+//! departure, the lock manager, the in-flight table ([`InFlight`], indexed
+//! by query id), the RNG, the per-spec cost samplers and the per-table
+//! Zipfs. A [`Driver`] decides where queries come from and what a
+//! completion does. There are two:
 //!
 //! * the open-loop driver here ([`run_open_loop`]): pre-generated
 //!   arrivals pass through admission (`max_sessions`), a per-second probe
@@ -23,11 +24,31 @@
 //!   released locks granted;
 //! * the closed-loop driver ([`crate::closedloop`]): at each completion
 //!   it counts the query and issues that client's next one; it resumes
-//!   the grants only after the whole departure event is handled.
+//!   the grants only after the whole departure is handled.
 //!
 //! Lock waits and queueing are all part of the measured response time, so
 //! an anomaly's victims (H-SQLs) show inflated `t_res` and inflated active
 //! session — the propagation chain PinSQL traces.
+//!
+//! ## Events
+//!
+//! Events happen in `(time, seq)` order, `seq` being drawn each time an
+//! event is scheduled. At most four are pending, so each has a slot and
+//! the least is found by comparing them in place: the open loop's next
+//! arrival, its next probe or tick (a cursor into the per-second timeline,
+//! known up front), and each resource's next departure.
+//!
+//! A departure is computed from the resource's membership, so a job
+//! joining or leaving supersedes it. A superseded departure is never
+//! stored: handled, it would change nothing. Only its time could matter,
+//! through the clock a loop stops at, and each driver keeps the one
+//! scalar that says where: the open loop the latest superseded departure
+//! within the drain cap ([`Driver::superseded`]), the closed loop the
+//! first one past its end. A departure rescheduled at the membership it
+//! was computed at (the resource's generation, unchanged) repeats the
+//! pending one's time, and the pending one, with its earlier `seq`, stays:
+//! handled first, it either pops a job, which supersedes the repeat, or
+//! pops none, which the repeat would only do again.
 //!
 //! ## Determinism
 //!
@@ -35,18 +56,16 @@
 //! pair reproduces byte-identical output.
 
 use crate::config::SimConfig;
+use crate::flight::InFlight;
 use crate::locks::{LockKind, LockManager, QueryId};
 use crate::metrics::InstanceMetrics;
+use crate::ordf64::{sort_by_total_key, OrdF64};
 use crate::probe::ProbeSample;
 use crate::ps::PsResource;
 use crate::record::QueryRecord;
 use pinsql_workload::rng::{poisson, RngExt, SeedableRng, StdRng, Zipf};
-use pinsql_timeseries::FxHashMap;
 use pinsql_workload::{CostSampler, LockFootprint, LockMode, SpecId, Workload};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
-use crate::ordf64::OrdF64;
+use std::collections::VecDeque;
 
 /// Numeric slack for departure detection, in ms.
 const EPS_MS: f64 = 1e-6;
@@ -117,23 +136,24 @@ fn row_kind(mode: LockMode) -> LockKind {
     }
 }
 
-/// A processor-sharing resource of the lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// A processor-sharing resource of the lifecycle; it indexes the
+/// departure slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Res {
-    Cpu,
-    Io,
+    Cpu = 0,
+    Io = 1,
 }
 
-/// Orderable event kinds (the kind only breaks ties after the sequence
-/// number, which never happens in practice, but keeps `Ord` total).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum Event {
-    Arrival,
-    /// A departure of the resource, scheduled at its membership
-    /// generation.
-    Departure(Res, u64),
-    Probe,
-    SecondTick,
+/// An event's place in the pop order: its time, then the sequence number
+/// drawn when it was scheduled.
+type Key = (OrdF64, u64);
+
+/// A resource's pending departure, and the membership generation it was
+/// computed at.
+#[derive(Debug, Clone, Copy)]
+struct Due {
+    key: Key,
+    gen: u64,
 }
 
 /// What a driver does with a query that finished its last phase.
@@ -142,6 +162,11 @@ pub(crate) trait Driver: Sized {
     /// them, while the departure is handled; the query is still in flight
     /// until the driver calls [`Lifecycle::release`].
     fn complete(life: &mut Lifecycle<'_, Self>, qid: QueryId);
+
+    /// Called with the time of each departure a membership change
+    /// superseded (see the module docs): the driver keeps what its stop
+    /// clock needs of it.
+    fn superseded(&mut self, at: f64);
 }
 
 /// One query lifecycle, shared by both drivers (see the module docs).
@@ -150,11 +175,12 @@ pub(crate) struct Lifecycle<'a, D> {
     cfg: &'a SimConfig,
     pub(crate) now: f64,
     seq: u64,
-    events: BinaryHeap<Reverse<(OrdF64, u64, Event)>>,
+    /// Each resource's pending departure, indexed by [`Res`].
+    due: [Option<Due>; 2],
     cpu: PsResource,
     io: PsResource,
     locks: LockManager,
-    states: FxHashMap<QueryId, QueryState>,
+    flight: InFlight<QueryState>,
     next_qid: QueryId,
     pub(crate) rng: StdRng,
     /// One per spec, indexed by `SpecId`.
@@ -184,11 +210,11 @@ impl<'a, D: Driver> Lifecycle<'a, D> {
             cfg,
             now,
             seq: 0,
-            events: BinaryHeap::new(),
+            due: [None; 2],
             cpu,
             io,
             locks: LockManager::new(workload.tables.len()),
-            states: FxHashMap::default(),
+            flight: InFlight::new(),
             next_qid: 0,
             rng,
             costs: workload.specs.iter().map(|s| CostSampler::new(&s.cost)).collect(),
@@ -214,14 +240,26 @@ impl<'a, D: Driver> Lifecycle<'a, D> {
         r.busy_ms()
     }
 
-    fn push_event(&mut self, at: f64, event: Event) {
+    /// The key of an event scheduled at `at`.
+    fn key(&mut self, at: f64) -> Key {
         self.seq += 1;
-        self.events.push(Reverse((OrdF64::new(at), self.seq, event)));
+        (OrdF64::new(at), self.seq)
     }
 
-    /// Pops the least pending event: its time and kind.
-    pub(crate) fn pop_event(&mut self) -> Option<(f64, Event)> {
-        self.events.pop().map(|Reverse((at, _, event))| (at.get(), event))
+    /// The departure due first, with its resource.
+    fn next_due(&self) -> Option<(Key, Res)> {
+        match self.due {
+            [Some(cpu), Some(io)] if io.key < cpu.key => Some((io.key, Res::Io)),
+            [Some(cpu), _] => Some((cpu.key, Res::Cpu)),
+            [None, io] => io.map(|io| (io.key, Res::Io)),
+        }
+    }
+
+    /// Takes the departure due first: its time and resource.
+    pub(crate) fn pop_event(&mut self) -> Option<(f64, Res)> {
+        let (key, res) = self.next_due()?;
+        self.due[res as usize] = None;
+        Some((key.0.get(), res))
     }
 
     /// Puts a query of `spec` arriving at `arrival_ms` in flight: draws
@@ -250,7 +288,7 @@ impl<'a, D: Driver> Lifecycle<'a, D> {
             holds_mdl: false,
             phase: Phase::WaitingMdl,
         };
-        self.states.insert(qid, st);
+        self.flight.insert(qid, st);
         qid
     }
 
@@ -258,7 +296,7 @@ impl<'a, D: Driver> Lifecycle<'a, D> {
     /// MDL, then the row slots in ascending (deadlock-free) order; parks
     /// it when a lock is unavailable, otherwise starts the CPU phase.
     pub(crate) fn continue_acquisition(&mut self, qid: QueryId) {
-        let st = self.states.get_mut(&qid).expect("state");
+        let st = self.flight.get_mut(qid).expect("state");
         if let Some(fp) = st.lock {
             let table = fp.table.0 as u32;
             if !st.holds_mdl {
@@ -287,29 +325,35 @@ impl<'a, D: Driver> Lifecycle<'a, D> {
         self.schedule(res);
     }
 
-    /// Schedules the resource's next departure at its current generation.
+    /// Schedules the resource's next departure at its current generation,
+    /// superseding the pending one if the membership changed since.
     fn schedule(&mut self, res: Res) {
         let r = self.resource(res);
-        if let Some((at, _)) = r.next_departure() {
-            let gen = r.generation();
-            self.push_event(at.max(self.now), Event::Departure(res, gen));
+        let (gen, next) = (r.generation(), r.next_departure());
+        let slot = res as usize;
+        if let Some(stale) = self.due[slot].filter(|due| due.gen != gen) {
+            self.due[slot] = None;
+            self.driver.superseded(stale.key.0.get());
+        }
+        if let Some((at, _)) = next {
+            let key = self.key(at.max(self.now));
+            // At an unchanged generation the pending departure has this
+            // one's time and the earlier key.
+            let due = self.due[slot].get_or_insert(Due { key, gen });
+            debug_assert_eq!(due.key.0, key.0, "a departure moved at one generation");
         }
     }
 
-    /// Handles a departure of `res` scheduled at generation `gen`: pops
-    /// every finished job, moves a finished CPU phase on to IO, hands each
-    /// query that finished its last phase to the driver in pop order, then
-    /// reschedules the resource. Returns false, having done nothing, when
-    /// the event is stale (the membership changed since).
-    pub(crate) fn depart(&mut self, res: Res, gen: u64) -> bool {
-        if gen != self.resource(res).generation() {
-            return false;
-        }
+    /// Handles the departure of `res` popped last: pops every finished
+    /// job, moves a finished CPU phase on to IO, hands each query that
+    /// finished its last phase to the driver in pop order, then
+    /// reschedules the resource.
+    pub(crate) fn depart(&mut self, res: Res) {
         let mut finished = std::mem::take(&mut self.finished);
         let now = self.now;
         self.resource(res).pop_finished(now, EPS_MS, &mut finished);
         for qid in finished.drain(..) {
-            let st = self.states.get_mut(&qid).expect("state");
+            let st = self.flight.get_mut(qid).expect("state");
             if res == Res::Cpu && st.io_ms > 0.0 {
                 st.phase = Phase::Io;
                 let io_ms = st.io_ms;
@@ -320,13 +364,12 @@ impl<'a, D: Driver> Lifecycle<'a, D> {
         }
         self.finished = finished;
         self.schedule(res);
-        true
     }
 
     /// Takes a finished query out of flight and frees its locks, appending
     /// the queries they grant to the list [`Self::resume_grants`] drains.
     pub(crate) fn release(&mut self, qid: QueryId) -> QueryState {
-        let st = self.states.remove(&qid).expect("completing unknown query");
+        let st = self.flight.remove(qid).expect("completing unknown query");
         if let Some(fp) = st.lock {
             let table = fp.table.0 as u32;
             for &slot in &st.slots[..st.acquired_slots] {
@@ -343,7 +386,7 @@ impl<'a, D: Driver> Lifecycle<'a, D> {
     pub(crate) fn resume_grants(&mut self) {
         let mut grants = std::mem::take(&mut self.granted);
         for &qid in &grants {
-            let st = self.states.get_mut(&qid).expect("granted unknown query");
+            let st = self.flight.get_mut(qid).expect("granted unknown query");
             match st.phase {
                 Phase::WaitingMdl => st.holds_mdl = true,
                 Phase::WaitingSlot(i) => st.acquired_slots = i + 1,
@@ -356,15 +399,23 @@ impl<'a, D: Driver> Lifecycle<'a, D> {
     }
 }
 
+/// What the open loop's clock stops for.
+#[derive(Debug, Clone, Copy)]
+enum Event {
+    Arrival,
+    Departure(Res),
+    Probe,
+    SecondTick,
+}
+
 /// The open-loop driver: pre-generated arrivals through admission, the
 /// per-second probe and tick timeline, the log and the metrics.
 struct OpenLoop {
-    /// Every second's probe and tick, known up front: sorted by the same
-    /// `(time, seq)` key as the lifecycle's events and merged with them in
-    /// [`Lifecycle::next_event`], so the heap holds only the queries'
-    /// events.
-    timeline: Vec<(OrdF64, u64, Event)>,
+    /// Every second's probe and tick, known up front and sorted by key.
+    timeline: Vec<(Key, Event)>,
     next_timed: usize,
+    /// The pending arrival event: the next arrival's time, once scheduled.
+    arrival_due: Option<Key>,
     admission_queue: VecDeque<QueryId>,
     admitted: usize,
     /// Pre-generated arrivals, ascending by time; `next_arrival` indexes it.
@@ -372,6 +423,11 @@ struct OpenLoop {
     next_arrival: usize,
     log: Vec<QueryRecord>,
     end_ms: f64,
+    /// Past this, in-flight queries are force-completed.
+    drain_end_ms: f64,
+    /// The latest superseded departure within the drain cap: the clock
+    /// had reached it by the time the cap stopped the run.
+    stale_clock: f64,
     completed_this_second: u64,
     prev_cpu_busy: f64,
     prev_io_busy: f64,
@@ -394,6 +450,12 @@ impl Driver for OpenLoop {
         }
         life.resume_grants();
     }
+
+    fn superseded(&mut self, at: f64) {
+        if at <= self.drain_end_ms {
+            self.stale_clock = self.stale_clock.max(at);
+        }
+    }
 }
 
 impl<'a> Lifecycle<'a, OpenLoop> {
@@ -404,6 +466,7 @@ impl<'a> Lifecycle<'a, OpenLoop> {
         let driver = OpenLoop {
             timeline: Vec::with_capacity(2 * (end_s - start_s) as usize),
             next_timed: 0,
+            arrival_due: None,
             admission_queue: VecDeque::new(),
             admitted: 0,
             // Every arrival ends as exactly one record.
@@ -411,6 +474,8 @@ impl<'a> Lifecycle<'a, OpenLoop> {
             arrivals,
             next_arrival: 0,
             end_ms: end_s as f64 * 1000.0,
+            drain_end_ms: (end_s + DRAIN_CAP_S) as f64 * 1000.0,
+            stale_clock: f64::NEG_INFINITY,
             completed_this_second: 0,
             prev_cpu_busy: 0.0,
             prev_io_busy: 0.0,
@@ -419,29 +484,44 @@ impl<'a> Lifecycle<'a, OpenLoop> {
         Self::new(workload, cfg, rng, start_s as f64 * 1000.0, driver)
     }
 
-    /// The least pending event of the heap and the timeline together: the
-    /// order one heap holding both would pop them in.
-    fn next_event(&mut self) -> Option<(OrdF64, u64, Event)> {
-        let timed = self.driver.timeline.get(self.driver.next_timed).copied();
-        match (self.events.peek(), timed) {
-            (Some(Reverse(queued)), Some(timed)) if *queued < timed => {
-                self.events.pop().map(|Reverse(ev)| ev)
+    /// Takes the least pending event of the arrival, the departures and
+    /// the timeline: its time and kind.
+    fn next_event(&mut self) -> Option<(f64, Event)> {
+        let d = &self.driver;
+        let mut next = self.next_due().map(|(key, res)| (key, Event::Departure(res)));
+        let arrival = d.arrival_due.map(|key| (key, Event::Arrival));
+        for (key, event) in [arrival, d.timeline.get(d.next_timed).copied()].into_iter().flatten() {
+            if next.is_none_or(|(least, _)| key < least) {
+                next = Some((key, event));
             }
-            (_, Some(timed)) => {
-                self.driver.next_timed += 1;
-                Some(timed)
-            }
-            (_, None) => self.events.pop().map(|Reverse(ev)| ev),
         }
+        let (key, event) = next?;
+        match event {
+            Event::Departure(res) => self.due[res as usize] = None,
+            Event::Arrival => self.driver.arrival_due = None,
+            Event::Probe | Event::SecondTick => self.driver.next_timed += 1,
+        }
+        Some((key.0.get(), event))
     }
 
-    /// [`Self::push_event`] for the timeline.
+    /// Adds an event to the timeline.
     fn push_timed(&mut self, at: f64, event: Event) {
-        self.seq += 1;
-        self.driver.timeline.push((OrdF64::new(at), self.seq, event));
+        let key = self.key(at);
+        self.driver.timeline.push((key, event));
+    }
+
+    /// Schedules the arrival event at `at`.
+    fn schedule_arrival(&mut self, at: f64) {
+        self.driver.arrival_due = Some(self.key(at));
     }
 
     fn run(mut self, start_s: i64, end_s: i64) -> SimOutput {
+        self.drive(start_s, end_s);
+        self.finish(start_s, end_s)
+    }
+
+    /// Runs the events until everything drained or the drain cap.
+    fn drive(&mut self, start_s: i64, end_s: i64) {
         // Seed per-second probe and tick events.
         for s in start_s..end_s {
             let offset: f64 = self.rng.random::<f64>() * 1000.0;
@@ -449,45 +529,41 @@ impl<'a> Lifecycle<'a, OpenLoop> {
             self.push_timed((s + 1) as f64 * 1000.0 - 1e-3, Event::SecondTick);
         }
         // A probe may fall after its second's tick.
-        self.driver.timeline.sort_unstable();
+        self.driver.timeline.sort_unstable_by_key(|&(key, _)| key);
         if let Some(&(at, _)) = self.driver.arrivals.first() {
-            self.push_event(at, Event::Arrival);
+            self.schedule_arrival(at);
         }
 
         let end_ms = self.driver.end_ms;
-        let drain_end = end_ms + DRAIN_CAP_S as f64 * 1000.0;
-        while let Some((at, _, event)) = self.next_event() {
-            let at = at.get();
-            if at > drain_end {
+        while let Some((at, event)) = self.next_event() {
+            if at > self.driver.drain_end_ms {
                 break;
             }
             debug_assert!(at >= self.now - 1e-6, "event time regression");
             self.now = at.max(self.now);
             match event {
                 Event::Arrival => self.on_arrival_batch(),
-                Event::Departure(res, gen) => {
-                    self.depart(res, gen);
-                }
+                Event::Departure(res) => self.depart(res),
                 Event::Probe => self.on_probe(),
                 Event::SecondTick => self.on_second_tick(),
             }
             // Stop early once the window is over and everything drained.
             if self.now >= end_ms
-                && self.states.is_empty()
+                && self.flight.is_empty()
                 && self.driver.next_arrival >= self.driver.arrivals.len()
             {
                 break;
             }
         }
+    }
 
-        // Force-complete whatever is still in flight at the drain cap (the
-        // equivalent of killed sessions being written to the slow log), in
-        // arrival order.
-        let mut remaining: Vec<QueryId> = self.states.keys().copied().collect();
-        remaining.sort_unstable();
-        let final_now = self.now.max(end_ms);
+    /// Force-completes whatever is still in flight (the equivalent of
+    /// killed sessions being written to the slow log), in arrival order,
+    /// and closes the metric series.
+    fn finish(self, start_s: i64, end_s: i64) -> SimOutput {
+        let final_now = self.now.max(self.driver.end_ms).max(self.driver.stale_clock);
         let OpenLoop { mut log, mut metrics, .. } = self.driver;
-        log.extend(remaining.iter().map(|qid| self.states[qid].record(final_now)));
+        log.extend(self.flight.values().map(|st| st.record(final_now)));
 
         let n_secs = (end_s - start_s) as usize;
         let m = &mut metrics;
@@ -515,7 +591,7 @@ impl<'a> Lifecycle<'a, OpenLoop> {
     fn on_arrival_batch(&mut self) {
         while let Some(&(at, spec)) = self.driver.arrivals.get(self.driver.next_arrival) {
             if at > self.now + EPS_MS {
-                self.push_event(at, Event::Arrival);
+                self.schedule_arrival(at);
                 return;
             }
             self.driver.next_arrival += 1;
@@ -600,7 +676,7 @@ fn generate_arrivals(
             }
         }
     }
-    arrivals.sort_by(|a, b| a.0.total_cmp(&b.0));
+    sort_by_total_key(&mut arrivals, |a| a.0);
     arrivals
 }
 
@@ -619,6 +695,9 @@ pub fn run_open_loop(
 ) -> SimOutput {
     Lifecycle::open_loop(workload, config, start_s, end_s).run(start_s, end_s)
 }
+
+#[cfg(test)]
+mod sweep_tests;
 
 #[cfg(test)]
 mod tests {
@@ -746,6 +825,53 @@ mod tests {
             let tail: f64 = sess[45..].iter().sum::<f64>() / 15.0;
             assert!(tail < peak / 4.0, "seed {seed}: should recover: tail {tail}, peak {peak}");
         }
+    }
+
+    /// A DDL holds table 1's exclusive MDL far past the drain cap, with two
+    /// readers of table 1 queued behind it, while table 0's traffic
+    /// completes by the thousand: the in-flight table keeps room for the
+    /// few queries in flight at once plus one `u32` per id since the
+    /// DDL's, and the three still in flight at the cap are force-completed
+    /// in arrival order, at one instant.
+    #[test]
+    fn in_flight_table_stays_bounded_behind_a_held_query() {
+        let mut w = tiny_workload(100.0);
+        w.tables.push(TableDef::new("audit", 1_000, 4));
+        let audit = TableId(1);
+        w.specs.push(TemplateSpec::new(
+            "ALTER TABLE audit ADD COLUMN note TEXT",
+            CostProfile::ddl(audit, 1e7),
+            "audit.ddl",
+        ));
+        w.specs.push(TemplateSpec::new(
+            "SELECT * FROM audit WHERE id = 1",
+            CostProfile::point_read(audit),
+            "audit.read",
+        ));
+        let held = [(1_000.0, SpecId(2)), (2_000.0, SpecId(3)), (30_000.0, SpecId(3))];
+        let cfg = SimConfig::default().with_seed(11);
+        let mut life = Lifecycle::open_loop(&w, &cfg, 0, 60);
+        for (at, spec) in held {
+            let arrivals = &mut life.driver.arrivals;
+            let i = arrivals.partition_point(|a| a.0 < at);
+            arrivals.insert(i, (at, spec));
+        }
+        let offered = life.driver.arrivals.len();
+        life.drive(0, 60);
+
+        let completed = life.driver.log.len();
+        assert_eq!(completed + held.len(), offered);
+        assert!(completed > 5_000, "only {completed} completed");
+        assert_eq!(life.flight.len(), held.len());
+        let (entries, index) = life.flight.allocated();
+        assert!(entries <= 64, "{entries} entry slots for {offered} queries");
+        assert!(index < 2 * offered, "{index} index slots for {offered} ids");
+
+        let out = life.finish(0, 60);
+        let forced = &out.log[completed..];
+        let arrived: Vec<(SpecId, f64)> = forced.iter().map(|r| (r.spec, r.start_ms)).collect();
+        assert_eq!(arrived, held.map(|(at, spec)| (spec, at)));
+        assert!(forced.iter().all(|r| r.end_ms() == forced[0].end_ms()), "{forced:?}");
     }
 
     #[test]

@@ -34,6 +34,7 @@
 pub mod closedloop;
 pub mod config;
 pub mod engine;
+mod flight;
 pub mod locks;
 pub mod metrics;
 pub mod ordf64;

@@ -49,9 +49,70 @@ impl From<f64> for OrdF64 {
     }
 }
 
+/// The `u64` whose unsigned order is [`f64::total_cmp`]'s: every bit of
+/// a negative value flipped, only the sign bit of a positive one.
+#[inline]
+fn total_order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) | (1 << 63))
+}
+
+/// Sorts `items` by `key` in [`f64::total_cmp`] order, equal keys kept in
+/// their original order: the order a stable
+/// `sort_by(|a, b| key(a).total_cmp(&key(b)))` gives. It sorts
+/// `(total_order_key, index)` pairs, no two of which are equal, so an
+/// unstable sort gives that order too, then gathers the items.
+pub(crate) fn sort_by_total_key<T: Copy>(items: &mut Vec<T>, key: impl Fn(&T) -> f64) {
+    let mut keyed: Vec<(u64, usize)> =
+        items.iter().enumerate().map(|(i, item)| (total_order_key(key(item)), i)).collect();
+    keyed.sort_unstable();
+    let sorted = keyed.iter().map(|&(_, i)| items[i]).collect();
+    *items = sorted;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pinsql_workload::rng::{RngExt, SeedableRng, StdRng};
+
+    /// Random keys, many of them equal or special (±0, ±∞, NaNs of both
+    /// signs, subnormals), each tagged with its position: the keyed sort
+    /// and the stable comparator sort agree element for element.
+    #[test]
+    fn keyed_sort_matches_the_stable_comparator_sort() {
+        let special = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for seed in 0..256u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(0..200usize);
+            let mut items: Vec<(f64, usize)> = (0..n)
+                .map(|i| {
+                    let v = match rng.random_range(0..3u32) {
+                        0 => special[rng.random_range(0..special.len())],
+                        1 => rng.random_range(0..8u32) as f64 * 0.5 - 2.0,
+                        _ => (rng.random::<f64>() - 0.5) * 1e6,
+                    };
+                    (v, i)
+                })
+                .collect();
+            let mut want = items.clone();
+            want.sort_by(|a, b| a.0.total_cmp(&b.0));
+            sort_by_total_key(&mut items, |item| item.0);
+            let bits =
+                |v: &[(f64, usize)]| v.iter().map(|&(k, i)| (k.to_bits(), i)).collect::<Vec<_>>();
+            assert_eq!(bits(&items), bits(&want), "seed {seed}");
+        }
+    }
 
     #[test]
     fn ordering_is_total_and_numeric() {

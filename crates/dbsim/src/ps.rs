@@ -25,8 +25,10 @@ pub struct PsResource {
     last: f64,
     /// Jobs keyed by (target virtual time, job id), least first.
     jobs: BinaryHeap<Reverse<(OrdF64, JobId)>>,
-    /// Membership generation, bumped when jobs join or leave; used by the
-    /// engine to discard stale departure events.
+    /// Membership generation, bumped when jobs join or leave. The engine
+    /// keeps one pending departure per resource and tags it with the
+    /// generation it was computed at: at a newer generation it is
+    /// superseded and replaced, at the same one a reschedule repeats it.
     generation: u64,
     /// Busy integral accumulator: ∫ min(n, c)/c dt, i.e. utilization·time.
     busy_ms: f64,

@@ -25,6 +25,7 @@
 //! them.
 
 use crate::metrics::InstanceMetrics;
+use crate::ordf64::sort_by_total_key;
 use crate::probe::ProbeSample;
 use crate::record::QueryRecord;
 
@@ -115,12 +116,13 @@ impl TelemetryEvent {
 /// telemetry stream (the ordering contract in the module docs).
 ///
 /// The log may be in any order (the simulator emits completion order); it
-/// is stably sorted by arrival here, in place, so tie order matches the
-/// batch aggregator's `filter`-then-stable-sort. Records arriving before
+/// is sorted by arrival here in the order a stable sort gives (a keyed
+/// sort, `ordf64::sort_by_total_key`), so tie order matches the batch
+/// aggregator's `filter`-then-stable-sort. Records arriving before
 /// the metric horizon's first second lead the stream; records at or past
 /// its end trail it, before the final tick.
 pub fn interleave(mut log: Vec<QueryRecord>, metrics: &InstanceMetrics) -> Vec<TelemetryEvent> {
-    log.sort_by(|a, b| a.start_ms.total_cmp(&b.start_ms));
+    sort_by_total_key(&mut log, |r| r.start_ms);
 
     let n = metrics.len();
     let start = metrics.start_second;

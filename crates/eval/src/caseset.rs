@@ -6,14 +6,16 @@
 //! streams through one `OnlineInstance`, and closing the instance selects,
 //! cuts and labels the case. Telemetry that comes with no scenario — a
 //! re-simulation, a synthetic timing case — is cut by the collector alone
-//! ([`cut_telemetry`]).
+//! ([`cut_telemetry`]). An experiment that reads one simulation several
+//! times (at several perturbations, in several phases) runs it once and
+//! labels clones of it ([`label_simulated`]).
 
 use pinsql_collector::{CaseData, IncrementalAggregator, IncrementalConfig};
-use pinsql_dbsim::{interleave, InstanceMetrics, QueryRecord};
+use pinsql_dbsim::{interleave, run_open_loop, InstanceMetrics, QueryRecord, SimOutput};
 use pinsql_engine::OnlineInstance;
 use pinsql_workload::TemplateSpec;
 use pinsql_scenario::{
-    generate_base, inject_many, materialize_events, AnomalyKind, LabeledCase, PerturbConfig,
+    generate_base, inject_many, telemetry_events, AnomalyKind, LabeledCase, PerturbConfig,
     Scenario, ScenarioConfig,
 };
 
@@ -58,8 +60,20 @@ pub fn label_online(
     delta_s: i64,
     perturb: Option<&PerturbConfig>,
 ) -> LabeledCase {
+    let out = run_open_loop(&scenario.workload, &scenario.sim, 0, scenario.cfg.window_s);
+    label_simulated(scenario, out, delta_s, perturb)
+}
+
+/// [`label_online`] over `scenario`'s telemetry as `run_open_loop` gave
+/// it.
+pub fn label_simulated(
+    scenario: &Scenario,
+    out: SimOutput,
+    delta_s: i64,
+    perturb: Option<&PerturbConfig>,
+) -> LabeledCase {
     let mut instance = OnlineInstance::new(scenario, delta_s);
-    instance.ingest_stream(materialize_events(scenario, perturb));
+    instance.ingest_stream(telemetry_events(out.log, out.metrics, perturb));
     instance.close_case()
 }
 
@@ -137,9 +151,13 @@ mod tests {
         assert!(neg.is_negative());
         assert!(neg.truth.rsqls.is_empty());
 
-        let clean = build_case(&cfg, 0);
+        // One simulation, labelled clean and degraded.
+        let scenario = case_scenario(&cfg, 0, &[case_kind(0)]);
+        let out = run_open_loop(&scenario.workload, &scenario.sim, 0, scenario.cfg.window_s);
+        let clean = label_simulated(&scenario, out.clone(), cfg.delta_s, None);
         let perturb = PerturbConfig::at_intensity(780, 0.6);
-        let noisy = build_case_with(&cfg, 0, &[clean.kind.unwrap()], Some(&perturb));
+        let noisy = label_simulated(&scenario, out, cfg.delta_s, Some(&perturb));
+        assert_eq!(clean.kind, Some(case_kind(0)));
         assert_eq!(noisy.truth.rsqls, clean.truth.rsqls, "truth survives degradation");
         assert_ne!(
             noisy.case.records.len(),

@@ -12,14 +12,16 @@
 //! 5. **optimize R-SQL** — PinSQL pinpoints the batch statement; applying
 //!    the recommended optimization returns the metrics to normal.
 //!
-//! Each phase is simulated with the appropriate workload variant; the
+//! Each phase is simulated with the appropriate workload variant (the
+//! anomalous one once: phases 2 and 4 and the diagnosis read it); the
 //! per-phase mean active session is the series the figure plots.
 
-use crate::caseset::{label_online, CaseSetConfig};
+use crate::caseset::{label_simulated, CaseSetConfig};
 use pinsql::repair::{optimize_spec, throttle_spec};
 use pinsql::{PinSql, PinSqlConfig};
 use pinsql_baselines::{rank_top, TopMetric};
 use pinsql_scenario::{generate_base, inject, AnomalyKind};
+use pinsql_dbsim::{run_open_loop, SimOutput};
 use pinsql_workload::{SpecId, Workload};
 
 /// One phase of the storyline.
@@ -75,14 +77,13 @@ impl Fig8 {
     }
 }
 
-/// Simulates one phase and summarizes its metrics.
-fn run_phase(
+/// Summarizes one phase's simulated metrics.
+fn phase(
     name: &str,
-    workload: &Workload,
+    out: &SimOutput,
     scenario: &pinsql_scenario::Scenario,
     victim_spec: SpecId,
 ) -> Phase {
-    let out = pinsql_dbsim::run_open_loop(workload, &scenario.sim, 0, scenario.cfg.window_s);
     // Summarize over the anomaly segment of the phase window (the part the
     // injection covers), so phases are comparable.
     let lo = scenario.cfg.anomaly_start as usize;
@@ -120,7 +121,9 @@ pub fn run(cfg: &CaseSetConfig) -> Fig8 {
     let scenario_cfg = cfg.scenario.clone().with_seed(cfg.seed);
     let base = generate_base(&scenario_cfg);
     let scenario = inject(&base, &scenario_cfg, AnomalyKind::RowLock);
-    let case = label_online(&scenario, cfg.delta_s, None);
+    let simulated = |w: &Workload| run_open_loop(w, &scenario.sim, 0, scenario.cfg.window_s);
+    let anomaly = simulated(&scenario.workload);
+    let case = label_simulated(&scenario, anomaly.clone(), cfg.delta_s, None);
 
     // The user's view: Top-RT during the anomaly.
     let top_rt = rank_top(&case.case, &case.window, TopMetric::TotalResponseTime);
@@ -135,18 +138,17 @@ pub fn run(cfg: &CaseSetConfig) -> Fig8 {
     let rsql_info = case.case.catalog.get(rsql.id).expect("catalog entry");
     let rsql_spec = rsql_info.specs[0];
 
-    // Phase workloads.
-    let clean = &scenario.base_workload;
-    let anomalous = &scenario.workload;
-    let throttled_w = throttle_spec(anomalous, throttled_spec, 0.05);
-    let optimized_w = optimize_spec(anomalous, rsql_spec);
+    // Phase workloads; the anomalous one was simulated above.
+    let throttled_w = throttle_spec(&scenario.workload, throttled_spec, 0.05);
+    let optimized_w = optimize_spec(&scenario.workload, rsql_spec);
 
+    let victim = throttled_spec;
     let phases = vec![
-        run_phase("baseline (no anomaly)", clean, &scenario, throttled_spec),
-        run_phase("anomaly, user waits", anomalous, &scenario, throttled_spec),
-        run_phase("user throttles Top-1 (Top-RT)", &throttled_w, &scenario, throttled_spec),
-        run_phase("throttle switched off", anomalous, &scenario, throttled_spec),
-        run_phase("PinSQL optimizes the R-SQL", &optimized_w, &scenario, throttled_spec),
+        phase("baseline (no anomaly)", &simulated(&scenario.base_workload), &scenario, victim),
+        phase("anomaly, user waits", &anomaly, &scenario, victim),
+        phase("user throttles Top-1 (Top-RT)", &simulated(&throttled_w), &scenario, victim),
+        phase("throttle switched off", &anomaly, &scenario, victim),
+        phase("PinSQL optimizes the R-SQL", &simulated(&optimized_w), &scenario, victim),
     ];
 
     Fig8 {

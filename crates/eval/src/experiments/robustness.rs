@@ -10,15 +10,17 @@
 //! (what was injected), so the curves measure exactly how much observation
 //! damage the diagnosis survives.
 //!
-//! Cases are paired across intensities: cell `(group, i)` reuses the same
-//! scenario seed at every intensity and only the perturbation seed varies,
-//! so a curve's decay is attributable to degradation, not case variance.
+//! Cases are paired across intensities: cell `(group, i)` reads one
+//! simulation of one scenario at every intensity and only the perturbation
+//! seed varies, so a curve's decay is attributable to degradation, not
+//! case variance.
 
-use crate::caseset::{build_case_with, CaseSetConfig};
+use crate::caseset::{case_scenario, label_simulated, CaseSetConfig};
 use crate::methods::split_parallelism;
 use crate::metrics::{first_hit_rank, RankSummary};
 use pinsql::{PinSql, PinSqlConfig};
-use pinsql_scenario::{AnomalyKind, PerturbConfig};
+use pinsql_dbsim::{run_open_loop, SimOutput};
+use pinsql_scenario::{AnomalyKind, PerturbConfig, Scenario};
 use pinsql_sqlkit::SqlId;
 use pinsql_timeseries::par_map;
 use std::time::Instant;
@@ -129,48 +131,62 @@ pub fn run(cfg: &RobustnessConfig) -> Robustness {
 /// serial). Cells are independent and merged by index, so the output is
 /// identical for every value.
 pub fn run_par(cfg: &RobustnessConfig, parallelism: usize) -> Robustness {
+    run_with(cfg, parallelism, &|s| run_open_loop(&s.workload, &s.sim, 0, s.cfg.window_s))
+}
+
+/// [`run_par`] over the scenarios' simulations as `simulated` gives them.
+fn run_with(
+    cfg: &RobustnessConfig,
+    parallelism: usize,
+    simulated: &(dyn Fn(&Scenario) -> SimOutput + Sync),
+) -> Robustness {
     let (workers, inner) = split_parallelism(parallelism);
     let pin_cfg = PinSqlConfig::default().with_parallelism(inner);
     let groups = groups(cfg);
     let n_int = cfg.intensities.len();
     let cases = cfg.cases_per_cell;
 
-    // --- Positive cells, flattened: index = (g * n_int + ii) * cases + ci.
-    let per_case = par_map(groups.len() * n_int * cases, workers, |idx| {
-        let ci = idx % cases;
-        let ii = (idx / cases) % n_int;
-        let g = idx / (cases * n_int);
-        let p = PerturbConfig::at_intensity(
-            perturb_seed(cfg.base.seed, g, ii, ci),
-            cfg.intensities[ii],
-        );
+    // --- Positive cells: each scenario simulated once, then perturbed,
+    // labelled and diagnosed at every intensity; index = g * cases + ci.
+    let per_scenario = par_map(groups.len() * cases, workers, |idx| {
+        let (g, ci) = (idx / cases, idx % cases);
         // Scenario seed depends on (g, ci) only — paired across intensities.
-        let lc = build_case_with(&cfg.base, g * cases + ci, &groups[g].1, Some(&p));
-        let t0 = Instant::now();
-        let d = PinSql::new(pin_cfg.clone()).diagnose(
-            &lc.case,
-            &lc.window,
-            &lc.history,
-            lc.minutes_origin,
-        );
-        let time_s = t0.elapsed().as_secs_f64();
-        let rids: Vec<SqlId> = d.rsqls.iter().map(|r| r.id).collect();
-        let hids: Vec<SqlId> = d.hsqls.iter().map(|r| r.id).collect();
-        (
-            first_hit_rank(&rids, &lc.truth.rsqls),
-            first_hit_rank(&hids, &lc.truth.hsqls),
-            time_s,
-            lc.detected,
-            !d.reported_rsqls.is_empty(),
-        )
+        let scenario = case_scenario(&cfg.base, g * cases + ci, &groups[g].1);
+        let out = simulated(&scenario);
+        (0..n_int)
+            .map(|ii| {
+                let p = PerturbConfig::at_intensity(
+                    perturb_seed(cfg.base.seed, g, ii, ci),
+                    cfg.intensities[ii],
+                );
+                let lc = label_simulated(&scenario, out.clone(), cfg.base.delta_s, Some(&p));
+                let t0 = Instant::now();
+                let d = PinSql::new(pin_cfg.clone()).diagnose(
+                    &lc.case,
+                    &lc.window,
+                    &lc.history,
+                    lc.minutes_origin,
+                );
+                let time_s = t0.elapsed().as_secs_f64();
+                let rids: Vec<SqlId> = d.rsqls.iter().map(|r| r.id).collect();
+                let hids: Vec<SqlId> = d.hsqls.iter().map(|r| r.id).collect();
+                (
+                    first_hit_rank(&rids, &lc.truth.rsqls),
+                    first_hit_rank(&hids, &lc.truth.hsqls),
+                    time_s,
+                    lc.detected,
+                    !d.reported_rsqls.is_empty(),
+                )
+            })
+            .collect::<Vec<_>>()
     });
 
     let mut curves = Vec::new();
     for (g, (name, _)) in groups.iter().enumerate() {
         let mut points = Vec::new();
         for (ii, &intensity) in cfg.intensities.iter().enumerate() {
-            let lo = (g * n_int + ii) * cases;
-            let cell = &per_case[lo..lo + cases];
+            let scenarios = &per_scenario[g * cases..(g + 1) * cases];
+            let cell: Vec<_> = scenarios.iter().map(|c| c[ii]).collect();
             let r_ranks: Vec<_> = cell.iter().map(|c| c.0).collect();
             let h_ranks: Vec<_> = cell.iter().map(|c| c.1).collect();
             let times: Vec<_> = cell.iter().map(|c| c.2).collect();
@@ -187,31 +203,35 @@ pub fn run_par(cfg: &RobustnessConfig, parallelism: usize) -> Robustness {
         curves.push(Curve { kind: name.clone(), points });
     }
 
-    // --- Negative cells, flattened: index = ii * negs + ci.
+    // --- Negative cells, the same way: index = ci.
     let negs = cfg.negative_cases;
-    let per_neg = par_map(n_int * negs, workers, |idx| {
-        let ci = idx % negs;
-        let ii = idx / negs;
-        let p = PerturbConfig::at_intensity(
-            perturb_seed(cfg.base.seed, groups.len(), ii, ci),
-            cfg.intensities[ii],
-        );
+    let per_neg = par_map(negs, workers, |ci| {
         // Scenario seeds continue past the positive groups' range.
-        let lc = build_case_with(&cfg.base, groups.len() * cases + ci, &[], Some(&p));
-        let d = PinSql::new(pin_cfg.clone()).diagnose(
-            &lc.case,
-            &lc.window,
-            &lc.history,
-            lc.minutes_origin,
-        );
-        (lc.detected, !d.reported_rsqls.is_empty())
+        let scenario = case_scenario(&cfg.base, groups.len() * cases + ci, &[]);
+        let out = simulated(&scenario);
+        (0..n_int)
+            .map(|ii| {
+                let p = PerturbConfig::at_intensity(
+                    perturb_seed(cfg.base.seed, groups.len(), ii, ci),
+                    cfg.intensities[ii],
+                );
+                let lc = label_simulated(&scenario, out.clone(), cfg.base.delta_s, Some(&p));
+                let d = PinSql::new(pin_cfg.clone()).diagnose(
+                    &lc.case,
+                    &lc.window,
+                    &lc.history,
+                    lc.minutes_origin,
+                );
+                (lc.detected, !d.reported_rsqls.is_empty())
+            })
+            .collect::<Vec<_>>()
     });
     let negatives = cfg
         .intensities
         .iter()
         .enumerate()
         .map(|(ii, &intensity)| {
-            let cell = &per_neg[ii * negs..(ii + 1) * negs];
+            let cell: Vec<_> = per_neg.iter().map(|c| c[ii]).collect();
             NegativePoint {
                 intensity,
                 n_cases: negs,
@@ -331,8 +351,16 @@ mod tests {
             negative_cases: 1,
             overlap: false,
         };
-        let serial = run_par(&cfg, 1);
-        let parallel = run_par(&cfg, 0);
+        // Both sweeps read one simulation of each scenario.
+        let sims = std::sync::Mutex::new(std::collections::BTreeMap::new());
+        let simulated = |s: &Scenario| -> SimOutput {
+            let mut sims = sims.lock().unwrap();
+            let key = format!("{:?} {:?}", s.cfg, s.injected);
+            let out = sims.entry(key);
+            out.or_insert_with(|| run_open_loop(&s.workload, &s.sim, 0, s.cfg.window_s)).clone()
+        };
+        let serial = run_with(&cfg, 1, &simulated);
+        let parallel = run_with(&cfg, 0, &simulated);
         let strip = |mut r: Robustness| {
             r.parallelism = 0;
             for c in &mut r.curves {

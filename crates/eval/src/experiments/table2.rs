@@ -15,10 +15,12 @@
 //! SQLs, because slow SQLs are often *victims* slowed by other statements,
 //! with little intrinsic room for optimization.
 
-use crate::caseset::{case_kind, case_scenario, cut_telemetry, label_online, CaseSetConfig};
+use crate::caseset::{
+    case_kind, case_scenario, cut_telemetry, label_simulated, CaseSetConfig,
+};
+use pinsql_dbsim::{run_open_loop, SimOutput};
 use pinsql::repair::{optimize_spec, suggest_actions, RepairAction, RepairConfig};
 use pinsql::{PinSql, PinSqlConfig};
-use pinsql_dbsim::run_open_loop;
 use pinsql_scenario::{LabeledCase, Scenario};
 use pinsql_sqlkit::SqlId;
 use pinsql_workload::SpecId;
@@ -59,15 +61,22 @@ fn template_means(case: &LabeledCase, id: SqlId) -> Option<(f64, f64)> {
 }
 
 /// Re-simulates a scenario with one spec optimized; returns the template's
-/// after-optimization means over the same window.
+/// after-optimization means over the same window. An optimization that
+/// leaves the cost profile as it was reads the scenario's own simulation,
+/// `simulated`.
 fn means_after_optimizing(
     scenario: &Scenario,
+    simulated: &SimOutput,
     case: &LabeledCase,
     spec: SpecId,
     id: SqlId,
 ) -> Option<(f64, f64)> {
     let optimized = optimize_spec(&scenario.workload, spec);
-    let out = run_open_loop(&optimized, &scenario.sim, 0, scenario.cfg.window_s);
+    let out = if optimized.specs[spec.0].cost == scenario.workload.specs[spec.0].cost {
+        simulated.clone()
+    } else {
+        run_open_loop(&optimized, &scenario.sim, 0, scenario.cfg.window_s)
+    };
     let new_case =
         cut_telemetry(&optimized.specs, out.log, &out.metrics, case.window.ts(), case.window.te());
     let idx = new_case.template_index(id)?;
@@ -114,7 +123,22 @@ pub fn run(cfg: &CaseSetConfig, n_cases: usize) -> Table2 {
 
     for i in 0..n_cases {
         let scenario = case_scenario(cfg, i, &[case_kind(i)]);
-        let case = label_online(&scenario, cfg.delta_s, None);
+        let simulated = run_open_loop(&scenario.workload, &scenario.sim, 0, scenario.cfg.window_s);
+        let case = label_simulated(&scenario, simulated.clone(), cfg.delta_s, None);
+        // When both policies pick one template, one re-simulation serves
+        // both.
+        let mut after: Vec<(SqlId, Option<(f64, f64)>)> = Vec::new();
+        let mut gain_of = |id: SqlId| -> Option<(f64, f64)> {
+            let spec = case.case.catalog.get(id)?.specs[0];
+            let before = template_means(&case, id)?;
+            let known = after.iter().find(|(seen, _)| *seen == id).map(|&(_, means)| means);
+            let means = known.unwrap_or_else(|| {
+                let means = means_after_optimizing(&scenario, &simulated, &case, spec, id);
+                after.push((id, means));
+                means
+            });
+            Some(gain(before, means?))
+        };
 
         // R-SQL path: only when the rules actually suggest optimization.
         let d = pinsql.diagnose(&case.case, &case.window, &case.history, case.minutes_origin);
@@ -124,28 +148,12 @@ pub fn run(cfg: &CaseSetConfig, n_cases: usize) -> Table2 {
             .iter()
             .find(|s| matches!(s.action, RepairAction::OptimizeQuery))
         {
-            if let Some(info) = case.case.catalog.get(s.template) {
-                let spec = info.specs[0];
-                if let (Some(before), Some(after)) = (
-                    template_means(&case, s.template),
-                    means_after_optimizing(&scenario, &case, spec, s.template),
-                ) {
-                    rsql_gains.push(gain(before, after));
-                }
-            }
+            rsql_gains.extend(gain_of(s.template));
         }
 
         // Slow-SQL path: independent of PinSQL.
         if let Some(slow_id) = slowest_template(&case, 30.0) {
-            if let Some(info) = case.case.catalog.get(slow_id) {
-                let spec = info.specs[0];
-                if let (Some(before), Some(after)) = (
-                    template_means(&case, slow_id),
-                    means_after_optimizing(&scenario, &case, spec, slow_id),
-                ) {
-                    slow_gains.push(gain(before, after));
-                }
-            }
+            slow_gains.extend(gain_of(slow_id));
         }
     }
 

@@ -27,9 +27,12 @@
 #                     the catalog lookup (sweep_matches_oracle_bit_for_bit,
 #                     cellstore_props), runs of N vs runs of one: bit for
 #                     bit; the simulator's one query lifecycle pinned by
-#                     two known answers, every bit of each golden entry's
-#                     open-loop output (raw_simulator_output_is_pinned)
-#                     and a closed-loop grid (closed_loop_known_answer_grid)
+#                     three known answers, every bit of each golden entry's
+#                     open-loop output (raw_simulator_output_is_pinned),
+#                     a closed-loop grid (closed_loop_known_answer_grid)
+#                     and 256 seeded inputs through both drivers, queries
+#                     in flight at the drain cap and unsaturated closed
+#                     loops among them (known_answer_sweep)
 #   snapshot_smoke    snapshot wire/property suites against the committed
 #                     golden blob, restore refusing what the fold never
 #                     stores, checkpoint bytes and handoff order, the
@@ -66,7 +69,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,60p' "$0" | sed 's/^# \{0,1\}//' >&2
+  sed -n '2,63p' "$0" | sed 's/^# \{0,1\}//' >&2
 }
 
 # `cargo test -q ARGS`, echoed as it runs, failing when the tests pass but
@@ -145,6 +148,7 @@ kernel_smoke() {
   tests -p pinsql session_estimate::sweep_tests
   tests --test cellstore_props
   tests -p pinsql-dbsim closedloop::tests::closed_loop_known_answer_grid
+  tests -p pinsql-dbsim engine::sweep_tests::known_answer_sweep
   tests --test golden_corpus raw_simulator_output_is_pinned
 }
 
