@@ -1,6 +1,6 @@
 use super::*;
-use pinsql_workload::rng::{rng_from_seed, RngExt, StdRng};
-use std::panic::AssertUnwindSafe;
+use pinsql_testkit::sweep;
+use pinsql_workload::rng::{RngExt, StdRng};
 
 const ID: SqlId = SqlId(42);
 
@@ -349,29 +349,28 @@ fn minutes(rng: &mut StdRng, at: i64, tally: &mut Tally) -> Vec<i64> {
     }
 }
 
-fn run_seed(seed: u64, tally: &mut Tally) {
-    let mut rng = rng_from_seed(seed);
+fn run_seed(seed: u64, rng: &mut StdRng, tally: &mut Tally) {
     let mut store = HistoryStore::new();
     let mut dense = DenseStore::default();
     // Where the seed lives on the clock: mid-range, or at an end of it.
     let home = match seed % 4 {
-        0 | 1 => between(&mut rng, -(1 << 40), 1 << 40),
-        2 => i64::MIN + between(&mut rng, 0, 3 * DAY),
-        _ => i64::MAX - between(&mut rng, 0, 3 * DAY),
+        0 | 1 => between(rng, -(1 << 40), 1 << 40),
+        2 => i64::MIN + between(rng, 0, 3 * DAY),
+        _ => i64::MAX - between(rng, 0, 3 * DAY),
     };
     let mut cursor = [home; 3];
     let mut restored = false;
     for op in 0..128 {
-        let ctx = format!("seed {seed}, op {op}");
+        let ctx = format!("op {op}");
         let k = rng.random_range(0..IDS.len());
         let id = IDS[k];
         match rng.random_range(0..20u32) {
             0 => {
                 // Every minute of an inserted span is an `i64`.
                 let executions: Vec<f64> =
-                    (0..rng.random_range(0..12usize)).map(|_| count(&mut rng)).collect();
+                    (0..rng.random_range(0..12usize)).map(|_| count(rng)).collect();
                 let latest = i64::MAX - executions.len().max(1) as i64 + 1;
-                let start = cursor[k].saturating_add(between(&mut rng, -40, 40)).min(latest);
+                let start = cursor[k].saturating_add(between(rng, -40, 40)).min(latest);
                 let series = HistorySeries { id, start_minute: start, executions };
                 dense.insert(series.clone());
                 store.insert(series);
@@ -396,8 +395,8 @@ fn run_seed(seed: u64, tally: &mut Tally) {
                 if let Some(entry) = entry {
                     assert_eq!(entry, dense.entry_index(id), "{ctx}: entry index");
                 }
-                for m in minutes(&mut rng, cursor[k], tally) {
-                    let c = count(&mut rng);
+                for m in minutes(rng, cursor[k], tally) {
+                    let c = count(rng);
                     let before = store.index.get(&id).and_then(|&i| {
                         let s = &store.series[i as usize];
                         let held = !s.runs[0].values.is_empty();
@@ -442,8 +441,8 @@ fn run_seed(seed: u64, tally: &mut Tally) {
                 (1, Some((start, len))) => start.saturating_add(len as i64),
                 _ => cursor[k],
             };
-            let from = around.saturating_add(between(&mut rng, -30, 30));
-            let to = from.saturating_add(between(&mut rng, -3, 40));
+            let from = around.saturating_add(between(rng, -30, 30));
+            let to = from.saturating_add(between(rng, -3, 40));
             let got = store.window_filled(id, from, to);
             let want = dense.window_filled(id, from, to);
             let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -461,7 +460,7 @@ fn run_seed(seed: u64, tally: &mut Tally) {
             }
         }
     }
-    assert_eq!(bytes_of(|w| store.write(w)), bytes_of(|w| dense.write(w)), "seed {seed}: write");
+    assert_eq!(bytes_of(|w| store.write(w)), bytes_of(|w| dense.write(w)), "end: write");
 }
 
 /// Seeded op sequences — the minute feed's appends, sparse minutes either
@@ -473,18 +472,7 @@ fn run_seed(seed: u64, tally: &mut Tally) {
 #[test]
 fn runs_match_the_dense_oracle() {
     let mut tally = Tally::default();
-    for seed in 0..256 {
-        // A panic inside the store itself names the seed too.
-        let run = std::panic::catch_unwind(AssertUnwindSafe(|| run_seed(seed, &mut tally)));
-        if let Err(panic) = run {
-            let msg = match (panic.downcast_ref::<String>(), panic.downcast_ref::<&str>()) {
-                (Some(s), _) => s.as_str(),
-                (None, Some(s)) => s,
-                (None, None) => "non-string panic",
-            };
-            panic!("seed {seed}: {msg}");
-        }
-    }
+    sweep(0..256, |seed, rng| run_seed(seed, rng, &mut tally));
     let Tally {
         runs_opened,
         runs_merged,

@@ -352,22 +352,28 @@ impl IncrementalAggregator {
             });
         }
         let catalog = TemplateCatalog::read_checked(specs, r)?;
-        // Field expressions evaluate in source order, which is wire order.
+        // Reads evaluate in source order, which is wire order.
+        let stats = IngestStats {
+            events: r.get_u64()?,
+            queries: r.get_u64()?,
+            malformed: r.get_u64()?,
+            late: r.get_u64()?,
+            cells: r.get_u64()?,
+            evictions: r.get_u64()?,
+            history_minutes: r.get_u64()?,
+        };
+        let watermark = r.get_i64()?;
+        let records = RecordRing::read(r, specs.len())?;
+        let cells = CellRing::read(r, catalog.n_slots())?;
+        let metrics = MetricRing::read(r)?;
+        let feed = MinuteFeed::read(r, catalog.n_slots(), &cells)?;
         Ok(Self {
-            stats: IngestStats {
-                events: r.get_u64()?,
-                queries: r.get_u64()?,
-                malformed: r.get_u64()?,
-                late: r.get_u64()?,
-                cells: r.get_u64()?,
-                evictions: r.get_u64()?,
-                history_minutes: r.get_u64()?,
-            },
-            watermark: r.get_i64()?,
-            records: RecordRing::read(r, specs.len())?,
-            cells: CellRing::read(r, catalog.n_slots())?,
-            metrics: MetricRing::read(r)?,
-            feed: MinuteFeed::read(r)?,
+            stats,
+            watermark,
+            records,
+            cells,
+            metrics,
+            feed,
             retention_s,
             history_origin_min,
             catalog,

@@ -371,9 +371,9 @@ impl fmt::Debug for RecordView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pinsql_workload::rng::{rng_from_seed, RngExt, StdRng};
+    use pinsql_testkit::sweep;
+    use pinsql_workload::rng::{RngExt, StdRng};
     use pinsql_workload::SpecId;
-    use std::panic::AssertUnwindSafe;
 
     /// The representation the chunks replaced — one `VecDeque` — with the
     /// same interface. Test-only: the sweep below holds the chunked ring
@@ -521,8 +521,7 @@ mod tests {
         (edge + rng.random_range(0..3usize)).saturating_sub(1).min(ring.len())
     }
 
-    fn run_seed(seed: u64, tally: &mut Tally) {
-        let mut rng = rng_from_seed(seed);
+    fn run_seed(seed: u64, rng: &mut StdRng, tally: &mut Tally) {
         let mut ring = RecordRing::new();
         let mut oracle = DequeRing::new();
         // One seed in four sends stragglers, which turn the ring unsorted
@@ -535,7 +534,7 @@ mod tests {
         let mut held: Vec<Held> = Vec::new();
 
         for op in 0..96 {
-            let ctx = format!("seed {seed}, op {op}");
+            let ctx = format!("op {op}");
             let len = ring.len();
             let kind = match rng.random_range(0..16u32) {
                 // Grow while small, shrink while large.
@@ -585,7 +584,7 @@ mod tests {
                     let target = match rng.random_range(0..6u32) {
                         0 => rng.random_range(0..=len),
                         1 => len,
-                        _ => near_an_edge(&mut rng, &ring),
+                        _ => near_an_edge(rng, &ring),
                     };
                     let horizon = match oracle.ring.get(target) {
                         Some(r) => (r.start_ms / 1000.0).floor() as i64,
@@ -634,12 +633,12 @@ mod tests {
                     };
                     let nudge =
                         |rng: &mut StdRng| [0.0, 0.0, -0.5, 0.5][rng.random_range(0..4usize)];
-                    let p_lo = near_an_edge(&mut rng, &ring);
-                    let ts_ms = at(p_lo, nudge(&mut rng));
+                    let p_lo = near_an_edge(rng, &ring);
+                    let ts_ms = at(p_lo, nudge(rng));
                     let te_ms = match rng.random_range(0..8u32) {
                         0 => ts_ms,
                         1 => ts_ms + 0.25,
-                        _ => at(p_lo.max(near_an_edge(&mut rng, &ring)), nudge(&mut rng)),
+                        _ => at(p_lo.max(near_an_edge(rng, &ring)), nudge(rng)),
                     }
                     .max(ts_ms);
                     let view = ring.view(ts_ms, te_ms);
@@ -688,11 +687,11 @@ mod tests {
             assert_chunk_shape(&ring, &ctx);
         }
         for h in &held {
-            assert_held(h, &format!("seed {seed}, end"));
+            assert_held(h, "end");
         }
         let all = bytes_of_view(&ring.view(f64::MIN, f64::MAX));
-        assert_eq!(all, window_of(|f| oracle.for_each_in(f64::MIN, f64::MAX, f)), "seed {seed}");
-        assert_eq!(bytes_of(|w| ring.write(w)), bytes_of(|w| oracle.write(w)), "seed {seed}");
+        assert_eq!(all, window_of(|f| oracle.for_each_in(f64::MIN, f64::MAX, f)), "end");
+        assert_eq!(bytes_of(|w| ring.write(w)), bytes_of(|w| oracle.write(w)), "end: write");
     }
 
     /// Seeded op sequences — pushes in and out of order, evictions
@@ -707,18 +706,7 @@ mod tests {
     #[test]
     fn chunked_ring_matches_the_deque_oracle() {
         let mut tally = Tally::default();
-        for seed in 0..256 {
-            // A panic inside the ring itself names the seed too.
-            let run = std::panic::catch_unwind(AssertUnwindSafe(|| run_seed(seed, &mut tally)));
-            if let Err(panic) = run {
-                let msg = match (panic.downcast_ref::<String>(), panic.downcast_ref::<&str>()) {
-                    (Some(s), _) => s.as_str(),
-                    (None, Some(s)) => s,
-                    (None, None) => "non-string panic",
-                };
-                panic!("seed {seed}: {msg}");
-            }
-        }
+        sweep(0..256, |seed, rng| run_seed(seed, rng, &mut tally));
         let Tally {
             back_filled_exactly,
             front_drained_exactly,

@@ -14,10 +14,11 @@
 //!   are pinned.
 //!
 //! Every bit of each output folds to one fingerprint per seed, pinned in
-//! `known_answers.txt` (one `seed fingerprint` line per seed). A failure
-//! names the seeds that moved. After an intentional change to the
-//! simulator, `PINSQL_BLESS=1 cargo test -p pinsql-dbsim known_answer`
-//! rewrites the file; review the diff.
+//! `known_answers.txt` (one `seed fingerprint` line per seed) by
+//! `pinsql_testkit::pin`. A failure prints the first lines that moved,
+//! each naming its seed. After an intentional change to the simulator,
+//! `PINSQL_BLESS=1 cargo test -p pinsql-dbsim known_answer` rewrites the
+//! file; review the diff.
 
 use super::Lifecycle;
 use crate::closedloop::{run_closed_loop, ClosedLoopConfig};
@@ -189,22 +190,5 @@ fn known_answer_sweep() {
     let got: Vec<u64> = pinsql_timeseries::par_map(SEEDS as usize, 2, |i| fingerprint(i as u64));
     let table: String =
         got.iter().enumerate().map(|(seed, f)| format!("{seed} {f:016x}\n")).collect();
-    if std::env::var_os("PINSQL_BLESS").is_some() {
-        std::fs::write(ANSWERS, table).expect("write known answers");
-        return;
-    }
-    let pinned = std::fs::read_to_string(ANSWERS).expect("known_answers.txt is committed");
-    let pinned: Vec<&str> = pinned.lines().collect();
-    assert_eq!(pinned.len(), SEEDS as usize, "known_answers.txt holds one line per seed");
-    let moved: Vec<String> = table
-        .lines()
-        .zip(&pinned)
-        .filter(|(got, want)| got != *want)
-        .map(|(got, want)| {
-            let (seed, fingerprint) = got.split_once(' ').expect("seed fingerprint");
-            let want = want.split_once(' ').map_or(*want, |(_, pinned)| pinned);
-            format!("seed {seed}: {fingerprint}, pinned {want}")
-        })
-        .collect();
-    assert!(moved.is_empty(), "{} of {SEEDS} seeds moved: {}", moved.len(), moved.join(", "));
+    pinsql_testkit::pin(ANSWERS, table.as_bytes());
 }

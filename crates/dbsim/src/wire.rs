@@ -223,16 +223,11 @@ mod tests {
             encode_event(&mut w, &ev);
         }
         let bytes = w.into_bytes();
-        for cut in 0..bytes.len() {
-            let mut r = WireReader::new(&bytes[..cut]);
-            let res = (|| {
-                for _ in 0..sample_events().len() {
-                    decode_event(&mut r)?;
-                }
-                Ok(())
-            })();
-            assert!(matches!(res, Err(WireError::Truncated { .. })), "cut at {cut}: {res:?}");
-        }
+        pinsql_testkit::truncations(&bytes, 1, |prefix| {
+            let mut r = WireReader::new(prefix);
+            let res = (0..sample_events().len()).try_for_each(|_| decode_event(&mut r).map(drop));
+            assert!(matches!(res, Err(WireError::Truncated { .. })), "{res:?}");
+        });
     }
 
     #[test]

@@ -450,7 +450,8 @@ impl OnlineDetectorBank {
 mod tests {
     use super::*;
     use crate::detector::detect_features;
-    use pinsql_workload::rng::{rng_from_seed, RngExt, StdRng};
+    use pinsql_testkit::{sweep, truncations};
+    use pinsql_workload::rng::{RngExt, StdRng};
 
     /// The batch scanner the online detector was derived from, kept as its
     /// oracle: warm the baseline on normal samples; on a trigger, scan the
@@ -618,34 +619,25 @@ mod tests {
     }
 
     /// Seeds of [`online_detector_matches_the_batch_scan_oracle`]: the
-    /// first [`NOISE_TRIALS`] run the amplitude-varied noise series, the
-    /// rest one seeded walk each.
+    /// first [`NOISE_TRIALS`] run a noise series, the rest one seeded walk
+    /// each.
     const SWEEP_SEEDS: u64 = 264;
-    const NOISE_TRIALS: usize = 8;
+    const NOISE_TRIALS: u64 = 8;
 
-    /// Amplitude-varied noise with occasional bursts and dips, one series
-    /// per trial from one continuing LCG stream: a broad sweep across the
-    /// trigger / recover boundaries.
-    fn noise_trials() -> Vec<Vec<f64>> {
-        let mut state = 0x2545F4914F6CDD1Du64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / (u32::MAX as f64)
-        };
-        (0..NOISE_TRIALS)
-            .map(|trial| {
-                (0..150 + trial * 37)
-                    .map(|i| {
-                        let base = 10.0 + 2.0 * next();
-                        if next() < 0.04 {
-                            base + 40.0 + 30.0 * next()
-                        } else if i % 97 == 0 {
-                            base - 8.0
-                        } else {
-                            base
-                        }
-                    })
-                    .collect()
+    /// Amplitude-varied noise with occasional bursts and dips, longer for
+    /// each later trial: a broad sweep across the trigger / recover
+    /// boundaries.
+    fn noise_trial(rng: &mut StdRng, trial: u64) -> Vec<f64> {
+        (0..150 + trial as usize * 37)
+            .map(|i| {
+                let base = 10.0 + 2.0 * rng.random::<f64>();
+                if rng.random::<f64>() < 0.04 {
+                    base + 40.0 + 30.0 * rng.random::<f64>()
+                } else if i % 97 == 0 {
+                    base - 8.0
+                } else {
+                    base
+                }
             })
             .collect()
     }
@@ -661,8 +653,7 @@ mod tests {
     /// stretches, spikes, level shifts and recovery runs interrupted one
     /// sample short, and may end on a recovery run one short of, exactly
     /// at or one past `recover_len`.
-    fn seeded_walk(seed: u64) -> (Vec<f64>, i64, DetectorConfig) {
-        let mut rng = rng_from_seed(seed);
+    fn seeded_walk(seed: u64, rng: &mut StdRng) -> (Vec<f64>, i64, DetectorConfig) {
         let cfg = match (seed / 2) % 4 {
             0 => cfg(),
             1 => DetectorConfig::default(),
@@ -694,25 +685,25 @@ mod tests {
             match rng.random_range(0..5u32) {
                 0 => {
                     let n = rng.random_range(1..60usize);
-                    jitter(&mut rng, &mut s, n, level, unit);
+                    jitter(rng, &mut s, n, level, unit);
                 }
                 1 => {
                     let n = rng.random_range(1..2 * cfg.spike_max_s as usize + 2);
-                    jitter(&mut rng, &mut s, n, high, unit);
+                    jitter(rng, &mut s, n, high, unit);
                 }
                 2 => level = high,
                 3 => {
                     for _ in 0..rng.random_range(1..4usize) {
                         let n = rng.random_range(1..10usize);
-                        jitter(&mut rng, &mut s, n, high, unit);
-                        jitter(&mut rng, &mut s, back - 1, settle, unit);
+                        jitter(rng, &mut s, n, high, unit);
+                        jitter(rng, &mut s, back - 1, settle, unit);
                     }
                 }
                 _ => {
                     let n = rng.random_range(1..30usize);
-                    jitter(&mut rng, &mut s, n, high, unit);
+                    jitter(rng, &mut s, n, high, unit);
                     let n = back + rng.random_range(0..3usize) - 1;
-                    jitter(&mut rng, &mut s, n, settle, unit);
+                    jitter(rng, &mut s, n, settle, unit);
                     break;
                 }
             }
@@ -725,21 +716,21 @@ mod tests {
     /// seeded walks. Every failure names its seed.
     #[test]
     fn online_detector_matches_the_batch_scan_oracle() {
-        let noise = noise_trials();
-        for seed in 0..SWEEP_SEEDS {
-            let inputs = match noise.get(seed as usize) {
-                Some(series) => [(seed as i64 * 100, cfg()), (0, DetectorConfig::default())]
+        sweep(0..SWEEP_SEEDS, |seed, rng| {
+            let inputs = if seed < NOISE_TRIALS {
+                let series = noise_trial(rng, seed);
+                [(seed as i64 * 100, cfg()), (0, DetectorConfig::default())]
                     .map(|(start, c)| (series.clone(), start, c))
-                    .to_vec(),
-                None => vec![seeded_walk(seed)],
+                    .to_vec()
+            } else {
+                vec![seeded_walk(seed, rng)]
             };
             for (series, start, cfg) in inputs {
-                let what = format!("seed {seed}: {} samples from second {start}, {cfg:?}", series.len());
-                let online = std::panic::catch_unwind(|| detect_features("m", &series, start, &cfg))
-                    .unwrap_or_else(|_| panic!("{what}: the online detector panicked"));
+                let what = format!("{} samples from second {start}, {cfg:?}", series.len());
+                let online = detect_features("m", &series, start, &cfg);
                 assert_eq!(online, batch_scan("m", &series, start, &cfg), "{what}");
             }
-        }
+        });
     }
 
     #[test]
@@ -891,13 +882,9 @@ mod tests {
                 Err(WireError::BadTag { what: "kernel kind", value }) if value == tag as u64
             ));
         }
-        for cut in 0..bytes.len() {
-            assert!(
-                OnlineDetectorBank::read_snapshot(&mut WireReader::new(&bytes[..cut])).is_err()
-                    || cut >= bytes.len(),
-                "cut {cut} decoded"
-            );
-        }
+        truncations(&bytes, 1, |prefix| {
+            assert!(OnlineDetectorBank::read_snapshot(&mut WireReader::new(prefix)).is_err())
+        });
 
         // An un-started bank round-trips too (fresh instance checkpointed
         // before its first metrics sample).

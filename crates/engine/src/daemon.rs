@@ -21,11 +21,11 @@
 //!   [`finish`](FleetDaemon::finish) drains the tails, closes every case
 //!   in its shard, reassembles by instance id and fans
 //!   `PinSql::diagnose` out across the closed cases.
-//! - **Server** ([`FleetServer`]) — the control plane. Every operation
-//!   crosses the typed `PCTL` wire ([`crate::control`]) as encoded
-//!   frames: versioned config pushes, drains, restarts, health queries.
-//!   There is no side channel; the suites exercise the bytes a remote
-//!   deployment would.
+//! - **Control plane** ([`handle_frame`](FleetDaemon::handle_frame)) —
+//!   every operation crosses the typed `PCTL` wire ([`crate::control`]) as
+//!   an encoded frame and is answered with one: versioned config pushes,
+//!   drains, restarts, stops, health queries. There is no side channel; the
+//!   suites exercise the bytes a remote deployment would.
 //!
 //! ## One primitive: quiesce → snapshot → reseat
 //!
@@ -832,130 +832,6 @@ fn finalize_instance<O: Observer>(inst: OnlineInstance<'_, O>) -> InstanceArtifa
     }
 }
 
-/// A typed failure at the server control plane.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ControlError {
-    /// A frame failed to decode.
-    Wire(WireError),
-    /// The agent refused the message.
-    Rejected {
-        /// The epoch the agent still runs.
-        epoch: ConfigEpoch,
-        reason: String,
-    },
-    /// The agent answered with a response the message cannot produce.
-    Protocol(&'static str),
-}
-
-impl std::fmt::Display for ControlError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ControlError::Wire(e) => write!(f, "control wire: {e}"),
-            ControlError::Rejected { epoch, reason } => {
-                write!(f, "rejected (agent at {epoch}): {reason}")
-            }
-            ControlError::Protocol(what) => write!(f, "protocol violation: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for ControlError {}
-
-impl From<WireError> for ControlError {
-    fn from(e: WireError) -> Self {
-        ControlError::Wire(e)
-    }
-}
-
-/// The control plane: owns an agent and steers it **only** through
-/// encoded `PCTL` frames — encode, hand to the agent, decode the reply —
-/// so every server call exercises the exact bytes a remote deployment
-/// would. Tracks the epoch sequence; each push mints the next one.
-#[derive(Debug)]
-pub struct FleetServer<'a, O: Observer = NoopObserver> {
-    agent: FleetDaemon<'a, O>,
-    epoch: ConfigEpoch,
-}
-
-impl<'a, O: Observer> FleetServer<'a, O> {
-    /// Attaches the control plane to an existing agent.
-    pub fn with_agent(agent: FleetDaemon<'a, O>) -> Self {
-        let epoch = agent.epoch();
-        Self { agent, epoch }
-    }
-
-    /// The steered agent (read-only; all mutation rides the wire).
-    pub fn agent(&self) -> &FleetDaemon<'a, O> {
-        &self.agent
-    }
-
-    /// Data-plane passthrough: see [`FleetDaemon::advance_to`].
-    pub fn advance_to(&mut self, boundary_s: i64) {
-        self.agent.advance_to(boundary_s);
-    }
-
-    /// Pushes `delta` under the next epoch; returns the epoch the fleet
-    /// now runs.
-    pub fn push_config(&mut self, delta: FleetDelta) -> Result<ConfigEpoch, ControlError> {
-        let epoch = self.epoch.next();
-        match self.roundtrip(&ControlMsg::ConfigPush { epoch, delta })? {
-            ControlResp::Ack { epoch, .. } => {
-                self.epoch = epoch;
-                Ok(epoch)
-            }
-            ControlResp::Reject { epoch, reason } => {
-                Err(ControlError::Rejected { epoch, reason })
-            }
-            ControlResp::Rollup { .. } => Err(ControlError::Protocol("rollup for config push")),
-        }
-    }
-
-    /// Quiesces the agent at `to_second` (event time).
-    pub fn drain(&mut self, to_second: i64) -> Result<DaemonState, ControlError> {
-        self.expect_ack(&ControlMsg::Drain { to_second })
-    }
-
-    /// Bounces the agent through a serialize/revalidate/restore cycle.
-    pub fn restart(&mut self) -> Result<DaemonState, ControlError> {
-        self.expect_ack(&ControlMsg::Restart)
-    }
-
-    /// Queries the shard → region → fleet health rollup tree.
-    pub fn rollup(&mut self) -> Result<FleetRollup, ControlError> {
-        match self.roundtrip(&ControlMsg::HealthQuery)? {
-            ControlResp::Rollup { rollup, .. } => Ok(rollup),
-            ControlResp::Reject { epoch, reason } => {
-                Err(ControlError::Rejected { epoch, reason })
-            }
-            ControlResp::Ack { .. } => Err(ControlError::Protocol("ack for health query")),
-        }
-    }
-
-    /// Stops the agent (drains everything remaining) and collects the
-    /// final [`FleetRun`] — byte-identical to a cold
-    /// [`FleetEngine::run_full`] under the final config.
-    pub fn stop(mut self) -> Result<FleetRun, ControlError> {
-        self.expect_ack(&ControlMsg::Stop)?;
-        Ok(self.agent.finish())
-    }
-
-    fn expect_ack(&mut self, msg: &ControlMsg) -> Result<DaemonState, ControlError> {
-        match self.roundtrip(msg)? {
-            ControlResp::Ack { state, .. } => Ok(state),
-            ControlResp::Reject { epoch, reason } => {
-                Err(ControlError::Rejected { epoch, reason })
-            }
-            ControlResp::Rollup { .. } => Err(ControlError::Protocol("rollup for ack message")),
-        }
-    }
-
-    fn roundtrip(&mut self, msg: &ControlMsg) -> Result<ControlResp, ControlError> {
-        let frame = msg.to_bytes();
-        let reply = self.agent.handle_frame(&frame);
-        Ok(ControlResp::from_bytes(&reply)?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -984,6 +860,17 @@ mod tests {
     fn spawn(cfg: FleetConfig, scenarios: &[Scenario]) -> FleetDaemon<'_> {
         let streams = crate::instance::simulated_streams(scenarios);
         FleetDaemon::spawn(cfg, scenarios, streams, NoopObserver).expect("streams admitted")
+    }
+
+    /// One control operation over the `PCTL` wire: the message encoded,
+    /// handed to the agent, the reply decoded.
+    fn control<O: Observer>(agent: &mut FleetDaemon<'_, O>, msg: ControlMsg) -> ControlResp {
+        ControlResp::from_bytes(&agent.handle_frame(&msg.to_bytes())).expect("well-formed reply")
+    }
+
+    /// The agent at epoch `epoch` acknowledged, now in `state`.
+    fn ack(epoch: u64, state: DaemonState) -> ControlResp {
+        ControlResp::Ack { epoch: ConfigEpoch(epoch), state }
     }
 
     fn cfg(shards: usize) -> FleetConfig {
@@ -1016,12 +903,13 @@ mod tests {
         let scenarios = small_fleet(3);
         let batch = spawn(cfg(1), &scenarios).finish();
 
-        let mut server = FleetServer::with_agent(spawn(cfg(2), &scenarios));
-        assert_eq!(server.agent().state(), DaemonState::Running);
-        server.advance_to(120);
-        server.advance_to(300);
-        assert_eq!(server.agent().watermark(), 300);
-        let run = server.stop().unwrap();
+        let mut agent = spawn(cfg(2), &scenarios);
+        assert_eq!(agent.state(), DaemonState::Running);
+        agent.advance_to(120);
+        agent.advance_to(300);
+        assert_eq!(agent.watermark(), 300);
+        assert_eq!(control(&mut agent, ControlMsg::Stop), ack(0, DaemonState::Stopped));
+        let run = agent.finish();
 
         assert_eq!(run.report.config_epoch, 0);
         assert_eq!(run.cases.len(), batch.cases.len());
@@ -1118,28 +1006,24 @@ mod tests {
     #[test]
     fn lifecycle_states_gate_messages() {
         let scenarios = small_fleet(2);
-        let mut server = FleetServer::with_agent(spawn(cfg(1), &scenarios));
-        server.advance_to(100);
+        let mut agent = spawn(cfg(1), &scenarios);
+        agent.advance_to(100);
 
-        assert_eq!(server.drain(200).unwrap(), DaemonState::Draining);
-        assert_eq!(server.agent().watermark(), 200);
+        let drain = ControlMsg::Drain { to_second: 200 };
+        assert_eq!(control(&mut agent, drain), ack(0, DaemonState::Draining));
+        assert_eq!(agent.watermark(), 200);
         // Draining pauses the data plane; a restart resumes it.
-        assert_eq!(server.restart().unwrap(), DaemonState::Running);
-        assert_eq!(server.agent().restarts(), 1);
-        server.advance_to(250);
+        assert_eq!(control(&mut agent, ControlMsg::Restart), ack(0, DaemonState::Running));
+        assert_eq!(agent.restarts(), 1);
+        agent.advance_to(250);
 
         // A malformed frame never kills the agent.
-        let reply = {
-            let agent_reply = {
-                let a = &mut server.agent;
-                a.handle_frame(b"PCTLgarbage")
-            };
-            ControlResp::from_bytes(&agent_reply).unwrap()
-        };
+        let reply = ControlResp::from_bytes(&agent.handle_frame(b"PCTLgarbage")).unwrap();
         assert!(matches!(reply, ControlResp::Reject { .. }));
-        assert_eq!(server.agent().state(), DaemonState::Running);
+        assert_eq!(agent.state(), DaemonState::Running);
 
-        let run = server.stop().unwrap();
+        assert_eq!(control(&mut agent, ControlMsg::Stop), ack(0, DaemonState::Stopped));
+        let run = agent.finish();
         assert_eq!(run.report.n_instances, 2);
     }
 
@@ -1203,18 +1087,20 @@ mod tests {
         let obs = RecordingObserver::new();
         let streams = crate::instance::simulated_streams(&scenarios);
         let agent = FleetDaemon::spawn(cfg(2), &scenarios, streams, obs.clone());
-        let mut server = FleetServer::with_agent(agent.expect("streams admitted"));
-        server.advance_to(280);
-        server.push_config(FleetDelta::default()).expect("empty push acked");
+        let mut agent = agent.expect("streams admitted");
+        agent.advance_to(280);
+        let push = |epoch, delta| ControlMsg::ConfigPush { epoch: ConfigEpoch(epoch), delta };
+        let empty = push(1, FleetDelta::default());
+        assert_eq!(control(&mut agent, empty), ack(1, DaemonState::Running));
         let pinsql = every_knob(&off_default());
         let knobs = FleetDelta { delta_s: Some(240), pinsql, ..FleetDelta::default() };
-        server.push_config(knobs).expect("knob push acked");
+        assert_eq!(control(&mut agent, push(2, knobs)), ack(2, DaemonState::Running));
         let count = |c| obs.registry().counter(c);
         assert_eq!(count(Counter::ConfigPushes), 2);
         assert_eq!(count(Counter::SnapshotsWritten), 0, "a push wrote a snapshot");
         assert_eq!(count(Counter::SnapshotsRestored), 0, "a push restored a snapshot");
 
-        server.restart().expect("restart acked");
+        assert_eq!(control(&mut agent, ControlMsg::Restart), ack(2, DaemonState::Running));
         assert_eq!(count(Counter::SnapshotsWritten), n);
         assert_eq!(count(Counter::SnapshotsRestored), n);
     }
@@ -1244,10 +1130,12 @@ mod tests {
             regions: Some(last.regions),
             pinsql: every_knob(&last.pinsql),
         };
-        let mut server = FleetServer::with_agent(spawn(wrong, &scenarios));
-        server.advance_to(280); // the anomalies run 240..330
-        assert_eq!(server.push_config(correcting).expect("push acked"), ConfigEpoch(1));
-        let pushed = server.stop().expect("drains and stops");
+        let mut agent = spawn(wrong, &scenarios);
+        agent.advance_to(280); // the anomalies run 240..330
+        let push = ControlMsg::ConfigPush { epoch: ConfigEpoch(1), delta: correcting };
+        assert_eq!(control(&mut agent, push), ack(1, DaemonState::Running));
+        assert_eq!(control(&mut agent, ControlMsg::Stop), ack(1, DaemonState::Stopped));
+        let pushed = agent.finish();
         let cold = spawn(last, &scenarios).finish();
 
         assert_eq!(pushed.report.config_epoch, 1);
@@ -1532,10 +1420,12 @@ mod tests {
     #[test]
     fn rollup_tree_tracks_live_state() {
         let scenarios = small_fleet(3);
-        let mut server =
-            FleetServer::with_agent(spawn(FleetConfig { regions: 2, ..cfg(2) }, &scenarios));
-        server.advance_to(200);
-        let tree = server.rollup().unwrap();
+        let mut agent = spawn(FleetConfig { regions: 2, ..cfg(2) }, &scenarios);
+        agent.advance_to(200);
+        let ControlResp::Rollup { rollup: tree, .. } = control(&mut agent, ControlMsg::HealthQuery)
+        else {
+            panic!("a health query answers with the rollup tree")
+        };
         assert_eq!(tree.instances(), 3);
         assert!(tree.is_consistent());
         assert_eq!(tree.regions.len(), 2);

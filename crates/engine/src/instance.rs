@@ -661,16 +661,11 @@ mod tests {
 
         // Every truncation of the blob errors; none panics.
         let bytes = snap.as_bytes();
-        let step = (bytes.len() / 97).max(1);
-        for cut in (0..bytes.len()).step_by(step) {
-            let Ok(short) = crate::snapshot::InstanceSnapshot::from_bytes(bytes[..cut].to_vec())
-            else {
-                continue; // header-level rejection is fine too
-            };
-            assert!(
-                OnlineInstance::restore(&scenario_a, &short).is_err(),
-                "cut at {cut} restored"
-            );
-        }
+        pinsql_testkit::truncations(bytes, (bytes.len() / 97).max(1), |prefix| {
+            // A header-level rejection is fine too.
+            if let Ok(short) = crate::snapshot::InstanceSnapshot::from_bytes(prefix.to_vec()) {
+                assert!(OnlineInstance::restore(&scenario_a, &short).is_err(), "restored");
+            }
+        });
     }
 }

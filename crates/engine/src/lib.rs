@@ -12,18 +12,17 @@
 //!   history) and the online detector bank; when the case closes, the
 //!   window is selected, a `CaseData` snapshot is cut, and the case is
 //!   labelled. Every experiment builds its cases through it.
-//! * [`daemon`] — [`FleetDaemon`] / [`FleetServer`]: the one shard
-//!   executor. The agent shards N instances' event streams across scoped
+//! * [`daemon`] — [`FleetDaemon`]: the one shard executor. The agent shards N instances' event streams across scoped
 //!   ingestion workers (each a private time-ordered k-way merge over a
 //!   disjoint set of instances), keeps the pipelines live between
 //!   event-time watermarks, and on `finish` closes every case and fans
 //!   diagnosis out with the deterministic `par_map` primitive. Checkpoint,
 //!   resume, live reshard and graceful restart are all the same quiesce →
-//!   snapshot → reseat primitive; a config push applies in place. The
-//!   server control plane steers the agent exclusively through the typed
-//!   `PCTL` wire ([`control`]) — versioned config pushes ([`FleetDelta`]
-//!   under a [`pinsql::ConfigEpoch`]), drains, restarts, and O(regions)
-//!   health rollups. A daemon that finishes at config `F` is
+//!   snapshot → reseat primitive; a config push applies in place. A
+//!   control plane steers the agent through the typed `PCTL` wire
+//!   ([`control`], `FleetDaemon::handle_frame`) — versioned config pushes
+//!   ([`FleetDelta`] under a [`pinsql::ConfigEpoch`]), drains, restarts,
+//!   and O(regions) health rollups. A daemon that finishes at config `F` is
 //!   byte-identical to the batch oracle under `F`, whatever happened on
 //!   the way.
 //! * [`fleet`] — the run's vocabulary ([`FleetConfig`],
@@ -58,7 +57,7 @@ pub mod transport;
 pub mod wire;
 
 pub use control::{ControlMsg, ControlResp, DaemonState, FleetDelta, CONTROL_MAGIC, CONTROL_VERSION};
-pub use daemon::{ControlError, FleetDaemon, FleetServer};
+pub use daemon::FleetDaemon;
 pub use fleet::{
     FleetCheckpoint, FleetConfig, FleetEngine, FleetReport, FleetRun, InstanceOutcome,
 };

@@ -277,12 +277,9 @@ mod tests {
     #[test]
     fn header_rejects_every_truncation() {
         let bytes = golden_header();
-        for cut in 0..bytes.len() {
-            assert!(
-                read_header(&mut WireReader::new(&bytes[..cut])).is_err(),
-                "cut at {cut} decoded"
-            );
-        }
+        pinsql_testkit::truncations(&bytes, 1, |prefix| {
+            assert!(read_header(&mut WireReader::new(prefix)).is_err())
+        });
     }
 
     #[test]

@@ -17,7 +17,8 @@ use pinsql_scenario::{
     ScenarioConfig,
 };
 use pinsql_sqlkit::SqlId;
-use pinsql_workload::rng::{rng_from_seed, RngExt, StdRng};
+use pinsql_testkit::sweep;
+use pinsql_workload::rng::{RngExt, StdRng};
 use std::sync::OnceLock;
 
 const CASES: u64 = 256;
@@ -45,29 +46,26 @@ fn sims() -> &'static [(Scenario, SimOutput)] {
 
 /// Degrades cached telemetry and runs the full pipeline, asserting the
 /// structural invariants that must hold no matter what the chaos did.
-fn check_diagnosis(seed: u64, which: usize, p: &PerturbConfig) {
+fn check_diagnosis(which: usize, p: &PerturbConfig) {
     let (scenario, sim) = &sims()[which];
-    let outcome = std::panic::catch_unwind(|| {
-        let mut instance = OnlineInstance::new(scenario, 240);
-        instance.ingest_stream(telemetry_events(sim.log.clone(), sim.metrics.clone(), Some(p)));
-        let lc = instance.close_case();
-        assert!(lc.window.window_len() > 0, "window collapsed: {:?}", lc.window);
-        assert!(lc.window.anomaly_len() > 0);
-        let d = PinSql::new(PinSqlConfig::default()).diagnose(
-            &lc.case,
-            &lc.window,
-            &lc.history,
-            lc.minutes_origin,
-        );
-        for r in d.rsqls.iter().chain(d.hsqls.iter()).chain(d.reported_rsqls.iter()) {
-            assert!(r.score.is_finite(), "non-finite score: {r:?}");
-        }
-        assert!(d.reported_rsqls.len() <= d.rsqls.len());
-        // The evaluation path must also stay total on degraded output.
-        let rids: Vec<SqlId> = d.rsqls.iter().map(|r| r.id).collect();
-        let _ = first_hit_rank(&rids, &lc.truth.rsqls);
-    });
-    assert!(outcome.is_ok(), "seed {seed}: scenario {which} under {p:?} (panic above)");
+    let mut instance = OnlineInstance::new(scenario, 240);
+    instance.ingest_stream(telemetry_events(sim.log.clone(), sim.metrics.clone(), Some(p)));
+    let lc = instance.close_case();
+    assert!(lc.window.window_len() > 0, "window collapsed: {:?}", lc.window);
+    assert!(lc.window.anomaly_len() > 0);
+    let d = PinSql::new(PinSqlConfig::default()).diagnose(
+        &lc.case,
+        &lc.window,
+        &lc.history,
+        lc.minutes_origin,
+    );
+    for r in d.rsqls.iter().chain(d.hsqls.iter()).chain(d.reported_rsqls.iter()) {
+        assert!(r.score.is_finite(), "non-finite score: {r:?}");
+    }
+    assert!(d.reported_rsqls.len() <= d.rsqls.len());
+    // The evaluation path must also stay total on degraded output.
+    let rids: Vec<SqlId> = d.rsqls.iter().map(|r| r.id).collect();
+    let _ = first_hit_rank(&rids, &lc.truth.rsqls);
 }
 
 /// A value in `lo..=hi`; both ends turn up on purpose.
@@ -82,30 +80,28 @@ fn closed(rng: &mut StdRng, lo: f64, hi: f64) -> f64 {
 /// The single-knob sweep the robustness experiment uses.
 #[test]
 fn diagnose_never_panics_at_any_intensity() {
-    for seed in 0..CASES {
-        let mut rng = rng_from_seed(seed);
+    sweep(0..CASES, |_, rng| {
         let which = rng.random_range(0..5usize);
-        let intensity = closed(&mut rng, 0.0, 1.0);
-        check_diagnosis(seed, which, &PerturbConfig::at_intensity(rng.random(), intensity));
-    }
+        let intensity = closed(rng, 0.0, 1.0);
+        check_diagnosis(which, &PerturbConfig::at_intensity(rng.random(), intensity));
+    });
 }
 
 /// Arbitrary hand-built configs, beyond what `at_intensity` reaches
 /// (heavier loss, bigger skews in both directions, independent knobs).
 #[test]
 fn diagnose_never_panics_on_arbitrary_perturbations() {
-    for seed in 0..CASES {
-        let mut rng = rng_from_seed(seed);
+    sweep(0..CASES, |_, rng| {
         let which = rng.random_range(0..5usize);
         let p = PerturbConfig {
             seed: rng.random(),
-            drop_prob: closed(&mut rng, 0.0, 1.0),
-            duplicate_prob: closed(&mut rng, 0.0, 0.5),
-            jitter_ms: closed(&mut rng, 0.0, 60_000.0),
-            clock_skew_ms: closed(&mut rng, -30_000.0, 30_000.0),
+            drop_prob: closed(rng, 0.0, 1.0),
+            duplicate_prob: closed(rng, 0.0, 0.5),
+            jitter_ms: closed(rng, 0.0, 60_000.0),
+            clock_skew_ms: closed(rng, -30_000.0, 30_000.0),
             reorder: rng.random_range(0..2u32) == 1,
-            metric_blank_prob: closed(&mut rng, 0.0, 1.0),
+            metric_blank_prob: closed(rng, 0.0, 1.0),
         };
-        check_diagnosis(seed, which, &p);
-    }
+        check_diagnosis(which, &p);
+    });
 }

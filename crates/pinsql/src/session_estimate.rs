@@ -795,16 +795,15 @@ mod tests {
         // the bucketed estimator than for the RT proxy. True activity is
         // computed from the records at mid-second instants.
         use pinsql_timeseries::pearson;
+        use pinsql_workload::rng::{rng_from_seed, RngExt};
         let mut log = Vec::new();
         let mut t = 0.0;
-        let mut k = 0u64;
+        let mut rng = rng_from_seed(0);
         while t < 60_000.0 {
-            // deterministic pseudo-random lengths
-            k = k.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let rt = 20.0 + (k % 3000) as f64;
-            let spec = (k % 2) as usize;
+            let rt = 20.0 + rng.random_range(0..3000u32) as f64;
+            let spec = rng.random_range(0..2usize);
             log.push(rec(spec, t, rt));
-            t += 35.0 + (k % 150) as f64;
+            t += 35.0 + rng.random_range(0..150u32) as f64;
         }
         let n = 60;
         // Ground truth via mid-second probes.

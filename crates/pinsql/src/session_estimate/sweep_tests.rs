@@ -7,6 +7,8 @@ use super::{estimate_with_buckets, oracle, Arm, Grid, Seat, SessionEstimates};
 use pinsql_collector::{aggregate_case, CaseData};
 use pinsql_dbsim::probe::ProbeLog;
 use pinsql_dbsim::{InstanceMetrics, QueryRecord};
+use pinsql_testkit::sweep;
+use pinsql_workload::rng::{RngExt, StdRng};
 use pinsql_workload::SpecId;
 
 const KS: [usize; 5] = [1, 3, 7, 10, 16];
@@ -18,38 +20,17 @@ const SEEDS: u64 = 256;
 /// `hi` and `lo` disagree.
 const EPOCH_TS: i64 = 1_700_000_000;
 
-/// splitmix64.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
-        items[self.below(items.len() as u64) as usize]
-    }
+fn pick<T: Copy>(rng: &mut StdRng, items: &[T]) -> T {
+    items[rng.random_range(0..items.len())]
 }
 
 /// An instant on the bucket grid of some `K` in [`KS`] (whole seconds
 /// included), as an offset from the window start: such endpoints sit
 /// exactly on the bounds the estimator computes for that `K`.
-fn grid_ms(rng: &mut Rng, n: usize) -> f64 {
-    let k = rng.pick(&KS);
-    let second = rng.below(n as u64 + 1) as f64;
-    second * 1000.0 + rng.below(k as u64) as f64 * (1000.0 / k as f64)
+fn grid_ms(rng: &mut StdRng, n: usize) -> f64 {
+    let k = pick(rng, &KS);
+    let second = rng.random_range(0..=n) as f64;
+    second * 1000.0 + rng.random_range(0..k) as f64 * (1000.0 / k as f64)
 }
 
 /// A case of `n` seconds starting at `ts` whose records stress every guard
@@ -58,34 +39,33 @@ fn grid_ms(rng: &mut Rng, n: usize) -> f64 {
 /// place, which leaves each record's spec, and so its template, intact.
 /// The catalog holds one spec more than the log uses: its records belong
 /// to no template of the case.
-fn adversarial_case(seed: u64) -> CaseData {
-    let mut rng = Rng(seed);
-    let n = 1 + rng.below(40) as usize;
-    let ts = rng.pick(&[0i64, 17, 3_600, 86_399, EPOCH_TS]);
+fn adversarial_case(rng: &mut StdRng) -> CaseData {
+    let n = 1 + rng.random_range(0..40usize);
+    let ts = pick(rng, &[0i64, 17, 3_600, 86_399, EPOCH_TS]);
     let ts_ms = ts as f64 * 1000.0;
     let n_ms = n as f64 * 1000.0;
-    let n_used = 1 + rng.below(48);
+    let n_used = 1 + rng.random_range(0..48u64);
     let specs = specs_n(n_used as usize + 1);
 
-    let log: Vec<QueryRecord> = (0..rng.below(1500))
+    let log: Vec<QueryRecord> = (0..rng.random_range(0..1500u32))
         .map(|_| {
-            let start = match rng.below(5) {
-                0 => grid_ms(&mut rng, n).min(n_ms - 1.0),
+            let start = match rng.random_range(0..5u32) {
+                0 => grid_ms(rng, n).min(n_ms - 1.0),
                 // On a second bound.
-                1 => rng.below(n as u64) as f64 * 1000.0,
-                _ => rng.unit() * n_ms * 0.999,
+                1 => rng.random_range(0..n) as f64 * 1000.0,
+                _ => rng.random::<f64>() * n_ms * 0.999,
             };
-            let response = match rng.below(9) {
+            let response = match rng.random_range(0..9u32) {
                 // Blocked: spans many seconds, often past the window end.
-                0 => rng.unit() * n_ms * 1.5,
+                0 => rng.random::<f64>() * n_ms * 1.5,
                 // Ends on a bucket bound (or is empty when that lies behind).
-                1 | 2 => grid_ms(&mut rng, n) - start,
+                1 | 2 => grid_ms(rng, n) - start,
                 // Ends on a second bound.
-                3 => (start / 1000.0).floor() * 1000.0 + 1000.0 * rng.below(3) as f64 - start,
-                _ => rng.unit() * rng.unit() * 2500.0,
+                3 => (start / 1000.0).floor() * 1000.0 + 1000.0 * rng.random_range(0..3u32) as f64 - start,
+                _ => rng.random::<f64>() * rng.random::<f64>() * 2500.0,
             };
             QueryRecord {
-                spec: SpecId(rng.below(n_used) as usize),
+                spec: SpecId(rng.random_range(0..n_used) as usize),
                 start_ms: ts_ms + start,
                 response_ms: response.max(0.001),
                 examined_rows: 1,
@@ -95,7 +75,7 @@ fn adversarial_case(seed: u64) -> CaseData {
 
     let metrics = InstanceMetrics {
         start_second: ts,
-        active_session: (0..n).map(|_| (rng.unit() * 12.0).floor()).collect(),
+        active_session: (0..n).map(|_| (rng.random::<f64>() * 12.0).floor()).collect(),
         cpu_usage: vec![0.0; n],
         iops_usage: vec![0.0; n],
         row_lock_waits: vec![0.0; n],
@@ -104,53 +84,53 @@ fn adversarial_case(seed: u64) -> CaseData {
         probes: ProbeLog::default(),
     };
     let mut case = aggregate_case(&log, &specs, &metrics, ts, ts + n as i64);
-    assert_eq!(case.records.len(), log.len(), "seed {seed}: clean log is all in-window");
+    assert_eq!(case.records.len(), log.len(), "the clean log is all in-window");
 
     // Everything `aggregate_case` would have filtered or sanitized.
     let mut records: Vec<QueryRecord> = case.records.iter().copied().collect();
     for rec in &mut records {
-        match rng.below(12) {
+        match rng.random_range(0..12u32) {
             // Straddles the lower window edge, sometimes both.
             0 => {
-                rec.start_ms = ts_ms - rng.unit() * 5000.0;
-                rec.response_ms = rng.unit() * (n_ms + 10_000.0);
+                rec.start_ms = ts_ms - rng.random::<f64>() * 5000.0;
+                rec.response_ms = rng.random::<f64>() * (n_ms + 10_000.0);
             }
             1 => {
                 rec.response_ms =
-                    rng.pick(&[0.0, -0.0, -250.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY])
+                    pick(rng, &[0.0, -0.0, -250.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY])
             }
-            2 => rec.start_ms = rng.pick(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]),
+            2 => rec.start_ms = pick(rng, &[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]),
             // Wholly before / after the window.
-            3 => rec.start_ms = ts_ms - 10_000.0 - rng.unit() * 1000.0,
-            4 => rec.start_ms = ts_ms + n_ms + rng.unit() * 1000.0,
+            3 => rec.start_ms = ts_ms - 10_000.0 - rng.random::<f64>() * 1000.0,
+            4 => rec.start_ms = ts_ms + n_ms + rng.random::<f64>() * 1000.0,
             _ => {}
         }
     }
     // Records of the spec no template of the case covers.
-    for _ in 0..rng.below(20) {
+    for _ in 0..rng.random_range(0..20u32) {
         records.push(QueryRecord {
             spec: SpecId(n_used as usize),
-            start_ms: ts_ms + rng.unit() * n_ms,
-            response_ms: rng.unit() * 3000.0,
+            start_ms: ts_ms + rng.random::<f64>() * n_ms,
+            response_ms: rng.random::<f64>() * 3000.0,
             examined_rows: 1,
         });
     }
     case.records = records.into();
     // A probe second the bucket selection cannot use.
-    let nan_at = rng.below(n as u64) as usize;
+    let nan_at = rng.random_range(0..n);
     case.metrics.active_session[nan_at] = f64::NAN;
     // The online record ring is unsorted under perturbation.
-    if rng.below(3) == 0 {
-        shuffle(&mut case, &mut rng);
+    if rng.random_range(0..3u32) == 0 {
+        shuffle(&mut case, rng);
     }
     case
 }
 
 /// Permutes `case.records`; each record keeps its spec, so its template.
-fn shuffle(case: &mut CaseData, rng: &mut Rng) {
+fn shuffle(case: &mut CaseData, rng: &mut StdRng) {
     let mut records: Vec<QueryRecord> = case.records.iter().copied().collect();
     for i in (1..records.len()).rev() {
-        records.swap(i, rng.below(i as u64 + 1) as usize);
+        records.swap(i, rng.random_range(0..=i));
     }
     case.records = records.into();
 }
@@ -175,16 +155,14 @@ fn assert_bit_identical(new: &SessionEstimates, old: &SessionEstimates, what: &s
 
 #[test]
 fn sweep_matches_oracle_bit_for_bit() {
-    for seed in 0..SEEDS {
-        let case = adversarial_case(seed);
+    sweep(0..SEEDS, |_, rng| {
+        let case = adversarial_case(rng);
         for k in KS {
-            let what = format!("seed {seed} K={k}");
+            let what = format!("K={k}");
             let old = oracle::estimate_with_buckets(&case, k);
-            let new = std::panic::catch_unwind(|| estimate_with_buckets(&case, k))
-                .unwrap_or_else(|_| panic!("{what}: the sweep panicked"));
-            assert_bit_identical(&new, &old, &what);
+            assert_bit_identical(&estimate_with_buckets(&case, k), &old, &what);
         }
-    }
+    });
 }
 
 #[test]
@@ -194,8 +172,8 @@ fn adversarial_cases_hold_what_they_claim() {
     let (mut non_finite, mut before, mut blocked, mut unowned, mut aligned) = (0, 0, 0, 0, 0);
     let (mut starts_on_second, mut ends_on_second, mut split_bounds) = (0, 0, 0);
     let (mut fast, mut general, mut backward) = (0, 0, 0);
-    for seed in 0..SEEDS {
-        let case = adversarial_case(seed);
+    sweep(0..SEEDS, |_, rng| {
+        let case = adversarial_case(rng);
         let ts_ms = case.ts as f64 * 1000.0;
         unowned += case
             .records
@@ -231,8 +209,8 @@ fn adversarial_cases_hold_what_they_claim() {
                 Arm::General(_) => general += 1,
             }
         }
-        assert!(case.instance_session().iter().any(|v| v.is_nan()), "seed {seed}: NaN probe");
-    }
+        assert!(case.instance_session().iter().any(|v| v.is_nan()), "NaN probe");
+    });
     for (what, count) in [
         ("non-finite records", non_finite),
         ("records straddling the window start", before),

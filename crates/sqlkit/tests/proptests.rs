@@ -3,7 +3,8 @@
 //! failure names the seed.
 
 use pinsql_sqlkit::{fingerprint, normalize, tokenize, SqlTemplate, TokenKind};
-use pinsql_workload::rng::{rng_from_seed, RngExt, StdRng};
+use pinsql_testkit::sweep;
+use pinsql_workload::rng::{RngExt, StdRng};
 
 const CASES: u64 = 256;
 
@@ -35,98 +36,89 @@ fn ident(rng: &mut StdRng) -> String {
 
 #[test]
 fn same_shape_same_template() {
-    for seed in 0..CASES {
-        let mut rng = rng_from_seed(seed);
-        let (table, col) = (ident(&mut rng), ident(&mut rng));
-        let q1 = format!("SELECT * FROM {table} WHERE {col} = {}", literal(&mut rng));
-        let q2 = format!("SELECT * FROM {table} WHERE {col} = {}", literal(&mut rng));
-        assert_eq!(fingerprint(&q1), fingerprint(&q2), "seed {seed}: {q1} / {q2}");
-        assert_eq!(normalize(&q1), normalize(&q2), "seed {seed}: {q1} / {q2}");
-    }
+    sweep(0..CASES, |_, rng| {
+        let (table, col) = (ident(rng), ident(rng));
+        let q1 = format!("SELECT * FROM {table} WHERE {col} = {}", literal(rng));
+        let q2 = format!("SELECT * FROM {table} WHERE {col} = {}", literal(rng));
+        assert_eq!(fingerprint(&q1), fingerprint(&q2), "{q1} / {q2}");
+        assert_eq!(normalize(&q1), normalize(&q2), "{q1} / {q2}");
+    });
 }
 
 #[test]
 fn normalization_is_idempotent() {
-    for seed in 0..CASES {
-        let mut rng = rng_from_seed(seed);
+    sweep(0..CASES, |_, rng| {
         let q = format!(
             "UPDATE {} SET {} = {} WHERE id = 7",
-            ident(&mut rng),
-            ident(&mut rng),
-            literal(&mut rng)
+            ident(rng),
+            ident(rng),
+            literal(rng)
         );
         let once = normalize(&q);
-        assert_eq!(once, normalize(&once), "seed {seed}: {q}");
-    }
+        assert_eq!(once, normalize(&once), "{q}");
+    });
 }
 
 #[test]
 fn normalized_text_contains_no_literals() {
-    for seed in 0..CASES {
-        let mut rng = rng_from_seed(seed);
-        let table = ident(&mut rng);
-        let vs: Vec<String> = (0..rng.random_range(1..6usize)).map(|_| literal(&mut rng)).collect();
+    sweep(0..CASES, |_, rng| {
+        let table = ident(rng);
+        let vs: Vec<String> = (0..rng.random_range(1..6usize)).map(|_| literal(rng)).collect();
         let norm = normalize(&format!("SELECT * FROM {table} WHERE id IN ({})", vs.join(", ")));
         for tok in tokenize(&norm) {
             assert!(
                 !matches!(tok.kind, TokenKind::Number | TokenKind::Str),
-                "seed {seed}: literal {tok:?} survived normalization: {norm}"
+                "literal {tok:?} survived normalization: {norm}"
             );
         }
-    }
+    });
 }
 
 #[test]
 fn in_list_arity_is_irrelevant() {
-    for seed in 0..CASES {
-        let mut rng = rng_from_seed(seed);
-        let table = ident(&mut rng);
+    sweep(0..CASES, |_, rng| {
+        let table = ident(rng);
         let mut q = || {
             let vs: Vec<String> =
                 (0..rng.random_range(1..8usize)).map(|_| rng.random::<u32>().to_string()).collect();
             format!("SELECT * FROM {table} WHERE id IN ({})", vs.join(","))
         };
         let (q1, q2) = (q(), q());
-        assert_eq!(fingerprint(&q1), fingerprint(&q2), "seed {seed}: {q1} / {q2}");
-    }
+        assert_eq!(fingerprint(&q1), fingerprint(&q2), "{q1} / {q2}");
+    });
 }
 
 /// Up to 200 arbitrary non-control characters: half ASCII, where the
 /// lexer's branches are, half anywhere in Unicode.
 #[test]
 fn tokenizer_never_panics_on_arbitrary_input() {
-    for seed in 0..CASES {
-        let mut rng = rng_from_seed(seed);
+    sweep(0..CASES, |_, rng| {
         let s: String = (0..rng.random_range(0..=200usize))
             .filter_map(|_| {
                 let hi = if rng.random_range(0..2u32) == 0 { 0x7f } else { 0x11_0000 };
                 char::from_u32(rng.random_range(0x20..hi)).filter(|c| !c.is_control())
             })
             .collect();
-        let outcome = std::panic::catch_unwind(|| {
-            let _ = tokenize(&s);
-            let _ = SqlTemplate::of(&s);
-        });
-        assert!(outcome.is_ok(), "seed {seed}: panicked on {s:?}");
-    }
+        let _ = tokenize(&s);
+        let _ = SqlTemplate::of(&s);
+    });
 }
 
 #[test]
 fn case_of_keywords_is_irrelevant() {
-    for seed in 0..CASES {
-        let mut rng = rng_from_seed(seed);
-        let (table, col) = (ident(&mut rng), ident(&mut rng));
+    sweep(0..CASES, |_, rng| {
+        let (table, col) = (ident(rng), ident(rng));
         let lower = format!("select {col} from {table} where {col} > 3");
         let upper = format!("SELECT {col} FROM {table} WHERE {col} > 3");
-        assert_eq!(fingerprint(&lower), fingerprint(&upper), "seed {seed}: {lower}");
-    }
+        assert_eq!(fingerprint(&lower), fingerprint(&upper), "{lower}");
+    });
 }
 
 #[test]
 fn template_tables_found_for_basic_selects() {
-    for seed in 0..CASES {
-        let table = ident(&mut rng_from_seed(seed));
+    sweep(0..CASES, |_, rng| {
+        let table = ident(rng);
         let t = SqlTemplate::of(&format!("SELECT * FROM {table} WHERE id = 1"));
-        assert_eq!(t.tables, vec![table], "seed {seed}");
-    }
+        assert_eq!(t.tables, vec![table]);
+    });
 }

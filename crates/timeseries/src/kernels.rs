@@ -196,15 +196,12 @@ fn kth_of_two_sorted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pinsql_workload::rng::RngExt;
 
-    fn lcg_series(seed: u64, n: usize) -> Vec<f64> {
-        let mut state = seed;
-        (0..n)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((state >> 33) as f64) / (u32::MAX as f64) * 100.0 - 20.0
-            })
-            .collect()
+    /// `n` values uniform in [-20, 80), a function of `seed`.
+    fn series(seed: u64, n: usize) -> Vec<f64> {
+        let mut rng = pinsql_workload::rng::rng_from_seed(seed);
+        (0..n).map(|_| rng.random_range(-20.0..80.0)).collect()
     }
 
     fn reference_mad(sorted: &[f64], med: f64) -> f64 {
@@ -221,7 +218,7 @@ mod tests {
     #[test]
     fn slice_kernels_match_serial_within_ulps() {
         for n in [0usize, 1, 3, 7, 8, 9, 63, 64, 65, 1000] {
-            let xs = lcg_series(n as u64 + 1, n);
+            let xs = series(n as u64 + 1, n);
             let serial_sum: f64 = xs.iter().sum();
             let serial_sumsq: f64 = xs.iter().map(|x| x * x).sum();
             assert!((sum(&xs) - serial_sum).abs() <= 1e-9 * (1.0 + serial_sum.abs()), "n={n}");
@@ -244,8 +241,8 @@ mod tests {
     #[test]
     fn dot_matches_serial_within_ulps() {
         for n in [0usize, 5, 8, 17, 200] {
-            let a = lcg_series(7, n);
-            let b = lcg_series(11, n);
+            let a = series(7, n);
+            let b = series(11, n);
             let serial: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
             assert!((dot(&a, &b) - serial).abs() <= 1e-9 * (1.0 + serial.abs()), "n={n}");
         }
@@ -255,7 +252,7 @@ mod tests {
     fn selection_mad_is_bit_identical_to_reference() {
         for trial in 0..50u64 {
             let n = 1 + (trial as usize * 7) % 130;
-            let mut sorted = lcg_series(trial, n);
+            let mut sorted = series(trial, n);
             // Inject duplicates and exact-median hits on some trials.
             if trial % 3 == 0 && n > 4 {
                 sorted[1] = sorted[0];
@@ -291,8 +288,8 @@ mod tests {
     #[test]
     fn kth_selection_agrees_with_merged_sort() {
         for trial in 0..20u64 {
-            let mut a = lcg_series(trial * 2 + 1, (trial as usize) % 9);
-            let mut b = lcg_series(trial * 2 + 2, 1 + (trial as usize * 3) % 11);
+            let mut a = series(trial * 2 + 1, (trial as usize) % 9);
+            let mut b = series(trial * 2 + 2, 1 + (trial as usize * 3) % 11);
             a.sort_by(|x, y| x.partial_cmp(y).unwrap());
             b.sort_by(|x, y| x.partial_cmp(y).unwrap());
             let mut merged: Vec<f64> = a.iter().chain(b.iter()).copied().collect();

@@ -425,15 +425,12 @@ mod tests {
         assert_eq!(f64_at(back, 20).to_bits(), 0x7ff8_dead_beef_0001);
         r.finish("record").unwrap();
 
-        for cut in 1..bytes.len() {
-            let mut r = WireReader::new(&bytes[..cut]);
-            r.get_u8().unwrap();
-            assert_eq!(
-                r.get_array::<28>().map(|_| ()),
-                Err(WireError::Truncated { need: 28, have: cut - 1 })
-            );
-            assert_eq!(r.remaining(), cut - 1, "a failed read consumes nothing");
-        }
+        pinsql_testkit::truncations(&bytes[1..], 1, |row| {
+            let mut r = WireReader::new(row);
+            let have = row.len();
+            assert_eq!(r.get_array::<28>().map(|_| ()), Err(WireError::Truncated { need: 28, have }));
+            assert_eq!(r.remaining(), have, "a failed read consumes nothing");
+        });
     }
 
     #[test]
@@ -464,8 +461,8 @@ mod tests {
         });
         w.put_i64(-3);
         let bytes = w.into_bytes();
-        for cut in 0..bytes.len() {
-            let mut r = WireReader::new(&bytes[..cut]);
+        pinsql_testkit::truncations(&bytes, 1, |prefix| {
+            let mut r = WireReader::new(prefix);
             let res = (|| {
                 let mut sec = r.get_section()?;
                 sec.get_f64()?;
@@ -474,11 +471,8 @@ mod tests {
                 r.get_i64()?;
                 r.finish("buf")
             })();
-            assert!(
-                matches!(res, Err(WireError::Truncated { .. })),
-                "cut at {cut} gave {res:?}"
-            );
-        }
+            assert!(matches!(res, Err(WireError::Truncated { .. })), "{res:?}");
+        });
     }
 
     #[test]

@@ -35,12 +35,14 @@
 #                     loops among them (known_answer_sweep)
 #   snapshot_smoke    snapshot wire/property suites against the committed
 #                     golden blob, restore refusing what the fold never
-#                     stores, checkpoint bytes and handoff order, the
-#                     matrix's reshard and checkpoint -> resume rows
+#                     stores (minute rows of another width or outside the
+#                     cell ring included), checkpoint bytes and handoff
+#                     order, the matrix's reshard and checkpoint -> resume
+#                     rows
 #   daemon_smoke      resident daemon: control-wire hardening, report and
-#                     epoch contracts, config push in place (it writes no
-#                     snapshot; a push alone closes a cold start's cases),
-#                     the matrix's daemon row
+#                     epoch contracts over PCTL frames, config push in
+#                     place (it writes no snapshot; a push alone closes a
+#                     cold start's cases), the matrix's daemon row
 #   case_cut_smoke    window cut: minute rows bit-identical to the
 #                     per-template per_minute oracle; the cases every
 #                     experiment cuts online vs the batch oracle on the
@@ -68,8 +70,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Prints the header comment above: every line after the shebang up to
+# the first that is not a comment.
 usage() {
-  sed -n '2,63p' "$0" | sed 's/^# \{0,1\}//' >&2
+  awk 'NR > 1 { if (!/^#/) exit; sub(/^# ?/, ""); print }' "$0" >&2
 }
 
 # `cargo test -q ARGS`, echoed as it runs, failing when the tests pass but
@@ -153,11 +157,13 @@ kernel_smoke() {
 }
 
 # Checkpoint/restore + live resharding: the collector's and the engine's
-# PSNP unit tests (the collector's `checkpoint` filter includes the four
+# PSNP unit tests (the collector's `checkpoint` filter includes the six
 # restore refusals, checkpoint_rejects_a_sorted_flag_over_unsorted_records,
 # checkpoint_rejects_a_cell_row_naming_a_slot_twice,
-# checkpoint_rejects_a_cell_count_the_fold_never_stores and
-# checkpoint_rejects_a_history_span_past_the_end_of_time, and
+# checkpoint_rejects_a_cell_count_the_fold_never_stores,
+# checkpoint_rejects_a_history_span_past_the_end_of_time,
+# checkpoint_rejects_a_minute_row_of_another_width and
+# checkpoint_rejects_minute_rows_outside_the_cell_ring, and
 # checkpoint_with_a_record_no_window_cell_counts_cuts_it_unowned; the engine's
 # `snapshot` filter includes snapshot_rejects_a_negative_delta_s), the
 # wire-hardening suite (committed golden blob, older versions refused,

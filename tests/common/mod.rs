@@ -18,7 +18,8 @@ use pinsql_collector::{aggregate_case, CaseData};
 use pinsql_detect::{
     classify, detect_features, select_case_window, DetectorConfig, PhenomenonConfig,
 };
-use pinsql_engine::FleetConfig;
+use pinsql_engine::{ControlMsg, ControlResp, FleetConfig, FleetDaemon};
+use pinsql_obs::Observer;
 use pinsql_dbsim::{InstanceMetrics, MetricsSample, QueryRecord, TelemetryEvent};
 use pinsql_json::Json;
 use pinsql_timeseries::par::par_map;
@@ -31,6 +32,12 @@ use pinsql_workload::SpecId;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
+
+/// One control operation over the `PCTL` wire: the message encoded,
+/// handed to the agent, the reply decoded.
+pub fn control<O: Observer>(agent: &mut FleetDaemon<'_, O>, msg: ControlMsg) -> ControlResp {
+    ControlResp::from_bytes(&agent.handle_frame(&msg.to_bytes())).expect("well-formed reply")
+}
 
 /// Collection look-back used for every golden case.
 pub const GOLDEN_DELTA_S: i64 = 600;

@@ -19,6 +19,7 @@ use pinsql_engine::{
     ControlMsg, ControlResp, DaemonState, FleetDelta, CONTROL_MAGIC, CONTROL_VERSION,
 };
 use pinsql_obs::{FleetRollup, HealthRollup, RegionRollup};
+use pinsql_testkit::truncations;
 use pinsql_timeseries::WireError;
 
 /// A push with every knob present — exercises every optional-field branch
@@ -89,30 +90,18 @@ fn frames_round_trip_through_untrusted_decode() {
 
 #[test]
 fn every_truncation_of_a_message_frame_is_a_typed_error() {
-    let bytes = full_push_frame();
-    for cut in 0..bytes.len() {
-        match ControlMsg::from_bytes(&bytes[..cut]) {
-            Ok(msg) => panic!("truncation at {cut}/{} decoded as {msg:?}", bytes.len()),
-            Err(e) => assert!(
-                matches!(e, WireError::Truncated { .. }),
-                "truncation at {cut}: unexpected error {e:?}"
-            ),
-        }
-    }
+    truncations(&full_push_frame(), 1, |prefix| match ControlMsg::from_bytes(prefix) {
+        Ok(msg) => panic!("decoded as {msg:?}"),
+        Err(e) => assert!(matches!(e, WireError::Truncated { .. }), "unexpected error {e:?}"),
+    });
 }
 
 #[test]
 fn every_truncation_of_a_response_frame_is_a_typed_error() {
-    let bytes = rollup_frame();
-    for cut in 0..bytes.len() {
-        match ControlResp::from_bytes(&bytes[..cut]) {
-            Ok(resp) => panic!("truncation at {cut}/{} decoded as {resp:?}", bytes.len()),
-            Err(e) => assert!(
-                matches!(e, WireError::Truncated { .. }),
-                "truncation at {cut}: unexpected error {e:?}"
-            ),
-        }
-    }
+    truncations(&rollup_frame(), 1, |prefix| match ControlResp::from_bytes(prefix) {
+        Ok(resp) => panic!("decoded as {resp:?}"),
+        Err(e) => assert!(matches!(e, WireError::Truncated { .. }), "unexpected error {e:?}"),
+    });
 }
 
 #[test]

@@ -9,12 +9,12 @@
 
 mod common;
 
-use common::{golden_scenarios, golden_streams, load_manifest, GOLDEN_DELTA_S};
-use pinsql_engine::{FleetConfig, FleetDaemon, FleetRun, FleetServer};
+use common::{control, golden_scenarios, golden_streams, load_manifest, GOLDEN_DELTA_S};
+use pinsql_engine::{ControlMsg, ControlResp, DaemonState, FleetConfig, FleetDaemon, FleetRun};
 use pinsql_obs::NoopObserver;
 
 /// Five golden scenarios under two shards and three regions, run to the
-/// end with no pushes.
+/// end with no pushes and stopped over the control wire.
 fn five_instance_run() -> FleetRun {
     let entries = &load_manifest()[..5];
     let scenarios = golden_scenarios(entries);
@@ -25,9 +25,11 @@ fn five_instance_run() -> FleetRun {
         regions: 3,
         ..FleetConfig::default()
     };
-    let agent = FleetDaemon::spawn(cfg, &scenarios, golden_streams(entries), NoopObserver)
+    let mut agent = FleetDaemon::spawn(cfg, &scenarios, golden_streams(entries), NoopObserver)
         .expect("streams admitted");
-    FleetServer::with_agent(agent).stop().expect("drains and stops")
+    let stopped = control(&mut agent, ControlMsg::Stop);
+    assert!(matches!(stopped, ControlResp::Ack { state: DaemonState::Stopped, .. }), "{stopped:?}");
+    agent.finish()
 }
 
 /// The report's rollup tree is exact: region counts partition the fleet

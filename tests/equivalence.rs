@@ -29,14 +29,14 @@
 mod common;
 
 use common::{
-    all_points, assert_run_matches_batch, axis_points, batch_reference, drive_loopback,
+    all_points, assert_run_matches_batch, axis_points, batch_reference, control, drive_loopback,
     golden_fleet_config, golden_scenarios, golden_streams, live_policy, load_manifest,
     one_per_kind, reversed, ManifestEntry, MatrixPoint, ObserverKind, Snapshot, MANIFEST,
 };
 use pinsql::{ConfigEpoch, Diagnosis, PinSqlConfig, PinSqlDelta};
 use pinsql_engine::{
-    plan_frames, replay_diagnose, FleetConfig, FleetDaemon, FleetDelta, FleetRun, FleetServer,
-    IngestSink, SourcePlan, TransportError,
+    plan_frames, replay_diagnose, ControlMsg, ControlResp, DaemonState, FleetConfig, FleetDaemon,
+    FleetDelta, FleetRun, IngestSink, SourcePlan, TransportError,
 };
 use pinsql_dbsim::TelemetryEvent;
 use pinsql_obs::{Counter, FleetHealth, NoopObserver, Observer, RecordingObserver, Stage};
@@ -232,18 +232,20 @@ fn run_path<O: Observer>(path: Path, p: MatrixPoint, corpus: &Corpus, obs: &O) -
             resumed.expect("checkpoint decodes").finish().into()
         }
         Path::Daemon => {
-            let mut server = FleetServer::with_agent(spawn(perturbed_config(&cfg)));
+            let mut agent = spawn(perturbed_config(&cfg));
+            let ack = |state| ControlResp::Ack { epoch: ConfigEpoch(1), state };
             // Ingest under the wrong config, then push the correction: the
             // in-place apply at the watermark must leave no trace of the
             // perturbed thresholds, look-back, or layout.
-            server.advance_to(600);
-            let epoch = server.push_config(restoring_delta(&cfg)).expect("config push acked");
-            assert_eq!(epoch, ConfigEpoch(1), "first push mints epoch 1");
+            agent.advance_to(600);
+            let push = ControlMsg::ConfigPush { epoch: ConfigEpoch(1), delta: restoring_delta(&cfg) };
+            assert_eq!(control(&mut agent, push), ack(DaemonState::Running), "epoch 1 acked");
             // Keep ingesting into the anomaly window, then restart with
             // detector segments open — the crash drill mid-anomaly.
-            server.advance_to(800);
-            server.restart().expect("graceful restart acked");
-            let run = server.stop().expect("drains and stops");
+            agent.advance_to(800);
+            assert_eq!(control(&mut agent, ControlMsg::Restart), ack(DaemonState::Running));
+            assert_eq!(control(&mut agent, ControlMsg::Stop), ack(DaemonState::Stopped));
+            let run = agent.finish();
             assert_eq!(run.report.config_epoch, 1, "report carries the epoch");
             assert_eq!(run.report.shards, p.shards.min(n), "final shard layout");
             run.into()

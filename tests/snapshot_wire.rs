@@ -1,8 +1,9 @@
 //! Wire-format hardening for instance snapshots.
 //!
 //! A golden snapshot blob is committed at
-//! `tests/golden/instance_snapshot.bin` (`PINSQL_BLESS=1` rewrites it
-//! after an intentional format change; a missing file fails the suite).
+//! `tests/golden/instance_snapshot.bin` (`pinsql_testkit::pin`:
+//! `PINSQL_BLESS=1` rewrites it after an intentional format change; a
+//! missing file fails the suite).
 //! The blob holds a seeded scenario's state,
 //! so it is a function of the PRNG stream: bless it under the build whose
 //! stream is meant to be pinned, never as a side effect of a test run.
@@ -22,6 +23,7 @@ mod common;
 use pinsql_engine::{InstanceSnapshot, OnlineInstance, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use pinsql_dbsim::TelemetryEvent;
 use pinsql_scenario::{generate_base, inject, AnomalyKind, Scenario, ScenarioConfig};
+use pinsql_testkit::{pin, truncations};
 use pinsql_timeseries::WireError;
 
 const DELTA_S: i64 = 60;
@@ -70,28 +72,13 @@ fn golden_blob_is_byte_stable_and_restores() {
     assert!(!snap.is_empty());
     assert_eq!(snap.len(), snap.as_bytes().len());
 
-    let path = common::golden_dir().join("instance_snapshot.bin");
-    if std::env::var_os("PINSQL_BLESS").is_some() {
-        std::fs::write(&path, snap.as_bytes()).expect("write golden snapshot blob");
-    }
-    // A missing blob fails like a differing one: a fresh checkout must
-    // not compare the encoder with itself.
-    let committed = std::fs::read(&path).unwrap_or_else(|e| {
-        panic!("{}: {e}; bless it with PINSQL_BLESS=1 under the build to pin", path.display())
-    });
-    // Not `assert_eq!`: a failure would print both 800 KB blobs.
-    let diverge = committed.iter().zip(snap.as_bytes()).position(|(a, b)| a != b);
-    assert!(
-        committed == snap.as_bytes(),
-        "snapshot wire bytes changed (committed {} bytes, built {}, first difference at {diverge:?}); \
-         if intentional, bump SNAPSHOT_VERSION and regenerate with PINSQL_BLESS=1",
-        committed.len(),
-        snap.len(),
-    );
+    // A change that is meant must bump SNAPSHOT_VERSION before the
+    // re-bless.
+    pin(common::golden_dir().join("instance_snapshot.bin"), snap.as_bytes());
 
-    // The committed bytes round-trip through the untrusted path and keep
+    // The pinned bytes round-trip through the untrusted path and keep
     // ingesting: drain the tail and close the case without error.
-    let wrapped = InstanceSnapshot::from_bytes(committed).expect("golden blob validates");
+    let wrapped = InstanceSnapshot::from_bytes(snap.into_bytes()).expect("golden blob validates");
     let mut restored = OnlineInstance::restore(scenario, &wrapped).expect("golden blob restores");
     let events = golden_events();
     let cut = events.partition_point(|ev| ev.time_ms() < 150.0 * 1000.0);
@@ -104,20 +91,14 @@ fn golden_blob_is_byte_stable_and_restores() {
 fn every_truncation_yields_a_typed_error() {
     let scenario = golden_scenario();
     let bytes = build_snapshot().into_bytes();
-    for cut in 0..bytes.len() {
-        match InstanceSnapshot::from_bytes(bytes[..cut].to_vec()) {
-            // Header survived the cut; the body decode must catch it.
-            Ok(snap) => assert!(
-                OnlineInstance::restore(scenario, &snap).is_err(),
-                "truncation at {cut}/{} restored",
-                bytes.len()
-            ),
-            Err(e) => assert!(
-                matches!(e, WireError::Truncated { .. } | WireError::BadMagic { .. }),
-                "truncation at {cut}: unexpected error {e:?}"
-            ),
-        }
-    }
+    truncations(&bytes, 1, |prefix| match InstanceSnapshot::from_bytes(prefix.to_vec()) {
+        // Header survived the cut; the body decode must catch it.
+        Ok(snap) => assert!(OnlineInstance::restore(scenario, &snap).is_err(), "restored"),
+        Err(e) => assert!(
+            matches!(e, WireError::Truncated { .. } | WireError::BadMagic { .. }),
+            "unexpected error {e:?}"
+        ),
+    });
 }
 
 #[test]

@@ -18,7 +18,7 @@
 mod common;
 
 use common::{
-    assert_run_matches_batch, batch_reference, drive_loopback, golden_fleet_config,
+    assert_run_matches_batch, batch_reference, control, drive_loopback, golden_fleet_config,
     golden_scenarios, golden_streams, live_policy, load_manifest, scenario_for, small_scenario,
     MatrixPoint, GOLDEN_DELTA_S,
 };
@@ -330,11 +330,6 @@ fn acked_seq(reply: &[u8]) -> u64 {
     }
 }
 
-fn control(sink: &mut IngestSink<'_>, msg: ControlMsg) -> ControlResp {
-    let reply = sink.daemon_mut().handle_frame(&msg.to_bytes());
-    ControlResp::from_bytes(&reply).expect("well-formed control reply")
-}
-
 /// Protocol-role and sequence discipline over raw frames: a sink-minted
 /// frame sent at the sink, a sequence gap, and a credit overrun are each
 /// refused with the typed error — and the daemon survives all three.
@@ -482,7 +477,7 @@ fn out_of_range_spec_is_refused_at_admission_not_fatal_at_the_fold() {
             other => panic!("spec {bad_spec} must be a typed refusal, got {other:?}"),
         }
         assert_eq!(sink.buffered(), 0, "spec {bad_spec}: the refused batch buffered nothing");
-        assert!(matches!(control(&mut sink, ControlMsg::HealthQuery), ControlResp::Rollup { .. }));
+        assert!(matches!(control(sink.daemon_mut(), ControlMsg::HealthQuery), ControlResp::Rollup { .. }));
 
         // Never applied, so the corrected frame lands under the same seq.
         assert_eq!(acked_seq(&sink.handle_event_frame(&good).expect("corrected frame lands")), 1);
@@ -506,7 +501,7 @@ fn advance_at_a_drained_agent_is_refused_not_fatal() {
     let mut sink = small_sink(&scenarios);
     sink.handle_event_frame(&batch(1, vec![tick(0), tick(1), tick(2)])).expect("batch lands");
 
-    match control(&mut sink, ControlMsg::Drain { to_second: 1 }) {
+    match control(sink.daemon_mut(), ControlMsg::Drain { to_second: 1 }) {
         ControlResp::Ack { state, .. } => assert_eq!(state, DaemonState::Draining),
         other => panic!("drain must ack, got {other:?}"),
     }
@@ -522,11 +517,11 @@ fn advance_at_a_drained_agent_is_refused_not_fatal() {
     assert_eq!(sink.buffered(), 2, "the refused frame folded nothing");
 
     // The agent is alive and answers health...
-    assert!(matches!(control(&mut sink, ControlMsg::HealthQuery), ControlResp::Rollup { .. }));
+    assert!(matches!(control(sink.daemon_mut(), ControlMsg::HealthQuery), ControlResp::Rollup { .. }));
     // ...and after a Restart the re-sent Advance (same seq: it was never
     // applied) lands.
     assert!(matches!(
-        control(&mut sink, ControlMsg::Restart),
+        control(sink.daemon_mut(), ControlMsg::Restart),
         ControlResp::Ack { state: DaemonState::Running, .. }
     ));
     assert_eq!(acked_seq(&sink.handle_event_frame(&advance).expect("re-sent advance")), 2);
